@@ -120,19 +120,12 @@ func newAnalyzer(prog *ir.Program, plan *decomp.Plan, modes map[ir.Stmt]region.M
 // against the bounded-enumeration oracle: a concrete point inside a system
 // FM rejected is a decision-procedure bug, recorded for the caller.
 func (a *analyzer) feasible(sys *linear.System) bool {
-	res := sys.Copy().Solve()
-	if res.MayHold() {
+	if sys.Solve().MayHold() {
 		return true
 	}
 	if a.oracleBudget > 0 {
 		a.oracleBudget--
-		ranges := map[linear.Var][2]int64{}
-		for _, v := range sys.Vars() {
-			if v.Kind == linear.KindSymbolic {
-				ranges[v] = [2]int64{1, 4}
-			}
-		}
-		if pt, r := sys.Enumerate(linear.EnumOptions{Range: ranges, Budget: 20000}); r == linear.EnumPoint {
+		if pt, r := sys.Enumerate(linear.EnumOptions{SymbolicRange: [2]int64{1, 4}, Budget: 20000}); r == linear.EnumPoint {
 			a.oracleErrs = append(a.oracleErrs, fmt.Errorf(
 				"certify: oracle disagreement: FM proved %s infeasible but enumeration found %v", sys, pt))
 			return true

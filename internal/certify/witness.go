@@ -76,13 +76,7 @@ func witnessFor(prog interface{ IsParam(string) bool }, f *Flow) *Witness {
 		if sys == nil {
 			continue
 		}
-		ranges := map[linear.Var][2]int64{}
-		for _, v := range sys.Vars() {
-			if v.Kind == linear.KindSymbolic {
-				ranges[v] = [2]int64{1, 8}
-			}
-		}
-		pt, res := sys.Enumerate(linear.EnumOptions{Range: ranges})
+		pt, res := sys.Enumerate(linear.EnumOptions{SymbolicRange: [2]int64{1, 8}})
 		if res != linear.EnumPoint {
 			continue
 		}

@@ -13,6 +13,12 @@ package linear
 // quantities (parameters, block sizes) bound inner ones (loop and array
 // indices), so interval propagation from already-assigned variables prunes
 // the walk to near-linear cost on typical loop-nest systems.
+//
+// It runs on the compiled row form (row.go): rows are bucketed by their
+// highest-numbered variable, so the candidate interval of variable i is
+// read off bucket i alone, and every value in that interval satisfies the
+// bucket — a search node evaluates a few integer rows, allocates nothing
+// and touches no map.
 
 // EnumResult is the outcome of a bounded enumeration.
 type EnumResult int
@@ -47,6 +53,10 @@ type EnumOptions struct {
 	// Variables without an entry fall back to intervals derived from the
 	// system's own constraints, then to [FallbackLo, FallbackHi].
 	Range map[Var][2]int64
+	// SymbolicRange is the inclusive range of every KindSymbolic variable
+	// that has no Range entry (both zero selects none): the box clients
+	// put around program parameters, without listing them per system.
+	SymbolicRange [2]int64
 	// FallbackLo/Hi bound variables the constraints leave open in one or
 	// both directions (both zero selects [-8, 32]).
 	FallbackLo, FallbackHi int64
@@ -62,25 +72,60 @@ const (
 
 // Enumerate searches the box for an integer point satisfying every
 // constraint of s. On EnumPoint the returned assignment covers every
-// variable of s.
-func (s *System) Enumerate(opts EnumOptions) (map[Var]int64, EnumResult) {
+// variable of s. Arithmetic is overflow-checked: a system whose rows
+// overflow int64 inside the box yields EnumBudget, never a wrapped point.
+// s is not modified.
+func (s *System) Enumerate(opts EnumOptions) (pt map[Var]int64, res EnumResult) {
 	costEnums.Add(1)
-	if opts.Budget <= 0 {
-		opts.Budget = defaultEnumBudget
+	if bailed(func() { pt, res = s.enumerate(opts) }) {
+		return nil, EnumBudget
 	}
-	if opts.FallbackLo == 0 && opts.FallbackHi == 0 {
-		opts.FallbackLo, opts.FallbackHi = defaultFallbackLo, defaultFallbackHi
+	return pt, res
+}
+
+func (s *System) enumerate(opts EnumOptions) (map[Var]int64, EnumResult) {
+	vars, rows := compile(s.Cons)
+	e := &enumerator{
+		byLast: make([][]row, len(vars)),
+		box:    make([]span, len(vars)),
+		val:    make([]int64, len(vars)),
+		budget: opts.Budget,
+		sound:  true,
 	}
-	e := &enumerator{sys: s, opts: opts, vars: s.Vars(), env: map[Var]int64{}, budget: opts.Budget}
-	if len(e.vars) == 0 {
-		if s.Holds(e.env) {
-			return map[Var]int64{}, EnumPoint
+	if e.budget <= 0 {
+		e.budget = defaultEnumBudget
+	}
+	fallback := span{lo: opts.FallbackLo, hi: opts.FallbackHi}
+	if fallback.lo == 0 && fallback.hi == 0 {
+		fallback = span{lo: defaultFallbackLo, hi: defaultFallbackHi}
+	}
+	for i, v := range vars {
+		r, has := opts.Range[v]
+		if !has && v.Kind == KindSymbolic && opts.SymbolicRange != [2]int64{} {
+			r, has = opts.SymbolicRange, true
 		}
-		return nil, EnumNoPoint
+		if e.box[i] = fallback; has {
+			e.box[i] = span{r[0], r[1], true, true}
+		}
+	}
+	for _, r := range rows {
+		if n := len(r.terms); n > 0 {
+			last := r.terms[n-1].idx
+			e.byLast[last] = append(e.byLast[last], r)
+		} else if r.c < 0 || (r.eq && r.c != 0) {
+			e.sound = false
+		}
+	}
+	if len(vars) == 0 && !e.sound {
+		return nil, EnumNoPoint // no node to charge: the empty assignment fails
 	}
 	switch e.search(0) {
 	case searchFound:
-		return e.env, EnumPoint
+		pt := make(map[Var]int64, len(vars))
+		for i, v := range vars {
+			pt[v] = e.val[i]
+		}
+		return pt, EnumPoint
 	case searchBudget:
 		return nil, EnumBudget
 	default:
@@ -96,123 +141,71 @@ const (
 	searchBudget
 )
 
-type enumerator struct {
-	sys    *System
-	opts   EnumOptions
-	vars   []Var
-	env    map[Var]int64
-	budget int
+// span is an inclusive candidate interval; a side that is not yet bounded
+// holds the fallback and is replaced, not intersected, by the first bound.
+type span struct {
+	lo, hi       int64
+	hasLo, hasHi bool
 }
 
-// search assigns vars[i..] depth-first. The candidate interval for vars[i]
-// intersects the explicit range (if any) with every constraint in which
-// vars[i] is the only yet-unassigned variable.
-func (e *enumerator) search(i int) searchOutcome {
-	if i == len(e.vars) {
-		if e.fullySatisfied() {
-			return searchFound
+// bound intersects s with k*x + rest >= 0 (k != 0).
+func (s *span) bound(k, rest int64) {
+	if k > 0 {
+		// x >= ceil(-rest/k)
+		if b := mulChecked(floorDiv(rest, k), -1); !s.hasLo || b > s.lo {
+			s.lo, s.hasLo = b, true
 		}
-		return searchExhausted
+	} else if b := floorDiv(rest, mulChecked(k, -1)); !s.hasHi || b < s.hi {
+		// x <= floor(rest/-k)
+		s.hi, s.hasHi = b, true
 	}
-	v := e.vars[i]
-	lo, hi, ok := e.interval(v, i)
-	if !ok {
-		return searchExhausted
+}
+
+type enumerator struct {
+	// byLast[i] holds, in constraint order, the rows whose highest-numbered
+	// variable is i: exactly those that become decidable when i is assigned.
+	byLast [][]row
+	box    []span  // explicit range or fallback per variable
+	val    []int64 // val[:i] is the current partial assignment
+	budget int
+	// sound is false when a constant row is violated. No point exists then,
+	// but every node is still visited and charged to the budget.
+	sound bool
+}
+
+// search assigns variables i.. depth-first. The candidate interval for
+// variable i intersects its box with every row of bucket i, evaluated under
+// val[:i]; each value in it satisfies the bucket, and buckets below i were
+// settled on the way down, so reaching the end of val is a solution.
+func (e *enumerator) search(i int) searchOutcome {
+	if i == len(e.val) {
+		return searchFound
 	}
-	for x := lo; x <= hi; x++ {
+	s := e.box[i]
+	for _, r := range e.byLast[i] {
+		last := len(r.terms) - 1
+		rest := r.c
+		for _, t := range r.terms[:last] {
+			rest = addChecked(rest, mulChecked(t.k, e.val[t.idx]))
+		}
+		k := r.terms[last].k
+		s.bound(k, rest)
+		if r.eq {
+			s.bound(mulChecked(k, -1), mulChecked(rest, -1))
+		}
+	}
+	for x := s.lo; x <= s.hi; x++ {
 		e.budget--
 		if e.budget < 0 {
 			return searchBudget
 		}
-		e.env[v] = x
-		if !e.prefixConsistent(i) {
+		if !e.sound {
 			continue
 		}
+		e.val[i] = x
 		if out := e.search(i + 1); out != searchExhausted {
 			return out
 		}
 	}
-	delete(e.env, v)
 	return searchExhausted
 }
-
-// interval derives the inclusive candidate range for v given that
-// vars[0..i-1] are assigned. ok is false when the range is provably empty.
-func (e *enumerator) interval(v Var, i int) (lo, hi int64, ok bool) {
-	lo, hi = e.opts.FallbackLo, e.opts.FallbackHi
-	boundedLo, boundedHi := false, false
-	if r, has := e.opts.Range[v]; has {
-		lo, hi = r[0], r[1]
-		boundedLo, boundedHi = true, true
-	}
-	assigned := func(u Var) bool {
-		_, done := e.env[u]
-		return done
-	}
-	for _, c := range e.sys.Cons {
-		k := c.Expr.Coeff(v)
-		if k == 0 {
-			continue
-		}
-		// Usable only when every other variable is already assigned.
-		rest := c.Expr.Const
-		usable := true
-		for _, u := range c.Expr.Vars() {
-			if u == v {
-				continue
-			}
-			if !assigned(u) {
-				usable = false
-				break
-			}
-			rest += c.Expr.Coeff(u) * e.env[u]
-		}
-		if !usable {
-			continue
-		}
-		// Constraint: k*v + rest >= 0 (and <= 0 too for equalities).
-		apply := func(k, rest int64) {
-			if k > 0 {
-				// v >= ceil(-rest/k)
-				b := -floorDiv(rest, k)
-				if !boundedLo || b > lo {
-					lo, boundedLo = b, true
-				}
-			} else {
-				// v <= floor(rest/-k)
-				b := floorDiv(rest, -k)
-				if !boundedHi || b < hi {
-					hi, boundedHi = b, true
-				}
-			}
-		}
-		apply(k, rest)
-		if c.Op == OpEQ {
-			apply(-k, -rest)
-		}
-	}
-	if lo > hi {
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
-// prefixConsistent checks every constraint whose variables are all assigned
-// after vars[i] received its value.
-func (e *enumerator) prefixConsistent(i int) bool {
-	for _, c := range e.sys.Cons {
-		all := true
-		for _, u := range c.Expr.Vars() {
-			if _, done := e.env[u]; !done {
-				all = false
-				break
-			}
-		}
-		if all && !c.Holds(e.env) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *enumerator) fullySatisfied() bool { return e.sys.Holds(e.env) }

@@ -84,3 +84,30 @@ func TestEnumerateBudget(t *testing.T) {
 		t.Fatalf("want EnumBudget, got %v", res)
 	}
 }
+
+// TestEnumerateOverflowIsBudget: row evaluation is overflow-checked. 2^62*x
+// wraps to 0 at x = 4, where unchecked arithmetic would "find" 2^62*4 + y == 1
+// at y = 1; the result must be unusable instead.
+func TestEnumerateOverflowIsBudget(t *testing.T) {
+	x, y := Sym("x"), Loop("y")
+	s := NewSystem().
+		AddRange(x, NewAffine(4), NewAffine(4)).
+		AddEQ(Term(x, 1<<62).Add(VarExpr(y)), NewAffine(1))
+	if pt, res := s.Enumerate(EnumOptions{}); res != EnumBudget {
+		t.Fatalf("want EnumBudget on overflow, got %v (pt=%v)", res, pt)
+	}
+	// Negating the most negative bound is an overflow too.
+	s = NewSystem().Add(Constraint{Expr: VarExpr(y).AddConst(-1 << 63), Op: OpGE})
+	if pt, res := s.Enumerate(EnumOptions{}); res != EnumBudget {
+		t.Fatalf("want EnumBudget on overflow, got %v (pt=%v)", res, pt)
+	}
+}
+
+func TestEnumerateSymbolicRange(t *testing.T) {
+	N, M, i := Sym("N"), Sym("M"), Loop("i")
+	s := NewSystem().AddGE(VarExpr(i), VarExpr(N).Add(VarExpr(M))).AddLE(VarExpr(i), NewAffine(40))
+	pt, res := s.Enumerate(EnumOptions{SymbolicRange: [2]int64{5, 6}, Range: map[Var][2]int64{M: {9, 9}}})
+	if res != EnumPoint || pt[N] != 5 || pt[M] != 9 || pt[i] != 14 {
+		t.Fatalf("got %v %v, want N=5 (symbolic box) M=9 (explicit range) i=14", res, pt)
+	}
+}

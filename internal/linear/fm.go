@@ -1,7 +1,5 @@
 package linear
 
-import "sort"
-
 // Solver limits. Fourier-Motzkin elimination can blow up quadratically per
 // step; the guards below make the solver give up (Result Unknown, treated
 // as Feasible by callers) rather than run away. The synchronization
@@ -10,50 +8,6 @@ const (
 	maxConstraints = 6000
 	maxElimSteps   = 256
 )
-
-type canceled struct{} // panic sentinel for overflow/size bailout
-
-// mulChecked multiplies with overflow detection; on overflow it panics with
-// the canceled sentinel, unwinding to Solve which reports Unknown.
-func mulChecked(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	r := a * b
-	if r/b != a {
-		panic(canceled{})
-	}
-	return r
-}
-
-func addChecked(a, b int64) int64 {
-	r := a + b
-	if (a > 0 && b > 0 && r < 0) || (a < 0 && b < 0 && r >= 0) {
-		panic(canceled{})
-	}
-	return r
-}
-
-// scaleChecked returns k*a with overflow checking.
-func scaleChecked(a Affine, k int64) Affine {
-	r := Affine{Const: mulChecked(a.Const, k)}
-	if len(a.terms) > 0 {
-		r.terms = make(map[Var]int64, len(a.terms))
-		for v, c := range a.terms {
-			r.terms[v] = mulChecked(c, k)
-		}
-	}
-	return r
-}
-
-func addAffChecked(a, b Affine) Affine {
-	r := a.clone()
-	r.Const = addChecked(r.Const, b.Const)
-	for v, c := range b.terms {
-		r.setCoeff(v, addChecked(r.Coeff(v), c))
-	}
-	return r
-}
 
 // SolveInfo is one solve's accounting: the verdict plus how much
 // elimination work it took. It feeds the optimization remarks' per-pair
@@ -78,6 +32,9 @@ type SolveInfo struct {
 // Feasible means a rational solution exists (an integer one may not);
 // Unknown means the solver hit a resource guard. Both are treated as
 // "communication may occur" by clients, which is the sound direction.
+//
+// Solve, SolveDetailed, Project and Enumerate work on a compiled copy of
+// the constraints and never modify s: callers need not Copy first.
 func (s *System) Solve() (res Result) {
 	var info SolveInfo
 	s.solve(true, &info)
@@ -101,298 +58,290 @@ func (s *System) SolveNoSubst() (res Result) {
 }
 
 func (s *System) solve(subst bool, info *SolveInfo) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(canceled); !ok {
-				panic(r)
-			}
-			info.Result = Unknown
-		}
-		costSystems.Add(1)
-		costVarsElim.Add(info.VarsEliminated)
-		costIneqsGen.Add(info.IneqsGenerated)
-		if info.Result == Unknown {
-			costBailouts.Add(1)
-		}
-	}()
-	info.Result = s.solveBody(subst, info)
+	if bailed(func() { info.Result = s.solveBody(subst, info) }) {
+		info.Result = Unknown
+	}
+	costSystems.Add(1)
+	costVarsElim.Add(info.VarsEliminated)
+	costIneqsGen.Add(info.IneqsGenerated)
+	if info.Result == Unknown {
+		costBailouts.Add(1)
+	}
 }
 
 func (s *System) solveBody(subst bool, info *SolveInfo) Result {
-
-	work, ok := normalizeAll(s.Cons)
+	vars, rows := compile(s.Cons)
+	rows, ok := normalizeRows(rows)
+	if ok && subst {
+		rows, ok = substituteEqualities(rows)
+	}
 	if !ok {
 		return Infeasible
 	}
+	f := fm{vars: vars, lo: make([]int, len(vars)), hi: make([]int, len(vars)), info: info}
+	rows, res := f.run(rows, f.pickVar)
+	info.IneqsRetained = int64(len(rows))
+	return res
+}
 
-	if subst {
-		work, ok = substituteEqualities(work)
-		if !ok {
-			return Infeasible
+// fm is one elimination run over compiled rows.
+type fm struct {
+	vars   []Var
+	lo, hi []int // pickVar scratch: lower/upper bound counts per variable
+	info   *SolveInfo
+}
+
+// run splits equalities into inequality pairs and eliminates the variables
+// pick selects until it returns -1 (Feasible, with the surviving rows), a
+// contradiction appears (Infeasible) or a resource guard trips (Unknown).
+func (f *fm) run(rows []row, pick func([]row) int) ([]row, Result) {
+	ineqs := make([]row, 0, len(rows))
+	for _, r := range rows {
+		wasEq := r.eq
+		r.eq = false
+		ineqs = append(ineqs, r)
+		if wasEq {
+			ineqs = append(ineqs, combine(r, -1, row{}, 0))
 		}
 	}
-
-	// Split remaining equalities into inequality pairs.
-	var ineqs []Constraint
-	for _, c := range work {
-		if c.Op == OpEQ {
-			ineqs = append(ineqs,
-				Constraint{Expr: c.Expr, Op: OpGE},
-				Constraint{Expr: c.Expr.Neg(), Op: OpGE})
-		} else {
-			ineqs = append(ineqs, c)
-		}
-	}
-
-	steps := 0
-	for {
-		ineqs, ok = normalizeAll(ineqs)
-		if !ok {
-			return Infeasible
+	for steps := 1; ; steps++ {
+		var ok bool
+		if ineqs, ok = normalizeRows(ineqs); !ok {
+			return nil, Infeasible
 		}
 		ineqs = dedup(ineqs)
-		v, found := pickVar(ineqs)
-		if !found {
-			// Only constant constraints remain; normalizeAll
-			// verified them all.
-			info.IneqsRetained = int64(len(ineqs))
-			return Feasible
+		v := pick(ineqs)
+		if v < 0 {
+			// Only constant rows remained and normalizeRows verified
+			// them all.
+			return ineqs, Feasible
 		}
-		steps++
 		if steps > maxElimSteps || len(ineqs) > maxConstraints {
-			info.IneqsRetained = int64(len(ineqs))
-			return Unknown
+			return ineqs, Unknown
 		}
-		info.VarsEliminated++
-		ineqs, ok = eliminate(ineqs, v, info)
-		if !ok {
-			return Infeasible
+		f.info.VarsEliminated++
+		if ineqs, ok = f.eliminate(ineqs, v); !ok {
+			return nil, Infeasible
 		}
 	}
 }
 
-// normalizeAll GCD-normalizes every constraint with integer tightening,
-// drops trivially true constraints, and reports false if any constraint is
-// trivially false.
-func normalizeAll(cons []Constraint) ([]Constraint, bool) {
-	out := cons[:0:0]
-	for _, c := range cons {
-		g := c.Expr.contentGCD()
-		if g == 0 {
-			// Constant constraint.
-			if c.Op == OpEQ && c.Expr.Const != 0 {
-				return nil, false
+// normalizeRows GCD-normalizes every row in place with integer tightening,
+// drops trivially true rows, and reports false if any row is trivially
+// false.
+func normalizeRows(rows []row) ([]row, bool) {
+	out := rows[:0]
+	for _, r := range rows {
+		var g int64
+		for _, t := range r.terms {
+			if g = gcd64(g, t.k); g == 1 {
+				break
 			}
-			if c.Op == OpGE && c.Expr.Const < 0 {
+		}
+		if g == 0 {
+			// Constant row.
+			if r.c < 0 || (r.eq && r.c != 0) {
 				return nil, false
 			}
 			continue
 		}
 		if g > 1 {
-			e := Affine{terms: make(map[Var]int64, len(c.Expr.terms))}
-			for v, k := range c.Expr.terms {
-				e.terms[v] = k / g
+			if r.eq && r.c%g != 0 {
+				// No integer solution for this equality.
+				return nil, false
 			}
-			if c.Op == OpEQ {
-				if c.Expr.Const%g != 0 {
-					// No integer solution for this equality.
-					return nil, false
-				}
-				e.Const = c.Expr.Const / g
-			} else {
-				// Integer tightening: sum >= -C becomes
-				// sum/g >= ceil(-C/g), i.e. const floor-divides.
-				e.Const = floorDiv(c.Expr.Const, g)
+			for i := range r.terms {
+				r.terms[i].k /= g
 			}
-			c.Expr = e
+			// Integer tightening: sum >= -C becomes sum/g >= ceil(-C/g),
+			// i.e. the constant floor-divides (exactly, for an equality).
+			r.c = floorDiv(r.c, g)
 		}
-		out = append(out, c)
+		out = append(out, r)
 	}
 	return out, true
+}
+
+// combine returns ka*a + kb*b with overflow checking and zero terms dropped.
+func combine(a row, ka int64, b row, kb int64) row {
+	out := row{terms: make([]term, 0, len(a.terms)+len(b.terms)), eq: a.eq,
+		c: addChecked(mulChecked(a.c, ka), mulChecked(b.c, kb))}
+	i, j := 0, 0
+	for i < len(a.terms) || j < len(b.terms) {
+		var t term
+		switch {
+		case j == len(b.terms) || (i < len(a.terms) && a.terms[i].idx < b.terms[j].idx):
+			t = term{a.terms[i].idx, mulChecked(a.terms[i].k, ka)}
+			i++
+		case i == len(a.terms) || b.terms[j].idx < a.terms[i].idx:
+			t = term{b.terms[j].idx, mulChecked(b.terms[j].k, kb)}
+			j++
+		default:
+			t = term{a.terms[i].idx, addChecked(mulChecked(a.terms[i].k, ka), mulChecked(b.terms[j].k, kb))}
+			i, j = i+1, j+1
+		}
+		if t.k != 0 {
+			out.terms = append(out.terms, t)
+		}
+	}
+	return out
 }
 
 // substituteEqualities repeatedly finds an equality with a +/-1 coefficient
 // and substitutes it through the system (Gaussian elimination step). This
 // keeps coefficients small and dramatically reduces FM blowup.
 //
-// The choice of equality (first by index) and variable (varLess order) is
+// The choice of equality (first by index) and variable (scan order) is
 // deterministic: solve-cost accounting flows into golden-tested remark
-// output, so map-iteration order must not leak into the pivot choice.
-func substituteEqualities(cons []Constraint) ([]Constraint, bool) {
+// output.
+func substituteEqualities(rows []row) ([]row, bool) {
 	for {
-		idx, v := -1, Var{}
-		for i, c := range cons {
-			if c.Op != OpEQ {
+		idx, v, k := -1, 0, int64(0)
+	find:
+		for i, r := range rows {
+			if !r.eq {
 				continue
 			}
-			for _, tv := range c.Expr.Vars() {
-				if tc := c.Expr.Coeff(tv); tc == 1 || tc == -1 {
-					idx, v = i, tv
-					break
+			for _, t := range r.terms {
+				if t.k == 1 || t.k == -1 {
+					idx, v, k = i, t.idx, t.k
+					break find
 				}
-			}
-			if idx >= 0 {
-				break
 			}
 		}
 		if idx < 0 {
-			return cons, true
+			return rows, true
 		}
-		eq := cons[idx].Expr
-		c := eq.Coeff(v)
-		// c*v + rest == 0  =>  v = -rest/c ; with c = +/-1:
-		rest := eq.clone()
-		rest.setCoeff(v, 0)
-		repl := rest.Scale(-c) // c*c = 1
-		next := make([]Constraint, 0, len(cons)-1)
-		for i, cc := range cons {
+		// k*v + rest == 0 with k = +/-1, so c*v + S becomes S - c*k*rest:
+		// adding -c*k times the equality cancels v exactly.
+		eq := rows[idx]
+		next := make([]row, 0, len(rows)-1)
+		for i, r := range rows {
 			if i == idx {
 				continue
 			}
-			cc.Expr = cc.Expr.Substitute(v, repl)
-			next = append(next, cc)
+			if c := r.coeff(v); c != 0 {
+				r = combine(r, 1, eq, mulChecked(-c, k))
+			}
+			next = append(next, r)
 		}
 		var ok bool
-		next, ok = normalizeAll(next)
-		if !ok {
+		if rows, ok = normalizeRows(next); !ok {
 			return nil, false
 		}
-		cons = next
 	}
 }
 
-// dedup removes duplicate constraints and keeps only the tightest constant
-// for constraints sharing the same linear part.
-func dedup(cons []Constraint) []Constraint {
-	type entry struct {
-		idx int
-	}
-	best := make(map[string]entry, len(cons))
-	keyBuf := make([]byte, 0, 64)
-	out := cons[:0:0]
-	for _, c := range cons {
-		keyBuf = keyBuf[:0]
-		for _, v := range c.Expr.Vars() {
-			keyBuf = append(keyBuf, v.Name...)
-			keyBuf = append(keyBuf, '#')
-			keyBuf = appendInt(keyBuf, c.Expr.terms[v])
-			keyBuf = append(keyBuf, '|')
+// dedup removes duplicate rows and keeps only the tightest constant for
+// rows sharing the same linear part, at the position of the first.
+func dedup(rows []row) []row {
+	seen := make(map[uint64]int, len(rows)) // hash of linear part -> index in out
+	out := rows[:0]
+next:
+	for _, r := range rows {
+		h := uint64(14695981039346656037)
+		for _, t := range r.terms {
+			h = (h ^ uint64(t.idx)) * 1099511628211
+			h = (h ^ uint64(t.k)) * 1099511628211
 		}
-		k := string(keyBuf)
-		if e, dup := best[k]; dup {
-			// expr + C >= 0 means lin >= -C; smaller C is tighter.
-			if c.Expr.Const < out[e.idx].Expr.Const {
-				out[e.idx] = c
+		for ; ; h++ { // linear probing over hash collisions
+			j, hit := seen[h]
+			if !hit {
+				seen[h] = len(out)
+				out = append(out, r)
+				continue next
 			}
-			continue
+			if sameTerms(out[j].terms, r.terms) {
+				// lin + C >= 0 means lin >= -C; smaller C is tighter.
+				if r.c < out[j].c {
+					out[j] = r
+				}
+				continue next
+			}
 		}
-		best[k] = entry{idx: len(out)}
-		out = append(out, c)
 	}
 	return out
 }
 
-func appendInt(b []byte, n int64) []byte {
-	if n < 0 {
-		b = append(b, '-')
-		n = -n
+func sameTerms(a, b []term) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if n == 0 {
-		return append(b, '0')
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
 	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(b, tmp[i:]...)
+	return true
 }
 
 // pickVar chooses the next variable to eliminate: innermost kind first
 // (array indices, then loop indices, then processors, then symbolics —
 // the reverse of the paper's scan order), and within a kind the variable
-// with the cheapest lower*upper pairing cost.
-func pickVar(cons []Constraint) (Var, bool) {
-	type stat struct{ lo, hi, free int }
-	stats := map[Var]*stat{}
-	for _, c := range cons {
-		for v, k := range c.Expr.terms {
-			st := stats[v]
-			if st == nil {
-				st = &stat{}
-				stats[v] = st
-			}
-			if k > 0 {
-				st.lo++
+// with the cheapest lower*upper pairing cost, the first in scan order on a
+// tie. It returns -1 when no row mentions a variable.
+func (f *fm) pickVar(rows []row) int {
+	for i := range f.lo {
+		f.lo[i], f.hi[i] = 0, 0
+	}
+	for _, r := range rows {
+		for _, t := range r.terms {
+			if t.k > 0 {
+				f.lo[t.idx]++
 			} else {
-				st.hi++
+				f.hi[t.idx]++
 			}
 		}
 	}
-	if len(stats) == 0 {
-		return Var{}, false
-	}
-	vars := make([]Var, 0, len(stats))
-	for v := range stats {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return varLess(vars[i], vars[j]) })
-	bestIdx := -1
-	bestCost := int(^uint(0) >> 1)
-	bestKind := VarKind(-1)
-	for i, v := range vars {
-		st := stats[v]
-		cost := st.lo * st.hi
+	best, bestCost := -1, 0
+	for i, v := range f.vars {
+		if f.lo[i]+f.hi[i] == 0 {
+			continue
+		}
 		// Prefer innermost kinds (higher VarKind) strictly, then
 		// cheapest cost within the kind.
-		if bestIdx < 0 || v.Kind > bestKind || (v.Kind == bestKind && cost < bestCost) {
-			bestIdx, bestCost, bestKind = i, cost, v.Kind
+		cost := f.lo[i] * f.hi[i]
+		if best < 0 || v.Kind > f.vars[best].Kind || (v.Kind == f.vars[best].Kind && cost < bestCost) {
+			best, bestCost = i, cost
 		}
 	}
-	return vars[bestIdx], true
+	return best
 }
 
-// eliminate removes v from the system by pairing every lower bound with
-// every upper bound (Fourier-Motzkin step), tallying generated
-// inequalities into info. Returns false on a detected contradiction.
-func eliminate(cons []Constraint, v Var, info *SolveInfo) ([]Constraint, bool) {
-	var lower, upper, rest []Constraint
-	for _, c := range cons {
-		k := c.Expr.Coeff(v)
-		switch {
+// eliminate removes variable v from the system by pairing every lower bound
+// with every upper bound (Fourier-Motzkin step), tallying generated
+// inequalities into f.info. Returns false on a detected contradiction.
+func (f *fm) eliminate(rows []row, v int) ([]row, bool) {
+	var lower, upper []row
+	out := make([]row, 0, len(rows))
+	for _, r := range rows {
+		switch k := r.coeff(v); {
 		case k > 0:
-			lower = append(lower, c)
+			lower = append(lower, r)
 		case k < 0:
-			upper = append(upper, c)
+			upper = append(upper, r)
 		default:
-			rest = append(rest, c)
+			out = append(out, r)
 		}
 	}
 	if len(lower)*len(upper) > maxConstraints {
 		panic(canceled{})
 	}
-	out := rest
 	for _, l := range lower {
-		a := l.Expr.Coeff(v) // a > 0
+		a := l.coeff(v) // a > 0
 		for _, u := range upper {
-			b := -u.Expr.Coeff(v) // b > 0
+			b := -u.coeff(v) // b > 0
 			// l: a*v + alpha >= 0, u: -b*v + beta >= 0
-			// => b*alpha + a*beta >= 0
-			nl := scaleChecked(l.Expr, b)
-			nu := scaleChecked(u.Expr, a)
-			ne := addAffChecked(nl, nu)
-			// The v terms cancel: b*a + a*(-b) = 0.
-			ne.setCoeff(v, 0)
-			if ne.IsConstant() {
-				if ne.Const < 0 {
+			// => b*alpha + a*beta >= 0; the v terms cancel.
+			ne := combine(l, b, u, a)
+			if len(ne.terms) == 0 {
+				if ne.c < 0 {
 					return nil, false
 				}
 				continue
 			}
-			info.IneqsGenerated++
-			out = append(out, Constraint{Expr: ne, Op: OpGE})
+			f.info.IneqsGenerated++
+			out = append(out, ne)
 		}
 	}
 	return out, true
@@ -416,72 +365,38 @@ func (s *System) Implies(c Constraint) bool {
 // Project eliminates every variable for which drop returns true and returns
 // the projected system over the remaining variables. ok is false when the
 // solver hit a resource guard (result unusable) or the system is infeasible
-// (empty projection).
+// (empty projection). s is not modified.
 func (s *System) Project(drop func(Var) bool) (proj *System, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok2 := r.(canceled); ok2 {
-				proj, ok = nil, false
-				return
-			}
-			panic(r)
-		}
-	}()
-	work, good := normalizeAll(s.Cons)
+	if bailed(func() { proj, ok = s.project(drop) }) {
+		return nil, false
+	}
+	return proj, ok
+}
+
+func (s *System) project(drop func(Var) bool) (*System, bool) {
+	vars, rows := compile(s.Cons)
+	rows, good := normalizeRows(rows)
 	if !good {
 		return nil, false
 	}
-	var ineqs []Constraint
-	for _, c := range work {
-		if c.Op == OpEQ {
-			ineqs = append(ineqs,
-				Constraint{Expr: c.Expr, Op: OpGE},
-				Constraint{Expr: c.Expr.Neg(), Op: OpGE})
-		} else {
-			ineqs = append(ineqs, c)
-		}
-	}
-	steps := 0
-	for {
-		ineqs, good = normalizeAll(ineqs)
-		if !good {
-			return nil, false
-		}
-		ineqs = dedup(ineqs)
-		var target Var
-		found := false
-		for _, v := range varsOf(ineqs) {
-			if drop(v) {
-				target, found = v, true
-				break
+	f := fm{vars: vars, info: new(SolveInfo)}
+	rows, res := f.run(rows, func(rows []row) int {
+		target := -1
+		for _, r := range rows {
+			for _, t := range r.terms {
+				if (target < 0 || t.idx < target) && drop(vars[t.idx]) {
+					target = t.idx
+				}
 			}
 		}
-		if !found {
-			return &System{Cons: ineqs}, true
-		}
-		steps++
-		if steps > maxElimSteps || len(ineqs) > maxConstraints {
-			return nil, false
-		}
-		var scratch SolveInfo
-		ineqs, good = eliminate(ineqs, target, &scratch)
-		if !good {
-			return nil, false
-		}
+		return target
+	})
+	if res != Feasible {
+		return nil, false
 	}
-}
-
-func varsOf(cons []Constraint) []Var {
-	seen := map[Var]bool{}
-	var vs []Var
-	for _, c := range cons {
-		for v := range c.Expr.terms {
-			if !seen[v] {
-				seen[v] = true
-				vs = append(vs, v)
-			}
-		}
+	proj := &System{Cons: make([]Constraint, len(rows))}
+	for i, r := range rows {
+		proj.Cons[i] = r.constraint(vars)
 	}
-	sort.Slice(vs, func(i, j int) bool { return varLess(vs[i], vs[j]) })
-	return vs
+	return proj, true
 }

@@ -311,3 +311,60 @@ func enumerate(s *System, vars []Var, lo, hi int64) bool {
 	}
 	return rec(0)
 }
+
+// TestDecisionProceduresLeaveReceiverAlone pins what callers rely on when
+// they skip the defensive Copy: solving, projecting and enumerating work on
+// a compiled copy, so the system still reads the same afterwards — including
+// one whose rows the solver rescales (gcd 2), substitutes and splits.
+func TestDecisionProceduresLeaveReceiverAlone(t *testing.T) {
+	N, i, j := Sym("N"), Loop("i"), Loop("j")
+	s := NewSystem().
+		AddRange(i, NewAffine(1), VarExpr(N)).
+		AddGE(VarExpr(j).Scale(2), VarExpr(i).Scale(2).AddConst(3)).
+		AddEQ(VarExpr(j), VarExpr(i).AddConst(2)).
+		AddLE(VarExpr(N), NewAffine(6))
+	before := s.String()
+	frozen := s.Copy()
+	s.Solve()
+	s.SolveDetailed()
+	s.SolveNoSubst()
+	s.Project(func(v Var) bool { return v.Kind == KindLoop })
+	s.Implies(GE(VarExpr(j), NewAffine(0)))
+	s.Enumerate(EnumOptions{})
+	if after := s.String(); after != before {
+		t.Fatalf("system changed:\nbefore %s\nafter  %s", before, after)
+	}
+	for k := range s.Cons {
+		if !s.Cons[k].Expr.Equal(frozen.Cons[k].Expr) || s.Cons[k].Op != frozen.Cons[k].Op {
+			t.Fatalf("constraint %d changed: %v, was %v", k, s.Cons[k], frozen.Cons[k])
+		}
+	}
+}
+
+func TestCheckedArithmeticEdges(t *testing.T) {
+	overflows := func(f func()) (caught bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				_, caught = r.(canceled)
+			}
+		}()
+		f()
+		return false
+	}
+	min := int64(-1 << 63)
+	for name, f := range map[string]func(){
+		"min * -1":  func() { mulChecked(min, -1) },
+		"-1 * min":  func() { mulChecked(-1, min) },
+		"2^62 * 2":  func() { mulChecked(1<<62, 2) },
+		"max + 1":   func() { addChecked(1<<63-1, 1) },
+		"min + -1":  func() { addChecked(min, -1) },
+		"2^62 * -4": func() { mulChecked(1<<62, -4) },
+	} {
+		if !overflows(f) {
+			t.Errorf("%s: overflow not detected", name)
+		}
+	}
+	if mulChecked(1<<62, -2) != min || mulChecked(min, 1) != min || addChecked(min, 1<<63-1) != -1 {
+		t.Error("checked arithmetic rejected or miscomputed an in-range result")
+	}
+}

@@ -107,7 +107,7 @@ func (s *System) Vars() []Var {
 	seen := map[Var]bool{}
 	var vs []Var
 	for _, c := range s.Cons {
-		for _, v := range c.Expr.Vars() {
+		for v := range c.Expr.terms {
 			if !seen[v] {
 				seen[v] = true
 				vs = append(vs, v)

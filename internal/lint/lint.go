@@ -455,7 +455,7 @@ func (l *linter) boundsRules(stmts []ir.Stmt, env *ir.AffineEnv, sys *linear.Sys
 // input-precondition note: the program is in bounds only under a relation
 // among its parameters (e.g. 2*M <= N) that the DSL cannot state.
 func (l *linter) checkBound(r *ir.Ref, d int, sub, ext linear.Affine, violation *linear.System, dir string) {
-	if !violation.Copy().Solve().MayHold() {
+	if !violation.Solve().MayHold() {
 		return
 	}
 	pos := r.Subs[d].Pos()
@@ -465,13 +465,7 @@ func (l *linter) checkBound(r *ir.Ref, d int, sub, ext linear.Affine, violation 
 			d+1, r.Name, ext.String(), pre)
 		return
 	}
-	ranges := map[linear.Var][2]int64{}
-	for _, v := range violation.Vars() {
-		if v.Kind == linear.KindSymbolic {
-			ranges[v] = [2]int64{1, 8}
-		}
-	}
-	pt, res := violation.Enumerate(linear.EnumOptions{Range: ranges, Budget: 50000})
+	pt, res := violation.Enumerate(linear.EnumOptions{SymbolicRange: [2]int64{1, 8}, Budget: 50000})
 	if res == linear.EnumPoint {
 		l.add(pos, SevError, "out-of-bounds",
 			"subscript %d of %s evaluates to %d, %s (e.g. %s)",
@@ -488,7 +482,7 @@ func (l *linter) checkBound(r *ir.Ref, d int, sub, ext linear.Affine, violation 
 // parameter valuations and the negated constraints form the precondition
 // under which the access is safe.
 func paramPrecondition(violation *linear.System) (precondition string, dependent bool) {
-	proj, ok := violation.Copy().Project(func(v linear.Var) bool {
+	proj, ok := violation.Project(func(v linear.Var) bool {
 		return v.Kind != linear.KindSymbolic
 	})
 	if !ok {

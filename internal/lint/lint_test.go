@@ -235,3 +235,37 @@ end
 		}
 	}
 }
+
+// TestOverflowingSubscriptGetsNoPoint: with a coefficient of 2^62 the
+// violation system overflows int64 inside the enumeration box (3 * 2^62 wraps
+// negative). FM gives up (Unknown), and the enumerator must report its
+// result unusable rather than hand over the wrapped point "N=3, i=3, j=1"
+// as a subscript that "evaluates to -4611686018427387903, below 1".
+func TestOverflowingSubscriptGetsNoPoint(t *testing.T) {
+	src := `
+program wrap
+param N
+real A(N), B(N)
+do i = 3, N
+  do j = 1, N
+    B(j) = A(4611686018427387904 * i + j)
+  end do
+end do
+end
+`
+	warned := false
+	for _, d := range lint.Source(src) {
+		if d.Rule != "out-of-bounds" {
+			continue
+		}
+		if strings.Contains(d.Msg, "evaluates to") {
+			t.Errorf("concrete point from overflowed arithmetic: %s", d.Msg)
+		}
+		if d.Severity == lint.SevWarning && strings.Contains(d.Msg, "may fall below 1") {
+			warned = true
+		}
+	}
+	if !warned {
+		t.Error("want the no-witness warning \"may fall below 1\" for the undecided violation")
+	}
+}

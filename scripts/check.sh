@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Full correctness battery: formatting, vet, build, race-detector tests,
+# a 10 s differential fuzz of linear.Enumerate against its reference,
 # DSL lint and independent schedule-certification smokes, the optimization
 # remarks golden + sync-report smokes, a
 # chaos + sanitizer + watchdog smoke of representative suite kernels,
 # trace-export and Table W smokes, the tracing overhead guard, the
 # closure/interp backend-parity gate, the Table T throughput smoke
-# with its BENCH_exec.json envelope validation, the pooled 16-kernel
+# with its envelope validation, the pooled 16-kernel
 # chaos+sanitizer reuse sweep, the Table P team-provisioning smoke
 # with its BENCH_pool.json envelope validation, the durable-profile
 # round trip (full-kernel -profile-out/-ledger sweep, byte-identity merge
@@ -40,6 +41,11 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== fuzz smoke (linear FuzzEnumerate, 10s) =="
+# The row-form enumerator against the map-based reference kept in
+# internal/linear/ref_test.go: same result, same point, same budget edge.
+go test -run '^$' -fuzz=FuzzEnumerate -fuzztime=10s ./internal/linear
 
 barrierc="$(mktemp -t barrierc.XXXXXX)"
 trap 'rm -f "$barrierc" "${spmdrun_bin:-}" "${spmdprof_bin:-}" "${trace_tmp:-}" "${bench_tmp:-}" "${pool_tmp:-}" "${profh_tmp:-}"; rm -rf "${prof_dir:-}" "${span_dir:-}"' EXIT
@@ -207,10 +213,11 @@ echo "== backend parity gate =="
 # executor: any float divergence is a lowering bug.
 go test -run TestBackendParity ./internal/suite -count=1
 
-echo "== benchtab Table T smoke (BENCH_exec.json) =="
+echo "== benchtab Table T smoke =="
 # The backend-throughput table must build, emit a valid versioned JSON
-# envelope, and show the closure backend >= 3x interpreter throughput on
-# the compute-bound acceptance kernels (jacobi2d, matmul) at P=8.
+# envelope (to a temp file: no BENCH_exec.json is committed), and show the
+# closure backend >= 3x interpreter throughput on the compute-bound
+# acceptance kernels (jacobi2d, matmul) at P=8.
 bench_tmp="$(mktemp -t benchexec.XXXXXX.json)"
 go run ./cmd/benchtab -table T -p 8 -kernels jacobi2d,matmul -out "$bench_tmp" | tail -n 4
 if command -v python3 >/dev/null 2>&1; then
@@ -221,10 +228,10 @@ assert d["schema_version"] == 1, d
 assert d["tool"] == "benchtab-exec", d
 rows = {r["kernel"]: r for r in d["payload"]["rows"]}
 for k in ("jacobi2d", "matmul"):
-    assert k in rows, f"{k} missing from BENCH_exec.json"
+    assert k in rows, f"{k} missing from the Table T envelope"
     s = rows[k]["speedup"]
     assert s >= 3.0, f"{k}: closure speedup {s:.2f}x < 3x acceptance floor"
-print("-- BENCH_exec.json valid; speedups:",
+print("-- Table T envelope valid; speedups:",
       ", ".join(f"{k}={rows[k]['speedup']:.2f}x" for k in rows))
 EOF
 fi
