@@ -5,7 +5,6 @@
 //	benchtab -table 3 -p 16   # one table at another worker count
 //	benchtab -table W         # per-site sync wait, base vs optimized
 //	benchtab -table R         # analysis cost: FM solver work + phase wall per kernel
-//	benchtab -table T -out BENCH_exec.json   # backend throughput table
 //	benchtab -table P -out BENCH_pool.json   # team pool reuse latency
 //	benchtab -table P -chaos-seed 1          # ...plus the retry/fallback leg
 //	benchtab -table H -out BENCH_profile.json # sync-wait profile rollup
@@ -32,13 +31,13 @@ import (
 
 func main() {
 	var (
-		table     = flag.String("table", "", "print only table N (1..4, W, T, P, R, F, H, I or S)")
+		table     = flag.String("table", "", "print only table N (1..4, W, P, R, F, H, I or S)")
 		fig       = flag.Int("fig", 0, "print only figure N (1, 3 or 4)")
 		workers   = flag.Int("p", 8, "worker count for dynamic measurements")
 		ablate    = flag.String("ablate", "", "ablation for table 3: repl or merge")
 		gantt     = flag.String("gantt", "", "render a simulated execution gantt for the named kernel (software-DSM costs)")
-		kernels   = flag.String("kernels", "", "comma-separated kernel subset for table T, F, H or S (default: all; S defaults to a three-kernel spread)")
-		outJSON   = flag.String("out", "", "with -table T, P, F, H, I or S: also write the report as a versioned JSON envelope to this file (BENCH_exec.json / BENCH_pool.json / BENCH_fdo.json / BENCH_profile.json / BENCH_irreg.json / BENCH_spans.json)")
+		kernels   = flag.String("kernels", "", "comma-separated kernel subset for table F, H or S (default: all; S defaults to a three-kernel spread)")
+		outJSON   = flag.String("out", "", "with -table P, F, H, I or S: also write the report as a versioned JSON envelope to this file (BENCH_pool.json / BENCH_fdo.json / BENCH_profile.json / BENCH_irreg.json / BENCH_spans.json)")
 		samples   = flag.Int("samples", 0, "with -table P: pooled/cold cycles per worker count (default 300); with -table F or H: interleaved runs per kernel (default 10); with -table S: off/on pairs per kernel (default 5)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "with -table P: also run the stall-injected retry/fallback leg seeded here (0 skips it)")
 	)
@@ -53,9 +52,9 @@ func main() {
 
 	tbl := strings.ToUpper(*table)
 	switch tbl {
-	case "", "1", "2", "3", "4", "W", "T", "P", "R", "F", "H", "I", "S":
+	case "", "1", "2", "3", "4", "W", "P", "R", "F", "H", "I", "S":
 	default:
-		fail(fmt.Errorf("unknown -table %q (want 1..4, W, T, P, R, F, H, I or S)", *table))
+		fail(fmt.Errorf("unknown -table %q (want 1..4, W, P, R, F, H, I or S)", *table))
 	}
 
 	opt := suite.MeasureOptions{Workers: *workers}
@@ -112,31 +111,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println()
-	}
-	if wantTables("T") {
-		var names []string
-		if *kernels != "" {
-			names = strings.Split(*kernels, ",")
-		}
-		rep, err := suite.MeasureExecBench(names, *workers, 3)
-		if err != nil {
-			fail(err)
-		}
-		suite.TableT(os.Stdout, rep)
-		fmt.Println()
-		if *outJSON != "" {
-			f, err := os.Create(*outJSON)
-			if err != nil {
-				fail(err)
-			}
-			if err := suite.WriteExecBenchJSON(f, rep); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outJSON)
-		}
 	}
 	if wantTables("P") {
 		rep, err := suite.MeasurePoolBench(nil, *samples, *chaosSeed)

@@ -24,7 +24,6 @@
 //
 //	spmdrun -kernel jacobi2d -p 8
 //	spmdrun -kernel jacobi2d -p 8 -report [-json]
-//	spmdrun -kernel jacobi2d -p 8 -backend interp -json
 //	spmdrun -kernel jacobi2d -p 8 -trace out.json -trace-summary
 //	spmdrun -kernel dotchain -p 4 -profile-out prof.json
 //	spmdrun -kernel dotchain -p 4 -profile-in prof.json -json
@@ -134,7 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		kernel  = fs.String("kernel", "", "run a named suite kernel")
 		workers = fs.Int("p", 8, "number of workers")
 		mode    = fs.String("mode", "opt", "base (fork-join) or opt (SPMD)")
-		backend = fs.String("backend", "closure", "executor backend: closure (compiled) or interp (tree-walking oracle)")
 		barrier = fs.String("barrier", "central", "barrier implementation: central, tree, dissemination, or auto (adopt the -profile-in recommendation)")
 		verify  = fs.Bool("verify", true, "compare against the sequential interpreter")
 		det     = fs.Bool("det", false, "deterministic (rank-ordered) reduction merges")
@@ -230,11 +228,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail(fmt.Errorf("unknown barrier %q", *barrier))
 	}
-	be, err := exec.ParseBackend(*backend)
-	if err != nil {
-		return fail(err)
-	}
-	req.Run.Backend = be
 	switch *mode {
 	case "base":
 		req.Run.Baseline = true
@@ -321,7 +314,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mode:      *mode,
 		Workers:   *workers,
 		Barrier:   bkName,
-		Backend:   be.String(),
+		Backend:   exec.EngineName,
 		ElapsedNS: res.Elapsed.Nanoseconds(),
 		Checksum:  res.State.Checksum(),
 		Certified: res.Certify.Certified,
@@ -343,7 +336,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if !*jsonOut {
 		fmt.Fprintf(stdout, "program %s  mode=%s  P=%d  barrier=%s  backend=%s\n",
-			c.Prog.Name, *mode, *workers, bkName, be)
+			c.Prog.Name, *mode, *workers, bkName, exec.EngineName)
 		if res.FDO != nil {
 			fmt.Fprintf(stdout, "fdo:      %d flip(s), predicted save %s/run\n",
 				res.FDO.Flips, time.Duration(res.FDO.PredictedSaveNS))
@@ -494,7 +487,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// latency/wait rollups, and the /runs + /spans ring.
 		sum := telemetry.RunSummary{
 			TraceID: res.TraceID, Program: c.Prog.Name, Mode: *mode,
-			Workers: *workers, Backend: be.String(), Barrier: bkName,
+			Workers: *workers, Backend: exec.EngineName, Barrier: bkName,
 			StartUnixNS: startWall.UnixNano(),
 			WallNS:      pay.WallNS, ElapsedNS: res.Elapsed.Nanoseconds(),
 			Outcome:  telemetry.OutcomeOK,

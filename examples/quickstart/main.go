@@ -48,9 +48,7 @@ func main() {
 	defer cancel()
 
 	// Baseline: fork-join with a join barrier after every parallel loop.
-	// Statements execute as closures compiled over a flat register frame
-	// (exec.Closure, the default backend); pass Backend: exec.Interp to
-	// run on the tree-walking oracle instead.
+	// Statements execute as closures compiled over a flat register frame.
 	base, err := c.NewBaselineRunner(exec.Config{Workers: 8, Params: params})
 	if err != nil {
 		log.Fatal(err)

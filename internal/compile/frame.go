@@ -7,9 +7,10 @@
 // violations, division by zero) are recorded in a per-worker fault slot
 // that the executor checks at statement and synchronization boundaries.
 //
-// The tree-walking interpreter (internal/interp, internal/exec's wenv)
-// remains the reference semantics; this package mirrors it operation for
-// operation and is differentially tested against it.
+// The tree-walking interpreter (internal/interp, and its parallel twin in
+// internal/exec's test files) remains the reference semantics; this
+// package mirrors it operation for operation and is differentially tested
+// against it.
 package compile
 
 import (

@@ -186,9 +186,9 @@ func (c *Compiled) Remarks() *remarks.Set { return c.Schedule.Remarks() }
 // BaselineRemarks returns the fork-join baseline schedule's remark set.
 func (c *Compiled) BaselineRemarks() *remarks.Set { return c.Baseline.Remarks() }
 
-// Exe returns the memoized closure lowering of the program. Every runner
-// built from this compilation with the (default) Closure backend shares
-// it, so the program is lowered once per Compile, not once per runner.
+// Exe returns the memoized closure lowering of the program. Every
+// uninstrumented runner built from this compilation shares it, so the
+// program is lowered once per Compile, not once per runner.
 func (c *Compiled) Exe() (*compile.Prog, error) {
 	c.exeOnce.Do(func() {
 		c.exe, c.exeErr = compile.Compile(c.Prog, nil, compile.Options{})
@@ -210,7 +210,7 @@ func (c *Compiled) NewBaselineRunner(cfg exec.Config) (*Runner, error) {
 func (c *Compiled) newRunner(sched *syncopt.Schedule, cfg exec.Config, which int) (*Runner, error) {
 	// Share the cached lowering when it applies (the sanitizer needs an
 	// instrumented lowering, which exec compiles per runner).
-	if cfg.Backend == exec.Closure && !cfg.Sanitize && cfg.Compiled == nil {
+	if !cfg.Sanitize && cfg.Compiled == nil {
 		exe, err := c.Exe()
 		if err != nil {
 			return nil, err

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/profile"
 	"repro/internal/remarks"
@@ -55,7 +56,7 @@ func (r *Runner) Profile(res *Result) *profile.Profile {
 		ScheduleHash: r.ScheduleHash(),
 		Mode:         r.Mode().String(),
 		Workers:      r.Workers(),
-		Backend:      r.Backend().String(),
+		Backend:      exec.EngineName,
 		Barrier:      r.BarrierName(),
 		ChaosSeed:    r.ChaosSeed(),
 		Runs:         1,

@@ -49,8 +49,6 @@ type RunOptions struct {
 	// Baseline runs the fork-join baseline schedule instead of the
 	// optimized one.
 	Baseline bool
-	// Backend selects the executor backend (default Closure).
-	Backend exec.Backend
 	// Barrier selects the barrier implementation (default Central).
 	Barrier spmdrt.BarrierKind
 	// BarrierAuto adopts the feedback pass's barrier-algorithm
@@ -132,9 +130,6 @@ func WithWorkers(p int) RequestOption { return func(r *Request) { r.Run.P = p } 
 
 // WithBaseline selects the fork-join baseline schedule.
 func WithBaseline() RequestOption { return func(r *Request) { r.Run.Baseline = true } }
-
-// WithBackend selects the executor backend.
-func WithBackend(b exec.Backend) RequestOption { return func(r *Request) { r.Run.Backend = b } }
 
 // WithBarrier selects the barrier implementation.
 func WithBarrier(k spmdrt.BarrierKind) RequestOption { return func(r *Request) { r.Run.Barrier = k } }
@@ -272,7 +267,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		Workers:                 workers,
 		Barrier:                 barrier,
 		Params:                  req.Run.Params,
-		Backend:                 req.Run.Backend,
 		DeterministicReductions: req.Run.Det,
 		WatchdogTimeout:         req.Run.Watchdog,
 		ChaosSeed:               req.Run.ChaosSeed,

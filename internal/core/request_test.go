@@ -187,7 +187,6 @@ var coreAPI = []string{
 	"ToCertify",
 	"Verdict",
 	"Verdict (Compiled)",
-	"WithBackend",
 	"WithBarrier",
 	"WithBaseline",
 	"WithCertify",

@@ -95,7 +95,7 @@ type Result struct {
 }
 
 // Runner executes one compiled schedule. It embeds the executor's runner —
-// inspection methods (NumSyncSites, SyncSiteClasses, Backend) promote — and
+// inspection methods (NumSyncSites, SyncSiteClasses, Mode) promote — and
 // shadows the run methods to return the consolidated *Result.
 type Runner struct {
 	*exec.Runner

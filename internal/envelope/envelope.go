@@ -1,9 +1,9 @@
 // Package envelope defines the single versioned JSON envelope every
 // machine-readable artifact the toolchain emits is wrapped in: certifier
 // certificates (`barrierc -certify`), run results (`spmdrun -json`) and
-// the executor benchmark table (`benchtab -table T`). Consumers dispatch
+// the benchmark tables (`benchtab -table P -out ...`). Consumers dispatch
 // on the `tool` field and check `schema_version` before touching the
-// payload, so the three emitters can evolve their payloads independently
+// payload, so the emitters can evolve their payloads independently
 // without breaking downstream scripts that only route or archive them.
 //
 //	{
@@ -29,7 +29,6 @@ const SchemaVersion = 1
 const (
 	ToolCertify   = "barrierc-certify"
 	ToolRun       = "spmdrun"
-	ToolBench     = "benchtab-exec"
 	ToolPoolBench = "benchtab-pool"
 	ToolRemarks   = "barrierc-remarks"
 	// ToolProfile wraps a durable sync profile (spmdrun -profile-out,

@@ -102,7 +102,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero workers", exec.Config{Workers: 0, Params: k.Params}, "Workers"},
 		{"negative workers", exec.Config{Workers: -3, Params: k.Params}, "Workers"},
-		{"unknown backend", exec.Config{Workers: 2, Params: k.Params, Backend: exec.Backend(99)}, "Backend"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,14 +114,5 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatalf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
 			}
 		})
-	}
-	if _, err := exec.ParseBackend("closure"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exec.ParseBackend("interp"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exec.ParseBackend("jit"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown backend name")
 	}
 }

@@ -1,0 +1,149 @@
+package exec
+
+import (
+	"fmt"
+
+	"repro/internal/compile"
+	"repro/internal/ir"
+)
+
+// engine is the statement engine under one worker's schedule walk: every
+// operation that touches registers, scalars and arrays. The walk — regions,
+// sync sites, the inspector, the relay chains, the sequential fallback —
+// owns partitioning and synchronization and never looks behind it. The
+// closure frame is the only implementation outside test files; the tests
+// keep the tree-walking evaluator as a second one, to compare against.
+//
+// A returned error is an evaluation fault. The walk records the first one
+// as the worker's error and keeps synchronizing, so peers are not
+// deadlocked by the failure.
+type engine interface {
+	// bounds evaluates a loop's lower and upper bound.
+	bounds(l *ir.Loop) (lo, hi int64, err error)
+	// probeBounds is bounds for activity estimates: a failure is reported
+	// as !ok and leaves no fault behind (the estimate then counts every
+	// worker).
+	probeBounds(l *ir.Loop) (lo, hi int64, ok bool)
+	// index reads a loop index; setIndex binds one of the walk's own
+	// sequential loops.
+	index(name string) (int64, bool)
+	setIndex(name string, v int64) error
+	// runSlice executes l's body for start, start+step, ... up to end.
+	runSlice(l *ir.Loop, start, end, step int64) error
+	// exec executes statements in order with sequential semantics (a
+	// nested `parallel` annotation runs sequentially here).
+	exec(stmts []ir.Stmt) error
+	// setPriv redirects a scalar to a worker-local cell (nil: back to the
+	// shared slot) and returns the previous redirection.
+	setPriv(name string, cell *float64) (old *float64)
+	// setRepl marks replicated-mode execution — same-value stores from
+	// every worker, which the sanitizer exempts.
+	setRepl(on bool)
+}
+
+// frameEngine runs the bodies lowered once per program into Go closures
+// over one worker's flat register frame (internal/compile): no maps, no
+// string lookups and no error allocation per iteration. A runtime fault
+// lands in the frame's fault slot, which is checked by pointer compare and
+// becomes an error where a method returns.
+type frameEngine struct {
+	exe *compile.Prog
+	fr  *compile.Frame
+}
+
+// newFrameEngine binds worker w's frame to the run's storage: the shared
+// scalar vector, array bases and extents, the parameter registers and,
+// under Config.Sanitize, the tracker with the run's site vector.
+func newFrameEngine(run *teamRun, w int) engine {
+	fr := run.exe.NewFrame()
+	fr.Scal = run.ps.scalars
+	for i, a := range run.prog.Arrays {
+		if av := run.ps.arrays[a.Name]; av != nil {
+			fr.Arrays[i], fr.Dims[i] = av.Data, av.Dims
+		}
+	}
+	lay := run.exe.Layout()
+	for name, v := range run.ps.params {
+		if reg, ok := lay.ParamReg(name); ok {
+			fr.Regs[reg] = v
+		}
+	}
+	if run.san != nil {
+		fr.San, fr.SanW, fr.Sites = run.san.tr, w, run.san.sites
+	}
+	return &frameEngine{exe: run.exe, fr: fr}
+}
+
+func (e *frameEngine) bounds(l *ir.Loop) (lo, hi int64, err error) {
+	loF, hiF := e.exe.Bounds(l)
+	lo, hi = loF(e.fr), hiF(e.fr)
+	return lo, hi, e.fr.Err()
+}
+
+func (e *frameEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
+	mark, markVal := e.fr.FaultMark()
+	loF, hiF := e.exe.Bounds(l)
+	lo, hi = loF(e.fr), hiF(e.fr)
+	if !e.fr.Ok() {
+		e.fr.FaultRestore(mark, markVal)
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+func (e *frameEngine) index(name string) (int64, bool) {
+	if reg, ok := e.exe.Layout().IndexReg(name); ok {
+		return e.fr.Regs[reg], true
+	}
+	return 0, false
+}
+
+func (e *frameEngine) setIndex(name string, v int64) error {
+	reg, ok := e.exe.Layout().IndexReg(name)
+	if !ok {
+		return fmt.Errorf("no register for sequential loop index %s", name)
+	}
+	e.fr.Regs[reg] = v
+	return nil
+}
+
+// runSlice is the executor's hottest loop: one register store and one
+// compiled-body call per iteration.
+func (e *frameEngine) runSlice(l *ir.Loop, start, end, step int64) error {
+	fr := e.fr
+	body := e.exe.Body(l)
+	reg, ok := e.exe.Layout().IndexReg(l.Index)
+	if body == nil || !ok {
+		return fmt.Errorf("loop %s not lowered by the closure backend", l.Index)
+	}
+	for i := start; i <= end && fr.Ok(); i += step {
+		fr.Regs[reg] = i
+		body(fr)
+	}
+	return fr.Err()
+}
+
+func (e *frameEngine) exec(stmts []ir.Stmt) error {
+	for _, s := range stmts {
+		if !e.fr.Ok() {
+			break
+		}
+		fn := e.exe.Stmt(s)
+		if fn == nil {
+			return fmt.Errorf("%s: statement not lowered by the closure backend", s.Pos())
+		}
+		fn(e.fr)
+	}
+	return e.fr.Err()
+}
+
+// setPriv ignores undeclared names: a reference to one would already have
+// failed compilation.
+func (e *frameEngine) setPriv(name string, cell *float64) (old *float64) {
+	if slot, ok := e.exe.Layout().ScalarSlot(name); ok {
+		old, e.fr.Priv[slot] = e.fr.Priv[slot], cell
+	}
+	return old
+}
+
+func (e *frameEngine) setRepl(on bool) { e.fr.SanRepl = on }

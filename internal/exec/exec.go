@@ -44,41 +44,11 @@ func (m Mode) String() string {
 	return "spmd"
 }
 
-// Backend selects the statement-execution engine the workers run.
-type Backend int
-
-const (
-	// Closure (the default) executes bodies lowered once per program into
-	// Go closures over a flat register frame (internal/compile): no maps,
-	// no string lookups and no error allocation on the per-iteration hot
-	// path.
-	Closure Backend = iota
-	// Interp tree-walks the IR with the reference evaluation semantics.
-	// It is kept as the differential-testing oracle (the fuzzer diffs
-	// final states across backends) and for debugging.
-	Interp
-)
-
-func (b Backend) String() string {
-	switch b {
-	case Closure:
-		return "closure"
-	case Interp:
-		return "interp"
-	}
-	return fmt.Sprintf("Backend(%d)", int(b))
-}
-
-// ParseBackend converts a CLI spelling to a Backend.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "closure":
-		return Closure, nil
-	case "interp":
-		return Interp, nil
-	}
-	return 0, fmt.Errorf("exec: unknown backend %q (want closure or interp)", s)
-}
+// EngineName is what the `backend` field of profiles, ledger records, the
+// spmdrun -json payload and the /metrics label reads. The schemas predate
+// the single statement engine and keep the field so existing profiles and
+// fixtures still merge.
+const EngineName = "closure"
 
 // ConfigError reports an invalid Config field. NewRunner returns it
 // instead of letting a bad configuration panic inside team startup.
@@ -97,8 +67,6 @@ type Config struct {
 	Barrier spmdrt.BarrierKind
 	Params  map[string]int64
 	Mode    Mode
-	// Backend selects the statement-execution engine (default Closure).
-	Backend Backend
 	// Compiled optionally injects a pre-lowered closure program (as built
 	// by compile.Compile) so repeated runners over one compilation share a
 	// single lowering. It is used only when it was lowered from this
@@ -221,21 +189,43 @@ type Runner struct {
 	// crossing-invariant (computed once per run).
 	inspPairs     [][]comm.InspectPair
 	inspCacheable []bool
-	// exe is the lowered closure program (nil when Backend == Interp).
-	exe *compile.Prog
+	// siteLabels[id] names a site in watchdog reports; traceLabels[id]
+	// names it in the sync-event trace (built only under Config.Trace).
+	siteLabels, traceLabels []string
+	// relays are the loops that synchronize through a rank-order relay
+	// chain instead of a scheduled boundary, in program order.
+	relays []relayLoop
+	// repl are the scalars that live in per-worker storage under SPMD
+	// (the paper's replicated computation model), in declaration order.
+	repl []replScalar
+	// exe is the lowered closure program; newEngine binds one worker's
+	// statement engine over it for a run.
+	exe       *compile.Prog
+	newEngine func(run *teamRun, w int) engine
 }
 
-// NewRunner validates the configuration and precomputes sync-site ids.
-// With the Closure backend it also lowers the program (or adopts
-// cfg.Compiled), so per-run work is only frame binding.
+// relayLoop is a loop whose workers hand off in rank order: a wavefront
+// loop's chunks, or a parallel reduction loop's merges under
+// Config.DeterministicReductions.
+type relayLoop struct {
+	loop  *ir.Loop
+	label string
+}
+
+// replScalar is a replicated scalar and its slot in the shared vector.
+type replScalar struct {
+	name string
+	slot int
+}
+
+// NewRunner validates the configuration, lowers the program (or adopts
+// cfg.Compiled) and precomputes everything that is fixed per runner — sync
+// site ids and labels, relay loops, replicated scalars — so per-run work is
+// team setup and frame binding.
 func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg Config) (*Runner, error) {
 	if cfg.Workers < 1 {
 		return nil, &ConfigError{Field: "Workers",
 			Msg: fmt.Sprintf("must be at least 1, got %d", cfg.Workers)}
-	}
-	if cfg.Backend != Closure && cfg.Backend != Interp {
-		return nil, &ConfigError{Field: "Backend",
-			Msg: fmt.Sprintf("unknown backend %d (want Closure or Interp)", int(cfg.Backend))}
 	}
 	if p := cfg.Policy; p != nil {
 		if p.MaxRetries < 0 {
@@ -252,20 +242,17 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 		}
 	}
 	r := &Runner{prog: prog, sched: sched, plan: plan, cfg: cfg,
-		sites: map[*syncopt.RegionSched][]int{}}
-	if cfg.Backend == Closure {
-		exe := cfg.Compiled
-		if exe != nil && (exe.Source() != prog || exe.Instrumented() != cfg.Sanitize) {
-			exe = nil
+		sites: map[*syncopt.RegionSched][]int{}, newEngine: newFrameEngine}
+	r.exe = cfg.Compiled
+	if r.exe != nil && (r.exe.Source() != prog || r.exe.Instrumented() != cfg.Sanitize) {
+		r.exe = nil
+	}
+	if r.exe == nil {
+		var err error
+		r.exe, err = compile.Compile(prog, nil, compile.Options{Instrument: cfg.Sanitize})
+		if err != nil {
+			return nil, err
 		}
-		if exe == nil {
-			var err error
-			exe, err = compile.Compile(prog, nil, compile.Options{Instrument: cfg.Sanitize})
-			if err != nil {
-				return nil, err
-			}
-		}
-		r.exe = exe
 	}
 	var number func(rs *syncopt.RegionSched)
 	number = func(rs *syncopt.RegionSched) {
@@ -298,11 +285,36 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			Msg: fmt.Sprintf("%d out of range (schedule has %d sync sites)",
 				cfg.SabotageEdge, r.nSites)}
 	}
+	r.siteLabels = make([]string, r.nSites)
+	for i := range r.siteLabels {
+		r.siteLabels[i] = fmt.Sprintf("sync site %d", i+1)
+	}
+	if cfg.Trace {
+		r.traceLabels = make([]string, r.nSites)
+		for i, c := range r.siteClass {
+			r.traceLabels[i] = fmt.Sprintf("site %d [%s]", i+1, c)
+		}
+	}
+	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
+		if l, ok := s.(*ir.Loop); ok {
+			switch {
+			case plan.Wavefront[l]:
+				r.relays = append(r.relays, relayLoop{l, "wavefront relay " + l.Index})
+			case l.Parallel && len(l.Reductions) > 0 && cfg.DeterministicReductions:
+				r.relays = append(r.relays, relayLoop{l, "reduction chain " + l.Index})
+			}
+		}
+		return true
+	})
+	if cfg.Mode == SPMD && sched.Info != nil {
+		for i, name := range prog.Scalars {
+			if sched.Info.ReplicatedScalars[name] {
+				r.repl = append(r.repl, replScalar{name, i})
+			}
+		}
+	}
 	return r, nil
 }
-
-// Backend returns the statement-execution engine this runner uses.
-func (r *Runner) Backend() Backend { return r.cfg.Backend }
 
 // Workers returns the configured team size.
 func (r *Runner) Workers() int { return r.cfg.Workers }
@@ -425,16 +437,15 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		team.SetWatchdog(r.cfg.WatchdogTimeout)
 	}
 	run := &teamRun{
-		Runner:    r,
-		ps:        ps,
-		team:      team,
-		counters:  make([]*spmdrt.Counter, r.nSites),
-		p2ps:      make([]*spmdrt.P2P, r.nSites),
-		dispatch:  team.NewCounter(),
-		errs:      make([]error, r.cfg.Workers),
-		redChain:  map[*ir.Loop]*spmdrt.P2P{},
-		waveChain: map[*ir.Loop]*spmdrt.P2P{},
-		sabotage:  r.cfg.SabotageEdge - 1,
+		Runner:   r,
+		ps:       ps,
+		team:     team,
+		counters: make([]*spmdrt.Counter, r.nSites),
+		p2ps:     make([]*spmdrt.P2P, r.nSites),
+		dispatch: team.NewCounter(),
+		errs:     make([]error, r.cfg.Workers),
+		relay:    make(map[*ir.Loop]*spmdrt.P2P, len(r.relays)),
+		sabotage: r.cfg.SabotageEdge - 1,
 	}
 	run.dispatch.Site = "fork-join dispatch"
 	team.Stats.InitSites(r.nSites)
@@ -452,22 +463,11 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		run.chaos.EnableStall(r.cfg.ChaosStall)
 	}
 	if r.cfg.Sanitize {
-		run.san = newSanRun(r.prog, ps, r.cfg.Workers)
-	}
-	for l := range r.plan.Wavefront {
-		run.waveChain[l] = team.NewP2P()
-	}
-	if r.cfg.DeterministicReductions {
-		ir.WalkStmts(r.prog.Body, func(s ir.Stmt) bool {
-			if l, ok := s.(*ir.Loop); ok && l.Parallel && len(l.Reductions) > 0 {
-				run.redChain[l] = team.NewP2P()
-			}
-			return true
-		})
+		run.san = newSanRun(r.prog, r.exe, ps, r.cfg.Workers)
 	}
 	for i := 0; i < r.nSites; i++ {
 		run.counters[i] = team.NewCounter()
-		run.counters[i].Site = fmt.Sprintf("sync site %d", i+1)
+		run.counters[i].Site = r.siteLabels[i]
 		run.p2ps[i] = team.NewP2P()
 		if r.inspPairs[i] != nil {
 			if run.insp == nil {
@@ -481,54 +481,27 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		// Scheduled sites register first so trace ids 0..nSites-1 match
 		// the stats/watchdog/sabotage numbering (1-based there).
 		for i := 0; i < r.nSites; i++ {
-			rec.AddSite(fmt.Sprintf("site %d [%s]", i+1, r.siteClass[i]))
+			rec.AddSite(r.traceLabels[i])
 			run.counters[i].BindTrace(rec, int32(i), synctrace.EvCounterIncr, synctrace.EvCounterWait)
 			run.p2ps[i].BindTrace(rec, int32(i))
 		}
 		team.SetTrace(rec)
 		run.dispatch.BindTrace(rec, rec.AddSite("fork-join dispatch"),
 			synctrace.EvDispatch, synctrace.EvDispatchWait)
-		// Relay chains are synchronization without a scheduled boundary
-		// site; give each its own pseudo-site so waits still attribute.
-		// Walk in program order: map iteration would assign ids
-		// nondeterministically and break run-to-run trace comparison.
-		ir.WalkStmts(r.prog.Body, func(s ir.Stmt) bool {
-			l, ok := s.(*ir.Loop)
-			if !ok {
-				return true
-			}
-			if chain := run.waveChain[l]; chain != nil {
-				chain.BindTrace(rec, rec.AddSite("wavefront relay "+l.Index))
-			}
-			if chain := run.redChain[l]; chain != nil {
-				chain.BindTrace(rec, rec.AddSite("reduction chain "+l.Index))
-			}
-			return true
-		})
 		run.rec = rec
 	}
-	// In SPMD mode, scalars written only by replicated statements live in
-	// per-worker storage (the paper's replicated computation model);
-	// worker 0's final values are flushed back afterwards.
-	var replNames []string
-	if r.cfg.Mode == SPMD && r.sched.Info != nil {
-		for name := range r.sched.Info.ReplicatedScalars {
-			replNames = append(replNames, name)
+	// Relay chains are synchronization without a scheduled boundary site;
+	// give each its own pseudo-site so waits still attribute.
+	for _, rl := range r.relays {
+		chain := team.NewP2P()
+		if run.rec != nil {
+			chain.BindTrace(run.rec, run.rec.AddSite(rl.label))
 		}
+		run.relay[rl.loop] = chain
 	}
-	repl0 := map[string]*float64{}
-
-	// Sanitizer site ids for the closure backend: one shared read-only
-	// vector mapping statement ordinals to interned tracker sites.
-	var sanSites []uint16
-	if run.san != nil && r.exe != nil {
-		sanSites = make([]uint16, r.exe.NumStmts())
-		for s, id := range run.san.siteOf {
-			if ord, ok := r.exe.Ordinal(s); ok {
-				sanSites[ord] = id
-			}
-		}
-	}
+	// Replicated scalars live in per-worker cells; worker 0's final values
+	// are flushed back afterwards.
+	repl0 := make([]*float64, len(r.repl))
 
 	if ctx.Done() != nil {
 		stop := make(chan struct{})
@@ -554,42 +527,14 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			cum:       make([]int64, r.nSites),
 			cross:     make([]int64, r.nSites),
 			activeBuf: make([]bool, r.cfg.Workers),
+			eng:       r.newEngine(run, w),
 		}
-		if r.exe != nil {
-			fr := r.exe.NewFrame()
-			fr.Scal = ps.scalars
-			for i, a := range r.prog.Arrays {
-				if av := ps.arrays[a.Name]; av != nil {
-					fr.Arrays[i], fr.Dims[i] = av.Data, av.Dims
-				}
-			}
-			lay := r.exe.Layout()
-			for name, v := range ps.params {
-				if reg, ok := lay.ParamReg(name); ok {
-					fr.Regs[reg] = v
-				}
-			}
-			if run.san != nil {
-				fr.San = run.san.tr
-				fr.SanW = w
-				fr.Sites = sanSites
-			}
-			ws.fr = fr
-		} else {
-			ws.env = newWenv(ps)
-			if run.san != nil {
-				ws.env.san = run.san.tr
-				ws.env.sw = w
-			}
-		}
-		for _, name := range replNames {
+		for i, rs := range r.repl {
 			cell := new(float64)
-			if i, ok := ps.scalarIdx[name]; ok {
-				*cell = ps.loadScalar(i)
-			}
-			ws.setPriv(name, cell)
+			*cell = ps.loadScalar(rs.slot)
+			ws.eng.setPriv(rs.name, cell)
 			if w == 0 {
-				repl0[name] = cell
+				repl0[i] = cell
 			}
 		}
 		ws.execRegion(r.sched.Top)
@@ -631,10 +576,8 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			return nil, e
 		}
 	}
-	for name, cell := range repl0 {
-		if i, ok := ps.scalarIdx[name]; ok {
-			ps.storeScalar(i, *cell)
-		}
+	for i, cell := range repl0 {
+		ps.storeScalar(r.repl[i].slot, *cell)
 	}
 	ps.flushTo(st)
 	// Teardown-time: workers have quiesced, so stamping the recorder's
@@ -682,11 +625,10 @@ type teamRun struct {
 	p2ps     []*spmdrt.P2P
 	dispatch *spmdrt.Counter
 	errs     []error
-	// redChain serializes reduction merges per loop when
-	// DeterministicReductions is on.
-	redChain map[*ir.Loop]*spmdrt.P2P
-	// waveChain holds the relay handoff counters of each wavefront loop.
-	waveChain map[*ir.Loop]*spmdrt.P2P
+	// relay holds the rank-order handoff chain of each relay loop: a
+	// wavefront loop's chunk relay, or (when DeterministicReductions is
+	// on) a reduction loop's merge chain.
+	relay map[*ir.Loop]*spmdrt.P2P
 	// chaos is the optional deterministic perturbation layer (nil-safe).
 	chaos *spmdrt.Chaos
 	// san is the optional schedule-soundness sanitizer wiring.
@@ -700,14 +642,12 @@ type teamRun struct {
 	sabotage int
 }
 
-// workerState is one worker's execution context. Exactly one of env (the
-// tree-walking Interp backend) and fr (the Closure backend's register
-// frame) is set.
+// workerState is one worker's execution context: the schedule walk over
+// one statement engine.
 type workerState struct {
 	run *teamRun
 	w   int
-	env *wenv
-	fr  *compile.Frame
+	eng engine
 	err error
 	// cum: per-site cumulative counter targets (identical on all
 	// workers — each computes them from the same deterministic data).
@@ -728,70 +668,13 @@ func (ws *workerState) fail(err error) {
 	}
 }
 
-// syncFault promotes a closure-backend fault into the worker error at a
-// statement or synchronization boundary (the interpreter raises its error
-// at the same points); the worker keeps participating in synchronization
-// so peers are not deadlocked by its failure.
-func (ws *workerState) syncFault() {
-	if ws.fr != nil {
-		ws.fail(ws.fr.Err())
-	}
-}
-
-// setPriv redirects a scalar to a worker-local cell on whichever backend
-// is active. Undeclared names are ignored on the closure backend: a
-// reference to one would already have failed compilation.
-func (ws *workerState) setPriv(name string, cell *float64) {
-	if ws.fr != nil {
-		if slot, ok := ws.run.exe.Layout().ScalarSlot(name); ok {
-			ws.fr.Priv[slot] = cell
-		}
-		return
-	}
-	ws.env.priv[name] = cell
-}
-
-// bounds evaluates a loop's bounds on the active backend.
+// bounds evaluates a loop's bounds; a fault becomes the worker's error.
+// The worker keeps participating in synchronization afterwards so peers
+// are not deadlocked by its failure.
 func (ws *workerState) bounds(l *ir.Loop) (lo, hi int64, ok bool) {
-	if fr := ws.fr; fr != nil {
-		loF, hiF := ws.run.exe.Bounds(l)
-		lo, hi = loF(fr), hiF(fr)
-		if !fr.Ok() {
-			ws.syncFault()
-			return 0, 0, false
-		}
-		return lo, hi, true
-	}
-	lo, err := ws.env.evalInt(l.Lo)
+	lo, hi, err := ws.eng.bounds(l)
 	if err != nil {
 		ws.fail(err)
-		return 0, 0, false
-	}
-	hi, err = ws.env.evalInt(l.Hi)
-	if err != nil {
-		ws.fail(err)
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
-// probeBounds evaluates bounds for activity estimation; a failure is
-// reported as !ok without committing an error (the estimate then counts
-// every worker, matching the interpreter's conservative fallback).
-func (ws *workerState) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
-	if fr := ws.fr; fr != nil {
-		mark, markVal := fr.FaultMark()
-		loF, hiF := ws.run.exe.Bounds(l)
-		lo, hi = loF(fr), hiF(fr)
-		if !fr.Ok() {
-			fr.FaultRestore(mark, markVal)
-			return 0, 0, false
-		}
-		return lo, hi, true
-	}
-	lo, err1 := ws.env.evalInt(l.Lo)
-	hi, err2 := ws.env.evalInt(l.Hi)
-	if err1 != nil || err2 != nil {
 		return 0, 0, false
 	}
 	return lo, hi, true
@@ -810,15 +693,19 @@ func (ws *workerState) execRegion(rs *syncopt.RegionSched) {
 			// the remaining posts cannot deadlock them.
 			return
 		}
-		for _, s := range rs.Groups[gi].Stmts {
-			ws.execTop(s)
+		stmts := rs.Groups[gi].Stmts
+		for i := range stmts {
+			ws.execTop(stmts[i : i+1])
 		}
 		ws.applySync(rs, gi, ids[gi])
 	}
 }
 
-// execTop executes one region statement according to its mode.
-func (ws *workerState) execTop(s ir.Stmt) {
+// execTop executes one region statement according to its mode. It takes
+// the statement as a one-element slice of its group so the modes that hand
+// it to the engine whole allocate nothing.
+func (ws *workerState) execTop(one []ir.Stmt) {
+	s := one[0]
 	mode := ws.run.sched.Modes[s]
 	forkJoin := ws.run.cfg.Mode == ForkJoin
 	switch mode {
@@ -853,24 +740,24 @@ func (ws *workerState) execTop(s ir.Stmt) {
 			// Every worker executes the statement with identical inputs
 			// (the paper's replicated computation model); any shared store
 			// is a same-value store, which the sanitizer must exempt.
-			ws.setRepl(true)
-			ws.seqExec([]ir.Stmt{s})
-			ws.setRepl(false)
+			ws.eng.setRepl(true)
+			ws.seqExec(one)
+			ws.eng.setRepl(false)
 			return
 		}
-		ws.seqExec([]ir.Stmt{s})
+		ws.seqExec(one)
 	case region.ModeGuarded:
 		if ws.w != 0 {
 			return
 		}
-		ws.seqExec([]ir.Stmt{s})
+		ws.seqExec(one)
 	case region.ModeWavefront:
 		l := s.(*ir.Loop)
 		if forkJoin {
 			// Baseline: the serial loop runs on the master, as
 			// SUIF's fork-join code would.
 			if ws.w == 0 {
-				ws.seqExec([]ir.Stmt{s})
+				ws.seqExec(one)
 			}
 			return
 		}
@@ -882,33 +769,14 @@ func (ws *workerState) execTop(s ir.Stmt) {
 			return
 		}
 		inner := ws.run.sched.Regions[l]
-		if fr := ws.fr; fr != nil {
-			reg, regOK := ws.run.exe.Layout().IndexReg(l.Index)
-			if !regOK {
-				ws.fail(fmt.Errorf("no register for sequential loop index %s", l.Index))
+		for k := lo; k <= hi; k++ {
+			if err := ws.eng.setIndex(l.Index, k); err != nil {
+				ws.fail(err)
 				return
 			}
-			for k := lo; k <= hi; k++ {
-				fr.Regs[reg] = k
-				ws.execRegion(inner)
-			}
-			return
-		}
-		for k := lo; k <= hi; k++ {
-			ws.env.idx[l.Index] = k
 			ws.execRegion(inner)
 		}
-		delete(ws.env.idx, l.Index)
 	}
-}
-
-// setRepl marks replicated-mode execution for the sanitizer.
-func (ws *workerState) setRepl(on bool) {
-	if ws.fr != nil {
-		ws.fr.SanRepl = on
-		return
-	}
-	ws.env.repl = on
 }
 
 // execWavefront runs the worker's chunk of a serial loop as a relay:
@@ -920,7 +788,7 @@ func (ws *workerState) execWavefront(l *ir.Loop) {
 	if !ok {
 		return
 	}
-	chain := ws.run.waveChain[l]
+	chain := ws.run.relay[l]
 	if chain == nil {
 		ws.fail(fmt.Errorf("no relay chain for wavefront loop %s", l.Index))
 		return
@@ -952,31 +820,14 @@ func (ws *workerState) execWavefront(l *ir.Loop) {
 	chain.Post(ws.w)
 }
 
-// runSlice executes the worker's iterations of a partitioned loop on the
-// active backend. The closure path is the executor's hottest loop: one
-// register store and one compiled-body call per iteration, with faults
-// checked by pointer compare instead of error returns.
+// runSlice executes the worker's iterations of a partitioned loop. The
+// worker's error cannot change inside the slice (a faulting body only sets
+// the engine's fault slot), so it is tested once here and the engine's loop
+// tests only its own slot.
 func (ws *workerState) runSlice(l *ir.Loop, start, end, step int64) {
-	if fr := ws.fr; fr != nil {
-		body := ws.run.exe.Body(l)
-		reg, regOK := ws.run.exe.Layout().IndexReg(l.Index)
-		if body == nil || !regOK {
-			ws.fail(fmt.Errorf("loop %s not lowered by the closure backend", l.Index))
-			return
-		}
-		for i := start; i <= end && ws.err == nil && fr.Ok(); i += step {
-			fr.Regs[reg] = i
-			body(fr)
-		}
-		ws.syncFault()
-		return
+	if ws.err == nil {
+		ws.fail(ws.eng.runSlice(l, start, end, step))
 	}
-	e := ws.env
-	for i := start; i <= end && ws.err == nil; i += step {
-		e.idx[l.Index] = i
-		ws.seqExec(l.Body)
-	}
-	delete(e.idx, l.Index)
 }
 
 // execParallelSlice runs this worker's partition of a parallel loop.
@@ -993,8 +844,8 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 	}
 
 	// Activate privates and reduction partials: redirect the scalar to a
-	// worker-local cell on the active backend, remembering the previous
-	// redirection for restore (parallel loops can nest lexically).
+	// worker-local cell, remembering the previous redirection for restore
+	// (parallel loops can nest lexically).
 	type saved struct {
 		name string
 		old  *float64
@@ -1003,15 +854,7 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 	activate := func(name string, init float64) *float64 {
 		cell := new(float64)
 		*cell = init
-		if fr := ws.fr; fr != nil {
-			if slot, slotOK := ws.run.exe.Layout().ScalarSlot(name); slotOK {
-				saves = append(saves, saved{name, fr.Priv[slot]})
-				fr.Priv[slot] = cell
-			}
-			return cell
-		}
-		saves = append(saves, saved{name, ws.env.priv[name]})
-		ws.env.priv[name] = cell
+		saves = append(saves, saved{name, ws.eng.setPriv(name, cell)})
 		return cell
 	}
 	for _, p := range l.Private {
@@ -1036,7 +879,7 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 	ws.runSlice(l, start, end, step)
 
 	if len(reds) > 0 {
-		if chain := ws.run.redChain[l]; chain != nil {
+		if chain := ws.run.relay[l]; chain != nil {
 			// Rank-ordered merge: wait for the previous worker's
 			// merge of this loop instance, merge, then post.
 			run := ws.run
@@ -1066,7 +909,7 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 		}
 	}
 	for i := len(saves) - 1; i >= 0; i-- {
-		ws.setPriv(saves[i].name, saves[i].old)
+		ws.eng.setPriv(saves[i].name, saves[i].old)
 	}
 }
 
@@ -1106,19 +949,11 @@ func (ws *workerState) affineVal(a linear.Affine) (int64, error) {
 			}
 			val = p
 		case linear.KindLoop:
-			if fr := ws.fr; fr != nil {
-				reg, ok := ws.run.exe.Layout().IndexReg(vr.Name)
-				if !ok {
-					return 0, fmt.Errorf("unbound loop index %s in placement", vr.Name)
-				}
-				val = fr.Regs[reg]
-			} else {
-				i, ok := ws.env.idx[vr.Name]
-				if !ok {
-					return 0, fmt.Errorf("unbound loop index %s in placement", vr.Name)
-				}
-				val = i
+			i, ok := ws.eng.index(vr.Name)
+			if !ok {
+				return 0, fmt.Errorf("unbound loop index %s in placement", vr.Name)
 			}
+			val = i
 		default:
 			return 0, fmt.Errorf("unexpected variable %s in placement", vr.Name)
 		}
@@ -1131,60 +966,8 @@ func (ws *workerState) affineVal(a linear.Affine) (int64, error) {
 // parallel-loop slices, guarded statements, replicated statements). Any
 // nested `parallel` annotation inside is executed sequentially here.
 func (ws *workerState) seqExec(stmts []ir.Stmt) {
-	if fr := ws.fr; fr != nil {
-		exe := ws.run.exe
-		for _, s := range stmts {
-			if ws.err != nil || !fr.Ok() {
-				break
-			}
-			fn := exe.Stmt(s)
-			if fn == nil {
-				ws.fail(fmt.Errorf("%s: statement not lowered by the closure backend", s.Pos()))
-				return
-			}
-			fn(fr)
-		}
-		ws.syncFault()
-		return
-	}
-	for _, s := range stmts {
-		if ws.err != nil {
-			return
-		}
-		if san := ws.run.san; san != nil {
-			ws.env.site = san.siteOf[s]
-		}
-		switch n := s.(type) {
-		case *ir.Assign:
-			ws.fail(ws.env.assign(n))
-		case *ir.Loop:
-			lo, err := ws.env.evalInt(n.Lo)
-			if err != nil {
-				ws.fail(err)
-				return
-			}
-			hi, err := ws.env.evalInt(n.Hi)
-			if err != nil {
-				ws.fail(err)
-				return
-			}
-			for i := lo; i <= hi && ws.err == nil; i++ {
-				ws.env.idx[n.Index] = i
-				ws.seqExec(n.Body)
-			}
-			delete(ws.env.idx, n.Index)
-		case *ir.If:
-			c, err := ws.env.evalBool(n.Cond)
-			if err != nil {
-				ws.fail(err)
-				return
-			}
-			if c {
-				ws.seqExec(n.Then)
-			} else {
-				ws.seqExec(n.Else)
-			}
-		}
+	if ws.err == nil {
+		ws.fail(ws.eng.exec(stmts))
 	}
 }
 
@@ -1266,7 +1049,7 @@ func (ws *workerState) groupActivity(g syncopt.Group) (self bool, total int) {
 		switch ws.run.sched.Modes[s] {
 		case region.ModeParallel, region.ModeWavefront:
 			l := s.(*ir.Loop)
-			lo, hi, ok := ws.probeBounds(l)
+			lo, hi, ok := ws.eng.probeBounds(l)
 			if !ok {
 				// Conservative: count everyone.
 				for i := range ws.activeBuf {

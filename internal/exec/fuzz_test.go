@@ -244,16 +244,16 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// Backend differential: the tree-walking interpreter backend is the
-		// oracle for the compiled closure backend. With rank-ordered
-		// reduction merges both backends are deterministic, so the final
-		// states of the same generated program must agree bit for bit —
-		// any float divergence is a lowering bug, not roundoff.
+		// Engine differential: the tree-walking reference engine
+		// (ref_test.go) is the oracle for the compiled closure frame. With
+		// rank-ordered reduction merges both engines are deterministic, so
+		// the final states of the same generated program must agree bit for
+		// bit — any float divergence is a lowering bug, not roundoff.
 		for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
 			var states [2]*interp.State
-			for i, bk := range []exec.Backend{exec.Interp, exec.Closure} {
+			for i, bk := range []string{"interp", "closure"} {
 				cfg := exec.Config{Workers: 3, Params: params, Mode: mode,
-					Backend: bk, DeterministicReductions: true}
+					DeterministicReductions: true}
 				var r *core.Runner
 				if mode == exec.ForkJoin {
 					r, err = c.NewBaselineRunner(cfg)
@@ -262,6 +262,9 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 				}
 				if err != nil {
 					t.Fatalf("seed %d: %s runner: %v", seed, bk, err)
+				}
+				if bk == "interp" {
+					exec.UseReferenceEngine(r.Runner)
 				}
 				res, err := r.Run()
 				if err != nil {

@@ -255,7 +255,7 @@ func (ws *workerState) footprints(s comm.InspectSide, carrier string, delta int6
 	}
 	sc := &scanEnv{ws: ws, bind: map[string]int64{}}
 	if carrier != "" {
-		cv, ok := ws.indexVal(carrier)
+		cv, ok := ws.eng.index(carrier)
 		if !ok {
 			return nil, fmt.Errorf("inspector scan: carrier index %s not live", carrier)
 		}
@@ -372,18 +372,6 @@ func (ws *workerState) footprints(s comm.InspectSide, carrier string, delta int6
 	return fps, nil
 }
 
-// indexVal reads a live loop-index binding from the active backend.
-func (ws *workerState) indexVal(name string) (int64, bool) {
-	if fr := ws.fr; fr != nil {
-		if reg, ok := ws.run.exe.Layout().IndexReg(name); ok {
-			return fr.Regs[reg], true
-		}
-		return 0, false
-	}
-	v, ok := ws.env.idx[name]
-	return v, ok
-}
-
 // scanEnv evaluates integer expressions for the inspector scan. It mirrors
 // the interpreter's integer semantics (floor mod, exact-integer array
 // elements and literals) but reads index arrays directly — scan reads are
@@ -433,7 +421,7 @@ func (sc *scanEnv) evalInt(x ir.Expr) (int64, error) {
 		if v, ok := sc.bind[n.Name]; ok {
 			return v, nil
 		}
-		if v, ok := sc.ws.indexVal(n.Name); ok {
+		if v, ok := sc.ws.eng.index(n.Name); ok {
 			return v, nil
 		}
 		if v, ok := sc.ws.run.cfg.Params[n.Name]; ok {
@@ -522,7 +510,7 @@ func (sc *scanEnv) affine(a linear.Affine) (int64, error) {
 		case linear.KindLoop:
 			if b, ok := sc.bind[vr.Name]; ok {
 				val = b
-			} else if lv, ok := sc.ws.indexVal(vr.Name); ok {
+			} else if lv, ok := sc.ws.eng.index(vr.Name); ok {
 				val = lv
 			} else {
 				return 0, fmt.Errorf("unbound loop index %s in inspector scan", vr.Name)

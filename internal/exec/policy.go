@@ -167,44 +167,11 @@ func (r *Runner) runSequential(ctx context.Context, st *interp.State) (*Result, 
 		return nil, &spmdrt.CancelError{Cause: err}
 	}
 	ps := newPState(st)
-	run := &teamRun{Runner: r, ps: ps, errs: make([]error, 1), sabotage: -1}
+	run := &teamRun{Runner: r, ps: ps, sabotage: -1}
 	if r.cfg.Sanitize {
-		run.san = newSanRun(r.prog, ps, 1)
+		run.san = newSanRun(r.prog, r.exe, ps, 1)
 	}
-	ws := &workerState{run: run, w: 0}
-	if r.exe != nil {
-		fr := r.exe.NewFrame()
-		fr.Scal = ps.scalars
-		for i, a := range r.prog.Arrays {
-			if av := ps.arrays[a.Name]; av != nil {
-				fr.Arrays[i], fr.Dims[i] = av.Data, av.Dims
-			}
-		}
-		lay := r.exe.Layout()
-		for name, v := range ps.params {
-			if reg, ok := lay.ParamReg(name); ok {
-				fr.Regs[reg] = v
-			}
-		}
-		if run.san != nil {
-			fr.San = run.san.tr
-			fr.SanW = 0
-			sites := make([]uint16, r.exe.NumStmts())
-			for s, id := range run.san.siteOf {
-				if ord, ok := r.exe.Ordinal(s); ok {
-					sites[ord] = id
-				}
-			}
-			fr.Sites = sites
-		}
-		ws.fr = fr
-	} else {
-		ws.env = newWenv(ps)
-		if run.san != nil {
-			ws.env.san = run.san.tr
-			ws.env.sw = 0
-		}
-	}
+	ws := &workerState{run: run, eng: r.newEngine(run, 0)}
 	start := time.Now()
 	ws.seqExec(r.prog.Body)
 	elapsed := time.Since(start)

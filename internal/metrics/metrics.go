@@ -40,15 +40,6 @@ import (
 // namePrefix is prepended to every exported metric family.
 const namePrefix = "spmd_"
 
-// SetProfile folds one run's profile into the process-wide aggregator.
-//
-// Deprecated: this is the compatibility shim for the pre-aggregator API,
-// whose single atomic "latest profile" slot made concurrent pooled runs
-// clobber each other's per-site gauges (last writer won the next scrape).
-// New callers should build a telemetry.RunSummary and call
-// telemetry.Default().Observe directly. A nil profile is a no-op.
-func SetProfile(p *profile.Profile) { telemetry.Default().ObserveProfile(p) }
-
 // expvarGauges are the process-wide expvar surfaces exported as gauge
 // families: each numeric field of the published value becomes
 // spmd_<var>_<field>.

@@ -110,6 +110,13 @@ func parseExposition(t *testing.T, body string) map[string]float64 {
 	return samples
 }
 
+// observeProfile folds a run that hands over only its profile into ag:
+// the summary is the profile's own identity and an OK outcome.
+func observeProfile(ag *telemetry.Aggregator, p *profile.Profile) {
+	ag.Observe(telemetry.RunSummary{Program: p.Program, Mode: p.Mode, Workers: p.Workers,
+		Backend: p.Backend, Outcome: telemetry.OutcomeOK}, p, nil)
+}
+
 // testProfile builds a two-site profile for the exposition tests.
 func testProfile() *profile.Profile {
 	p := &profile.Profile{
@@ -155,7 +162,7 @@ func TestHandlerServesValidExposition(t *testing.T) {
 
 	p := testProfile()
 	ag := telemetry.New(8)
-	ag.ObserveProfile(p)
+	observeProfile(ag, p)
 
 	srv := httptest.NewServer(HandlerFor(ag))
 	defer srv.Close()
@@ -198,10 +205,10 @@ func TestHandlerServesValidExposition(t *testing.T) {
 // byte-identical (the no-map-order guarantee).
 func TestWritePromDeterministic(t *testing.T) {
 	ag := telemetry.New(8)
-	ag.ObserveProfile(testProfile())
+	observeProfile(ag, testProfile())
 	other := testProfile()
 	other.Program = "stencil9"
-	ag.ObserveProfile(other)
+	observeProfile(ag, other)
 	var a, b strings.Builder
 	WritePromFor(&a, ag)
 	WritePromFor(&b, ag)
@@ -221,15 +228,15 @@ func TestWritePromEmptyAggregator(t *testing.T) {
 	}
 }
 
-// TestSetProfileAggregatesAcrossRuns is the regression test for the old
+// TestRollupAccumulatesAcrossRuns is the regression test for the old
 // last-writer-wins bug: two pooled runs handing over profiles one after
 // the other must BOTH be visible in the next scrape (summed ops), not
 // just the second one.
-func TestSetProfileAggregatesAcrossRuns(t *testing.T) {
+func TestRollupAccumulatesAcrossRuns(t *testing.T) {
 	ag := telemetry.New(8)
 	p1, p2 := testProfile(), testProfile()
-	ag.ObserveProfile(p1)
-	ag.ObserveProfile(p2)
+	observeProfile(ag, p1)
+	observeProfile(ag, p2)
 	var sb strings.Builder
 	WritePromFor(&sb, ag)
 	samples := parseExposition(t, sb.String())
@@ -246,8 +253,8 @@ func TestSetProfileAggregatesAcrossRuns(t *testing.T) {
 
 // TestConcurrentObserveAndScrape drives observers and scrapers in
 // parallel; run under -race this proves the aggregator path has no data
-// race (the old atomic-pointer SetProfile raced semantically: each writer
-// silently discarded the others' runs).
+// race (the old atomic "latest profile" slot raced semantically: each
+// writer silently discarded the others' runs).
 func TestConcurrentObserveAndScrape(t *testing.T) {
 	ag := telemetry.New(16)
 	var wg sync.WaitGroup
@@ -256,7 +263,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				ag.ObserveProfile(testProfile())
+				observeProfile(ag, testProfile())
 			}
 		}()
 	}
@@ -299,7 +306,7 @@ func TestAggregatedQuantilesMatchMerge(t *testing.T) {
 			p.Sites[0].Wait.Add(time.Duration(100 * (i + j + 1)))
 		}
 		all = append(all, p)
-		ag.ObserveProfile(p)
+		observeProfile(ag, p)
 	}
 	want, err := profile.Merge(all...)
 	if err != nil {
@@ -427,7 +434,7 @@ func TestRunsAndSpansEndpoints(t *testing.T) {
 // scrape that raced the process exiting).
 func TestServerGracefulShutdown(t *testing.T) {
 	ag := telemetry.New(8)
-	ag.ObserveProfile(testProfile())
+	observeProfile(ag, testProfile())
 	s, err := ServeAggregator("127.0.0.1:0", ag)
 	if err != nil {
 		t.Fatal(err)

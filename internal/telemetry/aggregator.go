@@ -172,22 +172,6 @@ func (a *Aggregator) Observe(sum RunSummary, p *profile.Profile, spans *Export) 
 	}
 }
 
-// ObserveProfile is the compatibility path behind metrics.SetProfile:
-// runs that only hand over a profile still land in the rollup instead of
-// clobbering a single last-run gauge.
-func (a *Aggregator) ObserveProfile(p *profile.Profile) {
-	if a == nil || p == nil {
-		return
-	}
-	a.Observe(RunSummary{
-		Program: p.Program,
-		Mode:    p.Mode,
-		Workers: p.Workers,
-		Backend: p.Backend,
-		Outcome: OutcomeOK,
-	}, p, nil)
-}
-
 // Recent returns up to n run summaries, newest first (all when n <= 0).
 func (a *Aggregator) Recent(n int) []RunSummary {
 	if a == nil {

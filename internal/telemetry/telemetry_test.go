@@ -217,7 +217,8 @@ func TestAggregatorRollupDetached(t *testing.T) {
 	p := &profile.Profile{Schema: profile.Schema, Program: "k", ProgramHash: "x",
 		ScheduleHash: "y", Mode: "opt", Workers: 4, Backend: "chan", Runs: 1,
 		Sites: []profile.SiteProfile{{Site: 1, Kind: "barrier", Ops: 7}}}
-	ag.ObserveProfile(p)
+	ag.Observe(RunSummary{Program: p.Program, Mode: p.Mode, Workers: p.Workers,
+		Backend: p.Backend, Outcome: OutcomeOK}, p, nil)
 	p.Sites[0].Ops = 999
 	s := ag.Snapshot()
 	if got := s.Groups[0].Profile.Sites[0].Ops; got != 7 {
@@ -229,7 +230,6 @@ func TestAggregatorRollupDetached(t *testing.T) {
 func TestNilAggregatorSafe(t *testing.T) {
 	var ag *Aggregator
 	ag.Observe(RunSummary{}, nil, nil)
-	ag.ObserveProfile(nil)
 	if ag.Recent(1) != nil || ag.Spans("x") != nil {
 		t.Fatal("nil aggregator reads must return nil")
 	}

@@ -5,8 +5,8 @@
 # remarks golden + sync-report smokes, a
 # chaos + sanitizer + watchdog smoke of representative suite kernels,
 # trace-export and Table W smokes, the tracing overhead guard, the
-# closure/interp backend-parity gate, the Table T throughput smoke
-# with its envelope validation, the pooled 16-kernel
+# one-engine structural gate on internal/exec, the closure-vs-reference
+# engine parity gate, the pooled 16-kernel
 # chaos+sanitizer reuse sweep, the Table P team-provisioning smoke
 # with its BENCH_pool.json envelope validation, the durable-profile
 # round trip (full-kernel -profile-out/-ledger sweep, byte-identity merge
@@ -48,7 +48,7 @@ echo "== fuzz smoke (linear FuzzEnumerate, 10s) =="
 go test -run '^$' -fuzz=FuzzEnumerate -fuzztime=10s ./internal/linear
 
 barrierc="$(mktemp -t barrierc.XXXXXX)"
-trap 'rm -f "$barrierc" "${spmdrun_bin:-}" "${spmdprof_bin:-}" "${trace_tmp:-}" "${bench_tmp:-}" "${pool_tmp:-}" "${profh_tmp:-}"; rm -rf "${prof_dir:-}" "${span_dir:-}"' EXIT
+trap 'rm -f "$barrierc" "${spmdrun_bin:-}" "${spmdprof_bin:-}" "${trace_tmp:-}" "${pool_tmp:-}" "${profh_tmp:-}"; rm -rf "${prof_dir:-}" "${span_dir:-}"' EXIT
 go build -o "$barrierc" ./cmd/barrierc
 
 echo "== lint smoke (barrierc -lint) =="
@@ -206,35 +206,27 @@ if [ "$won" -lt $(( (total + 1) / 2 )) ]; then
     exit 1
 fi
 
-echo "== backend parity gate =="
-# The closure-compiled backend must reproduce the tree-walking interpreter
-# backend bit for bit on every suite kernel (rank-ordered reductions make
-# both deterministic). This is the differential gate behind the compiled
-# executor: any float divergence is a lowering bug.
-go test -run TestBackendParity ./internal/suite -count=1
-
-echo "== benchtab Table T smoke =="
-# The backend-throughput table must build, emit a valid versioned JSON
-# envelope (to a temp file: no BENCH_exec.json is committed), and show the
-# closure backend >= 3x interpreter throughput on the compute-bound
-# acceptance kernels (jacobi2d, matmul) at P=8.
-bench_tmp="$(mktemp -t benchexec.XXXXXX.json)"
-go run ./cmd/benchtab -table T -p 8 -kernels jacobi2d,matmul -out "$bench_tmp" | tail -n 4
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$bench_tmp" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["schema_version"] == 1, d
-assert d["tool"] == "benchtab-exec", d
-rows = {r["kernel"]: r for r in d["payload"]["rows"]}
-for k in ("jacobi2d", "matmul"):
-    assert k in rows, f"{k} missing from the Table T envelope"
-    s = rows[k]["speedup"]
-    assert s >= 3.0, f"{k}: closure speedup {s:.2f}x < 3x acceptance floor"
-print("-- Table T envelope valid; speedups:",
-      ", ".join(f"{k}={rows[k]['speedup']:.2f}x" for k in rows))
-EOF
+echo "== one statement engine in internal/exec =="
+# The closure frame is the only engine non-test code of the executor may
+# know: the tree-walking evaluator lives in ref_test.go as the parity
+# reference. Its identifiers turning up in a non-test file means a second
+# engine (or the knob that selected it) is drifting back into production.
+if engine_hits="$(grep -nwE 'wenv|Backend|evalFloat' \
+    $(ls internal/exec/*.go | grep -v '_test\.go$'))"; then
+    echo "ERROR: second-engine identifiers in non-test files of internal/exec:" >&2
+    echo "$engine_hits" >&2
+    exit 1
 fi
+echo "-- no wenv / Backend / evalFloat outside internal/exec test files"
+
+echo "== backend parity gate =="
+# The closure frame must reproduce the tree-walking reference engine
+# (internal/exec/ref_test.go) bit for bit on all 21 suite kernels, under
+# the optimized schedule and the fork-join baseline, plain and with the
+# sanitizer under chaos timing (rank-ordered reductions make both
+# deterministic). This is the differential gate behind the compiled
+# executor: any float divergence is a lowering bug.
+go test -run TestBackendParity ./internal/exec -count=1
 
 echo "== pooled reuse sweep (chaos + sanitizer, one pool) =="
 # The tentpole robustness gate: >= 100 back-to-back runs across the
