@@ -112,47 +112,6 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceOverhead is the recorder-overhead guard in benchmark
-// form: the same kernel with tracing off and on. The "off" sub-benchmark
-// is the cost of the nil-check guards on every recording call site; the
-// "on" sub-benchmark adds the per-worker ring-buffer writes. The
-// enforced version of this guard (with tolerances) is
-// TestTracingOverheadGuard in internal/exec, run via scripts/check.sh.
-func BenchmarkTraceOverhead(b *testing.B) {
-	k, err := suite.Get("jacobi2d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, traced := range []bool{false, true} {
-		name := "off"
-		if traced {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			runner, err := c.NewRunner(exec.Config{
-				Workers: 4, Mode: exec.SPMD, Params: k.Params, Trace: traced,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := runner.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if traced {
-					b.ReportMetric(float64(res.Trace.Recorded()), "events/run")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCompile measures the analysis pipeline itself (the paper notes
 // its greedy algorithm avoids the all-pairs communication computation of
 // prior work; compile time is the cost side of that claim).

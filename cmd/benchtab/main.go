@@ -14,6 +14,10 @@
 //	benchtab -fig 1           # barrier latency vs processors
 //	benchtab -ablate repl     # Table 3 with replacement disabled (A2)
 //	benchtab -ablate merge    # Table 3 with merging disabled (A3)
+//
+// Tables 4, W, P, F and S compare timings; every such comparison is a
+// series of back-to-back pairs judged by suite.Paired (docs/INTERNALS.md,
+// "How a timing comparison is made").
 package main
 
 import (
@@ -24,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costsim"
+	"repro/internal/envelope"
 	"repro/internal/remarks"
 	"repro/internal/suite"
 	"repro/internal/syncopt"
@@ -38,7 +43,7 @@ func main() {
 		gantt     = flag.String("gantt", "", "render a simulated execution gantt for the named kernel (software-DSM costs)")
 		kernels   = flag.String("kernels", "", "comma-separated kernel subset for table F, H or S (default: all; S defaults to a three-kernel spread)")
 		outJSON   = flag.String("out", "", "with -table P, F, H, I or S: also write the report as a versioned JSON envelope to this file (BENCH_pool.json / BENCH_fdo.json / BENCH_profile.json / BENCH_irreg.json / BENCH_spans.json)")
-		samples   = flag.Int("samples", 0, "with -table P: pooled/cold cycles per worker count (default 300); with -table F or H: interleaved runs per kernel (default 10); with -table S: off/on pairs per kernel (default 5)")
+		samples   = flag.Int("samples", 0, "pairs per comparison (see docs/INTERNALS.md, How a timing comparison is made): with -table P cold/pooled per worker count (default 300), with -table F static/fdo per kernel (default 10), with -table S off/on per kernel (default 10); with -table H: runs per kernel (default 10)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "with -table P: also run the stall-injected retry/fallback leg seeded here (0 skips it)")
 	)
 	flag.Parse()
@@ -112,6 +117,11 @@ func main() {
 		}
 		fmt.Println()
 	}
+	// Tables F, S and H take a -kernels subset.
+	var names []string
+	if *kernels != "" {
+		names = strings.Split(*kernels, ",")
+	}
 	if wantTables("P") {
 		rep, err := suite.MeasurePoolBench(nil, *samples, *chaosSeed)
 		if err != nil {
@@ -119,101 +129,40 @@ func main() {
 		}
 		suite.TableP(os.Stdout, rep)
 		fmt.Println()
-		if *outJSON != "" && tbl == "P" {
-			f, err := os.Create(*outJSON)
-			if err != nil {
-				fail(err)
-			}
-			if err := suite.WritePoolBenchJSON(f, rep); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outJSON)
+		if tbl == "P" {
+			writeReport(*outJSON, envelope.ToolPoolBench, rep)
 		}
 	}
+	// Tables F, S and H are opt-in (not part of the run-everything
+	// default): F runs the full feedback loop per kernel (profile pass,
+	// re-optimization, traced measurement pairs), S runs 2×(pairs+1) full
+	// requests per kernel, H runs every kernel -samples times traced.
 	if tbl == "F" {
-		// Table F is opt-in like Table H: it runs the full feedback loop
-		// (profile pass, re-optimization, interleaved traced measurement
-		// legs) per kernel, which dominates a full-suite pass.
-		var names []string
-		if *kernels != "" {
-			names = strings.Split(*kernels, ",")
-		}
 		rep, err := suite.MeasureFDOBench(names, *workers, *samples)
 		if err != nil {
 			fail(err)
 		}
 		suite.TableF(os.Stdout, rep)
 		fmt.Println()
-		if *outJSON != "" {
-			f, err := os.Create(*outJSON)
-			if err != nil {
-				fail(err)
-			}
-			if err := suite.WriteFDOBenchJSON(f, rep); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outJSON)
-		}
+		writeReport(*outJSON, envelope.ToolFDOBench, rep)
 	}
 	if tbl == "S" {
-		// Table S is opt-in: each kernel runs 2×(pairs+1) full requests.
-		var names []string
-		if *kernels != "" {
-			names = strings.Split(*kernels, ",")
-		}
 		rep, err := suite.MeasureSpanBench(names, *workers, *samples)
 		if err != nil {
 			fail(err)
 		}
 		suite.TableS(os.Stdout, rep)
 		fmt.Println()
-		if *outJSON != "" {
-			f, err := os.Create(*outJSON)
-			if err != nil {
-				fail(err)
-			}
-			if err := suite.WriteSpanBenchJSON(f, rep); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outJSON)
-		}
+		writeReport(*outJSON, envelope.ToolSpanBench, rep)
 	}
 	if tbl == "H" {
-		// Table H is opt-in (not part of the run-everything default): each
-		// kernel runs -samples times with tracing on, which dominates a
-		// full-suite pass.
-		var names []string
-		if *kernels != "" {
-			names = strings.Split(*kernels, ",")
-		}
 		rep, err := suite.MeasureProfileBench(names, *workers, *samples)
 		if err != nil {
 			fail(err)
 		}
 		suite.TableH(os.Stdout, rep)
 		fmt.Println()
-		if *outJSON != "" {
-			f, err := os.Create(*outJSON)
-			if err != nil {
-				fail(err)
-			}
-			if err := suite.WriteProfileBenchJSON(f, rep); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outJSON)
-		}
+		writeReport(*outJSON, envelope.ToolProfBench, rep)
 	}
 	if wantTables("I") {
 		ims, err := suite.MeasureIrregAll(opt)
@@ -231,18 +180,8 @@ func main() {
 		rows := suite.IrregRows(ims, sets)
 		suite.TableI(os.Stdout, rows)
 		fmt.Println()
-		if *outJSON != "" && tbl == "I" {
-			f, err := os.Create(*outJSON)
-			if err != nil {
-				fail(err)
-			}
-			if err := suite.WriteIrregBenchJSON(f, suite.NewIrregReport(rows)); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outJSON)
+		if tbl == "I" {
+			writeReport(*outJSON, envelope.ToolIrregBench, suite.NewIrregReport(rows))
 		}
 	}
 	if wantTables("R") {
@@ -296,6 +235,25 @@ func renderGantt(name string, workers int) error {
 	}
 	costsim.RenderGantt(os.Stdout, res, tr, workers, 100)
 	return nil
+}
+
+// writeReport writes payload to path as a versioned envelope of the given
+// tool (the BENCH_*.json artifacts); an empty path writes nothing.
+func writeReport(path, tool string, payload any) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := envelope.Write(f, tool, payload); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
 func fail(err error) {

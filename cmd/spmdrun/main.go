@@ -214,18 +214,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// exec.Config assembly (including the tracing forced by -report,
 	// -profile-out and -ledger, which need the trace's wait sketches).
 	req := core.NewRequest(src, core.WithParams(params), core.WithWorkers(*workers))
-	switch *barrier {
-	case "central":
-		req.Run.Barrier = spmdrt.Central
-	case "tree":
-		req.Run.Barrier = spmdrt.Tree
-	case "dissemination":
-		req.Run.Barrier = spmdrt.Dissemination
-	case "auto":
+	if *barrier == "auto" {
 		// Adopt the feedback pass's recommendation when -profile-in
 		// produced one; central otherwise.
 		req.Run.BarrierAuto = true
-	default:
+	} else if kind, ok := spmdrt.ParseBarrierKind(*barrier); ok {
+		req.Run.Barrier = kind
+	} else {
 		return fail(fmt.Errorf("unknown barrier %q", *barrier))
 	}
 	switch *mode {

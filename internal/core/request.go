@@ -250,14 +250,9 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		workers = 8
 	}
 	barrier := req.Run.Barrier
-	if req.Run.BarrierAuto && fres != nil && fres.BarrierAlgo != "" {
-		switch fres.BarrierAlgo {
-		case "tree":
-			barrier = spmdrt.Tree
-		case "dissemination":
-			barrier = spmdrt.Dissemination
-		case "central":
-			barrier = spmdrt.Central
+	if req.Run.BarrierAuto && fres != nil {
+		if kind, ok := spmdrt.ParseBarrierKind(fres.BarrierAlgo); ok {
+			barrier = kind
 		}
 	}
 	// The execute span opens before runner construction so the executor's

@@ -4,11 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -268,139 +263,4 @@ func TestTraceSummaryEndToEnd(t *testing.T) {
 	if s.TotalWait() <= 0 {
 		t.Error("total wait is zero in a synchronizing run")
 	}
-}
-
-// TestTracingOverheadGuard is the recorder-overhead guard: tracing OFF
-// must stay within a tolerance of the recorded baseline (refreshed on
-// first run), and tracing ON must stay within a few percent of OFF.
-// Wall-clock medians on a shared, time-sliced host are noisy, so the
-// guard is opt-in: scripts/check.sh runs it with OVERHEAD_GUARD=1.
-func TestTracingOverheadGuard(t *testing.T) {
-	if os.Getenv("OVERHEAD_GUARD") == "" {
-		t.Skip("timing guard; set OVERHEAD_GUARD=1 to run (scripts/check.sh does)")
-	}
-	k, err := suite.Get("jacobi2d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(trace bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 7; i++ {
-			r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.Params,
-				Mode: exec.SPMD, Trace: trace})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Elapsed < best {
-				best = res.Elapsed
-			}
-		}
-		return best
-	}
-	off := measure(false)
-	on := measure(true)
-	t.Logf("tracing off: %s   tracing on: %s   (min of 7)", off, on)
-
-	onTol := envFloat(t, "TRACE_ON_TOL", 0.10)
-	if float64(on) > float64(off)*(1+onTol) {
-		t.Errorf("tracing-on overhead %.1f%% exceeds %.0f%%",
-			100*(float64(on)/float64(off)-1), 100*onTol)
-	}
-
-	// Cross-commit regression fence: compare tracing-off against the
-	// baseline recorded on this machine. The file is stamped with the
-	// environment it was measured in (toolchain, GOMAXPROCS, HEAD); any
-	// stamp mismatch means the stored number is stale — a toolchain
-	// upgrade, a different parallelism setting, or a new commit — and
-	// the guard re-records instead of failing against it. The fence
-	// therefore bites exactly when the working tree drifts from the
-	// commit the baseline was measured at.
-	const baselineFile = "../../scripts/.overhead_baseline"
-	offTol := envFloat(t, "OVERHEAD_TOL", 0.02)
-	record := func(reason string) {
-		payload := strconv.FormatInt(int64(off), 10) + "\n" + baselineStamp()
-		if err := os.WriteFile(baselineFile, []byte(payload), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded tracing-off baseline %s in %s (%s)", off, baselineFile, reason)
-	}
-	b, err := os.ReadFile(baselineFile)
-	if err != nil {
-		record("no baseline on this machine")
-		return
-	}
-	nanos, stamp, _ := strings.Cut(string(b), "\n")
-	base, perr := strconv.ParseInt(string(bytes.TrimSpace([]byte(nanos))), 10, 64)
-	if perr != nil {
-		record("unreadable baseline, re-recording")
-		return
-	}
-	if stamp != baselineStamp() {
-		record("environment changed since baseline was recorded")
-		return
-	}
-	if float64(off) > float64(base)*(1+offTol) {
-		t.Errorf("tracing-off run %s regressed >%.0f%% vs recorded baseline %s\n"+
-			"The baseline is machine-local and can go stale (background load when it was\n"+
-			"recorded, CPU frequency drift). If the working tree is clean, refresh it:\n"+
-			"    rm scripts/.overhead_baseline && OVERHEAD_GUARD=1 go test ./internal/exec -run TestTracingOverheadGuard",
-			off, 100*offTol, time.Duration(base))
-	}
-}
-
-// baselineStamp identifies the environment an overhead baseline was
-// measured in. A stored baseline is only comparable when every line
-// matches the current process: wall-clock medians shift with the Go
-// runtime, with the host parallelism, and with the code itself.
-func baselineStamp() string {
-	return fmt.Sprintf("go %s\ngomaxprocs %d\nhead %s\n",
-		runtime.Version(), runtime.GOMAXPROCS(0), gitHead("../.."))
-}
-
-// gitHead resolves the repository's HEAD commit without shelling out,
-// so the stamp works in minimal environments. Detached heads hold the
-// hash directly; symbolic refs resolve through the loose ref file or
-// packed-refs.
-func gitHead(root string) string {
-	b, err := os.ReadFile(filepath.Join(root, ".git", "HEAD"))
-	if err != nil {
-		return "unknown"
-	}
-	s := strings.TrimSpace(string(b))
-	ref, ok := strings.CutPrefix(s, "ref: ")
-	if !ok {
-		return s
-	}
-	if rb, err := os.ReadFile(filepath.Join(root, ".git", ref)); err == nil {
-		return strings.TrimSpace(string(rb))
-	}
-	if pb, err := os.ReadFile(filepath.Join(root, ".git", "packed-refs")); err == nil {
-		for _, line := range strings.Split(string(pb), "\n") {
-			if f := strings.Fields(line); len(f) == 2 && f[1] == ref {
-				return f[0]
-			}
-		}
-	}
-	return "unknown"
-}
-
-func envFloat(t *testing.T, name string, def float64) float64 {
-	t.Helper()
-	s := os.Getenv(name)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("bad %s=%q: %v", name, s, err)
-	}
-	return v
 }

@@ -223,6 +223,16 @@ func (k BarrierKind) String() string {
 	}
 }
 
+// ParseBarrierKind is the inverse of String for the three algorithms.
+func ParseBarrierKind(name string) (BarrierKind, bool) {
+	for _, k := range []BarrierKind{Central, Tree, Dissemination} {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return Central, false
+}
+
 // Barrier is a reusable P-worker barrier.
 type Barrier interface {
 	// Wait blocks worker w until all workers of the team arrive.

@@ -3,12 +3,10 @@ package suite
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/exec"
 	"repro/internal/fdo"
 	"repro/internal/profile"
@@ -16,20 +14,17 @@ import (
 )
 
 // FDOBench is one row of Table F: per-kernel blocking sync wait of the
-// static-only schedule against the profile-guided one. The two legs run
-// interleaved, and the comparison is paired — run i of each leg executes
-// back to back, so the per-run delta cancels ambient drift the way two
-// independent means cannot. The noise bar is twice the standard error of
-// the paired deltas (≈95% interval): a kernel only counts as improved or
-// regressed when its mean save clears that bar.
+// static-only schedule against the profile-guided one, compared by Paired.
+// A kernel counts as improved or regressed only when its save clears the
+// noise bar.
 type FDOBench struct {
 	Kernel  string `json:"kernel"`
 	Workers int    `json:"workers"`
 	Runs    int    `json:"runs"`
 	// Flips is how many sync sites the feedback pass flipped (certified
 	// weakens plus promotes); PredictedSaveNS is its own cost-model claim.
-	// BarrierAlgo, when set, is the recommended barrier algorithm the
-	// profile-guided leg adopts (what spmdrun -barrier auto would do).
+	// BarrierAlgo, when set, is the barrier algorithm the feedback pass
+	// recommends (see MeasureFDOBench for when the measured leg adopts it).
 	Flips           int    `json:"flips"`
 	PredictedSaveNS int64  `json:"predicted_save_ns"`
 	BarrierAlgo     string `json:"barrier_algo,omitempty"`
@@ -38,15 +33,18 @@ type FDOBench struct {
 	// measured delta is pure noise, so the row calibrates the noise floor
 	// and is excluded from the improved/regressed tallies.
 	Control bool `json:"control,omitempty"`
-	// StaticWaitNS / FDOWaitNS are mean blocking wait per run on each leg;
-	// SaveNS is the mean of the paired per-run deltas (static − fdo) and
-	// NoiseNS its 2×stderr bar.
-	StaticWaitNS int64 `json:"static_wait_ns_per_run"`
-	FDOWaitNS    int64 `json:"fdo_wait_ns_per_run"`
-	SaveNS       int64 `json:"save_ns"`
-	NoiseNS      int64 `json:"noise_ns"`
-	Improved     bool  `json:"improved"`
-	Regressed    bool  `json:"regressed"`
+	// StaticWaitNS / FDOWaitNS are the median blocking wait per run on each
+	// leg; SaveNS is the median of the paired per-run deltas (static − fdo)
+	// and NoiseNS their interquartile range. Verdict judges the
+	// profile-guided leg at tolerance 0; Improved and Regressed are its
+	// better and worse on non-control rows.
+	StaticWaitNS int64   `json:"static_wait_ns_per_run"`
+	FDOWaitNS    int64   `json:"fdo_wait_ns_per_run"`
+	SaveNS       int64   `json:"save_ns"`
+	NoiseNS      int64   `json:"noise_ns"`
+	Verdict      Verdict `json:"verdict"`
+	Improved     bool    `json:"improved"`
+	Regressed    bool    `json:"regressed"`
 }
 
 // FDOBenchReport is the Table F artifact, the payload of BENCH_fdo.json.
@@ -62,10 +60,10 @@ type FDOBenchReport struct {
 }
 
 // MeasureFDOBench runs the whole feedback loop for each named kernel (all
-// 20 suite kernels — regular and irregular — when names is empty): a
+// 21 suite kernels — regular and irregular — when names is empty): a
 // profiling pass on the static schedule, one feedback re-optimization, and
-// then runs interleaved static/profile-guided measurement runs. Both legs
-// trace, so the comparison is wait-vs-wait under identical instrumentation.
+// then runs static/profile-guided measurement pairs. Both legs trace, so
+// the comparison is wait-vs-wait under identical instrumentation.
 func MeasureFDOBench(names []string, workers, runs int) (*FDOBenchReport, error) {
 	if workers <= 0 {
 		workers = 8
@@ -122,21 +120,15 @@ func MeasureFDOBench(names []string, workers, runs int) (*FDOBenchReport, error)
 			return nil, fmt.Errorf("%s: reoptimize: %w", name, err)
 		}
 
-		// Measurement legs, interleaved static/fdo run by run. The
-		// profile-guided leg adopts the recommended barrier algorithm
-		// (what spmdrun -barrier auto does) only when the host has the
-		// cores to run the workers in parallel: tree and dissemination
-		// trade one central rendezvous for extra rounds, which pays on
-		// real contention but only adds scheduler churn when the workers
-		// are timeslicing a smaller machine.
+		// The profile-guided leg adopts the recommended barrier algorithm
+		// as spmdrun -barrier auto does, but — unlike it — only when the
+		// host has the cores to run the workers in parallel: tree and
+		// dissemination trade one central rendezvous for extra rounds,
+		// which pays on real contention but only adds scheduler churn when
+		// the workers are timeslicing a smaller machine.
 		fdoBarrier := spmdrt.Central
 		if workers <= runtime.NumCPU() {
-			switch fres.BarrierAlgo {
-			case "tree":
-				fdoBarrier = spmdrt.Tree
-			case "dissemination":
-				fdoBarrier = spmdrt.Dissemination
-			}
+			fdoBarrier, _ = spmdrt.ParseBarrierKind(fres.BarrierAlgo)
 		}
 		sr, err := c.NewRunner(exec.Config{
 			Workers: workers, Params: k.Params, Mode: exec.SPMD, Trace: true})
@@ -149,56 +141,28 @@ func MeasureFDOBench(names []string, workers, runs int) (*FDOBenchReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("%s: fdo runner: %w", name, err)
 		}
-		// ABBA ordering: alternate which leg runs first in each pair, so
-		// first-position effects (scheduler and cache state left by the
-		// previous run) cancel out of the paired deltas instead of biasing
-		// one leg.
-		runLeg := func(r *core.Runner, i int) (int64, error) {
-			res, err := r.Run()
-			if err != nil {
-				return 0, fmt.Errorf("%s: measurement run %d: %w", name, i+1, err)
-			}
-			return int64(r.Profile(res).TotalWait()), nil
+		wait := func(r *core.Runner) Leg {
+			return runLeg(r, func(res *core.Result) time.Duration { return r.Profile(res).TotalWait() })
 		}
-		deltas := make([]float64, 0, runs)
-		var staticSum, fdoSum int64
-		for i := 0; i < runs; i++ {
-			first, second := sr, fr
-			if i%2 == 1 {
-				first, second = fr, sr
-			}
-			w1, err := runLeg(first, i)
-			if err != nil {
-				return nil, err
-			}
-			w2, err := runLeg(second, i)
-			if err != nil {
-				return nil, err
-			}
-			sw, fw := w1, w2
-			if i%2 == 1 {
-				sw, fw = w2, w1
-			}
-			staticSum += sw
-			fdoSum += fw
-			deltas = append(deltas, float64(sw-fw))
+		cmp, err := Paired(runs, wait(sr), wait(fr))
+		if err != nil {
+			return nil, fmt.Errorf("%s: measurement: %w", name, err)
 		}
-
-		save, noise := pairedMeanNoise(deltas)
 		row := FDOBench{
 			Kernel: name, Workers: workers, Runs: runs,
 			Flips:           fres.Flips,
 			PredictedSaveNS: fres.PredictedSaveNS,
 			BarrierAlgo:     fres.BarrierAlgo,
 			Control:         fres.Flips == 0 && fdoBarrier == spmdrt.Central,
-			StaticWaitNS:    staticSum / int64(runs),
-			FDOWaitNS:       fdoSum / int64(runs),
-			SaveNS:          save,
-			NoiseNS:         noise,
+			StaticWaitNS:    int64(cmp.MedianA),
+			FDOWaitNS:       int64(cmp.MedianB),
+			SaveNS:          int64(-cmp.Delta),
+			NoiseNS:         int64(cmp.Noise),
+			Verdict:         cmp.Verdict(0),
 		}
 		if !row.Control {
-			row.Improved = row.SaveNS > row.NoiseNS
-			row.Regressed = -row.SaveNS > row.NoiseNS
+			row.Improved = row.Verdict == Better
+			row.Regressed = row.Verdict == Worse
 		}
 		if row.Improved {
 			rep.Improved++
@@ -211,48 +175,20 @@ func MeasureFDOBench(names []string, workers, runs int) (*FDOBenchReport, error)
 	return rep, nil
 }
 
-// pairedMeanNoise reduces paired per-run deltas to their mean and a
-// 2×stderr noise bar (≈95% interval under the usual assumptions).
-func pairedMeanNoise(deltas []float64) (mean, noise int64) {
-	n := float64(len(deltas))
-	if n == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, d := range deltas {
-		sum += d
-	}
-	m := sum / n
-	if len(deltas) < 2 {
-		return int64(m), 0
-	}
-	var ss float64
-	for _, d := range deltas {
-		ss += (d - m) * (d - m)
-	}
-	sd := math.Sqrt(ss / (n - 1))
-	return int64(m), int64(2 * sd / math.Sqrt(n))
-}
-
 // TableF prints the static-vs-profile-guided sync-wait comparison: flips
 // applied, wait per run on each leg, the paired save with its noise bar,
 // and the verdict. Kernels the feedback pass left untouched are controls:
 // both legs run the identical schedule, so their deltas calibrate the
 // noise floor rather than argue for either side.
 func TableF(w io.Writer, rep *FDOBenchReport) {
-	fmt.Fprintf(w, "Table F: profile-guided vs static sync wait (P=%d, %d paired runs, profile of %d)\n",
+	fmt.Fprintf(w, "Table F: profile-guided vs static sync wait (P=%d, %d pairs, profile of %d)\n",
 		rep.Workers, rep.Runs, rep.ProfileRuns)
 	fmt.Fprintf(w, "%-14s %5s %14s %14s %12s %12s  %s\n",
 		"program", "flips", "static/run", "fdo/run", "save", "±noise", "verdict")
 	for _, r := range rep.Rows {
-		verdict := "same"
-		switch {
-		case r.Control:
+		verdict := string(r.Verdict)
+		if r.Control {
 			verdict = "control"
-		case r.Improved:
-			verdict = "better"
-		case r.Regressed:
-			verdict = "WORSE"
 		}
 		if r.BarrierAlgo != "" {
 			verdict += " (+" + r.BarrierAlgo + ")"
@@ -266,10 +202,4 @@ func TableF(w io.Writer, rep *FDOBenchReport) {
 			verdict)
 	}
 	fmt.Fprintf(w, "%d kernel(s) improved beyond noise, %d regressed\n", rep.Improved, rep.Regressed)
-}
-
-// WriteFDOBenchJSON writes the report as a versioned benchtab-fdo envelope
-// (the BENCH_fdo.json artifact).
-func WriteFDOBenchJSON(w io.Writer, rep *FDOBenchReport) error {
-	return envelope.Write(w, envelope.ToolFDOBench, rep)
 }

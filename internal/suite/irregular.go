@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/envelope"
 	"repro/internal/remarks"
 )
 
@@ -322,10 +321,4 @@ func TableI(w io.Writer, rows []IrregRow) {
 			fmt.Fprintf(w, "  %s\n", f)
 		}
 	}
-}
-
-// WriteIrregBenchJSON writes the Table I report as a versioned JSON
-// envelope (the BENCH_irreg.json artifact).
-func WriteIrregBenchJSON(w io.Writer, rep IrregReport) error {
-	return envelope.Write(w, envelope.ToolIrregBench, rep)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/exec"
 	"repro/internal/remarks"
 	"repro/internal/syncopt"
@@ -356,7 +357,7 @@ func TestTableIRendering(t *testing.T) {
 		t.Errorf("report mean reduction %.2f < 0.5", rep.MeanReduction)
 	}
 	var jb strings.Builder
-	if err := WriteIrregBenchJSON(&jb, rep); err != nil {
+	if err := envelope.Write(&jb, envelope.ToolIrregBench, rep); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"tool": "benchtab-irreg"`, `"kernel": "spmvcsr"`, `"reduction"`} {

@@ -2,7 +2,6 @@ package suite
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -35,11 +34,11 @@ type Metrics struct {
 	DynBase spmdrt.StatsSnapshot
 	DynOpt  spmdrt.StatsSnapshot
 
-	// Elapsed time (Table 4).
-	BaseTime, OptTime time.Duration
-
-	// Sync-wait decomposition (Table W): trace summaries of the two runs
-	// (nil unless MeasureOptions.Trace).
+	// Sync-wait decomposition (Table W), filled only under
+	// MeasureOptions.Trace: total wait per run, optimized against baseline
+	// (see Paired), and the trace summary of each side's median run — real
+	// single-run summaries, so their per-site breakdowns stay consistent.
+	Wait              Comparison
 	BaseWait, OptWait *synctrace.Summary
 
 	// Inspector holds the optimized run's per-site inspector statistics
@@ -73,8 +72,8 @@ type MeasureOptions struct {
 	Sync syncopt.Options
 	// Params overrides the kernel's standard input when non-nil.
 	Params map[string]int64
-	// Trace records sync events in both runs and fills Metrics.BaseWait
-	// and Metrics.OptWait with their summaries (Table W).
+	// Trace records sync events and fills Metrics.Wait, BaseWait and
+	// OptWait from waitPairs further traced runs of each side (Table W).
 	Trace bool
 }
 
@@ -98,7 +97,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 		return m, fmt.Errorf("%s: schedule verification failed: %v", k.Name, errs[0])
 	}
 	m.Lines = countLines(k.Source)
-	for s, mode := range c.Schedule.Modes {
+	for _, mode := range c.Schedule.Modes {
 		switch mode {
 		case region.ModeParallel:
 			m.ParallelLoops++
@@ -109,7 +108,6 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 		case region.ModeGuarded:
 			m.Guarded++
 		}
-		_ = s
 	}
 	m.StaticBase = c.Baseline.Static()
 	m.StaticOpt = c.Schedule.Static()
@@ -133,7 +131,6 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 		return m, fmt.Errorf("%s: baseline diverges from sequential by %g", k.Name, d)
 	}
 	m.DynBase = bres.Stats
-	m.BaseTime = bres.Elapsed
 
 	optr, err := c.NewRunner(exec.Config{
 		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Mode: exec.SPMD,
@@ -145,60 +142,38 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	if err != nil {
 		return m, fmt.Errorf("%s: optimized run: %w", k.Name, err)
 	}
-	if d := exec.ComparableDiff(ref, ores.State, c.Prog); d > k.Tol {
-		return m, fmt.Errorf("%s: optimized diverges from sequential by %g\nschedule:\n%s",
-			k.Name, d, c.Schedule.Dump())
-	}
 	m.MaxDiff = exec.ComparableDiff(ref, ores.State, c.Prog)
+	if m.MaxDiff > k.Tol {
+		return m, fmt.Errorf("%s: optimized diverges from sequential by %g\nschedule:\n%s",
+			k.Name, m.MaxDiff, c.Schedule.Dump())
+	}
 	m.DynOpt = ores.Stats
-	m.OptTime = ores.Elapsed
 	m.Inspector = ores.Inspector
-	m.BaseWait, m.OptWait, err = pairedMedianWait(base, optr,
-		synctrace.Summarize(bres.Trace), synctrace.Summarize(ores.Trace))
-	if err != nil {
-		return m, fmt.Errorf("%s: trace rerun: %w", k.Name, err)
+	if opt.Trace {
+		var bs, ops []*synctrace.Summary
+		m.Wait, err = Paired(waitPairs, waitLeg(base, &bs), waitLeg(optr, &ops))
+		if err != nil {
+			return m, fmt.Errorf("%s: trace rerun: %w", k.Name, err)
+		}
+		// The legs also summarized the warm-up pair; drop it to line the
+		// summaries up with the samples.
+		m.BaseWait = bs[1:][medianIndex(m.Wait.A)]
+		m.OptWait = ops[1:][medianIndex(m.Wait.B)]
 	}
 	return m, nil
 }
 
-// waitSamples is the number of traced runs per mode whose median Table W
-// reports (the first measured run plus waitSamples-1 re-runs).
-const waitSamples = 10
+// waitPairs is the number of traced base/opt pairs behind a Table W row.
+const waitPairs = 10
 
-// pairedMedianWait re-runs the two traced runners, interleaved base/opt,
-// until each side has waitSamples summaries, and returns each side's
-// median-total-wait summary. Wall-clock waits on a time-sliced host carry
-// heavy scheduler noise; the median is robust to it where a min or mean
-// is one outlier run away from flipping a comparison, and interleaving
-// the two sides keeps ambient-load drift from biasing one of them. The
-// returned summaries are real single-run summaries (the median run), so
-// their per-site breakdowns stay internally consistent. Nil summaries
-// (tracing off) return nil without re-running.
-func pairedMedianWait(base, opt *core.Runner, b0, o0 *synctrace.Summary) (*synctrace.Summary, *synctrace.Summary, error) {
-	if b0 == nil || o0 == nil {
-		return b0, o0, nil
-	}
-	bs, os := []*synctrace.Summary{b0}, []*synctrace.Summary{o0}
-	for i := 1; i < waitSamples; i++ {
-		rb, err := base.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		bs = append(bs, synctrace.Summarize(rb.Trace))
-		ro, err := opt.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		os = append(os, synctrace.Summarize(ro.Trace))
-	}
-	return medianWait(bs), medianWait(os), nil
-}
-
-// medianWait returns the summary with the median total wait (the lower
-// of the two middle elements for even sample counts).
-func medianWait(ss []*synctrace.Summary) *synctrace.Summary {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].TotalWait() < ss[j].TotalWait() })
-	return ss[(len(ss)-1)/2]
+// waitLeg measures a traced run by its total sync wait and keeps the
+// run's summary.
+func waitLeg(r *core.Runner, keep *[]*synctrace.Summary) Leg {
+	return runLeg(r, func(res *core.Result) time.Duration {
+		s := synctrace.Summarize(res.Trace)
+		*keep = append(*keep, s)
+		return s.TotalWait()
+	})
 }
 
 // MeasureAll measures every suite kernel.

@@ -5,11 +5,9 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/exec"
 	"repro/internal/pool"
 	"repro/internal/spmdrt"
@@ -22,10 +20,9 @@ import (
 // Cold cycles spawn a fresh team (NewTeam + run + join); pooled cycles
 // go through the full pool protocol (checkout + run + release, where the
 // release includes the reset-and-audit path, so the pooled number is the
-// honest steady-state per-run cost).
+// honest steady-state per-run cost). The two are compared by Paired.
 //
-// The totals alone understate the difference in team tax, because both
-// sides also pay for the rendezvous itself. BaselineNS is that
+// Both sides also pay for the rendezvous itself. BaselineNS is that
 // rendezvous' steady-state cost, measured as the marginal per-barrier
 // cost on an already-running team; subtracting it from each total leaves
 // the provisioning overhead the team machinery adds around the
@@ -34,7 +31,7 @@ import (
 // early arrivals fall through the barrier's spin window into the
 // yield/sleep escalation — which is attributable to the spawn, not to
 // the barrier: a pooled team's workers are woken together from the park
-// rendezvous and co-arrive. Speedup therefore compares overheads.
+// rendezvous and co-arrive.
 type PoolBenchRow struct {
 	Workers int `json:"workers"`
 	// ColdNS is the median of spawn + one-barrier run + join on a fresh
@@ -44,15 +41,20 @@ type PoolBenchRow struct {
 	// warm pool.
 	PooledNS int64 `json:"pooled_ns"`
 	// BaselineNS is the steady-state cost of one barrier episode on an
-	// already-running team (marginal cost, measured by widening the body
-	// from 1 to 9 barriers on a held lease).
+	// already-running team: an eighth of the median paired delta between a
+	// 9-barrier and a 1-barrier body on a held lease.
 	BaselineNS int64 `json:"baseline_ns"`
 	// ColdOverheadNS / PooledOverheadNS are the respective totals minus
-	// BaselineNS (clamped at 1ns): the team tax around the rendezvous.
+	// BaselineNS: the team tax around the rendezvous. Pooled co-arrival can
+	// beat the steady-state barrier, so the pooled one may be negative.
 	ColdOverheadNS   int64 `json:"cold_overhead_ns"`
 	PooledOverheadNS int64 `json:"pooled_overhead_ns"`
-	// Speedup is ColdOverheadNS / PooledOverheadNS.
-	Speedup float64 `json:"speedup"`
+	// SaveNS is the median paired cold − pooled delta, NoiseNS the
+	// interquartile range of the deltas, and Verdict judges pooled against
+	// cold at tolerance 0: better means reuse wins beyond the noise bar.
+	SaveNS  int64   `json:"save_ns"`
+	NoiseNS int64   `json:"noise_ns"`
+	Verdict Verdict `json:"verdict"`
 }
 
 // PoolBenchChaos summarizes the retry/fallback leg: repeated kernel runs
@@ -85,12 +87,11 @@ type PoolBenchReport struct {
 }
 
 // MeasurePoolBench measures pooled-vs-cold team-provisioning latency for
-// each worker count (default {2, 4, 8, 16}), the median of samples cycles
-// (default 300), interleaved cold/pooled so ambient-load drift cannot
-// bias one side. Every cycle's body is one Barrier (the run's first
+// each worker count (default {2, 4, 8, 16}) over samples cold/pooled pairs
+// (default 300). Every cycle's body is one Barrier (the run's first
 // rendezvous); the steady-state cost of that rendezvous is measured
-// separately and subtracted (see PoolBenchRow). With a nonzero chaosSeed
-// it also runs the retry/fallback leg (see PoolBenchChaos).
+// separately (see PoolBenchRow). With a nonzero chaosSeed it also runs the
+// retry/fallback leg (see PoolBenchChaos).
 func MeasurePoolBench(workerCounts []int, samples int, chaosSeed int64) (*PoolBenchReport, error) {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{2, 4, 8, 16}
@@ -108,74 +109,21 @@ func MeasurePoolBench(workerCounts []int, samples int, chaosSeed int64) (*PoolBe
 	// for the latency loops so every window is attributable. Allocation
 	// cost itself still lands where it is incurred. The collector is
 	// restored before the chaos leg, which runs real kernels.
-	runtime.GC()
-	oldGC := debug.SetGCPercent(-1)
-	restored := false
-	restoreGC := func() {
-		if !restored {
-			restored = true
-			debug.SetGCPercent(oldGC)
-		}
-	}
-	defer restoreGC()
-	for _, p := range workerCounts {
-		if p < 1 {
-			return nil, fmt.Errorf("poolbench: bad worker count %d", p)
-		}
-		// Warm the pool: the first checkout is a cold build by definition.
-		l, err := tp.Checkout(p, kind)
-		if err != nil {
-			return nil, err
-		}
-		l.Release(nil)
-
-		// Steady-state rendezvous baseline: marginal per-barrier cost on a
-		// held lease, from widening the body 1 → 9 barriers.
-		baseline, err := measureBarrierBaseline(tp, p, kind, samples)
-		if err != nil {
-			return nil, err
-		}
-
-		cold := make([]time.Duration, 0, samples)
-		pooled := make([]time.Duration, 0, samples)
-		for i := 0; i < samples; i++ {
-			t0 := time.Now()
-			team := spmdrt.NewTeam(p, kind)
-			if err := team.Run(func(w int) { team.Barrier(w) }); err != nil {
-				return nil, fmt.Errorf("poolbench: cold run P=%d: %w", p, err)
-			}
-			cold = append(cold, time.Since(t0))
-			// The cold team's worker goroutines are still exiting when Run
-			// returns (the join fires on the last Done, not the last exit).
-			// Let the scheduler drain them so cold teardown is not billed
-			// to the pooled window that follows.
-			settle(p)
-
-			t0 = time.Now()
-			l, err := tp.Checkout(p, kind)
+	err := func() error {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for _, p := range workerCounts {
+			row, err := measurePoolRow(tp, p, kind, samples)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tm := l.Team().Team()
-			if err := l.Team().Run(func(w int) { tm.Barrier(w) }); err != nil {
-				return nil, fmt.Errorf("poolbench: pooled run P=%d: %w", p, err)
-			}
-			l.Release(nil)
-			pooled = append(pooled, time.Since(t0))
-			settle(p)
+			rep.Rows = append(rep.Rows, row)
 		}
-		row := PoolBenchRow{
-			Workers:          p,
-			ColdNS:           medianDuration(cold).Nanoseconds(),
-			PooledNS:         medianDuration(pooled).Nanoseconds(),
-			BaselineNS:       baseline.Nanoseconds(),
-			ColdOverheadNS:   overheadNS(medianDuration(cold), baseline),
-			PooledOverheadNS: overheadNS(medianDuration(pooled), baseline),
-		}
-		row.Speedup = float64(row.ColdOverheadNS) / float64(row.PooledOverheadNS)
-		rep.Rows = append(rep.Rows, row)
+		return nil
+	}()
+	if err != nil {
+		return nil, err
 	}
-	restoreGC()
 	if chaosSeed != 0 {
 		chaos, err := measurePoolChaos(chaosSeed)
 		if err != nil {
@@ -185,6 +133,59 @@ func MeasurePoolBench(workerCounts []int, samples int, chaosSeed int64) (*PoolBe
 		rep.Chaos = chaos
 	}
 	return rep, nil
+}
+
+// measurePoolRow is one worker count's row of Table P.
+func measurePoolRow(tp *pool.Pool, p int, kind spmdrt.BarrierKind, samples int) (PoolBenchRow, error) {
+	if p < 1 {
+		return PoolBenchRow{}, fmt.Errorf("poolbench: bad worker count %d", p)
+	}
+	// Measured first: its held lease is also the pool's cold build.
+	baseline, err := measureBarrierBaseline(tp, p, kind, samples)
+	if err != nil {
+		return PoolBenchRow{}, err
+	}
+	cold := func() (time.Duration, error) {
+		t0 := time.Now()
+		team := spmdrt.NewTeam(p, kind)
+		if err := team.Run(func(w int) { team.Barrier(w) }); err != nil {
+			return 0, fmt.Errorf("poolbench: cold run P=%d: %w", p, err)
+		}
+		d := time.Since(t0)
+		// The cold team's worker goroutines are still exiting when Run
+		// returns (the join fires on the last Done, not the last exit).
+		// Let the scheduler drain them so cold teardown is not billed
+		// to the leg that follows.
+		settle(p)
+		return d, nil
+	}
+	pooled := func() (time.Duration, error) {
+		t0 := time.Now()
+		l, err := tp.Checkout(p, kind)
+		if err != nil {
+			return 0, err
+		}
+		tm := l.Team().Team()
+		if err := l.Team().Run(func(w int) { tm.Barrier(w) }); err != nil {
+			return 0, fmt.Errorf("poolbench: pooled run P=%d: %w", p, err)
+		}
+		l.Release(nil)
+		d := time.Since(t0)
+		settle(p)
+		return d, nil
+	}
+	cmp, err := Paired(samples, cold, pooled)
+	return PoolBenchRow{
+		Workers:          p,
+		ColdNS:           int64(cmp.MedianA),
+		PooledNS:         int64(cmp.MedianB),
+		BaselineNS:       int64(baseline),
+		ColdOverheadNS:   int64(cmp.MedianA - baseline),
+		PooledOverheadNS: int64(cmp.MedianB - baseline),
+		SaveNS:           int64(-cmp.Delta),
+		NoiseNS:          int64(cmp.Noise),
+		Verdict:          cmp.Verdict(0),
+	}, err
 }
 
 // measureBarrierBaseline returns the steady-state cost of one barrier
@@ -198,35 +199,22 @@ func measureBarrierBaseline(tp *pool.Pool, p int, kind spmdrt.BarrierKind, sampl
 	}
 	defer l.Release(nil)
 	tm := l.Team().Team()
-	runN := func(nb int) (time.Duration, error) {
-		ds := make([]time.Duration, 0, samples)
-		body := func(w int) {
-			for j := 0; j < nb; j++ {
-				tm.Barrier(w)
-			}
-		}
-		for i := 0; i < samples; i++ {
+	body := func(nb int) Leg {
+		return func() (time.Duration, error) {
 			t0 := time.Now()
-			if err := l.Team().Run(body); err != nil {
+			err := l.Team().Run(func(w int) {
+				for j := 0; j < nb; j++ {
+					tm.Barrier(w)
+				}
+			})
+			if err != nil {
 				return 0, fmt.Errorf("poolbench: baseline run P=%d nb=%d: %w", p, nb, err)
 			}
-			ds = append(ds, time.Since(t0))
+			return time.Since(t0), nil
 		}
-		return medianDuration(ds), nil
 	}
-	one, err := runN(1)
-	if err != nil {
-		return 0, err
-	}
-	nine, err := runN(9)
-	if err != nil {
-		return 0, err
-	}
-	marginal := (nine - one) / 8
-	if marginal < 0 {
-		marginal = 0
-	}
-	return marginal, nil
+	cmp, err := Paired(samples, body(1), body(9))
+	return cmp.Delta / 8, err
 }
 
 // settle yields until goroutines left runnable by the previous sample
@@ -237,17 +225,6 @@ func settle(p int) {
 	for i := 0; i < 2*p+8; i++ {
 		runtime.Gosched()
 	}
-}
-
-// overheadNS is total minus the rendezvous baseline, clamped at 1ns so a
-// pooled cycle that beats the steady-state barrier (co-arrival can) never
-// yields a zero or negative divisor.
-func overheadNS(total, baseline time.Duration) int64 {
-	oh := (total - baseline).Nanoseconds()
-	if oh < 1 {
-		oh = 1
-	}
-	return oh
 }
 
 // measurePoolChaos drives repeated runs of a small kernel on one dedicated
@@ -314,23 +291,21 @@ func measurePoolChaos(seed int64) (*PoolBenchChaos, error) {
 
 // TableP prints pooled-vs-cold team-provisioning latency per worker
 // count, plus the chaos retry/fallback summary when that leg ran. The
-// cold/pooled columns are full one-rendezvous cycle totals; the overhead
-// columns subtract the steady-state rendezvous baseline, and the speedup
-// compares overheads (see PoolBenchRow).
+// cold/pooled columns are full one-rendezvous cycle totals, the overhead
+// columns subtract the steady-state rendezvous baseline, and save ± noise
+// is the paired comparison of the totals (see PoolBenchRow).
 func TableP(w io.Writer, rep *PoolBenchReport) {
-	fmt.Fprintf(w, "Table P: team provisioning, cold spawn vs pooled reuse (%s barrier, median of %d, one-rendezvous body)\n",
+	fmt.Fprintf(w, "Table P: team provisioning, cold spawn vs pooled reuse (%s barrier, %d pairs, one-rendezvous body)\n",
 		rep.Barrier, rep.Samples)
-	fmt.Fprintf(w, "%-4s %12s %12s %12s %12s %12s %10s\n",
-		"P", "cold", "pooled", "rendezvous", "cold-oh", "pooled-oh", "speedup")
+	fmt.Fprintf(w, "%-4s %12s %12s %12s %12s %12s %12s %12s  %s\n",
+		"P", "cold", "pooled", "rendezvous", "cold-oh", "pooled-oh", "save", "±noise", "verdict")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%-4d %12s %12s %12s %12s %12s %9.2fx\n",
-			r.Workers,
-			time.Duration(r.ColdNS).Round(100*time.Nanosecond),
-			time.Duration(r.PooledNS).Round(100*time.Nanosecond),
-			time.Duration(r.BaselineNS).Round(100*time.Nanosecond),
-			time.Duration(r.ColdOverheadNS).Round(100*time.Nanosecond),
-			time.Duration(r.PooledOverheadNS).Round(100*time.Nanosecond),
-			r.Speedup)
+		fmt.Fprintf(w, "%-4d", r.Workers)
+		for _, ns := range []int64{r.ColdNS, r.PooledNS, r.BaselineNS,
+			r.ColdOverheadNS, r.PooledOverheadNS, r.SaveNS, r.NoiseNS} {
+			fmt.Fprintf(w, " %12s", time.Duration(ns).Round(100*time.Nanosecond))
+		}
+		fmt.Fprintf(w, "  %s\n", r.Verdict)
 	}
 	if ch := rep.Chaos; ch != nil {
 		fmt.Fprintf(w, "chaos leg (%s, stall-injected, seed %d): %d/%d runs recovered — %d retries, %d sequential fallbacks, checksums ok: %v\n",
@@ -338,15 +313,4 @@ func TableP(w io.Writer, rep *PoolBenchReport) {
 		fmt.Fprintf(w, "pool: %d checkouts, %d reuses, %d quarantined, %d rebuilt\n",
 			ch.Pool.Checkouts, ch.Pool.Reuses, ch.Pool.Quarantines, ch.Pool.Rebuilt)
 	}
-}
-
-// WritePoolBenchJSON writes the report as a versioned benchtab-pool
-// envelope (the BENCH_pool.json artifact).
-func WritePoolBenchJSON(w io.Writer, rep *PoolBenchReport) error {
-	return envelope.Write(w, envelope.ToolPoolBench, rep)
-}
-
-func medianDuration(ds []time.Duration) time.Duration {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[(len(ds)-1)/2]
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/exec"
 	"repro/internal/profile"
 )
@@ -153,10 +152,4 @@ func TableH(w io.Writer, rep *ProfileBenchReport) {
 			time.Duration(r.SecondP99NS).Round(100*time.Nanosecond),
 			top)
 	}
-}
-
-// WriteProfileBenchJSON writes the report as a versioned benchtab-profile
-// envelope (the BENCH_profile.json artifact).
-func WriteProfileBenchJSON(w io.Writer, rep *ProfileBenchReport) error {
-	return envelope.Write(w, envelope.ToolProfBench, rep)
 }

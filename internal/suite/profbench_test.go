@@ -3,14 +3,9 @@ package suite
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"strconv"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/profile"
+	"repro/internal/envelope"
 )
 
 // TestMeasureProfileBench smokes the Table H pipeline on two kernels:
@@ -36,7 +31,7 @@ func TestMeasureProfileBench(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteProfileBenchJSON(&buf, rep); err != nil {
+	if err := envelope.Write(&buf, envelope.ToolProfBench, rep); err != nil {
 		t.Fatal(err)
 	}
 	var env struct {
@@ -48,64 +43,5 @@ func TestMeasureProfileBench(t *testing.T) {
 	}
 	if env.Tool != "benchtab-profile" || len(env.Payload.Rows) != 2 {
 		t.Fatalf("bad BENCH_profile envelope: tool=%q rows=%d", env.Tool, len(env.Payload.Rows))
-	}
-}
-
-// TestProfilingOverheadGuard pins the cost of the durable-profile path:
-// building and encoding a Profile after each traced run (what spmdrun
-// -profile-out adds over -trace alone) must stay within 3% of the
-// tracing-on baseline. Env-gated like TestTracingOverheadGuard so the
-// timing comparison never runs under plain 'go test ./...'.
-func TestProfilingOverheadGuard(t *testing.T) {
-	if os.Getenv("OVERHEAD_GUARD") == "" {
-		t.Skip("timing guard; set OVERHEAD_GUARD=1 to run (scripts/check.sh does)")
-	}
-	k, err := Get("jacobi2d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(withProfile bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 7; i++ {
-			r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.Params,
-				Mode: exec.SPMD, Trace: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			res, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if withProfile {
-				if _, err := profile.Encode(r.Profile(res)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	traced := measure(false)
-	profiled := measure(true)
-	t.Logf("tracing on: %s   +profile build/encode: %s   (min of 7)", traced, profiled)
-
-	tol := 0.03
-	if s := os.Getenv("PROFILE_TOL"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("bad PROFILE_TOL=%q: %v", s, err)
-		}
-		tol = v
-	}
-	if float64(profiled) > float64(traced)*(1+tol) {
-		t.Errorf("profile build overhead %.1f%% exceeds %.0f%% of the tracing-on baseline",
-			100*(float64(profiled)/float64(traced)-1), 100*tol)
 	}
 }

@@ -7,29 +7,27 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/envelope"
 )
 
 // SpanBenchRow is one row of Table S: the cost of the run-lifecycle span
-// layer on one kernel, measured as paired whole-request walls (core.Do,
-// lint through report) with spans off vs on. The off leg exercises the
+// layer on one kernel, whole-request walls (core.Do, lint through report)
+// with spans off vs on, compared by Paired. The off leg exercises the
 // nil-trace path — the pointer checks the telemetry plumbing left in the
 // executor's hot loop — which is the cost every non-observed run pays.
 type SpanBenchRow struct {
 	Kernel string `json:"kernel"`
-	// OffNS/OnNS are minimum whole-request walls over the paired cycles
-	// (minimum, not median: span overhead is a constant addend, so the
-	// least-noisy sample pair bounds it best).
+	// OffNS/OnNS are each side's median whole-request wall.
 	OffNS int64 `json:"off_ns"`
 	OnNS  int64 `json:"on_ns"`
 	// Spans is the span count one observed run produces.
 	Spans int `json:"spans"`
-	// OverheadPct is (on-off)/off in percent (negative = noise).
+	// OverheadPct is the median paired on−off delta in percent of OffNS
+	// (negative = noise); NoiseNS is the interquartile range of the deltas.
 	OverheadPct float64 `json:"overhead_pct"`
-	// Regressed marks overhead above the envelope: OverheadPct beyond
-	// the threshold AND an absolute delta above the noise floor (a fast
-	// kernel's 2% is microseconds — scheduler jitter, not span cost).
-	Regressed bool `json:"regressed"`
+	NoiseNS     int64   `json:"noise_ns"`
+	// Verdict judges spans-on against the envelope; Regressed is its worse.
+	Verdict   Verdict `json:"verdict"`
+	Regressed bool    `json:"regressed"`
 }
 
 // SpanBenchReport is the Table S artifact, the payload of BENCH_spans.json.
@@ -43,12 +41,8 @@ type SpanBenchReport struct {
 	Regressions  int            `json:"regressions"`
 }
 
-// spanBenchFloor is the absolute on-minus-off delta below which a row is
-// never judged regressed, whatever the percentage says.
-const spanBenchFloor = 2 * time.Millisecond
-
-// spanBenchThresholdPct is the default overhead envelope (the acceptance
-// bound: spans must stay within 2% of the spans-off wall).
+// spanBenchThresholdPct is the overhead envelope (the acceptance bound:
+// spans must stay within 2% of the spans-off wall).
 const spanBenchThresholdPct = 2.0
 
 // spanBenchKernels is the default Table S subset: one kernel per dynamic
@@ -56,9 +50,9 @@ const spanBenchThresholdPct = 2.0
 // plumbing is judged against every executor code path it instruments.
 var spanBenchKernels = []string{"jacobi2d", "dotchain", "tred2like"}
 
-// MeasureSpanBench measures the span layer's cost per kernel: pairs
-// interleaved off/on cycles (default 5) of the full request, minimum
-// walls, judged against the overhead envelope.
+// MeasureSpanBench measures the span layer's cost per kernel over pairs
+// off/on pairs (default 10) of the full request, judged against the
+// overhead envelope.
 func MeasureSpanBench(kernelNames []string, workers, pairs int) (*SpanBenchReport, error) {
 	if len(kernelNames) == 0 {
 		kernelNames = spanBenchKernels
@@ -67,23 +61,23 @@ func MeasureSpanBench(kernelNames []string, workers, pairs int) (*SpanBenchRepor
 		workers = 4
 	}
 	if pairs <= 0 {
-		pairs = 5
+		pairs = 10
 	}
 	rep := &SpanBenchReport{Workers: workers, Pairs: pairs, ThresholdPct: spanBenchThresholdPct}
 	for _, name := range kernelNames {
-		row, err := measureSpanKernel(name, workers, pairs)
+		k, err := Get(name)
 		if err != nil {
 			return nil, err
 		}
-		if row.Regressed {
-			// Span cost is a constant per-phase addend, so a genuine
-			// regression reproduces; a time-sliced host's scheduling noise
-			// does not. One re-measure at double depth before judging.
-			row, err = measureSpanKernel(name, workers, 2*pairs)
-			if err != nil {
-				return nil, err
-			}
+		row := SpanBenchRow{Kernel: name}
+		cmp, err := Paired(pairs, requestLeg(k, workers, false, nil), requestLeg(k, workers, true, &row.Spans))
+		if err != nil {
+			return nil, err
 		}
+		row.OffNS, row.OnNS = int64(cmp.MedianA), int64(cmp.MedianB)
+		row.OverheadPct, row.NoiseNS = cmp.Pct(), int64(cmp.Noise)
+		row.Verdict = cmp.Verdict(spanBenchThresholdPct / 100)
+		row.Regressed = row.Verdict == Worse
 		if row.OverheadPct > rep.MaxPct {
 			rep.MaxPct = row.OverheadPct
 		}
@@ -95,87 +89,40 @@ func MeasureSpanBench(kernelNames []string, workers, pairs int) (*SpanBenchRepor
 	return rep, nil
 }
 
-// measureSpanKernel runs one kernel's paired off/on cycles and judges the
-// row against the overhead envelope.
-func measureSpanKernel(name string, workers, pairs int) (SpanBenchRow, error) {
-	k, err := Get(name)
-	if err != nil {
-		return SpanBenchRow{}, err
-	}
-	runOnce := func(spans bool) (time.Duration, int, error) {
+// requestLeg measures one whole request (core.Do) of k with the span layer
+// off or on; spanCount, when non-nil, receives the run's span count.
+func requestLeg(k Kernel, workers int, spans bool, spanCount *int) Leg {
+	return func() (time.Duration, error) {
 		req := core.NewRequest(k.Source,
 			core.WithParams(k.Params), core.WithWorkers(workers))
 		req.Run.Spans = spans
 		t0 := time.Now()
 		res, err := core.Do(context.Background(), req)
 		if err != nil {
-			return 0, 0, fmt.Errorf("spanbench: %s (spans=%v): %w", name, spans, err)
+			return 0, fmt.Errorf("spanbench: %s (spans=%v): %w", k.Name, spans, err)
 		}
 		wall := time.Since(t0)
-		res.Telemetry.Finish()
-		return wall, len(res.Telemetry.Spans()), nil
-	}
-	// One warm-up pair primes the team pool and the file caches so the
-	// measured cycles compare steady states.
-	if _, _, err := runOnce(false); err != nil {
-		return SpanBenchRow{}, err
-	}
-	if _, _, err := runOnce(true); err != nil {
-		return SpanBenchRow{}, err
-	}
-	minOff, minOn := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	spanCount := 0
-	for i := 0; i < pairs; i++ {
-		off, _, err := runOnce(false)
-		if err != nil {
-			return SpanBenchRow{}, err
+		if spanCount != nil {
+			res.Telemetry.Finish()
+			*spanCount = len(res.Telemetry.Spans())
 		}
-		on, n, err := runOnce(true)
-		if err != nil {
-			return SpanBenchRow{}, err
-		}
-		if off < minOff {
-			minOff = off
-		}
-		if on < minOn {
-			minOn = on
-		}
-		spanCount = n
+		return wall, nil
 	}
-	row := SpanBenchRow{
-		Kernel: name,
-		OffNS:  minOff.Nanoseconds(),
-		OnNS:   minOn.Nanoseconds(),
-		Spans:  spanCount,
-	}
-	row.OverheadPct = 100 * (float64(row.OnNS)/float64(row.OffNS) - 1)
-	row.Regressed = row.OverheadPct > spanBenchThresholdPct &&
-		minOn-minOff > spanBenchFloor
-	return row, nil
 }
 
 // TableS prints the span-layer overhead per kernel.
 func TableS(w io.Writer, rep *SpanBenchReport) {
-	fmt.Fprintf(w, "Table S: run-lifecycle span overhead, spans off vs on (P=%d, min of %d pairs, envelope %.0f%%)\n",
+	fmt.Fprintf(w, "Table S: run-lifecycle span overhead, spans off vs on (P=%d, %d pairs, envelope %.0f%%)\n",
 		rep.Workers, rep.Pairs, rep.ThresholdPct)
-	fmt.Fprintf(w, "%-14s %12s %12s %7s %9s  %s\n",
-		"kernel", "spans-off", "spans-on", "spans", "overhead", "verdict")
+	fmt.Fprintf(w, "%-14s %12s %12s %7s %9s %12s  %s\n",
+		"kernel", "spans-off", "spans-on", "spans", "overhead", "±noise", "verdict")
 	for _, r := range rep.Rows {
-		verdict := "ok"
-		if r.Regressed {
-			verdict = "REGRESSED"
-		}
-		fmt.Fprintf(w, "%-14s %12s %12s %7d %8.2f%%  %s\n",
+		fmt.Fprintf(w, "%-14s %12s %12s %7d %8.2f%% %12s  %s\n",
 			r.Kernel,
 			time.Duration(r.OffNS).Round(10*time.Microsecond),
 			time.Duration(r.OnNS).Round(10*time.Microsecond),
-			r.Spans, r.OverheadPct, verdict)
+			r.Spans, r.OverheadPct,
+			time.Duration(r.NoiseNS).Round(10*time.Microsecond), r.Verdict)
 	}
 	fmt.Fprintf(w, "max overhead %.2f%%, %d regression(s)\n", rep.MaxPct, rep.Regressions)
-}
-
-// WriteSpanBenchJSON writes the report as a versioned benchtab-spans
-// envelope (the BENCH_spans.json artifact).
-func WriteSpanBenchJSON(w io.Writer, rep *SpanBenchReport) error {
-	return envelope.Write(w, envelope.ToolSpanBench, rep)
 }

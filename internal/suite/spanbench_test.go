@@ -1,16 +1,16 @@
 package suite
 
 import (
-	"os"
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/envelope"
 )
 
-// TestSpanBenchShape is the fast tier-1 pass: one kernel, one pair —
-// the report structure, the envelope writer, and the span count.
+// TestSpanBenchShape is the fast tier-1 pass: one kernel, two pairs (the
+// sampler's minimum) — the report structure, the envelope, the span count.
 func TestSpanBenchShape(t *testing.T) {
-	rep, err := MeasureSpanBench([]string{"dotchain"}, 4, 1)
+	rep, err := MeasureSpanBench([]string{"dotchain"}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,11 @@ func TestSpanBenchShape(t *testing.T) {
 	if r.Spans < 8 {
 		t.Fatalf("span count = %d, want >= 8", r.Spans)
 	}
+	if r.NoiseNS < 0 || r.Verdict == "" || r.Regressed != (r.Verdict == Worse) {
+		t.Fatalf("row not judged by the sampler: %+v", r)
+	}
 	var sb strings.Builder
-	if err := WriteSpanBenchJSON(&sb, rep); err != nil {
+	if err := envelope.Write(&sb, envelope.ToolSpanBench, rep); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"benchtab-spans"`) {
@@ -38,38 +41,4 @@ func TestSpanBenchShape(t *testing.T) {
 	if !strings.Contains(tbl.String(), "dotchain") {
 		t.Fatalf("table missing kernel row:\n%s", tbl.String())
 	}
-}
-
-// TestSpanOverheadGuard is the span-layer cost envelope, the Table S gate
-// check.sh runs: spans-on must stay within the threshold of spans-off
-// (noise-floored, see SpanBenchRow.Regressed). Like the exec tracing
-// guard it is opt-in — wall medians on shared hosts are noisy.
-func TestSpanOverheadGuard(t *testing.T) {
-	if os.Getenv("OVERHEAD_GUARD") == "" {
-		t.Skip("timing guard; set OVERHEAD_GUARD=1 to run (scripts/check.sh does)")
-	}
-	pairs := 5
-	if s := os.Getenv("SPAN_GUARD_PAIRS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			t.Fatalf("bad SPAN_GUARD_PAIRS=%q: %v", s, err)
-		}
-		pairs = v
-	}
-	rep, err := MeasureSpanBench(nil, 4, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Rows {
-		t.Logf("%-12s off=%s on=%s overhead=%.2f%%", r.Kernel,
-			formatNS(r.OffNS), formatNS(r.OnNS), r.OverheadPct)
-		if r.Regressed {
-			t.Errorf("%s: span overhead %.2f%% exceeds the %.0f%% envelope (off %s, on %s)",
-				r.Kernel, r.OverheadPct, rep.ThresholdPct, formatNS(r.OffNS), formatNS(r.OnNS))
-		}
-	}
-}
-
-func formatNS(ns int64) string {
-	return strconv.FormatFloat(float64(ns)/1e6, 'f', 2, 64) + "ms"
 }

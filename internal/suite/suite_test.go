@@ -152,9 +152,12 @@ func TestTablePrinters(t *testing.T) {
 	var ms []Metrics
 	for _, name := range []string{"jacobi1d", "dotchain"} {
 		k, _ := Get(name)
-		m, err := Measure(k, MeasureOptions{Workers: 2, Params: smallParams(k)})
+		m, err := Measure(k, MeasureOptions{Workers: 2, Params: smallParams(k), Trace: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(m.Wait.A) != waitPairs || m.BaseWait.TotalWait() != m.Wait.A[medianIndex(m.Wait.A)] {
+			t.Errorf("%s: BaseWait is not the median run of the %d wait pairs", name, waitPairs)
 		}
 		ms = append(ms, m)
 	}
@@ -162,9 +165,11 @@ func TestTablePrinters(t *testing.T) {
 	Table1(&sb, ms)
 	Table2(&sb, ms)
 	Table3(&sb, ms)
+	TableW(&sb, ms)
 	Figure3(&sb, ms)
 	out := sb.String()
-	for _, want := range []string{"Table 1", "Table 2", "Table 3", "MEAN", "jacobi1d", "Figure 3", "|"} {
+	for _, want := range []string{"Table 1", "Table 2", "Table 3", "MEAN", "jacobi1d", "Figure 3", "|",
+		"Table W", "optimized wait < baseline wait on"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q", want)
 		}
@@ -180,20 +185,20 @@ func TestFigure1Runs(t *testing.T) {
 }
 
 func TestTable4Runs(t *testing.T) {
-	var sb strings.Builder
-	// Use one small kernel to keep the test fast; shrink its params.
+	// Table4 reads standard inputs from the registry; keep the test fast by
+	// running its row helper on one kernel with shrunk params.
 	k, _ := Get("jacobi1d")
-	small := k
-	small.Params = smallParams(k)
-	// Table4 reads from the registry, so run it directly on the helper.
-	c, err := core.Compile(small.Source, core.Options{})
+	c, err := core.Compile(k.Source, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := medianRun(c, small, 2, 1, false); err != nil {
+	cmp, err := elapsedBaseVsOpt(c, smallParams(k), 2, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_ = sb
+	if len(cmp.A) != 3 || len(cmp.B) != 3 || cmp.MedianA <= 0 || cmp.MedianB <= 0 {
+		t.Fatalf("bad comparison: %+v", cmp)
+	}
 }
 
 func TestBarrierReductionMath(t *testing.T) {

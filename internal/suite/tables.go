@@ -61,37 +61,37 @@ func Table3(w io.Writer, ms []Metrics) {
 
 // TableW decomposes the elapsed-time story of Table 4 into waiting: total
 // synchronization wait time (summed over workers, from the sync-event
-// trace) in the fork-join baseline vs the optimized SPMD run, with each
-// run's most expensive sync site. This is the per-site evidence that the
-// optimizer's cheaper counters/p2p actually remove wait, not just events.
+// trace) in the fork-join baseline vs the optimized SPMD run — the paired
+// comparison of Metrics.Wait — with the most expensive sync site of each
+// side's median run. This is the per-site evidence that the optimizer's
+// cheaper counters/p2p actually remove wait, not just events.
 func TableW(w io.Writer, ms []Metrics) {
-	fmt.Fprintf(w, "Table W: per-site synchronization wait, fork-join base vs optimized SPMD (P=%d)\n",
-		workersOf(ms))
-	fmt.Fprintf(w, "%-14s %11s %11s %10s  %-34s %s\n",
-		"program", "base.wait", "opt.wait", "reduction", "top base site", "top opt site")
-	better, traced := 0, 0
+	fmt.Fprintf(w, "Table W: per-site synchronization wait, fork-join base vs optimized SPMD (P=%d, %d pairs)\n",
+		workersOf(ms), waitPairs)
+	fmt.Fprintf(w, "%-14s %11s %11s %11s %11s %-10s  %-34s %s\n",
+		"program", "base.wait", "opt.wait", "delta", "±noise", "verdict", "top base site", "top opt site")
+	less, better, traced := 0, 0, 0
 	for _, m := range ms {
 		if m.BaseWait == nil || m.OptWait == nil {
-			fmt.Fprintf(w, "%-14s %11s %11s %10s  (run with tracing to fill this row)\n",
-				m.Kernel.Name, "-", "-", "-")
-			continue
+			continue // measured without MeasureOptions.Trace
 		}
 		traced++
-		bw, ow := m.BaseWait.TotalWait(), m.OptWait.TotalWait()
-		if ow < bw {
+		v := m.Wait.Verdict(0)
+		if m.Wait.Delta < 0 {
+			less++
+		}
+		if v == Better {
 			better++
 		}
-		red := 0.0
-		if bw > 0 {
-			red = 1 - float64(ow)/float64(bw)
-		}
-		fmt.Fprintf(w, "%-14s %11s %11s %9.1f%%  %-34s %s\n",
+		fmt.Fprintf(w, "%-14s %11s %11s %11s %11s %-10s  %-34s %s\n",
 			m.Kernel.Name,
-			bw.Round(time.Microsecond), ow.Round(time.Microsecond), red*100,
+			m.Wait.MedianA.Round(time.Microsecond), m.Wait.MedianB.Round(time.Microsecond),
+			m.Wait.Delta.Round(time.Microsecond), m.Wait.Noise.Round(time.Microsecond), v,
 			topSiteCell(m.BaseWait), topSiteCell(m.OptWait))
 	}
 	if traced > 0 {
-		fmt.Fprintf(w, "optimized wait < baseline wait on %d/%d kernels\n", better, traced)
+		fmt.Fprintf(w, "optimized wait < baseline wait on %d/%d kernels (%d beyond the noise bar)\n",
+			less, traced, better)
 	}
 }
 
@@ -111,12 +111,16 @@ func workersOf(ms []Metrics) int {
 	return ms[0].Workers
 }
 
-// Table4 measures elapsed time and speedup for the selected kernels across
-// worker counts (the paper's performance table). Each cell is the median
-// of three runs.
+// table4Pairs is the number of base/opt pairs behind a Table 4 row.
+const table4Pairs = 20
+
+// Table4 measures elapsed time for the selected kernels across worker
+// counts (the paper's performance table): per row, the paired comparison
+// of the optimized SPMD run against the fork-join baseline (see Paired).
 func Table4(w io.Writer, names []string, workerList []int) error {
-	fmt.Fprintln(w, "Table 4: elapsed time, fork-join base vs optimized SPMD (median of 3)")
-	fmt.Fprintf(w, "%-14s %4s %12s %12s %9s\n", "program", "P", "base", "optimized", "speedup")
+	fmt.Fprintf(w, "Table 4: elapsed time, fork-join base vs optimized SPMD (%d pairs)\n", table4Pairs)
+	fmt.Fprintf(w, "%-14s %4s %12s %12s %12s %12s %9s  %s\n",
+		"program", "P", "base", "optimized", "delta", "±noise", "speedup", "verdict")
 	for _, name := range names {
 		k, err := Get(name)
 		if err != nil {
@@ -127,53 +131,31 @@ func Table4(w io.Writer, names []string, workerList []int) error {
 			return err
 		}
 		for _, p := range workerList {
-			bt, err := medianRun(c, k, p, exec.ForkJoin, true)
+			cmp, err := elapsedBaseVsOpt(c, k.Params, p, table4Pairs)
 			if err != nil {
 				return err
 			}
-			ot, err := medianRun(c, k, p, exec.SPMD, false)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-14s %4d %12s %12s %8.2fx\n",
-				name, p, bt.Round(time.Microsecond), ot.Round(time.Microsecond),
-				float64(bt)/float64(ot))
+			fmt.Fprintf(w, "%-14s %4d %12s %12s %12s %12s %8.2fx  %s\n",
+				name, p, cmp.MedianA.Round(time.Microsecond), cmp.MedianB.Round(time.Microsecond),
+				cmp.Delta.Round(time.Microsecond), cmp.Noise.Round(time.Microsecond),
+				float64(cmp.MedianA)/float64(cmp.MedianB), cmp.Verdict(0))
 		}
 	}
 	return nil
 }
 
-func medianRun(c *core.Compiled, k Kernel, workers int, mode exec.Mode, baseline bool) (time.Duration, error) {
-	var runs []time.Duration
-	for i := 0; i < 3; i++ {
-		var r *core.Runner
-		var err error
-		cfg := exec.Config{Workers: workers, Params: k.Params, Mode: mode}
-		if baseline {
-			r, err = c.NewBaselineRunner(cfg)
-		} else {
-			r, err = c.NewRunner(cfg)
-		}
-		if err != nil {
-			return 0, err
-		}
-		res, err := r.Run()
-		if err != nil {
-			return 0, err
-		}
-		runs = append(runs, res.Elapsed)
+// elapsedBaseVsOpt builds c's baseline and optimized runners once at P
+// workers and compares their Elapsed over n pairs.
+func elapsedBaseVsOpt(c *core.Compiled, params map[string]int64, workers, n int) (Comparison, error) {
+	base, err := c.NewBaselineRunner(exec.Config{Workers: workers, Params: params})
+	if err != nil {
+		return Comparison{}, err
 	}
-	// median of three
-	if runs[0] > runs[1] {
-		runs[0], runs[1] = runs[1], runs[0]
+	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD})
+	if err != nil {
+		return Comparison{}, err
 	}
-	if runs[1] > runs[2] {
-		runs[1], runs[2] = runs[2], runs[1]
-	}
-	if runs[0] > runs[1] {
-		runs[0], runs[1] = runs[1], runs[0]
-	}
-	return runs[1], nil
+	return Paired(n, runLeg(base, elapsed), runLeg(opt, elapsed))
 }
 
 // Figure1 measures per-episode barrier latency against team size for the
