@@ -4,6 +4,7 @@
 //	go test -bench=BenchmarkBarrier -benchmem .        # Figure 1
 //	go test -bench=BenchmarkKernel -benchmem .         # Tables 3/4 shape
 //	go test -bench=BenchmarkFM -benchmem .             # Ablation A1
+//	go test -bench=InnerLoop -benchtime=3x .           # closure hot loop, assigns/s
 //
 // Each benchmark reports the dynamic synchronization counts as metrics, so
 // the base-vs-optimized barrier reduction is visible directly in the
@@ -15,8 +16,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/interp"
 	"repro/internal/linear"
 	"repro/internal/spmdrt"
 	"repro/internal/suite"
@@ -127,6 +130,51 @@ func BenchmarkCompile(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkInnerLoop is the local reading of the lowered inner loop: the
+// compute_dense programs of the committed benchmark at its sizes, run
+// sequentially on one frame (no team, no sync), reported as assignments
+// per second. The state is allocated and seeded outside the timer.
+func BenchmarkInnerLoop(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		params map[string]int64
+	}{
+		{"matmul", map[string]int64{"N": 96}},
+		{"jacobi2d", map[string]int64{"N": 192, "T": 4}},
+		{"dotchain", map[string]int64{"N": 262144}},
+	} {
+		k, err := suite.Get(tc.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			prog, params := k.Program(), tc.params
+			_, assigns, err := interp.RunCount(prog, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			exe, err := compile.Compile(prog, nil, compile.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := interp.NewState(prog, params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.SeedDeterministic()
+				b.StartTimer()
+				if err := exe.RunSeq(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(assigns)*float64(b.N)/b.Elapsed().Seconds(), "assigns/s")
 		})
 	}
 }

@@ -26,6 +26,10 @@ type (
 	NumFn func(*Frame) float64
 	// BoolFn evaluates a condition.
 	BoolFn func(*Frame) bool
+	// RangeFn runs one loop over start, start+step, ... up to end (step at
+	// least 1). It is the only loop driver: the sequential loop statement,
+	// the executor's partitioned slices and its wavefront relay all call it.
+	RangeFn func(fr *Frame, start, end, step int64)
 )
 
 // Prog is one lowered program: every statement and expression compiled to
@@ -38,9 +42,11 @@ type Prog struct {
 	opt  Options
 
 	stmts  map[ir.Stmt]StmtFn
-	bodies map[*ir.Loop]StmtFn
+	ranges map[*ir.Loop]RangeFn
 	lob    map[*ir.Loop]IntFn
 	hib    map[*ir.Loop]IntFn
+	// ncur is the number of cursor slots a frame needs.
+	ncur int
 	// ord numbers every statement densely in ir.WalkStmts order; Frame.Sites
 	// is indexed by it.
 	ord map[ir.Stmt]int
@@ -59,7 +65,7 @@ func Compile(prog *ir.Program, lay *interp.Layout, opt Options) (*Prog, error) {
 		lay:    lay,
 		opt:    opt,
 		stmts:  map[ir.Stmt]StmtFn{},
-		bodies: map[*ir.Loop]StmtFn{},
+		ranges: map[*ir.Loop]RangeFn{},
 		lob:    map[*ir.Loop]IntFn{},
 		hib:    map[*ir.Loop]IntFn{},
 		ord:    map[ir.Stmt]int{},
@@ -90,10 +96,8 @@ func (p *Prog) Instrumented() bool { return p.opt.Instrument }
 // different program).
 func (p *Prog) Stmt(s ir.Stmt) StmtFn { return p.stmts[s] }
 
-// Body returns the closure of one loop's body — the unit a loop driver
-// (partitioned slice, wavefront relay, sequential loop) invokes per
-// iteration after writing the index register.
-func (p *Prog) Body(l *ir.Loop) StmtFn { return p.bodies[l] }
+// Range returns one loop's driver (nil for loops of a different program).
+func (p *Prog) Range(l *ir.Loop) RangeFn { return p.ranges[l] }
 
 // Bounds returns the closures of a loop's lower and upper bound.
 func (p *Prog) Bounds(l *ir.Loop) (lo, hi IntFn) { return p.lob[l], p.hib[l] }
@@ -116,6 +120,7 @@ func (p *Prog) NewFrame() *Frame {
 		Arrays: make([][]float64, p.lay.NumArrays()),
 		Dims:   make([][]int64, p.lay.NumArrays()),
 		Sites:  make([]uint16, len(p.ord)),
+		cur:    make([]cursor, p.ncur),
 	}
 }
 
@@ -124,6 +129,15 @@ func (p *Prog) NewFrame() *Frame {
 // benchmarks' calibration leg. Scalars are copied through a private vector
 // and flushed back on success.
 func (p *Prog) RunSeq(st *interp.State) error {
+	fr, err := p.seqFrame(st)
+	if err != nil {
+		return err
+	}
+	return p.runSeqOn(fr, st)
+}
+
+// seqFrame binds a fresh frame to st for sequential execution.
+func (p *Prog) seqFrame(st *interp.State) (*Frame, error) {
 	fr := p.NewFrame()
 	fr.Scal = make([]atomic.Uint64, p.lay.NumScalars())
 	for i, s := range p.prog.Scalars {
@@ -132,7 +146,7 @@ func (p *Prog) RunSeq(st *interp.State) error {
 	for i, a := range p.prog.Arrays {
 		av := st.Array(a.Name)
 		if av == nil {
-			return fmt.Errorf("compile: state has no storage for array %s", a.Name)
+			return nil, fmt.Errorf("compile: state has no storage for array %s", a.Name)
 		}
 		fr.Arrays[i], fr.Dims[i] = av.Data, av.Dims
 	}
@@ -141,6 +155,11 @@ func (p *Prog) RunSeq(st *interp.State) error {
 			fr.Regs[r] = st.Params[prm]
 		}
 	}
+	return fr, nil
+}
+
+// runSeqOn executes the program over a frame from seqFrame.
+func (p *Prog) runSeqOn(fr *Frame, st *interp.State) error {
 	for _, s := range p.prog.Body {
 		if !fr.Ok() {
 			break
@@ -162,6 +181,11 @@ func (p *Prog) RunSeq(st *interp.State) error {
 type cc struct {
 	p     *Prog
 	scope map[string]bool
+	// inner is non-nil while an innermost loop's body is lowered a second
+	// time in cursor form: array references affine in inner's index then
+	// lower to cursors (cursor.go), and the closures are not registered as
+	// the statements' own — Prog.Stmt keeps the per-access-checked form.
+	inner *innerLoop
 }
 
 func (c *cc) errf(pos ir.Pos, format string, args ...any) error {
@@ -197,7 +221,9 @@ func (c *cc) stmt(s ir.Stmt) (StmtFn, error) {
 			inner(fr)
 		}
 	}
-	c.p.stmts[s] = fn
+	if c.inner == nil {
+		c.p.stmts[s] = fn
+	}
 	return fn, nil
 }
 
@@ -250,24 +276,37 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	}
 	outer := c.scope[n.Index]
 	c.scope[n.Index] = true
+	defer func() { c.scope[n.Index] = outer }()
 	body, err := c.seq(n.Body)
-	c.scope[n.Index] = outer
 	if err != nil {
 		return nil, err
 	}
-	c.p.bodies[n] = body
+	fast, refs := body, []curRef(nil)
+	if !c.p.opt.Instrument && !hasLoop(n.Body) {
+		// The sanitizer must see every access, so instrumented lowerings
+		// keep the per-access form only.
+		c.inner = &innerLoop{reg: reg}
+		fast, err = c.seq(n.Body)
+		refs, c.inner = c.inner.refs, nil
+		if err != nil {
+			return nil, err
+		}
+	}
+	rng := rangeFn(reg, refs, fast, body)
+	c.p.ranges[n] = rng
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
 	loF, hiF := lo.fn, hi.fn
-	return func(fr *Frame) {
-		l, h := loF(fr), hiF(fr)
-		for i := l; i <= h; i++ {
-			if fr.fault != nil {
-				return
-			}
-			fr.Regs[reg] = i
-			body(fr)
-		}
-	}, nil
+	return func(fr *Frame) { rng(fr, loF(fr), hiF(fr), 1) }, nil
+}
+
+func hasLoop(stmts []ir.Stmt) bool {
+	found := false
+	ir.WalkStmts(stmts, func(s ir.Stmt) bool {
+		_, isLoop := s.(*ir.Loop)
+		found = found || isLoop
+		return !found
+	})
+	return found
 }
 
 func (c *cc) ifStmt(n *ir.If) (StmtFn, error) {
@@ -300,6 +339,14 @@ func (c *cc) assign(n *ir.Assign) (StmtFn, error) {
 	rhsF := rhs.fn
 	lhs := n.LHS
 	if lhs.IsArray() {
+		if slot, ok := c.cursor(lhs); ok {
+			reg := c.inner.reg
+			return func(fr *Frame) {
+				v := rhsF(fr)
+				cu := &fr.cur[slot]
+				cu.data[cu.base+fr.Regs[reg]*cu.stride] = v
+			}, nil
+		}
 		id, offF, err := c.offsetFn(lhs)
 		if err != nil {
 			return nil, err
@@ -466,36 +513,17 @@ func (c *cc) intExpr(x ir.Expr) (intRes, error) {
 
 // intArrayRead lowers an indirect access — an index-array element used
 // in integer context (subscript or loop bound). The element must hold
-// an exact integer; anything else trips a fault.
+// an exact integer; anything else trips a fault. (A bounds fault in the
+// read itself yields 0, which converts without a second fault.)
 func (c *cc) intArrayRead(n *ir.Ref) (intRes, error) {
-	id, offF, err := c.offsetFn(n)
+	rd, err := c.arrayRead(n)
 	if err != nil {
 		return intRes{}, err
 	}
+	rf := rd.fn
 	f := nonIntFault(n.Name, n.P)
-	if c.p.opt.Instrument {
-		name := n.Name
-		return intRes{fn: func(fr *Frame) int64 {
-			off := offF(fr)
-			if off < 0 {
-				return 0
-			}
-			fr.San.Read(fr.SanW, name, off, fr.sanSite)
-			v := fr.Arrays[id][off]
-			iv := int64(v)
-			if float64(iv) != v {
-				fr.trip(f, iv)
-				return 0
-			}
-			return iv
-		}}, nil
-	}
 	return intRes{fn: func(fr *Frame) int64 {
-		off := offF(fr)
-		if off < 0 {
-			return 0
-		}
-		v := fr.Arrays[id][off]
+		v := rf(fr)
 		iv := int64(v)
 		if float64(iv) != v {
 			fr.trip(f, iv)
@@ -810,6 +838,13 @@ func (c *cc) scalarRead(name string, pos ir.Pos) (numRes, error) {
 }
 
 func (c *cc) arrayRead(n *ir.Ref) (numRes, error) {
+	if slot, ok := c.cursor(n); ok {
+		reg := c.inner.reg
+		return numRes{fn: func(fr *Frame) float64 {
+			cu := &fr.cur[slot]
+			return cu.data[cu.base+fr.Regs[reg]*cu.stride]
+		}}, nil
+	}
 	id, offF, err := c.offsetFn(n)
 	if err != nil {
 		return numRes{}, err
@@ -860,8 +895,9 @@ func (c *cc) offsetFn(n *ir.Ref) (int, func(*Frame) int64, error) {
 		subs[k] = r.fn
 		faults[k] = boundsFault(n.Name, k+1, n.P)
 	}
-	switch len(subs) {
-	case 1:
+	if len(subs) == 1 {
+		// The shape of an indirect access A(IDX(i)), which stays on this
+		// path inside innermost loops too.
 		s0, f0 := subs[0], faults[0]
 		return id, func(fr *Frame) int64 {
 			s := s0(fr)
@@ -871,38 +907,20 @@ func (c *cc) offsetFn(n *ir.Ref) (int, func(*Frame) int64, error) {
 			}
 			return s - 1
 		}, nil
-	case 2:
-		s0, s1 := subs[0], subs[1]
-		f0, f1 := faults[0], faults[1]
-		return id, func(fr *Frame) int64 {
-			d := fr.Dims[id]
-			a := s0(fr)
-			if uint64(a-1) >= uint64(d[0]) {
-				fr.trip(f0, a)
-				return -1
-			}
-			b := s1(fr)
-			if uint64(b-1) >= uint64(d[1]) {
-				fr.trip(f1, b)
-				return -1
-			}
-			return (a-1)*d[1] + (b - 1)
-		}, nil
-	default:
-		return id, func(fr *Frame) int64 {
-			d := fr.Dims[id]
-			off := int64(0)
-			for k, sf := range subs {
-				s := sf(fr)
-				if uint64(s-1) >= uint64(d[k]) {
-					fr.trip(faults[k], s)
-					return -1
-				}
-				off = off*d[k] + (s - 1)
-			}
-			return off
-		}, nil
 	}
+	return id, func(fr *Frame) int64 {
+		d := fr.Dims[id]
+		off := int64(0)
+		for k, sf := range subs {
+			s := sf(fr)
+			if uint64(s-1) >= uint64(d[k]) {
+				fr.trip(faults[k], s)
+				return -1
+			}
+			off = off*d[k] + (s - 1)
+		}
+		return off
+	}, nil
 }
 
 // ---- conditions ----

@@ -1,0 +1,250 @@
+package compile
+
+import (
+	"fmt"
+
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/linear"
+)
+
+// Cursors. Inside a loop whose body contains no loop, an array reference
+// whose every subscript is affine (literals, parameters and live loop
+// indices under +, - and * by a constant) is k*idx + rest per
+// dimension, idx the loop's own index and rest fixed for one entry of the
+// loop, so it addresses element base + idx*stride of the flat array. Such
+// a subscript is monotone in idx: checking it at the first and the last
+// iteration checks every iteration in between, and the range check moves
+// from each access to the loop entry. When any reference of the body fails
+// the entry check, that entry runs the per-access-checked body instead, so
+// a fault is found at the same iteration, with the same value and after
+// the same stores as without cursors.
+
+// RegAffine is c + Σ k·regs[reg]: an affine expression over parameters and
+// loop indices, resolved to a layout's registers.
+type RegAffine struct {
+	c     int64
+	terms []regTerm
+}
+
+type regTerm struct {
+	reg int
+	k   int64
+}
+
+// LowerAffine resolves a's variables to lay's registers.
+func LowerAffine(a linear.Affine, lay *interp.Layout) (RegAffine, error) {
+	out := RegAffine{c: a.Const}
+	for _, v := range a.Vars() {
+		var reg int
+		var ok bool
+		switch v.Kind {
+		case linear.KindSymbolic:
+			reg, ok = lay.ParamReg(v.Name)
+		case linear.KindLoop:
+			reg, ok = lay.IndexReg(v.Name)
+		}
+		if !ok {
+			return out, fmt.Errorf("compile: %s is neither a parameter nor a loop index", v.Name)
+		}
+		out.terms = append(out.terms, regTerm{reg, a.Coeff(v)})
+	}
+	return out, nil
+}
+
+// Eval evaluates a over a register file, in wrapping arithmetic like every
+// lowered integer expression.
+func (a RegAffine) Eval(regs []int64) int64 {
+	v := a.c
+	for _, t := range a.terms {
+		v += t.k * regs[t.reg]
+	}
+	return v
+}
+
+// innerLoop is the innermost loop whose body is being lowered in cursor
+// form, with the references that became cursors so far.
+type innerLoop struct {
+	reg  int
+	refs []curRef
+}
+
+// curRef is one cursor reference: its frame slot, its array and, per
+// dimension, the subscript's coefficient of the loop index and the rest.
+type curRef struct {
+	slot, id int
+	k        []int64
+	rest     []RegAffine
+}
+
+// cursor gives reference n a cursor slot when a cursor form is being
+// lowered and every subscript is affine. References it declines lower
+// through offsetFn, which also reports their errors.
+func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
+	in := c.inner
+	if in == nil {
+		return 0, false
+	}
+	id, known := c.p.lay.ArrayID(n.Name)
+	decl := c.p.prog.Array(n.Name)
+	if !known || decl == nil || decl.Rank() != len(n.Subs) {
+		return 0, false
+	}
+	ref := curRef{slot: c.p.ncur, id: id}
+	for _, sx := range n.Subs {
+		rest, ok := c.affine(sx)
+		if !ok {
+			return 0, false
+		}
+		// Split the loop's own index off: what is left is loop-invariant.
+		k, terms := int64(0), rest.terms[:0]
+		for _, t := range rest.terms {
+			if t.reg == in.reg {
+				k += t.k
+			} else {
+				terms = append(terms, t)
+			}
+		}
+		rest.terms = terms
+		ref.k = append(ref.k, k)
+		ref.rest = append(ref.rest, rest)
+	}
+	c.p.ncur++
+	in.refs = append(in.refs, ref)
+	return ref.slot, true
+}
+
+// affine writes an integer expression over registers when it is built from
+// literals, parameters and live loop indices with +, - and * by a constant:
+// the grammar of ir.AffineEnv with intExpr's name resolution, and without
+// linear.Affine's maps, which cost a third of the whole lowering here. Only
+// ring operations qualify (see enter), so /, mod, min, max and indirect
+// reads stay on the checked path. A register may occur in several terms;
+// Eval adds them up.
+func (c *cc) affine(x ir.Expr) (RegAffine, bool) {
+	switch n := x.(type) {
+	case *ir.Num:
+		return RegAffine{c: n.Int}, n.IsInt
+	case *ir.Ref:
+		if n.IsArray() {
+			return RegAffine{}, false
+		}
+		reg, ok := c.p.lay.IndexReg(n.Name)
+		if !ok || !c.scope[n.Name] {
+			reg, ok = c.p.lay.ParamReg(n.Name)
+		}
+		return RegAffine{terms: []regTerm{{reg, 1}}}, ok
+	case *ir.Unary:
+		a, ok := c.affine(n.X)
+		return a.scale(-1), ok && n.Op == '-'
+	case *ir.Bin:
+		l, lok := c.affine(n.L)
+		r, rok := c.affine(n.R)
+		switch {
+		case !lok || !rok:
+		case n.Op == ir.Add:
+			return l.add(r), true
+		case n.Op == ir.Sub:
+			return l.add(r.scale(-1)), true
+		case n.Op == ir.Mul && len(l.terms) == 0:
+			return r.scale(l.c), true
+		case n.Op == ir.Mul && len(r.terms) == 0:
+			return l.scale(r.c), true
+		}
+	}
+	return RegAffine{}, false
+}
+
+// scale and add consume their operands: each partial result of affine is
+// used once.
+func (a RegAffine) scale(k int64) RegAffine {
+	a.c *= k
+	for i := range a.terms {
+		a.terms[i].k *= k
+	}
+	return a
+}
+
+func (a RegAffine) add(b RegAffine) RegAffine {
+	a.c += b.c
+	a.terms = append(a.terms, b.terms...)
+	return a
+}
+
+func addChecked(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s >= a) == (b >= 0)
+}
+
+func mulChecked(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	// MinInt64 * -1 wraps back to MinInt64, and MinInt64 / -1 does too.
+	p := a * b
+	return p, p/b == a && !(b == -1 && p == a)
+}
+
+// enter range-checks the reference over one loop entry — index values
+// first, first+step, ... last — and on success loads its cursor. The
+// checked path computes a subscript in wrapping arithmetic, which agrees
+// with k*idx + rest modulo 2^64 because affine forms use ring operations
+// only; the ends are therefore computed checked, so a product that wraps
+// cannot pass for an in-range value. Base and stride may wrap freely:
+// base + idx*stride is still the exact offset modulo 2^64, and the exact
+// offset lies inside the array.
+func (r *curRef) enter(fr *Frame, first, last int64) bool {
+	dims := fr.Dims[r.id]
+	if len(dims) != len(r.k) {
+		return false
+	}
+	var base, stride int64
+	for d, k := range r.k {
+		rest := r.rest[d].Eval(fr.Regs)
+		for _, i := range [2]int64{first, last} {
+			ki, fits1 := mulChecked(k, i)
+			s, fits2 := addChecked(ki, rest)
+			if !fits1 || !fits2 || uint64(s-1) >= uint64(dims[d]) {
+				return false
+			}
+		}
+		// Row-major Horner step over offset = base + idx*stride.
+		base = base*dims[d] + rest - 1
+		stride = stride*dims[d] + k
+	}
+	fr.cur[r.slot] = cursor{data: fr.Arrays[r.id], base: base, stride: stride}
+	return true
+}
+
+// rangeFn builds a loop's driver. checked is the body as Prog.Stmt lowers
+// it; fast is its cursor form over refs (with no refs it holds no cursor
+// and every entry runs it). An entry whose references all pass their range
+// check runs fast; any other entry counts a fallback and runs checked.
+func rangeFn(reg int, refs []curRef, fast, checked StmtFn) RangeFn {
+	return func(fr *Frame, start, end, step int64) {
+		if start > end || fr.fault != nil {
+			return
+		}
+		body := fast
+		if len(refs) > 0 {
+			// end-start wraps negative when the span exceeds int64.
+			span := end - start
+			ok := span >= 0
+			last := start + span/step*step
+			for i := 0; ok && i < len(refs); i++ {
+				ok = refs[i].enter(fr, start, last)
+			}
+			if !ok {
+				fr.Fallbacks++
+				body = checked
+			}
+		}
+		for i := start; i <= end; i += step {
+			if fr.fault != nil {
+				return
+			}
+			fr.Regs[reg] = i
+			body(fr)
+		}
+	}
+}

@@ -103,8 +103,26 @@ type Frame struct {
 	Sites   []uint16
 	sanSite uint16
 
+	// cur holds one cursor per affine array reference of an innermost
+	// loop (Prog.Range): the array's data and the base/stride that turn the
+	// loop index into a flat offset. A loop entry's prologue fills the
+	// cursors of its own loop after range-checking them; the body then
+	// indexes through them with no per-access check.
+	cur []cursor
+	// Fallbacks counts loop entries whose hoisted range check failed, so
+	// the entry ran the per-access-checked body instead. It is bumped on
+	// that slow path only; tests read it to see which path ran.
+	Fallbacks int64
+
 	fault    *Fault
 	faultVal int64
+}
+
+// cursor addresses one affine reference for the duration of one loop
+// entry: element i of the loop reads or writes data[base+i*stride].
+type cursor struct {
+	data         []float64
+	base, stride int64
 }
 
 // trip records a fault; the first fault wins, later ones are dropped.

@@ -24,10 +24,9 @@ type engine interface {
 	// as !ok and leaves no fault behind (the estimate then counts every
 	// worker).
 	probeBounds(l *ir.Loop) (lo, hi int64, ok bool)
-	// index reads a loop index; setIndex binds one of the walk's own
+	// setIndex binds the index register of one of the walk's own
 	// sequential loops.
-	index(name string) (int64, bool)
-	setIndex(name string, v int64) error
+	setIndex(reg int, v int64)
 	// runSlice executes l's body for start, start+step, ... up to end.
 	runSlice(l *ir.Loop, start, end, step int64) error
 	// exec executes statements in order with sequential semantics (a
@@ -62,65 +61,48 @@ func newFrameEngine(run *teamRun, w int) engine {
 			fr.Arrays[i], fr.Dims[i] = av.Data, av.Dims
 		}
 	}
-	lay := run.exe.Layout()
-	for name, v := range run.ps.params {
-		if reg, ok := lay.ParamReg(name); ok {
-			fr.Regs[reg] = v
-		}
-	}
+	run.seedParams(fr.Regs)
 	if run.san != nil {
 		fr.San, fr.SanW, fr.Sites = run.san.tr, w, run.san.sites
 	}
 	return &frameEngine{exe: run.exe, fr: fr}
 }
 
+// bounds reports only a fault the bounds themselves raise. One pending
+// from earlier (the worker failed and now only keeps synchronizing) is set
+// aside while they evaluate and stays the recorded one: if it made every
+// later bounds call fail, the worker would skip the relay posts and nested
+// sync sites its peers wait on.
 func (e *frameEngine) bounds(l *ir.Loop) (lo, hi int64, err error) {
+	mark, markVal := e.fr.FaultMark()
+	e.fr.FaultRestore(nil, 0)
 	loF, hiF := e.exe.Bounds(l)
 	lo, hi = loF(e.fr), hiF(e.fr)
-	return lo, hi, e.fr.Err()
+	err = e.fr.Err()
+	if mark != nil {
+		e.fr.FaultRestore(mark, markVal)
+	}
+	return lo, hi, err
 }
 
 func (e *frameEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
 	mark, markVal := e.fr.FaultMark()
-	loF, hiF := e.exe.Bounds(l)
-	lo, hi = loF(e.fr), hiF(e.fr)
-	if !e.fr.Ok() {
-		e.fr.FaultRestore(mark, markVal)
-		return 0, 0, false
-	}
-	return lo, hi, true
+	lo, hi, err := e.bounds(l)
+	e.fr.FaultRestore(mark, markVal)
+	return lo, hi, err == nil
 }
 
-func (e *frameEngine) index(name string) (int64, bool) {
-	if reg, ok := e.exe.Layout().IndexReg(name); ok {
-		return e.fr.Regs[reg], true
-	}
-	return 0, false
-}
+func (e *frameEngine) setIndex(reg int, v int64) { e.fr.Regs[reg] = v }
 
-func (e *frameEngine) setIndex(name string, v int64) error {
-	reg, ok := e.exe.Layout().IndexReg(name)
-	if !ok {
-		return fmt.Errorf("no register for sequential loop index %s", name)
-	}
-	e.fr.Regs[reg] = v
-	return nil
-}
-
-// runSlice is the executor's hottest loop: one register store and one
-// compiled-body call per iteration.
+// runSlice hands the slice to the loop's lowered driver — the executor's
+// hottest loop lives in internal/compile.
 func (e *frameEngine) runSlice(l *ir.Loop, start, end, step int64) error {
-	fr := e.fr
-	body := e.exe.Body(l)
-	reg, ok := e.exe.Layout().IndexReg(l.Index)
-	if body == nil || !ok {
+	rng := e.exe.Range(l)
+	if rng == nil {
 		return fmt.Errorf("loop %s not lowered by the closure backend", l.Index)
 	}
-	for i := start; i <= end && fr.Ok(); i += step {
-		fr.Regs[reg] = i
-		body(fr)
-	}
-	return fr.Err()
+	rng(e.fr, start, end, step)
+	return e.fr.Err()
 }
 
 func (e *frameEngine) exec(stmts []ir.Stmt) error {

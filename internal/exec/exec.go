@@ -12,7 +12,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/linear"
 	"repro/internal/pool"
 	"repro/internal/region"
 	"repro/internal/sanitize"
@@ -198,6 +197,12 @@ type Runner struct {
 	// repl are the scalars that live in per-worker storage under SPMD
 	// (the paper's replicated computation model), in declaration order.
 	repl []replScalar
+	// place holds every plan placement with its offset and extent lowered
+	// over the register file, so computing a slice is a few multiply-adds.
+	place map[*ir.Loop]*placement
+	// maxCells is the most private and reduction scalars any one loop
+	// activates: the size of a worker's cell and save lists.
+	maxCells int
 	// exe is the lowered closure program; newEngine binds one worker's
 	// statement engine over it for a run.
 	exe       *compile.Prog
@@ -210,6 +215,12 @@ type Runner struct {
 type relayLoop struct {
 	loop  *ir.Loop
 	label string
+}
+
+// placement is a decomp.Placement resolved for the runner's register file.
+type placement struct {
+	kind        decomp.Kind
+	offset, ext compile.RegAffine
 }
 
 // replScalar is a replicated scalar and its slot in the shared vector.
@@ -295,8 +306,23 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			r.traceLabels[i] = fmt.Sprintf("site %d [%s]", i+1, c)
 		}
 	}
+	r.place = make(map[*ir.Loop]*placement, len(plan.Placements))
+	for l, pl := range plan.Placements {
+		off, err := compile.LowerAffine(pl.Offset, r.exe.Layout())
+		if err != nil {
+			return nil, err
+		}
+		ext, err := compile.LowerAffine(pl.Space.Extent, r.exe.Layout())
+		if err != nil {
+			return nil, err
+		}
+		r.place[l] = &placement{kind: pl.Kind, offset: off, ext: ext}
+	}
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
 		if l, ok := s.(*ir.Loop); ok {
+			if n := len(l.Private) + len(l.Reductions); n > r.maxCells {
+				r.maxCells = n
+			}
 			switch {
 			case plan.Wavefront[l]:
 				r.relays = append(r.relays, relayLoop{l, "wavefront relay " + l.Index})
@@ -528,7 +554,11 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			cross:     make([]int64, r.nSites),
 			activeBuf: make([]bool, r.cfg.Workers),
 			eng:       r.newEngine(run, w),
+			regs:      make([]int64, r.exe.Layout().NumRegs()),
+			cells:     make([]float64, r.maxCells),
+			saves:     make([]savedPriv, 0, r.maxCells),
 		}
+		run.seedParams(ws.regs)
 		for i, rs := range r.repl {
 			cell := new(float64)
 			*cell = ps.loadScalar(rs.slot)
@@ -642,6 +672,16 @@ type teamRun struct {
 	sabotage int
 }
 
+// seedParams stores the run's parameter values in their registers.
+func (run *teamRun) seedParams(regs []int64) {
+	lay := run.exe.Layout()
+	for name, v := range run.ps.params {
+		if reg, ok := lay.ParamReg(name); ok {
+			regs[reg] = v
+		}
+	}
+}
+
 // workerState is one worker's execution context: the schedule walk over
 // one statement engine.
 type workerState struct {
@@ -649,6 +689,16 @@ type workerState struct {
 	w   int
 	eng engine
 	err error
+	// regs is the walk's own register file: the parameters and the indices
+	// of the sequential loops the walk drives (setIndex) — what placements
+	// and inspector scans read. Indices of loops the engine runs are not
+	// in it; no sync site or slice computation is inside such a loop.
+	regs []int64
+	// cells and saves back the private and reduction scalars of the
+	// parallel loop being executed (execParallelSlice), sized for the
+	// widest loop so a slice allocates nothing.
+	cells []float64
+	saves []savedPriv
 	// cum: per-site cumulative counter targets (identical on all
 	// workers — each computes them from the same deterministic data).
 	cum []int64
@@ -660,6 +710,13 @@ type workerState struct {
 	// redInstance counts executions of each reduction loop, for the
 	// deterministic merge chain.
 	redInstance map[*ir.Loop]int64
+}
+
+// savedPriv remembers the redirection a scalar had before a parallel loop
+// pointed it at one of the worker's cells.
+type savedPriv struct {
+	name string
+	old  *float64
 }
 
 func (ws *workerState) fail(err error) {
@@ -768,12 +825,15 @@ func (ws *workerState) execTop(one []ir.Stmt) {
 		if !ok {
 			return
 		}
+		reg, ok := ws.run.exe.Layout().IndexReg(l.Index)
+		if !ok {
+			ws.fail(fmt.Errorf("no register for sequential loop index %s", l.Index))
+			return
+		}
 		inner := ws.run.sched.Regions[l]
 		for k := lo; k <= hi; k++ {
-			if err := ws.eng.setIndex(l.Index, k); err != nil {
-				ws.fail(err)
-				return
-			}
+			ws.regs[reg] = k
+			ws.eng.setIndex(reg, k)
 			ws.execRegion(inner)
 		}
 	}
@@ -845,44 +905,26 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 
 	// Activate privates and reduction partials: redirect the scalar to a
 	// worker-local cell, remembering the previous redirection for restore
-	// (parallel loops can nest lexically).
-	type saved struct {
-		name string
-		old  *float64
-	}
-	var saves []saved
-	activate := func(name string, init float64) *float64 {
-		cell := new(float64)
-		*cell = init
-		saves = append(saves, saved{name, ws.eng.setPriv(name, cell)})
-		return cell
-	}
-	for _, p := range l.Private {
-		activate(p, 0)
-	}
-	type redCell struct {
-		idx int
-		op  ir.BinKind
-		c   *float64
-	}
-	var reds []redCell
+	// (a replicated scalar is already redirected when the loop starts).
 	for _, red := range l.Reductions {
-		si, found := ps.scalarIdx[red.Var]
-		if !found {
+		if _, found := ps.scalarIdx[red.Var]; !found {
 			ws.fail(fmt.Errorf("reduction variable %s is not a scalar", red.Var))
 			return
 		}
-		reds = append(reds, redCell{idx: si, op: red.Op,
-			c: activate(red.Var, reductionIdentity(red.Op))})
 	}
-
+	for _, p := range l.Private {
+		ws.activate(p, 0)
+	}
+	for _, red := range l.Reductions {
+		ws.activate(red.Var, reductionIdentity(red.Op))
+	}
 	ws.runSlice(l, start, end, step)
 
-	if len(reds) > 0 {
-		if chain := ws.run.relay[l]; chain != nil {
-			// Rank-ordered merge: wait for the previous worker's
-			// merge of this loop instance, merge, then post.
-			run := ws.run
+	if len(l.Reductions) > 0 {
+		// Under a relay chain the merge is rank-ordered: wait for the
+		// previous worker's merge of this loop instance, merge, then post.
+		run, chain := ws.run, ws.run.relay[l]
+		if chain != nil {
 			if ws.redInstance == nil {
 				ws.redInstance = map[*ir.Loop]int64{}
 			}
@@ -895,71 +937,52 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 					run.san.tr.P2PJoin(chain, ws.w, ws.w-1)
 				}
 			}
-			for _, rc := range reds {
-				ps.mergeScalar(rc.idx, *rc.c, rc.op)
-			}
+		}
+		for i, red := range l.Reductions {
+			ps.mergeScalar(ps.scalarIdx[red.Var], ws.cells[len(l.Private)+i], red.Op)
+		}
+		if chain != nil {
 			if run.san != nil {
 				run.san.tr.P2PPost(chain, ws.w)
 			}
 			chain.Post(ws.w)
-		} else {
-			for _, rc := range reds {
-				ps.mergeScalar(rc.idx, *rc.c, rc.op)
-			}
 		}
 	}
-	for i := len(saves) - 1; i >= 0; i-- {
-		ws.eng.setPriv(saves[i].name, saves[i].old)
+	for i := len(ws.saves) - 1; i >= 0; i-- {
+		ws.eng.setPriv(ws.saves[i].name, ws.saves[i].old)
 	}
+	ws.saves = ws.saves[:0]
+}
+
+// activate redirects a scalar to the worker's next free cell.
+func (ws *workerState) activate(name string, init float64) {
+	cell := &ws.cells[len(ws.saves)]
+	*cell = init
+	ws.saves = append(ws.saves, savedPriv{name, ws.eng.setPriv(name, cell)})
 }
 
 // slice computes worker w's iteration slice of a parallel loop under the
-// current environment.
+// current values of the enclosing sequential loops' indices.
 func (ws *workerState) slice(l *ir.Loop, lo, hi int64, w int) (start, end, step int64, err error) {
-	pl := ws.run.plan.Placements[l]
+	pl := ws.run.place[l]
 	if pl == nil {
 		return 0, -1, 1, fmt.Errorf("no placement for parallel loop %s", l.Index)
 	}
-	off, err := ws.affineVal(pl.Offset)
-	if err != nil {
-		return 0, -1, 1, err
-	}
-	ext, err := ws.affineVal(pl.Space.Extent)
-	if err != nil {
-		return 0, -1, 1, err
-	}
+	off, ext := pl.offset.Eval(ws.regs), pl.ext.Eval(ws.regs)
 	if ext < 1 || lo > hi {
 		return 0, -1, 1, nil
 	}
-	start, end, step = decomp.IterSlice(pl.Kind, lo, hi, off, ext, w, ws.run.cfg.Workers)
+	start, end, step = decomp.IterSlice(pl.kind, lo, hi, off, ext, w, ws.run.cfg.Workers)
 	return start, end, step, nil
 }
 
-// affineVal evaluates an affine expression over parameters and currently
-// bound loop indices.
-func (ws *workerState) affineVal(a linear.Affine) (int64, error) {
-	v := a.Const
-	for _, vr := range a.Vars() {
-		var val int64
-		switch vr.Kind {
-		case linear.KindSymbolic:
-			p, ok := ws.run.cfg.Params[vr.Name]
-			if !ok {
-				return 0, fmt.Errorf("unbound parameter %s in placement", vr.Name)
-			}
-			val = p
-		case linear.KindLoop:
-			i, ok := ws.eng.index(vr.Name)
-			if !ok {
-				return 0, fmt.Errorf("unbound loop index %s in placement", vr.Name)
-			}
-			val = i
-		default:
-			return 0, fmt.Errorf("unexpected variable %s in placement", vr.Name)
-		}
-		v += a.Coeff(vr) * val
+// index reads a loop index the walk itself drives.
+func (ws *workerState) index(name string) (int64, bool) {
+	reg, ok := ws.run.exe.Layout().IndexReg(name)
+	if !ok {
+		return 0, false
 	}
-	return v, nil
+	return ws.regs[reg], true
 }
 
 // seqExec executes statements sequentially on this worker (bodies of

@@ -30,6 +30,12 @@ type progGen struct {
 	// names of 1D arrays (extent N) and 2D arrays (N x N)
 	oneD, twoD []string
 	hasRed     bool
+	// oob appends a loop in which one read runs one past the array's extent
+	// at the last iteration, so the program must fault — on every engine,
+	// in every mode, with the same message. (A read, because an
+	// owner-computes placement clips its slices to the extent of the array
+	// stored to: the iteration of an out-of-range store runs on no worker.)
+	oob bool
 }
 
 func (g *progGen) pick(xs []string) string { return xs[g.rng.Intn(len(xs))] }
@@ -141,6 +147,11 @@ func (g *progGen) generate(seed int64) (src string, tol float64) {
 			fmt.Fprintln(&g.sb, "  end do")
 		}
 	}
+	if g.oob {
+		fmt.Fprintln(&g.sb, "  do i = 3, N - 2")
+		fmt.Fprintf(&g.sb, "    %s(i) = %s + 0.5 * %s(i + 3)\n", g.pick(g.oneD), g.readExpr("i"), g.pick(g.oneD))
+		fmt.Fprintln(&g.sb, "  end do")
+	}
 	fmt.Fprintln(&g.sb, "end do")
 	fmt.Fprintln(&g.sb, "end")
 	if g.hasRed {
@@ -159,6 +170,8 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 	var g progGen
 	for seed := int64(1); seed <= 120; seed++ {
 		g.hasRed = false
+		// Every sixth program runs one subscript past an extent.
+		g.oob = seed%6 == 0
 		src, tol := g.generate(seed)
 		c, err := core.Compile(src, core.Options{})
 		if err != nil {
@@ -218,6 +231,10 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 			}
 		}
 		params := map[string]int64{"N": int64(16 + g.rng.Intn(40)), "T": int64(1 + g.rng.Intn(4))}
+		if g.oob {
+			requireSameFault(t, seed, c, params, src)
+			continue
+		}
 		ref, err := c.RunSequential(params)
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v\n%s", seed, err, src)
@@ -309,6 +326,46 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 		if !res.Sanitizer.Clean() {
 			t.Fatalf("seed %d: sanitizer flagged the verified schedule:\n%s\n--- source ---\n%s\n--- schedule ---\n%s",
 				seed, res.Sanitizer, src, c.Schedule.Dump())
+		}
+	}
+}
+
+// requireSameFault runs a generated program that reads one element past
+// an extent: the sequential run, and both engines in both modes at several
+// team sizes, must all fail with the bounds fault — the closure engine's
+// hoisted range check may not lose it, and may not turn it into anything
+// else (its message is the reference engine's up to the legal-range
+// suffix the interpreter appends).
+func requireSameFault(t *testing.T, seed int64, c *core.Compiled, params map[string]int64, src string) {
+	t.Helper()
+	if _, err := c.RunSequential(params); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+		t.Fatalf("seed %d: sequential run of an out-of-bounds program: %v\n%s", seed, err, src)
+	}
+	for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
+		for _, workers := range []int{2, 3, 5} {
+			var msgs [2]string
+			for i, ref := range []bool{true, false} {
+				cfg := exec.Config{Workers: workers, Params: params, Mode: mode}
+				newRunner := c.NewRunner
+				if mode == exec.ForkJoin {
+					newRunner = c.NewBaselineRunner
+				}
+				r, err := newRunner(cfg)
+				if err != nil {
+					t.Fatalf("seed %d: runner: %v", seed, err)
+				}
+				if ref {
+					exec.UseReferenceEngine(r.Runner)
+				}
+				if _, err = r.Run(); err == nil {
+					t.Fatalf("seed %d %v P=%d ref=%v: out-of-bounds program ran clean\n%s", seed, mode, workers, ref, src)
+				}
+				msgs[i] = err.Error()
+			}
+			if !strings.Contains(msgs[1], "out of bounds") || !strings.HasPrefix(msgs[0], msgs[1]) {
+				t.Fatalf("seed %d %v P=%d: closure engine failed with %q, reference engine with %q\n%s",
+					seed, mode, workers, msgs[1], msgs[0], src)
+			}
 		}
 	}
 }

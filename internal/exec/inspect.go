@@ -255,7 +255,7 @@ func (ws *workerState) footprints(s comm.InspectSide, carrier string, delta int6
 	}
 	sc := &scanEnv{ws: ws, bind: map[string]int64{}}
 	if carrier != "" {
-		cv, ok := ws.eng.index(carrier)
+		cv, ok := ws.index(carrier)
 		if !ok {
 			return nil, fmt.Errorf("inspector scan: carrier index %s not live", carrier)
 		}
@@ -421,7 +421,7 @@ func (sc *scanEnv) evalInt(x ir.Expr) (int64, error) {
 		if v, ok := sc.bind[n.Name]; ok {
 			return v, nil
 		}
-		if v, ok := sc.ws.eng.index(n.Name); ok {
+		if v, ok := sc.ws.index(n.Name); ok {
 			return v, nil
 		}
 		if v, ok := sc.ws.run.cfg.Params[n.Name]; ok {
@@ -510,7 +510,7 @@ func (sc *scanEnv) affine(a linear.Affine) (int64, error) {
 		case linear.KindLoop:
 			if b, ok := sc.bind[vr.Name]; ok {
 				val = b
-			} else if lv, ok := sc.ws.eng.index(vr.Name); ok {
+			} else if lv, ok := sc.ws.index(vr.Name); ok {
 				val = lv
 			} else {
 				return 0, fmt.Errorf("unbound loop index %s in inspector scan", vr.Name)

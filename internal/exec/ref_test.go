@@ -22,10 +22,21 @@ import (
 type refEngine struct {
 	env *wenv
 	run *teamRun
+	// indexName maps a loop-index register back to the name the
+	// environment binds (the walk addresses its loops by register).
+	indexName map[int]string
 }
 
 func newRefEngine(run *teamRun, w int) engine {
-	e := &refEngine{env: newWenv(run.ps), run: run}
+	e := &refEngine{env: newWenv(run.ps), run: run, indexName: map[int]string{}}
+	ir.WalkStmts(run.prog.Body, func(s ir.Stmt) bool {
+		if l, ok := s.(*ir.Loop); ok {
+			if reg, ok := run.exe.Layout().IndexReg(l.Index); ok {
+				e.indexName[reg] = l.Index
+			}
+		}
+		return true
+	})
 	if run.san != nil {
 		e.env.san = run.san.tr
 		e.env.sw = w
@@ -54,17 +65,9 @@ func (e *refEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-func (e *refEngine) index(name string) (int64, bool) {
-	v, ok := e.env.idx[name]
-	return v, ok
-}
-
 // setIndex binds a sequential loop of the schedule walk. Like a frame
 // register, the binding outlives the loop.
-func (e *refEngine) setIndex(name string, v int64) error {
-	e.env.idx[name] = v
-	return nil
-}
+func (e *refEngine) setIndex(reg int, v int64) { e.env.idx[e.indexName[reg]] = v }
 
 func (e *refEngine) runSlice(l *ir.Loop, start, end, step int64) error {
 	var err error

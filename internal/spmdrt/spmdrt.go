@@ -285,11 +285,12 @@ func (b *centralBarrier) Wait(w int) {
 		b.sense.Store(mySense)
 		return
 	}
+	eps := b.local[w].eps
 	waitUntil(b.mon, func() *WaitSite {
 		return &WaitSite{
 			Worker:  w,
 			Prim:    "barrier(central)",
-			Detail:  fmt.Sprintf("episode=%d sense=%d", b.local[w].eps, mySense),
+			Detail:  func() string { return fmt.Sprintf("episode=%d sense=%d", eps, mySense) },
 			Target:  int64(b.n),
 			observe: b.count.Load,
 		}
@@ -366,11 +367,12 @@ func (b *treeBarrier) Wait(w int) {
 		b.release.Store(mySense)
 		return
 	}
+	eps := b.local[w].eps
 	waitUntil(b.mon, func() *WaitSite {
 		return &WaitSite{
 			Worker:  w,
 			Prim:    "barrier(tree)",
-			Detail:  fmt.Sprintf("episode=%d sense=%d", b.local[w].eps, mySense),
+			Detail:  func() string { return fmt.Sprintf("episode=%d sense=%d", eps, mySense) },
 			Target:  mySense,
 			observe: b.release.Load,
 		}
@@ -420,8 +422,10 @@ func (b *disseminationBarrier) Wait(w int) {
 			return &WaitSite{
 				Worker: w,
 				Prim:   "barrier(dissemination)",
-				Detail: fmt.Sprintf("episode=%d round=%d/%d awaiting signal from w%d",
-					target, round+1, b.rounds, (w-(1<<round)%b.n+b.n)%b.n),
+				Detail: func() string {
+					return fmt.Sprintf("episode=%d round=%d/%d awaiting signal from w%d",
+						target, round+1, b.rounds, (w-(1<<round)%b.n+b.n)%b.n)
+				},
 				Target:  target,
 				observe: me.Load,
 			}
@@ -502,7 +506,7 @@ func (c *Counter) WaitGEAs(w int, target int64) {
 		return &WaitSite{
 			Worker:  w,
 			Prim:    "counter",
-			Detail:  c.Site,
+			Detail:  func() string { return c.Site },
 			Target:  target,
 			observe: c.v.Load,
 		}
@@ -574,7 +578,7 @@ func (p *P2P) WaitForAs(self, w int, value int64) {
 		return &WaitSite{
 			Worker:  self,
 			Prim:    "p2p",
-			Detail:  fmt.Sprintf("awaiting progress of w%d", w),
+			Detail:  func() string { return fmt.Sprintf("awaiting progress of w%d", w) },
 			Target:  value,
 			observe: c.v.Load,
 		}

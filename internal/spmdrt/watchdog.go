@@ -69,9 +69,11 @@ type WaitSite struct {
 	Worker int
 	// Prim names the primitive: "barrier(central)", "counter", "p2p".
 	Prim string
-	// Detail is primitive-specific: barrier episode/sense/round, the peer
-	// a point-to-point wait is watching, the counter's sync site.
-	Detail string
+	// Detail formats the primitive-specific part of a report line: barrier
+	// episode/sense/round, the peer a point-to-point wait is watching, the
+	// counter's sync site. Only a deadlock report calls it, so a wait that
+	// merely outlasts its spin formats nothing.
+	Detail func() string
 	// Target is the value the wait needs to observe (the barrier arrival
 	// count, the counter target, the peer progress value).
 	Target int64
@@ -192,7 +194,7 @@ func (m *Monitor) deadlockReport(trigger *WaitSite) *DeadlockError {
 			Worker:  w,
 			Blocked: true,
 			Prim:    site.Prim,
-			Detail:  site.Detail,
+			Detail:  site.Detail(),
 			Target:  site.Target,
 			For:     now.Sub(site.Since),
 		}
