@@ -5,6 +5,7 @@
 //	go test -bench=BenchmarkKernel -benchmem .         # Tables 3/4 shape
 //	go test -bench=BenchmarkFM -benchmem .             # Ablation A1
 //	go test -bench=InnerLoop -benchtime=3x .           # closure hot loop, assigns/s
+//	go test -bench=InspectorScan -benchtime=2000x .    # inspector scan, ns per visited element
 //
 // Each benchmark reports the dynamic synchronization counts as metrics, so
 // the base-vs-optimized barrier reduction is visible directly in the
@@ -175,6 +176,48 @@ func BenchmarkInnerLoop(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(assigns)*float64(b.N)/b.Elapsed().Seconds(), "assigns/s")
+		})
+	}
+}
+
+// BenchmarkInspectorScan reads the cost of the runtime inspector off the
+// run statistics: one run per iteration at T=1, so the scans (one per site,
+// the sites being cacheable) are a visible share of it, and the metric is
+// worker 0's scan time over the elements it visited — what a dynamic test
+// costs next to the loop it guards.
+func BenchmarkInspectorScan(b *testing.B) {
+	for _, name := range []string{"gatherscatter", "edgerelax", "spmvcsr"} {
+		k, err := suite.GetIrregular(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			c, err := core.Compile(k.Source, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runner, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD,
+				Params: map[string]int64{"N": 2048, "T": 1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ns, visits, scans int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := runner.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, is := range res.Inspector {
+					ns, visits, scans = ns+is.ScanNS, visits+is.ScanVisits, scans+is.Scans
+				}
+			}
+			if visits == 0 {
+				b.Fatal("no inspector scan ran")
+			}
+			b.ReportMetric(float64(ns)/float64(visits), "ns/visit")
+			b.ReportMetric(float64(ns)/float64(scans)/1e3, "us/scan")
+			b.ReportMetric(float64(visits)/float64(scans), "visits/scan")
 		})
 	}
 }

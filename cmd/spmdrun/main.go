@@ -375,11 +375,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		fmt.Fprintln(stderr, "per-site inspector stats:")
+		fmt.Fprintln(stderr, "per-site inspector stats (scan time and visits: worker 0's own rows):")
 		for _, id := range ids {
 			is := res.Inspector[id]
-			fmt.Fprintf(stderr, "  site %d: scans=%d conflicts=%d empty=%d waits=%d conservative=%d\n",
-				id, is.Scans, is.Conflicts, is.EmptyCrossings, is.WaitCrossings, is.Conservative)
+			fmt.Fprintf(stderr, "  site %d: scans=%d conflicts=%d empty=%d waits=%d conservative=%d scan=%s visits=%d\n",
+				id, is.Scans, is.Conflicts, is.EmptyCrossings, is.WaitCrossings, is.Conservative,
+				time.Duration(is.ScanNS), is.ScanVisits)
 		}
 	}
 	if res.Sanitizer != nil {

@@ -102,6 +102,39 @@ func (p *Prog) Range(l *ir.Loop) RangeFn { return p.ranges[l] }
 // Bounds returns the closures of a loop's lower and upper bound.
 func (p *Prog) Bounds(l *ir.Loop) (lo, hi IntFn) { return p.lob[l], p.hib[l] }
 
+// Detached lowers expressions the executor evaluates outside any statement —
+// the bounds and offsets of an inspector scan. Every loop index counts as
+// live (the caller binds the registers it reads), and no sanitizer hook is
+// baked in whatever p's own setting: these reads are not accesses of the
+// program.
+type Detached struct{ c *cc }
+
+// Detached returns a lowering context over p's layout.
+func (p *Prog) Detached() Detached {
+	q := *p
+	q.opt.Instrument = false
+	c := &cc{p: &q, scope: map[string]bool{}}
+	ir.WalkStmts(p.prog.Body, func(s ir.Stmt) bool {
+		if l, ok := s.(*ir.Loop); ok {
+			c.scope[l.Index] = true
+		}
+		return true
+	})
+	return Detached{c}
+}
+
+// Int lowers an integer expression.
+func (d Detached) Int(x ir.Expr) (IntFn, error) {
+	r, err := d.c.intExpr(x)
+	return r.fn, err
+}
+
+// Offset lowers an array reference to its array id and flat row-major
+// offset; out of range, the closure trips the frame's fault and yields -1.
+func (d Detached) Offset(ref *ir.Ref) (id int, off IntFn, err error) {
+	return d.c.offsetFn(ref)
+}
+
 // Ordinal returns the dense statement number used to index Frame.Sites.
 func (p *Prog) Ordinal(s ir.Stmt) (int, bool) {
 	o, ok := p.ord[s]
@@ -345,6 +378,16 @@ func (c *cc) assign(n *ir.Assign) (StmtFn, error) {
 				v := rhsF(fr)
 				cu := &fr.cur[slot]
 				cu.data[cu.base+fr.Regs[reg]*cu.stride] = v
+			}, nil
+		}
+		if g, ok := c.gather(lhs); ok {
+			return func(fr *Frame) {
+				v := rhsF(fr)
+				cu := &fr.cur[g.slot]
+				ix := cu.data[cu.base+fr.Regs[g.reg]*cu.stride]
+				if off := gatherOff(fr, ix, g.id, g.nonInt, g.bounds); off >= 0 {
+					fr.Arrays[g.id][off] = v
+				}
 			}, nil
 		}
 		id, offF, err := c.offsetFn(lhs)
@@ -845,6 +888,16 @@ func (c *cc) arrayRead(n *ir.Ref) (numRes, error) {
 			return cu.data[cu.base+fr.Regs[reg]*cu.stride]
 		}}, nil
 	}
+	if g, ok := c.gather(n); ok {
+		return numRes{fn: func(fr *Frame) float64 {
+			cu := &fr.cur[g.slot]
+			ix := cu.data[cu.base+fr.Regs[g.reg]*cu.stride]
+			if off := gatherOff(fr, ix, g.id, g.nonInt, g.bounds); off >= 0 {
+				return fr.Arrays[g.id][off]
+			}
+			return 0
+		}}, nil
+	}
 	id, offF, err := c.offsetFn(n)
 	if err != nil {
 		return numRes{}, err
@@ -896,8 +949,16 @@ func (c *cc) offsetFn(n *ir.Ref) (int, func(*Frame) int64, error) {
 		faults[k] = boundsFault(n.Name, k+1, n.P)
 	}
 	if len(subs) == 1 {
-		// The shape of an indirect access A(IDX(i)), which stays on this
-		// path inside innermost loops too.
+		if ix, ok := n.Subs[0].(*ir.Ref); ok && ix.IsArray() {
+			// An indirect access A(IDX(..)): the element read (instrumented
+			// like any read) feeds the shared check sequence.
+			rd, err := c.arrayRead(ix)
+			if err != nil {
+				return 0, nil, err
+			}
+			rf, fi, fb := rd.fn, nonIntFault(ix.Name, ix.P), faults[0]
+			return id, func(fr *Frame) int64 { return gatherOff(fr, rf(fr), id, fi, fb) }, nil
+		}
 		s0, f0 := subs[0], faults[0]
 		return id, func(fr *Frame) int64 {
 			s := s0(fr)

@@ -18,7 +18,9 @@ import (
 // from each access to the loop entry. When any reference of the body fails
 // the entry check, that entry runs the per-access-checked body instead, so
 // a fault is found at the same iteration, with the same value and after
-// the same stores as without cursors.
+// the same stores as without cursors. An indirect reference A(IDX(affine))
+// rides along: IDX is such a cursor, and what it holds is checked against
+// A's extent at each access, in the closure that loads or stores (gather).
 
 // RegAffine is c + Σ k·regs[reg]: an affine expression over parameters and
 // loop indices, resolved to a layout's registers.
@@ -112,6 +114,48 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 	c.p.ncur++
 	in.refs = append(in.refs, ref)
 	return ref.slot, true
+}
+
+// gatherRef is A(IDX(affine)) in a cursor form, A of rank 1: the index
+// array reads through its own cursor, so its range check is hoisted like any
+// cursor's, while the check on A depends on the data and stays per access —
+// in the closure that loads or stores, where the checked path chains
+// arrayRead, offsetFn, intArrayRead and IDX's own arrayRead and offsetFn.
+type gatherRef struct {
+	slot, reg, id  int
+	nonInt, bounds *Fault
+}
+
+// gather gives reference n a gatherRef when a cursor form is being lowered
+// and n has that shape.
+func (c *cc) gather(n *ir.Ref) (g gatherRef, ok bool) {
+	if c.inner == nil || len(n.Subs) != 1 {
+		return g, false
+	}
+	ix, isRef := n.Subs[0].(*ir.Ref)
+	id, known := c.p.lay.ArrayID(n.Name)
+	if decl := c.p.prog.Array(n.Name); !isRef || !ix.IsArray() || !known || decl == nil || decl.Rank() != 1 {
+		return g, false
+	}
+	slot, ok := c.cursor(ix)
+	return gatherRef{slot, c.inner.reg, id, nonIntFault(ix.Name, ix.P), boundsFault(n.Name, 1, n.P)}, ok
+}
+
+// gatherOff is the one meaning of A(v), v an index-array element, for the
+// executor's cursor form, its checked path and the inspector's scans: A's
+// flat offset, or -1 behind the fault the interpreter reports — an element
+// that is not an integer first, then one outside A's extent.
+func gatherOff(fr *Frame, v float64, id int, nonInt, bounds *Fault) int64 {
+	iv := int64(v)
+	if float64(iv) != v {
+		fr.trip(nonInt, iv)
+		return -1
+	}
+	if uint64(iv-1) >= uint64(fr.Dims[id][0]) {
+		fr.trip(bounds, iv)
+		return -1
+	}
+	return iv - 1
 }
 
 // affine writes an integer expression over registers when it is built from

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -164,5 +165,91 @@ end
 				t.Errorf("slice %d..%d step %d: A(%d) = %v, want %v", tc.start, tc.end, tc.step, i+1, v, want[i])
 			}
 		}
+	}
+}
+
+// TestGatherKeepsEveryFault plants one bad element in the index array of
+// A(IDX(i)) — zero, past the end, negative, not an integer — at the first, a
+// middle and the last iteration, once with the gather as a read and once as
+// a store, and runs each program on the closure program (the gather closure
+// behind IDX's hoisted check), on the instrumented lowering (the per-access
+// path) and on the interpreter. The check on A cannot be hoisted, so no
+// entry may fall back; the fault, its position and value, and the arrays it
+// leaves behind must be the per-access path's. The last case makes IDX
+// itself leave its array: that is a cursor's fault and the whole entry runs
+// checked.
+func TestGatherKeepsEveryFault(t *testing.T) {
+	const n = 9
+	type gcase struct {
+		name, src, fault string
+		fallback         bool
+	}
+	var cases []gcase
+	for _, use := range []struct{ name, stmt, pos string }{
+		{"read", "B(i) = A(IDX(i)) + i", "10:10"},
+		{"store", "A(IDX(i)) = B(i) + i", "10:3"},
+	} {
+		// IDX sits at column 12 of the read, 5 of the store.
+		idxPos := map[string]string{"read": "10:12", "store": "10:5"}[use.name]
+		for _, at := range []struct {
+			name string
+			k    int
+		}{{"first", 1}, {"middle", 5}, {"last", n}} {
+			for _, bad := range []struct{ name, val, fault string }{
+				{"zero", "0.0", use.pos + ": array A: subscript 1 = 0 out of bounds"},
+				{"past-the-end", "N + 1.0", use.pos + ": array A: subscript 1 = 10 out of bounds"},
+				{"negative", "0.0 - 3.0", use.pos + ": array A: subscript 1 = -3 out of bounds"},
+				{"non-integral", "1.5", idxPos + ": array IDX element near 1 is not an integer subscript value"},
+			} {
+				cases = append(cases, gcase{
+					name: use.name + "/" + at.name + "/" + bad.name,
+					src: "program g\nparam N\nreal A(N), B(N), IDX(N)\ndo i = 1, N\n  IDX(i) = N - i + 1\n  B(i) = 0.25 * i\nend do\n" +
+						"IDX(" + strconv.Itoa(at.k) + ") = " + bad.val + "\ndo i = 1, N\n  " + use.stmt + "\nend do\nend\n",
+					fault: bad.fault,
+				})
+			}
+		}
+	}
+	cases = append(cases, gcase{
+		name: "index-array-fails-the-hoisted-check",
+		src: "program g\nparam N\nreal A(N), B(N), IDX(N)\ndo i = 1, N\n  IDX(i) = i\nend do\n" +
+			"do i = 1, N\n  B(i) = A(IDX(i + 1)) + i\nend do\nend\n",
+		fault:    "8:12: array IDX: subscript 1 = 10 out of bounds",
+		fallback: true,
+	})
+	params := map[string]int64{"N": n}
+	text := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cSt, cFr, cErr := seqRun(t, tc.src, params, Options{})
+			pSt, pFr, pErr := seqRun(t, tc.src, params, Options{Instrument: true})
+			if text(cErr) != tc.fault {
+				t.Fatalf("closure program: error %q, want %q\n%s", text(cErr), tc.fault, tc.src)
+			}
+			if text(pErr) != tc.fault {
+				t.Fatalf("per-access lowering: error %q, want %q", text(pErr), tc.fault)
+			}
+			requireSameArrays(t, "gather closure vs per-access", cSt, pSt)
+			if got := cFr.Fallbacks > 0; got != tc.fallback || pFr.Fallbacks != 0 {
+				t.Fatalf("fallback entries: %d (instrumented %d), want fallback=%v", cFr.Fallbacks, pFr.Fallbacks, tc.fallback)
+			}
+			iSt, err := interp.NewState(parser.MustParse(tc.src), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iSt.SeedDeterministic()
+			// The interpreter prints the offending element itself where the
+			// lowered forms print its truncation, and appends the legal
+			// range to a bounds fault: same position, same array, same kind.
+			want, _, _ := strings.Cut(tc.fault, " near")
+			if iErr := interp.RunOn(iSt); !strings.HasPrefix(text(iErr), want) {
+				t.Fatalf("interpreter: error %q, want it to start %q", text(iErr), want)
+			}
+		})
 	}
 }

@@ -238,6 +238,45 @@ end
 		Fault:  "9:3: array A: subscript 1 = 10 out of bounds",
 	},
 	{
+		// The gather as a read: IDX passes its hoisted check, the element it
+		// holds at the last iteration does not fit B.
+		Name: "gather-read-out-of-range",
+		Src: `
+program gatherout
+param N
+real A(N), B(N), IDX(N)
+do i = 1, N
+  IDX(i) = i + 1
+end do
+do i = 1, N
+  A(i) = B(IDX(i)) * 0.5
+end do
+end
+`,
+		Params: map[string]int64{"N": 9},
+		Fault:  "9:10: array B: subscript 1 = 10 out of bounds",
+	},
+	{
+		// The index array itself leaves its extent: a cursor's fault, so
+		// the whole entry runs the per-access-checked body.
+		Name: "gather-index-fails-the-hoisted-check",
+		Src: `
+program gatheridx
+param N
+real A(N), B(N), IDX(N)
+do i = 1, N
+  IDX(i) = i
+end do
+do i = 1, N
+  A(IDX(i + 1)) = B(i) + 1.0
+end do
+end
+`,
+		Params:   map[string]int64{"N": 9},
+		Fault:    "9:5: array IDX: subscript 1 = 10 out of bounds",
+		Fallback: true,
+	},
+	{
 		// 4*i at the loop's last iteration is 2^64 + 4, which wraps to an
 		// in-range 4: the entry check must see the overflow.
 		Name: "hostile-trip-count",

@@ -50,10 +50,9 @@ type frameEngine struct {
 	fr  *compile.Frame
 }
 
-// newFrameEngine binds worker w's frame to the run's storage: the shared
-// scalar vector, array bases and extents, the parameter registers and,
-// under Config.Sanitize, the tracker with the run's site vector.
-func newFrameEngine(run *teamRun, w int) engine {
+// bindFrame binds a new frame to the run's storage: the shared scalar
+// vector, array bases and extents, and the parameter registers.
+func (run *teamRun) bindFrame() *compile.Frame {
 	fr := run.exe.NewFrame()
 	fr.Scal = run.ps.scalars
 	for i, a := range run.prog.Arrays {
@@ -62,6 +61,13 @@ func newFrameEngine(run *teamRun, w int) engine {
 		}
 	}
 	run.seedParams(fr.Regs)
+	return fr
+}
+
+// newFrameEngine binds worker w's frame and, under Config.Sanitize, the
+// tracker with the run's site vector.
+func newFrameEngine(run *teamRun, w int) engine {
+	fr := run.bindFrame()
 	if run.san != nil {
 		fr.San, fr.SanW, fr.Sites = run.san.tr, w, run.san.sites
 	}

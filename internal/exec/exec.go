@@ -183,11 +183,12 @@ type Runner struct {
 	nSites int
 	// siteClass[id] is the scheduled synchronization class at each site.
 	siteClass []comm.Class
-	// inspPairs[id] is the scan-pair list of an inspector site (nil for
-	// other classes); inspCacheable[id] marks sites whose scan outcome is
-	// crossing-invariant (computed once per run).
-	inspPairs     [][]comm.InspectPair
-	inspCacheable []bool
+	// insp[id] is an inspector site lowered for its scans (inspect.go), nil
+	// for other classes; hasInsp says whether there is any. rowHook lets
+	// tests see and replace every row a scan computes.
+	insp    []*inspSite
+	hasInsp bool
+	rowHook func(ws *workerState, site int, row []int) []int
 	// siteLabels[id] names a site in watchdog reports; traceLabels[id]
 	// names it in the sync-event trace (built only under Config.Trace).
 	siteLabels, traceLabels []string
@@ -265,20 +266,31 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			return nil, err
 		}
 	}
+	r.place = make(map[*ir.Loop]*placement, len(plan.Placements))
+	for l, pl := range plan.Placements {
+		off, err := compile.LowerAffine(pl.Offset, r.exe.Layout())
+		if err != nil {
+			return nil, err
+		}
+		ext, err := compile.LowerAffine(pl.Space.Extent, r.exe.Layout())
+		if err != nil {
+			return nil, err
+		}
+		r.place[l] = &placement{kind: pl.Kind, offset: off, ext: ext}
+	}
+	var inspErr error
 	var number func(rs *syncopt.RegionSched)
 	number = func(rs *syncopt.RegionSched) {
 		ids := make([]int, len(rs.After))
 		for i := range rs.After {
 			ids[i] = r.nSites
 			r.siteClass = append(r.siteClass, rs.After[i].Class)
-			if rs.After[i].Class == comm.ClassInspector {
-				r.inspPairs = append(r.inspPairs, rs.After[i].Inspect)
-				r.inspCacheable = append(r.inspCacheable,
-					inspCacheable(rs.After[i].Inspect, plan, prog))
-			} else {
-				r.inspPairs = append(r.inspPairs, nil)
-				r.inspCacheable = append(r.inspCacheable, false)
+			var st *inspSite
+			if rs.After[i].Class == comm.ClassInspector && inspErr == nil {
+				st, inspErr = r.lowerInspector(rs.After[i].Inspect)
+				r.hasInsp = true
 			}
+			r.insp = append(r.insp, st)
 			r.nSites++
 		}
 		r.sites[rs] = ids
@@ -291,6 +303,9 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 		}
 	}
 	number(sched.Top)
+	if inspErr != nil {
+		return nil, inspErr
+	}
 	if cfg.SabotageEdge < 0 || cfg.SabotageEdge > r.nSites {
 		return nil, &ConfigError{Field: "SabotageEdge",
 			Msg: fmt.Sprintf("%d out of range (schedule has %d sync sites)",
@@ -305,18 +320,6 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 		for i, c := range r.siteClass {
 			r.traceLabels[i] = fmt.Sprintf("site %d [%s]", i+1, c)
 		}
-	}
-	r.place = make(map[*ir.Loop]*placement, len(plan.Placements))
-	for l, pl := range plan.Placements {
-		off, err := compile.LowerAffine(pl.Offset, r.exe.Layout())
-		if err != nil {
-			return nil, err
-		}
-		ext, err := compile.LowerAffine(pl.Space.Extent, r.exe.Layout())
-		if err != nil {
-			return nil, err
-		}
-		r.place[l] = &placement{kind: pl.Kind, offset: off, ext: ext}
 	}
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
 		if l, ok := s.(*ir.Loop); ok {
@@ -495,12 +498,9 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		run.counters[i] = team.NewCounter()
 		run.counters[i].Site = r.siteLabels[i]
 		run.p2ps[i] = team.NewP2P()
-		if r.inspPairs[i] != nil {
-			if run.insp == nil {
-				run.insp = make([]*inspState, r.nSites)
-			}
-			run.insp[i] = &inspState{pairs: r.inspPairs[i], cacheable: r.inspCacheable[i]}
-		}
+	}
+	if r.hasInsp {
+		run.inspW = make([][]inspWorker, r.cfg.Workers)
 	}
 	if r.cfg.Trace {
 		rec := synctrace.New(r.cfg.Workers, r.cfg.TraceBufCap)
@@ -559,6 +559,10 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			saves:     make([]savedPriv, 0, r.maxCells),
 		}
 		run.seedParams(ws.regs)
+		if run.inspW != nil {
+			ws.insp = make([]inspWorker, r.nSites)
+			run.inspW[w] = ws.insp
+		}
 		for i, rs := range r.repl {
 			cell := new(float64)
 			*cell = ps.loadScalar(rs.slot)
@@ -616,13 +620,12 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 	run.rec.SetMeta("pooled", strconv.FormatBool(lease != nil))
 	res := &Result{State: st, Stats: team.Stats.Snapshot(), Elapsed: elapsed,
 		Trace: run.rec, Pooled: lease != nil, Generation: gen, Attempts: attempt}
-	if run.insp != nil {
+	if run.inspW != nil {
 		res.Inspector = map[int]InspectorSite{}
 		var scanNS, scans int64
-		for id, is := range run.insp {
+		for id, is := range r.insp {
 			if is != nil {
-				stats := is.stats
-				stats.ScanNS = is.scanNS
+				stats := foldInspector(is, id, run.inspW)
 				res.Inspector[id+1] = stats
 				scanNS += stats.ScanNS
 				scans += stats.Scans
@@ -665,9 +668,10 @@ type teamRun struct {
 	san *sanRun
 	// rec is the optional sync-event recorder (nil when tracing is off).
 	rec *synctrace.Recorder
-	// insp holds per-site inspector state (nil slice when the schedule has
-	// no inspector sites; nil entries for other classes).
-	insp []*inspState
+	// inspW[w] is worker w's per-site inspector state, folded into
+	// Result.Inspector after the join (nil when the schedule has no
+	// inspector site).
+	inspW [][]inspWorker
 	// sabotage is the sync-site id to silently drop (-1 for none).
 	sabotage int
 }
@@ -710,6 +714,10 @@ type workerState struct {
 	// redInstance counts executions of each reduction loop, for the
 	// deterministic merge chain.
 	redInstance map[*ir.Loop]int64
+	// insp is this worker's state at each inspector site (nil without one);
+	// sc computes its rows, built at the first crossing.
+	insp []inspWorker
+	sc   *scanner
 }
 
 // savedPriv remembers the redirection a scalar had before a parallel loop
@@ -968,21 +976,18 @@ func (ws *workerState) slice(l *ir.Loop, lo, hi int64, w int) (start, end, step 
 	if pl == nil {
 		return 0, -1, 1, fmt.Errorf("no placement for parallel loop %s", l.Index)
 	}
-	off, ext := pl.offset.Eval(ws.regs), pl.ext.Eval(ws.regs)
-	if ext < 1 || lo > hi {
-		return 0, -1, 1, nil
-	}
-	start, end, step = decomp.IterSlice(pl.kind, lo, hi, off, ext, w, ws.run.cfg.Workers)
+	start, end, step = pl.slice(ws.regs, lo, hi, w, ws.run.cfg.Workers)
 	return start, end, step, nil
 }
 
-// index reads a loop index the walk itself drives.
-func (ws *workerState) index(name string) (int64, bool) {
-	reg, ok := ws.run.exe.Layout().IndexReg(name)
-	if !ok {
-		return 0, false
+// slice is worker w's share, of W, of iterations lo..hi under the
+// registers' current values; start > end when it has none.
+func (pl *placement) slice(regs []int64, lo, hi int64, w, W int) (start, end, step int64) {
+	off, ext := pl.offset.Eval(regs), pl.ext.Eval(regs)
+	if ext < 1 || lo > hi {
+		return 0, -1, 1
 	}
-	return ws.regs[reg], true
+	return decomp.IterSlice(pl.kind, lo, hi, off, ext, w, W)
 }
 
 // seqExec executes statements sequentially on this worker (bodies of

@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/compile"
+	"repro/internal/decomp"
+	"repro/internal/interp"
 )
 
 // UseReferenceEngine makes r's workers run the tree-walking reference
@@ -37,4 +41,100 @@ func RecordFallbacks(r *Runner) (total func() int64) {
 		}
 		return n
 	}
+}
+
+// SetRowHook hands every row a scan of r's runs computes — site id, worker
+// rank, the ranks it is about to wait on — to f, and makes the worker wait
+// on what f returns instead. f runs on the workers' goroutines.
+func SetRowHook(r *Runner, f func(site, w int, row []int) []int) {
+	r.rowHook = func(ws *workerState, site int, row []int) []int { return f(site, ws.w, row) }
+}
+
+// RowCheck is what CheckRows collects over r's runs.
+type RowCheck struct {
+	r  *Runner
+	mu sync.Mutex
+	// Diff describes every row that is not the reference scan's.
+	Diff []string
+	ref  map[int]InspectorSite
+}
+
+// CheckRows makes every scan of r's runs also run the reference scan
+// (refscan_test.go) on the same worker state and compare rows.
+func CheckRows(r *Runner) *RowCheck {
+	c := &RowCheck{r: r, ref: map[int]InspectorSite{}}
+	r.rowHook = func(ws *workerState, site int, row []int) []int {
+		ref := ws.scan(r.insp[site].src)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if want := ref.partners[ws.w]; ref.conservative || !slices.Equal(row, want) {
+			c.Diff = append(c.Diff, fmt.Sprintf("site %d worker %d: row %v, reference %v (conservative=%v)",
+				site+1, ws.w, row, want, ref.conservative))
+		}
+		if ws.w == 0 {
+			// The counts as worker 0 of the reference inspector kept them.
+			s := c.ref[site+1]
+			s.Scans++
+			s.Conflicts += ref.conflicts
+			if ref.conflicts == 0 {
+				s.EmptyCrossings++
+			} else {
+				s.WaitCrossings++
+			}
+			c.ref[site+1] = s
+		}
+		return row
+	}
+	return c
+}
+
+// Want returns the reference's counts for the run that produced res. The
+// hook sees scans, not crossings: a cacheable site's one verdict stands for
+// every crossing res reports.
+func (c *RowCheck) Want(res *Result) map[int]InspectorSite {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[int]InspectorSite{}
+	for id, s := range c.ref {
+		if c.r.insp[id-1].cacheable {
+			n := res.Inspector[id].EmptyCrossings + res.Inspector[id].WaitCrossings
+			s.EmptyCrossings, s.WaitCrossings = s.EmptyCrossings*n, s.WaitCrossings*n
+		}
+		out[id] = s
+	}
+	return out
+}
+
+// RowsDetached compares, without a team, every worker's row at every
+// inspector site of r with the reference scan's, over st — the state a
+// sequential run left, so the index arrays hold their frozen values — and
+// under the placement kind given, whatever the plan's own. Every loop index
+// reads 1. It returns how many rows it compared.
+func RowsDetached(r *Runner, st *interp.State, kind decomp.Kind) (rows int, err error) {
+	for l, pl := range r.plan.Placements {
+		defer func(k decomp.Kind) { pl.Kind, r.place[l].kind = k, k }(pl.Kind)
+		pl.Kind, r.place[l].kind = kind, kind
+	}
+	run := &teamRun{Runner: r, ps: newPState(st)}
+	W := r.cfg.Workers
+	for site, is := range r.insp {
+		if is == nil {
+			continue
+		}
+		for w := 0; w < W; w++ {
+			ws := &workerState{run: run, w: w, regs: make([]int64, r.exe.Layout().NumRegs())}
+			for i := range ws.regs {
+				ws.regs[i] = 1
+			}
+			run.seedParams(ws.regs)
+			got, exact := newScanner(ws).row(is, w, W, nil)
+			ref := ws.scan(is.src)
+			if want := ref.partners[w]; !exact || ref.conservative || !slices.Equal(got, want) {
+				return rows, fmt.Errorf("site %d worker %d of %d (%v): row %v exact=%v, reference %v conservative=%v",
+					site+1, w, W, kind, got, exact, want, ref.conservative)
+			}
+			rows++
+		}
+	}
+	return rows, nil
 }

@@ -3,90 +3,150 @@ package exec
 // The runtime inspector/executor. A ClassInspector site carries the access
 // pairs the optimizer could not order statically but proved scan-resolvable:
 // every subscript and chain-loop bound evaluates from parameters, live outer
-// loop indices, integer intrinsics and frozen index arrays. At each crossing
-// the inspector enumerates, per worker, the flat element footprints of both
-// sides of every pair directly from the index arrays, intersects them, and
-// synthesizes point-to-point waits only between workers that actually
-// conflict — certifying "no conflict => skip" when the footprints are
-// disjoint. Every worker posts unconditionally, so waits can never deadlock,
-// and all workers derive identical partner sets from the same frozen data.
-// When a scan cannot finish (budget exhausted, subscript out of bounds,
-// unresolvable name) it falls back to the conservative all-pairs wait set,
-// which is deterministic too.
+// loop indices, integer intrinsics and frozen index arrays. NewRunner lowers
+// both sides of each pair once (compile.Detached closures for chain bounds
+// and the reference's flat offset, the slices' RegAffines for placements).
+// At a crossing worker u computes only its own row — the ranks v whose source
+// footprint meets u's destination footprint: it marks its own destination
+// block in a bitset over the array's flat extent and streams every other
+// worker's source elements against it, up to the first hit. No worker stores
+// another's footprint or waits for another's scan: a rendezvous to exchange
+// footprints would be the barrier the site exists to remove. Every worker
+// posts unconditionally, so waits cannot deadlock, and a row is a function
+// of frozen data and replicated loop indices only. A scan that cannot finish
+// (budget exhausted, subscript out of bounds, mod by zero) makes that
+// worker's row every other rank: a superset of the exact row, so sound.
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"math"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/compile"
 	"repro/internal/decomp"
 	"repro/internal/ir"
 	"repro/internal/linear"
 	"repro/internal/region"
 )
 
-// scanBudget bounds the element visits of one scan (both sides of every
-// pair). Exceeding it degrades to the conservative wait set rather than
-// stalling the crossing.
+// scanBudget bounds the element visits of one scan (one worker's row over
+// every pair of the site). Exceeding it degrades to the conservative row
+// rather than stalling the crossing.
 const scanBudget = 1 << 20
 
-var errScanBudget = errors.New("inspector scan budget exhausted")
-
-// InspectorSite aggregates one inspector site's runtime behavior over a run.
+// InspectorSite aggregates one inspector site's runtime behavior over a run,
+// folded from the workers' rows after the team has joined.
 type InspectorSite struct {
-	// Scans is how many footprint scans actually ran (1 for a cacheable
-	// site regardless of crossing count).
+	// Scans is how many times a worker computed its row: once per crossing,
+	// or once per run at a cacheable site regardless of crossing count.
 	Scans int64 `json:"scans"`
 	// Conflicts is the total number of directed wait edges the scans
-	// synthesized.
+	// synthesized: the sum of every worker's row sizes.
 	Conflicts int64 `json:"conflicts"`
 	// EmptyCrossings counts crossings certified conflict-free: no worker
 	// waited at all.
 	EmptyCrossings int64 `json:"empty_crossings"`
 	// WaitCrossings counts crossings that needed at least one wait.
 	WaitCrossings int64 `json:"wait_crossings"`
-	// Conservative counts scans that fell back to the all-pairs wait set.
+	// Conservative counts scans in which some worker fell back to waiting
+	// on every other rank.
 	Conservative int64 `json:"conservative,omitempty"`
-	// ScanNS is the aggregate wall time worker 0 spent scanning at this
-	// site (the once-per-run scan for cacheable sites, whichever worker
-	// ran it). Every worker scans in the non-cacheable case; one worker's
-	// cost stands in for the replicated work.
-	ScanNS int64 `json:"scan_ns,omitempty"`
+	// ScanNS is the wall time worker 0 spent computing its own rows at this
+	// site, ScanVisits the element visits that took. Every worker scans its
+	// own row, concurrently; one worker's cost stands in for the others'.
+	ScanNS     int64 `json:"scan_ns,omitempty"`
+	ScanVisits int64 `json:"scan_visits,omitempty"`
 }
 
-// inspState is the per-run state of one inspector site.
-type inspState struct {
-	pairs []comm.InspectPair
+// inspSite is one inspector site as its runner lowered it.
+type inspSite struct {
+	src   []comm.InspectPair // what pairs was lowered from; the tests' reference scan reads it
+	pairs []scanPair
 	// cacheable: no expression of any pair reads a loop index outside its
 	// own chain (no live outer index, no carrier), so every crossing scans
-	// the same frozen data and one outcome serves the whole run.
+	// the same frozen data and a worker's first row serves its whole run.
 	cacheable bool
-	once      sync.Once
-	cached    *scanOutcome
-	// stats is written by worker 0 only and read after the team joins.
-	stats InspectorSite
-	// scanNS accumulates measured scan wall time: worker 0's own scans
-	// (non-cacheable), or the single once.Do scan (cacheable — written by
-	// whichever worker ran it, exclusively, inside the Once). Read after
-	// the team joins.
-	scanNS int64
 }
 
-// scanOutcome is one scan's verdict: for each worker, the sorted source
-// ranks it must wait on at this crossing.
-type scanOutcome struct {
-	partners     [][]int
-	conservative bool
-	conflicts    int64
+// scanPair is one ordered access pair: u waits on v when what v touches on
+// src meets what u touches on dst.
+type scanPair struct {
+	src, dst scanSide
+	// carrier is the register of the carried test's loop index, -1 at a
+	// loop-independent boundary. The destination side executes in the next
+	// carrier iteration.
+	carrier int
+}
+
+// scanSide enumerates the flat element offsets one worker touches on one
+// side of a pair.
+type scanSide struct {
+	// chain lists the loops around the reference, outermost first; at most
+	// one is placed (parallel), the others are enumerated in full.
+	chain []scanLoop
+	id    int
+	off   compile.IntFn
+	// masterOnly marks an unplaced side only worker 0 executes (guarded);
+	// any other unplaced side is replicated on every worker.
+	placed, masterOnly bool
+}
+
+type scanLoop struct {
+	reg    int
+	lo, hi compile.IntFn
+	place  *placement
+}
+
+func (s *scanSide) runsOn(w int) bool { return s.placed || !s.masterOnly || w == 0 }
+
+// lowerInspector lowers a site's pairs over the runner's register file.
+// Compile already lowered the same expressions inside their statements, so
+// an error here means the pair does not belong to this program.
+func (r *Runner) lowerInspector(pairs []comm.InspectPair) (st *inspSite, err error) {
+	d, lay := r.exe.Detached(), r.exe.Layout()
+	note := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	intFn := func(x ir.Expr) compile.IntFn {
+		fn, e := d.Int(x)
+		note(e)
+		return fn
+	}
+	side := func(s comm.InspectSide) scanSide {
+		out := scanSide{masterOnly: s.Mode == region.ModeGuarded}
+		var e error
+		out.id, out.off, e = d.Offset(s.Ref)
+		note(e)
+		for _, l := range s.Chain {
+			sl := scanLoop{lo: intFn(l.Lo), hi: intFn(l.Hi)}
+			sl.reg, _ = lay.IndexReg(l.Index) // the layout gives every loop index one
+			if l.Parallel {
+				if sl.place, out.placed = r.place[l], true; sl.place == nil {
+					note(fmt.Errorf("inspector site: no placement for loop %s", l.Index))
+				}
+			}
+			out.chain = append(out.chain, sl)
+		}
+		return out
+	}
+	st = &inspSite{src: pairs, cacheable: inspCacheable(pairs, r.plan, r.prog)}
+	for _, p := range pairs {
+		sp := scanPair{src: side(p.Src), dst: side(p.Dst), carrier: -1}
+		if p.Carrier != "" {
+			sp.carrier, _ = lay.IndexReg(p.Carrier)
+		}
+		st.pairs = append(st.pairs, sp)
+	}
+	return st, err
 }
 
 // inspCacheable decides statically whether a site's scan outcome is
 // crossing-invariant: every non-array name in subscripts, chain bounds and
 // placement affines is a parameter or an index of that side's own chain.
-// Index-array contents are frozen, so they never invalidate a cached scan.
+// Index-array contents are frozen, so they never invalidate a cached row.
 func inspCacheable(pairs []comm.InspectPair, plan *decomp.Plan, prog *ir.Program) bool {
 	for _, p := range pairs {
 		for _, s := range []comm.InspectSide{p.Src, p.Dst} {
@@ -94,23 +154,18 @@ func inspCacheable(pairs []comm.InspectPair, plan *decomp.Plan, prog *ir.Program
 			ok := true
 			check := func(e ir.Expr) {
 				ir.WalkExprs(e, func(n ir.Expr) {
-					if r, isRef := n.(*ir.Ref); isRef && !r.IsArray() {
-						if !own[r.Name] && !prog.IsParam(r.Name) {
-							ok = false
-						}
+					if r, isRef := n.(*ir.Ref); isRef && !r.IsArray() && !own[r.Name] && !prog.IsParam(r.Name) {
+						ok = false
 					}
 				})
 			}
 			for _, l := range s.Chain {
 				check(l.Lo)
 				check(l.Hi)
-				if l.Parallel {
-					if pl := plan.Placements[l]; pl != nil {
-						vars := append(pl.Offset.Vars(), pl.Space.Extent.Vars()...)
-						for _, vr := range vars {
-							if vr.Kind == linear.KindLoop && !own[vr.Name] {
-								ok = false
-							}
+				if pl := plan.Placements[l]; l.Parallel && pl != nil {
+					for _, vr := range append(pl.Offset.Vars(), pl.Space.Extent.Vars()...) {
+						if vr.Kind == linear.KindLoop && !own[vr.Name] {
+							ok = false
 						}
 					}
 				}
@@ -127,43 +182,56 @@ func inspCacheable(pairs []comm.InspectPair, plan *decomp.Plan, prog *ir.Program
 	return true
 }
 
+// inspWorker is one worker's view of one inspector site during a run.
+type inspWorker struct {
+	// row lists, ascending, the ranks this worker waits on: recomputed at
+	// every crossing, or kept from the first at a cacheable site.
+	row       []int
+	crossings int64
+	// flags holds rowWaits/rowConservative of every scan, in order.
+	flags []uint8
+	// conflicts sums the row sizes of this worker's scans; scanNS and
+	// visits their wall time and element visits (worker 0 only).
+	conflicts, scanNS, visits int64
+}
+
+const (
+	rowWaits        uint8 = 1 << iota // the row is not empty
+	rowConservative                   // the scan failed: the row is every other rank
+)
+
 // applyInspector executes one inspector crossing. The caller (applySync)
 // has already applied chaos perturbation and sabotage.
 func (ws *workerState) applyInspector(site int) {
 	run := ws.run
-	st := run.insp[site]
-	ws.cross[site]++
-	c := ws.cross[site]
-	var out *scanOutcome
-	if st.cacheable {
-		st.once.Do(func() {
-			t0 := time.Now()
-			st.cached = ws.scan(st.pairs)
-			st.scanNS = time.Since(t0).Nanoseconds()
-		})
-		out = st.cached
-	} else if ws.w == 0 {
-		t0 := time.Now()
-		out = ws.scan(st.pairs)
-		st.scanNS += time.Since(t0).Nanoseconds()
-	} else {
-		// Every worker runs the same deterministic scan over the same
-		// frozen data and live (replicated) index values.
-		out = ws.scan(st.pairs)
-	}
-	if ws.w == 0 && (!st.cacheable || c == 1) {
-		st.stats.Scans++
-		st.stats.Conflicts += out.conflicts
-		if out.conservative {
-			st.stats.Conservative++
+	st, iw := run.insp[site], &ws.insp[site]
+	iw.crossings++
+	if !st.cacheable || iw.crossings == 1 {
+		var t0 time.Time
+		if ws.w == 0 {
+			t0 = time.Now()
 		}
-	}
-	if ws.w == 0 {
-		if !out.conservative && out.conflicts == 0 {
-			st.stats.EmptyCrossings++
-		} else {
-			st.stats.WaitCrossings++
+		if ws.sc == nil {
+			ws.sc = newScanner(ws)
 		}
+		var exact bool
+		iw.row, exact = ws.sc.row(st, ws.w, run.cfg.Workers, iw.row)
+		if ws.w == 0 {
+			iw.scanNS += time.Since(t0).Nanoseconds()
+			iw.visits += scanBudget - max(ws.sc.budget, 0)
+		}
+		if run.rowHook != nil {
+			iw.row = run.rowHook(ws, site, iw.row)
+		}
+		var flag uint8
+		if len(iw.row) > 0 {
+			flag = rowWaits
+		}
+		if !exact {
+			flag |= rowConservative
+		}
+		iw.flags = append(iw.flags, flag)
+		iw.conflicts += int64(len(iw.row))
 	}
 	// Post unconditionally (every worker, every crossing): partner waits
 	// then target exact crossing counts and can never deadlock.
@@ -171,354 +239,158 @@ func (ws *workerState) applyInspector(site int) {
 		run.san.tr.P2PPost(run.p2ps[site], ws.w)
 	}
 	run.p2ps[site].Post(ws.w)
-	for _, v := range out.partners[ws.w] {
+	for _, v := range iw.row {
 		run.team.Stats.NeighborWaits.Add(1)
 		run.team.Stats.SiteNeighborWait(site)
-		run.p2ps[site].WaitForAs(ws.w, v, c)
+		run.p2ps[site].WaitForAs(ws.w, v, iw.crossings)
 		if run.san != nil {
 			run.san.tr.P2PJoin(run.p2ps[site], ws.w, v)
 		}
 	}
 }
 
-// scan enumerates both sides of every pair and derives the wait edges:
-// worker u waits on worker v when v's source footprint intersects u's
-// destination footprint.
-func (ws *workerState) scan(pairs []comm.InspectPair) *scanOutcome {
-	W := ws.run.cfg.Workers
-	budget := int64(scanBudget)
-	edges := map[[2]int]bool{} // [dst u, src v]
-	for _, p := range pairs {
-		src, err := ws.footprints(p.Src, p.Carrier, 0, &budget)
-		if err != nil {
-			return conservativeOutcome(W)
-		}
-		dst, err := ws.footprints(p.Dst, p.Carrier, 1, &budget)
-		if err != nil {
-			return conservativeOutcome(W)
-		}
-		for u := 0; u < W; u++ {
-			if dst[u] == nil {
-				continue
+// foldInspector merges the workers' views of one site once the team has
+// joined. Workers cross a site equally often, so scan k of every worker is
+// the same crossing (every crossing, at a cacheable site).
+func foldInspector(st *inspSite, site int, workers [][]inspWorker) InspectorSite {
+	w0 := &workers[0][site]
+	out := InspectorSite{Scans: int64(len(w0.flags)), ScanNS: w0.scanNS, ScanVisits: w0.visits}
+	for k := range w0.flags {
+		var f uint8
+		for _, iws := range workers {
+			if k < len(iws[site].flags) {
+				f |= iws[site].flags[k]
 			}
+		}
+		n := int64(1)
+		if st.cacheable {
+			n = w0.crossings
+		}
+		if f == 0 {
+			out.EmptyCrossings += n
+		} else {
+			out.WaitCrossings += n
+		}
+		if f&rowConservative != 0 {
+			out.Conservative++
+		}
+	}
+	for _, iws := range workers {
+		out.Conflicts += iws[site].conflicts
+	}
+	return out
+}
+
+// scanner is one worker's scan state, built at its first inspector
+// crossing and reused by every later scan of the run: nothing on the scan
+// path allocates after that.
+type scanner struct {
+	// fr is the frame the lowered closures evaluate over. Its registers are
+	// the schedule walk's own (parameters and the indices of the sequential
+	// loops it drives); a fault stays in it and never becomes the worker's.
+	fr *compile.Frame
+	// bits marks the destination elements of the pair being scanned, over
+	// the array's flat extent; [lo, hi] is their hull (lo > hi: none). All
+	// bits are clear between pairs.
+	bits   []uint64
+	lo, hi int64
+	// waits[v]: rank v is already in the row.
+	waits   []bool
+	budget  int64
+	probing bool
+}
+
+func newScanner(ws *workerState) *scanner {
+	fr := ws.run.bindFrame()
+	fr.Regs = ws.regs
+	return &scanner{fr: fr, waits: make([]bool, ws.run.cfg.Workers)}
+}
+
+// row computes worker u's row at site st into row's storage; exact is false
+// when the scan failed and the row is the conservative one.
+func (sc *scanner) row(st *inspSite, u, W int, row []int) (_ []int, exact bool) {
+	fr := sc.fr
+	fr.FaultRestore(nil, 0)
+	sc.budget = scanBudget
+	clear(sc.waits)
+	row = row[:0]
+	for i := range st.pairs {
+		p := &st.pairs[i]
+		if !p.dst.runsOn(u) {
+			continue
+		}
+		if n := (len(fr.Arrays[p.dst.id]) + 63) / 64; n > len(sc.bits) {
+			sc.bits = make([]uint64, n)
+		}
+		sc.probing, sc.lo, sc.hi = false, math.MaxInt64, -1
+		if p.carrier >= 0 {
+			fr.Regs[p.carrier]++
+		}
+		sc.walk(&p.dst, 0, u, W)
+		if p.carrier >= 0 {
+			fr.Regs[p.carrier]--
+		}
+		sc.probing = true
+		for v := 0; v < W && sc.lo <= sc.hi && !sc.failed(); v++ {
+			if v != u && !sc.waits[v] && p.src.runsOn(v) {
+				sc.waits[v] = sc.walk(&p.src, 0, v, W)
+			}
+		}
+		if sc.lo <= sc.hi {
+			clear(sc.bits[sc.lo>>6 : sc.hi>>6+1])
+		}
+		if sc.failed() {
 			for v := 0; v < W; v++ {
-				if v == u || src[v] == nil || edges[[2]int{u, v}] {
-					continue
-				}
-				small, big := dst[u], src[v]
-				if len(big) < len(small) {
-					small, big = big, small
-				}
-				for off := range small {
-					if big[off] {
-						edges[[2]int{u, v}] = true
-						break
-					}
+				if v != u {
+					row = append(row, v)
 				}
 			}
+			return row, false
 		}
 	}
-	out := &scanOutcome{partners: make([][]int, W)}
-	for e := range edges {
-		out.partners[e[0]] = append(out.partners[e[0]], e[1])
-		out.conflicts++
+	for v, waits := range sc.waits {
+		if waits {
+			row = append(row, v)
+		}
 	}
-	for u := range out.partners {
-		sort.Ints(out.partners[u])
-	}
-	return out
+	return row, true
 }
 
-// conservativeOutcome is the fallback wait set: everyone waits on everyone.
-func conservativeOutcome(W int) *scanOutcome {
-	out := &scanOutcome{conservative: true, partners: make([][]int, W)}
-	for u := 0; u < W; u++ {
-		for v := 0; v < W; v++ {
-			if v != u {
-				out.partners[u] = append(out.partners[u], v)
-			}
-		}
-	}
-	out.conflicts = int64(W) * int64(W-1)
-	return out
-}
+func (sc *scanner) failed() bool { return sc.budget < 0 || !sc.fr.Ok() }
 
-// footprints enumerates the flat element offsets one side touches, per
-// worker. A nil entry means that worker does not execute the side. For a
-// carried pair the destination side executes in the next carrier iteration
-// (delta 1), the source side in the current one (delta 0).
-func (ws *workerState) footprints(s comm.InspectSide, carrier string, delta int64, budget *int64) ([]map[int64]bool, error) {
-	W := ws.run.cfg.Workers
-	arr := ws.run.ps.arrays[s.Ref.Name]
-	if arr == nil {
-		return nil, fmt.Errorf("inspector scan: unknown array %s", s.Ref.Name)
+// walk enumerates the elements worker w touches on side s, from chain depth
+// d down. Marking, it sets their bits; probing, it stops at the first one
+// that is set. It returns true to stop: a hit, or a failure (see failed).
+func (sc *scanner) walk(s *scanSide, d, w, W int) bool {
+	fr := sc.fr
+	if d == len(s.chain) {
+		if sc.budget--; sc.budget < 0 {
+			return true
+		}
+		off := s.off(fr)
+		switch {
+		case off < 0:
+			return true
+		case sc.probing:
+			return off >= sc.lo && off <= sc.hi && sc.bits[off>>6]&(1<<(off&63)) != 0
+		}
+		sc.bits[off>>6] |= 1 << (off & 63)
+		sc.lo, sc.hi = min(sc.lo, off), max(sc.hi, off)
+		return false
 	}
-	sc := &scanEnv{ws: ws, bind: map[string]int64{}}
-	if carrier != "" {
-		cv, ok := ws.index(carrier)
-		if !ok {
-			return nil, fmt.Errorf("inspector scan: carrier index %s not live", carrier)
-		}
-		sc.bind[carrier] = cv + delta
+	l := &s.chain[d]
+	start, end, step := l.lo(fr), l.hi(fr), int64(1)
+	if !fr.Ok() {
+		return true
 	}
-	hasPar := false
-	for _, l := range s.Chain {
-		if l.Parallel {
-			hasPar = true
-		}
+	if l.place != nil {
+		start, end, step = l.place.slice(fr.Regs, start, end, w, W)
 	}
-	enum := func(w int) (map[int64]bool, error) {
-		fp := map[int64]bool{}
-		subs := make([]int64, len(s.Ref.Subs))
-		var rec func(chain []*ir.Loop) error
-		rec = func(chain []*ir.Loop) error {
-			if len(chain) == 0 {
-				*budget--
-				if *budget < 0 {
-					return errScanBudget
-				}
-				for i, sub := range s.Ref.Subs {
-					v, err := sc.evalInt(sub)
-					if err != nil {
-						return err
-					}
-					subs[i] = v
-				}
-				off, err := arr.Offset(subs)
-				if err != nil {
-					return err
-				}
-				fp[off] = true
-				return nil
-			}
-			l := chain[0]
-			lo, err := sc.evalInt(l.Lo)
-			if err != nil {
-				return err
-			}
-			hi, err := sc.evalInt(l.Hi)
-			if err != nil {
-				return err
-			}
-			start, end, step := lo, hi, int64(1)
-			if l.Parallel {
-				pl := ws.run.plan.Placements[l]
-				if pl == nil {
-					return fmt.Errorf("inspector scan: no placement for loop %s", l.Index)
-				}
-				off, err := sc.affine(pl.Offset)
-				if err != nil {
-					return err
-				}
-				ext, err := sc.affine(pl.Space.Extent)
-				if err != nil {
-					return err
-				}
-				if ext < 1 || lo > hi {
-					return nil
-				}
-				start, end, step = decomp.IterSlice(pl.Kind, lo, hi, off, ext, w, W)
-				if step < 1 {
-					return fmt.Errorf("inspector scan: non-positive slice step for loop %s", l.Index)
-				}
-			}
-			for i := start; i <= end; i += step {
-				sc.bind[l.Index] = i
-				if err := rec(chain[1:]); err != nil {
-					return err
-				}
-			}
-			delete(sc.bind, l.Index)
-			return nil
-		}
-		if err := rec(s.Chain); err != nil {
-			return nil, err
-		}
-		return fp, nil
+	old, stop := fr.Regs[l.reg], false
+	for i := start; i <= end && !stop; i += step {
+		fr.Regs[l.reg] = i
+		stop = sc.walk(s, d+1, w, W)
 	}
-	fps := make([]map[int64]bool, W)
-	switch {
-	case hasPar:
-		for w := 0; w < W; w++ {
-			fp, err := enum(w)
-			if err != nil {
-				return nil, err
-			}
-			if len(fp) > 0 {
-				fps[w] = fp
-			}
-		}
-	case s.Mode == region.ModeGuarded:
-		fp, err := enum(0)
-		if err != nil {
-			return nil, err
-		}
-		if len(fp) > 0 {
-			fps[0] = fp
-		}
-	default:
-		// Replicated (and conservatively any other unplaced) execution:
-		// every worker touches the same elements.
-		fp, err := enum(0)
-		if err != nil {
-			return nil, err
-		}
-		if len(fp) > 0 {
-			for w := 0; w < W; w++ {
-				fps[w] = fp
-			}
-		}
-	}
-	return fps, nil
-}
-
-// scanEnv evaluates integer expressions for the inspector scan. It mirrors
-// the interpreter's integer semantics (floor mod, exact-integer array
-// elements and literals) but reads index arrays directly — scan reads are
-// not data accesses of the program and are not reported to the sanitizer —
-// and resolves free names through the scan bindings, then the worker's live
-// loop indices, then the run parameters.
-type scanEnv struct {
-	ws   *workerState
-	bind map[string]int64
-}
-
-func (sc *scanEnv) evalInt(x ir.Expr) (int64, error) {
-	switch n := x.(type) {
-	case *ir.Num:
-		if n.IsInt {
-			return n.Int, nil
-		}
-		if iv := int64(n.Val); float64(iv) == n.Val {
-			return iv, nil
-		}
-		return 0, fmt.Errorf("%s: non-integral literal in inspector scan", n.P)
-	case *ir.Ref:
-		if n.IsArray() {
-			arr := sc.ws.run.ps.arrays[n.Name]
-			if arr == nil {
-				return 0, fmt.Errorf("%s: unknown array %s", n.P, n.Name)
-			}
-			subs := make([]int64, len(n.Subs))
-			for i, sub := range n.Subs {
-				v, err := sc.evalInt(sub)
-				if err != nil {
-					return 0, err
-				}
-				subs[i] = v
-			}
-			off, err := arr.Offset(subs)
-			if err != nil {
-				return 0, err
-			}
-			v := arr.Data[off]
-			iv := int64(v)
-			if float64(iv) != v {
-				return 0, fmt.Errorf("%s: array %s element = %v is not an integer", n.P, n.Name, v)
-			}
-			return iv, nil
-		}
-		if v, ok := sc.bind[n.Name]; ok {
-			return v, nil
-		}
-		if v, ok := sc.ws.index(n.Name); ok {
-			return v, nil
-		}
-		if v, ok := sc.ws.run.cfg.Params[n.Name]; ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("%s: %s not resolvable in inspector scan", n.P, n.Name)
-	case *ir.Unary:
-		if n.Op != '-' {
-			return 0, fmt.Errorf("%s: logical operator in inspector scan", n.P)
-		}
-		v, err := sc.evalInt(n.X)
-		return -v, err
-	case *ir.Bin:
-		l, err := sc.evalInt(n.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := sc.evalInt(n.R)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case ir.Add:
-			return l + r, nil
-		case ir.Sub:
-			return l - r, nil
-		case ir.Mul:
-			return l * r, nil
-		default:
-			// Division is excluded from scan-evaluability by the
-			// irregular-access analysis; reaching it here degrades the
-			// scan to the conservative wait set.
-			return 0, fmt.Errorf("%s: operator %s in inspector scan", n.P, n.Op)
-		}
-	case *ir.Call:
-		get2 := func() (int64, int64, error) {
-			l, err := sc.evalInt(n.Args[0])
-			if err != nil {
-				return 0, 0, err
-			}
-			r, err := sc.evalInt(n.Args[1])
-			return l, r, err
-		}
-		switch n.Name {
-		case "mod":
-			l, r, err := get2()
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 {
-				return 0, fmt.Errorf("%s: mod by zero in inspector scan", n.P)
-			}
-			m := l % r
-			if m != 0 && (m < 0) != (r < 0) {
-				m += r
-			}
-			return m, nil
-		case "min", "max":
-			l, r, err := get2()
-			if err != nil {
-				return 0, err
-			}
-			if (n.Name == "min") == (l < r) {
-				return l, nil
-			}
-			return r, nil
-		}
-		return 0, fmt.Errorf("%s: intrinsic %s in inspector scan", n.P, n.Name)
-	}
-	return 0, fmt.Errorf("unsupported expression in inspector scan")
-}
-
-// affine evaluates a placement affine over scan bindings, live loop
-// indices and parameters.
-func (sc *scanEnv) affine(a linear.Affine) (int64, error) {
-	v := a.Const
-	for _, vr := range a.Vars() {
-		var val int64
-		switch vr.Kind {
-		case linear.KindSymbolic:
-			p, ok := sc.ws.run.cfg.Params[vr.Name]
-			if !ok {
-				return 0, fmt.Errorf("unbound parameter %s in inspector scan", vr.Name)
-			}
-			val = p
-		case linear.KindLoop:
-			if b, ok := sc.bind[vr.Name]; ok {
-				val = b
-			} else if lv, ok := sc.ws.index(vr.Name); ok {
-				val = lv
-			} else {
-				return 0, fmt.Errorf("unbound loop index %s in inspector scan", vr.Name)
-			}
-		default:
-			return 0, fmt.Errorf("unexpected variable %s in inspector scan", vr.Name)
-		}
-		v += a.Coeff(vr) * val
-	}
-	return v, nil
+	fr.Regs[l.reg] = old
+	return stop
 }
