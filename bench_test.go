@@ -4,7 +4,8 @@
 //	go test -bench=BenchmarkBarrier -benchmem .        # Figure 1
 //	go test -bench=BenchmarkKernel -benchmem .         # Tables 3/4 shape
 //	go test -bench=BenchmarkFM -benchmem .             # Ablation A1
-//	go test -bench=InnerLoop -benchtime=3x .           # closure hot loop, assigns/s
+//	go test -bench=InnerLoop -benchtime=20x .          # closure hot loop, assigns/s
+//	go test -bench=FineGrain -benchtime=20x .          # one thread vs two workers at sync_p2p's grain
 //	go test -bench=InspectorScan -benchtime=2000x .    # inspector scan, ns per visited element
 //
 // Each benchmark reports the dynamic synchronization counts as metrics, so
@@ -21,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/linear"
 	"repro/internal/spmdrt"
 	"repro/internal/suite"
@@ -135,10 +137,14 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkInnerLoop is the local reading of the lowered inner loop: the
-// compute_dense programs of the committed benchmark at its sizes, run
-// sequentially on one frame (no team, no sync), reported as assignments
-// per second. The state is allocated and seeded outside the timer.
+// BenchmarkInnerLoop is the local reading of the lowered inner loop: the four
+// compute_dense programs of the committed benchmark at its sizes, and four
+// fine-grain ones at the grain of sync_p2p (14- to 62-element rows, thousands
+// of loop entries), run sequentially on one frame (no team, no sync),
+// reported as assignments per second. The state is allocated and seeded once,
+// outside the loop: every iteration runs the program again over what the last
+// one left, which costs the same and keeps allocation and the timer's
+// stop/start out of a measurement that is 0.1 ms long at the small sizes.
 func BenchmarkInnerLoop(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -146,37 +152,92 @@ func BenchmarkInnerLoop(b *testing.B) {
 	}{
 		{"matmul", map[string]int64{"N": 96}},
 		{"jacobi2d", map[string]int64{"N": 192, "T": 4}},
+		{"stencil9", map[string]int64{"N": 160, "T": 4}},
 		{"dotchain", map[string]int64{"N": 262144}},
+		{"jacobi1d", map[string]int64{"N": 64, "T": 3000}},
+		{"jacobi2d", map[string]int64{"N": 16, "T": 600}},
+		{"shallow", map[string]int64{"N": 16, "T": 300}},
+		{"pipeline", map[string]int64{"N": 64, "M": 3000}},
 	} {
 		k, err := suite.Get(tc.name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tc.name, func(b *testing.B) {
-			prog, params := k.Program(), tc.params
-			_, assigns, err := interp.RunCount(prog, params)
+		b.Run(fmt.Sprintf("%s/N%d", tc.name, tc.params["N"]), func(b *testing.B) {
+			prog := k.Program()
+			_, assigns, err := interp.RunCount(prog, tc.params)
 			if err != nil {
 				b.Fatal(err)
 			}
-			exe, err := compile.Compile(prog, nil, compile.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st, err := interp.NewState(prog, params)
+			benchRunSeq(b, prog, tc.params)
+			b.ReportMetric(float64(assigns)*float64(b.N)/b.Elapsed().Seconds(), "assigns/s")
+		})
+	}
+}
+
+// benchRunSeq times b.N sequential closure runs of prog on one frame, over
+// one state allocated and seeded before the timer starts.
+func benchRunSeq(b *testing.B, prog *ir.Program, params map[string]int64) {
+	exe, err := compile.Compile(prog, nil, compile.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := interp.NewState(prog, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.SeedDeterministic()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := exe.RunSeq(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFineGrain puts, at the grain of sync_p2p, the one-thread closure
+// run (seq) beside the two-worker optimized (opt) and fork-join (base) runs
+// of the same program — the comparison exec.par_over_seq does not make,
+// because it divides by the tree-walking interpreter. At this grain two
+// workers can lose to one thread: what they save in compute they spend in
+// sync.
+func BenchmarkFineGrain(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		params map[string]int64
+	}{
+		{"jacobi1d", map[string]int64{"N": 64, "T": 3000}},
+		{"pipeline", map[string]int64{"N": 64, "M": 3000}},
+	} {
+		k, err := suite.Get(tc.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := core.Compile(k.Source, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/seq", func(b *testing.B) { benchRunSeq(b, c.Prog, tc.params) })
+		for _, mode := range []string{"opt", "base"} {
+			b.Run(tc.name+"/"+mode, func(b *testing.B) {
+				cfg := exec.Config{Workers: 2, Params: tc.params, Mode: exec.SPMD}
+				newRunner := c.NewRunner
+				if mode == "base" {
+					newRunner = c.NewBaselineRunner
+				}
+				runner, err := newRunner(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				st.SeedDeterministic()
-				b.StartTimer()
-				if err := exe.RunSeq(st); err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := runner.Run(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(assigns)*float64(b.N)/b.Elapsed().Seconds(), "assigns/s")
-		})
+			})
+		}
 	}
 }
 

@@ -47,6 +47,10 @@ type Prog struct {
 	hib    map[*ir.Loop]IntFn
 	// ncur is the number of cursor slots a frame needs.
 	ncur int
+	// nrow is the number of rowChunk-long temporaries the row forms need; rows
+	// holds the sets frames have released, up to 8 (a wider team allocates).
+	nrow int
+	rows chan []float64
 	// ord numbers every statement densely in ir.WalkStmts order; Frame.Sites
 	// is indexed by it.
 	ord map[ir.Stmt]int
@@ -69,6 +73,7 @@ func Compile(prog *ir.Program, lay *interp.Layout, opt Options) (*Prog, error) {
 		lob:    map[*ir.Loop]IntFn{},
 		hib:    map[*ir.Loop]IntFn{},
 		ord:    map[ir.Stmt]int{},
+		rows:   make(chan []float64, 8),
 	}
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
 		p.ord[s] = len(p.ord)
@@ -314,18 +319,20 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fast, refs := body, []curRef(nil)
+	fast, refs, row := body, []curRef(nil), (*rowBody)(nil)
 	if !c.p.opt.Instrument && !hasLoop(n.Body) {
 		// The sanitizer must see every access, so instrumented lowerings
 		// keep the per-access form only.
 		c.inner = &innerLoop{reg: reg}
-		fast, err = c.seq(n.Body)
+		if fast, err = c.seq(n.Body); err == nil {
+			row = c.rowForm(n.Body)
+		}
 		refs, c.inner = c.inner.refs, nil
 		if err != nil {
 			return nil, err
 		}
 	}
-	rng := rangeFn(reg, refs, fast, body)
+	rng := rangeFn(reg, refs, fast, body, row)
 	c.p.ranges[n] = rng
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
 	loF, hiF := lo.fn, hi.fn
@@ -788,31 +795,17 @@ func (c *cc) numBin(n *ir.Bin) (numRes, error) {
 	}
 }
 
+// The pure intrinsics, of one argument and of two.
+var (
+	intrinsic1 = map[string]func(float64) float64{
+		"sqrt": math.Sqrt, "abs": math.Abs, "exp": math.Exp, "log": math.Log, "sin": math.Sin, "cos": math.Cos}
+	intrinsic2 = map[string]func(float64, float64) float64{
+		"min": math.Min, "max": math.Max, "pow": math.Pow, "mod": math.Mod}
+)
+
 func (c *cc) call(n *ir.Call) (numRes, error) {
-	var f1 func(float64) float64
-	var f2 func(float64, float64) float64
-	switch n.Name {
-	case "sqrt":
-		f1 = math.Sqrt
-	case "abs":
-		f1 = math.Abs
-	case "exp":
-		f1 = math.Exp
-	case "log":
-		f1 = math.Log
-	case "sin":
-		f1 = math.Sin
-	case "cos":
-		f1 = math.Cos
-	case "min":
-		f2 = math.Min
-	case "max":
-		f2 = math.Max
-	case "pow":
-		f2 = math.Pow
-	case "mod":
-		f2 = math.Mod
-	default:
+	f1, f2 := intrinsic1[n.Name], intrinsic2[n.Name]
+	if f1 == nil && f2 == nil {
 		return numRes{}, c.errf(n.P, "unknown intrinsic %s", n.Name)
 	}
 	if f1 != nil {

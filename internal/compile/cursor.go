@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -65,18 +66,26 @@ func (a RegAffine) Eval(regs []int64) int64 {
 }
 
 // innerLoop is the innermost loop whose body is being lowered in cursor
-// form, with the references that became cursors so far.
+// form, with the references that became cursors so far — each once: the
+// scalar and the row form of a reference share a slot, and an entry runs one
+// enter for both. assigned is for the row form: the scalars the body stores to.
 type innerLoop struct {
-	reg  int
-	refs []curRef
+	reg      int
+	refs     []curRef
+	assigned []string
 }
+
+// ref is the cursor reference in slot: a loop's slots are consecutive.
+func (in *innerLoop) ref(slot int) *curRef { return &in.refs[slot-in.refs[0].slot] }
 
 // curRef is one cursor reference: its frame slot, its array and, per
 // dimension, the subscript's coefficient of the loop index and the rest.
 type curRef struct {
+	ref      *ir.Ref
 	slot, id int
 	k        []int64
 	rest     []RegAffine
+	moves    bool // some k is not zero
 }
 
 // cursor gives reference n a cursor slot when a cursor form is being
@@ -87,12 +96,17 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 	if in == nil {
 		return 0, false
 	}
+	for i := range in.refs {
+		if in.refs[i].ref == n {
+			return in.refs[i].slot, true
+		}
+	}
 	id, known := c.p.lay.ArrayID(n.Name)
 	decl := c.p.prog.Array(n.Name)
 	if !known || decl == nil || decl.Rank() != len(n.Subs) {
 		return 0, false
 	}
-	ref := curRef{slot: c.p.ncur, id: id}
+	ref := curRef{ref: n, slot: c.p.ncur, id: id}
 	for _, sx := range n.Subs {
 		rest, ok := c.affine(sx)
 		if !ok {
@@ -108,7 +122,7 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 			}
 		}
 		rest.terms = terms
-		ref.k = append(ref.k, k)
+		ref.k, ref.moves = append(ref.k, k), ref.moves || k != 0
 		ref.rest = append(ref.rest, rest)
 	}
 	c.p.ncur++
@@ -220,13 +234,13 @@ func addChecked(a, b int64) (int64, bool) {
 	return s, (s >= a) == (b >= 0)
 }
 
+// mulChecked multiplies without dividing (enter runs it four times per
+// dimension): the signed 128-bit product is the unsigned one corrected for
+// each negative operand, and fits when its high word is its low one's sign.
 func mulChecked(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	// MinInt64 * -1 wraps back to MinInt64, and MinInt64 / -1 does too.
-	p := a * b
-	return p, p/b == a && !(b == -1 && p == a)
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	p := int64(lo)
+	return p, int64(hi)-b&(a>>63)-a&(b>>63) == p>>63
 }
 
 // enter range-checks the reference over one loop entry — index values
@@ -262,9 +276,11 @@ func (r *curRef) enter(fr *Frame, first, last int64) bool {
 
 // rangeFn builds a loop's driver. checked is the body as Prog.Stmt lowers
 // it; fast is its cursor form over refs (with no refs it holds no cursor
-// and every entry runs it). An entry whose references all pass their range
-// check runs fast; any other entry counts a fallback and runs checked.
-func rangeFn(reg int, refs []curRef, fast, checked StmtFn) RangeFn {
+// and every entry runs it); row, when the body has one, is its row form over
+// the same cursors. An entry whose references all pass their range check
+// runs row if the cursors just loaded prove its iterations independent and
+// fast if not; any other entry counts a fallback and runs checked.
+func rangeFn(reg int, refs []curRef, fast, checked StmtFn, row *rowBody) RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
 			return
@@ -281,6 +297,8 @@ func rangeFn(reg int, refs []curRef, fast, checked StmtFn) RangeFn {
 			if !ok {
 				fr.Fallbacks++
 				body = checked
+			} else if row != nil && row.run(fr, refs, start, span/step+1, step) {
+				return
 			}
 		}
 		for i := start; i <= end; i += step {

@@ -5,6 +5,8 @@
 // only, so both test packages can import it.
 package cursortest
 
+import "fmt"
+
 // Case is one program with what the closure program must do with it.
 type Case struct {
 	Name   string
@@ -315,4 +317,446 @@ end
 		Fault:    "7:35: array B: subscript 1 = 6 out of bounds",
 		Fallback: true,
 	},
+}
+
+// RowCase is one program for the row form of innermost loops: a single
+// innermost loop (or one nest) behind a few planted elements.
+type RowCase struct {
+	Name   string
+	Src    string
+	Params map[string]int64
+	// Row says which form the loop's entries take in a sequential run: the
+	// row form, or (false) the scalar cursor form, because no row form is
+	// built or because the entry's cursors do not prove it legal.
+	Row bool
+}
+
+// RowCases is the legality table: what the rules of rowBody.run must accept
+// and what they must refuse. Every case must also agree with the interpreter
+// bit for bit whatever form runs.
+var RowCases = []RowCase{
+	{
+		Name: "carried-dependence",
+		Src: `
+program carried
+param N
+real A(N)
+do i = 2, N
+  A(i) = A(i - 1) + 1.0
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		// Same element read and stored: legal, but the right-hand side
+		// mentions A, so the chunk goes through a temporary.
+		Name: "update-in-place",
+		Src: `
+program inplace
+param N
+real A(N), B(N)
+do i = 1, N
+  A(i) = (B(i) + 1.0) * A(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 300},
+		Row:    true,
+	},
+	{
+		// Statement 2 of iteration i reads what statement 1 of iteration
+		// i + 1 stores: statement-at-a-time over a chunk would read it late.
+		Name: "anti-dependence-across-statements",
+		Src: `
+program anti
+param N
+real A(N), B(N + 1), C(N)
+do i = 1, N
+  B(i) = A(i) * 2.0
+  C(i) = B(i + 1)
+end do
+end
+`,
+		Params: map[string]int64{"N": 50},
+	},
+	{
+		Name: "flow-within-an-iteration",
+		Src: `
+program flow
+param N
+real A(N), B(N), C(N)
+do i = 1, N
+  B(i) = A(i) * 2.0
+  C(i) = B(i) + A(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 50},
+		Row:    true,
+	},
+	{
+		// Column k against column k - 1 of a row-major array: equal strides
+		// (M), bases one element apart, never a whole stride.
+		Name: "column-neighbour",
+		Src: `
+program column
+param N, M
+real A(N, M), D(M)
+do k = 2, M
+  D(k) = A(1, k - 1) * 0.5 + 0.001
+  do i = 1, N
+    A(i, k) = 0.5 * A(i, k) + 0.1 * D(k) * A(i, k - 1)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 21, "M": 9},
+		Row:    true,
+	},
+	{
+		// Equal strides, bases a whole number of strides apart — as many as
+		// the entry runs iterations: out of reach.
+		Name: "distance-equals-trip-count",
+		Src: `
+program dist
+param M
+real A(2 * M)
+do i = 1, M
+  A(i) = A(i + M) + 1.0
+end do
+end
+`,
+		Params: map[string]int64{"M": 33},
+		Row:    true,
+	},
+	{
+		Name: "distance-inside-trip-count",
+		Src: `
+program distin
+param M
+real A(2 * M)
+do i = 1, M
+  A(i + M - 1) = A(i) + 1.0
+end do
+end
+`,
+		Params: map[string]int64{"M": 33},
+	},
+	{
+		Name: "strided-distance-outside",
+		Src: `
+program sdist
+param M
+real A(4 * M + 2)
+do i = 1, M
+  A(2 * i) = A(2 * i + 2 * M) * 0.5
+end do
+end
+`,
+		Params: map[string]int64{"M": 17},
+		Row:    true,
+	},
+	{
+		// Odd elements against even ones: equal strides, base difference not
+		// a multiple.
+		Name: "strided-interleaved",
+		Src: `
+program inter
+param M
+real A(2 * M + 1)
+do i = 1, M
+  A(2 * i) = A(2 * i + 1) + A(2 * i - 1)
+end do
+end
+`,
+		Params: map[string]int64{"M": 300},
+		Row:    true,
+	},
+	{
+		Name: "negative-coefficient",
+		Src: `
+program neg
+param N
+real A(N), B(N)
+do i = 1, N
+  A(N - i + 1) = B(i) - A(N - i + 1)
+end do
+end
+`,
+		Params: map[string]int64{"N": 270},
+		Row:    true,
+	},
+	{
+		// Opposite strides over one span: the reversal reads what it stored.
+		Name: "reversal-in-place",
+		Src: `
+program rev
+param N
+real A(N)
+do i = 1, N
+  A(i) = A(N - i + 1) + 1.0
+end do
+end
+`,
+		Params: map[string]int64{"N": 30},
+	},
+	{
+		Name: "invariant-read-inside-the-stored-span",
+		Src: `
+program invin
+param N
+real A(N)
+do i = 1, N
+  A(i) = A(i) + A(3)
+end do
+end
+`,
+		Params: map[string]int64{"N": 30},
+	},
+	{
+		// lulike's shape: the pivot row and the multiplier column lie
+		// outside what the entry stores.
+		Name: "invariant-read-outside-the-stored-span",
+		Src: `
+program invout
+param N
+real A(N, N)
+do k = 1, N - 1
+  do i = k + 1, N
+    A(i, k) = A(i, k) / (A(k, k) + 2.0)
+  end do
+  do i = k + 1, N
+    do j = k + 1, N
+      A(i, j) = A(i, j) - A(i, k) * A(k, j)
+    end do
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 12},
+		Row:    true,
+	},
+	{
+		// A store that does not move and is no reduction: the last iteration
+		// wins, and no row form is built.
+		Name: "invariant-store",
+		Src: `
+program invst
+param N
+real A(N), D(2)
+do i = 1, N
+  D(1) = A(i) * 2.0
+end do
+end
+`,
+		Params: map[string]int64{"N": 20},
+	},
+	{
+		Name: "scalar-reduction",
+		Src: `
+program red
+param N
+real A(N), B(N), s
+s = 0.5
+do i = 1, N
+  s = s + A(i) * B(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 700},
+		Row:    true,
+	},
+	{
+		Name: "array-element-reduction",
+		Src: `
+program mm
+param N, M
+real A(N, M), B(M, N), C(N, N)
+do i = 1, N
+  do j = 1, N
+    C(i, j) = 0.0
+    do k = 1, M
+      C(i, j) = C(i, j) + A(i, k) * B(k, j)
+    end do
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 5, "M": 300},
+		Row:    true,
+	},
+	{
+		// Two sums into one scalar interleave per iteration; per chunk they
+		// would not.
+		Name: "two-reductions-into-one-scalar",
+		Src: `
+program red2
+param N
+real A(N), B(N), s
+do i = 1, N
+  s = s + A(i)
+  s = s + B(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		Name: "scalar-read-the-body-assigns",
+		Src: `
+program prefix
+param N
+real A(N), B(N), s
+do i = 1, N
+  s = s + A(i)
+  B(i) = s
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		Name: "private-temporary",
+		Src: `
+program tmp
+param N
+real A(N), B(N), c
+do i = 1, N
+  c = A(i) * 0.3
+  B(i) = c * 0.5
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		Name: "index-as-a-value",
+		Src: `
+program idx
+param N
+real A(N), B(N)
+do i = 1, N
+  A(i) = B(i) + i
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		Name: "outer-index-parameter-and-scalar-as-values",
+		Src: `
+program outer
+param N
+real A(N, N), B(N, N), c
+c = 0.75
+do i = 1, N
+  do j = 1, N
+    A(i, j) = B(i, j) * i - c / N + B(j, i)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 19},
+		Row:    true,
+	},
+	{
+		Name: "conditional",
+		Src: `
+program cond
+param N
+real A(N), B(N)
+do i = 1, N
+  if B(i) > 0.5 then
+    A(i) = B(i)
+  end if
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		Name: "comparison-as-a-value",
+		Src: `
+program cmp
+param N
+real A(N), B(N)
+do i = 1, N
+  A(i) = (B(i) > 0.5) + 1.0
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+	},
+	{
+		Name: "intrinsics",
+		Src: `
+program intr
+param N
+real A(N), B(N), c
+c = 0.6
+do i = 1, N
+  B(i) = sqrt(abs(A(i))) + max(A(i), 0.75) + pow(A(i), 2.0) + mod(A(i), 0.3) + min(c, A(i)) - exp(-A(i)) * log(A(i) + 1.0) + sin(A(i)) / cos(c)
+end do
+end
+`,
+		Params: map[string]int64{"N": 260},
+		Row:    true,
+	},
+	{
+		// NaN, both infinities and both zeros through every operator, in
+		// both operand positions, against a scalar and against a vector. No
+		// + or * here meets two NaNs of different sign: which of the two
+		// survives is the instruction's first operand, and that is the Go
+		// compiler's choice of register in the scalar closures and in the
+		// slice loops alike, not something either form can fix.
+		Name: "special-values",
+		Src: `
+program special
+param N
+real A(N), B(N), C(N), D(N), E(N), F(N), z, s
+z = -0.0
+A(1) = 0.0 / 0.0
+A(2) = 1.0 / 0.0
+A(3) = -1.0 / 0.0
+A(4) = -0.0
+A(5) = 0.0
+B(1) = 1.0 / 0.0
+B(3) = 0.0 / 0.0
+B(4) = 0.0
+B(5) = -0.0
+do i = 1, N
+  C(i) = -A(i) * z + (z - B(i))
+  D(i) = A(i) * B(i) - B(i) / A(i)
+  E(i) = 0.0 * A(i) + A(i) / z - (A(i) - A(i))
+  F(i) = -(A(i) + B(i)) * -B(i)
+  s = s + B(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 12},
+		Row:    true,
+	},
+}
+
+func init() {
+	// The chunk's edges — one iteration, one short of a chunk, a chunk, one
+	// over, several chunks and one — for chunks of 128 and of 256.
+	for _, n := range []int64{1, 127, 128, 129, 255, 256, 257, 513} {
+		RowCases = append(RowCases, RowCase{
+			Name: fmt.Sprintf("trip-count-%d", n),
+			Src: `
+program trip
+param N
+real A(N + 2), B(N + 2), s
+do i = 2, N + 1
+  B(i) = 0.5 * (A(i - 1) + A(i + 1)) - 0.25 * A(i)
+  s = s + A(i)
+end do
+end
+`,
+			Params: map[string]int64{"N": n},
+			Row:    true,
+		})
+	}
 }

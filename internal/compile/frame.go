@@ -113,6 +113,11 @@ type Frame struct {
 	// the entry ran the per-access-checked body instead. It is bumped on
 	// that slow path only; tests read it to see which path ran.
 	Fallbacks int64
+	// Rows counts loop entries that ran in row form (row.go), for tests to
+	// see which form ran; row holds their temporaries, the program's from the
+	// first such entry until Prog.Release.
+	Rows int64
+	row  []float64
 
 	fault    *Fault
 	faultVal int64

@@ -1,0 +1,332 @@
+package compile
+
+import (
+	"math"
+	"slices"
+
+	"repro/internal/ir"
+)
+
+// Row form (docs/INTERNALS.md §11). A loop with a cursor form whose body is
+// only assignments, their right-hand sides built from literals, cursor reads,
+// names the body does not assign, unary minus, + - * / and the pure
+// intrinsics, is lowered a third time: each expression node evaluates a chunk
+// of iterations in one loop over slices, a statement at a time. Nothing in
+// that grammar can fault, and every operation sees the operands, in the
+// positions, of the scalar form; only the order of accesses of different
+// iterations changes, and an entry takes the form when its cursors show that
+// this order cannot matter (legal).
+
+// rowChunk is the number of iterations a node evaluates per call. Sizes from
+// 64 to 1024 read alike (dotchain N=262144, whose rows outrun them all, best
+// of 5, M assigns/s: 32: 413, 64: 512, 128: 505, 256: 542, 512: 511, 1024:
+// 577; 128 against 256 paired 30 times: unresolved on four programs), so the
+// smallest of them: a cold request allocates its temporaries, 1 KB a piece.
+const rowChunk = 128
+
+// rowOp is an operand: a node, whose fn evaluates it into dst for len(dst)
+// iterations from the entry's j0-th; an expression with one value for the
+// whole entry, read once per chunk through its scalar closure inv; or else
+// the cursor in slot.
+type rowOp struct {
+	fn   func(fr *Frame, j0 int64, dst []float64)
+	inv  NumFn
+	slot int
+}
+
+// vec returns the operand over one chunk: a unit-stride cursor as a subslice
+// of its array, so that loops over it carry no bounds check; anything else
+// evaluated, broadcast or gathered into buf.
+func (o rowOp) vec(fr *Frame, j0 int64, buf []float64) []float64 {
+	switch {
+	case o.fn != nil:
+		o.fn(fr, j0, buf)
+	case o.inv != nil:
+		s := o.inv(fr)
+		for i := range buf {
+			buf[i] = s
+		}
+	default:
+		cu := &fr.cur[o.slot]
+		off := cu.base + j0*cu.stride
+		if cu.stride == 1 {
+			return cu.data[off : off+int64(len(buf))]
+		}
+		for i := range buf {
+			buf[i] = cu.data[off]
+			off += cu.stride
+		}
+	}
+	return buf
+}
+
+// rowExpr lowers x as an operand; ok is false outside the grammar. A node's
+// value goes where its parent says — a left operand into the parent's own
+// destination, a right one into temporary t, which the left one is done with
+// by then — so the node may use the temporaries from t up.
+func (c *cc) rowExpr(x ir.Expr, t int) (op rowOp, ok bool) {
+	var args []ir.Expr
+	kind, call := ir.BinKind(-1), (func(x, y float64) float64)(nil)
+	switch n := x.(type) {
+	case *ir.Num:
+		ok = true
+	case *ir.Ref:
+		if n.IsArray() {
+			if slot, ok := c.cursor(n); !ok || c.inner.ref(slot).moves {
+				return rowOp{slot: slot}, ok
+			}
+		} else if reg, _ := c.p.lay.IndexReg(n.Name); c.scope[n.Name] && reg == c.inner.reg ||
+			!c.scope[n.Name] && slices.Contains(c.inner.assigned, n.Name) {
+			return op, false
+		}
+		ok = true
+	case *ir.Unary:
+		args, ok = []ir.Expr{n.X}, n.Op == '-'
+		call = func(x, _ float64) float64 { return -x }
+	case *ir.Bin:
+		args, ok, kind = []ir.Expr{n.L, n.R}, n.Op <= ir.Div, n.Op
+	case *ir.Call:
+		f1, f2 := intrinsic1[n.Name], intrinsic2[n.Name] // name and arity: checked by the cursor form
+		if args, ok, call = n.Args, true, f2; f1 != nil {
+			call = func(x, _ float64) float64 { return f1(x) }
+		}
+	}
+	var ops [2]rowOp
+	inv := true
+	for i := 0; ok && i < len(args); i++ {
+		ops[i], ok = c.rowExpr(args[i], t+i)
+		inv = inv && ops[i].inv != nil
+	}
+	if !ok {
+		return op, false
+	}
+	if inv {
+		// No operand moves: the scalar closure gives the one value.
+		r, err := c.numExpr(x)
+		return rowOp{inv: r.fn}, err == nil
+	}
+	l, r, binary := ops[0], ops[1], len(args) == 2
+	c.p.nrow = max(c.p.nrow, t+1)
+	return rowOp{fn: func(fr *Frame, j0 int64, dst []float64) {
+		var a, b []float64
+		var s float64
+		if l.inv != nil {
+			s = l.inv(fr)
+		} else {
+			a = l.vec(fr, j0, dst)
+		}
+		switch {
+		case !binary:
+		case r.inv != nil:
+			s = r.inv(fr)
+		case a == nil:
+			b = r.vec(fr, j0, dst)
+		default:
+			b = r.vec(fr, j0, fr.row[t*rowChunk:][:len(dst)])
+		}
+		// dst = a kind b elementwise, a nil operand standing for the scalar
+		// s; dst may be a or b itself. These three loops, which the four
+		// operators and the calls share, are where a row entry spends its
+		// time.
+		switch {
+		case a == nil:
+			for i, y := range b[:len(dst)] {
+				dst[i] = arith(kind, call, s, y)
+			}
+		case b == nil:
+			for i, x := range a[:len(dst)] {
+				dst[i] = arith(kind, call, x, s)
+			}
+		default:
+			b = b[:len(dst)]
+			for i, x := range a[:len(dst)] {
+				dst[i] = arith(kind, call, x, b[i])
+			}
+		}
+	}}, true
+}
+
+func arith(kind ir.BinKind, call func(x, y float64) float64, x, y float64) float64 {
+	switch kind {
+	case ir.Add:
+		return x + y
+	case ir.Sub:
+		return x - y
+	case ir.Mul:
+		return x * y
+	case ir.Div:
+		return x / y
+	}
+	return call(x, y)
+}
+
+// rowBody is the row form of one innermost loop: its assignments, each over
+// one chunk, and where in the loop's refs its array stores that move are.
+type rowBody struct {
+	p      *Prog
+	stmts  []func(fr *Frame, j0 int64, n int)
+	stores []int
+}
+
+// rowForm lowers the body of c.inner in row form, or returns nil when it is
+// outside the grammar. It runs after the cursor form, whose references it
+// finds memoized.
+func (c *cc) rowForm(body []ir.Stmt) *rowBody {
+	in, rb := c.inner, &rowBody{p: c.p}
+	on := func(slot int) (cursors int) { // of the loop, on the array of the one in slot
+		for i := range in.refs {
+			if in.refs[i].id == in.ref(slot).id {
+				cursors++
+			}
+		}
+		return cursors
+	}
+	for _, s := range body {
+		a, isAssign := s.(*ir.Assign)
+		if !isAssign || len(in.refs) == 0 || slices.Contains(in.assigned, a.LHS.Name) {
+			return nil // a scalar assigned twice is no reduction
+		}
+		if !a.LHS.IsArray() {
+			in.assigned = append(in.assigned, a.LHS.Name)
+		}
+	}
+	for _, s := range body {
+		a := s.(*ir.Assign)
+		slot, isCur := c.cursor(a.LHS)
+		if isCur && in.ref(slot).moves {
+			rhs, ok := c.rowExpr(a.RHS, 1)
+			if !ok {
+				return nil
+			}
+			// With no other reference to the stored array in the loop, a
+			// unit-stride store evaluates straight into its destination.
+			direct := on(slot) == 1
+			rb.stores = append(rb.stores, slot-in.refs[0].slot)
+			rb.stmts = append(rb.stmts, func(fr *Frame, j0 int64, n int) {
+				cu := &fr.cur[slot]
+				off, buf := cu.base+j0*cu.stride, fr.row[:n]
+				if direct && cu.stride == 1 {
+					buf = cu.data[off : off+int64(n)]
+				}
+				src := rhs.vec(fr, j0, buf)
+				if cu.stride == 1 {
+					if &src[0] != &cu.data[off] {
+						copy(cu.data[off:off+int64(n)], src)
+					}
+					return
+				}
+				for _, v := range src {
+					cu.data[off] = v
+					off += cu.stride
+				}
+			})
+			continue
+		}
+		// What does not move must be a reduction X = X + E, X a scalar (no
+		// index, no parameter) or an invariant reference that nothing else in
+		// the body mentions: E is evaluated a chunk at a time and folded into
+		// X in index order, the sequence of additions the scalar form makes.
+		sum, isSum := a.RHS.(*ir.Bin)
+		sslot, isScalar := c.p.lay.ScalarSlot(a.LHS.Name)
+		_, isParam := c.p.lay.ParamReg(a.LHS.Name)
+		if !isSum || sum.Op != ir.Add || ir.ExprString(sum.L) != ir.ExprString(a.LHS) ||
+			isCur && on(slot) != 2 || !isCur && (!isScalar || isParam || c.scope[a.LHS.Name]) {
+			return nil
+		}
+		x, err := c.numExpr(sum.L)
+		e, ok := c.rowExpr(sum.R, 1)
+		if !ok || err != nil {
+			return nil
+		}
+		rb.stmts = append(rb.stmts, func(fr *Frame, j0 int64, n int) {
+			acc := x.fn(fr)
+			for _, v := range e.vec(fr, j0, fr.row[:n]) {
+				acc = acc + v
+			}
+			if isCur {
+				fr.cur[slot].data[fr.cur[slot].base] = acc
+			} else if cell := fr.Priv[sslot]; cell != nil {
+				*cell = acc
+			} else {
+				fr.Scal[sslot].Store(math.Float64bits(acc))
+			}
+		})
+	}
+	return rb
+}
+
+// run runs one entry — count iterations from start by step, every cursor of
+// refs loaded and range-checked — in row form, unless legal refuses it.
+func (rb *rowBody) run(fr *Frame, refs []curRef, start, count, step int64) bool {
+	if !rowLegal(rb, fr, refs, start, count, step) {
+		return false
+	}
+	// The body indexes its chunks from 0: fold start and step into the
+	// cursors, which only this entry uses from here on.
+	for i := range refs {
+		cu := &fr.cur[refs[i].slot]
+		cu.base += start * cu.stride
+		cu.stride *= step
+	}
+	if fr.row == nil {
+		select {
+		case fr.row = <-rb.p.rows:
+		default:
+			fr.row = make([]float64, max(rb.p.nrow, 1)*rowChunk)
+		}
+	}
+	fr.Rows++
+	for j0 := int64(0); j0 < count; j0 += rowChunk {
+		n := int(min(rowChunk, count-j0))
+		for _, stmt := range rb.stmts {
+			stmt(fr, j0, n)
+		}
+	}
+	return true
+}
+
+// rowLegal is rowBody.legal; a test swaps it to show that the differential
+// against the interpreter catches an unsound rule.
+var rowLegal = (*rowBody).legal
+
+// legal reports whether no two accesses of different iterations of the
+// entry, one of them a store, touch one element; row evaluation keeps the
+// order of accesses within an iteration, so nothing else could change a
+// value. A store s is clear of another cursor o on its array when (i) they
+// agree in base and stride, so meet only within an iteration; (ii) they
+// agree in stride and their bases differ by no whole number of strides, or
+// by at least count of them; or (iii) their offset spans over the entry are
+// disjoint. A store that does not move meets itself and is refused
+// (reductions are not in stores: nothing else mentions their target).
+func (rb *rowBody) legal(fr *Frame, refs []curRef, start, count, step int64) bool {
+	for _, at := range rb.stores {
+		s := &fr.cur[refs[at].slot]
+		bs, ss := s.base+start*s.stride, s.stride*step
+		if ss == 0 {
+			return false
+		}
+		for i := range refs {
+			o := &fr.cur[refs[i].slot]
+			bo, so := o.base+start*o.stride, o.stride*step
+			d, es, eo := bo-bs, bs+(count-1)*ss, bo+(count-1)*so
+			if refs[i].id != refs[at].id || ss == so && (d%ss != 0 || d == 0 || d/ss >= count || d/ss <= -count) ||
+				max(bs, es) < min(bo, eo) || max(bo, eo) < min(bs, es) {
+				continue
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// Release hands the frame's row temporaries back for the next frame to take;
+// the executor calls it when a worker's body ends, so runs allocate none.
+func (p *Prog) Release(fr *Frame) {
+	if fr.row != nil {
+		select {
+		case p.rows <- fr.row:
+		default:
+		}
+		fr.row = nil
+	}
+}

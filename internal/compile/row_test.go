@@ -1,0 +1,290 @@
+package compile
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/compile/cursortest"
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/parser"
+)
+
+// interpRun is the reference for a sequential closure run: the interpreter
+// over an identically seeded state.
+func interpRun(t *testing.T, src string, params map[string]int64) *interp.State {
+	t.Helper()
+	st, err := interp.NewState(parser.MustParse(src), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SeedDeterministic()
+	if err := interp.RunOn(st); err != nil {
+		t.Fatalf("interpreter: %v", err)
+	}
+	return st
+}
+
+// TestRowLegalityTable runs the cursortest row table on the closure program
+// and requires, per case, the form the table names (the row-entry counter
+// says which ran) and the interpreter's arrays and scalars bit for bit. The
+// instrumented lowering builds neither cursors nor rows and must agree too.
+func TestRowLegalityTable(t *testing.T) {
+	for _, tc := range cursortest.RowCases {
+		t.Run(tc.Name, func(t *testing.T) {
+			want := interpRun(t, tc.Src, tc.Params)
+			st, fr, err := seqRun(t, tc.Src, tc.Params, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitwiseEqual(t, want, st)
+			if got := fr.Rows > 0; got != tc.Row || fr.Fallbacks != 0 {
+				t.Fatalf("row entries = %d, fallbacks = %d; the table says row=%v", fr.Rows, fr.Fallbacks, tc.Row)
+			}
+			pSt, pFr, err := seqRun(t, tc.Src, tc.Params, Options{Instrument: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitwiseEqual(t, want, pSt)
+			if pFr.Rows != 0 {
+				t.Fatalf("the instrumented lowering took %d row entries; it must build no row form", pFr.Rows)
+			}
+		})
+	}
+}
+
+// TestRowSabotagedLegalityIsCaught answers "legal" for every entry and runs
+// the table again: each case the rules refuse at run time must then come out
+// different from the interpreter — the differential sees an unsound rule, and
+// the table's refusals are all load-bearing. (Cases for which no row form is
+// built are out of a sabotaged rule's reach and stay equal.)
+func TestRowSabotagedLegalityIsCaught(t *testing.T) {
+	defer func(f func(*rowBody, *Frame, []curRef, int64, int64, int64) bool) { rowLegal = f }(rowLegal)
+	rowLegal = func(*rowBody, *Frame, []curRef, int64, int64, int64) bool { return true }
+	caught := map[string]bool{}
+	for _, tc := range cursortest.RowCases {
+		if tc.Row {
+			continue
+		}
+		want := interpRun(t, tc.Src, tc.Params)
+		st, fr, err := seqRun(t, tc.Src, tc.Params, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := true
+		for _, d := range want.Prog.Arrays {
+			for i, v := range want.Array(d.Name).Data {
+				same = same && math.Float64bits(v) == math.Float64bits(st.Array(d.Name).Data[i])
+			}
+		}
+		if (fr.Rows > 0) == same {
+			t.Errorf("%s: %d row entries under the sabotaged rule, same as the interpreter: %v", tc.Name, fr.Rows, same)
+		}
+		caught[tc.Name] = !same
+	}
+	for _, name := range []string{"carried-dependence", "anti-dependence-across-statements",
+		"distance-inside-trip-count", "reversal-in-place", "invariant-read-inside-the-stored-span"} {
+		if !caught[name] {
+			t.Errorf("%s: the sabotaged rule was not caught", name)
+		}
+	}
+}
+
+// TestRowEntryNeedsEveryEnter re-runs the hoisted-check table for the row
+// counter: an entry whose range check fails runs the checked body, whatever
+// its row form would have been allowed to do (first-iteration and
+// negative-coefficient-out-at-first are row-legal loops).
+func TestRowEntryNeedsEveryEnter(t *testing.T) {
+	for _, tc := range cursortest.Cases {
+		if !tc.Fallback {
+			continue
+		}
+		_, fr, _ := seqRun(t, tc.Src, tc.Params, Options{})
+		if fr.Fallbacks == 0 || fr.Rows != 0 {
+			t.Errorf("%s: %d fallbacks, %d row entries; want the fallback and no row entry", tc.Name, fr.Fallbacks, fr.Rows)
+		}
+	}
+}
+
+// TestRowSlices drives one row-legal loop the way a partition does — block
+// slices, cyclic ones with a step, a negative stride, slices of one
+// iteration and of several chunks — and a slice whose last iteration is out
+// of range, which must fall back without a row entry.
+func TestRowSlices(t *testing.T) {
+	const src = `
+program slices
+param N
+real A(N), B(N), C(N)
+do i = 1, N + 1
+  A(i) = A(i) * 2.0 + B(N - i + 1)
+  C(i) = A(i) - 0.5
+end do
+end
+`
+	const n = 1000
+	prog := parser.MustParse(src)
+	p, err := Compile(prog, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := prog.Body[0].(*ir.Loop)
+	for _, tc := range []struct{ start, end, step int64 }{
+		{1, n, 1}, {1, n, 3}, {2, n, 3}, {3, n, 3}, {5, 5, 1}, {7, 900, 7},
+		{400, 399, 1},     // empty: no entry at all
+		{2, n + 1, 2},     // the last iteration run is N
+		{1, n + 1, 1},     // A(N+1): the checked body runs, and faults
+		{n - 3, n + 1, 2}, // iterations N-3, N-1, N+1: the same
+	} {
+		st, err := interp.NewState(prog, map[string]int64{"N": n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SeedDeterministic()
+		a, b, c := st.Array("A").Data, st.Array("B").Data, st.Array("C").Data
+		wantA, wantC := append([]float64(nil), a...), append([]float64(nil), c...)
+		last := int64(0)
+		for i := tc.start; i <= tc.end && i <= n; i += tc.step {
+			wantA[i-1] = wantA[i-1]*2.0 + b[n-i]
+			wantC[i-1] = wantA[i-1] - 0.5
+			last = i
+		}
+		faults := tc.start <= tc.end && tc.start+(tc.end-tc.start)/tc.step*tc.step > n
+		fr, err := p.seqFrame(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Range(loop)(fr, tc.start, tc.end, tc.step)
+		if (fr.Err() != nil) != faults {
+			t.Fatalf("slice %d..%d step %d: error %v, want a fault: %v", tc.start, tc.end, tc.step, fr.Err(), faults)
+		}
+		wantRows := int64(0)
+		if !faults && tc.start <= tc.end {
+			wantRows = 1
+		}
+		if fr.Rows != wantRows || (fr.Fallbacks > 0) != faults {
+			t.Fatalf("slice %d..%d step %d (last %d): %d row entries, %d fallbacks; want %d row entries", tc.start, tc.end, tc.step, last, fr.Rows, fr.Fallbacks, wantRows)
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(wantA[i]) || math.Float64bits(c[i]) != math.Float64bits(wantC[i]) {
+				t.Fatalf("slice %d..%d step %d: element %d: A %v C %v, want %v %v", tc.start, tc.end, tc.step, i+1, a[i], c[i], wantA[i], wantC[i])
+			}
+		}
+	}
+}
+
+// TestRowReductionIntoAPrivateCell folds a row reduction into a worker's
+// private cell, as a partitioned reduction loop does, and into the shared
+// slot, in the order and with the operand positions of the scalar form.
+func TestRowReductionIntoAPrivateCell(t *testing.T) {
+	const src = `
+program red
+param N
+real A(N), B(N), s
+do i = 1, N
+  s = s + A(i) * B(i)
+end do
+end
+`
+	prog := parser.MustParse(src)
+	p, err := Compile(prog, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, private := range []bool{false, true} {
+		st, err := interp.NewState(prog, map[string]int64{"N": 777})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SeedDeterministic()
+		fr, err := p.seqFrame(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, _ := p.Layout().ScalarSlot("s")
+		cell, want := 0.125, 0.125
+		if private {
+			fr.Priv[slot] = &cell
+		} else {
+			fr.Scal[slot].Store(math.Float64bits(cell))
+		}
+		a, b := st.Array("A").Data, st.Array("B").Data
+		for i := 100; i < 700; i++ {
+			want = want + a[i]*b[i]
+		}
+		p.Range(prog.Body[0].(*ir.Loop))(fr, 101, 700, 1)
+		got := math.Float64frombits(fr.Scal[slot].Load())
+		if private {
+			got = cell
+		}
+		if fr.Rows != 1 || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("private=%v: %d row entries, sum %v, want %v", private, fr.Rows, got, want)
+		}
+	}
+}
+
+// TestRowTemporariesComeFromThePool checks the lifetime of the row
+// temporaries: taken at a frame's first row entry, kept for its later ones,
+// handed back by Release, and taken again by the next frame instead of a
+// fresh allocation.
+func TestRowTemporariesComeFromThePool(t *testing.T) {
+	tc := cursortest.RowCases[1]
+	prog := parser.MustParse(tc.Src)
+	p, err := Compile(prog, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := interp.NewState(prog, tc.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *float64
+	for i := 0; i < 3; i++ {
+		fr, err := p.seqFrame(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.runSeqOn(fr, st); err != nil || fr.Rows == 0 || len(fr.row) != p.nrow*rowChunk {
+			t.Fatalf("run: %v, %d row entries, %d temporaries", err, fr.Rows, len(fr.row))
+		}
+		if first == nil {
+			first = &fr.row[0]
+		}
+		if &fr.row[0] != first || len(p.rows) != 0 {
+			t.Fatalf("run %d did not take the set the run before it released (%d free)", i, len(p.rows))
+		}
+		p.Release(fr)
+		p.Release(fr)
+		if fr.row != nil || len(p.rows) != 1 {
+			t.Fatalf("after Release the frame holds %d temporaries and %d sets are free", len(fr.row), len(p.rows))
+		}
+	}
+}
+
+// TestMulCheckedMatchesTheDividingForm compares mulChecked, which reads the
+// overflow off the 128-bit product, with the form it replaced, which divided
+// the product back, over the values at which either could go wrong.
+func TestMulCheckedMatchesTheDividingForm(t *testing.T) {
+	dividing := func(a, b int64) (int64, bool) {
+		if a == 0 || b == 0 {
+			return 0, true
+		}
+		// MinInt64 * -1 wraps back to MinInt64, and MinInt64 / -1 does too.
+		p := a * b
+		return p, p/b == a && !(b == -1 && p == a)
+	}
+	var vals []int64
+	for _, v := range []int64{0, 1, 2, 3, 4, 7, 10, 1 << 31, 1<<31 - 1, 1 << 32, 1<<32 + 1, 3037000499, 3037000500,
+		1 << 61, 1 << 62, 1<<62 + 1, math.MaxInt64 / 3, math.MaxInt64/3 + 1, math.MaxInt64 / 2, math.MaxInt64/2 + 1,
+		math.MaxInt64 - 1, math.MaxInt64} {
+		vals = append(vals, v, -v, -v-1)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			p, fits := mulChecked(a, b)
+			wantP, wantFits := dividing(a, b)
+			if fits != wantFits || (fits && p != wantP) {
+				t.Fatalf("mulChecked(%d, %d) = %d, %v; the dividing form says %d, %v", a, b, p, fits, wantP, wantFits)
+			}
+		}
+	}
+}

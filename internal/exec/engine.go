@@ -38,6 +38,8 @@ type engine interface {
 	// setRepl marks replicated-mode execution — same-value stores from
 	// every worker, which the sanitizer exempts.
 	setRepl(on bool)
+	// done ends the worker's use of the engine: what it borrowed goes back.
+	done()
 }
 
 // frameEngine runs the bodies lowered once per program into Go closures
@@ -135,3 +137,5 @@ func (e *frameEngine) setPriv(name string, cell *float64) (old *float64) {
 }
 
 func (e *frameEngine) setRepl(on bool) { e.fr.SanRepl = on }
+
+func (e *frameEngine) done() { e.exe.Release(e.fr) }

@@ -552,6 +552,7 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			w:         w,
 			cum:       make([]int64, r.nSites),
 			cross:     make([]int64, r.nSites),
+			tally:     make([]spmdrt.SiteCounts, r.nSites+1),
 			activeBuf: make([]bool, r.cfg.Workers),
 			eng:       r.newEngine(run, w),
 			regs:      make([]int64, r.exe.Layout().NumRegs()),
@@ -572,6 +573,8 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			}
 		}
 		ws.execRegion(r.sched.Top)
+		ws.eng.done()
+		team.Stats.AddTally(ws.tally)
 		run.errs[w] = ws.err
 	}
 	runSp := spans.Start(attemptSp, "team run")
@@ -708,6 +711,9 @@ type workerState struct {
 	cum []int64
 	// cross: per-site neighbor-sync crossing counts.
 	cross []int64
+	// tally: per-site counter and point-to-point events (last: the relay
+	// chains' unsited waits), handed to Stats when the body ends.
+	tally []spmdrt.SiteCounts
 	// dispatchSeq: fork-join dispatch sequence number.
 	dispatchSeq int64
 	activeBuf   []bool
@@ -868,7 +874,7 @@ func (ws *workerState) execWavefront(l *ir.Loop) {
 	inst := ws.redInstance[l]
 	run := ws.run
 	if ws.w > 0 {
-		run.team.Stats.NeighborWaits.Add(1)
+		ws.tally[run.nSites].NeighborWaits++
 		run.chaos.PreSync(ws.w)
 		chain.WaitForAs(ws.w, ws.w-1, inst)
 		if run.san != nil {
@@ -1025,15 +1031,13 @@ func (ws *workerState) applySync(rs *syncopt.RegionSched, gi, site int) {
 		self, total := ws.groupActivity(rs.Groups[gi])
 		ws.cum[site] += int64(total)
 		if self {
-			run.team.Stats.CounterIncrs.Add(1)
-			run.team.Stats.SiteCounterIncr(site)
+			ws.tally[site].CounterIncrs++
 			if run.san != nil {
 				run.san.tr.CounterPost(run.counters[site], ws.w)
 			}
 			run.counters[site].PostAs(ws.w, 1, ws.cum[site])
 		}
-		run.team.Stats.CounterWaits.Add(1)
-		run.team.Stats.SiteCounterWait(site)
+		ws.tally[site].CounterWaits++
 		run.counters[site].WaitGEAs(ws.w, ws.cum[site])
 		if run.san != nil {
 			run.san.tr.CounterJoin(run.counters[site], ws.w)
@@ -1046,16 +1050,14 @@ func (ws *workerState) applySync(rs *syncopt.RegionSched, gi, site int) {
 		}
 		run.p2ps[site].Post(ws.w)
 		if sync.WaitLower && ws.w > 0 {
-			run.team.Stats.NeighborWaits.Add(1)
-			run.team.Stats.SiteNeighborWait(site)
+			ws.tally[site].NeighborWaits++
 			run.p2ps[site].WaitForAs(ws.w, ws.w-1, c)
 			if run.san != nil {
 				run.san.tr.P2PJoin(run.p2ps[site], ws.w, ws.w-1)
 			}
 		}
 		if sync.WaitUpper && ws.w < run.cfg.Workers-1 {
-			run.team.Stats.NeighborWaits.Add(1)
-			run.team.Stats.SiteNeighborWait(site)
+			ws.tally[site].NeighborWaits++
 			run.p2ps[site].WaitForAs(ws.w, ws.w+1, c)
 			if run.san != nil {
 				run.san.tr.P2PJoin(run.p2ps[site], ws.w, ws.w+1)

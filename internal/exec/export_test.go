@@ -20,6 +20,16 @@ func UseReferenceEngine(r *Runner) { r.newEngine = newRefEngine }
 // and returns the sum of their compile.Frame.Fallbacks — read it after the
 // run has returned, when the workers are done with the frames.
 func RecordFallbacks(r *Runner) (total func() int64) {
+	return recordFrames(r, func(fr *compile.Frame) int64 { return fr.Fallbacks })
+}
+
+// RecordRowEntries is RecordFallbacks for compile.Frame.Rows, the loop
+// entries that ran in row form.
+func RecordRowEntries(r *Runner) (total func() int64) {
+	return recordFrames(r, func(fr *compile.Frame) int64 { return fr.Rows })
+}
+
+func recordFrames(r *Runner, count func(*compile.Frame) int64) (total func() int64) {
 	var mu sync.Mutex
 	var frames []*compile.Frame
 	bind := r.newEngine
@@ -37,7 +47,7 @@ func RecordFallbacks(r *Runner) (total func() int64) {
 		defer mu.Unlock()
 		var n int64
 		for _, fr := range frames {
-			n += fr.Fallbacks
+			n += count(fr)
 		}
 		return n
 	}

@@ -240,8 +240,7 @@ func (ws *workerState) applyInspector(site int) {
 	}
 	run.p2ps[site].Post(ws.w)
 	for _, v := range iw.row {
-		run.team.Stats.NeighborWaits.Add(1)
-		run.team.Stats.SiteNeighborWait(site)
+		ws.tally[site].NeighborWaits++
 		run.p2ps[site].WaitForAs(ws.w, v, iw.crossings)
 		if run.san != nil {
 			run.san.tr.P2PJoin(run.p2ps[site], ws.w, v)

@@ -132,6 +132,8 @@ func (e *refEngine) setPriv(name string, cell *float64) (old *float64) {
 
 func (e *refEngine) setRepl(on bool) { e.env.repl = on }
 
+func (e *refEngine) done() {}
+
 // wenv is one worker's evaluation environment: shared storage plus
 // worker-local loop indices, privatized scalars and reduction partials.
 type wenv struct {

@@ -68,32 +68,21 @@ func (s *Stats) Reset() {
 	s.sites = nil
 }
 
-// SiteBarrier attributes one executed barrier to 0-based site id.
-// Out-of-range ids (including the executor's -1 "unsited") are ignored.
-func (s *Stats) SiteBarrier(site int) {
-	if site >= 0 && site < len(s.sites) {
-		s.sites[site].barriers.Add(1)
-	}
-}
-
-// SiteCounterIncr attributes one counter increment to a site.
-func (s *Stats) SiteCounterIncr(site int) {
-	if site >= 0 && site < len(s.sites) {
-		s.sites[site].counterIncrs.Add(1)
-	}
-}
-
-// SiteCounterWait attributes one counter wait to a site.
-func (s *Stats) SiteCounterWait(site int) {
-	if site >= 0 && site < len(s.sites) {
-		s.sites[site].counterWaits.Add(1)
-	}
-}
-
-// SiteNeighborWait attributes one point-to-point wait to a site.
-func (s *Stats) SiteNeighborWait(site int) {
-	if site >= 0 && site < len(s.sites) {
-		s.sites[site].neighborWaits.Add(1)
+// AddTally folds one worker's counter and point-to-point events into the
+// counters, once, when its body ends: tally[i] is what it did at 0-based
+// site i, and elements past the sited ones count toward the totals only.
+// Nothing reads the counters before the join, so every count stays exact
+// and each wait loses two atomic adds on lines all workers share.
+func (s *Stats) AddTally(tally []SiteCounts) {
+	for i, c := range tally {
+		s.CounterIncrs.Add(c.CounterIncrs)
+		s.CounterWaits.Add(c.CounterWaits)
+		s.NeighborWaits.Add(c.NeighborWaits)
+		if i < len(s.sites) {
+			s.sites[i].counterIncrs.Add(c.CounterIncrs)
+			s.sites[i].counterWaits.Add(c.CounterWaits)
+			s.sites[i].neighborWaits.Add(c.NeighborWaits)
+		}
 	}
 }
 
@@ -520,7 +509,7 @@ func (c *Counter) WaitGEAs(w int, target int64) {
 // pipeline synchronization: worker w posts its own progress; any worker
 // may wait for another worker's progress to reach a value.
 type P2P struct {
-	slots []*Counter
+	slots []paddedCounter
 	mon   *Monitor
 	// Trace recording (BindTrace): nil rec disables with one branch.
 	rec       *synctrace.Recorder
@@ -532,11 +521,14 @@ type P2P struct {
 func NewP2P(n int) *P2P { return newP2P(n, nil) }
 
 func newP2P(n int, m *Monitor) *P2P {
-	p := &P2P{slots: make([]*Counter, n), mon: m}
-	for i := range p.slots {
-		p.slots[i] = &Counter{}
-	}
-	return p
+	return &P2P{slots: make([]paddedCounter, n), mon: m}
+}
+
+// paddedCounter keeps worker w's slot off the cache line worker w+1 posts
+// to: 48-byte counters allocated back to back share one.
+type paddedCounter struct {
+	Counter
+	_ pad
 }
 
 // BindTrace attaches a trace recorder: WaitForAs records a neighbor-wait
@@ -563,7 +555,7 @@ func (p *P2P) WaitForAs(self, w int, value int64) {
 	} else {
 		rec = nil
 	}
-	c := p.slots[w]
+	c := &p.slots[w].Counter
 	if c.v.Load() >= value {
 		if rec != nil {
 			rec.Record(self, synctrace.EvNeighborWait, p.traceSite, int64(w), start)
@@ -675,12 +667,15 @@ func (t *Team) Run(fn func(w int)) error {
 func (t *Team) Barrier(w int) { t.BarrierAt(w, -1) }
 
 // BarrierAt is Barrier attributed to a 0-based sync-site id: the episode
-// counts against the site's Stats slot and, when a recorder is bound, is
+// counts against the site's Stats slot (an out-of-range id, such as the
+// executor's -1 "unsited", against none) and, when a recorder is bound, is
 // recorded as an enter/exit span (Arg = the worker's episode number).
 func (t *Team) BarrierAt(w, site int) {
 	if w == 0 {
 		t.Stats.Barriers.Add(1)
-		t.Stats.SiteBarrier(site)
+		if site >= 0 && site < len(t.Stats.sites) {
+			t.Stats.sites[site].barriers.Add(1)
+		}
 	}
 	if rec := t.trace; rec != nil {
 		start := rec.Now()

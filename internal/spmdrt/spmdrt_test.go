@@ -1,8 +1,10 @@
 package spmdrt
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func testBarrierOrdering(t *testing.T, kind BarrierKind, n, rounds int) {
@@ -190,5 +192,32 @@ func TestSingleWorkerBarrierIsNoop(t *testing.T) {
 		if team.Stats.Barriers.Load() != 10 {
 			t.Errorf("%v: episodes = %d", k, team.Stats.Barriers.Load())
 		}
+	}
+}
+
+// TestP2PSlotsDoNotShareALine: neighbouring workers post to neighbouring
+// slots concurrently, so each slot has to start at least one (adjacent-line
+// prefetched) cache-line pair after the one before it.
+func TestP2PSlotsDoNotShareALine(t *testing.T) {
+	p := NewP2P(4)
+	for w := 1; w < 4; w++ {
+		if d := uintptr(unsafe.Pointer(&p.slots[w].v)) - uintptr(unsafe.Pointer(&p.slots[w-1].v)); d < 128 {
+			t.Fatalf("slots %d and %d are %d bytes apart", w-1, w, d)
+		}
+	}
+}
+
+// TestAddTallyIsExact folds two workers' tallies into sited and unsited
+// counters and reads back exactly what they counted.
+func TestAddTallyIsExact(t *testing.T) {
+	var s Stats
+	s.InitSites(2)
+	s.AddTally([]SiteCounts{{CounterIncrs: 1, CounterWaits: 2}, {NeighborWaits: 3}, {NeighborWaits: 5}})
+	s.AddTally([]SiteCounts{{CounterWaits: 2}, {NeighborWaits: 4}, {}})
+	snap := s.Snapshot()
+	want := StatsSnapshot{CounterIncrs: 1, CounterWaits: 4, NeighborWaits: 12, PerSite: map[int]SiteCounts{
+		1: {CounterIncrs: 1, CounterWaits: 4}, 2: {NeighborWaits: 7}}}
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatalf("snapshot %+v, want %+v", snap, want)
 	}
 }

@@ -80,7 +80,8 @@ type WaitSite struct {
 	// observe samples the currently observed value when a deadlock report
 	// is assembled.
 	observe func() int64
-	// Since is when the wait left its initial spin phase.
+	// Since is when the wait was registered: at its first sleep round, the
+	// spin and yield rounds behind it.
 	Since time.Time
 }
 
@@ -209,48 +210,47 @@ func (m *Monitor) deadlockReport(trigger *WaitSite) *DeadlockError {
 // waitUntil blocks until done() reports true, escalating from a bounded
 // busy-spin through runtime.Gosched to short sleeps so oversubscribed
 // teams (workers > GOMAXPROCS, including the single-CPU case) cannot
-// livelock a stalled wait. With a non-nil monitor the wait registers its
-// site (built lazily by mk, only once the fast path fails), polls the
-// team failure latch, and enforces the stall deadline.
+// livelock a stalled wait. With a non-nil monitor the wait polls the team
+// failure latch every round and, from its first sleep round on, is
+// registered with the monitor and held to the stall deadline: the site is
+// built by mk only there, so a wait that the yield rounds resolve — nearly
+// all of them at a fine grain — allocates nothing.
 func waitUntil(m *Monitor, mk func() *WaitSite, done func() bool) {
 	for i := 0; i < spinWaits; i++ {
 		if done() {
 			return
 		}
 	}
-	if m == nil {
-		for i := 0; ; i++ {
-			if done() {
-				return
-			}
-			if i < 256 {
-				runtime.Gosched()
-				continue
-			}
-			time.Sleep(backoff(i - 256))
+	for i := 0; i < 256; i++ {
+		if done() {
+			return
 		}
+		if m != nil && m.failed.Load() {
+			panic(teamAbort{})
+		}
+		runtime.Gosched()
 	}
-	site := mk()
-	site.Since = time.Now()
-	m.sites[site.Worker].p.Store(site)
-	defer m.sites[site.Worker].p.Store(nil)
-	deadline := time.Duration(m.deadlineNS.Load())
+	var site *WaitSite
+	var deadline time.Duration
+	if m != nil {
+		site = mk()
+		site.Since = time.Now()
+		m.sites[site.Worker].p.Store(site)
+		defer m.sites[site.Worker].p.Store(nil)
+		deadline = time.Duration(m.deadlineNS.Load())
+	}
 	for i := 0; ; i++ {
 		if done() {
 			return
 		}
-		if m.failed.Load() {
+		if m != nil && m.failed.Load() {
 			panic(teamAbort{})
-		}
-		if i < 256 {
-			runtime.Gosched()
-			continue
 		}
 		if deadline > 0 && time.Since(site.Since) > deadline {
 			m.fail(m.deadlockReport(site))
 			panic(teamAbort{})
 		}
-		time.Sleep(backoff(i - 256))
+		time.Sleep(backoff(i))
 	}
 }
 

@@ -199,3 +199,44 @@ func TestWaitStatusString(t *testing.T) {
 		t.Errorf("idle status %q should say running", idle.String())
 	}
 }
+
+// TestWatchdogReportNamesEveryBlockedWorker deadlocks three workers in three
+// different primitives. A wait registers with the monitor only at its first
+// sleep round (the yield rounds before it allocate nothing), and the report
+// is assembled by whichever worker's deadline expires first: by then the
+// other two must be registered as well, each with its primitive, its detail,
+// its target and the value it last observed.
+func TestWatchdogReportNamesEveryBlockedWorker(t *testing.T) {
+	team := NewTeam(3, Tree)
+	team.SetWatchdog(100 * time.Millisecond)
+	c := team.NewCounter()
+	c.Site = "site 4"
+	c.Add(2)
+	p := team.NewP2P()
+	p.Post(2)
+	err := team.Run(func(w int) {
+		switch w {
+		case 0:
+			c.WaitGEAs(0, 7)
+		case 1:
+			p.WaitForAs(1, 2, 3)
+		default:
+			team.Barrier(2)
+		}
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) || len(de.Workers) != 3 {
+		t.Fatalf("Run returned %v, want a *DeadlockError over three workers", err)
+	}
+	for w, want := range []WaitStatus{
+		{Prim: "counter", Detail: "site 4", Target: 7, Observed: 2},
+		{Prim: "p2p", Detail: "awaiting progress of w2", Target: 3, Observed: 1},
+		{Prim: "barrier(tree)", Detail: "episode=1 sense=1", Target: 1, Observed: 0},
+	} {
+		got := de.Workers[w]
+		if !got.Blocked || got.Worker != w || got.Prim != want.Prim || got.Detail != want.Detail ||
+			got.Target != want.Target || got.Observed != want.Observed || got.For <= 0 {
+			t.Errorf("worker %d: report %+v, want blocked in %s [%s] target=%d observed=%d", w, got, want.Prim, want.Detail, want.Target, want.Observed)
+		}
+	}
+}
