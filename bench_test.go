@@ -1,17 +1,16 @@
-// Package repro_test holds the testing.B benchmarks that regenerate the
-// paper's tables and figures (see DESIGN.md §3 for the experiment index):
+// Package repro_test holds the testing.B benchmarks that are the
+// ten-second local readings of one layer each (docs/INTERNALS.md §11 and
+// EXPERIMENTS.md cite them):
 //
-//	go test -bench=BenchmarkBarrier -benchmem .        # Figure 1
-//	go test -bench=BenchmarkKernel -benchmem .         # Tables 3/4 shape
 //	go test -bench=BenchmarkFM -benchmem .             # Ablation A1
 //	go test -bench=InnerLoop -benchtime=20x .          # closure hot loop, assigns/s
 //	go test -bench=FineGrain -benchtime=20x .          # one thread vs two workers at sync_p2p's grain
 //	go test -bench=InspectorScan -benchtime=2000x .    # inspector scan, ns per visited element
 //
-// Each benchmark reports the dynamic synchronization counts as metrics, so
-// the base-vs-optimized barrier reduction is visible directly in the
-// -bench output. NOTE: on a single-CPU host the elapsed times reflect
-// time-sliced goroutines; the synchronization counts are exact either way.
+// Barrier and counter latency, kernel run time and compile time are
+// per-layer metrics of `go run ./bench` (spmdrt.barrier_ns.*,
+// spmdrt.counter_ns, exec.run_ms / exec.base_run_ms, core.compile_ms);
+// Figure 1 is `go run ./cmd/benchtab -fig 1`.
 package repro_test
 
 import (
@@ -24,118 +23,8 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/linear"
-	"repro/internal/spmdrt"
 	"repro/internal/suite"
 )
-
-// BenchmarkBarrier measures per-episode barrier latency for the three
-// implementations across team sizes (Figure 1: barrier cost vs P).
-func BenchmarkBarrier(b *testing.B) {
-	kinds := []spmdrt.BarrierKind{spmdrt.Central, spmdrt.Tree, spmdrt.Dissemination}
-	for _, kind := range kinds {
-		for _, p := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/P%d", kind, p), func(b *testing.B) {
-				team := spmdrt.NewTeam(p, kind)
-				b.ResetTimer()
-				team.Run(func(w int) {
-					for i := 0; i < b.N; i++ {
-						team.Barrier(w)
-					}
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkCounter measures the producer/consumer counter (the paper's
-// cheap synchronization primitive) against the central barrier.
-func BenchmarkCounter(b *testing.B) {
-	for _, p := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			c := spmdrt.NewCounter()
-			team := spmdrt.NewTeam(p, spmdrt.Central)
-			b.ResetTimer()
-			team.Run(func(w int) {
-				for i := 1; i <= b.N; i++ {
-					c.Add(1)
-					c.WaitGE(int64(i) * int64(p))
-				}
-			})
-		})
-	}
-}
-
-// benchKernel runs one suite kernel end-to-end in the given mode and
-// reports dynamic synchronization counts as benchmark metrics (Table 3
-// numerators/denominators, Table 4 elapsed shape).
-func benchKernel(b *testing.B, name string, workers int, optimized bool) {
-	k, err := suite.Get(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := exec.Config{Workers: workers, Params: k.Params}
-	var runner *core.Runner
-	if optimized {
-		cfg.Mode = exec.SPMD
-		runner, err = c.NewRunner(cfg)
-	} else {
-		runner, err = c.NewBaselineRunner(cfg)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	var barriers, neighbors, counters int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := runner.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		barriers = res.Stats.Barriers
-		neighbors = res.Stats.NeighborWaits
-		counters = res.Stats.CounterIncrs
-	}
-	b.ReportMetric(float64(barriers), "barriers/run")
-	b.ReportMetric(float64(neighbors), "nbr-waits/run")
-	b.ReportMetric(float64(counters), "ctr-incrs/run")
-}
-
-// BenchmarkKernel covers one representative of each communication shape:
-// stencil (jacobi2d), multi-field stencil (shallow), pipeline, broadcast
-// (tred2like), reductions (dotchain), conservative (mg2level).
-func BenchmarkKernel(b *testing.B) {
-	names := []string{"jacobi2d", "shallow", "pipeline", "tred2like", "dotchain", "mg2level"}
-	for _, name := range names {
-		for _, mode := range []string{"base", "opt"} {
-			b.Run(name+"/"+mode, func(b *testing.B) {
-				benchKernel(b, name, 8, mode == "opt")
-			})
-		}
-	}
-}
-
-// BenchmarkCompile measures the analysis pipeline itself (the paper notes
-// its greedy algorithm avoids the all-pairs communication computation of
-// prior work; compile time is the cost side of that claim).
-func BenchmarkCompile(b *testing.B) {
-	for _, name := range []string{"jacobi2d", "shallow", "lulike"} {
-		k, err := suite.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile(k.Source, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkInnerLoop is the local reading of the lowered inner loop: the four
 // compute_dense programs of the committed benchmark at its sizes, and four

@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("%4s %14s %14s %16s %10s\n", "P", "base.barriers", "opt.barriers", "opt.nbr.waits", "speedup")
+	fmt.Printf("%4s %14s %14s %16s\n", "P", "base.barriers", "opt.barriers", "opt.nbr.waits")
 	for _, p := range []int{1, 2, 4, 8} {
 		base, err := c.NewBaselineRunner(exec.Config{Workers: p, Params: params})
 		if err != nil {
@@ -56,8 +56,8 @@ func main() {
 		if d := exec.ComparableDiff(ref, ores.State, c.Prog); d > 0 {
 			log.Fatalf("P=%d: optimized run diverged by %g", p, d)
 		}
-		fmt.Printf("%4d %14d %14d %16d %9.2fx\n",
-			p, bres.Stats.Barriers, ores.Stats.Barriers,
-			ores.Stats.NeighborWaits, float64(bres.Elapsed)/float64(ores.Elapsed))
+		fmt.Printf("%4d %14d %14d %16d\n",
+			p, bres.Stats.Barriers, ores.Stats.Barriers, ores.Stats.NeighborWaits)
 	}
+	fmt.Println("elapsed time, base vs optimized with noise bars: go run ./cmd/benchtab -table 4")
 }

@@ -61,10 +61,11 @@ func main() {
 		log.Fatalf("optimized run diverged by %g", d)
 	}
 
-	fmt.Printf("fork-join: %d barriers over %d sweep steps (%s)\n",
-		bres.Stats.Barriers, params["M"]-1, bres.Elapsed)
-	fmt.Printf("pipelined: %d barriers, %d neighbor waits (%s)\n",
-		ores.Stats.Barriers, ores.Stats.NeighborWaits, ores.Elapsed)
+	fmt.Printf("fork-join: %d barriers over %d sweep steps\n",
+		bres.Stats.Barriers, params["M"]-1)
+	fmt.Printf("pipelined: %d barriers, %d neighbor waits\n",
+		ores.Stats.Barriers, ores.Stats.NeighborWaits)
 	fmt.Printf("dynamic barrier reduction: %d -> %d\n",
 		bres.Stats.Barriers, ores.Stats.Barriers)
+	fmt.Println("elapsed time, base vs optimized with noise bars: go run ./cmd/benchtab -table 4")
 }

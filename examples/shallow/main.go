@@ -60,9 +60,8 @@ func main() {
 		if d := exec.ComparableDiff(ref, ores.State, c.Prog); d > 0 {
 			log.Fatalf("P=%d diverged by %g", p, d)
 		}
-		fmt.Printf("P=%d  base: %4d barriers %-12s  opt: %d barriers, %4d nbr waits %-12s  speedup %.2fx\n",
-			p, bres.Stats.Barriers, bres.Elapsed.Round(1000),
-			ores.Stats.Barriers, ores.Stats.NeighborWaits, ores.Elapsed.Round(1000),
-			float64(bres.Elapsed)/float64(ores.Elapsed))
+		fmt.Printf("P=%d  base: %4d barriers  opt: %d barriers, %4d nbr waits\n",
+			p, bres.Stats.Barriers, ores.Stats.Barriers, ores.Stats.NeighborWaits)
 	}
+	fmt.Println("elapsed time, base vs optimized with noise bars: go run ./cmd/benchtab -table 4")
 }

@@ -1,10 +1,11 @@
 // Package envelope defines the single versioned JSON envelope every
 // machine-readable artifact the toolchain emits is wrapped in: certifier
-// certificates (`barrierc -certify`), run results (`spmdrun -json`) and
-// the benchmark tables (`benchtab -table P -out ...`). Consumers dispatch
-// on the `tool` field and check `schema_version` before touching the
-// payload, so the emitters can evolve their payloads independently
-// without breaking downstream scripts that only route or archive them.
+// certificates (`barrierc -certify`), remarks (`barrierc -remarks -json`),
+// run results (`spmdrun -json`), span exports (`spmdrun -spans`), durable
+// sync profiles and run-ledger records. Consumers dispatch on the `tool`
+// field and check `schema_version` before touching the payload, so the
+// emitters can evolve their payloads independently without breaking
+// downstream scripts that only route or archive them.
 //
 //	{
 //	  "schema_version": 1,
@@ -27,29 +28,17 @@ const SchemaVersion = 1
 // Tool names of the known emitters. Decode accepts unknown names (new
 // tools may appear) but emitters in this repo must use these constants.
 const (
-	ToolCertify   = "barrierc-certify"
-	ToolRun       = "spmdrun"
-	ToolPoolBench = "benchtab-pool"
-	ToolRemarks   = "barrierc-remarks"
+	ToolCertify = "barrierc-certify"
+	ToolRun     = "spmdrun"
+	ToolRemarks = "barrierc-remarks"
 	// ToolProfile wraps a durable sync profile (spmdrun -profile-out,
 	// spmdprof merge); ToolLedger wraps one run-ledger record (the
-	// line-oriented spmdrun -ledger format); ToolProfBench wraps the
-	// Table H profile-trend report (BENCH_profile.json).
-	ToolProfile   = "spmd-profile"
-	ToolLedger    = "spmdrun-ledger"
-	ToolProfBench = "benchtab-profile"
-	// ToolIrregBench wraps the Table I irregular-suite report
-	// (BENCH_irreg.json).
-	ToolIrregBench = "benchtab-irreg"
-	// ToolFDOBench wraps the Table F static-vs-profile-guided report
-	// (BENCH_fdo.json).
-	ToolFDOBench = "benchtab-fdo"
+	// line-oriented spmdrun -ledger format).
+	ToolProfile = "spmd-profile"
+	ToolLedger  = "spmdrun-ledger"
 	// ToolSpans wraps a run-lifecycle span export (spmdrun -spans and the
 	// debug server's /spans/<trace-id>).
 	ToolSpans = "spmdrun-spans"
-	// ToolSpanBench wraps the Table S span-overhead report
-	// (BENCH_spans.json).
-	ToolSpanBench = "benchtab-spans"
 )
 
 // Envelope is the wrapper around one tool artifact.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -262,5 +263,41 @@ func TestTraceSummaryEndToEnd(t *testing.T) {
 	}
 	if s.TotalWait() <= 0 {
 		t.Error("total wait is zero in a synchronizing run")
+	}
+}
+
+// TestTracedRunPaysForItsEventsOnly bounds what tracing a small run may
+// allocate: the recorder's rings grow with the events a worker records, so
+// a run of a few dozen sync events costs kilobytes — not the 2 MiB per
+// worker that zeroing DefaultCap events up front used to.
+func TestTracedRunPaysForItsEventsOnly(t *testing.T) {
+	k, err := suite.Get("jacobi1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(k.Source, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD, Trace: true,
+		Params: map[string]int64{"N": 64, "T": 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil { // warm-up: pooled team, lowered closures
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := r.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace.Recorded() == 0 {
+		t.Fatal("traced run recorded no events")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("traced run of %d events allocated %d bytes, want < 64 KiB", res.Trace.Recorded(), got)
 	}
 }

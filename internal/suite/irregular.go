@@ -1,19 +1,14 @@
 package suite
 
-import (
-	"fmt"
-	"io"
-
-	"repro/internal/remarks"
-)
+import "fmt"
 
 // IrregularKernels returns the irregular-access suite: kernels whose
 // communication pattern runs through index arrays, so affine analysis
 // alone cannot place anything better than a barrier. They exercise the
 // two irregular tiers — static elimination from value facts (content,
-// range, monotonicity) and inspector/executor synthesis — and feed
-// Table I. They are kept apart from Kernels() so the affine tables
-// (1..4, W) keep their historical populations.
+// range, monotonicity) and inspector/executor synthesis. They are kept
+// apart from Kernels() so the affine tables (1..4) keep their historical
+// populations; benchtab prints them as a second block under Table 3.
 //
 // Each kernel builds its index arrays in a guarded setup prefix (the
 // pattern the irregular analysis recognizes: master-executed writes
@@ -191,134 +186,4 @@ func MeasureIrregAll(opt MeasureOptions) ([]Metrics, error) {
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-// IrregRow is one kernel's Table I record (and the BENCH_irreg.json
-// payload row).
-type IrregRow struct {
-	Kernel  string `json:"kernel"`
-	Workers int    `json:"workers"`
-
-	// Dynamic barrier crossings, all-barriers baseline vs optimized.
-	BaseBarriers int64   `json:"base_barriers"`
-	OptBarriers  int64   `json:"opt_barriers"`
-	Reduction    float64 `json:"reduction"`
-
-	// Static site mix after optimization.
-	StaticInspectors int `json:"static_inspectors"`
-	StaticEliminated int `json:"static_eliminated"`
-
-	// Inspector runtime behavior, summed over sites.
-	Scans          int64 `json:"scans"`
-	EmptyCrossings int64 `json:"empty_crossings"`
-	WaitCrossings  int64 `json:"wait_crossings"`
-	Conservative   int64 `json:"conservative"`
-	NeighborWaits  int64 `json:"p2p_waits"`
-
-	// Facts: the value-analysis evidence attached to eliminated or
-	// inspector boundaries by the remark layer (deduplicated).
-	Facts []string `json:"facts,omitempty"`
-}
-
-// IrregReport is the BENCH_irreg.json payload.
-type IrregReport struct {
-	Workers       int        `json:"workers"`
-	Rows          []IrregRow `json:"rows"`
-	MeanReduction float64    `json:"mean_reduction"`
-}
-
-// IrregRows derives Table I rows from measured metrics plus each
-// kernel's remark set (for the facts column).
-func IrregRows(ms []Metrics, sets []*remarks.Set) []IrregRow {
-	var out []IrregRow
-	for i, m := range ms {
-		row := IrregRow{
-			Kernel:           m.Kernel.Name,
-			Workers:          m.Workers,
-			BaseBarriers:     m.DynBase.Barriers,
-			OptBarriers:      m.DynOpt.Barriers,
-			Reduction:        m.BarrierReduction(),
-			StaticInspectors: m.StaticOpt.Inspectors,
-			StaticEliminated: m.StaticOpt.None,
-			NeighborWaits:    m.DynOpt.NeighborWaits,
-		}
-		for _, is := range m.Inspector {
-			row.Scans += is.Scans
-			row.EmptyCrossings += is.EmptyCrossings
-			row.WaitCrossings += is.WaitCrossings
-			row.Conservative += is.Conservative
-		}
-		if i < len(sets) && sets[i] != nil {
-			row.Facts = IrregFacts(sets[i])
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// IrregFacts collects the deduplicated irregular value facts recorded on
-// a remark set's dependences, in first-appearance order.
-func IrregFacts(set *remarks.Set) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range set.Remarks {
-		for _, d := range r.Deps {
-			for _, f := range d.Irreg {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// NewIrregReport bundles rows into the JSON payload.
-func NewIrregReport(rows []IrregRow) IrregReport {
-	rep := IrregReport{Rows: rows}
-	sum := 0.0
-	for _, r := range rows {
-		rep.Workers = r.Workers
-		sum += r.Reduction
-	}
-	if len(rows) > 0 {
-		rep.MeanReduction = sum / float64(len(rows))
-	}
-	return rep
-}
-
-// TableI prints the irregular-suite story: dynamic barrier crossings
-// eliminated, the static site mix that did it, and what the inspectors
-// observed at runtime. The headline claim is the MEAN row: the suite
-// eliminates well over half of the baseline's dynamic barrier
-// crossings even though every kernel communicates through index
-// arrays the affine tier cannot analyze.
-func TableI(w io.Writer, rows []IrregRow) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "Table I: irregular suite, dynamic barrier crossings (P=%d, standard input)\n",
-		rows[0].Workers)
-	fmt.Fprintf(w, "%-14s %10s %9s %10s %6s %6s %6s %6s %7s %9s\n",
-		"program", "base.barr", "opt.barr", "reduction",
-		"insp", "scans", "empty", "waits", "consrv", "p2p.waits")
-	sum := 0.0
-	for _, r := range rows {
-		sum += r.Reduction
-		fmt.Fprintf(w, "%-14s %10d %9d %9.1f%% %6d %6d %6d %6d %7d %9d\n",
-			r.Kernel, r.BaseBarriers, r.OptBarriers, r.Reduction*100,
-			r.StaticInspectors, r.Scans, r.EmptyCrossings, r.WaitCrossings,
-			r.Conservative, r.NeighborWaits)
-	}
-	fmt.Fprintf(w, "%-14s %30.1f%%\n", "MEAN", sum/float64(len(rows))*100)
-	for _, r := range rows {
-		if len(r.Facts) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s facts:\n", r.Kernel)
-		for _, f := range r.Facts {
-			fmt.Fprintf(w, "  %s\n", f)
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/exec"
 	"repro/internal/remarks"
 	"repro/internal/syncopt"
@@ -184,7 +183,7 @@ func TestIrregularRemarkEvidence(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := c.Remarks()
-			facts := IrregFacts(set)
+			facts := irregFacts(set)
 			for _, want := range wantFacts[k.Name] {
 				found := false
 				for _, f := range facts {
@@ -223,6 +222,24 @@ func TestIrregularRemarkEvidence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// irregFacts collects the deduplicated irregular value facts recorded on
+// a remark set's dependences, in first-appearance order.
+func irregFacts(set *remarks.Set) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, r := range set.Remarks {
+		for _, d := range r.Deps {
+			for _, f := range d.Irreg {
+				if !seen[f] {
+					seen[f] = true
+					out = append(out, f)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // usesIrregularArray reports whether the dependence's variable appears in
@@ -322,47 +339,5 @@ func TestIrregularDropSite(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestTableIRendering smoke-tests the Table I pipeline (rows, report,
-// JSON envelope) on canned metrics so benchtab's leg stays wired.
-func TestTableIRendering(t *testing.T) {
-	ms, err := MeasureIrregAll(MeasureOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sets []*remarks.Set
-	for _, m := range ms {
-		c, err := core.Compile(m.Kernel.Source, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets = append(sets, c.Remarks())
-	}
-	rows := IrregRows(ms, sets)
-	if len(rows) != len(ms) {
-		t.Fatalf("rows: %d, metrics: %d", len(rows), len(ms))
-	}
-	var sb strings.Builder
-	TableI(&sb, rows)
-	out := sb.String()
-	for _, want := range []string{"Table I", "permcopy", "MEAN", "content P(k) = k on [1, N]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table I output missing %q:\n%s", want, out)
-		}
-	}
-	rep := NewIrregReport(rows)
-	if rep.MeanReduction < 0.5 {
-		t.Errorf("report mean reduction %.2f < 0.5", rep.MeanReduction)
-	}
-	var jb strings.Builder
-	if err := envelope.Write(&jb, envelope.ToolIrregBench, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"tool": "benchtab-irreg"`, `"kernel": "spmvcsr"`, `"reduction"`} {
-		if !strings.Contains(jb.String(), want) {
-			t.Errorf("BENCH_irreg.json missing %q", want)
-		}
 	}
 }

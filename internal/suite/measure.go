@@ -2,16 +2,13 @@ package suite
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/region"
-	"repro/internal/remarks"
 	"repro/internal/spmdrt"
 	"repro/internal/syncopt"
-	"repro/internal/synctrace"
 )
 
 // Metrics holds everything the tables need for one kernel.
@@ -34,25 +31,13 @@ type Metrics struct {
 	DynBase spmdrt.StatsSnapshot
 	DynOpt  spmdrt.StatsSnapshot
 
-	// Sync-wait decomposition (Table W), filled only under
-	// MeasureOptions.Trace: total wait per run, optimized against baseline
-	// (see Paired), and the trace summary of each side's median run — real
-	// single-run summaries, so their per-site breakdowns stay consistent.
-	Wait              Comparison
-	BaseWait, OptWait *synctrace.Summary
-
-	// Inspector holds the optimized run's per-site inspector statistics
-	// (Table I), keyed by 1-based sync-site id; nil when the schedule has
-	// no inspector sites.
+	// Inspector holds the optimized run's per-site inspector statistics,
+	// keyed by 1-based sync-site id; nil when the schedule has no
+	// inspector sites.
 	Inspector map[int]exec.InspectorSite
 
 	// Correctness cross-check against the sequential interpreter.
 	MaxDiff float64
-
-	// Costs is the compile's analysis bill (phase wall times, FM solver
-	// work) — Table R material, carried here so measured kernels keep
-	// their compile-time price next to the run-time one.
-	Costs remarks.Costs
 }
 
 // BarrierReduction returns the fraction of dynamic barriers eliminated,
@@ -72,9 +57,6 @@ type MeasureOptions struct {
 	Sync syncopt.Options
 	// Params overrides the kernel's standard input when non-nil.
 	Params map[string]int64
-	// Trace records sync events and fills Metrics.Wait, BaseWait and
-	// OptWait from waitPairs further traced runs of each side (Table W).
-	Trace bool
 }
 
 // Measure compiles and runs one kernel in both baseline and optimized
@@ -111,7 +93,6 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	}
 	m.StaticBase = c.Baseline.Static()
 	m.StaticOpt = c.Schedule.Static()
-	m.Costs = c.Costs
 
 	ref, err := c.RunSequential(params)
 	if err != nil {
@@ -119,7 +100,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	}
 
 	base, err := c.NewBaselineRunner(exec.Config{
-		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Trace: opt.Trace})
+		Workers: opt.Workers, Barrier: opt.Barrier, Params: params})
 	if err != nil {
 		return m, err
 	}
@@ -133,8 +114,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	m.DynBase = bres.Stats
 
 	optr, err := c.NewRunner(exec.Config{
-		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Mode: exec.SPMD,
-		Trace: opt.Trace})
+		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Mode: exec.SPMD})
 	if err != nil {
 		return m, err
 	}
@@ -149,31 +129,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	}
 	m.DynOpt = ores.Stats
 	m.Inspector = ores.Inspector
-	if opt.Trace {
-		var bs, ops []*synctrace.Summary
-		m.Wait, err = Paired(waitPairs, waitLeg(base, &bs), waitLeg(optr, &ops))
-		if err != nil {
-			return m, fmt.Errorf("%s: trace rerun: %w", k.Name, err)
-		}
-		// The legs also summarized the warm-up pair; drop it to line the
-		// summaries up with the samples.
-		m.BaseWait = bs[1:][medianIndex(m.Wait.A)]
-		m.OptWait = ops[1:][medianIndex(m.Wait.B)]
-	}
 	return m, nil
-}
-
-// waitPairs is the number of traced base/opt pairs behind a Table W row.
-const waitPairs = 10
-
-// waitLeg measures a traced run by its total sync wait and keeps the
-// run's summary.
-func waitLeg(r *core.Runner, keep *[]*synctrace.Summary) Leg {
-	return runLeg(r, func(res *core.Result) time.Duration {
-		s := synctrace.Summarize(res.Trace)
-		*keep = append(*keep, s)
-		return s.TotalWait()
-	})
 }
 
 // MeasureAll measures every suite kernel.

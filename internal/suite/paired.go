@@ -10,7 +10,7 @@ import (
 
 // Leg is one side of a paired comparison: it does its work once and
 // returns its own measure of it (a run's Elapsed, a whole-request wall, a
-// profile's total wait, one provisioning cycle).
+// profile's total wait).
 type Leg func() (time.Duration, error)
 
 // runLeg is the leg that runs r once and takes measure of the result.
@@ -130,15 +130,4 @@ func quantile(xs []time.Duration, q float64) time.Duration {
 		return s[len(s)-1]
 	}
 	return s[lo] + time.Duration((pos-float64(lo))*float64(s[lo+1]-s[lo]))
-}
-
-// medianIndex is the index of the sample closest to the median from below:
-// the real run a table shows when it needs one run's detail.
-func medianIndex(xs []time.Duration) int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return xs[idx[i]] < xs[idx[j]] })
-	return idx[(len(idx)-1)/2]
 }

@@ -152,10 +152,3 @@ func TestPairedErrors(t *testing.T) {
 		t.Fatalf("series ran on after the error: %d failing-leg calls, %d other", calls, h.calls)
 	}
 }
-
-func TestMedianIndexPicksARealRun(t *testing.T) {
-	xs := []time.Duration{50, 10, 40, 20} // sorted: 10 20 40 50, lower middle is 20
-	if i := medianIndex(xs); xs[i] != 20 {
-		t.Fatalf("medianIndex = %d (%d), want the sample 20", i, xs[i])
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/costsim"
 	"repro/internal/exec"
 	"repro/internal/spmdrt"
-	"repro/internal/synctrace"
 )
 
 // Table1 prints benchmark characteristics (paper's program table).
@@ -40,68 +39,31 @@ func Table2(w io.Writer, ms []Metrics) {
 
 // Table3 prints dynamic barrier counts at the standard input — the paper's
 // headline table ("barrier synchronization is reduced 29% on average and
-// by several orders of magnitude for certain programs").
-func Table3(w io.Writer, ms []Metrics) {
+// by several orders of magnitude for certain programs"). The irregular
+// suite, when given, follows as a second block with its own mean, so the
+// affine MEAN keeps its population.
+func Table3(w io.Writer, ms, irregular []Metrics) {
 	fmt.Fprintf(w, "Table 3: dynamic synchronization executed (P=%d, standard input)\n", workersOf(ms))
 	fmt.Fprintf(w, "%-14s %12s %12s %10s %12s %14s\n",
 		"program", "base.barr", "opt.barr", "reduction", "opt.counter", "opt.neighbor")
-	sum := 0.0
-	for _, m := range ms {
-		red := m.BarrierReduction()
-		sum += red
-		fmt.Fprintf(w, "%-14s %12d %12d %9.1f%% %12d %14d\n",
-			m.Kernel.Name, m.DynBase.Barriers, m.DynOpt.Barriers,
-			red*100, m.DynOpt.CounterIncrs, m.DynOpt.NeighborWaits)
-	}
-	if len(ms) > 0 {
-		fmt.Fprintf(w, "%-14s %37.1f%%   (paper reports 29%% on its suite)\n",
-			"MEAN", sum/float64(len(ms))*100)
-	}
-}
-
-// TableW decomposes the elapsed-time story of Table 4 into waiting: total
-// synchronization wait time (summed over workers, from the sync-event
-// trace) in the fork-join baseline vs the optimized SPMD run — the paired
-// comparison of Metrics.Wait — with the most expensive sync site of each
-// side's median run. This is the per-site evidence that the optimizer's
-// cheaper counters/p2p actually remove wait, not just events.
-func TableW(w io.Writer, ms []Metrics) {
-	fmt.Fprintf(w, "Table W: per-site synchronization wait, fork-join base vs optimized SPMD (P=%d, %d pairs)\n",
-		workersOf(ms), waitPairs)
-	fmt.Fprintf(w, "%-14s %11s %11s %11s %11s %-10s  %-34s %s\n",
-		"program", "base.wait", "opt.wait", "delta", "±noise", "verdict", "top base site", "top opt site")
-	less, better, traced := 0, 0, 0
-	for _, m := range ms {
-		if m.BaseWait == nil || m.OptWait == nil {
-			continue // measured without MeasureOptions.Trace
+	block := func(ms []Metrics, note string) {
+		sum := 0.0
+		for _, m := range ms {
+			red := m.BarrierReduction()
+			sum += red
+			fmt.Fprintf(w, "%-14s %12d %12d %9.1f%% %12d %14d\n",
+				m.Kernel.Name, m.DynBase.Barriers, m.DynOpt.Barriers,
+				red*100, m.DynOpt.CounterIncrs, m.DynOpt.NeighborWaits)
 		}
-		traced++
-		v := m.Wait.Verdict(0)
-		if m.Wait.Delta < 0 {
-			less++
+		if len(ms) > 0 {
+			fmt.Fprintf(w, "%-14s %37.1f%%   (%s)\n", "MEAN", sum/float64(len(ms))*100, note)
 		}
-		if v == Better {
-			better++
-		}
-		fmt.Fprintf(w, "%-14s %11s %11s %11s %11s %-10s  %-34s %s\n",
-			m.Kernel.Name,
-			m.Wait.MedianA.Round(time.Microsecond), m.Wait.MedianB.Round(time.Microsecond),
-			m.Wait.Delta.Round(time.Microsecond), m.Wait.Noise.Round(time.Microsecond), v,
-			topSiteCell(m.BaseWait), topSiteCell(m.OptWait))
 	}
-	if traced > 0 {
-		fmt.Fprintf(w, "optimized wait < baseline wait on %d/%d kernels (%d beyond the noise bar)\n",
-			less, traced, better)
+	block(ms, "paper reports 29% on its suite")
+	if len(irregular) > 0 {
+		fmt.Fprintln(w, "irregular suite (communication through index arrays):")
+		block(irregular, "irregular suite")
 	}
-}
-
-// topSiteCell renders a summary's costliest sync site as a table cell.
-func topSiteCell(s *synctrace.Summary) string {
-	top := s.TopSite()
-	if top == nil {
-		return "(no sync waits)"
-	}
-	return fmt.Sprintf("%s %s", top.Name, top.Total.Round(time.Microsecond))
 }
 
 func workersOf(ms []Metrics) int {

@@ -118,15 +118,6 @@ func (s *Summary) SiteWaitStats(id int32) (merged SiteSummary, ok bool) {
 	return merged, ok
 }
 
-// TopSite returns the (site, kind) entry with the largest total wait, or
-// nil if no blocking events were recorded.
-func (s *Summary) TopSite() *SiteSummary {
-	if len(s.Sites) == 0 {
-		return nil
-	}
-	return &s.Sites[0]
-}
-
 // Summarize aggregates the recorder's surviving events. Call only after
 // the team has quiesced.
 func Summarize(r *Recorder) *Summary {

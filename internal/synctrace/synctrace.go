@@ -10,13 +10,16 @@
 //  1. Tracing off must cost ~zero: every recording call site guards on a
 //     single nil check, and all Recorder methods are safe on a nil
 //     receiver so callers thread an optional *Recorder without branches.
-//  2. The hot path must not allocate and must not share cache lines:
-//     each worker appends fixed-size Event structs to its own
-//     pre-allocated, padded ring buffer. No locks, no atomics — a buffer
-//     is written only by its owning worker while the team runs.
-//  3. Bounded memory: a full ring wraps and overwrites the *oldest*
-//     events (the tail of a run is what post-mortems need); the drop
-//     count is reported so truncation is never silent.
+//  2. A ring never costs more than the events it holds, up to its cap,
+//     and the hot path must not share cache lines: each worker appends
+//     fixed-size Event structs to its own padded ring, which starts empty
+//     and grows by amortized doubling (a 2 ms run that records a few
+//     hundred events must not pay for zeroing DefaultCap of them). No
+//     locks, no atomics — a buffer is written only by its owning worker
+//     while the team runs.
+//  3. Bounded memory: a ring grown to its cap wraps and overwrites the
+//     *oldest* events (the tail of a run is what post-mortems need); the
+//     drop count is reported so truncation is never silent.
 //
 // Buffers are merged after the team has quiesced (Events, Summarize,
 // WriteChromeTrace); merging while workers are still recording is a data
@@ -112,8 +115,8 @@ type pad [120]byte
 // workerBuf is one worker's private ring. Only the owning worker touches
 // it while the team runs; padding keeps neighbors off its cache lines.
 type workerBuf struct {
-	ev []Event
-	n  int64 // total events recorded (>= len(ev) once wrapped)
+	ev []Event // grows to the recorder's cap, then wraps
+	n  int64   // total events recorded (> len(ev) once wrapped)
 	_  pad
 }
 
@@ -129,8 +132,8 @@ type Recorder struct {
 }
 
 // New builds a recorder for n workers with the given per-worker ring
-// capacity (<= 0 selects DefaultCap). The epoch is set at construction;
-// all event timestamps are relative to it.
+// capacity (<= 0 selects DefaultCap); the rings start empty. The epoch is
+// set at construction; all event timestamps are relative to it.
 func New(n, perWorkerCap int) *Recorder {
 	if n <= 0 {
 		panic("synctrace: recorder needs at least one worker")
@@ -138,11 +141,7 @@ func New(n, perWorkerCap int) *Recorder {
 	if perWorkerCap <= 0 {
 		perWorkerCap = DefaultCap
 	}
-	r := &Recorder{epoch: time.Now(), cap: perWorkerCap, ws: make([]workerBuf, n)}
-	for w := range r.ws {
-		r.ws[w].ev = make([]Event, perWorkerCap)
-	}
-	return r
+	return &Recorder{epoch: time.Now(), cap: perWorkerCap, ws: make([]workerBuf, n)}
 }
 
 // Epoch returns the recorder's construction time — the zero point of
@@ -242,7 +241,11 @@ func (r *Recorder) Instant(w int, k Kind, site int32, arg int64) {
 
 func (r *Recorder) push(w int, e Event) {
 	b := &r.ws[w]
-	b.ev[b.n%int64(r.cap)] = e
+	if len(b.ev) < r.cap {
+		b.ev = append(b.ev, e)
+	} else {
+		b.ev[b.n%int64(r.cap)] = e
+	}
 	b.n++
 }
 

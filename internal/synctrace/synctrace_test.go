@@ -3,6 +3,7 @@ package synctrace
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -61,6 +62,43 @@ func TestRingWrap(t *testing.T) {
 	}
 	if ev := r.WorkerEvents(1); len(ev) != 1 || ev[0].Arg != 99 {
 		t.Errorf("worker 1 events = %v", ev)
+	}
+}
+
+// TestRingGrowsToCap pins the grow-on-demand ring: a recorder costs
+// nothing per event it does not hold (New allocates only the padded
+// per-worker headers), a ring appends until it reaches its cap, and from
+// there wraps exactly as a pre-allocated one did.
+func TestRingGrowsToCap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := New(4, 0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Errorf("New(4, 0) allocated %d bytes, want < 1 KiB (rings must start empty)", got)
+	}
+	if r.cap != DefaultCap || len(r.ws[0].ev) != 0 {
+		t.Errorf("cap = %d, initial ring len = %d; want DefaultCap and 0", r.cap, len(r.ws[0].ev))
+	}
+
+	r = New(1, 8)
+	for i := 0; i < 18; i++ {
+		r.Instant(0, EvCounterIncr, 0, int64(i))
+		if want := min(i+1, 8); len(r.ws[0].ev) != want {
+			t.Fatalf("after %d events the ring holds %d, want %d", i+1, len(r.ws[0].ev), want)
+		}
+	}
+	if r.Recorded() != 18 || r.Dropped() != 10 {
+		t.Errorf("Recorded/Dropped = %d/%d, want 18/10", r.Recorded(), r.Dropped())
+	}
+	ev := r.WorkerEvents(0)
+	if len(ev) != 8 {
+		t.Fatalf("survivors = %d, want 8", len(ev))
+	}
+	for i, e := range ev {
+		if want := int64(10 + i); e.Arg != want {
+			t.Errorf("survivor %d has Arg %d, want %d (oldest survivor first)", i, e.Arg, want)
+		}
 	}
 }
 
@@ -127,7 +165,7 @@ func TestSummarize(t *testing.T) {
 	if len(s.Sites) != 2 {
 		t.Fatalf("sites = %d, want 2", len(s.Sites))
 	}
-	top := s.TopSite()
+	top := s.Sites[0]
 	if top.Name != "site 1 [barrier]" || top.Kind != EvBarrier ||
 		top.Count != 6 || top.Total != 15*time.Millisecond {
 		t.Errorf("top site = %+v", top)
