@@ -264,8 +264,7 @@ func cmdLedger(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  runs=%d fails=%d mean-wall=%s total-wait/run=%s\n",
 			all.Runs, fails, time.Duration(wallNS/int64(len(rs))),
 			time.Duration(int64(all.TotalWait())/int64(all.Runs)))
-		// The trace id joins this ledger row with the run's span export
-		// and the debug server's /runs and /spans/<trace-id> endpoints.
+		// The trace id joins this ledger row with the run's span export.
 		last := rs[len(rs)-1]
 		latest := fmt.Sprintf("  latest: verdict=%s wall=%s",
 			orDash(last.Result.Verdict), time.Duration(last.Result.WallNS))

@@ -206,7 +206,7 @@ func TestIncompatibleInputs(t *testing.T) {
 }
 
 // TestLedgerPrintsTraceID: `spmdprof ledger` surfaces the latest run's
-// trace id so it can be joined against -spans exports and /spans/<id>.
+// trace id so it can be joined against -spans exports.
 func TestLedgerPrintsTraceID(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.jsonl")

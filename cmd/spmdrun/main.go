@@ -47,13 +47,11 @@ import (
 	"repro/internal/envelope"
 	"repro/internal/exec"
 	"repro/internal/fdo"
-	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/remarks"
 	"repro/internal/spmdrt"
 	"repro/internal/suite"
 	"repro/internal/synctrace"
-	"repro/internal/telemetry"
 )
 
 type paramList map[string]int64
@@ -77,8 +75,8 @@ func (p paramList) Set(s string) error {
 // field set is deliberately flat and stable: scripts key on it.
 type runPayload struct {
 	Program string `json:"program"`
-	// TraceID joins this envelope with the span export (-spans), the
-	// ledger record, and the debug server's /runs and /spans endpoints.
+	// TraceID joins this envelope with the span export (-spans) and the
+	// ledger record.
 	TraceID string `json:"trace_id,omitempty"`
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
@@ -122,72 +120,107 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options holds the parsed flags; docs/INTERNALS.md §9 documents each.
+type options struct {
+	kernel  string
+	workers int
+	mode    string
+	barrier string
+	verify  bool
+	det     bool
+	jsonOut bool
+	report  bool
+	timeout time.Duration
+
+	poolOn   bool
+	deadline time.Duration
+	retries  int
+	seqFall  bool
+
+	watchdog   time.Duration
+	chaos      int64
+	chaosStall time.Duration
+	sanitize   bool
+	sabotage   int
+
+	traceOut string
+	traceSum bool
+	traceCap int
+
+	profileOut string
+	profileIn  string
+	ledgerPath string
+	spansOut   string
+	params     paramList
+}
+
+func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("spmdrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{params: paramList{}}
+	fs.StringVar(&o.kernel, "kernel", "", "run a named suite kernel")
+	fs.IntVar(&o.workers, "p", 8, "number of workers")
+	fs.StringVar(&o.mode, "mode", "opt", "base (fork-join) or opt (SPMD)")
+	fs.StringVar(&o.barrier, "barrier", "central", "barrier implementation: central, tree, dissemination, or auto (adopt the -profile-in recommendation)")
+	fs.BoolVar(&o.verify, "verify", true, "compare against the sequential interpreter")
+	fs.BoolVar(&o.det, "det", false, "deterministic (rank-ordered) reduction merges")
+	fs.BoolVar(&o.jsonOut, "json", false, "print the result as a versioned JSON envelope on stdout")
+	fs.BoolVar(&o.report, "report", false, "join static remarks with runtime per-site waits; print the ranked kept-barrier cost table (forces tracing)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this long (0 disables); cancellation tears the team down cleanly")
+
+	fs.BoolVar(&o.poolOn, "pool", true, "check the worker team out of the persistent team pool (disable for a cold spawn per run)")
+	fs.DurationVar(&o.deadline, "deadline", 0, "per-attempt run deadline under the retry policy (0 disables; pairs with -retries)")
+	fs.IntVar(&o.retries, "retries", 0, "retry transient failures (watchdog stall, attempt-deadline expiry on a certified schedule) up to this many times with exponential backoff")
+	fs.BoolVar(&o.seqFall, "seq-fallback", false, "after retries are exhausted, degrade to the sequential executor instead of failing")
+
+	fs.DurationVar(&o.watchdog, "watchdog", 0, "stall deadline; a worker blocked this long aborts the run with a per-worker deadlock report (0 disables)")
+	fs.Int64Var(&o.chaos, "chaos-seed", 0, "enable deterministic chaos injection with this seed (0 disables)")
+	fs.DurationVar(&o.chaosStall, "chaos-stall", 0, "with -chaos-seed, arm the rare long-stall chaos fault with this sleep (pairs with -watchdog and -retries to exercise the retry path)")
+	fs.BoolVar(&o.sanitize, "sanitize", false, "run the schedule-soundness sanitizer and report unordered cross-worker flows")
+	fs.IntVar(&o.sabotage, "sabotage", 0, "drop the sync edge with this 1-based site number (testing aid; makes the schedule unsound)")
+
+	fs.StringVar(&o.traceOut, "trace", "", "record sync events and write a Chrome trace-event JSON file (view in ui.perfetto.dev)")
+	fs.BoolVar(&o.traceSum, "trace-summary", false, "record sync events and print per-site wait/imbalance summary to stderr")
+	fs.IntVar(&o.traceCap, "trace-buf", 0, "per-worker trace ring capacity in events (0 = default 65536; oldest events drop when full)")
+
+	fs.StringVar(&o.profileOut, "profile-out", "", "write the run's durable sync profile as an envelope-wrapped JSON file (forces tracing; merge/diff with spmdprof)")
+	fs.StringVar(&o.profileIn, "profile-in", "", "feed a prior run's profile (from -profile-out) back through the feedback-directed optimizer; the run executes the re-optimized schedule")
+	fs.StringVar(&o.ledgerPath, "ledger", "", "append one envelope-wrapped record (profile + compile costs + result metadata) to this run-ledger file (forces tracing)")
+	fs.StringVar(&o.spansOut, "spans", "", "record run-lifecycle spans (lint/compile/certify/pool lease/execute/...) and write them as an envelope-wrapped JSON file")
+	fs.Var(o.params, "param", "program parameter NAME=VALUE (repeatable)")
+	return fs, o
+}
+
 // run is main with the process edges cut off (args, stdout, stderr, exit
 // status), so tests can execute full command lines in-process and assert
 // on the stdout contract.
 func run(args []string, stdout, stderr io.Writer) int {
-	params := paramList{}
-	fs := flag.NewFlagSet("spmdrun", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		kernel  = fs.String("kernel", "", "run a named suite kernel")
-		workers = fs.Int("p", 8, "number of workers")
-		mode    = fs.String("mode", "opt", "base (fork-join) or opt (SPMD)")
-		barrier = fs.String("barrier", "central", "barrier implementation: central, tree, dissemination, or auto (adopt the -profile-in recommendation)")
-		verify  = fs.Bool("verify", true, "compare against the sequential interpreter")
-		det     = fs.Bool("det", false, "deterministic (rank-ordered) reduction merges")
-		jsonOut = fs.Bool("json", false, "print the result as a versioned JSON envelope on stdout")
-		report  = fs.Bool("report", false, "join static remarks with runtime per-site waits; print the ranked kept-barrier cost table (forces tracing)")
-		timeout = fs.Duration("timeout", 0, "cancel the run after this long (0 disables); cancellation tears the team down cleanly")
-
-		poolOn   = fs.Bool("pool", true, "check the worker team out of the persistent team pool (disable for a cold spawn per run)")
-		deadline = fs.Duration("deadline", 0, "per-attempt run deadline under the retry policy (0 disables; pairs with -retries)")
-		retries  = fs.Int("retries", 0, "retry transient failures (watchdog stall, attempt-deadline expiry on a certified schedule) up to this many times with exponential backoff")
-		seqFall  = fs.Bool("seq-fallback", false, "after retries are exhausted, degrade to the sequential executor instead of failing")
-
-		watchdog   = fs.Duration("watchdog", 0, "stall deadline; a worker blocked this long aborts the run with a per-worker deadlock report (0 disables)")
-		chaos      = fs.Int64("chaos-seed", 0, "enable deterministic chaos injection with this seed (0 disables)")
-		chaosStall = fs.Duration("chaos-stall", 0, "with -chaos-seed, arm the rare long-stall chaos fault with this sleep (pairs with -watchdog and -retries to exercise the retry path)")
-		sanitize   = fs.Bool("sanitize", false, "run the schedule-soundness sanitizer and report unordered cross-worker flows")
-		sabotage   = fs.Int("sabotage", 0, "drop the sync edge with this 1-based site number (testing aid; makes the schedule unsound)")
-
-		traceOut = fs.String("trace", "", "record sync events and write a Chrome trace-event JSON file (view in ui.perfetto.dev)")
-		traceSum = fs.Bool("trace-summary", false, "record sync events and print per-site wait/imbalance summary to stderr")
-		traceCap = fs.Int("trace-buf", 0, "per-worker trace ring capacity in events (0 = default 65536; oldest events drop when full)")
-
-		profileOut  = fs.String("profile-out", "", "write the run's durable sync profile as an envelope-wrapped JSON file (forces tracing; merge/diff with spmdprof)")
-		profileIn   = fs.String("profile-in", "", "feed a prior run's profile (from -profile-out) back through the feedback-directed optimizer; the run executes the re-optimized schedule")
-		ledgerPath  = fs.String("ledger", "", "append one envelope-wrapped record (profile + compile costs + result metadata) to this run-ledger file (forces tracing)")
-		spansOut    = fs.String("spans", "", "record run-lifecycle spans (lint/compile/certify/pool lease/execute/...) and write them as an envelope-wrapped JSON file")
-		metricsAddr = fs.String("metrics-addr", "", "serve the debug endpoints on this address: /metrics (Prometheus text exposition), /healthz, /runs, /spans/<trace-id>, /debug/vars")
-		linger      = fs.Duration("metrics-linger", 0, "with -metrics-addr, keep the debug listener up this long after the run finishes (scrape window for one-shot invocations)")
-	)
-	fs.Var(params, "param", "program parameter NAME=VALUE (repeatable)")
+	fs, o := newFlagSet(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	params := o.params
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "spmdrun:", err)
 		return 1
 	}
-	startWall := time.Now()
 
 	// Ctrl-C / SIGTERM cancel the run context; the executor routes the
 	// cancellation through the team's failure latch so blocked workers
 	// unwind instead of deadlocking the exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
 	var src string
-	if *kernel != "" {
-		k, err := suite.Get(*kernel)
+	if o.kernel != "" {
+		k, err := suite.Get(o.kernel)
 		if err != nil {
-			ik, ierr := suite.GetIrregular(*kernel)
+			ik, ierr := suite.GetIrregular(o.kernel)
 			if ierr != nil {
 				return fail(err)
 			}
@@ -213,62 +246,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// From here on the flags are one typed Request; core.Do owns the
 	// exec.Config assembly (including the tracing forced by -report,
 	// -profile-out and -ledger, which need the trace's wait sketches).
-	req := core.NewRequest(src, core.WithParams(params), core.WithWorkers(*workers))
-	if *barrier == "auto" {
+	req := core.NewRequest(src, core.WithParams(params), core.WithWorkers(o.workers))
+	if o.barrier == "auto" {
 		// Adopt the feedback pass's recommendation when -profile-in
 		// produced one; central otherwise.
 		req.Run.BarrierAuto = true
-	} else if kind, ok := spmdrt.ParseBarrierKind(*barrier); ok {
+	} else if kind, ok := spmdrt.ParseBarrierKind(o.barrier); ok {
 		req.Run.Barrier = kind
 	} else {
-		return fail(fmt.Errorf("unknown barrier %q", *barrier))
+		return fail(fmt.Errorf("unknown barrier %q", o.barrier))
 	}
-	switch *mode {
+	switch o.mode {
 	case "base":
 		req.Run.Baseline = true
 	case "opt":
 	default:
-		return fail(fmt.Errorf("unknown mode %q (want base or opt)", *mode))
+		return fail(fmt.Errorf("unknown mode %q (want base or opt)", o.mode))
 	}
-	if *profileIn != "" {
-		prior, err := profile.Load(*profileIn)
+	if o.profileIn != "" {
+		prior, err := profile.Load(o.profileIn)
 		if err != nil {
 			return fail(err)
 		}
 		core.WithFDOProfile(prior, fdo.Options{})(&req)
 	}
-	req.Run.Det = *det
-	req.Run.Watchdog = *watchdog
-	req.Run.ChaosSeed = *chaos
-	req.Run.ChaosStall = *chaosStall
-	req.Run.Sabotage = *sabotage
-	req.Run.Sanitize = *sanitize
-	req.Run.Trace = *traceOut != "" || *traceSum
-	req.Run.TraceBufCap = *traceCap
-	req.Run.NoPool = !*poolOn
-	req.Run.Report = *report
-	req.Run.Profile = *profileOut != "" || *ledgerPath != "" || *metricsAddr != ""
-	req.Run.Spans = *spansOut != "" || *metricsAddr != ""
-	if *deadline > 0 || *retries > 0 || *seqFall {
+	req.Run.Det = o.det
+	req.Run.Watchdog = o.watchdog
+	req.Run.ChaosSeed = o.chaos
+	req.Run.ChaosStall = o.chaosStall
+	req.Run.Sabotage = o.sabotage
+	req.Run.Sanitize = o.sanitize
+	req.Run.Trace = o.traceOut != "" || o.traceSum
+	req.Run.TraceBufCap = o.traceCap
+	req.Run.NoPool = !o.poolOn
+	req.Run.Report = o.report
+	req.Run.Profile = o.profileOut != "" || o.ledgerPath != ""
+	req.Run.Spans = o.spansOut != ""
+	if o.deadline > 0 || o.retries > 0 || o.seqFall {
 		// core stamps Certified from the memoized certify verdict, so
 		// hangs retry only on schedules proved deadlock-free.
-		req.Run.Policy = &exec.RunPolicy{Deadline: *deadline, MaxRetries: *retries,
-			SequentialFallback: *seqFall}
-	}
-
-	if *metricsAddr != "" {
-		srv, err := metrics.Serve(*metricsAddr)
-		if err != nil {
-			return fail(err)
-		}
-		// Graceful teardown: a scrape racing process exit drains instead
-		// of getting its connection cut mid-response.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		fmt.Fprintf(stderr, "metrics:  serving http://%s/metrics (also /healthz, /runs, /spans/<trace-id>)\n", srv.Addr())
+		req.Run.Policy = &exec.RunPolicy{Deadline: o.deadline, MaxRetries: o.retries,
+			SequentialFallback: o.seqFall}
 	}
 
 	res, err := core.Do(ctx, req)
@@ -292,13 +310,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.TracingForced {
 		why := "-report"
 		switch {
-		case *profileOut != "":
+		case o.profileOut != "":
 			why = "-profile-out"
-		case *ledgerPath != "":
+		case o.ledgerPath != "":
 			why = "-ledger"
-		case *metricsAddr != "":
-			why = "-metrics-addr"
-		case *profileIn != "":
+		case o.profileIn != "":
 			why = "-profile-in"
 		}
 		fmt.Fprintf(stderr, "spmdrun: tracing auto-enabled by %s (sync events recorded this run)\n", why)
@@ -306,8 +322,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	pay := runPayload{
 		Program:   c.Prog.Name,
-		Mode:      *mode,
-		Workers:   *workers,
+		Mode:      o.mode,
+		Workers:   o.workers,
 		Barrier:   bkName,
 		Backend:   exec.EngineName,
 		ElapsedNS: res.Elapsed.Nanoseconds(),
@@ -329,9 +345,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pay.FDO = res.FDO
 	pay.Report = res.Report
 
-	if !*jsonOut {
+	if !o.jsonOut {
 		fmt.Fprintf(stdout, "program %s  mode=%s  P=%d  barrier=%s  backend=%s\n",
-			c.Prog.Name, *mode, *workers, bkName, exec.EngineName)
+			c.Prog.Name, o.mode, o.workers, bkName, exec.EngineName)
 		if res.FDO != nil {
 			fmt.Fprintf(stdout, "fdo:      %d flip(s), predicted save %s/run\n",
 				res.FDO.Flips, time.Duration(res.FDO.PredictedSaveNS))
@@ -388,7 +404,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clean := res.Sanitizer.Clean()
 		pay.SanitizerClean = &clean
 	}
-	if *traceSum {
+	if o.traceSum {
 		fmt.Fprintln(stderr, synctrace.Summarize(res.Trace))
 	}
 
@@ -399,7 +415,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tr := res.Telemetry
 	verdict := ""
 	var verifyErr error
-	if *verify {
+	if o.verify {
 		verifySp := tr.Start(0, "verify")
 		ref, err := c.RunSequential(params)
 		if err != nil {
@@ -408,7 +424,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		d := exec.ComparableDiff(ref, res.State, c.Prog)
 		pay.VerifyDiff = &d
-		if !*jsonOut {
+		if !o.jsonOut {
 			fmt.Fprintf(stdout, "verify:   max |parallel - sequential| = %g\n", d)
 		}
 		if d > 1e-9 {
@@ -428,27 +444,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The Chrome trace is written after Finish so the lifecycle track
 	// (span layer interleaved with per-worker sync events) has no open
 	// spans with dangling durations.
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return fail(err)
 		}
-		if tr != nil {
-			err = tr.WriteChromeTrace(f, res.Trace)
-		} else {
-			err = res.Trace.WriteChromeTrace(f)
-		}
-		if err != nil {
+		if err := res.Trace.WriteChromeTrace(f, tr.ChromeSpans(res.Trace)); err != nil {
 			return fail(err)
 		}
 		if err := f.Close(); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "trace:    %d events -> %s (load in ui.perfetto.dev)\n",
-			res.Trace.Recorded(), *traceOut)
+			res.Trace.Recorded(), o.traceOut)
 	}
-	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
+	if o.spansOut != "" {
+		f, err := os.Create(o.spansOut)
 		if err != nil {
 			return fail(err)
 		}
@@ -459,66 +470,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "spans:    %d span(s), trace %s -> %s\n",
-			len(export.Spans), export.TraceID, *spansOut)
+			len(export.Spans), export.TraceID, o.spansOut)
 	}
 	if res.Profile != nil {
 		prof := res.Profile
-		if *profileOut != "" {
-			if err := profile.WriteFile(*profileOut, prof); err != nil {
+		if o.profileOut != "" {
+			if err := profile.WriteFile(o.profileOut, prof); err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(stderr, "profile:  %d site(s) -> %s\n", len(prof.Sites), *profileOut)
+			fmt.Fprintf(stderr, "profile:  %d site(s) -> %s\n", len(prof.Sites), o.profileOut)
 		}
-		if *ledgerPath != "" {
+		if o.ledgerPath != "" {
 			rec := runner.LedgerRecord(res, verdict, time.Now())
 			rec.Profile = prof
-			if err := profile.AppendLedger(*ledgerPath, rec); err != nil {
+			if err := profile.AppendLedger(o.ledgerPath, rec); err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(stderr, "ledger:   1 record appended -> %s\n", *ledgerPath)
+			fmt.Fprintf(stderr, "ledger:   1 record appended -> %s\n", o.ledgerPath)
 		}
-	}
-	if *metricsAddr != "" {
-		// Feed the debug server's aggregator: counters, the group's
-		// latency/wait rollups, and the /runs + /spans ring.
-		sum := telemetry.RunSummary{
-			TraceID: res.TraceID, Program: c.Prog.Name, Mode: *mode,
-			Workers: *workers, Backend: exec.EngineName, Barrier: bkName,
-			StartUnixNS: startWall.UnixNano(),
-			WallNS:      pay.WallNS, ElapsedNS: res.Elapsed.Nanoseconds(),
-			Outcome:  telemetry.OutcomeOK,
-			Attempts: res.Attempts, SeqFallback: res.SeqFallback, Pooled: res.Pooled,
-		}
-		if verifyErr != nil {
-			sum.Outcome = telemetry.OutcomeError
-			sum.Error = verifyErr.Error()
-		}
-		telemetry.Default().Observe(sum, res.Profile, export)
 	}
 	if verifyErr != nil {
 		return fail(verifyErr)
 	}
-	if *report && !*jsonOut {
+	if o.report && !o.jsonOut {
 		// The report is part of the requested result, not a diagnostic:
 		// it goes to stdout, after the key:value block.
 		fmt.Fprint(stdout, pay.Report.Render())
 	}
-	if *jsonOut {
+	if o.jsonOut {
 		if err := envelope.Write(stdout, envelope.ToolRun, pay); err != nil {
 			return fail(err)
 		}
 	}
 	if res.Sanitizer != nil && !res.Sanitizer.Clean() {
 		return fail(fmt.Errorf("sanitizer found unordered cross-worker flows"))
-	}
-	// The linger comes last so every artifact (envelope included) is
-	// already flushed while the debug listener stays up for scrapes.
-	if *metricsAddr != "" && *linger > 0 {
-		fmt.Fprintf(stderr, "metrics:  lingering %s for scrapes\n", *linger)
-		select {
-		case <-ctx.Done():
-		case <-time.After(*linger):
-		}
 	}
 	return 0
 }

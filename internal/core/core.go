@@ -122,7 +122,7 @@ func CompileProgram(prog *ir.Program, opt Options) *Compiled {
 	}
 	// Each phase is timed and its Fourier-Motzkin work attributed by
 	// diffing the solver's global counters around it; the per-compile
-	// bill lands on Compiled.Costs (and, cumulatively, on expvar).
+	// bill lands on Compiled.Costs.
 	var costs remarks.Costs
 	start := time.Now()
 	before := linear.Costs()
@@ -163,7 +163,6 @@ func CompileProgram(prog *ir.Program, opt Options) *Compiled {
 	costs.IneqsGenerated = delta.IneqsGenerated
 	costs.Bailouts = delta.Bailouts
 	costs.Enumerations = delta.Enumerations
-	recordCompile(costs.Total)
 
 	opt.MinParam = minParam
 	return &Compiled{

@@ -46,6 +46,37 @@ func TestCompileProducesBothSchedules(t *testing.T) {
 	}
 }
 
+// TestCompileCostsBill: the per-compile analysis bill is non-empty, its
+// per-phase Fourier-Motzkin systems add up to the total, and the solver
+// counts are a function of the program alone — a second compile of the
+// same source is billed the same.
+func TestCompileCostsBill(t *testing.T) {
+	c, err := core.Compile(src, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Costs.FMSystems == 0 || c.Costs.Total <= 0 {
+		t.Fatalf("Compiled.Costs empty: %+v", c.Costs)
+	}
+	sys := int64(0)
+	for _, p := range c.Costs.Phases {
+		sys += p.FMSystems
+	}
+	if sys != c.Costs.FMSystems {
+		t.Errorf("phase FM systems sum %d != total %d", sys, c.Costs.FMSystems)
+	}
+	again, err := core.Compile(src, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := c.Costs, again.Costs
+	if a.FMSystems != b.FMSystems || a.VarsEliminated != b.VarsEliminated ||
+		a.IneqsGenerated != b.IneqsGenerated || a.Bailouts != b.Bailouts ||
+		a.Enumerations != b.Enumerations {
+		t.Errorf("second compile billed differently:\n first %+v\nsecond %+v", a, b)
+	}
+}
+
 func TestCompileSyntaxError(t *testing.T) {
 	if _, err := core.Compile("program x\nbogus!!!\nend\n", core.Options{}); err == nil {
 		t.Error("syntax error not reported")

@@ -84,9 +84,8 @@ type Result struct {
 	// Report is the static×runtime sync report (Run.Report set).
 	Report *remarks.Report
 	// TraceID is the run's cross-artifact join key: the same id lands in
-	// the spmdrun envelope, the ledger record, the spans export, and the
-	// debug server's /runs ring. Do always stamps one, even when span
-	// collection is off.
+	// the spmdrun envelope, the ledger record and the spans export. Do
+	// always stamps one, even when span collection is off.
 	TraceID string
 	// Telemetry is the run-lifecycle span trace (Run.Spans set; nil
 	// otherwise). Do returns it with the root span still open so the

@@ -1,13 +1,13 @@
 // Package costsim predicts parallel execution time of a compiled program
 // by simulating per-worker clocks over the synchronization schedule.
 //
-// The reproduction host exposes a single CPU, so the paper's elapsed-time
+// The reproduction host exposes two vCPUs, so the paper's elapsed-time
 // results (measured on multiprocessor SGI hardware) cannot be observed
-// directly; per DESIGN.md's substitution rule we simulate the substrate
-// instead. Work is counted in abstract units (expression nodes executed),
-// and synchronization costs are parameters — including a software-DSM
-// preset, since the paper argues barrier elimination matters most there
-// ("software barrier costs are dramatically higher", §1).
+// directly past P=2; per DESIGN.md's substitution rule we simulate the
+// substrate instead. Work is counted in abstract units (expression nodes
+// executed), and synchronization costs are parameters — including a
+// software-DSM preset, since the paper argues barrier elimination matters
+// most there ("software barrier costs are dramatically higher", §1).
 //
 // The simulation is exact for this synchronization structure: each worker
 // is sequential and blocks only at schedule boundaries, so propagating

@@ -36,8 +36,7 @@ const (
 	// line-oriented spmdrun -ledger format).
 	ToolProfile = "spmd-profile"
 	ToolLedger  = "spmdrun-ledger"
-	// ToolSpans wraps a run-lifecycle span export (spmdrun -spans and the
-	// debug server's /spans/<trace-id>).
+	// ToolSpans wraps a run-lifecycle span export (spmdrun -spans).
 	ToolSpans = "spmdrun-spans"
 )
 

@@ -402,12 +402,10 @@ var (
 )
 
 // DefaultPool returns the process-wide persistent-team pool that pooled
-// runs use when Config.Pool is nil, publishing its gauges as the
-// "team_pool" expvar on first use.
+// runs use when Config.Pool is nil.
 func DefaultPool() *pool.Pool {
 	defaultPoolOnce.Do(func() {
 		defaultPool = pool.New(pool.Options{})
-		defaultPool.Publish("team_pool")
 	})
 	return defaultPool
 }

@@ -57,7 +57,7 @@ func TestTraceChromeSchema(t *testing.T) {
 				t.Fatal("Result.Trace nil with Config.Trace set")
 			}
 			var buf bytes.Buffer
-			if err := res.Trace.WriteChromeTrace(&buf); err != nil {
+			if err := res.Trace.WriteChromeTrace(&buf, nil); err != nil {
 				t.Fatal(err)
 			}
 			var doc struct {

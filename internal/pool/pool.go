@@ -21,7 +21,6 @@
 package pool
 
 import (
-	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -94,9 +93,8 @@ type Pool struct {
 	closed bool
 
 	rebuilds sync.WaitGroup
-	pubOnce  sync.Once
 
-	// Gauges (Snapshot / Publish).
+	// Gauges (Snapshot).
 	checkouts    atomic.Int64
 	reuses       atomic.Int64
 	coldBuilds   atomic.Int64
@@ -344,13 +342,4 @@ func (p *Pool) Snapshot() Stats {
 		Live:         p.live.Load(),
 		Idle:         idle,
 	}
-}
-
-// Publish exposes the gauges as an expvar under the given name, next to
-// the "barrier_analysis" compile-side surface. Guarded by a Once because
-// expvar.Publish panics on duplicate names; only the first name wins.
-func (p *Pool) Publish(name string) {
-	p.pubOnce.Do(func() {
-		expvar.Publish(name, expvar.Func(func() any { return p.Snapshot() }))
-	})
 }

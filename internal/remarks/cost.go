@@ -1,7 +1,7 @@
 // Analysis-cost metrics: what the compile itself cost, phase by phase —
 // wall time plus Fourier-Motzkin solver work — so the price of the
-// optimization is as observable as its benefit. Published on core.Result,
-// via expvar, and as attributes of the compile span (`spmdrun -spans`).
+// optimization is as observable as its benefit. Published on core.Result
+// and as attributes of the compile span (`spmdrun -spans`).
 package remarks
 
 import (

@@ -167,18 +167,8 @@ func (e *PanicError) Error() string {
 // waits after the team has failed; Team.Run swallows it.
 type teamAbort struct{}
 
-// watchdogTrips counts watchdog deadlock reports process-wide. The debug
-// server's /healthz reads it: trips are the runtime-health signal that
-// pool gauges (which only see team lifecycle) cannot show.
-var watchdogTrips atomic.Int64
-
-// WatchdogTrips returns how many watchdog deadlock reports this process
-// has produced across all teams.
-func WatchdogTrips() int64 { return watchdogTrips.Load() }
-
 // deadlockReport snapshots every worker's registered wait site.
 func (m *Monitor) deadlockReport(trigger *WaitSite) *DeadlockError {
-	watchdogTrips.Add(1)
 	e := &DeadlockError{
 		Deadline:   time.Duration(m.deadlineNS.Load()),
 		Trigger:    trigger.Worker,

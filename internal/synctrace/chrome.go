@@ -34,8 +34,7 @@ type chromeTrace struct {
 // export on its own track — the run-lifecycle spans of internal/telemetry
 // ride here so one Perfetto load shows compile/lease/execute phases above
 // the per-worker sync events. StartNS is relative to the recorder's
-// Epoch (negative values — spans that began before tracing — are
-// clamped to 0 by the exporter).
+// Epoch and is negative for a span that began before tracing.
 type ExtraSpan struct {
 	Name    string
 	Cat     string
@@ -44,23 +43,23 @@ type ExtraSpan struct {
 	Args    map[string]any
 }
 
-// lifecycleTrack returns the tid of the extra-span track: one past the
-// last worker, so it sorts below the workers in Perfetto.
-func (r *Recorder) lifecycleTrack() int { return r.Workers() }
-
 // WriteChromeTrace serializes the merged trace as Chrome trace-event
-// JSON. Call only after the team has quiesced.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	return r.WriteChromeTraceWith(w, nil)
-}
-
-// WriteChromeTraceWith serializes the merged trace plus caller-provided
-// lifecycle spans on a dedicated track. Call only after the team has
+// JSON, with spans (nil for a plain export) on a lifecycle track one
+// past the last worker, so it sorts below the workers in Perfetto. Both
+// share one time base: ts 0 is the recorder's epoch or the earliest
+// span start, whichever came first. Call only after the team has
 // quiesced.
-func (r *Recorder) WriteChromeTraceWith(w io.Writer, extra []ExtraSpan) error {
+func (r *Recorder) WriteChromeTrace(w io.Writer, spans []ExtraSpan) error {
 	if r == nil {
 		return fmt.Errorf("synctrace: no recorder (tracing was not enabled)")
 	}
+	var origin int64
+	for _, es := range spans {
+		if es.StartNS < origin {
+			origin = es.StartNS
+		}
+	}
+	us := func(ns int64) float64 { return float64(ns-origin) / 1e3 }
 	tr := chromeTrace{DisplayTimeUnit: "ns"}
 	tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
@@ -72,9 +71,9 @@ func (r *Recorder) WriteChromeTraceWith(w io.Writer, extra []ExtraSpan) error {
 			Args: map[string]any{"name": fmt.Sprintf("worker %d", wk)},
 		})
 	}
-	if len(extra) > 0 {
+	if len(spans) > 0 {
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: r.lifecycleTrack(),
+			Name: "thread_name", Ph: "M", Pid: 0, Tid: r.Workers(),
 			Args: map[string]any{"name": "lifecycle"},
 		})
 	}
@@ -94,7 +93,7 @@ func (r *Recorder) WriteChromeTraceWith(w io.Writer, extra []ExtraSpan) error {
 		ce := chromeEvent{
 			Name: eventName(r, ev.Event),
 			Cat:  ev.Kind.String(),
-			Ts:   float64(ev.Start) / 1e3,
+			Ts:   us(ev.Start),
 			Pid:  0,
 			Tid:  ev.Worker,
 			Args: map[string]any{
@@ -112,20 +111,16 @@ func (r *Recorder) WriteChromeTraceWith(w io.Writer, extra []ExtraSpan) error {
 		}
 		tr.TraceEvents = append(tr.TraceEvents, ce)
 	}
-	for _, es := range extra {
-		start := es.StartNS
-		if start < 0 {
-			start = 0
-		}
+	for _, es := range spans {
 		dur := float64(es.DurNS) / 1e3
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 			Name: es.Name,
 			Cat:  es.Cat,
 			Ph:   "X",
-			Ts:   float64(start) / 1e3,
+			Ts:   us(es.StartNS),
 			Dur:  &dur,
 			Pid:  0,
-			Tid:  r.lifecycleTrack(),
+			Tid:  r.Workers(),
 			Args: es.Args,
 		})
 	}

@@ -146,7 +146,7 @@ func New(n, perWorkerCap int) *Recorder {
 
 // Epoch returns the recorder's construction time — the zero point of
 // every event timestamp (zero time for nil). External layers that merge
-// their own spans into the Chrome export (WriteChromeTraceWith) align to
+// their own spans into the Chrome export (WriteChromeTrace) align to
 // it.
 func (r *Recorder) Epoch() time.Time {
 	if r == nil {

@@ -32,7 +32,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if s := Summarize(r); s != nil {
 		t.Error("Summarize(nil) != nil")
 	}
-	if err := r.WriteChromeTrace(&bytes.Buffer{}); err == nil {
+	if err := r.WriteChromeTrace(&bytes.Buffer{}, nil); err == nil {
 		t.Error("nil WriteChromeTrace should error")
 	}
 }
@@ -202,7 +202,7 @@ func TestSummarize(t *testing.T) {
 func TestChromeTraceSchema(t *testing.T) {
 	r := synth(t)
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := r.WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -1,13 +1,9 @@
 package telemetry
 
-import (
-	"io"
-
-	"repro/internal/synctrace"
-)
+import "repro/internal/synctrace"
 
 // ChromeSpans converts the trace's spans into synctrace extra events
-// aligned to rec's epoch, for WriteChromeTraceWith: the lifecycle track
+// aligned to rec's epoch, for rec.WriteChromeTrace: the lifecycle track
 // carries compile/lease/execute phases above the per-worker sync tracks.
 // Returns nil when either side is nil.
 func (t *Trace) ChromeSpans(rec *synctrace.Recorder) []synctrace.ExtraSpan {
@@ -16,7 +12,7 @@ func (t *Trace) ChromeSpans(rec *synctrace.Recorder) []synctrace.ExtraSpan {
 	}
 	// A span's absolute start is trace epoch + StartNS; re-express it
 	// relative to the recorder's epoch (set when the executor built the
-	// recorder, i.e. mid-trace).
+	// recorder, i.e. mid-trace, so most spans land before it).
 	shift := t.Epoch().Sub(rec.Epoch()).Nanoseconds()
 	spans := t.Spans()
 	out := make([]synctrace.ExtraSpan, 0, len(spans))
@@ -38,11 +34,4 @@ func (t *Trace) ChromeSpans(rec *synctrace.Recorder) []synctrace.ExtraSpan {
 		})
 	}
 	return out
-}
-
-// WriteChromeTrace writes the combined Perfetto export: rec's per-worker
-// sync events interleaved with this trace's lifecycle spans. With a nil
-// trace it degrades to the plain sync-event export.
-func (t *Trace) WriteChromeTrace(w io.Writer, rec *synctrace.Recorder) error {
-	return rec.WriteChromeTraceWith(w, t.ChromeSpans(rec))
 }

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -155,6 +156,7 @@ type chromeDoc struct {
 		Cat  string         `json:"cat"`
 		Ph   string         `json:"ph"`
 		Tid  int            `json:"tid"`
+		Ts   float64        `json:"ts"`
 		Dur  *float64       `json:"dur"`
 		Args map[string]any `json:"args"`
 	} `json:"traceEvents"`
@@ -162,11 +164,13 @@ type chromeDoc struct {
 
 // TestChromeExportInterleavesSpansAndSyncEvents: one Perfetto export
 // carries the per-worker sync events on tids 0..P-1 and the lifecycle
-// spans as complete events on the dedicated track above them.
+// spans as complete events on the dedicated track above them, both on one
+// time base: spans sit where the span export puts them, and the sync
+// events fall inside the team run that produced them.
 func TestChromeExportInterleavesSpansAndSyncEvents(t *testing.T) {
 	res := jacobiResult(t)
 	var buf bytes.Buffer
-	if err := res.Telemetry.WriteChromeTrace(&buf, res.Trace); err != nil {
+	if err := res.Trace.WriteChromeTrace(&buf, res.Telemetry.ChromeSpans(res.Trace)); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
@@ -178,6 +182,18 @@ func TestChromeExportInterleavesSpansAndSyncEvents(t *testing.T) {
 	var lifecycleNamed bool
 	spanNames := map[string]bool{}
 	var syncEvents, spanEvents int
+	startNS := map[int]int64{}
+	for _, sp := range res.Telemetry.Export().Spans {
+		startNS[int(sp.ID)] = sp.StartNS
+	}
+	// ts and end of the named lifecycle events, in microseconds.
+	ts, end := map[string]float64{}, map[string]float64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat == "lifecycle" && ev.Dur != nil {
+			ts[ev.Name], end[ev.Name] = ev.Ts, ev.Ts+*ev.Dur
+		}
+	}
+	const ns = 1e-3 // float slack on sums of microsecond values
 	for _, ev := range doc.TraceEvents {
 		switch {
 		case ev.Ph == "M" && ev.Name == "thread_name":
@@ -193,13 +209,27 @@ func TestChromeExportInterleavesSpansAndSyncEvents(t *testing.T) {
 			if ev.Ph != "X" || ev.Dur == nil || *ev.Dur < 0 {
 				t.Errorf("lifecycle span %q not a complete event: ph=%q dur=%v", ev.Name, ev.Ph, ev.Dur)
 			}
-			if _, ok := ev.Args["span_id"]; !ok {
+			id, ok := ev.Args["span_id"].(float64)
+			if !ok {
 				t.Errorf("lifecycle span %q missing span_id arg", ev.Name)
+			}
+			// The root starts at start_ns 0, so a span's offset from it in
+			// the export must be its start_ns.
+			if got, want := ev.Ts-ts["run"], float64(startNS[int(id)])/1e3; math.Abs(got-want) > 1 {
+				t.Errorf("lifecycle span %q is %.1f us after run, want %.1f (its start_ns)", ev.Name, got, want)
 			}
 		case ev.Ph == "X" || ev.Ph == "i":
 			syncEvents++
 			if ev.Tid < 0 || ev.Tid >= workers {
 				t.Errorf("sync event %q on tid %d, want worker 0..%d", ev.Name, ev.Tid, workers-1)
+			}
+			evEnd := ev.Ts
+			if ev.Dur != nil {
+				evEnd += *ev.Dur
+			}
+			if ev.Ts < ts["team run"]-ns || evEnd > end["team run"]+ns {
+				t.Errorf("sync event %q [%.3f, %.3f] us outside team run [%.3f, %.3f]",
+					ev.Name, ev.Ts, evEnd, ts["team run"], end["team run"])
 			}
 		}
 	}
@@ -218,6 +248,9 @@ func TestChromeExportInterleavesSpansAndSyncEvents(t *testing.T) {
 			t.Errorf("lifecycle track missing span %q", want)
 		}
 	}
+	if end["compile"] > ts["execute"]+ns {
+		t.Errorf("compile ends at %.3f us, after execute starts at %.3f", end["compile"], ts["execute"])
+	}
 }
 
 // TestChromeExportDeterministicShape: the lifecycle event names of two
@@ -226,7 +259,7 @@ func TestChromeExportDeterministicShape(t *testing.T) {
 	shape := func() string {
 		res := jacobiResult(t)
 		var buf bytes.Buffer
-		if err := res.Telemetry.WriteChromeTrace(&buf, res.Trace); err != nil {
+		if err := res.Trace.WriteChromeTrace(&buf, res.Telemetry.ChromeSpans(res.Trace)); err != nil {
 			t.Fatal(err)
 		}
 		var doc chromeDoc

@@ -1,15 +1,12 @@
-// Package telemetry is the run-lifecycle observability substrate: a
-// span layer that follows one request through lint → compile → certify →
-// pool lease → execute → report, and a process-wide streaming aggregator
-// (aggregator.go) that folds finished runs into mergeable cross-run
-// statistics. `spmdrun` feeds it today; the `barrierd` service (ROADMAP
-// item 4) mounts the same layer unchanged.
+// Package telemetry is the run-lifecycle span layer: it follows one
+// request through lint → compile → certify → pool lease → execute →
+// report.
 //
 // A Trace owns one run's spans. Span ids are small sequential integers
 // assigned in Start order, so the span tree of a deterministic pipeline
 // is byte-stable across runs once timestamps are stripped; only the
-// trace id (the cross-artifact join key stamped into the run envelope,
-// the ledger record, and /runs) is random. All Trace methods are nil-safe
+// trace id (the cross-artifact join key stamped into the run envelope
+// and the ledger record) is random. All Trace methods are nil-safe
 // no-ops, mirroring synctrace.Recorder: callers thread a possibly-nil
 // *Trace and never guard call sites.
 package telemetry
@@ -43,7 +40,7 @@ type Span struct {
 }
 
 // Export is the `spmdrun -spans` payload (wrapped in the versioned
-// envelope as tool "spmdrun-spans") and the /spans/<trace-id> body.
+// envelope as tool "spmdrun-spans").
 type Export struct {
 	TraceID string `json:"trace_id"`
 	Program string `json:"program,omitempty"`
@@ -66,6 +63,12 @@ type Trace struct {
 // RootName is the name of every trace's root span.
 const RootName = "run"
 
+// Values of the attempt span's "outcome" attribute.
+const (
+	OutcomeOK    = "ok"
+	OutcomeError = "error"
+)
+
 // NewTrace starts a trace whose root span opens now.
 func NewTrace() *Trace {
 	t := &Trace{id: NewTraceID(), epoch: time.Now()}
@@ -74,7 +77,7 @@ func NewTrace() *Trace {
 }
 
 // NewTraceID returns a fresh 16-hex-digit trace id. Runs that do not
-// collect spans still stamp one so envelope, ledger, and /runs rows join.
+// collect spans still stamp one so envelope and ledger rows join.
 func NewTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/profile"
 )
 
 // TestNilTraceSafe: every method on a nil *Trace is a no-op returning the
@@ -128,112 +126,5 @@ func TestRenderTree(t *testing.T) {
 	}
 	if strings.Contains(RenderTree(spans, false), "{") {
 		t.Fatal("withAttrs=false must not render attrs")
-	}
-}
-
-// TestAggregatorRing: the run ring trims to capacity, Recent returns
-// newest first, and span lookups miss once evicted.
-func TestAggregatorRing(t *testing.T) {
-	ag := New(2)
-	mk := func(id string) (RunSummary, *Export) {
-		return RunSummary{TraceID: id, Program: "k", Outcome: OutcomeOK},
-			&Export{TraceID: id}
-	}
-	for _, id := range []string{"aa", "bb", "cc"} {
-		sum, exp := mk(id)
-		ag.Observe(sum, nil, exp)
-	}
-	recent := ag.Recent(0)
-	if len(recent) != 2 || recent[0].TraceID != "cc" || recent[1].TraceID != "bb" {
-		t.Fatalf("Recent = %+v, want [cc bb]", recent)
-	}
-	if got := ag.Recent(1); len(got) != 1 || got[0].TraceID != "cc" {
-		t.Fatalf("Recent(1) = %+v", got)
-	}
-	if ag.Spans("aa") != nil {
-		t.Fatal("evicted trace still resolvable")
-	}
-	if exp := ag.Spans("bb"); exp == nil || exp.TraceID != "bb" {
-		t.Fatalf("Spans(bb) = %+v", exp)
-	}
-	if ag.Spans("") != nil || ag.Spans("zz") != nil {
-		t.Fatal("unknown ids must return nil")
-	}
-}
-
-// TestAggregatorCounters: outcome/attempt/fallback bookkeeping lands in
-// Snapshot, and error runs count in both process and group totals.
-func TestAggregatorCounters(t *testing.T) {
-	ag := New(8)
-	ag.Observe(RunSummary{Program: "k", Outcome: OutcomeOK, Attempts: 3}, nil, nil)
-	ag.Observe(RunSummary{Program: "k", Outcome: OutcomeError, SeqFallback: true, ElapsedNS: 1000}, nil, nil)
-	s := ag.Snapshot()
-	if s.Runs != 2 || s.Errors != 1 || s.Retries != 2 || s.SeqFallbacks != 1 {
-		t.Fatalf("snapshot counters = %+v", s)
-	}
-	if s.LastOutcome != OutcomeError {
-		t.Fatalf("last outcome = %q", s.LastOutcome)
-	}
-	if len(s.Groups) != 1 || s.Groups[0].Runs != 2 || s.Groups[0].Errors != 1 {
-		t.Fatalf("groups = %+v", s.Groups)
-	}
-}
-
-// TestAggregatorGrouping: runs with profiles group by the profile's full
-// identity key; profile-less runs use the hash-free fallback key, so the
-// two never collide into one rollup.
-func TestAggregatorGrouping(t *testing.T) {
-	ag := New(8)
-	p := &profile.Profile{Schema: profile.Schema, Program: "k", ProgramHash: "x",
-		ScheduleHash: "y", Mode: "opt", Workers: 4, Backend: "chan", Runs: 1}
-	ag.Observe(RunSummary{Program: "k", Mode: "opt", Workers: 4, Backend: "chan",
-		Outcome: OutcomeOK}, p, nil)
-	ag.Observe(RunSummary{Program: "k", Mode: "opt", Workers: 4, Backend: "chan",
-		Outcome: OutcomeOK}, nil, nil)
-	s := ag.Snapshot()
-	if len(s.Groups) != 2 {
-		t.Fatalf("groups = %d, want 2 (keyed vs fallback)", len(s.Groups))
-	}
-	var withProf, without int
-	for _, g := range s.Groups {
-		if g.Profile != nil {
-			withProf++
-			if g.Profile.Runs != 1 {
-				t.Fatalf("rollup runs = %d", g.Profile.Runs)
-			}
-		} else {
-			without++
-		}
-	}
-	if withProf != 1 || without != 1 {
-		t.Fatalf("withProf=%d without=%d", withProf, without)
-	}
-}
-
-// TestAggregatorRollupDetached: the rollup must be a deep copy — mutating
-// the observed profile afterwards cannot corrupt the aggregate.
-func TestAggregatorRollupDetached(t *testing.T) {
-	ag := New(8)
-	p := &profile.Profile{Schema: profile.Schema, Program: "k", ProgramHash: "x",
-		ScheduleHash: "y", Mode: "opt", Workers: 4, Backend: "chan", Runs: 1,
-		Sites: []profile.SiteProfile{{Site: 1, Kind: "barrier", Ops: 7}}}
-	ag.Observe(RunSummary{Program: p.Program, Mode: p.Mode, Workers: p.Workers,
-		Backend: p.Backend, Outcome: OutcomeOK}, p, nil)
-	p.Sites[0].Ops = 999
-	s := ag.Snapshot()
-	if got := s.Groups[0].Profile.Sites[0].Ops; got != 7 {
-		t.Fatalf("rollup ops = %d, want 7 (detached copy)", got)
-	}
-}
-
-// TestNilAggregatorSafe mirrors the nil-trace contract.
-func TestNilAggregatorSafe(t *testing.T) {
-	var ag *Aggregator
-	ag.Observe(RunSummary{}, nil, nil)
-	if ag.Recent(1) != nil || ag.Spans("x") != nil {
-		t.Fatal("nil aggregator reads must return nil")
-	}
-	if s := ag.Snapshot(); s.Runs != 0 {
-		t.Fatal("nil snapshot must be zero")
 	}
 }

@@ -251,16 +251,18 @@ echo "== one timing sampler =="
 # suite.Paired is the only pairing scheme, reduction and verdict in the
 # tree, and `go run ./bench` the only timing harness. The names of the seven
 # schemes Paired replaced, of the stamped baseline file, of the tolerance
-# env knobs and of the second harness (its measurers, its check.sh helper,
-# its committed result files) must not come back in any .go or .sh file.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json' # retired-names
+# env knobs, of the second harness (its measurers, its check.sh helper,
+# its committed result files) and of the serving face (debug-server flags
+# and package, the process-wide aggregator, the expvar surfaces) must not
+# come back in any .go or .sh file.
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool' # retired-names
 if sampler_hits="$(find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0 |
     xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
-    echo "ERROR: a retired timing scheme or knob is back:" >&2
+    echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
     echo "$sampler_hits" >&2
     exit 1
 fi
-echo "-- no retired pairing scheme, baseline file, tolerance knob or second-harness name in any .go or .sh file"
+echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness or serving-face name in any .go or .sh file"
 
 echo "== pinned gates still exist =="
 # The -race leg above has already run these; what is checked here is that
@@ -329,21 +331,16 @@ cmp -s "$prof_dir/jacobi2d.json" "$prof_dir/roundtrip.json" || {
 }
 echo "-- single-profile merge byte-identical (round-trip determinism)"
 
-# 10-run jacobi2d baseline: merge must succeed and a clean 11th run must
-# diff quiet (exit 0); an injected chaos-stall run must be flagged
-# (exit 1) and the ledger watch must name it.
+# 10-run jacobi2d baseline: merge must succeed, an injected chaos-stall
+# run must be flagged (exit 1) and the ledger watch must name it. That a
+# clean run diffs quiet is pinned on fixed sketches (profile
+# TestDiffQuietOnNoise, spmdprof TestDiffExitCodes), not on a live run.
 for i in $(seq 1 10); do
     "$spmdrun_bin" -kernel jacobi2d -p 4 -param N=64 -param T=4 \
         -profile-out "$prof_dir/j$i.json" -ledger "$prof_dir/jacobi.jsonl" \
         >/dev/null 2>/dev/null
 done
 "$spmdprof_bin" merge -o "$prof_dir/baseline.json" "$prof_dir"/j[0-9]*.json 2>/dev/null
-"$spmdrun_bin" -kernel jacobi2d -p 4 -param N=64 -param T=4 \
-    -profile-out "$prof_dir/clean.json" >/dev/null 2>/dev/null
-"$spmdprof_bin" diff "$prof_dir/baseline.json" "$prof_dir/clean.json" >/dev/null || {
-    echo "ERROR: clean run flagged as regression against its own baseline" >&2
-    exit 1
-}
 "$spmdrun_bin" -kernel jacobi2d -p 4 -param N=64 -param T=4 \
     -chaos-seed 7 -chaos-stall 5ms \
     -profile-out "$prof_dir/chaos.json" -ledger "$prof_dir/jacobi.jsonl" \
@@ -362,7 +359,7 @@ if [ "$rc" -ne 1 ] || ! grep -q "worst site" "$prof_dir/watch.txt"; then
     cat "$prof_dir/watch.txt" >&2
     exit 1
 fi
-echo "-- 10-run baseline quiet on clean run; chaos stall flagged by diff and ledger watch"
+echo "-- 10-run baseline merged; chaos stall flagged by diff and ledger watch"
 
 echo "== feedback loop round trip (-profile-in, barrierc -fdo) =="
 # The profile-guided re-optimization tier: record a profile, feed it back
@@ -422,54 +419,6 @@ ratio = tops / wall
 assert 0.95 <= ratio <= 1.05, f"phase sum / wall = {ratio:.3f}, want within 5%"
 print(f"-- trace {p['trace_id']}: {len(sp['spans'])} spans, phase-sum/wall {ratio:.3f}")
 EOF
-fi
-
-echo "== debug server smoke (/healthz, /runs, /spans/<id>, /metrics) =="
-# One-shot spmdrun with a linger window: the debug endpoints must serve
-# a healthy status, the run's trace id (newest first), the span export
-# by id, and the per-site wait families in the Prometheus exposition.
-if command -v python3 >/dev/null 2>&1; then
-    "$spmdrun_bin" -kernel jacobi2d -p 4 -param N=64 -param T=4 \
-        -metrics-addr 127.0.0.1:0 -metrics-linger 30s \
-        >/dev/null 2>"$span_dir/metrics.err" &
-    span_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's#^metrics:  serving http://\([^/]*\)/metrics.*#\1#p' "$span_dir/metrics.err")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "ERROR: spmdrun -metrics-addr never announced its address" >&2
-        cat "$span_dir/metrics.err" >&2
-        kill "$span_pid" 2>/dev/null || true
-        exit 1
-    fi
-    # The run itself must finish (lingering) before the ring has the run.
-    for _ in $(seq 1 100); do
-        grep -q "lingering" "$span_dir/metrics.err" && break
-        sleep 0.1
-    done
-    python3 - "$addr" <<'EOF'
-import json, sys, urllib.request
-addr = sys.argv[1]
-get = lambda path: urllib.request.urlopen(f"http://{addr}{path}", timeout=5).read()
-h = json.loads(get("/healthz"))
-assert h["status"] == "ok" and h["runs"] >= 1, h
-runs = json.loads(get("/runs?n=1"))
-assert len(runs) == 1 and runs[0]["trace_id"] and runs[0]["outcome"] == "ok", runs
-tid = runs[0]["trace_id"]
-spans = json.loads(get(f"/spans/{tid}"))
-assert spans["tool"] == "spmdrun-spans", spans["tool"]
-assert spans["payload"]["trace_id"] == tid, spans["payload"]["trace_id"]
-prom = get("/metrics").decode()
-assert "spmd_runs_total 1" in prom, prom[:400]
-assert "spmd_site_wait_ns{" in prom, "per-site wait family missing"
-assert "spmd_run_elapsed_ns{" in prom, "run latency quantiles missing"
-print(f"-- /healthz ok; /runs newest trace {tid}; /spans round trip; /metrics has site waits")
-EOF
-    kill "$span_pid" 2>/dev/null || true
-    wait "$span_pid" 2>/dev/null || true
 fi
 
 echo "== sabotage must be caught =="
