@@ -9,10 +9,11 @@
 // software-DSM preset, since the paper argues barrier elimination matters
 // most there ("software barrier costs are dramatically higher", §1).
 //
-// The simulation is exact for this synchronization structure: each worker
-// is sequential and blocks only at schedule boundaries, so propagating
-// per-worker clocks through the sites in program order yields the same
-// makespan a discrete-event simulation would. Pipelining emerges
+// It replays the step program the executor runs (syncopt.Lower) on
+// per-worker clocks. That is exact for this synchronization structure: each
+// worker is sequential and blocks only at sync steps, so propagating the
+// clocks through the steps in order yields the same makespan a
+// discrete-event simulation would. Pipelining emerges
 // naturally: a loop-bottom neighbor sync lets low-ranked workers run ahead
 // into later iterations, exactly the staggered wave of §3.3.
 package costsim
@@ -22,9 +23,9 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/decomp"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/linear"
-	"repro/internal/region"
 	"repro/internal/syncopt"
 )
 
@@ -97,43 +98,69 @@ func (r Result) Speedup() float64 {
 	return r.Work / r.Makespan
 }
 
+// InspectorError reports that sync site Site (1-based, global order) is a
+// runtime inspector, whose waits depend on index-array contents the
+// simulator does not model.
+type InspectorError struct {
+	Site int
+}
+
+func (e *InspectorError) Error() string {
+	return fmt.Sprintf("costsim: sync site %d is a runtime inspector, whose waits depend on index-array contents the simulator does not model", e.Site)
+}
+
 // Simulator predicts execution times for one compiled program.
 type Simulator struct {
-	prog   *ir.Program
-	sched  *syncopt.Schedule
-	plan   *decomp.Plan
-	params map[string]int64
-	costs  Costs
-	nproc  int
-	mode   Mode
+	low   *syncopt.Steps
+	plan  *decomp.Plan
+	costs Costs
+	nproc int
 
 	clocks []float64
 	res    Result
-	env    map[string]int64
-	err    error
+	// ev evaluates bounds over the parameters and the live loop indices;
+	// aff binds the same values as placement variables.
+	ev  *interp.Env
+	aff map[linear.Var]int64
+	// hi[i] is the upper bound of the sequential loop StepSeq i entered.
+	hi []int64
+	// nodes memoizes each assignment's weight.
+	nodes map[*ir.Assign]float64
+	err   error
 	// trace, when non-nil, records per-worker activity segments.
 	trace *[]Segment
 }
 
 // Simulate runs the prediction. P must be positive; params must bind every
-// program parameter.
+// program parameter. A schedule with an inspector site yields an
+// *InspectorError.
 func Simulate(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int64,
 	nproc int, mode Mode, costs Costs) (Result, error) {
+	return simulate(sched, plan, params, nproc, mode, costs, nil)
+}
+
+func simulate(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int64,
+	nproc int, mode Mode, costs Costs, trace *[]Segment) (Result, error) {
 	if nproc <= 0 {
 		return Result{}, fmt.Errorf("costsim: nproc must be positive")
 	}
 	s := &Simulator{
-		prog: sched.Prog, sched: sched, plan: plan, params: params,
-		costs: costs, nproc: nproc, mode: mode,
+		low: sched.Lower(mode == ForkJoin), plan: plan, costs: costs, nproc: nproc,
 		clocks: make([]float64, nproc),
-		env:    map[string]int64{},
+		ev:     interp.NewEnv(&interp.State{Prog: sched.Prog, Params: params}),
+		aff:    map[linear.Var]int64{},
+		nodes:  map[*ir.Assign]float64{},
+		trace:  trace,
 	}
+	s.hi = make([]int64, len(s.low.Steps))
 	for _, p := range sched.Prog.Params {
-		if _, ok := params[p]; !ok {
+		v, ok := params[p]
+		if !ok {
 			return Result{}, fmt.Errorf("costsim: parameter %s not bound", p)
 		}
+		s.aff[linear.Sym(p)] = v
 	}
-	s.region(sched.Top)
+	s.run()
 	if s.err != nil {
 		return Result{}, s.err
 	}
@@ -151,23 +178,13 @@ func (s *Simulator) fail(err error) {
 	}
 }
 
-func (s *Simulator) region(rs *syncopt.RegionSched) {
-	for gi := range rs.Groups {
-		if s.err != nil {
-			return
-		}
-		for _, st := range rs.Groups[gi].Stmts {
-			s.stmt(st)
-		}
-		s.sync(rs, gi)
-	}
-}
-
-func (s *Simulator) stmt(st ir.Stmt) {
-	switch s.sched.Modes[st] {
-	case region.ModeParallel:
-		l := st.(*ir.Loop)
-		if s.mode == ForkJoin {
+// run replays the step program on the per-worker clocks.
+func (s *Simulator) run() {
+	steps := s.low.Steps
+	for pc := 0; pc < len(steps) && s.err == nil; pc++ {
+		st := &steps[pc]
+		switch st.Kind {
+		case syncopt.StepDispatch:
 			// Master dispatches; workers begin no earlier than the
 			// master's announcement.
 			t := s.clocks[0] + s.costs.Dispatch
@@ -178,74 +195,105 @@ func (s *Simulator) stmt(st ir.Stmt) {
 					s.clocks[w] = t
 				}
 			}
+		case syncopt.StepParallel:
+			for w := range s.clocks {
+				s.runSlice(st.Loop, w, s.clocks[w])
+			}
+		case syncopt.StepReplicated:
+			wsum := s.weightStmt(st.Stmts[0])
+			for w := range s.clocks {
+				s.compute(w, s.clocks[w], wsum)
+			}
+			// Replication executes the same work P times; count it once
+			// as useful work (the rest is overhead the model charges to
+			// the clocks anyway).
+			s.res.Work += wsum
+		case syncopt.StepGuarded:
+			wsum := s.weightStmt(st.Stmts[0])
+			s.compute(0, s.clocks[0], wsum)
+			s.res.Work += wsum
+		case syncopt.StepWavefront:
+			s.wavefront(st.Loop)
+		case syncopt.StepSeq:
+			if lo, hi, ok := s.bounds(st.Loop); !ok {
+				s.fail(fmt.Errorf("costsim: non-evaluable bounds of loop %s", st.Loop.Index))
+			} else if lo <= hi {
+				s.hi[pc] = hi
+				s.setIndex(st.Loop, lo)
+			} else {
+				pc = st.Jump - 1
+			}
+		case syncopt.StepNext:
+			if k, _ := s.ev.Index(st.Loop.Index); k+1 <= s.hi[st.Jump-1] {
+				s.setIndex(st.Loop, k+1)
+				pc = st.Jump - 1
+			} else {
+				s.ev.ClearIndex(st.Loop.Index)
+			}
+		case syncopt.StepSync:
+			s.sync(st.Site)
 		}
-		s.parallelLoop(l)
-	case region.ModeReplicated:
-		w := s.weightStmt(st)
-		if s.mode == ForkJoin {
-			s.segment(0, s.clocks[0], s.clocks[0]+w, SegCompute)
-			s.clocks[0] += w
-			s.res.Work += w
-			return
-		}
-		for i := range s.clocks {
-			s.segment(i, s.clocks[i], s.clocks[i]+w, SegCompute)
-			s.clocks[i] += w
-		}
-		// Replication executes the same work P times; count it once
-		// as useful work (the rest is overhead the model charges to
-		// the clocks anyway).
-		s.res.Work += w
-	case region.ModeGuarded:
-		w := s.weightStmt(st)
-		s.segment(0, s.clocks[0], s.clocks[0]+w, SegCompute)
-		s.clocks[0] += w
-		s.res.Work += w
-	case region.ModeWavefront:
-		l := st.(*ir.Loop)
-		if s.mode == ForkJoin {
-			w := s.weightStmt(st)
-			s.segment(0, s.clocks[0], s.clocks[0]+w, SegCompute)
-			s.clocks[0] += w
-			s.res.Work += w
-			return
-		}
-		s.wavefront(l)
-	case region.ModeSeqLoop:
-		l := st.(*ir.Loop)
-		lo, ok1 := s.evalInt(l.Lo)
-		hi, ok2 := s.evalInt(l.Hi)
-		if !ok1 || !ok2 {
-			s.fail(fmt.Errorf("costsim: non-evaluable bounds of loop %s", l.Index))
-			return
-		}
-		inner := s.sched.Regions[l]
-		for k := lo; k <= hi && s.err == nil; k++ {
-			s.env[l.Index] = k
-			s.region(inner)
-		}
-		delete(s.env, l.Index)
 	}
+}
+
+func (s *Simulator) setIndex(l *ir.Loop, k int64) {
+	s.ev.SetIndex(l.Index, k)
+	s.aff[linear.Loop(l.Index)] = k
+}
+
+// bounds evaluates a loop's bounds; ok is false when they do not evaluate
+// to integers over the parameters and the live loop indices.
+func (s *Simulator) bounds(l *ir.Loop) (lo, hi int64, ok bool) {
+	lo, err1 := s.ev.EvalInt(l.Lo)
+	hi, err2 := s.ev.EvalInt(l.Hi)
+	return lo, hi, err1 == nil && err2 == nil
+}
+
+// compute charges worker w d units of computation starting at start.
+func (s *Simulator) compute(w int, start, d float64) {
+	s.segment(w, start, start+d, SegCompute)
+	s.clocks[w] = start + d
+}
+
+// slice is worker w's share of loop l's iterations under the current
+// indices, by the placement arithmetic the executor uses; ok is false when
+// the bounds do not evaluate or the loop has no placement.
+func (s *Simulator) slice(l *ir.Loop, w int) (start, end, step int64, ok bool) {
+	lo, hi, ok := s.bounds(l)
+	pl := s.plan.Placements[l]
+	if !ok || pl == nil {
+		return 0, -1, 1, false
+	}
+	off, ext := pl.Offset.Eval(s.aff), pl.Space.Extent.Eval(s.aff)
+	if ext < 1 || lo > hi {
+		return 0, -1, 1, true
+	}
+	start, end, step = decomp.IterSlice(pl.Kind, lo, hi, off, ext, w, s.nproc)
+	return start, end, step, true
+}
+
+// runSlice charges worker w the computation in its slice of loop l,
+// starting at t.
+func (s *Simulator) runSlice(l *ir.Loop, w int, t float64) {
+	first, last, step, ok := s.slice(l, w)
+	if !ok {
+		s.fail(fmt.Errorf("costsim: non-evaluable bounds or no placement for loop %s", l.Index))
+	}
+	var wsum float64
+	for i := first; i <= last; i += step {
+		s.ev.SetIndex(l.Index, i)
+		wsum += s.weightStmts(l.Body)
+	}
+	s.ev.ClearIndex(l.Index)
+	s.compute(w, t, wsum)
+	s.res.Work += wsum
 }
 
 // wavefront simulates the relay: worker w starts its chunk no earlier than
 // worker w-1 finishes its own, producing the staggered pipeline wave.
 func (s *Simulator) wavefront(l *ir.Loop) {
-	lo, ok1 := s.evalInt(l.Lo)
-	hi, ok2 := s.evalInt(l.Hi)
-	pl := s.plan.Placements[l]
-	if !ok1 || !ok2 || pl == nil {
-		s.fail(fmt.Errorf("costsim: non-evaluable wavefront loop %s", l.Index))
-		return
-	}
-	off, ok1 := s.evalAffine(pl.Offset)
-	ext, ok2 := s.evalAffine(pl.Space.Extent)
-	if !ok1 || !ok2 {
-		s.fail(fmt.Errorf("costsim: non-evaluable placement of wavefront loop %s", l.Index))
-		return
-	}
 	prevFinish := 0.0
-	for w := 0; w < s.nproc; w++ {
+	for w := range s.clocks {
 		start := s.clocks[w]
 		if w > 0 {
 			handoff := prevFinish + s.costs.NeighborWait
@@ -255,107 +303,32 @@ func (s *Simulator) wavefront(l *ir.Loop) {
 			}
 			s.res.SyncTime += s.costs.NeighborWait
 		}
-		var wsum float64
-		if ext >= 1 && lo <= hi {
-			st2, en, step := decomp.IterSlice(pl.Kind, lo, hi, off, ext, w, s.nproc)
-			for i := st2; i <= en; i += step {
-				s.env[l.Index] = i
-				wsum += s.weightStmts(l.Body)
-			}
-			delete(s.env, l.Index)
-		}
-		s.segment(w, start, start+wsum, SegCompute)
-		s.res.Work += wsum
-		finish := start + wsum + s.costs.NeighborPost
+		s.runSlice(l, w, start)
+		s.clocks[w] += s.costs.NeighborPost
 		s.res.NeighborPosts++
 		s.res.SyncTime += s.costs.NeighborPost
-		s.clocks[w] = finish
-		prevFinish = finish
+		prevFinish = s.clocks[w]
 	}
 }
 
-// parallelLoop charges each worker its slice of the iteration space.
-func (s *Simulator) parallelLoop(l *ir.Loop) {
-	lo, ok1 := s.evalInt(l.Lo)
-	hi, ok2 := s.evalInt(l.Hi)
-	if !ok1 || !ok2 {
-		s.fail(fmt.Errorf("costsim: non-evaluable bounds of parallel loop %s", l.Index))
-		return
-	}
-	pl := s.plan.Placements[l]
-	if pl == nil {
-		s.fail(fmt.Errorf("costsim: no placement for parallel loop %s", l.Index))
-		return
-	}
-	off, ok1 := s.evalAffine(pl.Offset)
-	ext, ok2 := s.evalAffine(pl.Space.Extent)
-	if !ok1 || !ok2 {
-		s.fail(fmt.Errorf("costsim: non-evaluable placement of loop %s", l.Index))
-		return
-	}
-	for w := 0; w < s.nproc; w++ {
-		if ext < 1 || lo > hi {
-			continue
-		}
-		start, end, step := decomp.IterSlice(pl.Kind, lo, hi, off, ext, w, s.nproc)
-		var wsum float64
-		for i := start; i <= end; i += step {
-			s.env[l.Index] = i
-			wsum += s.weightStmts(l.Body)
-		}
-		delete(s.env, l.Index)
-		s.segment(w, s.clocks[w], s.clocks[w]+wsum, SegCompute)
-		s.clocks[w] += wsum
-		s.res.Work += wsum
-	}
-}
-
-// activeWorkers mirrors exec's groupActivity for counter targets.
-func (s *Simulator) activeWorkers(g syncopt.Group) []bool {
+// producers marks the workers that post at a counter site.
+func (s *Simulator) producers(site *syncopt.Site) []bool {
 	act := make([]bool, s.nproc)
-	for _, st := range g.Stmts {
-		switch s.sched.Modes[st] {
-		case region.ModeParallel:
-			l := st.(*ir.Loop)
-			lo, ok1 := s.evalInt(l.Lo)
-			hi, ok2 := s.evalInt(l.Hi)
-			pl := s.plan.Placements[l]
-			if !ok1 || !ok2 || pl == nil {
-				for i := range act {
-					act[i] = true
-				}
-				continue
-			}
-			off, ok1 := s.evalAffine(pl.Offset)
-			ext, ok2 := s.evalAffine(pl.Space.Extent)
-			if !ok1 || !ok2 || ext < 1 || lo > hi {
-				continue
-			}
-			for w := 0; w < s.nproc; w++ {
-				st2, en, _ := decomp.IterSlice(pl.Kind, lo, hi, off, ext, w, s.nproc)
-				if st2 <= en {
-					act[w] = true
-				}
-			}
-		case region.ModeWavefront:
-			for i := range act {
-				act[i] = true
-			}
-		case region.ModeGuarded:
-			act[0] = true
-		case region.ModeSeqLoop:
-			for i := range act {
-				act[i] = true
-			}
+	for w := range act {
+		act[w] = site.All || (w == 0 && site.Master)
+	}
+	for _, i := range site.Producers {
+		for w := range act {
+			start, end, _, ok := s.slice(s.low.Steps[i].Loop, w)
+			act[w] = act[w] || !ok || start <= end
 		}
 	}
 	return act
 }
 
-func (s *Simulator) sync(rs *syncopt.RegionSched, gi int) {
-	sy := rs.After[gi]
-	switch sy.Class {
-	case comm.ClassNone:
+func (s *Simulator) sync(id int) {
+	site := &s.low.Sites[id]
+	switch site.Class {
 	case comm.ClassBarrier:
 		cost := s.costs.BarrierBase + s.costs.BarrierPerP*float64(s.nproc)
 		tmax := 0.0
@@ -371,9 +344,8 @@ func (s *Simulator) sync(rs *syncopt.RegionSched, gi int) {
 		s.res.Barriers++
 		s.res.SyncTime += cost
 	case comm.ClassCounter:
-		act := s.activeWorkers(rs.Groups[gi])
 		tpost := 0.0
-		for w, a := range act {
+		for w, a := range s.producers(site) {
 			if !a {
 				continue
 			}
@@ -403,15 +375,17 @@ func (s *Simulator) sync(rs *syncopt.RegionSched, gi int) {
 		}
 		for w := range s.clocks {
 			t := s.clocks[w]
-			if sy.WaitLower && w > 0 && posts[w-1]+s.costs.NeighborWait > t {
+			if site.WaitLower && w > 0 && posts[w-1]+s.costs.NeighborWait > t {
 				t = posts[w-1] + s.costs.NeighborWait
 			}
-			if sy.WaitUpper && w < s.nproc-1 && posts[w+1]+s.costs.NeighborWait > t {
+			if site.WaitUpper && w < s.nproc-1 && posts[w+1]+s.costs.NeighborWait > t {
 				t = posts[w+1] + s.costs.NeighborWait
 			}
 			s.segment(w, s.clocks[w], t, SegNeighbor)
 			s.clocks[w] = t
 		}
+	case comm.ClassInspector:
+		s.fail(&InspectorError{Site: id + 1})
 	}
 }
 
@@ -428,7 +402,12 @@ func (s *Simulator) weightStmts(stmts []ir.Stmt) float64 {
 func (s *Simulator) weightStmt(st ir.Stmt) float64 {
 	switch n := st.(type) {
 	case *ir.Assign:
-		return float64(exprNodes(n.LHS) + exprNodes(n.RHS))
+		w, ok := s.nodes[n]
+		if !ok {
+			w = float64(exprNodes(n.LHS) + exprNodes(n.RHS))
+			s.nodes[n] = w
+		}
+		return w
 	case *ir.If:
 		thenW := s.weightStmts(n.Then)
 		elseW := s.weightStmts(n.Else)
@@ -437,17 +416,16 @@ func (s *Simulator) weightStmt(st ir.Stmt) float64 {
 		}
 		return float64(exprNodes(n.Cond)) + thenW
 	case *ir.Loop:
-		lo, ok1 := s.evalInt(n.Lo)
-		hi, ok2 := s.evalInt(n.Hi)
-		if !ok1 || !ok2 {
+		lo, hi, ok := s.bounds(n)
+		if !ok {
 			return 0
 		}
 		var sum float64
 		for i := lo; i <= hi; i++ {
-			s.env[n.Index] = i
+			s.ev.SetIndex(n.Index, i)
 			sum += s.weightStmts(n.Body)
 		}
-		delete(s.env, n.Index)
+		s.ev.ClearIndex(n.Index)
 		return sum + float64(hi-lo+1)
 	default:
 		return 0
@@ -458,84 +436,4 @@ func exprNodes(e ir.Expr) int {
 	n := 0
 	ir.WalkExprs(e, func(ir.Expr) { n++ })
 	return n
-}
-
-// evalInt evaluates integer expressions over parameters and bound loop
-// indices (the only names loop bounds may reference).
-func (s *Simulator) evalInt(e ir.Expr) (int64, bool) {
-	switch n := e.(type) {
-	case *ir.Num:
-		if !n.IsInt {
-			return 0, false
-		}
-		return n.Int, true
-	case *ir.Ref:
-		if n.IsArray() {
-			return 0, false
-		}
-		if v, ok := s.env[n.Name]; ok {
-			return v, true
-		}
-		if v, ok := s.params[n.Name]; ok {
-			return v, true
-		}
-		return 0, false
-	case *ir.Unary:
-		if n.Op != '-' {
-			return 0, false
-		}
-		v, ok := s.evalInt(n.X)
-		return -v, ok
-	case *ir.Bin:
-		l, ok1 := s.evalInt(n.L)
-		r, ok2 := s.evalInt(n.R)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch n.Op {
-		case ir.Add:
-			return l + r, true
-		case ir.Sub:
-			return l - r, true
-		case ir.Mul:
-			return l * r, true
-		case ir.Div:
-			if r == 0 {
-				return 0, false
-			}
-			q := l / r
-			if l%r != 0 && (l < 0) != (r < 0) {
-				q--
-			}
-			return q, true
-		}
-	}
-	return 0, false
-}
-
-// evalAffine evaluates a placement affine over parameters and bound loop
-// indices.
-func (s *Simulator) evalAffine(a linear.Affine) (int64, bool) {
-	v := a.Const
-	for _, vr := range a.Vars() {
-		var val int64
-		switch vr.Kind {
-		case linear.KindSymbolic:
-			p, ok := s.params[vr.Name]
-			if !ok {
-				return 0, false
-			}
-			val = p
-		case linear.KindLoop:
-			i, ok := s.env[vr.Name]
-			if !ok {
-				return 0, false
-			}
-			val = i
-		default:
-			return 0, false
-		}
-		v += a.Coeff(vr) * val
-	}
-	return v, true
 }

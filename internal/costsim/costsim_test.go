@@ -1,9 +1,11 @@
 package costsim_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costsim"
 	"repro/internal/exec"
@@ -24,51 +26,50 @@ func compile(t *testing.T, name string) (*core.Compiled, map[string]int64) {
 }
 
 // TestSyncCountsMatchExecutor cross-validates the simulator against the
-// real runtime: for the same schedule and P, the simulated numbers of
-// barriers, counter increments and dispatches must equal the dynamic
-// counts the executor records.
+// real runtime: both replay the step program syncopt.Lower builds, so for
+// every kernel, P and schedule — the optimized one under SPMD, the
+// baseline under fork-join — the simulated numbers of barriers, counter
+// increments and dispatches must equal the dynamic counts the executor
+// records. An irregular kernel's optimized schedule has inspector sites,
+// which the simulator refuses with an *InspectorError naming one.
 func TestSyncCountsMatchExecutor(t *testing.T) {
-	for _, name := range []string{"jacobi1d", "tred2like", "dotchain", "mg2level", "lulike"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			c, params := compile(t, name)
-			const P = 4
-			sim, err := costsim.Simulate(c.Schedule, c.Plan, params, P, costsim.SPMD, costsim.SharedMemory())
+	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
+		t.Run(k.Name, func(t *testing.T) {
+			c, err := core.Compile(k.Source, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.NewRunner(exec.Config{Workers: P, Params: params, Mode: exec.SPMD})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim.Barriers != res.Stats.Barriers {
-				t.Errorf("barriers: sim %d, exec %d", sim.Barriers, res.Stats.Barriers)
-			}
-			if sim.CounterIncrs != res.Stats.CounterIncrs {
-				t.Errorf("counter incrs: sim %d, exec %d", sim.CounterIncrs, res.Stats.CounterIncrs)
-			}
-
-			bsim, err := costsim.Simulate(c.Baseline, c.Plan, params, P, costsim.ForkJoin, costsim.SharedMemory())
-			if err != nil {
-				t.Fatal(err)
-			}
-			br, err := c.NewBaselineRunner(exec.Config{Workers: P, Params: params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bres, err := br.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bsim.Barriers != bres.Stats.Barriers {
-				t.Errorf("baseline barriers: sim %d, exec %d", bsim.Barriers, bres.Stats.Barriers)
-			}
-			if bsim.Dispatches != bres.Stats.Dispatches {
-				t.Errorf("dispatches: sim %d, exec %d", bsim.Dispatches, bres.Stats.Dispatches)
+			for _, P := range []int{2, 4, 8} {
+				for _, mode := range []costsim.Mode{costsim.SPMD, costsim.ForkJoin} {
+					sched, newRunner, label := c.Schedule, c.NewRunner, "opt"
+					if mode == costsim.ForkJoin {
+						sched, newRunner, label = c.Baseline, c.NewBaselineRunner, "base"
+					}
+					sim, err := costsim.Simulate(sched, c.Plan, k.Params, P, mode, costsim.SharedMemory())
+					var insp *costsim.InspectorError
+					if wantInsp := sched.Static().Inspectors > 0; errors.As(err, &insp) || wantInsp {
+						if insp == nil || !wantInsp || sched.Boundaries()[insp.Site-1].Class != comm.ClassInspector {
+							t.Errorf("P=%d %s: %v, want an *InspectorError naming an inspector site", P, label, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := newRunner(exec.Config{Workers: P, Params: k.Params, Mode: exec.SPMD})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := r.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := [3]int64{sim.Barriers, sim.CounterIncrs, sim.Dispatches}
+					want := [3]int64{res.Stats.Barriers, res.Stats.CounterIncrs, res.Stats.Dispatches}
+					if got != want {
+						t.Errorf("P=%d %s: sim barriers/counter incrs/dispatches %v, exec %v", P, label, got, want)
+					}
+				}
 			}
 		})
 	}

@@ -34,31 +34,12 @@ type Segment struct {
 // Gantt rendering.
 func SimulateTrace(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int64,
 	nproc int, mode Mode, costs Costs) (Result, []Segment, error) {
-	if nproc <= 0 {
-		return Result{}, nil, fmt.Errorf("costsim: nproc must be positive")
+	trace := []Segment{}
+	res, err := simulate(sched, plan, params, nproc, mode, costs, &trace)
+	if err != nil {
+		return Result{}, nil, err
 	}
-	s := &Simulator{
-		prog: sched.Prog, sched: sched, plan: plan, params: params,
-		costs: costs, nproc: nproc, mode: mode,
-		clocks: make([]float64, nproc),
-		env:    map[string]int64{},
-		trace:  &[]Segment{},
-	}
-	for _, p := range sched.Prog.Params {
-		if _, ok := params[p]; !ok {
-			return Result{}, nil, fmt.Errorf("costsim: parameter %s not bound", p)
-		}
-	}
-	s.region(sched.Top)
-	if s.err != nil {
-		return Result{}, nil, s.err
-	}
-	for _, c := range s.clocks {
-		if c > s.res.Makespan {
-			s.res.Makespan = c
-		}
-	}
-	return s.res, *s.trace, nil
+	return res, trace, nil
 }
 
 func (s *Simulator) segment(w int, start, end float64, kind SegKind) {

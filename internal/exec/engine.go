@@ -7,16 +7,16 @@ import (
 	"repro/internal/ir"
 )
 
-// engine is the statement engine under one worker's schedule walk: every
-// operation that touches registers, scalars and arrays. The walk — regions,
-// sync sites, the inspector, the relay chains, the sequential fallback —
-// owns partitioning and synchronization and never looks behind it. The
-// closure frame is the only implementation outside test files; the tests
-// keep the tree-walking evaluator as a second one, to compare against.
+// engine is the statement engine under one worker's step program: every
+// operation that touches registers, scalars and arrays. The steps — loop
+// control, sync sites, the inspector, the relay chains, the sequential
+// fallback — own partitioning and synchronization and never look behind
+// it. The closure frame is the only implementation outside test files; the
+// tests keep the tree-walking evaluator as a second one, to compare against.
 //
-// A returned error is an evaluation fault. The walk records the first one
-// as the worker's error and keeps synchronizing, so peers are not
-// deadlocked by the failure.
+// A returned error is an evaluation fault. The worker records the first
+// one as its error and keeps synchronizing, so peers are not deadlocked by
+// the failure.
 type engine interface {
 	// bounds evaluates a loop's lower and upper bound.
 	bounds(l *ir.Loop) (lo, hi int64, err error)
@@ -24,8 +24,8 @@ type engine interface {
 	// as !ok and leaves no fault behind (the estimate then counts every
 	// worker).
 	probeBounds(l *ir.Loop) (lo, hi int64, ok bool)
-	// setIndex binds the index register of one of the walk's own
-	// sequential loops.
+	// setIndex binds the index register of a sequential loop the steps
+	// drive.
 	setIndex(reg int, v int64)
 	// runSlice executes l's body for start, start+step, ... up to end.
 	runSlice(l *ir.Loop, start, end, step int64) error

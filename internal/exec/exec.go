@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/pool"
-	"repro/internal/region"
 	"repro/internal/sanitize"
 	"repro/internal/spmdrt"
 	"repro/internal/syncopt"
@@ -174,15 +174,15 @@ type Result struct {
 
 // Runner executes one (program, schedule, plan) combination repeatedly.
 type Runner struct {
-	prog  *ir.Program
-	sched *syncopt.Schedule
-	plan  *decomp.Plan
-	cfg   Config
-	// sites[rs][i] is the global sync-site id of boundary i of region rs.
-	sites  map[*syncopt.RegionSched][]int
+	prog *ir.Program
+	plan *decomp.Plan
+	cfg  Config
+	// low is the schedule lowered for cfg.Mode (syncopt.Lower), the step
+	// program every worker runs; low.Sites[id] is the boundary with global
+	// sync-site id id+1. at[i] is what NewRunner resolved for low.Steps[i].
+	low    *syncopt.Steps
 	nSites int
-	// siteClass[id] is the scheduled synchronization class at each site.
-	siteClass []comm.Class
+	at     []stepAt
 	// insp[id] is an inspector site lowered for its scans (inspect.go), nil
 	// for other classes; hasInsp says whether there is any. rowHook lets
 	// tests see and replace every row a scan computes.
@@ -198,16 +198,22 @@ type Runner struct {
 	// repl are the scalars that live in per-worker storage under SPMD
 	// (the paper's replicated computation model), in declaration order.
 	repl []replScalar
-	// place holds every plan placement with its offset and extent lowered
-	// over the register file, so computing a slice is a few multiply-adds.
-	place map[*ir.Loop]*placement
-	// maxCells is the most private and reduction scalars any one loop
-	// activates: the size of a worker's cell and save lists.
+	// maxCells is the most private and reduction scalars any one parallel
+	// loop activates: the size of a worker's cell and save lists.
 	maxCells int
 	// exe is the lowered closure program; newEngine binds one worker's
 	// statement engine over it for a run.
 	exe       *compile.Prog
 	newEngine func(run *teamRun, w int) engine
+}
+
+// stepAt is what NewRunner resolved for one step: its loop's placement,
+// lowered over the register file so a slice is a few multiply-adds, its
+// relay chain (an index in relays, -1 for none) and its index register.
+type stepAt struct {
+	place *placement
+	relay int
+	reg   int
 }
 
 // relayLoop is a loop whose workers hand off in rank order: a wavefront
@@ -220,7 +226,7 @@ type relayLoop struct {
 
 // placement is a decomp.Placement resolved for the runner's register file.
 type placement struct {
-	kind        decomp.Kind
+	of          *decomp.Placement
 	offset, ext compile.RegAffine
 }
 
@@ -231,9 +237,10 @@ type replScalar struct {
 }
 
 // NewRunner validates the configuration, lowers the program (or adopts
-// cfg.Compiled) and precomputes everything that is fixed per runner — sync
-// site ids and labels, relay loops, replicated scalars — so per-run work is
-// team setup and frame binding.
+// cfg.Compiled) and the schedule (syncopt.Lower), and precomputes
+// everything that is fixed per runner — each step's placement, relay chain
+// and index register, site labels, inspector scans, replicated scalars — so
+// per-run work is team setup and frame binding.
 func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg Config) (*Runner, error) {
 	if cfg.Workers < 1 {
 		return nil, &ConfigError{Field: "Workers",
@@ -253,8 +260,7 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 				Msg: fmt.Sprintf("must not be negative, got %s", p.Backoff)}
 		}
 	}
-	r := &Runner{prog: prog, sched: sched, plan: plan, cfg: cfg,
-		sites: map[*syncopt.RegionSched][]int{}, newEngine: newFrameEngine}
+	r := &Runner{prog: prog, plan: plan, cfg: cfg, newEngine: newFrameEngine}
 	r.exe = cfg.Compiled
 	if r.exe != nil && (r.exe.Source() != prog || r.exe.Instrumented() != cfg.Sanitize) {
 		r.exe = nil
@@ -266,66 +272,8 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			return nil, err
 		}
 	}
-	r.place = make(map[*ir.Loop]*placement, len(plan.Placements))
-	for l, pl := range plan.Placements {
-		off, err := compile.LowerAffine(pl.Offset, r.exe.Layout())
-		if err != nil {
-			return nil, err
-		}
-		ext, err := compile.LowerAffine(pl.Space.Extent, r.exe.Layout())
-		if err != nil {
-			return nil, err
-		}
-		r.place[l] = &placement{kind: pl.Kind, offset: off, ext: ext}
-	}
-	var inspErr error
-	var number func(rs *syncopt.RegionSched)
-	number = func(rs *syncopt.RegionSched) {
-		ids := make([]int, len(rs.After))
-		for i := range rs.After {
-			ids[i] = r.nSites
-			r.siteClass = append(r.siteClass, rs.After[i].Class)
-			var st *inspSite
-			if rs.After[i].Class == comm.ClassInspector && inspErr == nil {
-				st, inspErr = r.lowerInspector(rs.After[i].Inspect)
-				r.hasInsp = true
-			}
-			r.insp = append(r.insp, st)
-			r.nSites++
-		}
-		r.sites[rs] = ids
-		for _, g := range rs.Groups {
-			for _, s := range g.Stmts {
-				if sched.Modes[s] == region.ModeSeqLoop {
-					number(sched.Regions[s.(*ir.Loop)])
-				}
-			}
-		}
-	}
-	number(sched.Top)
-	if inspErr != nil {
-		return nil, inspErr
-	}
-	if cfg.SabotageEdge < 0 || cfg.SabotageEdge > r.nSites {
-		return nil, &ConfigError{Field: "SabotageEdge",
-			Msg: fmt.Sprintf("%d out of range (schedule has %d sync sites)",
-				cfg.SabotageEdge, r.nSites)}
-	}
-	r.siteLabels = make([]string, r.nSites)
-	for i := range r.siteLabels {
-		r.siteLabels[i] = fmt.Sprintf("sync site %d", i+1)
-	}
-	if cfg.Trace {
-		r.traceLabels = make([]string, r.nSites)
-		for i, c := range r.siteClass {
-			r.traceLabels[i] = fmt.Sprintf("site %d [%s]", i+1, c)
-		}
-	}
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
 		if l, ok := s.(*ir.Loop); ok {
-			if n := len(l.Private) + len(l.Reductions); n > r.maxCells {
-				r.maxCells = n
-			}
 			switch {
 			case plan.Wavefront[l]:
 				r.relays = append(r.relays, relayLoop{l, "wavefront relay " + l.Index})
@@ -335,6 +283,50 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 		}
 		return true
 	})
+	r.low = sched.Lower(cfg.Mode == ForkJoin)
+	r.nSites = len(r.low.Sites)
+	r.at = make([]stepAt, len(r.low.Steps))
+	for i, st := range r.low.Steps {
+		at := &r.at[i]
+		at.relay = slices.IndexFunc(r.relays, func(rl relayLoop) bool { return rl.loop == st.Loop })
+		switch st.Kind {
+		case syncopt.StepSeq, syncopt.StepNext:
+			at.reg, _ = r.exe.Layout().IndexReg(st.Loop.Index) // the layout gives every loop index one
+		case syncopt.StepParallel, syncopt.StepWavefront:
+			pl := plan.Placements[st.Loop]
+			if pl == nil || (st.Kind == syncopt.StepWavefront && at.relay < 0) {
+				return nil, fmt.Errorf("exec: no placement or relay chain for loop %s", st.Loop.Index)
+			}
+			var err error
+			if at.place, err = r.lowerPlacement(pl); err != nil {
+				return nil, err
+			}
+			r.maxCells = max(r.maxCells, len(st.Loop.Private)+len(st.Loop.Reductions))
+		}
+	}
+	if cfg.SabotageEdge < 0 || cfg.SabotageEdge > r.nSites {
+		return nil, &ConfigError{Field: "SabotageEdge",
+			Msg: fmt.Sprintf("%d out of range (schedule has %d sync sites)",
+				cfg.SabotageEdge, r.nSites)}
+	}
+	r.insp = make([]*inspSite, r.nSites)
+	r.siteLabels = make([]string, r.nSites)
+	if cfg.Trace {
+		r.traceLabels = make([]string, r.nSites)
+	}
+	for i, site := range r.low.Sites {
+		r.siteLabels[i] = fmt.Sprintf("sync site %d", i+1)
+		if cfg.Trace {
+			r.traceLabels[i] = fmt.Sprintf("site %d [%s]", i+1, site.Class)
+		}
+		if site.Class == comm.ClassInspector {
+			var err error
+			if r.insp[i], err = r.lowerInspector(site.Inspect); err != nil {
+				return nil, err
+			}
+			r.hasInsp = true
+		}
+	}
 	if cfg.Mode == SPMD && sched.Info != nil {
 		for i, name := range prog.Scalars {
 			if sched.Info.ReplicatedScalars[name] {
@@ -343,6 +335,16 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 		}
 	}
 	return r, nil
+}
+
+// lowerPlacement resolves a plan placement over the register file.
+func (r *Runner) lowerPlacement(pl *decomp.Placement) (*placement, error) {
+	off, err := compile.LowerAffine(pl.Offset, r.exe.Layout())
+	if err != nil {
+		return nil, err
+	}
+	ext, err := compile.LowerAffine(pl.Space.Extent, r.exe.Layout())
+	return &placement{of: pl, offset: off, ext: ext}, err
 }
 
 // Workers returns the configured team size.
@@ -360,7 +362,11 @@ func (r *Runner) NumSyncSites() int { return r.nSites }
 // comm.ClassNone are boundaries the optimizer proved need no
 // synchronization; sabotaging those is a no-op.
 func (r *Runner) SyncSiteClasses() []comm.Class {
-	return append([]comm.Class(nil), r.siteClass...)
+	out := make([]comm.Class, r.nSites)
+	for i, site := range r.low.Sites {
+		out[i] = site.Class
+	}
+	return out
 }
 
 // Run executes the program on a fresh deterministically-seeded state.
@@ -471,7 +477,7 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		p2ps:     make([]*spmdrt.P2P, r.nSites),
 		dispatch: team.NewCounter(),
 		errs:     make([]error, r.cfg.Workers),
-		relay:    make(map[*ir.Loop]*spmdrt.P2P, len(r.relays)),
+		relay:    make([]*spmdrt.P2P, len(r.relays)),
 		sabotage: r.cfg.SabotageEdge - 1,
 	}
 	run.dispatch.Site = "fork-join dispatch"
@@ -516,12 +522,11 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 	}
 	// Relay chains are synchronization without a scheduled boundary site;
 	// give each its own pseudo-site so waits still attribute.
-	for _, rl := range r.relays {
-		chain := team.NewP2P()
+	for i, rl := range r.relays {
+		run.relay[i] = team.NewP2P()
 		if run.rec != nil {
-			chain.BindTrace(run.rec, run.rec.AddSite(rl.label))
+			run.relay[i].BindTrace(run.rec, run.rec.AddSite(rl.label))
 		}
-		run.relay[rl.loop] = chain
 	}
 	// Replicated scalars live in per-worker cells; worker 0's final values
 	// are flushed back afterwards.
@@ -552,6 +557,8 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			cross:     make([]int64, r.nSites),
 			tally:     make([]spmdrt.SiteCounts, r.nSites+1),
 			activeBuf: make([]bool, r.cfg.Workers),
+			hi:        make([]int64, len(r.low.Steps)),
+			relayInst: make([]int64, len(r.relays)),
 			eng:       r.newEngine(run, w),
 			regs:      make([]int64, r.exe.Layout().NumRegs()),
 			cells:     make([]float64, r.maxCells),
@@ -570,7 +577,7 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 				repl0[i] = cell
 			}
 		}
-		ws.execRegion(r.sched.Top)
+		ws.runSteps()
 		ws.eng.done()
 		team.Stats.AddTally(ws.tally)
 		run.errs[w] = ws.err
@@ -659,10 +666,10 @@ type teamRun struct {
 	p2ps     []*spmdrt.P2P
 	dispatch *spmdrt.Counter
 	errs     []error
-	// relay holds the rank-order handoff chain of each relay loop: a
-	// wavefront loop's chunk relay, or (when DeterministicReductions is
-	// on) a reduction loop's merge chain.
-	relay map[*ir.Loop]*spmdrt.P2P
+	// relay[i] is the rank-order handoff chain of relays[i]: a wavefront
+	// loop's chunk relay, or (when DeterministicReductions is on) a
+	// reduction loop's merge chain.
+	relay []*spmdrt.P2P
 	// chaos is the optional deterministic perturbation layer (nil-safe).
 	chaos *spmdrt.Chaos
 	// san is the optional schedule-soundness sanitizer wiring.
@@ -687,18 +694,20 @@ func (run *teamRun) seedParams(regs []int64) {
 	}
 }
 
-// workerState is one worker's execution context: the schedule walk over
-// one statement engine.
+// workerState is one worker's execution context: the step program run
+// over one statement engine.
 type workerState struct {
 	run *teamRun
 	w   int
 	eng engine
 	err error
-	// regs is the walk's own register file: the parameters and the indices
-	// of the sequential loops the walk drives (setIndex) — what placements
+	// regs is the steps' own register file: the parameters and the indices
+	// of the sequential loops the steps drive (setIndex) — what placements
 	// and inspector scans read. Indices of loops the engine runs are not
 	// in it; no sync site or slice computation is inside such a loop.
 	regs []int64
+	// hi[i] is the upper bound of the sequential loop StepSeq i entered.
+	hi []int64
 	// cells and saves back the private and reduction scalars of the
 	// parallel loop being executed (execParallelSlice), sized for the
 	// widest loop so a slice allocates nothing.
@@ -715,9 +724,8 @@ type workerState struct {
 	// dispatchSeq: fork-join dispatch sequence number.
 	dispatchSeq int64
 	activeBuf   []bool
-	// redInstance counts executions of each reduction loop, for the
-	// deterministic merge chain.
-	redInstance map[*ir.Loop]int64
+	// relayInst[i] counts this worker's passes through relay chain i.
+	relayInst []int64
 	// insp is this worker's state at each inspector site (nil without one);
 	// sc computes its rows, built at the first crossing.
 	insp []inspWorker
@@ -749,143 +757,102 @@ func (ws *workerState) bounds(l *ir.Loop) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// execRegion runs one region's groups and boundary synchronization. For a
-// loop region this executes ONE iteration's worth (the caller drives the
-// loop), including the loop-bottom sync at the last boundary.
-func (ws *workerState) execRegion(rs *syncopt.RegionSched) {
-	ids := ws.run.sites[rs]
-	for gi := range rs.Groups {
-		if ws.run.team.Failed() {
+// runSteps runs the lowered schedule from its first step to its last.
+func (ws *workerState) runSteps() {
+	run := ws.run
+	for pc := 0; pc < len(run.low.Steps); pc++ {
+		if run.team.Failed() {
 			// The team failure latch tripped (watchdog, peer panic or
 			// context cancellation): stop compute-bound work. Peers
 			// blocked in primitives unwind through the latch, so skipping
 			// the remaining posts cannot deadlock them.
 			return
 		}
-		stmts := rs.Groups[gi].Stmts
-		for i := range stmts {
-			ws.execTop(stmts[i : i+1])
-		}
-		ws.applySync(rs, gi, ids[gi])
-	}
-}
-
-// execTop executes one region statement according to its mode. It takes
-// the statement as a one-element slice of its group so the modes that hand
-// it to the engine whole allocate nothing.
-func (ws *workerState) execTop(one []ir.Stmt) {
-	s := one[0]
-	mode := ws.run.sched.Modes[s]
-	forkJoin := ws.run.cfg.Mode == ForkJoin
-	switch mode {
-	case region.ModeParallel:
-		l := s.(*ir.Loop)
-		if forkJoin {
-			// Fork-join dispatch: master signals that preceding
-			// sequential work is complete.
-			run := ws.run
-			run.chaos.PreSync(ws.w)
-			ws.dispatchSeq++
-			if ws.w == 0 {
-				run.team.Stats.Dispatches.Add(1)
-				if run.san != nil {
-					run.san.tr.CounterPost(run.dispatch, ws.w)
-				}
-				run.dispatch.PostAs(ws.w, 1, ws.dispatchSeq)
-			} else {
-				run.dispatch.WaitGEAs(ws.w, ws.dispatchSeq)
-				if run.san != nil {
-					run.san.tr.CounterJoin(run.dispatch, ws.w)
-				}
-			}
-			run.chaos.PostSync(ws.w)
-		}
-		ws.execParallelSlice(l)
-	case region.ModeReplicated:
-		if forkJoin && ws.w != 0 {
-			return
-		}
-		if !forkJoin {
+		st, at := &run.low.Steps[pc], &run.at[pc]
+		switch st.Kind {
+		case syncopt.StepParallel:
+			ws.execParallelSlice(st.Loop, at)
+		case syncopt.StepReplicated:
 			// Every worker executes the statement with identical inputs
 			// (the paper's replicated computation model); any shared store
 			// is a same-value store, which the sanitizer must exempt.
 			ws.eng.setRepl(true)
-			ws.seqExec(one)
+			ws.seqExec(st.Stmts)
 			ws.eng.setRepl(false)
-			return
-		}
-		ws.seqExec(one)
-	case region.ModeGuarded:
-		if ws.w != 0 {
-			return
-		}
-		ws.seqExec(one)
-	case region.ModeWavefront:
-		l := s.(*ir.Loop)
-		if forkJoin {
-			// Baseline: the serial loop runs on the master, as
-			// SUIF's fork-join code would.
+		case syncopt.StepGuarded:
 			if ws.w == 0 {
-				ws.seqExec(one)
+				ws.seqExec(st.Stmts)
 			}
-			return
-		}
-		ws.execWavefront(l)
-	case region.ModeSeqLoop:
-		l := s.(*ir.Loop)
-		lo, hi, ok := ws.bounds(l)
-		if !ok {
-			return
-		}
-		reg, ok := ws.run.exe.Layout().IndexReg(l.Index)
-		if !ok {
-			ws.fail(fmt.Errorf("no register for sequential loop index %s", l.Index))
-			return
-		}
-		inner := ws.run.sched.Regions[l]
-		for k := lo; k <= hi; k++ {
-			ws.regs[reg] = k
-			ws.eng.setIndex(reg, k)
-			ws.execRegion(inner)
+		case syncopt.StepWavefront:
+			ws.execWavefront(st.Loop, at)
+		case syncopt.StepDispatch:
+			ws.dispatch()
+		case syncopt.StepSeq:
+			if lo, hi, ok := ws.bounds(st.Loop); ok && lo <= hi {
+				ws.hi[pc] = hi
+				ws.setIndex(at.reg, lo)
+			} else {
+				pc = st.Jump - 1
+			}
+		case syncopt.StepNext:
+			if k := ws.regs[at.reg] + 1; k <= ws.hi[st.Jump-1] {
+				ws.setIndex(at.reg, k)
+				pc = st.Jump - 1
+			}
+		case syncopt.StepSync:
+			ws.applySync(st.Site)
 		}
 	}
+}
+
+func (ws *workerState) setIndex(reg int, v int64) {
+	ws.regs[reg] = v
+	ws.eng.setIndex(reg, v)
+}
+
+// dispatch is the fork-join master signalling that preceding sequential
+// work is complete.
+func (ws *workerState) dispatch() {
+	run := ws.run
+	run.chaos.PreSync(ws.w)
+	ws.dispatchSeq++
+	if ws.w == 0 {
+		run.team.Stats.Dispatches.Add(1)
+		if run.san != nil {
+			run.san.tr.CounterPost(run.dispatch, ws.w)
+		}
+		run.dispatch.PostAs(ws.w, 1, ws.dispatchSeq)
+	} else {
+		run.dispatch.WaitGEAs(ws.w, ws.dispatchSeq)
+		if run.san != nil {
+			run.san.tr.CounterJoin(run.dispatch, ws.w)
+		}
+	}
+	run.chaos.PostSync(ws.w)
 }
 
 // execWavefront runs the worker's chunk of a serial loop as a relay:
 // ascending rank order with point-to-point handoffs preserves the exact
 // sequential iteration order across workers (§3.3 pipelining — workers in
 // an enclosing sequential loop proceed in a staggered wave).
-func (ws *workerState) execWavefront(l *ir.Loop) {
+func (ws *workerState) execWavefront(l *ir.Loop, at *stepAt) {
 	lo, hi, ok := ws.bounds(l)
 	if !ok {
 		return
 	}
-	chain := ws.run.relay[l]
-	if chain == nil {
-		ws.fail(fmt.Errorf("no relay chain for wavefront loop %s", l.Index))
-		return
-	}
-	if ws.redInstance == nil {
-		ws.redInstance = map[*ir.Loop]int64{}
-	}
-	ws.redInstance[l]++
-	inst := ws.redInstance[l]
-	run := ws.run
+	run, chain := ws.run, ws.run.relay[at.relay]
+	ws.relayInst[at.relay]++
 	if ws.w > 0 {
 		ws.tally[run.nSites].NeighborWaits++
 		run.chaos.PreSync(ws.w)
-		chain.WaitForAs(ws.w, ws.w-1, inst)
+		chain.WaitForAs(ws.w, ws.w-1, ws.relayInst[at.relay])
 		if run.san != nil {
 			run.san.tr.P2PJoin(chain, ws.w, ws.w-1)
 		}
 		run.chaos.PostSync(ws.w)
 	}
-	start, end, step, err := ws.slice(l, lo, hi, ws.w)
-	if err != nil {
-		ws.fail(err)
-	} else {
-		ws.runSlice(l, start, end, step)
-	}
+	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, run.cfg.Workers)
+	ws.runSlice(l, start, end, step)
 	if run.san != nil {
 		run.san.tr.P2PPost(chain, ws.w)
 	}
@@ -903,17 +870,13 @@ func (ws *workerState) runSlice(l *ir.Loop, start, end, step int64) {
 }
 
 // execParallelSlice runs this worker's partition of a parallel loop.
-func (ws *workerState) execParallelSlice(l *ir.Loop) {
+func (ws *workerState) execParallelSlice(l *ir.Loop, at *stepAt) {
 	ps := ws.run.ps
 	lo, hi, ok := ws.bounds(l)
 	if !ok {
 		return
 	}
-	start, end, step, err := ws.slice(l, lo, hi, ws.w)
-	if err != nil {
-		ws.fail(err)
-		return
-	}
+	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, ws.run.cfg.Workers)
 
 	// Activate privates and reduction partials: redirect the scalar to a
 	// worker-local cell, remembering the previous redirection for restore
@@ -935,16 +898,14 @@ func (ws *workerState) execParallelSlice(l *ir.Loop) {
 	if len(l.Reductions) > 0 {
 		// Under a relay chain the merge is rank-ordered: wait for the
 		// previous worker's merge of this loop instance, merge, then post.
-		run, chain := ws.run, ws.run.relay[l]
-		if chain != nil {
-			if ws.redInstance == nil {
-				ws.redInstance = map[*ir.Loop]int64{}
-			}
-			ws.redInstance[l]++
-			inst := ws.redInstance[l]
+		run := ws.run
+		var chain *spmdrt.P2P
+		if at.relay >= 0 {
+			chain = run.relay[at.relay]
+			ws.relayInst[at.relay]++
 			if ws.w > 0 {
 				run.chaos.PreSync(ws.w)
-				chain.WaitForAs(ws.w, ws.w-1, inst)
+				chain.WaitForAs(ws.w, ws.w-1, ws.relayInst[at.relay])
 				if run.san != nil {
 					run.san.tr.P2PJoin(chain, ws.w, ws.w-1)
 				}
@@ -973,17 +934,6 @@ func (ws *workerState) activate(name string, init float64) {
 	ws.saves = append(ws.saves, savedPriv{name, ws.eng.setPriv(name, cell)})
 }
 
-// slice computes worker w's iteration slice of a parallel loop under the
-// current values of the enclosing sequential loops' indices.
-func (ws *workerState) slice(l *ir.Loop, lo, hi int64, w int) (start, end, step int64, err error) {
-	pl := ws.run.place[l]
-	if pl == nil {
-		return 0, -1, 1, fmt.Errorf("no placement for parallel loop %s", l.Index)
-	}
-	start, end, step = pl.slice(ws.regs, lo, hi, w, ws.run.cfg.Workers)
-	return start, end, step, nil
-}
-
 // slice is worker w's share, of W, of iterations lo..hi under the
 // registers' current values; start > end when it has none.
 func (pl *placement) slice(regs []int64, lo, hi int64, w, W int) (start, end, step int64) {
@@ -991,7 +941,7 @@ func (pl *placement) slice(regs []int64, lo, hi int64, w, W int) (start, end, st
 	if ext < 1 || lo > hi {
 		return 0, -1, 1
 	}
-	return decomp.IterSlice(pl.kind, lo, hi, off, ext, w, W)
+	return decomp.IterSlice(pl.of.Kind, lo, hi, off, ext, w, W)
 }
 
 // seqExec executes statements sequentially on this worker (bodies of
@@ -1003,13 +953,10 @@ func (ws *workerState) seqExec(stmts []ir.Stmt) {
 	}
 }
 
-// applySync performs the scheduled synchronization after group gi.
-func (ws *workerState) applySync(rs *syncopt.RegionSched, gi, site int) {
-	sync := rs.After[gi]
+// applySync performs the synchronization of a scheduled site.
+func (ws *workerState) applySync(site int) {
 	run := ws.run
-	if sync.Class == comm.ClassNone {
-		return
-	}
+	sync := &run.low.Sites[site]
 	if site == run.sabotage {
 		// Schedule sabotage: this edge is deliberately dropped (on every
 		// worker) so tests can prove the oracle/sanitizer catches the
@@ -1026,7 +973,7 @@ func (ws *workerState) applySync(rs *syncopt.RegionSched, gi, site int) {
 			run.team.BarrierAt(ws.w, site)
 		}
 	case comm.ClassCounter:
-		self, total := ws.groupActivity(rs.Groups[gi])
+		self, total := ws.producers(sync)
 		ws.cum[site] += int64(total)
 		if self {
 			ws.tally[site].CounterIncrs++
@@ -1066,51 +1013,28 @@ func (ws *workerState) applySync(rs *syncopt.RegionSched, gi, site int) {
 	}
 }
 
-// groupActivity reports whether this worker produced shared work in the
-// group and how many workers did (the counter target). All workers compute
-// identical totals from the same deterministic partition arithmetic.
-func (ws *workerState) groupActivity(g syncopt.Group) (self bool, total int) {
-	for i := range ws.activeBuf {
-		ws.activeBuf[i] = false
+// producers reports whether this worker posts at a counter site and how
+// many workers do (the counter target). All workers compute identical
+// totals from the same deterministic partition arithmetic; a loop whose
+// bounds do not evaluate conservatively counts everyone.
+func (ws *workerState) producers(s *syncopt.Site) (self bool, total int) {
+	act := ws.activeBuf
+	for w := range act {
+		act[w] = s.All || (w == 0 && s.Master)
 	}
-	for _, s := range g.Stmts {
-		switch ws.run.sched.Modes[s] {
-		case region.ModeParallel, region.ModeWavefront:
-			l := s.(*ir.Loop)
-			lo, hi, ok := ws.eng.probeBounds(l)
-			if !ok {
-				// Conservative: count everyone.
-				for i := range ws.activeBuf {
-					ws.activeBuf[i] = true
-				}
-				continue
+	for _, i := range s.Producers {
+		lo, hi, ok := ws.eng.probeBounds(ws.run.low.Steps[i].Loop)
+		for w := range act {
+			if !act[w] {
+				st, en, _ := ws.run.at[i].place.slice(ws.regs, lo, hi, w, len(act))
+				act[w] = !ok || st <= en
 			}
-			for w := 0; w < ws.run.cfg.Workers; w++ {
-				if ws.activeBuf[w] {
-					continue
-				}
-				st, en, _, err := ws.slice(l, lo, hi, w)
-				if err != nil || st <= en {
-					ws.activeBuf[w] = true
-				}
-			}
-		case region.ModeGuarded:
-			ws.activeBuf[0] = true
-		case region.ModeSeqLoop:
-			for i := range ws.activeBuf {
-				ws.activeBuf[i] = true
-			}
-		case region.ModeReplicated:
-			// Replicated writes are worker-local: no shared
-			// production.
 		}
 	}
-	for w, a := range ws.activeBuf {
+	for w, a := range act {
 		if a {
 			total++
-			if w == ws.w {
-				self = true
-			}
+			self = self || w == ws.w
 		}
 	}
 	return self, total

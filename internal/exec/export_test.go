@@ -11,7 +11,7 @@ import (
 )
 
 // UseReferenceEngine makes r's workers run the tree-walking reference
-// engine (ref_test.go) instead of the closure frame. The schedule walk,
+// engine (ref_test.go) instead of the closure frame. The step program,
 // the runtime and the storage are shared; only the statement engine
 // differs, which is what the parity gate and the fuzzer compare.
 func UseReferenceEngine(r *Runner) { r.newEngine = newRefEngine }
@@ -121,9 +121,9 @@ func (c *RowCheck) Want(res *Result) map[int]InspectorSite {
 // under the placement kind given, whatever the plan's own. Every loop index
 // reads 1. It returns how many rows it compared.
 func RowsDetached(r *Runner, st *interp.State, kind decomp.Kind) (rows int, err error) {
-	for l, pl := range r.plan.Placements {
-		defer func(k decomp.Kind) { pl.Kind, r.place[l].kind = k, k }(pl.Kind)
-		pl.Kind, r.place[l].kind = kind, kind
+	for _, pl := range r.plan.Placements {
+		defer func(k decomp.Kind) { pl.Kind = k }(pl.Kind)
+		pl.Kind = kind
 	}
 	run := &teamRun{Runner: r, ps: newPState(st)}
 	W := r.cfg.Workers

@@ -124,8 +124,13 @@ func (r *Runner) lowerInspector(pairs []comm.InspectPair) (st *inspSite, err err
 			sl := scanLoop{lo: intFn(l.Lo), hi: intFn(l.Hi)}
 			sl.reg, _ = lay.IndexReg(l.Index) // the layout gives every loop index one
 			if l.Parallel {
-				if sl.place, out.placed = r.place[l], true; sl.place == nil {
+				out.placed = true
+				if pl := r.plan.Placements[l]; pl == nil {
 					note(fmt.Errorf("inspector site: no placement for loop %s", l.Index))
+				} else {
+					var e error
+					sl.place, e = r.lowerPlacement(pl)
+					note(e)
 				}
 			}
 			out.chain = append(out.chain, sl)
@@ -285,8 +290,8 @@ func foldInspector(st *inspSite, site int, workers [][]inspWorker) InspectorSite
 // path allocates after that.
 type scanner struct {
 	// fr is the frame the lowered closures evaluate over. Its registers are
-	// the schedule walk's own (parameters and the indices of the sequential
-	// loops it drives); a fault stays in it and never becomes the worker's.
+	// the steps' own (parameters and the indices of the sequential loops
+	// they drive); a fault stays in it and never becomes the worker's.
 	fr *compile.Frame
 	// bits marks the destination elements of the pair being scanned, over
 	// the array's flat extent; [lo, hi] is their hull (lo > hi: none). All

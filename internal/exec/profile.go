@@ -25,7 +25,7 @@ func (r *Runner) siteKind(id int) string {
 	if r.cfg.Mode == ForkJoin {
 		return comm.ClassBarrier.String()
 	}
-	return r.siteClass[id-1].String()
+	return r.low.Sites[id-1].Class.String()
 }
 
 // SiteProfiles builds the durable per-site profile records for one traced

@@ -23,7 +23,7 @@ type refEngine struct {
 	env *wenv
 	run *teamRun
 	// indexName maps a loop-index register back to the name the
-	// environment binds (the walk addresses its loops by register).
+	// environment binds (the steps address their loops by register).
 	indexName map[int]string
 }
 
@@ -65,7 +65,7 @@ func (e *refEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// setIndex binds a sequential loop of the schedule walk. Like a frame
+// setIndex binds a sequential loop the steps drive. Like a frame
 // register, the binding outlives the loop.
 func (e *refEngine) setIndex(reg int, v int64) { e.env.idx[e.indexName[reg]] = v }
 

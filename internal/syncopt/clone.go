@@ -1,9 +1,6 @@
 package syncopt
 
-import (
-	"repro/internal/ir"
-	"repro/internal/region"
-)
+import "repro/internal/ir"
 
 // Clone deep-copies the schedule's region and boundary records so a
 // feedback pass can flip primitives without touching the original.
@@ -32,25 +29,13 @@ func (s *Schedule) Clone() *Schedule {
 	return out
 }
 
-// Boundaries returns a pointer to every boundary record in global
-// sync-site order — index i is site i+1, the identical walk Remarks() and
-// the executor's site numbering use — so callers can inspect or (on a
-// Clone) rewrite primitives by site id.
+// Boundaries returns a pointer to every boundary record in the global
+// site order of Lower — index i is site i+1 — so callers can inspect or (on
+// a Clone) rewrite primitives by site id.
 func (s *Schedule) Boundaries() []*Sync {
 	var out []*Sync
-	var walk func(rs *RegionSched)
-	walk = func(rs *RegionSched) {
-		for i := range rs.After {
-			out = append(out, &rs.After[i])
-		}
-		for _, g := range rs.Groups {
-			for _, st := range g.Stmts {
-				if s.Modes[st] == region.ModeSeqLoop {
-					walk(s.Regions[st.(*ir.Loop)])
-				}
-			}
-		}
+	for _, site := range s.Lower(false).Sites {
+		out = append(out, site.Sync)
 	}
-	walk(s.Top)
 	return out
 }

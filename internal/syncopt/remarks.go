@@ -4,34 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/ir"
-	"repro/internal/region"
 	"repro/internal/remarks"
 )
 
 // Remarks flattens the schedule into the optimization-remark set: one
-// remark per sync site, in global site order. The walk is IDENTICAL to the
-// executor's site numbering (exec.NewRunner) — each region's After
-// boundaries in order, then recursion into the groups' sequential-loop
-// regions in group/statement order, starting from the top region — so
-// Remarks[i].Site == i+1 matches the watchdog, StatsSnapshot.PerSite,
-// SabotageEdge and certify.DropSite numbering.
+// remark per sync site, in the global site order Lower numbers and the
+// executor runs, so Remarks[i].Site == i+1 matches the watchdog,
+// StatsSnapshot.PerSite, SabotageEdge and certify.DropSite numbering.
 func (s *Schedule) Remarks() *remarks.Set {
 	set := &remarks.Set{Program: s.Prog.Name}
-	var walk func(rs *RegionSched)
-	walk = func(rs *RegionSched) {
-		for i := range rs.After {
-			set.Remarks = append(set.Remarks, s.remarkAt(rs, i, len(set.Remarks)+1))
-		}
-		for _, g := range rs.Groups {
-			for _, st := range g.Stmts {
-				if s.Modes[st] == region.ModeSeqLoop {
-					walk(s.Regions[st.(*ir.Loop)])
-				}
-			}
-		}
+	for i, site := range s.Lower(false).Sites {
+		set.Remarks = append(set.Remarks, s.remarkAt(site.Region, site.Index, i+1))
 	}
-	walk(s.Top)
 	return set
 }
 

@@ -456,25 +456,19 @@ type StaticCounts struct {
 // Static returns the static synchronization-site counts.
 func (s *Schedule) Static() StaticCounts {
 	var c StaticCounts
-	tally := func(rs *RegionSched) {
-		for _, sy := range rs.After {
-			switch sy.Class {
-			case comm.ClassBarrier:
-				c.Barriers++
-			case comm.ClassCounter:
-				c.Counters++
-			case comm.ClassNeighbor:
-				c.Neighbors++
-			case comm.ClassInspector:
-				c.Inspectors++
-			default:
-				c.None++
-			}
+	for _, site := range s.Lower(false).Sites {
+		switch site.Class {
+		case comm.ClassBarrier:
+			c.Barriers++
+		case comm.ClassCounter:
+			c.Counters++
+		case comm.ClassNeighbor:
+			c.Neighbors++
+		case comm.ClassInspector:
+			c.Inspectors++
+		default:
+			c.None++
 		}
-	}
-	tally(s.Top)
-	for _, rs := range s.Regions {
-		tally(rs)
 	}
 	return c
 }

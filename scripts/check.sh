@@ -11,8 +11,8 @@
 # trace-export smoke, the overhead and feedback guards (tracing, profile,
 # spans, static vs profile-guided wait: one table-driven test over
 # suite.Paired), the structural gates (one statement engine and one scan in
-# internal/exec, one loop driver, one timing sampler and no second timing
-# harness), the durable-profile round trip (full-kernel -profile-out/-ledger
+# internal/exec, one loop driver, one schedule lowering, one timing sampler
+# and no second timing harness), the durable-profile round trip (full-kernel -profile-out/-ledger
 # sweep, byte-identity merge gate, 10-run baseline, chaos-stall regression
 # watch), the feedback-loop round trip (-profile-in, barrierc -fdo remark
 # evidence), the -spans round trip with its phase-sum/wall check, the debug
@@ -247,6 +247,20 @@ if [ -n "$row_hits" ]; then
 fi
 echo "-- no .Body( / bodies[ in non-test files of internal/exec and internal/compile; rowBody.run called from rangeFn only"
 
+echo "== one schedule lowering (syncopt.Lower) =="
+# The executor and the cost simulator run the step program syncopt.Lower
+# flattens a schedule into, numbered sites included; neither walks the
+# region tree. A region record, a mode or region lookup, or the sequential-
+# loop mode turning up in a non-test file of either means a second walk —
+# and a second site numbering — is drifting back.
+if lowering_hits="$(grep -nE 'RegionSched|\.Regions\[|\.Modes\[|ModeSeqLoop' \
+    $(ls internal/exec/*.go internal/costsim/*.go | grep -v '_test\.go$'))"; then
+    echo "ERROR: a schedule walk in non-test files of internal/exec or internal/costsim:" >&2
+    echo "$lowering_hits" >&2
+    exit 1
+fi
+echo "-- no RegionSched / .Regions[ / .Modes[ / ModeSeqLoop outside internal/exec and internal/costsim test files"
+
 echo "== one timing sampler =="
 # suite.Paired is the only pairing scheme, reduction and verdict in the
 # tree, and `go run ./bench` the only timing harness. The names of the seven
@@ -255,7 +269,7 @@ echo "== one timing sampler =="
 # its committed result files) and of the serving face (debug-server flags
 # and package, the process-wide aggregator, the expvar surfaces) must not
 # come back in any .go or .sh file.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool' # retired-names
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine' # retired-names
 if sampler_hits="$(find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0 |
     xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
@@ -272,7 +286,9 @@ echo "== pinned gates still exist =="
 # legality tables and the pinned list of kernels that take row entries; the
 # >= 100-run pooled chaos + sanitizer reuse sweep with its retry/fallback
 # leg; the span-tree and Chrome-interleaving goldens; the irregular suite's
-# >= 50% floor; the feedback loop's property suite.
+# >= 50% floor; the feedback loop's property suite; the site-numbering
+# agreement of remarks, executor and certifier; the simulator's Figure 4
+# and Gantt goldens and its per-kernel sync counts against the executor's.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -290,9 +306,11 @@ pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
-pinned ./internal/suite TestIrregularBarrierElimination TestFDOPropertySuite TestOverheadGuards
+pinned ./internal/suite TestIrregularBarrierElimination TestFDOPropertySuite TestOverheadGuards \
+    TestSiteNumberingAgreement
+pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGanttGolden
 pinned ./internal/synctrace TestRingGrowsToCap
-echo "-- parity, row-form, pooled-sweep, span-golden, irregular-floor and feedback gates present"
+echo "-- parity, row-form, pooled-sweep, span-golden, irregular-floor, feedback, site-numbering and simulator gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
