@@ -1,8 +1,51 @@
 package spmdrt
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestChaosStreamGolden pins the perturbation decision codes byte for byte:
+// seeds {7, 11, 42, 99} × 4 workers × 200 draws. The seed-driven tests (the
+// pooled sweep's seed 11, TestChaosUnderTeam's 99, check.sh's -chaos-seed 7)
+// rely on these streams, so a change that moves a draw must show up here.
+func TestChaosStreamGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, seed := range []int64{7, 11, 42, 99} {
+		c := NewChaos(seed, 4)
+		fmt.Fprintf(&got, "seed %d slow %d\n", seed, c.SlowWorker())
+		for w := 0; w < 4; w++ {
+			fmt.Fprintf(&got, "  w%d", w)
+			for i := 0; i < 200; i++ {
+				fmt.Fprintf(&got, " %d", c.perturb(w))
+			}
+			got.WriteByte('\n')
+		}
+	}
+	path := filepath.Join("testdata", "chaos_streams.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s drifted (go test ./internal/spmdrt -run %s -update):\n%s", path, t.Name(), got.Bytes())
+	}
+}
 
 func TestChaosDeterministicDecisions(t *testing.T) {
 	// Two layers built from the same seed must make identical perturbation
