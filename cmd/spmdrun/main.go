@@ -95,12 +95,8 @@ type runPayload struct {
 		Dispatches    int64 `json:"dispatches"`
 	} `json:"sync"`
 	Certified bool `json:"certified"`
-	// Pooled/TeamGeneration describe the team the run executed on;
-	// Attempts and SeqFallback are the retry policy's outcome.
+	// Pooled reports that the run executed on a pooled team.
 	Pooled         bool     `json:"pooled"`
-	TeamGeneration int64    `json:"team_generation,omitempty"`
-	Attempts       int      `json:"attempts,omitempty"`
-	SeqFallback    bool     `json:"seq_fallback,omitempty"`
 	Violations     int      `json:"violations,omitempty"`
 	VerifyDiff     *float64 `json:"verify_max_abs_diff,omitempty"`
 	SanitizerClean *bool    `json:"sanitizer_clean,omitempty"`
@@ -132,16 +128,12 @@ type options struct {
 	report  bool
 	timeout time.Duration
 
-	poolOn   bool
-	deadline time.Duration
-	retries  int
-	seqFall  bool
+	poolOn bool
 
-	watchdog   time.Duration
-	chaos      int64
-	chaosStall time.Duration
-	sanitize   bool
-	sabotage   int
+	watchdog time.Duration
+	chaos    int64
+	sanitize bool
+	sabotage int
 
 	traceOut string
 	traceSum bool
@@ -169,13 +161,9 @@ func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this long (0 disables); cancellation tears the team down cleanly")
 
 	fs.BoolVar(&o.poolOn, "pool", true, "check the worker team out of the persistent team pool (disable for a cold spawn per run)")
-	fs.DurationVar(&o.deadline, "deadline", 0, "per-attempt run deadline under the retry policy (0 disables; pairs with -retries)")
-	fs.IntVar(&o.retries, "retries", 0, "retry transient failures (watchdog stall, attempt-deadline expiry on a certified schedule) up to this many times with exponential backoff")
-	fs.BoolVar(&o.seqFall, "seq-fallback", false, "after retries are exhausted, degrade to the sequential executor instead of failing")
 
 	fs.DurationVar(&o.watchdog, "watchdog", 0, "stall deadline; a worker blocked this long aborts the run with a per-worker deadlock report (0 disables)")
 	fs.Int64Var(&o.chaos, "chaos-seed", 0, "enable deterministic chaos injection with this seed (0 disables)")
-	fs.DurationVar(&o.chaosStall, "chaos-stall", 0, "with -chaos-seed, arm the rare long-stall chaos fault with this sleep (pairs with -watchdog and -retries to exercise the retry path)")
 	fs.BoolVar(&o.sanitize, "sanitize", false, "run the schedule-soundness sanitizer and report unordered cross-worker flows")
 	fs.IntVar(&o.sabotage, "sabotage", 0, "drop the sync edge with this 1-based site number (testing aid; makes the schedule unsound)")
 
@@ -273,7 +261,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	req.Run.Det = o.det
 	req.Run.Watchdog = o.watchdog
 	req.Run.ChaosSeed = o.chaos
-	req.Run.ChaosStall = o.chaosStall
 	req.Run.Sabotage = o.sabotage
 	req.Run.Sanitize = o.sanitize
 	req.Run.Trace = o.traceOut != "" || o.traceSum
@@ -282,12 +269,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	req.Run.Report = o.report
 	req.Run.Profile = o.profileOut != "" || o.ledgerPath != ""
 	req.Run.Spans = o.spansOut != ""
-	if o.deadline > 0 || o.retries > 0 || o.seqFall {
-		// core stamps Certified from the memoized certify verdict, so
-		// hangs retry only on schedules proved deadlock-free.
-		req.Run.Policy = &exec.RunPolicy{Deadline: o.deadline, MaxRetries: o.retries,
-			SequentialFallback: o.seqFall}
-	}
 
 	res, err := core.Do(ctx, req)
 	if err != nil {
@@ -331,9 +312,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Certified: res.Certify.Certified,
 	}
 	pay.Pooled = res.Pooled
-	pay.TeamGeneration = res.Generation
-	pay.Attempts = res.Attempts
-	pay.SeqFallback = res.SeqFallback
 	pay.Sync.Barriers = res.Stats.Barriers
 	pay.Sync.CounterIncrs = res.Stats.CounterIncrs
 	pay.Sync.CounterWaits = res.Stats.CounterWaits
@@ -354,14 +332,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "elapsed:  %s\n", res.Elapsed)
 		team := "cold-spawn"
-		switch {
-		case res.SeqFallback:
-			team = fmt.Sprintf("sequential fallback after %d attempts", res.Attempts)
-		case res.Pooled:
-			team = fmt.Sprintf("pooled (gen %d)", res.Generation)
-		}
-		if res.Attempts > 1 && !res.SeqFallback {
-			team += fmt.Sprintf(", attempt %d", res.Attempts)
+		if res.Pooled {
+			team = "pooled"
 		}
 		fmt.Fprintf(stdout, "team:     %s\n", team)
 		fmt.Fprintf(stdout, "sync:     %s\n", res.Stats)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -219,9 +220,9 @@ func TestFlagsArePinned(t *testing.T) {
 	fs, _ := newFlagSet(&bytes.Buffer{})
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := "barrier chaos-seed chaos-stall deadline det json kernel ledger mode p param pool " +
-		"profile-in profile-out report retries sabotage sanitize seq-fallback spans timeout " +
-		"trace trace-buf trace-summary verify watchdog"
+	want := "barrier chaos-seed det json kernel ledger mode p param pool profile-in " +
+		"profile-out report sabotage sanitize spans timeout trace trace-buf trace-summary " +
+		"verify watchdog"
 	if strings.Join(got, " ") != want {
 		t.Errorf("flags = %q, want %q", strings.Join(got, " "), want)
 	}
@@ -242,5 +243,46 @@ func TestFlagsArePinned(t *testing.T) {
 	sort.Strings(rows)
 	if strings.Join(rows, " ") != want {
 		t.Errorf("INTERNALS.md §9 rows = %q, want the pinned flags %q", strings.Join(rows, " "), want)
+	}
+}
+
+// stallSrc is a certified program whose first inner loop is a recurrence:
+// the schedule runs it as a wavefront relay, so in every time step worker w
+// waits out the chunks of workers 0..w-1 in turn.
+const stallSrc = `program stall
+param N, T
+real A(N), B(N)
+do t = 1, T
+  do i = 2, N
+    A(i) = 0.5 * A(i - 1) + B(i)
+  end do
+  do i = 1, N
+    B(i) = 0.25 * A(i)
+  end do
+end do
+end
+`
+
+// TestWatchdogTripFailsLoudly: a stall on a certified schedule is a failed
+// run, never a retried one. With the watchdog far below one relay chunk's
+// compute, the run exits 1 with nothing on stdout and the per-worker wait
+// report on stderr. A wait trips only once it outlasts its spin and yield
+// rounds, which CPU contention can stretch; forty time steps of seven
+// relay waits each make a run that trips none of them vanishingly rare.
+func TestWatchdogTripFailsLoudly(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "stall.dsl")
+	if err := os.WriteFile(src, []byte(stallSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-p", "8", "-param", "N=65536", "-param", "T=40", "-watchdog", "1us", src}
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("run(%v) = %d, want 1; stderr:\n%s", args, code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout not empty on a watchdog trip:\n%s", stdout.String())
+	}
+	if report := stderr.String(); !strings.Contains(report, "watchdog:") || !strings.Contains(report, "\n  w7: ") {
+		t.Errorf("stderr lacks the per-worker watchdog report:\n%s", report)
 	}
 }

@@ -83,7 +83,7 @@ func TestSpansFlagEndToEnd(t *testing.T) {
 	}
 	for _, want := range []string{
 		telemetry.RootName, "compile", "execute", "setup",
-		"attempt", "team run", "verify",
+		"team run", "verify",
 	} {
 		if !names[want] {
 			t.Errorf("span tree missing phase %q (have %v)", want, names)

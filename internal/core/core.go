@@ -216,14 +216,6 @@ func (c *Compiled) newRunner(sched *syncopt.Schedule, cfg exec.Config, which int
 		}
 		cfg.Compiled = exe
 	}
-	if cfg.Policy != nil && !cfg.Policy.Certified {
-		// The retry policy classifies hangs as transient only on schedules
-		// the certifier proved deadlock-free; stamp the memoized verdict
-		// on a copy so the caller's policy value is not mutated.
-		p := *cfg.Policy
-		p.Certified = c.verdictOf(which).Certified
-		cfg.Policy = &p
-	}
 	er, err := exec.NewRunner(c.Prog, sched, c.Plan, cfg)
 	if err != nil {
 		return nil, err

@@ -86,9 +86,8 @@ func (r *Runner) LedgerRecord(res *Result, verdict string, now time.Time) *profi
 		costs := res.Costs
 		rec.Costs = &costs
 		rec.Result = profile.RunMeta{
-			Verdict:  verdict,
-			WallNS:   int64(res.Elapsed),
-			Attempts: res.Attempts,
+			Verdict: verdict,
+			WallNS:  int64(res.Elapsed),
 		}
 		if res.State != nil {
 			rec.Result.Checksum = fmt.Sprintf("%.10g", res.State.Checksum())

@@ -56,9 +56,6 @@ type RunOptions struct {
 	BarrierAuto bool
 	// Params are the program parameters.
 	Params map[string]int64
-	// Policy is the retry/fallback run policy (Certified is stamped from
-	// the memoized certify verdict; the caller's value is not mutated).
-	Policy *exec.RunPolicy
 	// Trace records sync events. Profile and Report need the trace's wait
 	// sketches, so either forces tracing; Result.TracingForced reports
 	// when that happened.
@@ -75,9 +72,8 @@ type RunOptions struct {
 	Sanitize bool
 	// Watchdog aborts the run when a worker blocks this long (0 disables).
 	Watchdog time.Duration
-	// ChaosSeed/ChaosStall enable deterministic chaos injection.
-	ChaosSeed  int64
-	ChaosStall time.Duration
+	// ChaosSeed enables deterministic chaos injection (0 disables).
+	ChaosSeed int64
 	// Sabotage drops the sync edge with this 1-based site id (testing aid).
 	Sabotage int
 	// Det forces deterministic (rank-ordered) reduction merges.
@@ -85,7 +81,7 @@ type RunOptions struct {
 	// NoPool cold-spawns the worker team instead of using the pool.
 	NoPool bool
 	// Spans collects run-lifecycle spans — one per phase (lint, compile,
-	// FDO, certify, execute with the executor's lease/attempt children,
+	// FDO, certify, execute with the executor's lease and team-run children,
 	// profile, report) — into Result.Telemetry. Result.TraceID is stamped
 	// whether or not spans are collected.
 	Spans bool
@@ -138,9 +134,6 @@ func WithBarrier(k spmdrt.BarrierKind) RequestOption { return func(r *Request) {
 func WithParams(params map[string]int64) RequestOption {
 	return func(r *Request) { r.Run.Params = params }
 }
-
-// WithPolicy sets the retry/fallback run policy.
-func WithPolicy(p *exec.RunPolicy) RequestOption { return func(r *Request) { r.Run.Policy = p } }
 
 // WithTrace records sync events.
 func WithTrace() RequestOption { return func(r *Request) { r.Run.Trace = true } }
@@ -256,7 +249,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		}
 	}
 	// The execute span opens before runner construction so the executor's
-	// attempt spans know their parent at Config-assembly time.
+	// spans know their parent at Config-assembly time.
 	execSp := tr.Start(0, "execute")
 	cfg := exec.Config{
 		Workers:                 workers,
@@ -265,19 +258,16 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		DeterministicReductions: req.Run.Det,
 		WatchdogTimeout:         req.Run.Watchdog,
 		ChaosSeed:               req.Run.ChaosSeed,
-		ChaosStall:              req.Run.ChaosStall,
 		SabotageEdge:            req.Run.Sabotage,
 		Sanitize:                req.Run.Sanitize,
 		Trace:                   req.Run.Trace || tracingForced,
 		TraceBufCap:             req.Run.TraceBufCap,
 		NoPool:                  req.Run.NoPool,
-		Policy:                  req.Run.Policy,
 		Spans:                   tr,
 		SpansParent:             execSp,
 	}
 
-	// Runner construction covers the memoized closure lowering and, with a
-	// retry policy, the certifier run that stamps Policy.Certified.
+	// Runner construction covers the memoized closure lowering.
 	setupSp := tr.Start(execSp, "setup")
 	var runner *Runner
 	if req.Run.Baseline {
@@ -319,9 +309,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	if tr != nil {
 		// exec.Result outcome fields ride on the execute span.
 		tr.SetAttr(execSp, "elapsed_ns", fmt.Sprint(res.Elapsed.Nanoseconds()))
-		tr.SetAttr(execSp, "attempts", fmt.Sprint(res.Attempts))
 		tr.SetAttr(execSp, "pooled", fmt.Sprint(res.Pooled))
-		tr.SetAttr(execSp, "seq_fallback", fmt.Sprint(res.SeqFallback))
 		tr.SetAttr(execSp, "workers", fmt.Sprint(workers))
 	}
 	res.Runner = runner

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/fdo"
 	"repro/internal/profile"
 )
@@ -36,14 +35,12 @@ var reqParams = map[string]int64{"N": 64, "T": 4}
 func TestNewRequestOptions(t *testing.T) {
 	req := NewRequest(reqSrc,
 		WithLint(), WithCertify(), WithWorkers(4), WithBaseline(),
-		WithTrace(), WithProfile(), WithReport(), WithParams(reqParams),
-		WithPolicy(&exec.RunPolicy{MaxRetries: 2}))
+		WithTrace(), WithProfile(), WithReport(), WithParams(reqParams))
 	if !req.Compile.Lint || !req.Compile.Certify {
 		t.Fatal("compile options not applied")
 	}
 	if req.Run.P != 4 || !req.Run.Baseline || !req.Run.Trace ||
-		!req.Run.Profile || !req.Run.Report || req.Run.Params["N"] != 64 ||
-		req.Run.Policy.MaxRetries != 2 {
+		!req.Run.Profile || !req.Run.Report || req.Run.Params["N"] != 64 {
 		t.Fatalf("run options not applied: %+v", req.Run)
 	}
 }
@@ -193,7 +190,6 @@ var coreAPI = []string{
 	"WithFDOProfile",
 	"WithLint",
 	"WithParams",
-	"WithPolicy",
 	"WithProfile",
 	"WithReport",
 	"WithSpans",

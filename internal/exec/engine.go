@@ -9,9 +9,8 @@ import (
 
 // engine is the statement engine under one worker's step program: every
 // operation that touches registers, scalars and arrays. The steps — loop
-// control, sync sites, the inspector, the relay chains, the sequential
-// fallback — own partitioning and synchronization and never look behind
-// it. The closure frame is the only implementation outside test files; the
+// control, sync sites, the inspector, the relay chains — own partitioning
+// and synchronization and never look behind it. The closure frame is the only implementation outside test files; the
 // tests keep the tree-walking evaluator as a second one, to compare against.
 //
 // A returned error is an evaluation fault. The worker records the first

@@ -119,21 +119,11 @@ type Config struct {
 	// execution is the default because a parked team costs a channel wake
 	// per run instead of a spawn/join cycle.
 	NoPool bool
-	// Policy, when non-nil, layers run robustness over the executor: a
-	// per-attempt deadline, retry with exponential backoff for transient
-	// failures, and an optional sequential fallback once parallel
-	// attempts are exhausted. See RunPolicy.
-	Policy *RunPolicy
-	// ChaosStall, when positive together with ChaosSeed, arms the chaos
-	// layer's rare long-stall fault: an occasional perturbed sync site
-	// sleeps this long — long enough to trip a short watchdog, which is
-	// the trigger RunPolicy retries recover from.
-	ChaosStall time.Duration
 	// Spans, when non-nil, receives run-lifecycle spans from the executor
-	// — per-attempt execution, pool lease / team spawn, inspector scans,
-	// sequential fallback — as children of SpansParent (the caller's
-	// "execute" span; 0 hangs them off the trace root). Nil disables span
-	// collection: every recording site is a single nil check.
+	// — pool lease / team spawn, team run, inspector scans — as children of
+	// SpansParent (the caller's "execute" span; 0 hangs them off the trace
+	// root). Nil disables span collection: every recording site is a single
+	// nil check.
 	Spans *telemetry.Trace
 	// SpansParent is the parent span for the spans the executor records.
 	SpansParent telemetry.SpanID
@@ -153,22 +143,11 @@ type Result struct {
 	// wavefront/reduction relay chains.
 	Trace *synctrace.Recorder
 	// Pooled reports whether the run executed on a pooled persistent
-	// team (false under Config.NoPool and on the sequential fallback).
+	// team (false under Config.NoPool).
 	Pooled bool
-	// Generation is the team's run-generation id for this run: monotonic
-	// per team across reuse, matching the "[gen N]" stamp in watchdog
-	// deadlock reports and the trace's run_metadata event.
-	Generation int64
-	// Attempts is how many team executions the run policy spent
-	// (1 without a policy or when the first attempt succeeded).
-	Attempts int
-	// SeqFallback reports that parallel attempts were exhausted and this
-	// result came from the degraded sequential path (Stats is zero and
-	// Trace is nil there: no team ran).
-	SeqFallback bool
 	// Inspector reports per-site runtime-inspector behavior, keyed by
 	// 1-based sync-site id (same numbering as Stats.PerSite). Nil when the
-	// schedule has no inspector sites or no team ran.
+	// schedule has no inspector sites.
 	Inspector map[int]InspectorSite
 }
 
@@ -245,20 +224,6 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 	if cfg.Workers < 1 {
 		return nil, &ConfigError{Field: "Workers",
 			Msg: fmt.Sprintf("must be at least 1, got %d", cfg.Workers)}
-	}
-	if p := cfg.Policy; p != nil {
-		if p.MaxRetries < 0 {
-			return nil, &ConfigError{Field: "Policy.MaxRetries",
-				Msg: fmt.Sprintf("must not be negative, got %d", p.MaxRetries)}
-		}
-		if p.Deadline < 0 {
-			return nil, &ConfigError{Field: "Policy.Deadline",
-				Msg: fmt.Sprintf("must not be negative, got %s", p.Deadline)}
-		}
-		if p.Backoff < 0 {
-			return nil, &ConfigError{Field: "Policy.Backoff",
-				Msg: fmt.Sprintf("must not be negative, got %s", p.Backoff)}
-		}
 	}
 	r := &Runner{prog: prog, plan: plan, cfg: cfg, newEngine: newFrameEngine}
 	r.exe = cfg.Compiled
@@ -391,16 +356,6 @@ func (r *Runner) RunOn(st *interp.State) (*Result, error) {
 	return r.RunContextOn(context.Background(), st)
 }
 
-// RunContextOn is RunOn under a context (see RunContext). With a
-// Config.Policy it runs the retry/backoff/fallback loop; otherwise it is a
-// single attempt.
-func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, error) {
-	if r.cfg.Policy != nil {
-		return r.runWithPolicy(ctx, st)
-	}
-	return r.runAttempt(ctx, st, 1)
-}
-
 // defaultPool is the process-wide team pool (see DefaultPool).
 var (
 	defaultPoolOnce sync.Once
@@ -416,35 +371,25 @@ func DefaultPool() *pool.Pool {
 	return defaultPool
 }
 
-// runAttempt executes the program once on a team — checked out of the
-// pool by default, freshly spawned under Config.NoPool. attempt is the
-// 1-based policy attempt number; it salts the chaos seed so retries see
-// different (still deterministic) adversarial timing, and attempt 1 uses
-// the configured seed unchanged.
-func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) (*Result, error) {
+// RunContextOn is RunOn under a context (see RunContext). The team is
+// checked out of the pool by default, freshly spawned under Config.NoPool.
+func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &spmdrt.CancelError{Cause: err}
 	}
-	// One "attempt" span per team execution: retries show up as siblings
-	// under the caller's execute span, each carrying its own outcome.
-	spans := r.cfg.Spans
-	attemptSp := spans.Start(r.cfg.SpansParent, "attempt")
-	if spans != nil {
-		spans.SetAttr(attemptSp, "attempt", strconv.Itoa(attempt))
-	}
-	defer spans.End(attemptSp)
+	spans, parentSp := r.cfg.Spans, r.cfg.SpansParent
 	ps := newPState(st)
 	var (
 		team  *spmdrt.Team
 		lease *pool.Lease
 		// relErr is what the lease is released with: nil parks the team
-		// through the reset protocol, non-nil quarantines it. Worker
-		// evaluation errors leave it nil — the team itself ran to
-		// completion and stays reusable.
+		// through the reset protocol, non-nil closes it. Worker evaluation
+		// errors leave it nil — the team itself ran to completion and stays
+		// reusable.
 		relErr error
 	)
 	if r.cfg.NoPool {
-		spawnSp := spans.Start(attemptSp, "team spawn")
+		spawnSp := spans.Start(parentSp, "team spawn")
 		team = spmdrt.NewTeam(r.cfg.Workers, r.cfg.Barrier)
 		spans.End(spawnSp)
 	} else {
@@ -452,14 +397,10 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		if tp == nil {
 			tp = DefaultPool()
 		}
-		leaseSp := spans.Start(attemptSp, "pool lease")
+		leaseSp := spans.Start(parentSp, "pool lease")
 		l, err := tp.Checkout(r.cfg.Workers, r.cfg.Barrier)
 		spans.End(leaseSp)
 		if err != nil {
-			if spans != nil {
-				spans.SetAttr(attemptSp, "outcome", telemetry.OutcomeError)
-				spans.SetAttr(attemptSp, "error", err.Error())
-			}
 			return nil, err
 		}
 		lease = l
@@ -483,17 +424,7 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 	run.dispatch.Site = "fork-join dispatch"
 	team.Stats.InitSites(r.nSites)
 	if r.cfg.ChaosSeed != 0 {
-		seed := r.cfg.ChaosSeed
-		if attempt > 1 {
-			// Decorrelate retries: the same seed would replay the exact
-			// perturbation sequence (including a stall) that failed the
-			// previous attempt. Attempt 1 keeps the configured seed so
-			// single-attempt runs stay bit-identical to the pre-policy
-			// executor.
-			seed ^= int64(uint64(attempt-1) * 0x9E3779B97F4A7C15)
-		}
-		run.chaos = spmdrt.NewChaos(seed, r.cfg.Workers)
-		run.chaos.EnableStall(r.cfg.ChaosStall)
+		run.chaos = spmdrt.NewChaos(r.cfg.ChaosSeed, r.cfg.Workers)
 	}
 	if r.cfg.Sanitize {
 		run.san = newSanRun(r.prog, r.exe, ps, r.cfg.Workers)
@@ -582,7 +513,7 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 		team.Stats.AddTally(ws.tally)
 		run.errs[w] = ws.err
 	}
-	runSp := spans.Start(attemptSp, "team run")
+	runSp := spans.Start(parentSp, "team run")
 	start := time.Now()
 	var runErr error
 	if lease != nil {
@@ -592,29 +523,16 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 	}
 	elapsed := time.Since(start)
 	spans.End(runSp)
-	gen := team.Generation()
-	if spans != nil {
-		spans.SetAttr(attemptSp, "pooled", strconv.FormatBool(lease != nil))
-		spans.SetAttr(attemptSp, "team_generation", strconv.FormatInt(gen, 10))
-	}
 	if runErr != nil {
 		// A watchdog deadlock report, a recovered worker panic or a
 		// cancellation: the run was aborted, shared state is not
 		// meaningful, and the team's failure latch is tripped for good —
-		// quarantine it.
+		// close it.
 		relErr = runErr
-		if spans != nil {
-			spans.SetAttr(attemptSp, "outcome", telemetry.OutcomeError)
-			spans.SetAttr(attemptSp, "error", runErr.Error())
-		}
 		return nil, runErr
 	}
 	for _, e := range run.errs {
 		if e != nil {
-			if spans != nil {
-				spans.SetAttr(attemptSp, "outcome", telemetry.OutcomeError)
-				spans.SetAttr(attemptSp, "error", e.Error())
-			}
 			return nil, e
 		}
 	}
@@ -624,10 +542,10 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 	ps.flushTo(st)
 	// Teardown-time: workers have quiesced, so stamping the recorder's
 	// run metadata here is safe.
-	run.rec.SetMeta("team_generation", strconv.FormatInt(gen, 10))
+	run.rec.SetMeta("team_generation", strconv.FormatInt(team.Generation(), 10))
 	run.rec.SetMeta("pooled", strconv.FormatBool(lease != nil))
 	res := &Result{State: st, Stats: team.Stats.Snapshot(), Elapsed: elapsed,
-		Trace: run.rec, Pooled: lease != nil, Generation: gen, Attempts: attempt}
+		Trace: run.rec, Pooled: lease != nil}
 	if run.inspW != nil {
 		res.Inspector = map[int]InspectorSite{}
 		var scanNS, scans int64
@@ -643,13 +561,9 @@ func (r *Runner) runAttempt(ctx context.Context, st *interp.State, attempt int) 
 			// Scans run inside the team-run interval; the span records their
 			// aggregate wall cost (worker 0's measurement), anchored at the
 			// team run's start.
-			sp := spans.Add(attemptSp, "inspector scans", start, time.Duration(scanNS))
+			sp := spans.Add(parentSp, "inspector scans", start, time.Duration(scanNS))
 			spans.SetAttr(sp, "scans", strconv.FormatInt(scans, 10))
 		}
-	}
-	if spans != nil {
-		spans.SetAttr(attemptSp, "outcome", telemetry.OutcomeOK)
-		spans.SetAttr(attemptSp, "elapsed_ns", strconv.FormatInt(elapsed.Nanoseconds(), 10))
 	}
 	if run.san != nil {
 		res.Sanitizer = run.san.tr.Report()

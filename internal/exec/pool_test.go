@@ -16,7 +16,7 @@ import (
 )
 
 // TestPooledRunDefaults pins pooled execution as the default: a plain run
-// reports Pooled with a positive generation, and NoPool opts out.
+// reports Pooled, and NoPool opts out.
 func TestPooledRunDefaults(t *testing.T) {
 	r := contextRunner(t, "jacobi1d", nil)
 	res, err := r.Run()
@@ -25,12 +25,6 @@ func TestPooledRunDefaults(t *testing.T) {
 	}
 	if !res.Pooled {
 		t.Error("default run not pooled")
-	}
-	if res.Generation < 1 {
-		t.Errorf("pooled run generation = %d, want >= 1", res.Generation)
-	}
-	if res.Attempts != 1 {
-		t.Errorf("policy-less run attempts = %d, want 1", res.Attempts)
 	}
 
 	k, err := suite.Get("jacobi1d")
@@ -56,9 +50,8 @@ func TestPooledRunDefaults(t *testing.T) {
 }
 
 // TestRunContextCancelPooled is the pooled variant of the cancellation
-// contract: a mid-run cancellation quarantines the leased team, the pool
-// rebuilds a replacement asynchronously, and the next checkout of that
-// shape gets a healthy team with factory-fresh stats.
+// contract: a mid-run cancellation closes the leased team, and the next
+// checkout of that shape builds a new team cold with factory-fresh stats.
 func TestRunContextCancelPooled(t *testing.T) {
 	tp := pool.New(pool.Options{})
 	defer tp.Close()
@@ -86,18 +79,10 @@ func TestRunContextCancelPooled(t *testing.T) {
 		t.Fatalf("want *spmdrt.CancelError, got %v", err)
 	}
 
-	s := tp.Snapshot()
-	if s.Quarantines != 1 {
-		t.Fatalf("quarantines = %d after cancelled pooled run, want 1", s.Quarantines)
-	}
-	tp.Quiesce()
-	s = tp.Snapshot()
-	if s.Rebuilt != 1 || s.Live != 1 || s.Idle != 1 {
-		t.Fatalf("after quiesce: %+v, want 1 rebuilt / 1 live / 1 idle", s)
+	if s := tp.Snapshot(); s.Live != 0 || s.Idle != 0 {
+		t.Fatalf("after cancelled pooled run: %+v, want the team closed (0 live / 0 idle)", s)
 	}
 
-	// The rebuilt team serves the next checkout: same shape, clean stats,
-	// generation 1 (a fresh team, not the poisoned one resuscitated).
 	small, err := suite.Get("jacobi1d")
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +98,17 @@ func TestRunContextCancelPooled(t *testing.T) {
 	}
 	res, err := r2.Run()
 	if err != nil {
-		t.Fatalf("run on rebuilt team: %v", err)
+		t.Fatalf("run after the cancelled one: %v", err)
 	}
 	if !res.Pooled {
-		t.Error("run on rebuilt team not pooled")
+		t.Error("run after the cancelled one not pooled")
 	}
-	if res.Generation != 1 {
-		t.Errorf("rebuilt team generation = %d, want 1 (fresh team)", res.Generation)
-	}
-	s = tp.Snapshot()
-	if s.Reuses != 1 {
-		t.Errorf("reuses = %d, want 1 (rebuilt team served the checkout)", s.Reuses)
+	if s := tp.Snapshot(); s.ColdBuilds != 2 || s.Reuses != 0 {
+		t.Errorf("pool = %+v, want 2 cold builds / 0 reuses (the cancelled team is never handed out again)", s)
 	}
 
 	// Clean-stats check: the pooled run's counts match an identical
-	// unpooled run bit for bit — nothing leaked across the quarantine.
+	// unpooled run bit for bit — nothing leaked from the cancelled run.
 	r3, err := c2.NewRunner(exec.Config{Workers: 4, Params: small.Params,
 		Mode: exec.SPMD, NoPool: true})
 	if err != nil {
@@ -142,206 +123,17 @@ func TestRunContextCancelPooled(t *testing.T) {
 	}
 }
 
-// findStallSeed probes for a chaos seed whose first attempt deterministically
-// trips the watchdog via the armed long-stall fault. Chaos streams are pure
-// functions of the seed, so a seed that stalls once stalls every time.
-func findStallSeed(t *testing.T, c *core.Compiled, params map[string]int64) int64 {
-	t.Helper()
-	for seed := int64(1); seed <= 64; seed++ {
-		r, err := c.NewRunner(exec.Config{
-			Workers:         4,
-			Params:          params,
-			Mode:            exec.SPMD,
-			NoPool:          true,
-			ChaosSeed:       seed,
-			ChaosStall:      250 * time.Millisecond,
-			WatchdogTimeout: 40 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = r.Run()
-		var de *spmdrt.DeadlockError
-		if errors.As(err, &de) {
-			return seed
-		}
-		if err != nil {
-			t.Fatalf("probe seed %d: unexpected error %v", seed, err)
-		}
-	}
-	t.Fatal("no chaos seed in 1..64 trips the stall fault")
-	return 0
-}
-
-// TestPolicyRetriesChaosStall drives a run whose first attempt is known to
-// stall into the watchdog, under a policy with retries and sequential
-// fallback: the run must succeed — by a retry under decorrelated chaos
-// timing or by degrading to the sequential path — and the result must
-// match the sequential reference.
-func TestPolicyRetriesChaosStall(t *testing.T) {
-	k, err := suite.Get("jacobi1d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := clampParams(k.Params)
-	ref, err := c.RunSequential(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := findStallSeed(t, c, params)
-
-	tp := pool.New(pool.Options{})
-	defer tp.Close()
-	var retries []int
-	r, err := c.NewRunner(exec.Config{
-		Workers:         4,
-		Params:          params,
-		Mode:            exec.SPMD,
-		Pool:            tp,
-		ChaosSeed:       seed,
-		ChaosStall:      250 * time.Millisecond,
-		WatchdogTimeout: 40 * time.Millisecond,
-		Policy: &exec.RunPolicy{
-			MaxRetries:         4,
-			Backoff:            2 * time.Millisecond,
-			SequentialFallback: true,
-			OnRetry:            func(attempt int) { retries = append(retries, attempt) },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatalf("policy did not recover a known-stalling run: %v", err)
-	}
-	if len(retries) == 0 {
-		t.Fatal("first attempt is known to stall, but OnRetry never fired")
-	}
-	if !res.SeqFallback && res.Attempts < 2 {
-		t.Fatalf("attempts = %d with no fallback; the stalling first attempt cannot have succeeded", res.Attempts)
-	}
-	if res.SeqFallback && res.Attempts != 5 {
-		t.Errorf("fallback after attempts = %d, want 5 (MaxRetries+1)", res.Attempts)
-	}
-	if d := exec.ComparableDiff(ref, res.State, c.Prog); d > 1e-12 {
-		t.Errorf("recovered result diverges from sequential reference: diff=%g", d)
-	}
-
-	// Every stalled attempt quarantined its team; the pool must have
-	// rebuilt them all and still serve healthy teams afterwards.
-	tp.Quiesce()
-	s := tp.Snapshot()
-	if s.Quarantines < 1 {
-		t.Errorf("no quarantines after %d stalled attempts", len(retries))
-	}
-	if s.Quarantines != s.Rebuilt {
-		t.Errorf("quarantines = %d but rebuilt = %d", s.Quarantines, s.Rebuilt)
-	}
-}
-
-// TestPolicyDeterministicFailureNotRetried pins the other half of the
-// classification: on an uncertified schedule the same watchdog stall is
-// evidence of a real bug — the policy must surface it without retrying.
-func TestPolicyDeterministicFailureNotRetried(t *testing.T) {
-	k, err := suite.Get("jacobi1d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := clampParams(k.Params)
-	seed := findStallSeed(t, c, params)
-
-	// exec.NewRunner directly: core would stamp the (certified) verdict
-	// onto the policy, and this test needs the uncertified classification.
-	var retried bool
-	r, err := exec.NewRunner(c.Prog, c.Schedule, c.Plan, exec.Config{
-		Workers:         4,
-		Params:          params,
-		Mode:            exec.SPMD,
-		NoPool:          true,
-		ChaosSeed:       seed,
-		ChaosStall:      250 * time.Millisecond,
-		WatchdogTimeout: 40 * time.Millisecond,
-		Policy: &exec.RunPolicy{
-			MaxRetries:         4,
-			Backoff:            time.Millisecond,
-			SequentialFallback: true,
-			Certified:          false,
-			OnRetry:            func(int) { retried = true },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.Run()
-	var de *spmdrt.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("want the DeadlockError surfaced, got %v", err)
-	}
-	if retried {
-		t.Error("uncertified hang was retried")
-	}
-}
-
-// TestPolicyCallerCancelAborts: the caller's own context ending mid-policy
-// aborts immediately instead of burning retries or falling back.
-func TestPolicyCallerCancelAborts(t *testing.T) {
-	k, err := suite.Get("jacobi2d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retried bool
-	r, err := c.NewRunner(exec.Config{
-		Workers: 4,
-		Params:  map[string]int64{"N": 256, "T": 1 << 20},
-		Mode:    exec.SPMD,
-		Policy: &exec.RunPolicy{
-			MaxRetries:         3,
-			SequentialFallback: true,
-			OnRetry:            func(int) { retried = true },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err = r.RunContext(ctx)
-	var ce *spmdrt.CancelError
-	if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want CancelError unwrapping to DeadlineExceeded, got %v", err)
-	}
-	if retried {
-		t.Error("caller cancellation was retried")
-	}
-}
-
 // TestPooledChaosSanitizerReuseSweep is the contamination acceptance test:
 // well over 100 back-to-back runs on ONE pool across all 16 suite kernels
 // under chaos injection with the sanitizer armed — every run must match
 // the sequential reference, audit clean, and produce sync stats identical
 // to every other run of its configuration (any cross-run leakage of
-// stats, trace bindings or sanitizer clocks would break that); a policy
-// leg with the stall fault armed additionally proves stalled runs retry
-// to success or degrade to sequential on the same pool. Afterwards the
-// pool tears down to zero goroutine growth.
+// stats, trace bindings or sanitizer clocks would break that). Afterwards
+// the pool tears down to zero goroutine growth.
 func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-run sweep")
 	}
-	exec.DefaultPool().Quiesce() // settle background rebuilds before the baseline
 	baseline := runtime.NumGoroutine()
 	tp := pool.New(pool.Options{})
 
@@ -403,57 +195,7 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 		t.Fatalf("sweep covered only %d runs, want >= 100", total)
 	}
 
-	// Policy leg: the stall fault armed on a short watchdog. Every run
-	// must still end in a correct result — retried or degraded.
-	var retries, fallbacks int
-	for _, name := range []string{"jacobi1d", "stencil9"} {
-		k, err := suite.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		params := clampParams(k.Params)
-		c, err := core.Compile(k.Source, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := c.RunSequential(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(1); seed <= 5; seed++ {
-			r, err := c.NewRunner(exec.Config{
-				Workers:         4,
-				Params:          params,
-				Mode:            exec.SPMD,
-				Pool:            tp,
-				ChaosSeed:       seed,
-				ChaosStall:      200 * time.Millisecond,
-				WatchdogTimeout: 40 * time.Millisecond,
-				Policy: &exec.RunPolicy{
-					MaxRetries:         3,
-					Backoff:            2 * time.Millisecond,
-					SequentialFallback: true,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.Run()
-			if err != nil {
-				t.Fatalf("%s stall seed %d not recovered: %v", name, seed, err)
-			}
-			retries += res.Attempts - 1
-			if res.SeqFallback {
-				fallbacks++
-			}
-			if d := exec.ComparableDiff(ref, res.State, c.Prog); d > 1e-12 {
-				t.Errorf("%s stall seed %d: diverges: diff=%g", name, seed, d)
-			}
-			total++
-		}
-	}
-	t.Logf("sweep: %d runs, %d retries, %d fallbacks, pool %+v",
-		total, retries, fallbacks, tp.Snapshot())
+	t.Logf("sweep: %d runs, pool %+v", total, tp.Snapshot())
 
 	tp.Close()
 	deadline := time.Now().Add(10 * time.Second)

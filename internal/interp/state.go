@@ -110,25 +110,6 @@ func (st *State) SeedDeterministic() {
 	}
 }
 
-// Clone returns a deep copy of the state (same program and params).
-func (st *State) Clone() *State {
-	c := &State{
-		Prog:    st.Prog,
-		Params:  st.Params,
-		Scalars: make(map[string]float64, len(st.Scalars)),
-		arrays:  make(map[string]*ArrayVal, len(st.arrays)),
-	}
-	for k, v := range st.Scalars {
-		c.Scalars[k] = v
-	}
-	for k, a := range st.arrays {
-		na := &ArrayVal{Name: a.Name, Dims: append([]int64(nil), a.Dims...), Data: make([]float64, len(a.Data))}
-		copy(na.Data, a.Data)
-		c.arrays[k] = na
-	}
-	return c
-}
-
 // MaxAbsDiff returns the largest absolute elementwise difference between
 // the arrays and scalars of two states, for output comparison. States must
 // come from the same program/params; mismatched shapes return +Inf.

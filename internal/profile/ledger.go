@@ -76,8 +76,6 @@ type RunMeta struct {
 	WallNS int64 `json:"wall_ns"`
 	// Checksum fingerprints the computed output arrays.
 	Checksum string `json:"checksum,omitempty"`
-	// Attempts counts executor attempts (>1 means chaos recovery kicked in).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // LedgerRecord is one append-only ledger line's payload: the run's

@@ -273,7 +273,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rec := &LedgerRecord{
 			TimeUnixNS: int64(1000 + i),
-			Result:     RunMeta{Verdict: "PASS", WallNS: 5_000_000, Checksum: "deadbeef", Attempts: 1},
+			Result:     RunMeta{Verdict: "PASS", WallNS: 5_000_000, Checksum: "deadbeef"},
 			Costs:      &remarks.Costs{Total: time.Millisecond, FMSystems: 7},
 			Profile:    sample(0),
 		}

@@ -20,12 +20,7 @@ import (
 type Chaos struct {
 	n    int
 	slow int
-	// stall, when positive (EnableStall), arms rare long freezes: roughly
-	// one sync point in 48 per worker sleeps this long, modeling an
-	// operator-visible stall (a core stolen by another tenant, a paging
-	// storm) that should trip an armed watchdog and exercise retry paths.
-	stall time.Duration
-	ws    []chaosState
+	ws   []chaosState
 }
 
 type chaosState struct {
@@ -52,18 +47,6 @@ func splitmix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// EnableStall arms rare seed-driven long freezes of duration d (<= 0 is a
-// no-op). The stall decision rides the same per-worker streams as the
-// other perturbations, so which sync points stall is reproducible from
-// the seed; arming it changes the decision sequence (one extra draw per
-// sync point), which is why it is off unless explicitly requested.
-func (c *Chaos) EnableStall(d time.Duration) {
-	if c == nil || d <= 0 {
-		return
-	}
-	c.stall = d
 }
 
 // SlowWorker returns the designated straggler's rank, or -1 for nil.
@@ -94,14 +77,10 @@ func (c *Chaos) PostSync(w int) {
 
 // perturb draws one perturbation decision and applies it. The returned
 // code identifies the decision for determinism tests: 0 none, 1..4 yield
-// burst length, 100+µs sleep, 1000+µs straggler sleep, 10000 stall.
+// burst length, 100+µs sleep, 1000+µs straggler sleep.
 func (c *Chaos) perturb(w int) int {
 	r := c.ws[w].rng
 	code := 0
-	if c.stall > 0 && r.Intn(48) == 0 {
-		time.Sleep(c.stall)
-		return 10000
-	}
 	switch p := r.Intn(100); {
 	case p < 35:
 		n := 1 + r.Intn(4)

@@ -21,8 +21,8 @@ import (
 // error after workers unwind (bounded by the same grace period). A
 // persistent team whose latch has tripped is permanently failed — Run
 // refuses it and ResetForReuse rejects it — because the latch releases
-// blocked waiters exactly once; the pool quarantines such teams and
-// rebuilds replacements instead of resuscitating them.
+// blocked waiters exactly once; the pool closes such teams and builds the
+// next one cold instead of resuscitating them.
 type PersistentTeam struct {
 	t    *Team
 	jobs []chan *teamJob
@@ -128,7 +128,7 @@ func (pt *PersistentTeam) Run(fn func(w int)) error {
 // and the barrier's internal sense/count/round state (the barrier is
 // rebuilt outright — cheaper to reason about than unwinding three
 // different algorithms' state machines). A failed or closed team is
-// rejected; quarantine it instead.
+// rejected; close it instead.
 func (pt *PersistentTeam) ResetForReuse() error {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()

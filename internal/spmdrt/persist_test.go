@@ -86,7 +86,7 @@ func TestPersistentTeamResetScrubs(t *testing.T) {
 }
 
 // TestPersistentTeamFailureIsTerminal: a panic latches the team; further
-// runs and resets are refused (the pool quarantines such teams).
+// runs and resets are refused (the pool closes such teams).
 func TestPersistentTeamFailureIsTerminal(t *testing.T) {
 	pt := NewPersistentTeam(4, Tree)
 	defer pt.Close()

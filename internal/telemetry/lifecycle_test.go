@@ -52,9 +52,8 @@ const jacobiTreeGolden = `run
   execute
     setup
     certify
-    attempt
-      pool lease
-      team run
+    pool lease
+    team run
   profile
   report
 `
@@ -126,7 +125,7 @@ func TestExecuteSpanAttrs(t *testing.T) {
 	if !ok {
 		t.Fatal("no execute span")
 	}
-	for _, key := range []string{"elapsed_ns", "attempts", "pooled", "seq_fallback", "workers"} {
+	for _, key := range []string{"elapsed_ns", "pooled", "workers"} {
 		if ex.Attrs[key] == "" {
 			t.Errorf("execute span missing attr %q (have %v)", key, ex.Attrs)
 		}
@@ -139,13 +138,6 @@ func TestExecuteSpanAttrs(t *testing.T) {
 		if co.Attrs[key] == "" {
 			t.Errorf("compile span missing attr %q (have %v)", key, co.Attrs)
 		}
-	}
-	at, ok := byName["attempt"]
-	if !ok {
-		t.Fatal("no attempt span")
-	}
-	if at.Attrs["outcome"] != "ok" {
-		t.Errorf("attempt outcome = %q, want ok", at.Attrs["outcome"])
 	}
 }
 

@@ -63,12 +63,6 @@ type Trace struct {
 // RootName is the name of every trace's root span.
 const RootName = "run"
 
-// Values of the attempt span's "outcome" attribute.
-const (
-	OutcomeOK    = "ok"
-	OutcomeError = "error"
-)
-
 // NewTrace starts a trace whose root span opens now.
 func NewTrace() *Trace {
 	t := &Trace{id: NewTraceID(), epoch: time.Now()}
