@@ -19,9 +19,9 @@ package certify
 //     pairs are all in that list and all provably scan-resolvable —
 //     conditionally, on the scan's runtime conflict resolution.
 //
-// The flow is certified when P's start reaches C's end by BFS — and the
-// first cross edge on that path names the ordering primitive for the
-// certificate.
+// The flow is certified when P's start reaches C's end, that is when any
+// crossing has a cross edge; the last such crossing names the ordering
+// primitive for the certificate.
 
 // crossing is one boundary occurrence along a flow's path.
 type crossing struct {
@@ -137,58 +137,14 @@ func crossEdge(reg *Region, c crossing, f *Flow, v variant) bool {
 	return false
 }
 
-// hbOrdered builds the two-lane graph for one flow variant and searches for
-// a path from P's start to C's end. On success it returns the crossing
-// whose primitive carried the path across lanes.
+// hbOrdered reports whether some crossing's primitive orders flow f's
+// variant v. P's lane reaches C's end exactly when one crossing has an
+// edge; the certificate names the last such crossing, the one C crosses
+// nearest its consumption.
 func hbOrdered(reg *Region, crossings []crossing, f *Flow, v variant) (crossing, bool) {
-	m := len(crossings)
-	if m == 0 {
-		return crossing{}, false
-	}
-	// Node ids: 0 = P.start, 1..m = P@crossing[k-1], m+1..2m = C@crossing[k-m-1],
-	// 2m+1 = C.end.
-	pNode := func(k int) int { return 1 + k }
-	cNode := func(k int) int { return 1 + m + k }
-	end := 2*m + 1
-	adj := make([][]int, 2*m+2)
-	addEdge := func(a, b int) { adj[a] = append(adj[a], b) }
-	addEdge(0, pNode(0))
-	for k := 0; k < m-1; k++ {
-		addEdge(pNode(k), pNode(k+1))
-		addEdge(cNode(k), cNode(k+1))
-	}
-	addEdge(cNode(m-1), end)
-	crossAt := make([]bool, m)
-	for k, c := range crossings {
-		if crossEdge(reg, c, f, v) {
-			crossAt[k] = true
-			addEdge(pNode(k), cNode(k))
-		}
-	}
-	// BFS, remembering the first lane-crossing edge on the path.
-	type state struct {
-		node    int
-		crossed int // index of the crossing used, -1 if still on P's lane
-	}
-	seen := make([]bool, len(adj))
-	queue := []state{{node: 0, crossed: -1}}
-	seen[0] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.node == end {
-			return crossings[cur.crossed], true
-		}
-		for _, nxt := range adj[cur.node] {
-			if seen[nxt] {
-				continue
-			}
-			seen[nxt] = true
-			crossed := cur.crossed
-			if cur.node >= 1 && cur.node <= m && nxt == cur.node+m {
-				crossed = cur.node - 1
-			}
-			queue = append(queue, state{node: nxt, crossed: crossed})
+	for k := len(crossings) - 1; k >= 0; k-- {
+		if crossEdge(reg, crossings[k], f, v) {
+			return crossings[k], true
 		}
 	}
 	return crossing{}, false
