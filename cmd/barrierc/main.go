@@ -257,13 +257,13 @@ func printIrreg(c *core.Compiled) {
 // the independent certifier. Exit status: 0 certified, 1 rejected, 2
 // internal error (solver-oracle disagreement or bad site id).
 func runCertify(c *core.Compiled, sabotage int, witness bool) {
-	cs := core.ToCertify(c.Schedule)
+	cs := core.ToCertify(c.Schedule.Lower(false))
 	an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 	if len(an.OracleErrs) > 0 {
 		fmt.Fprintln(os.Stderr, "barrierc:", an.OracleErrs[0])
 		os.Exit(2)
 	}
-	if n := len(cs.Sites()); sabotage < 0 || sabotage > n {
+	if n := len(cs.Sites); sabotage < 0 || sabotage > n {
 		fmt.Fprintf(os.Stderr, "barrierc: -sabotage %d out of range (schedule has %d sync sites)\n", sabotage, n)
 		os.Exit(2)
 	}

@@ -23,19 +23,25 @@ type Options struct {
 }
 
 // Analysis holds the cross-processor flows recomputed for one program under
-// one schedule's group structure. The flows depend only on how statements
-// are grouped, not on which primitives sit on the boundaries, so one
-// Analysis can Check many boundary variants of the same grouping (e.g.
-// every DropSite sabotage) without re-running the solver.
+// one step program's group structure. The flows depend only on how
+// statements are grouped, not on which primitives sit on the boundaries or
+// where the sync steps stand, so one Analysis can Check many variants of the
+// same grouping (e.g. every DropSite sabotage) without re-running the solver.
 type Analysis struct {
-	prog   *ir.Program
-	dec    decomp.Kind
-	flows  map[*ir.Loop][]*Flow // key nil = top region
-	groups map[*ir.Loop]int     // group count per region, for shape checks
+	prog    *ir.Program
+	dec     decomp.Kind
+	regions []regionFlows // in site order
 	// OracleErrs records FM/enumeration disagreements seen during the
 	// analysis — evidence of a decision-procedure bug, surfaced so
 	// callers can refuse to trust the certificate.
 	OracleErrs []error
+}
+
+// regionFlows are the flows between one region's groups.
+type regionFlows struct {
+	loop   *ir.Loop
+	groups int
+	flows  []*Flow
 }
 
 // Violation is one flow the schedule fails to order, with a concrete
@@ -101,7 +107,8 @@ type FlowCert struct {
 // OrderRec names the primitive that orders one variant of a flow: the
 // boundary it sits on, the iteration it is crossed in (0 = producing
 // iteration, 1 = consuming iteration of a carried flow), and its global
-// sync-site id.
+// sync-site id. A fork-join dispatch has no site: its record names the
+// group whose loop it releases, and site -1.
 type OrderRec struct {
 	Variant   string `json:"variant"`
 	Boundary  int    `json:"boundary"`
@@ -124,115 +131,77 @@ func (c *Certificate) JSON() []byte {
 	return append(b, '\n')
 }
 
-// Analyze recomputes every cross-processor flow of prog under the group
-// structure of sched. It mirrors the optimizer's region walk — pairwise
-// loop-independent flows between groups, all-pairs carried flows around
-// sequential loops, recursion into nested regions — but derives the
-// verdicts from its own solver systems.
-func Analyze(prog *ir.Program, sched *Schedule, opts Options) *Analysis {
+// Analyze recomputes every cross-processor flow of prog between the
+// statement groups the sites of p delimit: pairwise loop-independent flows
+// between a region's groups and all-pairs carried flows around its
+// sequential loop, region by region, with verdicts from its own solver
+// systems.
+func Analyze(prog *ir.Program, p *Program, opts Options) *Analysis {
 	plan := decomp.Build(prog, opts.Decomp)
 	info := region.Classify(prog, plan.Wavefront)
 	a := newAnalyzer(prog, plan, info.Modes, opts.MinParam)
 	// The certifier recomputes the irregular-access lattice itself rather
 	// than trusting the optimizer's copy.
 	a.facts = irreg.Analyze(prog, info, opts.MinParam)
-	an := &Analysis{
-		prog:   prog,
-		dec:    opts.Decomp,
-		flows:  map[*ir.Loop][]*Flow{},
-		groups: map[*ir.Loop]int{},
-	}
-	var walk func(r *Region, outer []*ir.Loop)
-	walk = func(r *Region, outer []*ir.Loop) {
-		inner := outer
-		if r.Loop != nil {
-			inner = append(append([]*ir.Loop(nil), outer...), r.Loop)
-		}
-		n := len(r.Groups)
-		an.groups[r.Loop] = n
-		add := func(f Flow) {
-			fc := f
-			an.flows[r.Loop] = append(an.flows[r.Loop], &fc)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				f := a.between(r.Groups[i], r.Groups[j], inner, nil)
-				if f.Class == FlowNone {
-					continue
-				}
-				f.Loop, f.From, f.To = r.Loop, i, j
-				add(f)
+	an := &Analysis{prog: prog, dec: opts.Decomp}
+	for _, lv := range p.levels() {
+		r := regionFlows{loop: lv.loop, groups: len(lv.groups)}
+		add := func(f Flow, i, j int, carried bool) {
+			if f.Class != FlowNone {
+				f.From, f.To, f.Carried = i, j, carried
+				r.flows = append(r.flows, &f)
 			}
 		}
-		if r.Loop != nil {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					f := a.between(r.Groups[i], r.Groups[j], outer, r.Loop)
-					if f.Class == FlowNone {
-						continue
-					}
-					f.Loop, f.From, f.To, f.Carried = r.Loop, i, j, true
-					add(f)
+		for i, x := range lv.groups {
+			for j := i + 1; j < len(lv.groups); j++ {
+				add(a.between(x, lv.groups[j], lv.inner, nil), i, j, false)
+			}
+		}
+		if lv.loop != nil {
+			outer := lv.inner[:len(lv.inner)-1]
+			for i, x := range lv.groups {
+				for j, y := range lv.groups {
+					add(a.between(x, y, outer, lv.loop), i, j, true)
 				}
 			}
 		}
-		for _, g := range r.Groups {
-			for _, s := range g {
-				if l, ok := s.(*ir.Loop); ok {
-					if sub := sched.Regions[l]; sub != nil {
-						walk(sub, inner)
-					}
-				}
-			}
-		}
-	}
-	if sched.Top != nil {
-		walk(sched.Top, nil)
+		an.regions = append(an.regions, r)
 	}
 	an.OracleErrs = a.oracleErrs
 	return an
 }
 
-type siteKey struct {
-	loop *ir.Loop
-	idx  int
-}
-
-// Check certifies sched against the analysis. sched must share the group
-// structure the analysis was computed from (the original schedule or any
-// DropSite variant of it); regions are matched by their loop. It returns
-// the certificate on success, or the list of unordered flows.
-func (an *Analysis) Check(sched *Schedule) (*Certificate, []Violation) {
+// Check certifies p against the analysis. p must share the group structure
+// the analysis was computed from (the original program, a DropSite variant
+// of it, or a re-lowering of the same groups). It returns the certificate
+// on success, or the list of unordered flows.
+func (an *Analysis) Check(p *Program) (*Certificate, []Violation) {
 	cert := &Certificate{Program: an.prog.Name, Decomp: an.dec.String(), Flows: []FlowCert{}}
-	siteID := map[siteKey]int{}
-	for id, s := range sched.Sites() {
-		siteID[siteKey{s.Region.Loop, s.Index}] = id
-		b := s.Region.After[s.Index]
+	for id, s := range p.Sites {
 		cert.Sites = append(cert.Sites, SiteCert{
-			Id: id, Region: regionLabel(s.Region.Loop), Boundary: s.Index,
-			Kind: b.Kind.String(), Waits: waitList(b.Kind == KindNeighbor, b.WaitLower, b.WaitUpper),
+			Id: id, Region: regionLabel(s.Loop), Boundary: s.Index,
+			Kind: s.Kind.String(), Waits: waitList(s.Kind == KindNeighbor, s.WaitLower, s.WaitUpper),
 		})
 	}
 	var viols []Violation
-	var walk func(r *Region)
-	walk = func(r *Region) {
-		label := regionLabel(r.Loop)
-		if an.groups[r.Loop] != len(r.Groups) {
+	lvs := p.levels()
+	for i, r := range an.regions {
+		label := regionLabel(r.loop)
+		if i >= len(lvs) || lvs[i].loop != r.loop || len(lvs[i].groups) != r.groups {
 			viols = append(viols, Violation{Region: label, Variant: "general",
 				Pairs: []string{"schedule group structure differs from the analyzed schedule"}})
-			return
+			continue
 		}
-		for _, f := range an.flows[r.Loop] {
+		for _, f := range r.flows {
 			fc := FlowCert{
 				Region: label, From: f.From, To: f.To, Carried: f.Carried,
 				Class: f.Class.String(),
 				Waits: waitList(f.Class == FlowNeighbor, f.Lower, f.Upper),
 				Pairs: f.Pairs,
 			}
-			crossings := crossingsOf(r, f)
 			ok := true
 			for _, v := range variantsOf(f) {
-				c, ordered := hbOrdered(r, crossings, f, v)
+				rec, ordered := p.order(lvs[i], f, v)
 				if !ordered {
 					ok = false
 					viols = append(viols, Violation{
@@ -242,30 +211,12 @@ func (an *Analysis) Check(sched *Schedule) (*Certificate, []Violation) {
 					})
 					continue
 				}
-				kind := r.After[c.boundary].Kind
-				fc.OrderedBy = append(fc.OrderedBy, OrderRec{
-					Variant: v.String(), Boundary: c.boundary, Iteration: c.iter,
-					Primitive:   kind.String(),
-					Site:        siteID[siteKey{r.Loop, c.boundary}],
-					Conditional: kind == KindInspector,
-				})
+				fc.OrderedBy = append(fc.OrderedBy, rec)
 			}
 			if ok {
 				cert.Flows = append(cert.Flows, fc)
 			}
 		}
-		for _, g := range r.Groups {
-			for _, s := range g {
-				if l, ok := s.(*ir.Loop); ok {
-					if sub := sched.Regions[l]; sub != nil {
-						walk(sub)
-					}
-				}
-			}
-		}
-	}
-	if sched.Top != nil {
-		walk(sched.Top)
 	}
 	if len(viols) > 0 {
 		return nil, viols
@@ -277,9 +228,9 @@ func (an *Analysis) Check(sched *Schedule) (*Certificate, []Violation) {
 // disagreements: when FM and enumeration contradict each other the solver
 // itself is suspect and neither the certificate nor the violations should
 // be trusted.
-func Certify(prog *ir.Program, sched *Schedule, opts Options) (*Certificate, []Violation, error) {
-	an := Analyze(prog, sched, opts)
-	cert, viols := an.Check(sched)
+func Certify(prog *ir.Program, p *Program, opts Options) (*Certificate, []Violation, error) {
+	an := Analyze(prog, p, opts)
+	cert, viols := an.Check(p)
 	return cert, viols, errors.Join(an.OracleErrs...)
 }
 

@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/certify"
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/ir"
 	"repro/internal/suite"
 	"repro/internal/syncopt"
 )
@@ -53,71 +50,6 @@ func TestSuiteKernelsCertify(t *testing.T) {
 	}
 }
 
-// TestSiteNumberingMatchesExecutor: certify's global site ids must agree
-// with the executor's SabotageEdge numbering, so a static rejection of
-// DropSite(i) speaks about the same site the runtime faults with
-// SabotageEdge i+1.
-func TestSiteNumberingMatchesExecutor(t *testing.T) {
-	for _, k := range suite.Kernels() {
-		c := compile(t, k.Source)
-		cs := core.ToCertify(c.Schedule)
-		r, err := c.NewRunner(exec.Config{Workers: 2, Params: k.Params, Mode: exec.SPMD})
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		kinds := cs.Kinds()
-		classes := r.SyncSiteClasses()
-		if len(kinds) != len(classes) {
-			t.Errorf("%s: %d certify sites vs %d executor sites", k.Name, len(kinds), len(classes))
-			continue
-		}
-		for i := range kinds {
-			if kinds[i].String() != classes[i].String() {
-				t.Errorf("%s: site %d is %s in certify, %s in executor", k.Name, i, kinds[i], classes[i])
-			}
-		}
-	}
-}
-
-// dropSyncopt clones a syncopt schedule with the boundary at the given
-// global site id demoted to none, using the same site numbering the
-// executor and certifier use.
-func dropSyncopt(s *syncopt.Schedule, id int) *syncopt.Schedule {
-	clone := &syncopt.Schedule{
-		Prog: s.Prog, Info: s.Info, Modes: s.Modes,
-		Regions: map[*ir.Loop]*syncopt.RegionSched{},
-	}
-	copyRegion := func(rs *syncopt.RegionSched) *syncopt.RegionSched {
-		return &syncopt.RegionSched{Loop: rs.Loop, Groups: rs.Groups,
-			After: append([]syncopt.Sync(nil), rs.After...)}
-	}
-	clone.Top = copyRegion(s.Top)
-	for l, rs := range s.Regions {
-		clone.Regions[l] = copyRegion(rs)
-	}
-	n := 0
-	var walk func(rs *syncopt.RegionSched)
-	walk = func(rs *syncopt.RegionSched) {
-		for i := range rs.After {
-			if n == id {
-				rs.After[i] = syncopt.Sync{Class: comm.ClassNone}
-			}
-			n++
-		}
-		for _, g := range rs.Groups {
-			for _, st := range g.Stmts {
-				if l, ok := st.(*ir.Loop); ok {
-					if sub := clone.Regions[l]; sub != nil {
-						walk(sub)
-					}
-				}
-			}
-		}
-	}
-	walk(clone.Top)
-	return clone
-}
-
 // TestSabotageRejectedByBoth: for every suite kernel, dropping any single
 // non-none sync site must be rejected by the independent certifier AND by
 // the optimizer's own Verify — two disjoint implementations agreeing the
@@ -127,7 +59,7 @@ func TestSabotageRejectedByBoth(t *testing.T) {
 	total, withWitness := 0, 0
 	for _, k := range suite.Kernels() {
 		c := compile(t, k.Source)
-		cs := core.ToCertify(c.Schedule)
+		cs := core.ToCertify(c.Schedule.Lower(false))
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		if len(an.OracleErrs) != 0 {
 			t.Fatalf("%s: oracle disagreement: %v", k.Name, an.OracleErrs[0])
@@ -137,25 +69,19 @@ func TestSabotageRejectedByBoth(t *testing.T) {
 				continue
 			}
 			total++
-			drop := cs.DropSite(id)
-			_, viols := an.Check(drop)
-			if len(viols) == 0 {
+			_, viols := an.Check(cs.DropSite(id))
+			switch {
+			case len(viols) == 0:
 				t.Errorf("%s: dropping site %d (%s) accepted by certifier", k.Name, id, kind)
-			} else {
-				has := false
-				for _, v := range viols {
-					if v.Witness != nil {
-						has = true
-					}
-				}
-				if !has {
-					t.Errorf("%s: dropping site %d (%s) rejected without a concrete witness:\n%s",
-						k.Name, id, kind, certify.RenderViolations(viols))
-				} else {
-					withWitness++
-				}
+			case !hasWitness(viols):
+				t.Errorf("%s: dropping site %d (%s) rejected without a concrete witness:\n%s",
+					k.Name, id, kind, certify.RenderViolations(viols))
+			default:
+				withWitness++
 			}
-			if errs := syncopt.Verify(c.Analyzer, dropSyncopt(c.Schedule, id)); len(errs) == 0 {
+			drop := c.Schedule.Clone()
+			*drop.Boundaries()[id] = syncopt.Sync{}
+			if errs := syncopt.Verify(c.Analyzer, drop); len(errs) == 0 {
 				t.Errorf("%s: dropping site %d (%s) accepted by syncopt.Verify", k.Name, id, kind)
 			}
 		}

@@ -13,10 +13,10 @@ import (
 
 // FlowClass is certify's three-way communication verdict. The certifier
 // deliberately does not distinguish counter-class from general barrier
-// communication: coverage treats both identically (only a barrier anywhere
-// on the crossed path or a counter at the flow's source boundary orders
-// them), so the distinction would add analysis surface without adding
-// certification power.
+// communication: coverage treats both identically (only a barrier on the
+// crossed path, a counter every producing step posts, or a dispatch after
+// master-only producers orders them), so the distinction would add analysis
+// surface without adding certification power.
 type FlowClass int
 
 const (
@@ -45,10 +45,9 @@ func (c FlowClass) MarshalJSON() ([]byte, error) { return json.Marshal(c.String(
 
 // Flow is one cross-processor data movement between two groups of a region.
 type Flow struct {
-	Loop    *ir.Loop // region key (nil = top region)
-	From    int      // producing group index
-	To      int      // consuming group index
-	Carried bool     // crosses an iteration of the region loop
+	From    int  // producing group index
+	To      int  // consuming group index
+	Carried bool // crosses an iteration of the region loop
 	Class   FlowClass
 	// Lower/Upper: for FlowNeighbor, the consumer-side wait directions
 	// (wait on the lower / upper neighbor rank).
@@ -65,6 +64,10 @@ type Flow struct {
 	// pair when Inspectable; a KindInspector boundary orders the flow only
 	// if its own scan list includes every one of them.
 	inspectKeys []InspectKey
+	// prod and cons are the region's top-level statements that produce and
+	// consume the flow, one per pair: where the ordering half looks for its
+	// steps.
+	prod, cons []ir.Stmt
 	// rep holds the feasibility systems of a representative communicating
 	// access pair, for witness extraction.
 	rep *pairRep
@@ -161,6 +164,8 @@ func (a *analyzer) between(X, Y []ir.Stmt, outer []*ir.Loop, carrier *ir.Loop) F
 			out.Lower = out.Lower || lower
 			out.Upper = out.Upper || upper
 			out.Pairs = append(out.Pairs, fmt.Sprintf("%s: %s -> %s", x.name, x.describe(), y.describe()))
+			out.prod = append(out.prod, x.stmt)
+			out.cons = append(out.cons, y.stmt)
 			if out.rep == nil && rep != nil {
 				out.rep = rep
 			}

@@ -16,38 +16,69 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestCertificateGolden pins the certifier's verdicts on all 21 suite
-// kernels, optimized and fork-join baseline schedule alike: the certificate
-// JSON, or the rendered violations with their witnesses, and for every
-// synchronized site the verdict on the schedule with that site dropped.
+// kernels, optimized SPMD and fork-join baseline step program alike: the
+// certificate JSON, or the rendered violations with their witnesses; for
+// every synchronized site the verdict on the program with that site
+// dropped; and the verdict on every step mutant (mutants_test.go).
 func TestCertificateGolden(t *testing.T) {
 	var out bytes.Buffer
-	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
-		c := compile(t, k.Source)
-		for _, s := range []struct {
-			label string
-			sched *certify.Schedule
-		}{{"opt", core.ToCertify(c.Schedule)}, {"base", core.ToCertify(c.Baseline)}} {
-			an := certify.Analyze(c.Prog, s.sched, c.CertifyOptions())
-			if len(an.OracleErrs) > 0 {
-				t.Fatalf("%s %s: oracle disagreement: %v", k.Name, s.label, an.OracleErrs[0])
+	for _, c := range checkedPrograms(t) {
+		fmt.Fprintf(&out, "== %s %s\n", c.kernel, c.label)
+		if c.cert != nil {
+			out.Write(c.cert.JSON())
+		} else {
+			out.WriteString(certify.RenderViolations(c.viols))
+		}
+		verdict := func(what string, q *certify.Program) {
+			_, viols := c.an.Check(q)
+			fmt.Fprintf(&out, "%s: rejected=%t violations=%d witness=%t\n",
+				what, len(viols) > 0, len(viols), hasWitness(viols))
+		}
+		for id, kind := range c.prog.Kinds() {
+			if kind != certify.KindNone {
+				verdict(fmt.Sprintf("drop site %d (%s)", id, kind), c.prog.DropSite(id))
 			}
-			fmt.Fprintf(&out, "== %s %s\n", k.Name, s.label)
-			if cert, viols := an.Check(s.sched); cert != nil {
-				out.Write(cert.JSON())
-			} else {
-				out.WriteString(certify.RenderViolations(viols))
-			}
-			for id, kind := range s.sched.Kinds() {
-				if kind == certify.KindNone {
-					continue
-				}
-				_, viols := an.Check(s.sched.DropSite(id))
-				fmt.Fprintf(&out, "drop site %d (%s): rejected=%t violations=%d witness=%t\n",
-					id, kind, len(viols) > 0, len(viols), hasWitness(viols))
+		}
+		if c.cert != nil {
+			for _, m := range mutantsOf(c) {
+				verdict(fmt.Sprintf("mutant (%c) %s", m.kind, m.label), m.prog)
 			}
 		}
 	}
 	checkGolden(t, "certificates.golden", out.Bytes())
+}
+
+// checked is one step program of a suite kernel with its analysis and the
+// certifier's verdict on it.
+type checked struct {
+	kernel, label string
+	prog          *certify.Program
+	an            *certify.Analysis
+	cert          *certify.Certificate
+	viols         []certify.Violation
+}
+
+// checkedPrograms checks both step programs of every suite kernel, the
+// optimized SPMD one and the fork-join baseline, failing the test on an
+// oracle disagreement.
+func checkedPrograms(t *testing.T) []checked {
+	t.Helper()
+	var out []checked
+	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
+		c := compile(t, k.Source)
+		for _, s := range []checked{
+			{kernel: k.Name, label: "opt", prog: core.ToCertify(c.Schedule.Lower(false))},
+			{kernel: k.Name, label: "base", prog: core.ToCertify(c.Baseline.Lower(true))},
+		} {
+			s.an = certify.Analyze(c.Prog, s.prog, c.CertifyOptions())
+			if len(s.an.OracleErrs) > 0 {
+				t.Fatalf("%s %s: oracle disagreement: %v", s.kernel, s.label, s.an.OracleErrs[0])
+			}
+			s.cert, s.viols = s.an.Check(s.prog)
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func hasWitness(viols []certify.Violation) bool {
@@ -65,9 +96,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,33 +1,39 @@
 package certify
 
-// The happens-before graph. For one flow we model two abstract processors
-// on separate lanes: P produces in group From, C consumes in group To.
-// Both lanes pass the same sequence of boundary occurrences (for a carried
-// flow the sequence wraps through the loop bottom into the next iteration).
-// Lane-internal edges are program order; a cross edge P@b -> C@b exists
-// exactly when the primitive at b orders this flow:
-//
-//   - a barrier orders everything (every worker arrives);
-//   - a counter is posted only by the workers of its own preceding group,
-//     so it orders the flow only at the flow's source boundary, where P is
-//     known to be a poster;
-//   - a neighbor sync is posted by every worker but waited directionally,
-//     so it orders only neighbor-class flows whose wait direction it
-//     includes (checked per direction variant);
-//   - an inspector is posted by every worker but its runtime waits cover
-//     exactly its recorded scan pairs, so it orders only flows whose
-//     pairs are all in that list and all provably scan-resolvable —
-//     conditionally, on the scan's runtime conflict resolution.
-//
-// The flow is certified when P's start reaches C's end, that is when any
-// crossing has a cross edge; the last such crossing names the ordering
-// primitive for the certificate.
+import (
+	"math"
+	"slices"
+)
 
-// crossing is one boundary occurrence along a flow's path.
+// Ordering on step positions. A flow of a region is produced by some of the
+// region's top-level statements in one group and consumed by some in a later
+// group, or, for a carried flow, in any group of the next iteration of the
+// region's loop. The flow crosses the region's own sync and dispatch steps
+// that sit after every producing step and before every consuming step: for
+// a carried flow, after the producers in the producing iteration or before
+// the consumers in the consuming one. A crossed step orders the flow when:
+//
+//   - a barrier: always (every worker arrives);
+//   - a counter: in the producing iteration, when every producing step is
+//     among its posters — a team or relay step it lists, a master step with
+//     Master set, or any step with All set;
+//   - a neighbor sync: it is posted by every worker but waited
+//     directionally, so only neighbor-class flows whose wait direction it
+//     includes (checked per direction variant);
+//   - an inspector: it is posted by every worker, but its runtime waits
+//     cover exactly its recorded scan pairs, so only flows whose pairs are
+//     all in that list and all provably scan-resolvable — conditionally, on
+//     the scan's runtime conflict resolution;
+//   - a dispatch: when every producing step runs on the master, which
+//     releases every worker only after them.
+//
+// The certificate names the last crossed sync step that orders the flow, the
+// one nearest its consumption, and a dispatch only when no sync step does.
+
+// crossing is one step along a flow's path.
 type crossing struct {
-	boundary int // index into Region.After
-	atSource bool
-	iter     int // 0 = producing iteration, 1 = consuming iteration
+	step int
+	iter int // 0 = producing iteration, 1 = consuming iteration
 }
 
 // variant is one pair-geometry of a flow that must be ordered.
@@ -70,65 +76,87 @@ func variantsOf(f *Flow) []variant {
 	return []variant{varGeneral}
 }
 
-// crossingsOf computes the boundary occurrences a flow crosses. A
-// loop-independent flow from group i to group j crosses boundaries i..j-1.
-// A carried flow crosses i..n-1 of the producing iteration (the last is
-// the loop bottom) and 0..j-1 of the consuming iteration.
-func crossingsOf(reg *Region, f *Flow) []crossing {
+// crossings lists the sync and dispatch steps of lv that flow f crosses, in
+// path order.
+func (lv *level) crossings(f *Flow) []crossing {
+	last, first := -1, math.MaxInt
+	for _, s := range f.prod {
+		last = max(last, lv.span[s][1])
+	}
+	for _, s := range f.cons {
+		first = min(first, lv.span[s][0])
+	}
 	var out []crossing
-	n := len(reg.Groups)
-	if !f.Carried {
-		for b := f.From; b < f.To; b++ {
-			out = append(out, crossing{boundary: b, atSource: b == f.From})
+	for _, m := range lv.marks {
+		if m > last && (f.Carried || m < first) {
+			out = append(out, crossing{step: m})
 		}
-		return out
 	}
-	for b := f.From; b < n; b++ {
-		out = append(out, crossing{boundary: b, atSource: b == f.From})
-	}
-	for b := 0; b < f.To; b++ {
-		out = append(out, crossing{boundary: b, iter: 1})
+	if f.Carried {
+		for _, m := range lv.marks {
+			if m < first {
+				out = append(out, crossing{step: m, iter: 1})
+			}
+		}
 	}
 	return out
 }
 
-// crossEdge reports whether the primitive at the crossing's boundary
-// orders flow f's given variant.
-func crossEdge(reg *Region, c crossing, f *Flow, v variant) bool {
-	b := reg.After[c.boundary]
-	switch b.Kind {
+// order returns the record of the step that orders flow f's variant v:
+// the last crossed sync step whose primitive orders it, else the last
+// crossed dispatch that does.
+func (p *Program) order(lv *level, f *Flow, v variant) (OrderRec, bool) {
+	cs := lv.crossings(f)
+	dispatch := -1
+	for k := len(cs) - 1; k >= 0; k-- {
+		st := p.Steps[cs[k].step]
+		if st.Kind == StepDispatch {
+			if dispatch < 0 && p.everyProducer(lv, f, func(i int) bool { return p.Steps[i].Kind == StepMaster }) {
+				dispatch = k
+			}
+			continue
+		}
+		if s := &p.Sites[st.Site]; p.orders(lv, s, cs[k], f, v) {
+			return OrderRec{Variant: v.String(), Boundary: s.Index, Iteration: cs[k].iter,
+				Primitive: s.Kind.String(), Site: st.Site, Conditional: s.Kind == KindInspector}, true
+		}
+	}
+	if dispatch < 0 {
+		return OrderRec{}, false
+	}
+	c := cs[dispatch]
+	return OrderRec{Variant: v.String(), Boundary: lv.group(c.step), Iteration: c.iter,
+		Primitive: "dispatch", Site: -1}, true
+}
+
+// orders reports whether site s, crossed at c, orders flow f's variant v.
+func (p *Program) orders(lv *level, s *Site, c crossing, f *Flow, v variant) bool {
+	switch s.Kind {
 	case KindBarrier:
 		return true
 	case KindCounter:
-		return c.atSource
+		// Posters in the consuming iteration are that iteration's producers.
+		return c.iter == 0 && (s.All || p.everyProducer(lv, f, func(i int) bool {
+			return s.Master && p.Steps[i].Kind == StepMaster || slices.Contains(s.Producers, i)
+		}))
 	case KindNeighbor:
 		if f.Class != FlowNeighbor {
 			return false
 		}
 		switch v {
 		case varLower:
-			return b.WaitLower
+			return s.WaitLower
 		case varUpper:
-			return b.WaitUpper
+			return s.WaitUpper
 		}
 	case KindInspector:
-		// An inspector posts unconditionally from every worker, but its
-		// waits cover exactly the pairs its runtime scan resolves — so the
-		// edge exists only when the boundary's recorded scan list includes
-		// every pair of the flow, and the certifier's own facts prove each
-		// pair scan-resolvable (Inspectable). Dropping a site that covered
-		// the flow can then never be masked by an unrelated inspector
-		// downstream. The resulting certification is conditional on the
-		// scan's runtime conflict resolution.
+		// Requiring every pair of the flow in this site's scan list means
+		// an unrelated inspector downstream can never mask a dropped site.
 		if !f.Inspectable || len(f.inspectKeys) == 0 {
 			return false
 		}
-		have := make(map[InspectKey]bool, len(b.Inspect))
-		for _, k := range b.Inspect {
-			have[k] = true
-		}
 		for _, k := range f.inspectKeys {
-			if !have[k] {
+			if !slices.Contains(s.Inspect, k) {
 				return false
 			}
 		}
@@ -137,15 +165,13 @@ func crossEdge(reg *Region, c crossing, f *Flow, v variant) bool {
 	return false
 }
 
-// hbOrdered reports whether some crossing's primitive orders flow f's
-// variant v. P's lane reaches C's end exactly when one crossing has an
-// edge; the certificate names the last such crossing, the one C crosses
-// nearest its consumption.
-func hbOrdered(reg *Region, crossings []crossing, f *Flow, v variant) (crossing, bool) {
-	for k := len(crossings) - 1; k >= 0; k-- {
-		if crossEdge(reg, crossings[k], f, v) {
-			return crossings[k], true
+// everyProducer reports whether ok holds for the first step of every
+// statement producing f.
+func (p *Program) everyProducer(lv *level, f *Flow, ok func(step int) bool) bool {
+	for _, s := range f.prod {
+		if !ok(lv.span[s][0]) {
+			return false
 		}
 	}
-	return crossing{}, false
+	return true
 }

@@ -24,7 +24,7 @@ func kernelSource(t *testing.T, name string) string {
 // leave the original schedule untouched.
 func TestDropSiteIsolation(t *testing.T) {
 	c := compile(t, kernelSource(t, "jacobi1d"))
-	cs := core.ToCertify(c.Schedule)
+	cs := core.ToCertify(c.Schedule.Lower(false))
 	kinds := cs.Kinds()
 	if len(kinds) == 0 {
 		t.Fatal("schedule has no sites")

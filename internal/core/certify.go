@@ -3,39 +3,52 @@ package core
 import (
 	"repro/internal/certify"
 	"repro/internal/comm"
-	"repro/internal/ir"
 	"repro/internal/syncopt"
 )
 
-// ToCertify translates a syncopt schedule into the certifier's vocabulary.
-// The translation is the only coupling between the optimizer and the
-// certifier: certify never imports syncopt or comm, so this adapter lives
-// in core. Statement groups are shared (the certifier treats them as
-// read-only); boundary records are copied.
-func ToCertify(s *syncopt.Schedule) *certify.Schedule {
-	out := &certify.Schedule{Regions: map[*ir.Loop]*certify.Region{}}
-	conv := func(rs *syncopt.RegionSched) *certify.Region {
-		r := &certify.Region{Loop: rs.Loop}
-		for _, g := range rs.Groups {
-			r.Groups = append(r.Groups, g.Stmts)
+// ToCertify translates a lowered schedule into the certifier's step
+// program. The translation is the only coupling between the optimizer and
+// the certifier: certify never imports syncopt or comm, so this adapter
+// lives in core. Producer lists are shared (the certifier treats them as
+// read-only); step and site records are copied.
+func ToCertify(low *syncopt.Steps) *certify.Program {
+	p := &certify.Program{Steps: make([]certify.Step, len(low.Steps)), Sites: make([]certify.Site, len(low.Sites))}
+	for i, st := range low.Steps {
+		s := certify.Step{Kind: stepKinds[st.Kind], Site: st.Site}
+		if st.Loop != nil {
+			s.Stmt = st.Loop
+		} else if len(st.Stmts) > 0 {
+			s.Stmt = st.Stmts[0]
 		}
-		for _, sy := range rs.After {
-			r.After = append(r.After, certify.Boundary{
-				Kind:      certifyKind(sy.Class),
-				WaitLower: sy.WaitLower,
-				WaitUpper: sy.WaitUpper,
-				Inspect:   inspectKeys(sy.Inspect),
-			})
+		p.Steps[i] = s
+	}
+	for i, site := range low.Sites {
+		p.Sites[i] = certify.Site{
+			Kind:      siteKinds[site.Class],
+			WaitLower: site.WaitLower,
+			WaitUpper: site.WaitUpper,
+			Inspect:   inspectKeys(site.Inspect),
+			Producers: site.Producers,
+			Master:    site.Master,
+			All:       site.All,
+			Loop:      site.Region.Loop,
+			Index:     site.Index,
+			Start:     site.Start,
 		}
-		return r
 	}
-	if s.Top != nil {
-		out.Top = conv(s.Top)
-	}
-	for l, rs := range s.Regions {
-		out.Regions[l] = conv(rs)
-	}
-	return out
+	return p
+}
+
+// stepKinds names each lowered step by the workers that run it.
+var stepKinds = [...]certify.StepKind{
+	syncopt.StepParallel:   certify.StepTeam,
+	syncopt.StepReplicated: certify.StepEvery,
+	syncopt.StepGuarded:    certify.StepMaster,
+	syncopt.StepWavefront:  certify.StepRelay,
+	syncopt.StepDispatch:   certify.StepDispatch,
+	syncopt.StepSeq:        certify.StepSeq,
+	syncopt.StepNext:       certify.StepNext,
+	syncopt.StepSync:       certify.StepSync,
 }
 
 // inspectKeys translates an inspector boundary's scan-pair list. The key
@@ -54,19 +67,13 @@ func inspectKeys(pairs []comm.InspectPair) []certify.InspectKey {
 	return out
 }
 
-func certifyKind(c comm.Class) certify.Kind {
-	switch c {
-	case comm.ClassBarrier:
-		return certify.KindBarrier
-	case comm.ClassCounter:
-		return certify.KindCounter
-	case comm.ClassNeighbor:
-		return certify.KindNeighbor
-	case comm.ClassInspector:
-		return certify.KindInspector
-	default:
-		return certify.KindNone
-	}
+// siteKinds maps a boundary's class to the certifier's primitive.
+var siteKinds = [...]certify.Kind{
+	comm.ClassNone:      certify.KindNone,
+	comm.ClassNeighbor:  certify.KindNeighbor,
+	comm.ClassCounter:   certify.KindCounter,
+	comm.ClassInspector: certify.KindInspector,
+	comm.ClassBarrier:   certify.KindBarrier,
 }
 
 // CertifyOptions returns the certifier options matching this compilation.
@@ -75,9 +82,9 @@ func (c *Compiled) CertifyOptions() certify.Options {
 }
 
 // Certify runs the independent static certifier over the optimized
-// schedule. It returns the certificate on success or the unordered flows
-// on failure; the error reports solver-oracle disagreements (in which case
-// neither result should be trusted).
+// schedule's step program. It returns the certificate on success or the
+// unordered flows on failure; the error reports solver-oracle disagreements
+// (in which case neither result should be trusted).
 func (c *Compiled) Certify() (*certify.Certificate, []certify.Violation, error) {
-	return certify.Certify(c.Prog, ToCertify(c.Schedule), c.CertifyOptions())
+	return certify.Certify(c.Prog, ToCertify(c.Schedule.Lower(false)), c.CertifyOptions())
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // TestCertifyFacade: the facade must certify its own optimized schedule
-// and the translated schedule must mirror the optimizer's structure.
+// and the translated program must carry every step and site of the
+// lowering.
 func TestCertifyFacade(t *testing.T) {
 	c, err := core.Compile(src, core.Options{})
 	if err != nil {
@@ -26,14 +27,11 @@ func TestCertifyFacade(t *testing.T) {
 	if cert.Program != c.Prog.Name {
 		t.Errorf("certificate program %q, want %q", cert.Program, c.Prog.Name)
 	}
-	cs := core.ToCertify(c.Schedule)
-	if len(cs.Top.Groups) != len(c.Schedule.Top.Groups) {
-		t.Errorf("translated top region has %d groups, optimizer has %d",
-			len(cs.Top.Groups), len(c.Schedule.Top.Groups))
-	}
-	if len(cs.Regions) != len(c.Schedule.Regions) {
-		t.Errorf("translated %d loop regions, optimizer has %d",
-			len(cs.Regions), len(c.Schedule.Regions))
+	low := c.Schedule.Lower(false)
+	p := core.ToCertify(low)
+	if len(p.Steps) != len(low.Steps) || len(p.Sites) != len(low.Sites) {
+		t.Errorf("translated %d steps and %d sites, the lowering has %d and %d",
+			len(p.Steps), len(p.Sites), len(low.Steps), len(low.Sites))
 	}
 }
 

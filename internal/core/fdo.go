@@ -41,13 +41,13 @@ func (c *Compiled) Reoptimize(p *profile.Profile, opt fdo.Options) (*Compiled, *
 
 	// One Analyze, many cheap Checks: the same flows re-judge every
 	// candidate mutation, exactly the certifier's DropSite economy.
-	an := certify.Analyze(c.Prog, ToCertify(c.Schedule), c.CertifyOptions())
+	an := certify.Analyze(c.Prog, ToCertify(c.Schedule.Lower(false)), c.CertifyOptions())
 	if err := errors.Join(an.OracleErrs...); err != nil {
 		return nil, nil, fmt.Errorf("core: certifier oracle disagreement, feedback pass aborted: %w", err)
 	}
 	check := func(s *syncopt.Schedule) (bool, error) {
 		before := len(an.OracleErrs)
-		cert, viols := an.Check(ToCertify(s))
+		cert, viols := an.Check(ToCertify(s.Lower(false)))
 		if len(an.OracleErrs) > before {
 			return false, errors.Join(an.OracleErrs[before:]...)
 		}

@@ -32,20 +32,21 @@ const (
 	schedBaseline  = 1
 )
 
-// Verdict returns the memoized certify verdict of the optimized schedule.
+// Verdict returns the memoized certify verdict of the optimized schedule's
+// SPMD step program.
 func (c *Compiled) Verdict() Verdict { return c.verdictOf(schedOptimized) }
 
-// BaselineVerdict returns the memoized certify verdict of the fork-join
-// baseline schedule.
+// BaselineVerdict returns the memoized certify verdict of the baseline
+// schedule's fork-join step program.
 func (c *Compiled) BaselineVerdict() Verdict { return c.verdictOf(schedBaseline) }
 
 func (c *Compiled) verdictOf(which int) Verdict {
 	c.verOnce[which].Do(func() {
-		sched := c.Schedule
+		low := c.Schedule.Lower(false)
 		if which == schedBaseline {
-			sched = c.Baseline
+			low = c.Baseline.Lower(true)
 		}
-		cert, viols, err := certify.Certify(c.Prog, ToCertify(sched), c.CertifyOptions())
+		cert, viols, err := certify.Certify(c.Prog, ToCertify(low), c.CertifyOptions())
 		c.verdicts[which] = Verdict{
 			Certified:   err == nil && len(viols) == 0 && cert != nil,
 			Certificate: cert,

@@ -32,6 +32,11 @@ func compile(t *testing.T, name string) (*core.Compiled, map[string]int64) {
 // increments and dispatches must equal the dynamic counts the executor
 // records. An irregular kernel's optimized schedule has inspector sites,
 // which the simulator refuses with an *InspectorError naming one.
+//
+// It is a counts check, not an oracle: both clocks read one lowering, so a
+// wrong step or poster set in syncopt.Lower moves them together. That the
+// lowered steps order every flow is certify's proof (certify.Analysis.Check
+// over core.ToCertify of the same steps).
 func TestSyncCountsMatchExecutor(t *testing.T) {
 	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
 		t.Run(k.Name, func(t *testing.T) {

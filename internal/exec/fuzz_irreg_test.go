@@ -168,7 +168,7 @@ func TestFuzzIrregularDifferential(t *testing.T) {
 		inspectorSites += st.Inspectors
 		eliminated += st.None
 
-		cs := core.ToCertify(c.Schedule)
+		cs := core.ToCertify(c.Schedule.Lower(false))
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		if len(an.OracleErrs) > 0 {
 			t.Fatalf("seed %d (%s): solver oracle disagreement: %v\n--- source ---\n%s",

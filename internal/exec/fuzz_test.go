@@ -184,7 +184,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 		// Independent static certification: the clean-room certifier must
 		// agree the schedule is sound, and must reject every single-edge
 		// sabotage of it.
-		cs := core.ToCertify(c.Schedule)
+		cs := core.ToCertify(c.Schedule.Lower(false))
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		if len(an.OracleErrs) > 0 {
 			t.Fatalf("seed %d: solver oracle disagreement: %v\n--- source ---\n%s",
@@ -213,7 +213,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 			kinds []certify.Kind
 		}{
 			{"opt", c.Remarks(), cs.Kinds()},
-			{"base", c.BaselineRemarks(), core.ToCertify(c.Baseline).Kinds()},
+			{"base", c.BaselineRemarks(), core.ToCertify(c.Baseline.Lower(true)).Kinds()},
 		} {
 			if len(sch.set.Remarks) != len(sch.kinds) {
 				t.Fatalf("seed %d: %s schedule has %d sync sites but %d remarks\n--- source ---\n%s",
@@ -396,7 +396,7 @@ func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile error: %v", seed, err)
 		}
-		cs := core.ToCertify(c.Schedule)
+		cs := core.ToCertify(c.Schedule.Lower(false))
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		params := map[string]int64{"N": int64(16 + g.rng.Intn(16)), "T": 2}
 		ref, err := c.RunSequential(params)

@@ -324,7 +324,7 @@ func TestIrregularDropSite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := core.ToCertify(c.Schedule)
+			cs := core.ToCertify(c.Schedule.Lower(false))
 			kinds := cs.Kinds()
 			for i, kind := range kinds {
 				if kind == certify.KindNone {

@@ -39,7 +39,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 				t.Fatalf("remarks: %d, executor sync sites: %d", len(set.Remarks), n)
 			}
 			classes := runner.SyncSiteClasses()
-			cs := core.ToCertify(c.Schedule)
+			cs := core.ToCertify(c.Schedule.Lower(false))
 			kinds := cs.Kinds()
 			if len(kinds) != n {
 				t.Fatalf("certifier sites: %d, executor sync sites: %d", len(kinds), n)

@@ -4,10 +4,9 @@ import "repro/internal/ir"
 
 // Clone deep-copies the schedule's region and boundary records so a
 // feedback pass can flip primitives without touching the original.
-// Statement groups and the underlying IR are shared: the certifier matches
-// regions by loop identity and groups by the shared statement slices, so a
-// clone (like a DropSite variant) can be re-checked against an Analysis
-// computed from the original.
+// Statement groups and the underlying IR are shared, so a clone lowers to
+// the same groups and can be re-checked against a certify.Analysis of the
+// original's step program.
 func (s *Schedule) Clone() *Schedule {
 	out := &Schedule{
 		Prog:    s.Prog,
@@ -16,9 +15,7 @@ func (s *Schedule) Clone() *Schedule {
 		Regions: make(map[*ir.Loop]*RegionSched, len(s.Regions)),
 	}
 	conv := func(rs *RegionSched) *RegionSched {
-		c := &RegionSched{Loop: rs.Loop, Groups: rs.Groups,
-			After: append([]Sync(nil), rs.After...)}
-		return c
+		return &RegionSched{Loop: rs.Loop, Groups: rs.Groups, After: append([]Sync(nil), rs.After...)}
 	}
 	if s.Top != nil {
 		out.Top = conv(s.Top)

@@ -57,6 +57,9 @@ type Site struct {
 	// sequential loop. Replicated steps produce nothing shared.
 	Producers   []int
 	Master, All bool
+	// Start is the index of the group's first step: where the certifier
+	// splits the region's steps into groups, wherever the sync step stands.
+	Start int
 }
 
 // Steps is a schedule lowered into a flat program that every worker runs.
@@ -84,6 +87,7 @@ func (s *Schedule) Lower(forkJoin bool) *Steps {
 			p.Sites = append(p.Sites, Site{Sync: &rs.After[i], Region: rs, Index: i})
 		}
 		for gi, g := range rs.Groups {
+			start := len(p.Steps)
 			var prod []int
 			var master, all bool
 			for i, st := range g.Stmts {
@@ -110,7 +114,7 @@ func (s *Schedule) Lower(forkJoin bool) *Steps {
 				}
 			}
 			site := &p.Sites[base+gi]
-			site.Producers, site.Master, site.All = prod, master, all
+			site.Producers, site.Master, site.All, site.Start = prod, master, all, start
 			if site.Class != comm.ClassNone {
 				emit(Step{Kind: StepSync, Site: base + gi})
 			}

@@ -249,17 +249,22 @@ echo "-- no .Body( / bodies[ in non-test files of internal/exec and internal/com
 
 echo "== one schedule lowering (syncopt.Lower) =="
 # The executor and the cost simulator run the step program syncopt.Lower
-# flattens a schedule into, numbered sites included; neither walks the
-# region tree. A region record, a mode or region lookup, or the sequential-
-# loop mode turning up in a non-test file of either means a second walk —
-# and a second site numbering — is drifting back.
-if lowering_hits="$(grep -nE 'RegionSched|\.Regions\[|\.Modes\[|ModeSeqLoop' \
-    $(ls internal/exec/*.go internal/costsim/*.go | grep -v '_test\.go$'))"; then
-    echo "ERROR: a schedule walk in non-test files of internal/exec or internal/costsim:" >&2
+# flattens a schedule into, numbered sites included, and the certifier
+# proves that same program; none of them walks the region tree. A region
+# record, a mode or region lookup, the sequential-loop mode or a region
+# mirror turning up in a non-test file of any of them (or of core's
+# certify adapter) means a second walk — and a second site numbering — is
+# drifting back.
+lowering_hits="$(grep -nE 'RegionSched|\.Regions\[|\.Modes\[|ModeSeqLoop' \
+    $(ls internal/exec/*.go internal/costsim/*.go | grep -v '_test\.go$') || true
+    grep -nE 'RegionSched|\.Regions\[|\.Groups|certify\.Region' \
+    $(ls internal/certify/*.go | grep -v '_test\.go$') internal/core/certify.go || true)"
+if [ -n "$lowering_hits" ]; then
+    echo "ERROR: a schedule walk in non-test files of internal/exec, internal/costsim or internal/certify:" >&2
     echo "$lowering_hits" >&2
     exit 1
 fi
-echo "-- no RegionSched / .Regions[ / .Modes[ / ModeSeqLoop outside internal/exec and internal/costsim test files"
+echo "-- no RegionSched / .Regions[ / .Modes[ / ModeSeqLoop outside internal/exec and internal/costsim test files; no region mirror in internal/certify or core's adapter"
 
 echo "== one timing sampler =="
 # suite.Paired is the only pairing scheme, reduction and verdict in the
@@ -269,7 +274,7 @@ echo "== one timing sampler =="
 # its committed result files) and of the serving face (debug-server flags
 # and package, the process-wide aggregator, the expvar surfaces) must not
 # come back in any .go or .sh file.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine' # retired-names
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt' # retired-names
 if sampler_hits="$(find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0 |
     xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
@@ -289,7 +294,8 @@ echo "== pinned gates still exist =="
 # Chrome-interleaving goldens; the irregular suite's >= 50% floor; the
 # feedback loop's property suite; the site-numbering agreement of remarks,
 # executor and certifier; the simulator's Figure 4 and Gantt goldens and
-# its per-kernel sync counts against the executor's.
+# its per-kernel sync counts against the executor's; the certifier's
+# certificate golden and its step mutants.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -310,8 +316,9 @@ pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
 pinned ./internal/suite TestIrregularBarrierElimination TestFDOPropertySuite TestOverheadGuards \
     TestSiteNumberingAgreement
 pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGanttGolden
+pinned ./internal/certify TestCertificateGolden TestStepMutants
 pinned ./internal/synctrace TestRingGrowsToCap
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, span-golden, irregular-floor, feedback, site-numbering and simulator gates present"
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, span-golden, irregular-floor, feedback, site-numbering, simulator and certifier gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
