@@ -94,9 +94,7 @@ type runPayload struct {
 		NeighborWaits int64 `json:"neighbor_waits"`
 		Dispatches    int64 `json:"dispatches"`
 	} `json:"sync"`
-	Certified bool `json:"certified"`
-	// Pooled reports that the run executed on a pooled team.
-	Pooled         bool     `json:"pooled"`
+	Certified      bool     `json:"certified"`
 	Violations     int      `json:"violations,omitempty"`
 	VerifyDiff     *float64 `json:"verify_max_abs_diff,omitempty"`
 	SanitizerClean *bool    `json:"sanitizer_clean,omitempty"`
@@ -123,12 +121,9 @@ type options struct {
 	mode    string
 	barrier string
 	verify  bool
-	det     bool
 	jsonOut bool
 	report  bool
 	timeout time.Duration
-
-	poolOn bool
 
 	watchdog time.Duration
 	chaos    int64
@@ -155,12 +150,9 @@ func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.mode, "mode", "opt", "base (fork-join) or opt (SPMD)")
 	fs.StringVar(&o.barrier, "barrier", "central", "barrier implementation: central, tree, dissemination, or auto (adopt the -profile-in recommendation)")
 	fs.BoolVar(&o.verify, "verify", true, "compare against the sequential interpreter")
-	fs.BoolVar(&o.det, "det", false, "deterministic (rank-ordered) reduction merges")
 	fs.BoolVar(&o.jsonOut, "json", false, "print the result as a versioned JSON envelope on stdout")
 	fs.BoolVar(&o.report, "report", false, "join static remarks with runtime per-site waits; print the ranked kept-barrier cost table (forces tracing)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this long (0 disables); cancellation tears the team down cleanly")
-
-	fs.BoolVar(&o.poolOn, "pool", true, "check the worker team out of the persistent team pool (disable for a cold spawn per run)")
 
 	fs.DurationVar(&o.watchdog, "watchdog", 0, "stall deadline; a worker blocked this long aborts the run with a per-worker deadlock report (0 disables)")
 	fs.Int64Var(&o.chaos, "chaos-seed", 0, "enable deterministic chaos injection with this seed (0 disables)")
@@ -258,14 +250,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		core.WithFDOProfile(prior, fdo.Options{})(&req)
 	}
-	req.Run.Det = o.det
 	req.Run.Watchdog = o.watchdog
 	req.Run.ChaosSeed = o.chaos
 	req.Run.Sabotage = o.sabotage
 	req.Run.Sanitize = o.sanitize
 	req.Run.Trace = o.traceOut != "" || o.traceSum
 	req.Run.TraceBufCap = o.traceCap
-	req.Run.NoPool = !o.poolOn
 	req.Run.Report = o.report
 	req.Run.Profile = o.profileOut != "" || o.ledgerPath != ""
 	req.Run.Spans = o.spansOut != ""
@@ -311,7 +301,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Checksum:  res.State.Checksum(),
 		Certified: res.Certify.Certified,
 	}
-	pay.Pooled = res.Pooled
 	pay.Sync.Barriers = res.Stats.Barriers
 	pay.Sync.CounterIncrs = res.Stats.CounterIncrs
 	pay.Sync.CounterWaits = res.Stats.CounterWaits
@@ -331,11 +320,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				res.FDO.Flips, time.Duration(res.FDO.PredictedSaveNS))
 		}
 		fmt.Fprintf(stdout, "elapsed:  %s\n", res.Elapsed)
-		team := "cold-spawn"
-		if res.Pooled {
-			team = "pooled"
-		}
-		fmt.Fprintf(stdout, "team:     %s\n", team)
 		fmt.Fprintf(stdout, "sync:     %s\n", res.Stats)
 		if len(res.Inspector) > 0 {
 			var scans, empty, waits, consrv int64

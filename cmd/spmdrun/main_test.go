@@ -186,9 +186,9 @@ func TestProfileFeedbackRoundTrip(t *testing.T) {
 }
 
 // TestRunErrorsExitNonzero checks error paths return 1 and keep stdout
-// empty (errors go to stderr). The last case is a retired flag (its name
-// is split so check.sh's retired-names grep stays clean): the flag package
-// itself must reject it.
+// empty (errors go to stderr). The last three cases are retired flags
+// (their names are split so check.sh's retired-names grep stays clean): the
+// flag package itself must reject them.
 func TestRunErrorsExitNonzero(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -199,6 +199,8 @@ func TestRunErrorsExitNonzero(t *testing.T) {
 		{[]string{"-kernel", "jacobi1d", "-mode", "bogus"}, ""},
 		{nil, ""},
 		{[]string{"-kernel", "jacobi1d", "-metrics" + "-addr", ":0"}, "flag provided but not defined: -metrics" + "-addr"},
+		{[]string{"-kernel", "jacobi1d", "-" + "det"}, "flag provided but not defined: -" + "det"},
+		{[]string{"-kernel", "jacobi1d", "-" + "pool=false"}, "flag provided but not defined: -" + "pool"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code == 0 {
@@ -220,7 +222,7 @@ func TestFlagsArePinned(t *testing.T) {
 	fs, _ := newFlagSet(&bytes.Buffer{})
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := "barrier chaos-seed det json kernel ledger mode p param pool profile-in " +
+	want := "barrier chaos-seed json kernel ledger mode p param profile-in " +
 		"profile-out report sabotage sanitize spans timeout trace trace-buf trace-summary " +
 		"verify watchdog"
 	if strings.Join(got, " ") != want {

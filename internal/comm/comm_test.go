@@ -10,6 +10,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/parser"
 	"repro/internal/region"
+	"repro/internal/remarks"
 )
 
 // setup runs the full front half of the pipeline on src.
@@ -383,5 +384,50 @@ end
 	v := a.Between(stmt(prog, 0), stmt(prog, 1), nil, nil)
 	if v.Class != ClassNone {
 		t.Errorf("replicated constant: %v, want none\npairs: %v", v, v.Pairs)
+	}
+}
+
+// TestReductionOutputKeepsLoopBottom pins the ordering the executor's
+// reduction fold relies on: the last worker to arrive folds every rank's
+// partial without waiting, so the schedule must order the next instance's
+// update after this one's. A reduction update is a write by every active
+// worker, so in a time loop that accumulates s with no reader of s, the
+// output dependence on s alone makes the loop-bottom site a barrier — the
+// stencil's own flows need only neighbor sync.
+func TestReductionOutputKeepsLoopBottom(t *testing.T) {
+	prog, a := setup(t, `
+program p
+param N, T
+real A(N), B(N), X(N), s
+do k = 1, T
+  do i = 2, N - 1
+    B(i) = 0.5 * (A(i - 1) + A(i + 1))
+  end do
+  do i = 2, N - 1
+    A(i) = B(i)
+    s = s + X(i)
+  end do
+end do
+end
+`)
+	kloop := prog.Body[0].(*ir.Loop)
+	g1, g2 := []ir.Stmt{kloop.Body[0]}, []ir.Stmt{kloop.Body[1]}
+	if v := a.Between(g2, g1, nil, kloop); v.Class != ClassNeighbor {
+		t.Errorf("carried stencil flows: %v, want neighbor\npairs: %v", v, v.Pairs)
+	}
+	v := a.Between(g2, g2, nil, kloop)
+	if v.Class != ClassBarrier {
+		t.Fatalf("carried reduction update: %v, want barrier\npairs: %v", v, v.Pairs)
+	}
+	cited := false
+	for _, d := range v.Deps {
+		output := d.Kind == "output" && d.Var == "s"
+		cited = cited || output
+		if output != (d.Class == remarks.PrimBarrier) {
+			t.Errorf("%v: only the output dependence on s needs a barrier", d)
+		}
+	}
+	if !cited {
+		t.Errorf("the remark cites no output dependence on s: %v", v.Deps)
 	}
 }

@@ -76,10 +76,6 @@ type RunOptions struct {
 	ChaosSeed int64
 	// Sabotage drops the sync edge with this 1-based site id (testing aid).
 	Sabotage int
-	// Det forces deterministic (rank-ordered) reduction merges.
-	Det bool
-	// NoPool cold-spawns the worker team instead of using the pool.
-	NoPool bool
 	// Spans collects run-lifecycle spans — one per phase (lint, compile,
 	// FDO, certify, execute with the executor's lease and team-run children,
 	// profile, report) — into Result.Telemetry. Result.TraceID is stamped
@@ -99,8 +95,8 @@ type Request struct {
 type RequestOption func(*Request)
 
 // NewRequest builds a Request for src with functional options applied in
-// order. The zero Request (opt schedule, 8 workers, closure backend,
-// central barrier, pooled team) is valid without any options.
+// order. The zero Request (opt schedule, 8 workers, central barrier) is
+// valid without any options.
 func NewRequest(src string, opts ...RequestOption) Request {
 	r := Request{Source: src}
 	for _, o := range opts {
@@ -252,19 +248,17 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	// spans know their parent at Config-assembly time.
 	execSp := tr.Start(0, "execute")
 	cfg := exec.Config{
-		Workers:                 workers,
-		Barrier:                 barrier,
-		Params:                  req.Run.Params,
-		DeterministicReductions: req.Run.Det,
-		WatchdogTimeout:         req.Run.Watchdog,
-		ChaosSeed:               req.Run.ChaosSeed,
-		SabotageEdge:            req.Run.Sabotage,
-		Sanitize:                req.Run.Sanitize,
-		Trace:                   req.Run.Trace || tracingForced,
-		TraceBufCap:             req.Run.TraceBufCap,
-		NoPool:                  req.Run.NoPool,
-		Spans:                   tr,
-		SpansParent:             execSp,
+		Workers:         workers,
+		Barrier:         barrier,
+		Params:          req.Run.Params,
+		WatchdogTimeout: req.Run.Watchdog,
+		ChaosSeed:       req.Run.ChaosSeed,
+		SabotageEdge:    req.Run.Sabotage,
+		Sanitize:        req.Run.Sanitize,
+		Trace:           req.Run.Trace || tracingForced,
+		TraceBufCap:     req.Run.TraceBufCap,
+		Spans:           tr,
+		SpansParent:     execSp,
 	}
 
 	// Runner construction covers the memoized closure lowering.
@@ -309,7 +303,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	if tr != nil {
 		// exec.Result outcome fields ride on the execute span.
 		tr.SetAttr(execSp, "elapsed_ns", fmt.Sprint(res.Elapsed.Nanoseconds()))
-		tr.SetAttr(execSp, "pooled", fmt.Sprint(res.Pooled))
 		tr.SetAttr(execSp, "workers", fmt.Sprint(workers))
 	}
 	res.Runner = runner

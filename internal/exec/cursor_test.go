@@ -37,7 +37,7 @@ func TestHoistedCheckOnATeam(t *testing.T) {
 					}
 					run := func(sanitize, ref bool) (*interp.State, string, int64) {
 						r, err := c.NewRunner(exec.Config{Workers: workers, Params: tc.Params,
-							Mode: exec.SPMD, Sanitize: sanitize, DeterministicReductions: true,
+							Mode: exec.SPMD, Sanitize: sanitize,
 							// A worker that stops synchronizing after its fault
 							// must fail the test, not hang it.
 							WatchdogTimeout: 20 * time.Second})

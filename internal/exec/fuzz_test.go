@@ -262,15 +262,14 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 			}
 		}
 		// Engine differential: the tree-walking reference engine
-		// (ref_test.go) is the oracle for the compiled closure frame. With
-		// rank-ordered reduction merges both engines are deterministic, so
-		// the final states of the same generated program must agree bit for
-		// bit — any float divergence is a lowering bug, not roundoff.
+		// (ref_test.go) is the oracle for the compiled closure frame.
+		// Reductions fold in rank order, so both engines are deterministic
+		// and the final states of the same generated program must agree bit
+		// for bit — any float divergence is a lowering bug, not roundoff.
 		for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
 			var states [2]*interp.State
 			for i, bk := range []string{"interp", "closure"} {
-				cfg := exec.Config{Workers: 3, Params: params, Mode: mode,
-					DeterministicReductions: true}
+				cfg := exec.Config{Workers: 3, Params: params, Mode: mode}
 				var r *core.Runner
 				if mode == exec.ForkJoin {
 					r, err = c.NewBaselineRunner(cfg)

@@ -12,15 +12,14 @@ import (
 
 // runEngine runs one kernel on one statement engine — the closure frame,
 // or with ref the tree-walking reference of ref_test.go — under the
-// optimized SPMD schedule or the fork-join baseline. Reduction merges are
-// rank-ordered, so both engines are numerically deterministic and
-// comparable bit for bit.
+// optimized SPMD schedule or the fork-join baseline. Reductions fold in
+// rank order, so both engines are numerically deterministic and comparable
+// bit for bit.
 func runEngine(t *testing.T, c *core.Compiled, k suite.Kernel, mode exec.Mode, ref bool, cfg exec.Config) *interp.State {
 	t.Helper()
 	cfg.Workers = 8
 	cfg.Params = k.Params
 	cfg.Mode = mode
-	cfg.DeterministicReductions = true
 	newRunner := c.NewRunner
 	if mode == exec.ForkJoin {
 		newRunner = c.NewBaselineRunner

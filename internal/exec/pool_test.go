@@ -15,37 +15,23 @@ import (
 	"repro/internal/suite"
 )
 
-// TestPooledRunDefaults pins pooled execution as the default: a plain run
-// reports Pooled, and NoPool opts out.
+// TestPooledRunDefaults pins pooled execution as the default: a run with no
+// Config.Pool checks its team out of exec.DefaultPool, and the next run of
+// the same shape gets the parked team back.
 func TestPooledRunDefaults(t *testing.T) {
 	r := contextRunner(t, "jacobi1d", nil)
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
+	before := exec.DefaultPool().Snapshot()
+	for i := 0; i < 2; i++ {
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !res.Pooled {
-		t.Error("default run not pooled")
+	after := exec.DefaultPool().Snapshot()
+	if n := after.Checkouts - before.Checkouts; n != 2 {
+		t.Errorf("two default runs made %d checkouts of the default pool, want 2", n)
 	}
-
-	k, err := suite.Get("jacobi1d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := c.NewRunner(exec.Config{Workers: 4, Params: k.Params,
-		Mode: exec.SPMD, NoPool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = rc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pooled {
-		t.Error("NoPool run reported as pooled")
+	if after.Reuses == before.Reuses {
+		t.Errorf("second default run built a team cold: pool %+v -> %+v", before, after)
 	}
 }
 
@@ -100,17 +86,16 @@ func TestRunContextCancelPooled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after the cancelled one: %v", err)
 	}
-	if !res.Pooled {
-		t.Error("run after the cancelled one not pooled")
-	}
 	if s := tp.Snapshot(); s.ColdBuilds != 2 || s.Reuses != 0 {
 		t.Errorf("pool = %+v, want 2 cold builds / 0 reuses (the cancelled team is never handed out again)", s)
 	}
 
-	// Clean-stats check: the pooled run's counts match an identical
-	// unpooled run bit for bit — nothing leaked from the cancelled run.
+	// Clean-stats check: the run's counts match an identical run on a team
+	// from a fresh pool bit for bit — nothing leaked from the cancelled run.
+	fresh := pool.New(pool.Options{})
+	defer fresh.Close()
 	r3, err := c2.NewRunner(exec.Config{Workers: 4, Params: small.Params,
-		Mode: exec.SPMD, NoPool: true})
+		Mode: exec.SPMD, Pool: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +157,6 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 				t.Fatalf("%s run %d: %v", k.Name, i, err)
 			}
 			total++
-			if !res.Pooled {
-				t.Fatalf("%s run %d: not pooled", k.Name, i)
-			}
 			if d := exec.ComparableDiff(ref, res.State, c.Prog); d > tol {
 				t.Errorf("%s run %d: diverges from reference: diff=%g", k.Name, i, d)
 			}
@@ -195,7 +177,11 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 		t.Fatalf("sweep covered only %d runs, want >= 100", total)
 	}
 
-	t.Logf("sweep: %d runs, pool %+v", total, tp.Snapshot())
+	s := tp.Snapshot()
+	if s.Checkouts != int64(total) {
+		t.Fatalf("pool %+v after %d runs: every run must check its team out of it", s, total)
+	}
+	t.Logf("sweep: %d runs, pool %+v", total, s)
 
 	tp.Close()
 	deadline := time.Now().Add(10 * time.Second)

@@ -62,29 +62,19 @@ func (ps *pstate) storeScalar(i int, v float64) {
 	ps.scalars[i].Store(math.Float64bits(v))
 }
 
-// mergeScalar combines a reduction partial into the shared slot with a CAS
-// loop (the paper's reduction finalization at the end of each worker's
-// loop slice).
-func (ps *pstate) mergeScalar(i int, v float64, op ir.BinKind) {
-	for {
-		old := ps.scalars[i].Load()
-		ov := math.Float64frombits(old)
-		var nv float64
-		switch op {
-		case ir.Add:
-			nv = ov + v
-		case ir.Mul:
-			nv = ov * v
-		case ir.MinOp:
-			nv = math.Min(ov, v)
-		case ir.MaxOp:
-			nv = math.Max(ov, v)
-		default:
-			panic("exec: unknown reduction operator")
-		}
-		if ps.scalars[i].CompareAndSwap(old, math.Float64bits(nv)) {
-			return
-		}
+// combine applies a reduction operator.
+func combine(op ir.BinKind, a, b float64) float64 {
+	switch op {
+	case ir.Add:
+		return a + b
+	case ir.Mul:
+		return a * b
+	case ir.MinOp:
+		return math.Min(a, b)
+	case ir.MaxOp:
+		return math.Max(a, b)
+	default:
+		panic("exec: unknown reduction operator")
 	}
 }
 

@@ -223,31 +223,68 @@ func TestSabotageEdgeValidation(t *testing.T) {
 	}
 }
 
-// TestChaosRunsAreDeterministic checks that chaos injection leaves results
-// bitwise reproducible when merges are rank-ordered.
+// TestChaosRunsAreDeterministic: reductions fold in rank order whatever
+// the arrival order, so adversarial timing cannot move a bit. dotchain and
+// tomcatvlike keep their reduction fan-ins behind barriers; accum keeps the
+// loop-bottom barrier only for the output dependence of its reduction on
+// the next time step's (no statement in the loop reads s), the ordering
+// the fold's soundness rests on. Each must leave the same final state under
+// 50 chaos seeds at each team size.
 func TestChaosRunsAreDeterministic(t *testing.T) {
-	k := kernels[2] // reduction kernel
-	c, err := core.Compile(k.src, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	const accum = `
+program accum
+param N, T
+real A(N), B(N), X(N), s
+do t = 1, T
+  do i = 2, N - 1
+    B(i) = 0.5 * (A(i - 1) + A(i + 1))
+  end do
+  do i = 2, N - 1
+    A(i) = B(i)
+    s = s + X(i)
+  end do
+end do
+end
+`
+	type prog struct {
+		name, src string
+		params    map[string]int64
 	}
-	run := func() float64 {
-		r, err := c.NewRunner(exec.Config{Workers: 5, Params: k.params, Mode: exec.SPMD,
-			ChaosSeed: 1234, DeterministicReductions: true})
+	progs := []prog{{"accum", accum, map[string]int64{"N": 48, "T": 4}}}
+	for _, name := range []string{"dotchain", "tomcatvlike"} {
+		k, err := suite.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.State.Scalars["s"]
+		progs = append(progs, prog{name, k.Source, clampParams(k.Params)})
 	}
-	first := run()
-	for i := 0; i < 5; i++ {
-		if got := run(); got != first {
-			t.Fatalf("chaos run differed: %v vs %v", got, first)
-		}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			c, err := core.Compile(p.src, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 7} {
+				var first uint64
+				for seed := int64(1); seed <= 50; seed++ {
+					r, err := c.NewRunner(exec.Config{Workers: workers, Params: p.params,
+						Mode: exec.SPMD, ChaosSeed: seed, WatchdogTimeout: 60 * time.Second})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := r.Run()
+					if err != nil {
+						t.Fatalf("P=%d seed %d: %v", workers, seed, err)
+					}
+					if h := stateHash(res.State); seed == 1 {
+						first = h
+					} else if h != first {
+						t.Fatalf("P=%d seed %d: final state %016x, seed 1 left %016x", workers, seed, h, first)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -26,7 +26,7 @@ func rowTeams(f func(kind decomp.Kind, workers int)) {
 // rowDiff is one program under the row-form differential: on a team on the
 // closure engine, whose innermost loops take the row form wherever an
 // entry's cursors allow it, against the tree-walking reference engine, arrays
-// and scalars bit for bit (rank-ordered reduction merges make both
+// and scalars bit for bit (reductions fold in rank order, which makes both
 // deterministic). A program without a reduction computes the same bits
 // however it is partitioned, so the reference engine — the slow side — runs
 // it once; one with a reduction is re-run on the reference at every team.
@@ -51,7 +51,7 @@ func (d *rowDiff) run(t *testing.T, kind decomp.Kind, workers int, ref bool) (*i
 		}
 		d.compiled[kind] = c
 	}
-	r, err := c.NewRunner(exec.Config{Workers: workers, Params: d.params, Mode: exec.SPMD, DeterministicReductions: true})
+	r, err := c.NewRunner(exec.Config{Workers: workers, Params: d.params, Mode: exec.SPMD})
 	if err != nil {
 		t.Fatalf("%s: runner: %v", d.what, err)
 	}

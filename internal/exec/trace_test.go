@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/suite"
+	"repro/internal/syncopt"
 	"repro/internal/synctrace"
 )
 
@@ -98,6 +100,47 @@ func TestTraceChromeSchema(t *testing.T) {
 				t.Errorf("events on %d worker tracks, want 8", len(threads))
 			}
 		})
+	}
+}
+
+// TestTracePseudoSites pins the recorder's site table on 21 kernels in
+// both modes: the scheduled sites, then the fork-join dispatch, then one
+// wavefront relay per StepWavefront step of the lowered program, in step
+// order — no relay that no step runs.
+func TestTracePseudoSites(t *testing.T) {
+	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
+		c, err := core.Compile(k.Source, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", k.Name, err)
+		}
+		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
+			cfg := exec.Config{Workers: 2, Params: clampParams(k.Params), Mode: mode, Trace: true}
+			newRunner, sched := c.NewRunner, c.Schedule
+			if mode == exec.ForkJoin {
+				newRunner, sched = c.NewBaselineRunner, c.Baseline
+			}
+			r, err := newRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run()
+			if err != nil {
+				t.Fatalf("%s %v: %v", k.Name, mode, err)
+			}
+			want := []string{"fork-join dispatch"}
+			for _, st := range sched.Lower(mode == exec.ForkJoin).Steps {
+				if st.Kind == syncopt.StepWavefront {
+					want = append(want, "wavefront relay "+st.Loop.Index)
+				}
+			}
+			var got []string
+			for id := r.NumSyncSites(); id < res.Trace.NumSites(); id++ {
+				got = append(got, res.Trace.SiteName(int32(id)))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %v: pseudo-sites %q, want %q", k.Name, mode, got, want)
+			}
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ func (st *State) MaxAbsDiff(other *State) float64 {
 // a cheap fingerprint in benchmarks. Summation follows sorted names:
 // float addition is not associative, so map iteration order would
 // otherwise leak into the low bits and break bitwise run-to-run
-// comparison of -det checksums.
+// comparison of checksums.
 func (st *State) Checksum() float64 {
 	names := make([]string, 0, len(st.arrays))
 	for name := range st.arrays {

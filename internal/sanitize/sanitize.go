@@ -16,10 +16,11 @@
 // monotonically, which can only over-order) and deterministic against
 // dropped edges: if a scheduled edge never executes, no join happens and
 // the unordered flow is flagged on every run regardless of timing.
-// Deliberately unordered operations — reduction merges via atomic
-// compare-and-swap and replicated same-value stores — are exempt by
-// construction (merges are not reported; replicated writes reset the
-// element to the pre-run "ordered with everyone" epoch).
+// Two kinds of write are exempt by construction. A reduction fold (the
+// last active worker to arrive combines every rank's partial in rank
+// order) is not reported: the schedule orders it as a write by every
+// active worker. A replicated same-value store resets the element to the
+// pre-run "ordered with everyone" epoch.
 package sanitize
 
 import (

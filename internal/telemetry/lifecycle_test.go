@@ -125,7 +125,7 @@ func TestExecuteSpanAttrs(t *testing.T) {
 	if !ok {
 		t.Fatal("no execute span")
 	}
-	for _, key := range []string{"elapsed_ns", "pooled", "workers"} {
+	for _, key := range []string{"elapsed_ns", "workers"} {
 		if ex.Attrs[key] == "" {
 			t.Errorf("execute span missing attr %q (have %v)", key, ex.Attrs)
 		}
