@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/linear"
 )
 
 // Options configure the lowering.
@@ -79,7 +80,7 @@ func Compile(prog *ir.Program, lay *interp.Layout, opt Options) (*Prog, error) {
 		p.ord[s] = len(p.ord)
 		return true
 	})
-	c := &cc{p: p, scope: map[string]bool{}}
+	c := &cc{p: p, scope: map[string]bool{}, env: ir.NewAffineEnv(prog)}
 	for _, s := range prog.Body {
 		if _, err := c.stmt(s); err != nil {
 			return nil, err
@@ -219,6 +220,8 @@ func (p *Prog) runSeqOn(fr *Frame, st *interp.State) error {
 type cc struct {
 	p     *Prog
 	scope map[string]bool
+	// env resolves names as scope does, for the cursor form's subscripts.
+	env *ir.AffineEnv
 	// inner is non-nil while an innermost loop's body is lowered a second
 	// time in cursor form: array references affine in inner's index then
 	// lower to cursors (cursor.go), and the closures are not registered as
@@ -314,7 +317,13 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	}
 	outer := c.scope[n.Index]
 	c.scope[n.Index] = true
-	defer func() { c.scope[n.Index] = outer }()
+	c.env.Bind(n.Index, linear.Loop(n.Index))
+	defer func() {
+		if c.scope[n.Index] = outer; !outer {
+			// Out of scope the name can only be a parameter's.
+			c.env.Bind(n.Index, linear.Sym(n.Index))
+		}
+	}()
 	body, err := c.seq(n.Body)
 	if err != nil {
 		return nil, err
@@ -825,6 +834,11 @@ func (c *cc) call(n *ir.Call) (numRes, error) {
 	if len(n.Args) != 2 {
 		return numRes{}, c.errf(n.P, "%s expects 2 arguments, got %d", n.Name, len(n.Args))
 	}
+	if n.Name == "mod" {
+		if r, ok := c.intMod(n.Args[0], n.Args[1]); ok {
+			return r, nil
+		}
+	}
 	a, err := c.numExpr(n.Args[0])
 	if err != nil {
 		return numRes{}, err
@@ -838,6 +852,43 @@ func (c *cc) call(n *ir.Call) (numRes, error) {
 	}
 	af, bf := a.fn, b.fn
 	return numRes{fn: func(fr *Frame) float64 { return f2(af(fr), bf(fr)) }}, nil
+}
+
+// intMod lowers mod(x, y) to int64 arithmetic when each operand is an
+// integer literal, a live loop index or a parameter and they are not both
+// literals (those fold below).
+func (c *cc) intMod(x, y ir.Expr) (numRes, bool) {
+	if !intLeaf(x) || !intLeaf(y) {
+		return numRes{}, false
+	}
+	l, lerr := c.intExpr(x) // fails on a float literal and on a scalar
+	r, rerr := c.intExpr(y)
+	if lerr != nil || rerr != nil || l.isConst && r.isConst {
+		return numRes{}, false
+	}
+	lf, rf := l.fn, r.fn
+	return numRes{fn: func(fr *Frame) float64 { return modInt(lf(fr), rf(fr)) }}, true
+}
+
+func intLeaf(x ir.Expr) bool {
+	ref, isRef := x.(*ir.Ref)
+	_, isNum := x.(*ir.Num)
+	return isNum || isRef && !ref.IsArray()
+}
+
+// modInt is math.Mod(float64(x), float64(y)) bit for bit. While y is not zero
+// and neither magnitude exceeds 2^53 the operands convert exactly and the
+// remainders agree: both take x's sign, and a zero one of a negative x is -0.
+func modInt(x, y int64) float64 {
+	const exact = 1 << 53
+	if y == 0 || x > exact || x < -exact || y > exact || y < -exact {
+		return math.Mod(float64(x), float64(y))
+	}
+	m := x % y
+	if m == 0 && x < 0 {
+		return math.Copysign(0, -1)
+	}
+	return float64(m)
 }
 
 // scalarRead resolves a bare name: lexically-live loop index, then

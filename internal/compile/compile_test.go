@@ -154,6 +154,47 @@ end
 	}
 }
 
+// TestValueModMatchesInterp covers mod of integer operands in value
+// context, which computes in int64: negative operands and -0 results, a zero
+// divisor (NaN) and magnitudes on both sides of 2^53, where it falls back to
+// math.Mod, all bit for bit against the interpreter.
+func TestValueModMatchesInterp(t *testing.T) {
+	const src = `
+program modv
+param N, L, X, Y
+real A(N), B(N), C(N), D(N)
+do i = L, L + N - 1
+  A(i - L + 1) = mod(i, Y)
+  B(i - L + 1) = mod(X, i)
+  C(i - L + 1) = mod(X, Y) + mod(i, 3)
+  if (mod(i, 2) == 0) then
+    D(i - L + 1) = mod(3, i)
+  end if
+end do
+end
+`
+	const e53 = int64(1) << 53
+	xs := []int64{0, 7, -6, e53, e53 + 1, -e53, -e53 - 1, math.MaxInt64, math.MinInt64}
+	ys := []int64{0, 1, -1, 2, -3, e53, e53 + 1, -e53 - 1, math.MinInt64}
+	for _, x := range xs {
+		for _, y := range ys {
+			params := map[string]int64{"N": 11, "L": -5, "X": x, "Y": y}
+			iSt, iErr, cSt, cErr := runBoth(t, src, params)
+			if iErr != nil || cErr != nil {
+				t.Fatalf("X=%d Y=%d: interp err=%v closure err=%v", x, y, iErr, cErr)
+			}
+			requireBitwiseEqual(t, iSt, cSt)
+		}
+	}
+	for _, x := range xs {
+		for _, y := range ys {
+			if got, want := modInt(x, y), math.Mod(float64(x), float64(y)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("modInt(%d, %d) = %v, math.Mod = %v", x, y, got, want)
+			}
+		}
+	}
+}
+
 func TestFaultsMirrorInterpErrors(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -11,7 +11,8 @@ import (
 
 // Cursors. Inside a loop whose body contains no loop, an array reference
 // whose every subscript is affine (literals, parameters and live loop
-// indices under +, - and * by a constant) is k*idx + rest per
+// indices under +, - and * by a constant: ir.AffineEnv's grammar, lowered to
+// registers by LowerAffine) is k*idx + rest per
 // dimension, idx the loop's own index and rest fixed for one entry of the
 // loop, so it addresses element base + idx*stride of the flat array. Such
 // a subscript is monotone in idx: checking it at the first and the last
@@ -24,7 +25,8 @@ import (
 // A's extent at each access, in the closure that loads or stores (gather).
 
 // RegAffine is c + Σ k·regs[reg]: an affine expression over parameters and
-// loop indices, resolved to a layout's registers.
+// loop indices, resolved to a layout's registers — the form a cursor's entry
+// check and a slice's placement evaluate at run time.
 type RegAffine struct {
 	c     int64
 	terms []regTerm
@@ -37,7 +39,7 @@ type regTerm struct {
 
 // LowerAffine resolves a's variables to lay's registers.
 func LowerAffine(a linear.Affine, lay *interp.Layout) (RegAffine, error) {
-	out := RegAffine{c: a.Const}
+	out := RegAffine{c: a.Const, terms: make([]regTerm, 0, a.NumTerms())}
 	for _, v := range a.Vars() {
 		var reg int
 		var ok bool
@@ -106,10 +108,17 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 	if !known || decl == nil || decl.Rank() != len(n.Subs) {
 		return 0, false
 	}
-	ref := curRef{ref: n, slot: c.p.ncur, id: id}
+	ref := curRef{ref: n, slot: c.p.ncur, id: id,
+		k: make([]int64, 0, len(n.Subs)), rest: make([]RegAffine, 0, len(n.Subs))}
 	for _, sx := range n.Subs {
-		rest, ok := c.affine(sx)
+		// Only ring operations are affine (see enter), so /, mod, min, max
+		// and indirect reads stay on the checked path.
+		a, ok := c.env.Affine(sx)
 		if !ok {
+			return 0, false
+		}
+		rest, err := LowerAffine(a, c.p.lay)
+		if err != nil {
 			return 0, false
 		}
 		// Split the loop's own index off: what is left is loop-invariant.
@@ -170,63 +179,6 @@ func gatherOff(fr *Frame, v float64, id int, nonInt, bounds *Fault) int64 {
 		return -1
 	}
 	return iv - 1
-}
-
-// affine writes an integer expression over registers when it is built from
-// literals, parameters and live loop indices with +, - and * by a constant:
-// the grammar of ir.AffineEnv with intExpr's name resolution, and without
-// linear.Affine's maps, which cost a third of the whole lowering here. Only
-// ring operations qualify (see enter), so /, mod, min, max and indirect
-// reads stay on the checked path. A register may occur in several terms;
-// Eval adds them up.
-func (c *cc) affine(x ir.Expr) (RegAffine, bool) {
-	switch n := x.(type) {
-	case *ir.Num:
-		return RegAffine{c: n.Int}, n.IsInt
-	case *ir.Ref:
-		if n.IsArray() {
-			return RegAffine{}, false
-		}
-		reg, ok := c.p.lay.IndexReg(n.Name)
-		if !ok || !c.scope[n.Name] {
-			reg, ok = c.p.lay.ParamReg(n.Name)
-		}
-		return RegAffine{terms: []regTerm{{reg, 1}}}, ok
-	case *ir.Unary:
-		a, ok := c.affine(n.X)
-		return a.scale(-1), ok && n.Op == '-'
-	case *ir.Bin:
-		l, lok := c.affine(n.L)
-		r, rok := c.affine(n.R)
-		switch {
-		case !lok || !rok:
-		case n.Op == ir.Add:
-			return l.add(r), true
-		case n.Op == ir.Sub:
-			return l.add(r.scale(-1)), true
-		case n.Op == ir.Mul && len(l.terms) == 0:
-			return r.scale(l.c), true
-		case n.Op == ir.Mul && len(r.terms) == 0:
-			return l.scale(r.c), true
-		}
-	}
-	return RegAffine{}, false
-}
-
-// scale and add consume their operands: each partial result of affine is
-// used once.
-func (a RegAffine) scale(k int64) RegAffine {
-	a.c *= k
-	for i := range a.terms {
-		a.terms[i].k *= k
-	}
-	return a
-}
-
-func (a RegAffine) add(b RegAffine) RegAffine {
-	a.c += b.c
-	a.terms = append(a.terms, b.terms...)
-	return a
 }
 
 func addChecked(a, b int64) (int64, bool) {

@@ -29,7 +29,10 @@ import (
 // integers, so a single wait that does get there in one of them drops out.)
 // rotgather's sites cannot be cached and are scanned at every crossing; on
 // one worker nothing waits, and both trip counts land in the same capacity
-// of the per-scan flag bytes, so its count is exact again.
+// of the per-scan flag bytes, so its count is exact again. Nor may a count
+// depend on how many runs the pooled team has served (-count reuses it):
+// formatting the team's generation allocates only from 100 on, so only a
+// traced run, which has a recorder to stamp, formats it.
 func TestSliceAllocatesNothing(t *testing.T) {
 	jacobi, err := suite.Get("jacobi1d")
 	if err != nil {

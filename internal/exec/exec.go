@@ -506,8 +506,11 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 	}
 	ps.flushTo(st)
 	// Teardown-time: workers have quiesced, so stamping the recorder's
-	// run metadata here is safe.
-	run.rec.SetMeta("team_generation", strconv.FormatInt(team.Generation(), 10))
+	// run metadata here is safe. Untraced runs skip the formatting too: it
+	// allocates once the team's generation passes 99.
+	if run.rec != nil {
+		run.rec.SetMeta("team_generation", strconv.FormatInt(team.Generation(), 10))
+	}
 	res := &Result{State: st, Stats: team.Stats.Snapshot(), Elapsed: elapsed, Trace: run.rec}
 	if run.inspW != nil {
 		res.Inspector = map[int]InspectorSite{}

@@ -10,8 +10,9 @@
 package linear
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -73,20 +74,27 @@ func Arr(name string) Var { return Var{Name: name, Kind: KindArray} }
 
 func (v Var) String() string { return v.Name }
 
-// varLess orders variables by kind (paper scan order) and then by name.
-func varLess(a, b Var) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+// cmpVar orders variables by kind (paper scan order) and then by name.
+func cmpVar(a, b Var) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	return a.Name < b.Name
+	return strings.Compare(a.Name, b.Name)
 }
 
 // Affine is a linear expression sum(coeff*var) + Const with int64
 // coefficients. The zero value is the constant 0. Affine values are
-// immutable from the caller's perspective: all operations return new values.
+// immutable from the caller's perspective: all operations return new values,
+// and values may share their terms.
 type Affine struct {
-	terms map[Var]int64 // nonzero coefficients only
+	terms []vterm // ascending in scan order, no zero coefficient
 	Const int64
+}
+
+// vterm is one term of an Affine: coefficient k of variable v.
+type vterm struct {
+	v Var
+	k int64
 }
 
 // NewAffine returns the affine constant c.
@@ -94,18 +102,24 @@ func NewAffine(c int64) Affine { return Affine{Const: c} }
 
 // Term returns the affine expression coeff*v.
 func Term(v Var, coeff int64) Affine {
-	a := Affine{}
-	if coeff != 0 {
-		a.terms = map[Var]int64{v: coeff}
+	if coeff == 0 {
+		return Affine{}
 	}
-	return a
+	return Affine{terms: []vterm{{v, coeff}}}
 }
 
 // VarExpr returns the affine expression 1*v.
 func VarExpr(v Var) Affine { return Term(v, 1) }
 
 // Coeff returns the coefficient of v (0 if absent).
-func (a Affine) Coeff(v Var) int64 { return a.terms[v] }
+func (a Affine) Coeff(v Var) int64 {
+	for _, t := range a.terms {
+		if t.v == v {
+			return t.k
+		}
+	}
+	return 0
+}
 
 // IsConstant reports whether a has no variable terms.
 func (a Affine) IsConstant() bool { return len(a.terms) == 0 }
@@ -115,81 +129,80 @@ func (a Affine) NumTerms() int { return len(a.terms) }
 
 // Vars returns the variables of a in scan order.
 func (a Affine) Vars() []Var {
-	vs := make([]Var, 0, len(a.terms))
-	for v := range a.terms {
-		vs = append(vs, v)
+	vs := make([]Var, len(a.terms))
+	for i, t := range a.terms {
+		vs[i] = t.v
 	}
-	sort.Slice(vs, func(i, j int) bool { return varLess(vs[i], vs[j]) })
 	return vs
 }
 
-func (a Affine) clone() Affine {
-	b := Affine{Const: a.Const}
-	if len(a.terms) > 0 {
-		b.terms = make(map[Var]int64, len(a.terms))
-		for v, c := range a.terms {
-			b.terms[v] = c
+// merge returns the terms of a + k*b without a's term at index skip (-1
+// keeps them all): one pass over two ascending slices that drops the
+// coefficients summing to zero. An operand is shared when the other adds
+// nothing to it.
+func merge(a []vterm, skip int, b []vterm, k int64) []vterm {
+	switch {
+	case skip < 0 && (k == 0 || len(b) == 0):
+		return a
+	case skip < 0 && k == 1 && len(a) == 0:
+		return b
+	}
+	out := make([]vterm, 0, len(a)+len(b))
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		if i == skip {
+			i++
+			continue
+		}
+		d := -1 // a's variable comes first
+		if i == len(a) {
+			d = 1
+		} else if j < len(b) {
+			d = cmpVar(a[i].v, b[j].v)
+		}
+		t := vterm{}
+		switch {
+		case d < 0:
+			t, i = a[i], i+1
+		case d > 0:
+			t, j = vterm{b[j].v, b[j].k * k}, j+1
+		default:
+			t, i, j = vterm{a[i].v, a[i].k + b[j].k*k}, i+1, j+1
+		}
+		if t.k != 0 {
+			out = append(out, t)
 		}
 	}
-	return b
-}
-
-func (a *Affine) setCoeff(v Var, c int64) {
-	if c == 0 {
-		delete(a.terms, v)
-		return
-	}
-	if a.terms == nil {
-		a.terms = make(map[Var]int64)
-	}
-	a.terms[v] = c
+	return out
 }
 
 // Add returns a + b.
 func (a Affine) Add(b Affine) Affine {
-	r := a.clone()
-	r.Const += b.Const
-	for v, c := range b.terms {
-		r.setCoeff(v, r.Coeff(v)+c)
-	}
-	return r
+	return Affine{terms: merge(a.terms, -1, b.terms, 1), Const: a.Const + b.Const}
 }
 
 // Sub returns a - b.
-func (a Affine) Sub(b Affine) Affine { return a.Add(b.Neg()) }
+func (a Affine) Sub(b Affine) Affine {
+	return Affine{terms: merge(a.terms, -1, b.terms, -1), Const: a.Const - b.Const}
+}
 
 // Neg returns -a.
 func (a Affine) Neg() Affine { return a.Scale(-1) }
 
 // Scale returns k*a.
 func (a Affine) Scale(k int64) Affine {
-	if k == 0 {
-		return Affine{}
-	}
-	r := Affine{Const: a.Const * k}
-	if len(a.terms) > 0 {
-		r.terms = make(map[Var]int64, len(a.terms))
-		for v, c := range a.terms {
-			r.terms[v] = c * k
-		}
-	}
-	return r
+	return Affine{terms: merge(nil, -1, a.terms, k), Const: a.Const * k}
 }
 
 // AddConst returns a + c.
-func (a Affine) AddConst(c int64) Affine {
-	r := a.clone()
-	r.Const += c
-	return r
-}
+func (a Affine) AddConst(c int64) Affine { return Affine{terms: a.terms, Const: a.Const + c} }
 
 // Equal reports whether a and b denote the same affine expression.
 func (a Affine) Equal(b Affine) bool {
 	if a.Const != b.Const || len(a.terms) != len(b.terms) {
 		return false
 	}
-	for v, c := range a.terms {
-		if b.terms[v] != c {
+	for i, t := range a.terms {
+		if b.terms[i] != t {
 			return false
 		}
 	}
@@ -198,21 +211,20 @@ func (a Affine) Equal(b Affine) bool {
 
 // Substitute returns a with every occurrence of v replaced by repl.
 func (a Affine) Substitute(v Var, repl Affine) Affine {
-	c := a.Coeff(v)
-	if c == 0 {
-		return a
+	for i, t := range a.terms {
+		if t.v == v {
+			return Affine{terms: merge(a.terms, i, repl.terms, t.k), Const: a.Const + t.k*repl.Const}
+		}
 	}
-	r := a.clone()
-	r.setCoeff(v, 0)
-	return r.Add(repl.Scale(c))
+	return a
 }
 
 // Eval evaluates a under the given assignment. Missing variables evaluate
 // to zero.
 func (a Affine) Eval(env map[Var]int64) int64 {
 	s := a.Const
-	for v, c := range a.terms {
-		s += c * env[v]
+	for _, t := range a.terms {
+		s += t.k * env[t.v]
 	}
 	return s
 }
@@ -223,26 +235,24 @@ func (a Affine) String() string {
 		return fmt.Sprintf("%d", a.Const)
 	}
 	var sb strings.Builder
-	first := true
-	for _, v := range a.Vars() {
-		c := a.terms[v]
+	for i, t := range a.terms {
+		c, name := t.k, t.v.Name
 		switch {
-		case first && c == 1:
-			sb.WriteString(v.Name)
-		case first && c == -1:
-			sb.WriteString("-" + v.Name)
-		case first:
-			fmt.Fprintf(&sb, "%d*%s", c, v.Name)
+		case i == 0 && c == 1:
+			sb.WriteString(name)
+		case i == 0 && c == -1:
+			sb.WriteString("-" + name)
+		case i == 0:
+			fmt.Fprintf(&sb, "%d*%s", c, name)
 		case c == 1:
-			sb.WriteString(" + " + v.Name)
+			sb.WriteString(" + " + name)
 		case c == -1:
-			sb.WriteString(" - " + v.Name)
+			sb.WriteString(" - " + name)
 		case c > 0:
-			fmt.Fprintf(&sb, " + %d*%s", c, v.Name)
+			fmt.Fprintf(&sb, " + %d*%s", c, name)
 		default:
-			fmt.Fprintf(&sb, " - %d*%s", -c, v.Name)
+			fmt.Fprintf(&sb, " - %d*%s", -c, name)
 		}
-		first = false
 	}
 	switch {
 	case a.Const > 0:
@@ -251,6 +261,25 @@ func (a Affine) String() string {
 		fmt.Fprintf(&sb, " - %d", -a.Const)
 	}
 	return sb.String()
+}
+
+// union merges the variables of the ascending terms ts into the ascending
+// vars, in place.
+func union(vars []Var, ts []vterm) []Var {
+	i := 0
+	for _, t := range ts {
+		d := 1
+		for ; i < len(vars); i++ {
+			if d = cmpVar(vars[i], t.v); d >= 0 {
+				break
+			}
+		}
+		if d != 0 {
+			vars = slices.Insert(vars, i, t.v)
+		}
+		i++
+	}
+	return vars
 }
 
 func gcd64(a, b int64) int64 {
@@ -264,19 +293,6 @@ func gcd64(a, b int64) int64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// contentGCD returns the gcd of all coefficients (not the constant);
-// 0 when there are no variable terms.
-func (a Affine) contentGCD() int64 {
-	var g int64
-	for _, c := range a.terms {
-		g = gcd64(g, c)
-		if g == 1 {
-			return 1
-		}
-	}
-	return g
 }
 
 // floorDiv returns floor(a/b) for b > 0.

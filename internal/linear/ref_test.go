@@ -1,6 +1,6 @@
 package linear
 
-import "sort"
+import "slices"
 
 // Reference implementations. Nothing here is reachable from non-test code.
 
@@ -152,25 +152,77 @@ func (e *refEnumerator) prefixConsistent(i int) bool {
 
 func (e *refEnumerator) fullySatisfied() bool { return e.sys.Holds(e.env) }
 
-// scaleCheckedRef returns k*a with overflow checking.
-func scaleCheckedRef(a Affine, k int64) Affine {
-	r := Affine{Const: mulChecked(a.Const, k)}
-	if len(a.terms) > 0 {
-		r.terms = make(map[Var]int64, len(a.terms))
-		for v, c := range a.terms {
-			r.terms[v] = mulChecked(c, k)
+// The reference keeps its own affine arithmetic: it reads an Affine's terms
+// into a map, works on the map, and sorts the result back into the canonical
+// form itself, so none of affine.go's merges is on its path.
+
+func termsOf(a Affine) map[Var]int64 {
+	m := make(map[Var]int64, len(a.terms))
+	for _, t := range a.terms {
+		m[t.v] = t.k
+	}
+	return m
+}
+
+func affineOf(m map[Var]int64, c int64) Affine {
+	a := Affine{Const: c}
+	for v, k := range m {
+		if k != 0 {
+			a.terms = append(a.terms, vterm{v, k})
 		}
 	}
-	return r
+	slices.SortFunc(a.terms, func(x, y vterm) int { return cmpVar(x.v, y.v) })
+	return a
+}
+
+// negRef returns -a in wrapping arithmetic.
+func negRef(a Affine) Affine {
+	m := termsOf(a)
+	for v, c := range m {
+		m[v] = -c
+	}
+	return affineOf(m, -a.Const)
+}
+
+// substituteRef returns a with v replaced by repl, in wrapping arithmetic.
+func substituteRef(a Affine, v Var, repl Affine) Affine {
+	m := termsOf(a)
+	c := m[v]
+	if c == 0 {
+		return a
+	}
+	delete(m, v)
+	for u, k := range termsOf(repl) {
+		m[u] += c * k
+	}
+	return affineOf(m, a.Const+c*repl.Const)
+}
+
+// coeffGCDRef returns the gcd of all coefficients (not the constant);
+// 0 when there are no variable terms.
+func coeffGCDRef(a Affine) int64 {
+	var g int64
+	for _, c := range termsOf(a) {
+		g = gcd64(g, c)
+	}
+	return g
+}
+
+// scaleCheckedRef returns k*a with overflow checking.
+func scaleCheckedRef(a Affine, k int64) Affine {
+	m := termsOf(a)
+	for v, c := range m {
+		m[v] = mulChecked(c, k)
+	}
+	return affineOf(m, mulChecked(a.Const, k))
 }
 
 func addAffCheckedRef(a, b Affine) Affine {
-	r := a.clone()
-	r.Const = addChecked(r.Const, b.Const)
-	for v, c := range b.terms {
-		r.setCoeff(v, addChecked(r.Coeff(v), c))
+	m := termsOf(a)
+	for v, c := range termsOf(b) {
+		m[v] = addChecked(m[v], c)
 	}
-	return r
+	return affineOf(m, addChecked(a.Const, b.Const))
 }
 
 // solveBodyRef is the map-based Fourier-Motzkin loop this package shipped
@@ -195,7 +247,7 @@ func solveBodyRef(s *System, subst bool, info *SolveInfo) Result {
 		if c.Op == OpEQ {
 			ineqs = append(ineqs,
 				Constraint{Expr: c.Expr, Op: OpGE},
-				Constraint{Expr: c.Expr.Neg(), Op: OpGE})
+				Constraint{Expr: negRef(c.Expr), Op: OpGE})
 		} else {
 			ineqs = append(ineqs, c)
 		}
@@ -234,7 +286,7 @@ func solveBodyRef(s *System, subst bool, info *SolveInfo) Result {
 func normalizeAllRef(cons []Constraint) ([]Constraint, bool) {
 	out := cons[:0:0]
 	for _, c := range cons {
-		g := c.Expr.contentGCD()
+		g := coeffGCDRef(c.Expr)
 		if g == 0 {
 			// Constant constraint.
 			if c.Op == OpEQ && c.Expr.Const != 0 {
@@ -246,22 +298,21 @@ func normalizeAllRef(cons []Constraint) ([]Constraint, bool) {
 			continue
 		}
 		if g > 1 {
-			e := Affine{terms: make(map[Var]int64, len(c.Expr.terms))}
-			for v, k := range c.Expr.terms {
-				e.terms[v] = k / g
+			m := termsOf(c.Expr)
+			for v, k := range m {
+				m[v] = k / g
 			}
 			if c.Op == OpEQ {
 				if c.Expr.Const%g != 0 {
 					// No integer solution for this equality.
 					return nil, false
 				}
-				e.Const = c.Expr.Const / g
+				c.Expr = affineOf(m, c.Expr.Const/g)
 			} else {
 				// Integer tightening: sum >= -C becomes
 				// sum/g >= ceil(-C/g), i.e. const floor-divides.
-				e.Const = floorDiv(c.Expr.Const, g)
+				c.Expr = affineOf(m, floorDiv(c.Expr.Const, g))
 			}
-			c.Expr = e
 		}
 		out = append(out, c)
 	}
@@ -272,7 +323,7 @@ func normalizeAllRef(cons []Constraint) ([]Constraint, bool) {
 // and substitutes it through the system (Gaussian elimination step). This
 // keeps coefficients small and dramatically reduces FM blowup.
 //
-// The choice of equality (first by index) and variable (varLess order) is
+// The choice of equality (first by index) and variable (cmpVar order) is
 // deterministic: solve-cost accounting flows into golden-tested remark
 // output, so map-iteration order must not leak into the pivot choice.
 func substituteEqualitiesRef(cons []Constraint) ([]Constraint, bool) {
@@ -298,15 +349,18 @@ func substituteEqualitiesRef(cons []Constraint) ([]Constraint, bool) {
 		eq := cons[idx].Expr
 		c := eq.Coeff(v)
 		// c*v + rest == 0  =>  v = -rest/c ; with c = +/-1:
-		rest := eq.clone()
-		rest.setCoeff(v, 0)
-		repl := rest.Scale(-c) // c*c = 1
+		m := termsOf(eq)
+		delete(m, v)
+		repl := affineOf(m, eq.Const) // -c*rest with c*c = 1
+		if c == 1 {
+			repl = negRef(repl)
+		}
 		next := make([]Constraint, 0, len(cons)-1)
 		for i, cc := range cons {
 			if i == idx {
 				continue
 			}
-			cc.Expr = cc.Expr.Substitute(v, repl)
+			cc.Expr = substituteRef(cc.Expr, v, repl)
 			next = append(next, cc)
 		}
 		var ok bool
@@ -332,7 +386,7 @@ func dedupRef(cons []Constraint) []Constraint {
 		for _, v := range c.Expr.Vars() {
 			keyBuf = append(keyBuf, v.Name...)
 			keyBuf = append(keyBuf, '#')
-			keyBuf = appendIntRef(keyBuf, c.Expr.terms[v])
+			keyBuf = appendIntRef(keyBuf, c.Expr.Coeff(v))
 			keyBuf = append(keyBuf, '|')
 		}
 		k := string(keyBuf)
@@ -375,7 +429,7 @@ func pickVarRef(cons []Constraint) (Var, bool) {
 	type stat struct{ lo, hi, free int }
 	stats := map[Var]*stat{}
 	for _, c := range cons {
-		for v, k := range c.Expr.terms {
+		for v, k := range termsOf(c.Expr) {
 			st := stats[v]
 			if st == nil {
 				st = &stat{}
@@ -395,7 +449,7 @@ func pickVarRef(cons []Constraint) (Var, bool) {
 	for v := range stats {
 		vars = append(vars, v)
 	}
-	sort.Slice(vars, func(i, j int) bool { return varLess(vars[i], vars[j]) })
+	slices.SortFunc(vars, cmpVar)
 	bestIdx := -1
 	bestCost := int(^uint(0) >> 1)
 	bestKind := VarKind(-1)
@@ -439,9 +493,8 @@ func eliminateRef(cons []Constraint, v Var, info *SolveInfo) ([]Constraint, bool
 			// => b*alpha + a*beta >= 0
 			nl := scaleCheckedRef(l.Expr, b)
 			nu := scaleCheckedRef(u.Expr, a)
+			// The v terms cancel, b*a + a*(-b) = 0, and affineOf drops them.
 			ne := addAffCheckedRef(nl, nu)
-			// The v terms cancel: b*a + a*(-b) = 0.
-			ne.setCoeff(v, 0)
 			if ne.IsConstant() {
 				if ne.Const < 0 {
 					return nil, false

@@ -1,10 +1,8 @@
 package linear
 
-import "sort"
-
 // The compiled row form. Solve, Project and Enumerate each number the
 // variables of their system once, in scan order, and lower every constraint
-// to an integer row; the Affine maps are not touched again until a result
+// to an integer row; the Affine terms are not touched again until a result
 // is handed back. The two decision procedures share this file — the
 // numbering, the row type and the checked arithmetic — and nothing else:
 // no elimination, normalization or evaluation code, so Fourier-Motzkin
@@ -28,48 +26,23 @@ type row struct {
 // constraint to a row over those numbers. Rows own their terms: cons is
 // never aliased, so callers may rewrite rows in place.
 func compile(cons []Constraint) ([]Var, []row) {
-	total := 0
+	total, vars := 0, make([]Var, 0, 16)
 	for _, c := range cons {
 		total += len(c.Expr.terms)
+		vars = union(vars, c.Expr.terms)
 	}
 	slab := make([]term, 0, total)
 	rows := make([]row, len(cons))
-	// One map lookup per term: number variables as first seen, then
-	// renumber the finished rows into scan order.
-	seen := make([]Var, 0, 16)
-	num := make(map[Var]int, 16)
 	for i, c := range cons {
-		start := len(slab)
-		for v, k := range c.Expr.terms {
-			if k == 0 {
-				continue
+		// Both are in scan order: one walk numbers the row's terms.
+		start, n := len(slab), 0
+		for _, t := range c.Expr.terms {
+			for vars[n] != t.v {
+				n++
 			}
-			n, ok := num[v]
-			if !ok {
-				n = len(seen)
-				num[v] = n
-				seen = append(seen, v)
-			}
-			slab = append(slab, term{n, k})
+			slab = append(slab, term{n, t.k})
 		}
 		rows[i] = row{terms: slab[start:len(slab):len(slab)], c: c.Expr.Const, eq: c.Op == OpEQ}
-	}
-	order := make([]int, len(seen))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return varLess(seen[order[a]], seen[order[b]]) })
-	vars, rank := make([]Var, len(seen)), make([]int, len(seen))
-	for r, n := range order {
-		vars[r], rank[n] = seen[n], r
-	}
-	for _, r := range rows {
-		for a := range r.terms { // insertion sort: rows are short
-			r.terms[a].idx = rank[r.terms[a].idx]
-			for b := a; b > 0 && r.terms[b].idx < r.terms[b-1].idx; b-- {
-				r.terms[b], r.terms[b-1] = r.terms[b-1], r.terms[b]
-			}
-		}
 	}
 	return vars, rows
 }
@@ -80,8 +53,9 @@ func (r row) constraint(vars []Var) Constraint {
 	if r.eq {
 		c.Op = OpEQ
 	}
-	for _, t := range r.terms {
-		c.Expr.setCoeff(vars[t.idx], t.k)
+	c.Expr.terms = make([]vterm, len(r.terms))
+	for i, t := range r.terms {
+		c.Expr.terms[i] = vterm{vars[t.idx], t.k}
 	}
 	return c
 }

@@ -2,7 +2,6 @@ package linear
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -104,17 +103,10 @@ func (s *System) And(t *System) *System {
 
 // Vars returns all variables mentioned by the system, in scan order.
 func (s *System) Vars() []Var {
-	seen := map[Var]bool{}
 	var vs []Var
 	for _, c := range s.Cons {
-		for v := range c.Expr.terms {
-			if !seen[v] {
-				seen[v] = true
-				vs = append(vs, v)
-			}
-		}
+		vs = union(vs, c.Expr.terms)
 	}
-	sort.Slice(vs, func(i, j int) bool { return varLess(vs[i], vs[j]) })
 	return vs
 }
 

@@ -266,6 +266,24 @@ if [ -n "$lowering_hits" ]; then
 fi
 echo "-- no RegionSched / .Regions[ / .Modes[ / ModeSeqLoop outside internal/exec and internal/costsim test files; no region mirror in internal/certify or core's adapter"
 
+echo "== one affine form (linear.Affine) =="
+# An affine expression is one sorted slice of terms: Add, Sub, Scale and
+# Substitute are merges, and the solver numbers a system's variables by
+# merging its rows. A map keyed by Var in the form or in the row compiler
+# means a second representation (and per-term hashing) is back; the
+# evaluation environments Eval and Holds take are API. The lowering writes
+# cursor subscripts through ir.AffineEnv and compile.LowerAffine, not a
+# register-affine builder of its own.
+affine_hits="$(grep -nE 'map\[Var\]' internal/linear/affine.go internal/linear/row.go internal/linear/system.go \
+    | grep -vE 'env map\[Var\]int64\)' || true
+    grep -nE 'func \(c \*cc\) affine' $(ls internal/compile/*.go | grep -v '_test\.go$') || true)"
+if [ -n "$affine_hits" ]; then
+    echo "ERROR: a second affine form in internal/linear or internal/compile:" >&2
+    echo "$affine_hits" >&2
+    exit 1
+fi
+echo "-- no map[Var] in linear's affine form or row compiler; no cc.affine in internal/compile"
+
 echo "== one timing sampler =="
 # suite.Paired is the only pairing scheme, reduction and verdict in the
 # tree, and `go run ./bench` the only timing harness. The names of the seven
@@ -275,7 +293,7 @@ echo "== one timing sampler =="
 # and package, the process-wide aggregator, the expvar surfaces) and of the
 # second reduction merge and team source must not come back in any .go or
 # .sh file, in docs/ or in README.md.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn' # retired-names
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD' # retired-names
 if sampler_hits="$({ find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0
     printf '%s\0' docs/*.md README.md; } | xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
@@ -297,8 +315,8 @@ echo "== pinned gates still exist =="
 # executor and certifier; the simulator's Figure 4 and Gantt goldens and
 # its per-kernel sync counts against the executor's; the certifier's
 # certificate golden and its step mutants; the final-state golden, the
-# 50-seed chaos determinism of the reduction fold and the trace's
-# pseudo-site table.
+# 50-seed chaos determinism of the reduction fold, the trace's
+# pseudo-site table and the affine form's differential fuzz.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -322,7 +340,8 @@ pinned ./internal/suite TestIrregularBarrierElimination TestFDOPropertySuite Tes
 pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGanttGolden
 pinned ./internal/certify TestCertificateGolden TestStepMutants
 pinned ./internal/synctrace TestRingGrowsToCap
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator and certifier gates present"
+pinned ./internal/linear FuzzAffine TestAffineMatchesReference
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier and affine-form gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
