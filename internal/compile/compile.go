@@ -51,7 +51,7 @@ type Prog struct {
 	// nrow is the number of rowChunk-long temporaries the row forms need; rows
 	// holds the sets frames have released, up to 8 (a wider team allocates).
 	nrow int
-	rows chan []float64
+	rows chan *rowScratch
 	// ord numbers every statement densely in ir.WalkStmts order; Frame.Sites
 	// is indexed by it.
 	ord map[ir.Stmt]int
@@ -74,7 +74,7 @@ func Compile(prog *ir.Program, lay *interp.Layout, opt Options) (*Prog, error) {
 		lob:    map[*ir.Loop]IntFn{},
 		hib:    map[*ir.Loop]IntFn{},
 		ord:    map[ir.Stmt]int{},
-		rows:   make(chan []float64, 8),
+		rows:   make(chan *rowScratch, 8),
 	}
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
 		p.ord[s] = len(p.ord)
@@ -585,7 +585,7 @@ func (c *cc) intArrayRead(n *ir.Ref) (intRes, error) {
 		v := rf(fr)
 		iv := int64(v)
 		if float64(iv) != v {
-			fr.trip(f, iv)
+			fr.trip(f, int64(math.Float64bits(v)))
 			return 0
 		}
 		return iv

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/interp"
@@ -22,7 +23,8 @@ import (
 // a fault is found at the same iteration, with the same value and after
 // the same stores as without cursors. An indirect reference A(IDX(affine))
 // rides along: IDX is such a cursor, and what it holds is checked against
-// A's extent at each access, in the closure that loads or stores (gather).
+// A's extent at each access, in the closure that loads or stores (gather),
+// or by the row form once per entry.
 
 // RegAffine is c + Σ k·regs[reg]: an affine expression over parameters and
 // loop indices, resolved to a layout's registers — the form a cursor's entry
@@ -147,6 +149,7 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 type gatherRef struct {
 	slot, reg, id  int
 	nonInt, bounds *Fault
+	distinct       bool // a row body reads back what it scatters through it
 }
 
 // gather gives reference n a gatherRef when a cursor form is being lowered
@@ -161,24 +164,29 @@ func (c *cc) gather(n *ir.Ref) (g gatherRef, ok bool) {
 		return g, false
 	}
 	slot, ok := c.cursor(ix)
-	return gatherRef{slot, c.inner.reg, id, nonIntFault(ix.Name, ix.P), boundsFault(n.Name, 1, n.P)}, ok
+	return gatherRef{slot, c.inner.reg, id, nonIntFault(ix.Name, ix.P), boundsFault(n.Name, 1, n.P), false}, ok
 }
 
-// gatherOff is the one meaning of A(v), v an index-array element, for the
-// executor's cursor form, its checked path and the inspector's scans: A's
-// flat offset, or -1 behind the fault the interpreter reports — an element
-// that is not an integer first, then one outside A's extent.
-func gatherOff(fr *Frame, v float64, id int, nonInt, bounds *Fault) int64 {
+// gatherIn is the one meaning of A(v), v an index-array element and n A's
+// extent: an integer in 1..n. Scalar closures, the checked path and the
+// inspector's scans ask it through gatherOff, row entries directly.
+func gatherIn(v float64, n int64) bool {
 	iv := int64(v)
-	if float64(iv) != v {
-		fr.trip(nonInt, iv)
-		return -1
+	return float64(iv) == v && uint64(iv-1) < uint64(n)
+}
+
+// gatherOff is A's flat offset for v, or -1 behind the fault the interpreter
+// reports when gatherIn says no: not an integer first, then outside A.
+func gatherOff(fr *Frame, v float64, id int, nonInt, bounds *Fault) int64 {
+	if gatherIn(v, fr.Dims[id][0]) {
+		return int64(v) - 1
 	}
-	if uint64(iv-1) >= uint64(fr.Dims[id][0]) {
-		fr.trip(bounds, iv)
-		return -1
+	f, val := bounds, int64(v)
+	if float64(val) != v {
+		f, val = nonInt, int64(math.Float64bits(v))
 	}
-	return iv - 1
+	fr.trip(f, val)
+	return -1
 }
 
 func addChecked(a, b int64) (int64, bool) {
@@ -230,8 +238,9 @@ func (r *curRef) enter(fr *Frame, first, last int64) bool {
 // it; fast is its cursor form over refs (with no refs it holds no cursor
 // and every entry runs it); row, when the body has one, is its row form over
 // the same cursors. An entry whose references all pass their range check
-// runs row if the cursors just loaded prove its iterations independent and
-// fast if not; any other entry counts a fallback and runs checked.
+// runs row if the cursors just loaded prove its iterations independent (and a
+// body with gathers has rowGatherMin of them) and fast if not; any other
+// entry counts a fallback and runs checked.
 func rangeFn(reg int, refs []curRef, fast, checked StmtFn, row *rowBody) RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
@@ -249,7 +258,7 @@ func rangeFn(reg int, refs []curRef, fast, checked StmtFn, row *rowBody) RangeFn
 			if !ok {
 				fr.Fallbacks++
 				body = checked
-			} else if row != nil && row.run(fr, refs, start, span/step+1, step) {
+			} else if row != nil && (row.gathers == nil || span/step+1 >= rowGatherMin) && row.run(fr, refs, start, span/step+1, step) {
 				return
 			}
 		}

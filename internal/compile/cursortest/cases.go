@@ -13,7 +13,8 @@ type Case struct {
 	Src    string
 	Params map[string]int64
 	// Fault is the exact error text of the sequential closure run ("": the
-	// run succeeds). The interpreter appends the legal range to it.
+	// run succeeds). The interpreter's starts with it: it appends the legal
+	// range to a bounds fault.
 	Fault string
 	// Fallback says whether some loop entry must fail its hoisted check
 	// and run the per-access-checked body. Every faulting affine reference
@@ -316,6 +317,47 @@ end
 		Params:   map[string]int64{"N": 5, "T": 2},
 		Fault:    "7:35: array B: subscript 1 = 6 out of bounds",
 		Fallback: true,
+	},
+	{
+		// A gather loop long enough for the row form whose index array holds
+		// a non-integer at a middle iteration: the entry check refuses the
+		// row form, and the scalar cursor form faults there, after the
+		// stores of the iterations before it.
+		Name: "gather-non-integer-at-a-middle-iteration",
+		Src: `
+program gnonint
+param N
+real A(N), B(N), IDX(N)
+do i = 1, N
+  IDX(i) = N - i + 1
+end do
+IDX(20) = 2.5
+do i = 1, N
+  B(i) = A(IDX(i)) * 0.5 + B(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+		Fault:  "10:12: array IDX element = 2.5 is not an integer subscript value",
+	},
+	{
+		// The same for a scatter whose index leaves the array.
+		Name: "scatter-out-of-range-at-a-middle-iteration",
+		Src: `
+program gscatout
+param N
+real A(N), B(N), IDX(N)
+do i = 1, N
+  IDX(i) = N - i + 1
+end do
+IDX(20) = 0.0
+do i = 1, N
+  A(IDX(i)) = B(i) * 0.5
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+		Fault:  "10:3: array A: subscript 1 = 0 out of bounds",
 	},
 }
 
@@ -736,6 +778,121 @@ end
 `,
 		Params: map[string]int64{"N": 12},
 		Row:    true,
+	},
+	{
+		// A scatter through an index with repeats: stored in iteration order,
+		// chunk after chunk, so the last writer of each element wins as in
+		// the scalar form.
+		Name: "scatter-with-a-repeated-index",
+		Src: `
+program scatrep
+param N
+real A(N), B(N), M(N)
+do i = 1, N
+  M(i) = mod(i, 7) + 1.0
+end do
+do i = 1, N
+  A(M(i)) = B(i) * 2.0 + 1.0
+end do
+end
+`,
+		Params: map[string]int64{"N": 300},
+		Row:    true,
+	},
+	{
+		// A read-modify-write through a permutation: every iteration touches
+		// an element of its own, which the entry's stamps prove.
+		Name: "read-modify-write-through-a-permutation",
+		Src: `
+program rmwperm
+param N
+real A(N), B(N), M(N)
+do i = 1, N
+  M(i) = N - i + 1
+end do
+do i = 1, N
+  A(M(i)) = A(M(i)) * 0.5 + B(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 300},
+		Row:    true,
+	},
+	{
+		// The same through a map with one repeat inside a chunk: iteration 7
+		// must read what iteration 5 stored, so the entry check refuses.
+		Name: "read-modify-write-through-a-map-with-one-repeat",
+		Src: `
+program rmwrep
+param N
+real A(N), B(N), M(N)
+do i = 1, N
+  M(i) = N - i + 1
+end do
+M(5) = M(7)
+do i = 1, N
+  A(M(i)) = A(M(i)) * 0.5 + B(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 300},
+	},
+	{
+		// The gather reads the reduction's own target, so a chunk would read
+		// y(c(k)) before the fold stores y(i): no row form (rule ii).
+		Name: "gather-from-the-reduction-target",
+		Src: `
+program yself
+param N, M
+real y(N), v(N * M), c(N * M)
+do k = 1, N * M
+  c(k) = mod(k, N) + 1
+end do
+do i = 1, N
+  do k = (i - 1) * M + 1, i * M
+    y(i) = y(i) + v(k) * y(c(k))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 10, "M": 30},
+	},
+	{
+		// The loop stores the index array it gathers through, so the elements
+		// an entry would check are not those the body reads: no row form
+		// (rule i).
+		Name: "index-array-stored-in-the-loop",
+		Src: `
+program idxst
+param N
+real A(N), B(N), M(N)
+do i = 1, N
+  M(i) = N - i + 1
+end do
+do i = 1, N
+  M(i) = N - M(i) + 1.0
+  B(i) = A(M(i)) * 0.5
+end do
+end
+`,
+		Params: map[string]int64{"N": 300},
+	},
+	{
+		// An index that does not move: no row form (rule iv).
+		Name: "invariant-index-gather",
+		Src: `
+program invidx
+param N
+real A(N), B(N), C(N), M(N)
+do i = 1, N
+  M(i) = N - i + 1
+end do
+do i = 1, N
+  B(i) = A(M(3)) + C(i)
+end do
+end
+`,
+		Params: map[string]int64{"N": 300},
 	},
 }
 

@@ -14,6 +14,7 @@
 package compile
 
 import (
+	"math"
 	"strconv"
 	"sync/atomic"
 
@@ -29,9 +30,10 @@ type Fault struct {
 	Pos ir.Pos
 	// Msg is the static description. For faults that record an offending
 	// value (out-of-range subscripts), Suffix follows the value.
-	Msg    string
-	Suffix string
-	hasVal bool
+	Msg     string
+	Suffix  string
+	hasVal  bool
+	isFloat bool // the value is a float64's bits, printed as the interpreter does
 }
 
 func boundsFault(array string, sub int, pos ir.Pos) *Fault {
@@ -47,14 +49,15 @@ func divFault(pos ir.Pos) *Fault { return &Fault{Pos: pos, Msg: "integer divisio
 func modFault(pos ir.Pos) *Fault { return &Fault{Pos: pos, Msg: "mod by zero"} }
 
 // nonIntFault marks an indirect access whose index-array element does
-// not hold an exact integer. The recorded value is the truncation of
-// the offending float.
+// not hold an exact integer. The recorded value is the element's bits, so
+// the text is the interpreter's.
 func nonIntFault(array string, pos ir.Pos) *Fault {
 	return &Fault{
-		Pos:    pos,
-		Msg:    "array " + array + " element near",
-		Suffix: " is not an integer subscript value",
-		hasVal: true,
+		Pos:     pos,
+		Msg:     "array " + array + " element =",
+		Suffix:  " is not an integer subscript value",
+		hasVal:  true,
+		isFloat: true,
 	}
 }
 
@@ -66,7 +69,10 @@ type faultError struct {
 
 func (e *faultError) Error() string {
 	s := e.f.Pos.String() + ": " + e.f.Msg
-	if e.f.hasVal {
+	switch {
+	case e.f.isFloat:
+		s += " " + strconv.FormatFloat(math.Float64frombits(uint64(e.val)), 'g', -1, 64) + e.f.Suffix
+	case e.f.hasVal:
 		s += " " + strconv.FormatInt(e.val, 10) + e.f.Suffix
 	}
 	return s
@@ -114,10 +120,10 @@ type Frame struct {
 	// that slow path only; tests read it to see which path ran.
 	Fallbacks int64
 	// Rows counts loop entries that ran in row form (row.go), for tests to
-	// see which form ran; row holds their temporaries, the program's from the
-	// first such entry until Prog.Release.
+	// see which form ran; scr holds their temporaries and stamps, the
+	// program's from the first entry that needs them until Prog.Release.
 	Rows int64
-	row  []float64
+	scr  *rowScratch
 
 	fault    *Fault
 	faultVal int64

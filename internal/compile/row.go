@@ -9,12 +9,13 @@ import (
 
 // Row form (docs/INTERNALS.md §11). A loop with a cursor form whose body is
 // only assignments, their right-hand sides built from literals, cursor reads,
-// names the body does not assign, unary minus, + - * / and the pure
-// intrinsics, is lowered a third time: each expression node evaluates a chunk
-// of iterations in one loop over slices, a statement at a time. Nothing in
-// that grammar can fault, and every operation sees the operands, in the
-// positions, of the scalar form; only the order of accesses of different
-// iterations changes, and an entry takes the form when its cursors show that
+// gathers A(IDX(i)), names the body does not assign, unary minus, + - * / and
+// the pure intrinsics, is lowered a third time: each expression node
+// evaluates a chunk of iterations in one loop over slices, a statement at a
+// time. Nothing in that grammar can fault once an entry has checked its index
+// elements, and every operation sees the operands, in the positions, of the
+// scalar form; only the order of accesses of different iterations changes,
+// and an entry takes the form when its cursors and index elements show that
 // this order cannot matter (legal).
 
 // rowChunk is the number of iterations a node evaluates per call. Sizes from
@@ -23,6 +24,19 @@ import (
 // 577; 128 against 256 paired 30 times: unresolved on four programs), so the
 // smallest of them: a cold request allocates its temporaries, 1 KB a piece.
 const rowChunk = 128
+
+// rowGatherMin is the shortest entry a body with gathers runs in row form:
+// below it the index pass and a call per node cost more than they save (with
+// every entry in row form spmvcsr, two-iteration rows, ran 20 % slower, 5/5).
+const rowGatherMin = 8
+
+// rowScratch is what a frame's row entries work in: nrow chunks of
+// temporaries, and a stamp per array element for gatherRef.check.
+type rowScratch struct {
+	row   []float64
+	stamp []uint64
+	epoch uint64
+}
 
 // rowOp is an operand: a node, whose fn evaluates it into dst for len(dst)
 // iterations from the entry's j0-th; an expression with one value for the
@@ -71,6 +85,14 @@ func (c *cc) rowExpr(x ir.Expr, t int) (op rowOp, ok bool) {
 	case *ir.Num:
 		ok = true
 	case *ir.Ref:
+		if g, isGather := c.gather(n); isGather { // rowForm has applied the gathers' rules
+			return rowOp{fn: func(fr *Frame, j0 int64, dst []float64) {
+				cu, a := fr.cur[g.slot], fr.Arrays[g.id]
+				for j := range dst {
+					dst[j] = a[int64(cu.data[cu.base+(j0+int64(j))*cu.stride])-1]
+				}
+			}}, true
+		}
 		if n.IsArray() {
 			if slot, ok := c.cursor(n); !ok || c.inner.ref(slot).moves {
 				return rowOp{slot: slot}, ok
@@ -122,7 +144,7 @@ func (c *cc) rowExpr(x ir.Expr, t int) (op rowOp, ok bool) {
 		case a == nil:
 			b = r.vec(fr, j0, dst)
 		default:
-			b = r.vec(fr, j0, fr.row[t*rowChunk:][:len(dst)])
+			b = r.vec(fr, j0, fr.scr.row[t*rowChunk:][:len(dst)])
 		}
 		// dst = a kind b elementwise, a nil operand standing for the scalar
 		// s; dst may be a or b itself. These three loops, which the four
@@ -161,11 +183,71 @@ func arith(kind ir.BinKind, call func(x, y float64) float64, x, y float64) float
 }
 
 // rowBody is the row form of one innermost loop: its assignments, each over
-// one chunk, and where in the loop's refs its array stores that move are.
+// one chunk, where in the loop's refs its array stores that move are, and
+// the gathers its entries check.
 type rowBody struct {
-	p      *Prog
-	stmts  []func(fr *Frame, j0 int64, n int)
-	stores []int
+	p       *Prog
+	stmts   []func(fr *Frame, j0 int64, n int)
+	stores  []int
+	gathers []gatherRef
+}
+
+// gathers applies the row form's rules to body's gathers and returns each
+// distinct one, or false: (i) no index array is stored in the loop; (ii) an
+// array read through a gather is stored by no cursor and is no reduction
+// target; (iii) one stored through a gather has that one scatter and no other
+// reference but reads through the same subscript; (iv) every index moves.
+// Entries check the rest: the elements in range, distinct if read back.
+func (c *cc) gathers(body []ir.Stmt) (checks []gatherRef, ok bool) {
+	type use struct {
+		stored, plain, index, read bool // by a cursor or reduction; not through a gather; as an index; through a gather
+		scatters                   int
+		via                        map[string]bool // the subscripts of its gathers and scatters
+	}
+	uses, keys, names := map[string]*use{}, []string(nil), []string(nil)
+	at := func(name string) *use {
+		if uses[name] == nil {
+			uses[name] = &use{via: map[string]bool{}}
+		}
+		return uses[name]
+	}
+	ok = true
+	for _, s := range body {
+		a := s.(*ir.Assign)
+		visit := func(x ir.Expr) {
+			n, _ := x.(*ir.Ref)
+			if n == nil || !n.IsArray() {
+				return
+			}
+			u, store := at(n.Name), n == a.LHS
+			if ix, _ := n.Subs[0].(*ir.Ref); len(n.Subs) != 1 || ix == nil || !ix.IsArray() {
+				u.plain, u.stored = true, u.stored || store
+			} else if g, isGather := c.gather(n); !isGather || !c.inner.ref(g.slot).moves {
+				ok = false
+			} else {
+				u.via[ir.ExprString(ix)], at(ix.Name).index = true, true
+				u.read = u.read || !store
+				if store {
+					u.scatters++
+				}
+				if key := ir.ExprString(n); !slices.Contains(keys, key) {
+					keys, names, checks = append(keys, key), append(names, n.Name), append(checks, g)
+				}
+			}
+		}
+		ir.WalkExprs(a.LHS, visit)
+		ir.WalkExprs(a.RHS, visit)
+	}
+	for _, u := range uses {
+		if u.index && (u.stored || u.scatters > 0) || u.read && u.stored ||
+			u.scatters > 1 || u.scatters == 1 && (u.plain || len(u.via) > 1) {
+			return nil, false
+		}
+	}
+	for i, name := range names {
+		checks[i].distinct = uses[name].scatters > 0 && uses[name].read
+	}
+	return checks, ok
 }
 
 // rowForm lowers the body of c.inner in row form, or returns nil when it is
@@ -190,13 +272,27 @@ func (c *cc) rowForm(body []ir.Stmt) *rowBody {
 			in.assigned = append(in.assigned, a.LHS.Name)
 		}
 	}
+	var ok bool
+	if rb.gathers, ok = c.gathers(body); !ok {
+		return nil
+	}
 	for _, s := range body {
 		a := s.(*ir.Assign)
+		g, isGather := c.gather(a.LHS)
 		slot, isCur := c.cursor(a.LHS)
-		if isCur && in.ref(slot).moves {
+		if isGather || isCur && in.ref(slot).moves {
 			rhs, ok := c.rowExpr(a.RHS, 1)
 			if !ok {
 				return nil
+			}
+			if isGather { // through temporary 0, in iteration order: the last writer wins
+				rb.stmts = append(rb.stmts, func(fr *Frame, j0 int64, n int) {
+					cu, dst := fr.cur[g.slot], fr.Arrays[g.id]
+					for j, v := range rhs.vec(fr, j0, fr.scr.row[:n]) {
+						dst[int64(cu.data[cu.base+(j0+int64(j))*cu.stride])-1] = v
+					}
+				})
+				continue
 			}
 			// With no other reference to the stored array in the loop, a
 			// unit-stride store evaluates straight into its destination.
@@ -204,7 +300,7 @@ func (c *cc) rowForm(body []ir.Stmt) *rowBody {
 			rb.stores = append(rb.stores, slot-in.refs[0].slot)
 			rb.stmts = append(rb.stmts, func(fr *Frame, j0 int64, n int) {
 				cu := &fr.cur[slot]
-				off, buf := cu.base+j0*cu.stride, fr.row[:n]
+				off, buf := cu.base+j0*cu.stride, fr.scr.row[:n]
 				if direct && cu.stride == 1 {
 					buf = cu.data[off : off+int64(n)]
 				}
@@ -240,7 +336,7 @@ func (c *cc) rowForm(body []ir.Stmt) *rowBody {
 		}
 		rb.stmts = append(rb.stmts, func(fr *Frame, j0 int64, n int) {
 			acc := x.fn(fr)
-			for _, v := range e.vec(fr, j0, fr.row[:n]) {
+			for _, v := range e.vec(fr, j0, fr.scr.row[:n]) {
 				acc = acc + v
 			}
 			if isCur {
@@ -268,13 +364,7 @@ func (rb *rowBody) run(fr *Frame, refs []curRef, start, count, step int64) bool 
 		cu.base += start * cu.stride
 		cu.stride *= step
 	}
-	if fr.row == nil {
-		select {
-		case fr.row = <-rb.p.rows:
-		default:
-			fr.row = make([]float64, max(rb.p.nrow, 1)*rowChunk)
-		}
-	}
+	rb.p.scratch(fr)
 	fr.Rows++
 	for j0 := int64(0); j0 < count; j0 += rowChunk {
 		n := int(min(rowChunk, count-j0))
@@ -298,6 +388,7 @@ var rowLegal = (*rowBody).legal
 // by at least count of them; or (iii) their offset spans over the entry are
 // disjoint. A store that does not move meets itself and is refused
 // (reductions are not in stores: nothing else mentions their target).
+// Gathers are checked by value, all their rules leave to check.
 func (rb *rowBody) legal(fr *Frame, refs []curRef, start, count, step int64) bool {
 	for _, at := range rb.stores {
 		s := &fr.cur[refs[at].slot]
@@ -316,17 +407,58 @@ func (rb *rowBody) legal(fr *Frame, refs []curRef, start, count, step int64) boo
 			return false
 		}
 	}
+	for i := range rb.gathers {
+		if !rb.gathers[i].check(fr, rb.p, start, count, step) {
+			return false
+		}
+	}
 	return true
 }
 
-// Release hands the frame's row temporaries back for the next frame to take;
-// the executor calls it when a worker's body ends, so runs allocate none.
-func (p *Prog) Release(fr *Frame) {
-	if fr.row != nil {
+// check reports whether every index element of the entry addresses A
+// (gatherIn) and, if distinct, no two one element: stamps, epoch per check.
+func (g *gatherRef) check(fr *Frame, p *Prog, start, count, step int64) bool {
+	cu, n := fr.cur[g.slot], fr.Dims[g.id][0]
+	off, stride := cu.base+start*cu.stride, cu.stride*step
+	var s *rowScratch
+	if g.distinct {
+		if s = p.scratch(fr); int64(len(s.stamp)) < n {
+			s.stamp = make([]uint64, n)
+		}
+		s.epoch++
+	}
+	for ; count > 0; count, off = count-1, off+stride {
+		v := cu.data[off]
+		if !gatherIn(v, n) || s != nil && s.stamp[int64(v)-1] == s.epoch {
+			return false
+		} else if s != nil {
+			s.stamp[int64(v)-1] = s.epoch
+		}
+	}
+	return true
+}
+
+// scratch returns fr's set of row scratch, handing it one first if it holds
+// none: the set a frame released last, or a new one.
+func (p *Prog) scratch(fr *Frame) *rowScratch {
+	if fr.scr == nil {
 		select {
-		case p.rows <- fr.row:
+		case fr.scr = <-p.rows:
+		default:
+			fr.scr = &rowScratch{row: make([]float64, max(p.nrow, 1)*rowChunk)}
+		}
+	}
+	return fr.scr
+}
+
+// Release hands the frame's row scratch back for the next frame to take; the
+// executor calls it when a worker's body ends, so runs allocate none.
+func (p *Prog) Release(fr *Frame) {
+	if fr.scr != nil {
+		select {
+		case p.rows <- fr.scr:
 		default:
 		}
-		fr.row = nil
+		fr.scr = nil
 	}
 }

@@ -83,7 +83,8 @@ func TestRowSabotagedLegalityIsCaught(t *testing.T) {
 		caught[tc.Name] = !same
 	}
 	for _, name := range []string{"carried-dependence", "anti-dependence-across-statements",
-		"distance-inside-trip-count", "reversal-in-place", "invariant-read-inside-the-stored-span"} {
+		"distance-inside-trip-count", "reversal-in-place", "invariant-read-inside-the-stored-span",
+		"read-modify-write-through-a-map-with-one-repeat"} {
 		if !caught[name] {
 			t.Errorf("%s: the sabotaged rule was not caught", name)
 		}
@@ -243,19 +244,19 @@ func TestRowTemporariesComeFromThePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.runSeqOn(fr, st); err != nil || fr.Rows == 0 || len(fr.row) != p.nrow*rowChunk {
-			t.Fatalf("run: %v, %d row entries, %d temporaries", err, fr.Rows, len(fr.row))
+		if err := p.runSeqOn(fr, st); err != nil || fr.Rows == 0 || len(fr.scr.row) != p.nrow*rowChunk {
+			t.Fatalf("run: %v, %d row entries, %d temporaries", err, fr.Rows, len(fr.scr.row))
 		}
 		if first == nil {
-			first = &fr.row[0]
+			first = &fr.scr.row[0]
 		}
-		if &fr.row[0] != first || len(p.rows) != 0 {
+		if &fr.scr.row[0] != first || len(p.rows) != 0 {
 			t.Fatalf("run %d did not take the set the run before it released (%d free)", i, len(p.rows))
 		}
 		p.Release(fr)
 		p.Release(fr)
-		if fr.row != nil || len(p.rows) != 1 {
-			t.Fatalf("after Release the frame holds %d temporaries and %d sets are free", len(fr.row), len(p.rows))
+		if fr.scr != nil || len(p.rows) != 1 {
+			t.Fatalf("after Release the frame holds a scratch set (%v) and %d sets are free", fr.scr != nil, len(p.rows))
 		}
 	}
 }

@@ -29,7 +29,11 @@ import (
 // integers, so a single wait that does get there in one of them drops out.)
 // rotgather's sites cannot be cached and are scanned at every crossing; on
 // one worker nothing waits, and both trip counts land in the same capacity
-// of the per-scan flag bytes, so its count is exact again. Nor may a count
+// of the per-scan flag bytes, so its count is exact again. permcopy (one
+// worker) and edgerelax run their gathers and scatters in row form; the
+// temporaries, and edgerelax's stamps (its scatter is read back, so each
+// entry proves its offsets distinct), come from the program's free list, so
+// only a team's first run allocates them. Nor may a count
 // depend on how many runs the pooled team has served (-count reuses it):
 // formatting the team's generation allocates only from 100 on, so only a
 // traced run, which has a recorder to stamp, formats it.
@@ -58,13 +62,12 @@ do t = 1, T
 end do
 end
 `
-	gatherscatter, err := suite.GetIrregular("gatherscatter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	meshsmooth, err := suite.GetIrregular("meshsmooth")
-	if err != nil {
-		t.Fatal(err)
+	irregular := func(name string) string {
+		k, err := suite.GetIrregular(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.Source
 	}
 	for _, tc := range []struct {
 		name, src   string
@@ -73,9 +76,11 @@ end
 	}{
 		{"jacobi1d", jacobi.Source, 1, 100, 200},
 		{"reduction-chain", chain, 1, 100, 200},
-		{"gatherscatter", gatherscatter.Source, 2, 100, 200},
-		{"meshsmooth", meshsmooth.Source, 2, 100, 200},
+		{"gatherscatter", irregular("gatherscatter"), 2, 100, 200},
+		{"meshsmooth", irregular("meshsmooth"), 2, 100, 200},
 		{"rotgather", rotGather, 1, 130, 250},
+		{"permcopy", irregular("permcopy"), 1, 100, 200},
+		{"edgerelax", irregular("edgerelax"), 2, 100, 200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src, core.Options{})

@@ -316,7 +316,8 @@ echo "== pinned gates still exist =="
 # its per-kernel sync counts against the executor's; the certifier's
 # certificate golden and its step mutants; the final-state golden, the
 # 50-seed chaos determinism of the reduction fold, the trace's
-# pseudo-site table and the affine form's differential fuzz.
+# pseudo-site table, the affine form's differential fuzz and the row form's
+# gather/scatter fuzz.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -331,7 +332,8 @@ pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedP
     TestRowLegalityTableOnATeam TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled \
     TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
-    TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices
+    TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
+    FuzzRowGather TestRowGatherMatchesInterp
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
