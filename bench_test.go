@@ -27,9 +27,10 @@ import (
 )
 
 // BenchmarkInnerLoop is the local reading of the lowered inner loop: the four
-// compute_dense programs of the committed benchmark at its sizes, and four
+// compute_dense programs of the committed benchmark at its sizes, four
 // fine-grain ones at the grain of sync_p2p (14- to 62-element rows, thousands
-// of loop entries), run sequentially on one frame (no team, no sync),
+// of loop entries) and sync_barrier's two 2-D nests at its sizes (14- and
+// 16-element rows), run sequentially on one frame (no team, no sync),
 // reported as assignments per second. The state is allocated and seeded once,
 // outside the loop: every iteration runs the program again over what the last
 // one left, which costs the same and keeps allocation and the timer's
@@ -47,6 +48,8 @@ func BenchmarkInnerLoop(b *testing.B) {
 		{"jacobi2d", map[string]int64{"N": 16, "T": 600}},
 		{"shallow", map[string]int64{"N": 16, "T": 300}},
 		{"pipeline", map[string]int64{"N": 64, "M": 3000}},
+		{"adilike", map[string]int64{"N": 16, "T": 600}},
+		{"tomcatvlike", map[string]int64{"N": 16, "T": 500}},
 	} {
 		k, err := suite.Get(tc.name)
 		if err != nil {

@@ -227,6 +227,8 @@ type cc struct {
 	// lower to cursors (cursor.go), and the closures are not registered as
 	// the statements' own — Prog.Stmt keeps the per-access-checked form.
 	inner *innerLoop
+	// last is the loop lowered last: the one a loop's body ends with (nest).
+	last *forms
 }
 
 func (c *cc) errf(pos ir.Pos, format string, args ...any) error {
@@ -328,24 +330,51 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fast, refs, row := body, []curRef(nil), (*rowBody)(nil)
+	f := &forms{p: c.p, loop: n, reg: reg, fast: body, checked: body}
 	if !c.p.opt.Instrument && !hasLoop(n.Body) {
 		// The sanitizer must see every access, so instrumented lowerings
 		// keep the per-access form only.
 		c.inner = &innerLoop{reg: reg}
-		if fast, err = c.seq(n.Body); err == nil {
-			row = c.rowForm(n.Body)
+		if f.fast, err = c.seq(n.Body); err == nil {
+			f.row = c.rowForm(n.Body)
 		}
-		refs, c.inner = c.inner.refs, nil
+		f.refs, c.inner = c.inner.refs, nil
 		if err != nil {
 			return nil, err
 		}
 	}
-	rng := rangeFn(reg, refs, fast, body, row)
-	c.p.ranges[n] = rng
+	rng := c.nest(n, reg, f.rangeFn())
+	c.p.ranges[n], c.last = rng, f
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
 	loF, hiF := lo.fn, hi.fn
 	return func(fr *Frame) { rng(fr, loF(fr), hiF(fr), 1) }, nil
+}
+
+// nest returns forms.nest for loop n, index register reg, if n's body is one
+// loop m (lowered last) with cursors and another index, its bounds affine in
+// neither index; otherwise rng, n's per-entry driver.
+func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
+	in := c.last
+	steady := func(x ir.Expr) bool {
+		a, ok := c.env.Affine(x)
+		return ok && a.Coeff(linear.Loop(n.Index)) == 0 && a.Coeff(linear.Loop(in.loop.Index)) == 0
+	}
+	if len(n.Body) != 1 || in == nil || n.Body[0] != in.loop || len(in.refs) == 0 || in.reg == reg ||
+		!steady(in.loop.Lo) || !steady(in.loop.Hi) {
+		return rng
+	}
+	for i := range in.refs {
+		r := &in.refs[i]
+		r.out = make([]int64, len(r.rest))
+		for d, rest := range r.rest {
+			for _, t := range rest.terms {
+				if t.reg == reg {
+					r.out[d] += t.k
+				}
+			}
+		}
+	}
+	return in.nest(reg, c.p.lob[in.loop], c.p.hib[in.loop], rng)
 }
 
 func hasLoop(stmts []ir.Stmt) bool {

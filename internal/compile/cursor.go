@@ -18,7 +18,8 @@ import (
 // loop, so it addresses element base + idx*stride of the flat array. Such
 // a subscript is monotone in idx: checking it at the first and the last
 // iteration checks every iteration in between, and the range check moves
-// from each access to the loop entry. When any reference of the body fails
+// from each access to the loop entry (in a nest, to the outer loop's entry:
+// forms.nest). When any reference of the body fails
 // the entry check, that entry runs the per-access-checked body instead, so
 // a fault is found at the same iteration, with the same value and after
 // the same stores as without cursors. An indirect reference A(IDX(affine))
@@ -83,11 +84,13 @@ type innerLoop struct {
 func (in *innerLoop) ref(slot int) *curRef { return &in.refs[slot-in.refs[0].slot] }
 
 // curRef is one cursor reference: its frame slot, its array and, per
-// dimension, the subscript's coefficient of the loop index and the rest.
+// dimension, the subscript's coefficient of the loop index and the rest;
+// in the inner loop of a nest (forms.nest), out is rest's coefficient of the
+// outer index.
 type curRef struct {
 	ref      *ir.Ref
 	slot, id int
-	k        []int64
+	k, out   []int64
 	rest     []RegAffine
 	moves    bool // some k is not zero
 }
@@ -194,8 +197,8 @@ func addChecked(a, b int64) (int64, bool) {
 	return s, (s >= a) == (b >= 0)
 }
 
-// mulChecked multiplies without dividing (enter runs it four times per
-// dimension): the signed 128-bit product is the unsigned one corrected for
+// mulChecked multiplies without dividing (enter runs it two or three times
+// per dimension): the signed 128-bit product is the unsigned one corrected for
 // each negative operand, and fits when its high word is its low one's sign.
 func mulChecked(a, b int64) (int64, bool) {
 	hi, lo := bits.Mul64(uint64(a), uint64(b))
@@ -203,71 +206,149 @@ func mulChecked(a, b int64) (int64, bool) {
 	return p, int64(hi)-b&(a>>63)-a&(b>>63) == p>>63
 }
 
-// enter range-checks the reference over one loop entry — index values
-// first, first+step, ... last — and on success loads its cursor. The
-// checked path computes a subscript in wrapping arithmetic, which agrees
-// with k*idx + rest modulo 2^64 because affine forms use ring operations
-// only; the ends are therefore computed checked, so a product that wraps
-// cannot pass for an in-range value. Base and stride may wrap freely:
-// base + idx*stride is still the exact offset modulo 2^64, and the exact
-// offset lies inside the array.
-func (r *curRef) enter(fr *Frame, first, last int64) bool {
+// enter range-checks the reference over the loop's index values first..last
+// in each row of an enclosing loop whose index lies 0..reach past what its
+// register holds, step apart (a plain entry: reach 0); on success it loads
+// the cursor and returns what a step of that index adds to the base. The
+// subscript k*j + out*r + rest is least and greatest at the ends of the
+// ranges of j and r, where it is computed checked: the checked path wraps
+// (agreeing modulo 2^64, as affine forms use ring operations only), and a
+// product that wraps must not pass for an in-range value. Base, stride and
+// delta may wrap: base + idx*stride is still the exact offset.
+func (r *curRef) enter(fr *Frame, reach, first, last, step int64) (delta int64, ok bool) {
 	dims := fr.Dims[r.id]
 	if len(dims) != len(r.k) {
-		return false
+		return 0, false
 	}
 	var base, stride int64
 	for d, k := range r.k {
 		rest := r.rest[d].Eval(fr.Regs)
-		for _, i := range [2]int64{first, last} {
-			ki, fits1 := mulChecked(k, i)
-			s, fits2 := addChecked(ki, rest)
-			if !fits1 || !fits2 || uint64(s-1) >= uint64(dims[d]) {
-				return false
-			}
+		rlo, rhi, fits := rest, rest, true
+		if reach != 0 { // a loop entry skips what only rows need
+			far, ok1 := mulChecked(r.out[d], reach)
+			lo, ok2 := addChecked(rest, min(far, 0))
+			hi, ok3 := addChecked(rest, max(far, 0))
+			rlo, rhi, fits = lo, hi, ok1 && ok2 && ok3
+			delta = delta*dims[d] + r.out[d]
+		}
+		a, ok1 := mulChecked(k, first)
+		b, ok2 := mulChecked(k, last)
+		lo, ok3 := addChecked(rlo, min(a, b))
+		hi, ok4 := addChecked(rhi, max(a, b))
+		if !(fits && ok1 && ok2 && ok3 && ok4) || lo < 1 || hi > dims[d] {
+			return 0, false
 		}
 		// Row-major Horner step over offset = base + idx*stride.
 		base = base*dims[d] + rest - 1
 		stride = stride*dims[d] + k
 	}
 	fr.cur[r.slot] = cursor{data: fr.Arrays[r.id], base: base, stride: stride}
-	return true
+	return delta * step, true
 }
 
-// rangeFn builds a loop's driver. checked is the body as Prog.Stmt lowers
-// it; fast is its cursor form over refs (with no refs it holds no cursor
-// and every entry runs it); row, when the body has one, is its row form over
-// the same cursors. An entry whose references all pass their range check
-// runs row if the cursors just loaded prove its iterations independent (and a
-// body with gathers has rowGatherMin of them) and fast if not; any other
-// entry counts a fallback and runs checked.
-func rangeFn(reg int, refs []curRef, fast, checked StmtFn, row *rowBody) RangeFn {
+// forms is one innermost loop lowered: checked, the body as Prog.Stmt lowers
+// it; fast, its cursor form over refs (with no refs, what every entry runs);
+// row, if the body has one, its row form over the same cursors.
+type forms struct {
+	p             *Prog
+	loop          *ir.Loop
+	reg           int
+	refs          []curRef
+	fast, checked StmtFn
+	row           *rowBody
+}
+
+// rangeFn builds the per-entry driver: an entry whose references all pass
+// their range check runs entry, any other counts a fallback and runs checked.
+func (f *forms) rangeFn() RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
 			return
 		}
-		body := fast
-		if len(refs) > 0 {
-			// end-start wraps negative when the span exceeds int64.
-			span := end - start
-			ok := span >= 0
-			last := start + span/step*step
-			for i := 0; ok && i < len(refs); i++ {
-				ok = refs[i].enter(fr, start, last)
-			}
-			if !ok {
-				fr.Fallbacks++
-				body = checked
-			} else if row != nil && (row.gathers == nil || span/step+1 >= rowGatherMin) && row.run(fr, refs, start, span/step+1, step) {
-				return
-			}
+		// end-start wraps negative when the span exceeds int64.
+		span := end - start
+		ok := span >= 0 || len(f.refs) == 0
+		last := start + span/step*step
+		for i := 0; ok && i < len(f.refs); i++ {
+			_, ok = f.refs[i].enter(fr, 0, start, last, 0)
 		}
+		if !ok {
+			fr.Fallbacks++
+			f.scalar(fr, f.checked, start, end, step)
+			return
+		}
+		f.entry(fr, f.row, start, end, step)
+	}
+}
+
+// entry runs an entry, its cursors loaded and checked, in row form if row
+// allows it (and rowGatherMin, for a body that gathers) and in the scalar
+// cursor form if not. It reports whether row ran, folding the cursors.
+func (f *forms) entry(fr *Frame, row *rowBody, start, end, step int64) bool {
+	if count := (end-start)/step + 1; row != nil && (row.gathers == nil || count >= rowGatherMin) &&
+		row.run(fr, f.refs, start, count, step) {
+		return true
+	}
+	f.scalar(fr, f.fast, start, end, step)
+	return false
+}
+
+func (f *forms) scalar(fr *Frame, body StmtFn, start, end, step int64) {
+	for i := start; i <= end; i += step {
+		if fr.fault != nil {
+			return
+		}
+		fr.Regs[f.reg] = i
+		body(fr)
+	}
+}
+
+// nest builds the driver of an outer loop, index register reg, whose body is
+// f's loop alone over lo..hi, bounds no iteration of either loop changes. An
+// outer entry checks each cursor once for all its rows, which it then runs
+// as entries of f, adding each cursor's delta in between; if legality cannot
+// differ between rows (rowBody.steady), it is decided once too. An outer
+// entry whose inner range is empty or whose check fails runs perEntry, which
+// checks each row as it comes and so raises every fault as before.
+func (f *forms) nest(reg int, lo, hi IntFn, perEntry RangeFn) RangeFn {
+	return func(fr *Frame, start, end, step int64) {
+		if start > end || fr.fault != nil {
+			return
+		}
+		span, first, last := end-start, lo(fr), hi(fr)
+		count, reach := last-first+1, span/step*step
+		ok := span >= 0 && first <= last && count > 0
+		delta := f.p.scratch(fr).delta[:len(f.refs)]
+		fr.Regs[reg] = start
+		for i := 0; ok && i < len(f.refs); i++ {
+			delta[i], ok = f.refs[i].enter(fr, reach, first, last, step)
+		}
+		if !ok {
+			perEntry(fr, start, end, step)
+			return
+		}
+		row, once := f.row, false
+		if row.steady(f.refs, delta) {
+			if once = rowLegal(row, fr, f.refs, first, count, 1); once {
+				fold(fr, f.refs, first, 1)
+			}
+			row = nil
+		}
+		cur := fr.cur[f.refs[0].slot:][:len(delta)] // a loop's slots are consecutive
 		for i := start; i <= end; i += step {
 			if fr.fault != nil {
 				return
 			}
 			fr.Regs[reg] = i
-			body(fr)
+			if once {
+				f.row.chunks(fr, count)
+			}
+			folded := !once && f.entry(fr, row, first, last, 1)
+			for k := range cur {
+				if cur[k].base += delta[k]; folded {
+					cur[k].base -= first * cur[k].stride
+				}
+			}
 		}
 	}
 }

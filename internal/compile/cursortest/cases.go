@@ -359,6 +359,46 @@ end
 		Params: map[string]int64{"N": 40},
 		Fault:  "10:3: array A: subscript 1 = 0 out of bounds",
 	},
+	{
+		// A nest whose corner check fails at the last outer iteration only:
+		// the outer entry runs row by row, the rows before it on their
+		// cursors, and the last one faults in the checked body at its first
+		// iteration (the index as a value keeps the body out of the row form).
+		Name: "nest-corner-out-at-the-last-outer-iteration",
+		Src: `
+program nestlast
+param N
+real A(N, N), B(N, N)
+do i = 1, N
+  do j = 1, N
+    A(i + 1, j) = B(i, j) * j
+  end do
+end do
+end
+`,
+		Params:   map[string]int64{"N": 6},
+		Fault:    "7:5: array A: subscript 1 = 7 out of bounds",
+		Fallback: true,
+	},
+	{
+		// The outer index's reach times its coefficient, 2^62 * 4, wraps to 0:
+		// the nest's check must see the overflow, and row 3 faults.
+		Name: "nest-hostile-outer-trip-count",
+		Src: `
+program hostile2
+param N, M
+real A(N, N)
+do i = 1, M
+  do j = 1, N
+    A(4 * i, j) = 1.0 + j
+  end do
+end do
+end
+`,
+		Params:   map[string]int64{"N": 10, "M": 1<<62 + 1},
+		Fault:    "7:5: array A: subscript 1 = 12 out of bounds",
+		Fallback: true,
+	},
 }
 
 // RowCase is one program for the row form of innermost loops: a single
@@ -893,6 +933,132 @@ end do
 end
 `,
 		Params: map[string]int64{"N": 300},
+	},
+	{
+		// A nest in which one array is stored and read with a different
+		// delta per outer iteration (N and 1): legality is decided per row,
+		// and rows 1..M, whose spans meet, are refused.
+		Name: "nest-transpose-decides-per-row",
+		Src: `
+program transp
+param N, M
+real A(N, N)
+do i = 1, N
+  do j = 1, M
+    A(i, j) = A(j, i) * 0.5 + 1.0
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 20, "M": 8},
+		Row:    true,
+	},
+	{
+		// Different deltas again, and the first row's spans are apart: only
+		// per row does legality see that row 8, stored by i = 13, reads A(8, 7)
+		// after its iteration 7 stored it, which a chunk would read too early.
+		Name: "nest-flow-in-a-later-row",
+		Src: `
+program laterflow
+param N, M
+real A(N, N)
+do i = 1, N - 1
+  do j = 1, M
+    A(N - i + 1, j) = A(j, N - i) + 1.0
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 20, "M": 8},
+		Row:    true,
+	},
+	{
+		// The same delta for the store and the read of the row before:
+		// legal once for every row of an outer entry.
+		Name: "nest-row-above-decides-once",
+		Src: `
+program above
+param N
+real B(N, N)
+do i = 2, N
+  do j = 1, N
+    B(i, j) = B(i - 1, j) * 0.5 + 0.25
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 19},
+		Row:    true,
+	},
+	{
+		// An empty inner range: the outer entry runs its rows one by one,
+		// none of which runs an iteration or checks its out-of-range cursor.
+		Name: "nest-empty-inner-range",
+		Src: `
+program nestempty
+param N
+real A(N, N)
+do i = 1, N
+  do j = 5, 4
+    A(i, j + 100) = 1.0
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 8},
+	},
+	{
+		// Inner bounds outside the affine grammar: no nest driver, the
+		// per-entry one checks every row.
+		Name: "nest-inner-bound-not-affine",
+		Src: `
+program halfrow
+param N
+real A(N, N), B(N, N)
+do i = 1, N
+  do j = 1, N / 2
+    A(i, j) = B(i, 2 * j) + B(i, 2 * j - 1)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 18},
+		Row:    true,
+	},
+	{
+		// Inner bounds that move with the outer index: no nest driver.
+		Name: "nest-inner-bound-uses-the-outer-index",
+		Src: `
+program tri
+param N
+real A(N, N), B(N, N)
+do i = 1, N
+  do j = i, N
+    A(i, j) = B(j, i) - 0.5 * B(i, j)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 17},
+		Row:    true,
+	},
+	{
+		// A parallel outer loop: on a team every worker's slice is a nest
+		// entry, a stepped one under cyclic placement (delta times P).
+		Name: "nest-outer-slices-on-a-team",
+		Src: `
+program nestpar
+param N, M
+real A(N, M), B(N, M)
+do i = 1, N
+  do j = 2, M - 1
+    A(i, j) = 0.25 * (B(i, j - 1) + B(i, j + 1)) + 0.5 * B(i, j)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 23, "M": 14},
+		Row:    true,
 	},
 }
 

@@ -120,8 +120,8 @@ type Frame struct {
 	// that slow path only; tests read it to see which path ran.
 	Fallbacks int64
 	// Rows counts loop entries that ran in row form (row.go), for tests to
-	// see which form ran; scr holds their temporaries and stamps, the
-	// program's from the first entry that needs them until Prog.Release.
+	// see which form ran; scr holds their scratch (rowScratch), the
+	// program's from the first entry that needs it until Prog.Release.
 	Rows int64
 	scr  *rowScratch
 

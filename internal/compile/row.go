@@ -31,10 +31,12 @@ const rowChunk = 128
 const rowGatherMin = 8
 
 // rowScratch is what a frame's row entries work in: nrow chunks of
-// temporaries, and a stamp per array element for gatherRef.check.
+// temporaries, a stamp per array element for gatherRef.check, and the deltas
+// of a nest's cursors (forms.nest).
 type rowScratch struct {
 	row   []float64
 	stamp []uint64
+	delta []int64
 	epoch uint64
 }
 
@@ -357,14 +359,25 @@ func (rb *rowBody) run(fr *Frame, refs []curRef, start, count, step int64) bool 
 	if !rowLegal(rb, fr, refs, start, count, step) {
 		return false
 	}
-	// The body indexes its chunks from 0: fold start and step into the
-	// cursors, which only this entry uses from here on.
+	fold(fr, refs, start, step)
+	rb.p.scratch(fr)
+	rb.chunks(fr, count)
+	return true
+}
+
+// fold makes the cursors of refs index an entry's iterations from 0: the
+// body's chunks do, and only the entry uses the cursors from here on.
+func fold(fr *Frame, refs []curRef, start, step int64) {
 	for i := range refs {
 		cu := &fr.cur[refs[i].slot]
 		cu.base += start * cu.stride
 		cu.stride *= step
 	}
-	rb.p.scratch(fr)
+}
+
+// chunks runs the body over count iterations of an entry, its cursors
+// folded and its scratch taken, a chunk at a time.
+func (rb *rowBody) chunks(fr *Frame, count int64) {
 	fr.Rows++
 	for j0 := int64(0); j0 < count; j0 += rowChunk {
 		n := int(min(rowChunk, count-j0))
@@ -372,7 +385,6 @@ func (rb *rowBody) run(fr *Frame, refs []curRef, start, count, step int64) bool 
 			stmt(fr, j0, n)
 		}
 	}
-	return true
 }
 
 // rowLegal is rowBody.legal; a test swaps it to show that the differential
@@ -415,6 +427,24 @@ func (rb *rowBody) legal(fr *Frame, refs []curRef, start, count, step int64) boo
 	return true
 }
 
+// steady reports whether legal answers alike for every row of a nest's outer
+// entry (forms.nest): rb has no gathers, and each cursor on a stored array
+// moves by the store's delta, so every pair of offsets legal compares, each
+// inside the array in every row, shifts together.
+func (rb *rowBody) steady(refs []curRef, delta []int64) bool {
+	if rb == nil || rb.gathers != nil {
+		return false
+	}
+	for _, at := range rb.stores {
+		for i := range refs {
+			if refs[i].id == refs[at].id && delta[i] != delta[at] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // check reports whether every index element of the entry addresses A
 // (gatherIn) and, if distinct, no two one element: stamps, epoch per check.
 func (g *gatherRef) check(fr *Frame, p *Prog, start, count, step int64) bool {
@@ -445,7 +475,7 @@ func (p *Prog) scratch(fr *Frame) *rowScratch {
 		select {
 		case fr.scr = <-p.rows:
 		default:
-			fr.scr = &rowScratch{row: make([]float64, max(p.nrow, 1)*rowChunk)}
+			fr.scr = &rowScratch{row: make([]float64, max(p.nrow, 1)*rowChunk), delta: make([]int64, p.ncur)}
 		}
 	}
 	return fr.scr

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compile/cursortest"
@@ -285,6 +286,114 @@ func TestMulCheckedMatchesTheDividingForm(t *testing.T) {
 			wantP, wantFits := dividing(a, b)
 			if fits != wantFits || (fits && p != wantP) {
 				t.Fatalf("mulChecked(%d, %d) = %d, %v; the dividing form says %d, %v", a, b, p, fits, wantP, wantFits)
+			}
+		}
+	}
+}
+
+// TestNestEntries reads off a sequential run of the cursortest nests whether
+// a nest driver checked the cursors — it leaves their deltas in the frame's
+// scratch, the per-entry driver none — and how often rowBody.legal was asked:
+// once per outer entry when no row can answer differently, once per row
+// otherwise. A nest whose check fails runs the per-entry driver, which asks
+// nothing where the table's fallback leaves no row form.
+func TestNestEntries(t *testing.T) {
+	defer func(f func(*rowBody, *Frame, []curRef, int64, int64, int64) bool) { rowLegal = f }(rowLegal)
+	legal, calls := rowLegal, 0
+	rowLegal = func(rb *rowBody, fr *Frame, refs []curRef, start, count, step int64) bool {
+		calls++
+		return legal(rb, fr, refs, start, count, step)
+	}
+	src := map[string]string{}
+	params := map[string]map[string]int64{}
+	for _, tc := range cursortest.RowCases {
+		src[tc.Name], params[tc.Name] = tc.Src, tc.Params
+	}
+	for _, tc := range cursortest.Cases {
+		src[tc.Name], params[tc.Name] = tc.Src, tc.Params
+	}
+	for _, tc := range []struct {
+		name    string
+		checked bool
+		calls   int
+	}{
+		{"nest-row-above-decides-once", true, 1},
+		{"nest-outer-slices-on-a-team", true, 1},
+		{"outer-index-parameter-and-scalar-as-values", true, 1},
+		{"nest-transpose-decides-per-row", true, 20},
+		{"nest-flow-in-a-later-row", true, 19},
+		{"nest-inner-bound-not-affine", false, 18},
+		{"nest-inner-bound-uses-the-outer-index", false, 17},
+		{"nest-empty-inner-range", false, 0},
+		{"nest-corner-out-at-the-last-outer-iteration", true, 0},
+		{"last-iteration-second-dimension", true, 0},
+	} {
+		calls = 0
+		_, fr, _ := seqRun(t, src[tc.name], params[tc.name], Options{})
+		checked := fr.scr != nil && slices.ContainsFunc(fr.scr.delta, func(d int64) bool { return d != 0 })
+		if checked != tc.checked || calls != tc.calls {
+			t.Errorf("%s: checked by a nest driver %v, %d legality decisions; want %v, %d", tc.name, checked, calls, tc.checked, tc.calls)
+		}
+	}
+}
+
+// TestNestSlices drives a nest's outer loop the way a partition does — block
+// slices, cyclic ones with a step, one row — and slices whose last row is out
+// of range: those run row by row on the per-entry driver, every row before
+// the last in row form, and fault in the last.
+func TestNestSlices(t *testing.T) {
+	const src = `
+program nslices
+param N, M
+real A(N, M), B(N, M)
+do i = 1, N + 1
+  do j = 1, M
+    A(i, j) = A(i, j) * 2.0 + B(N - i + 1, M - j + 1)
+  end do
+end do
+end
+`
+	const n, m = 40, 30
+	prog := parser.MustParse(src)
+	p, err := Compile(prog, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := prog.Body[0].(*ir.Loop)
+	for _, tc := range []struct{ start, end, step int64 }{
+		{1, n, 1}, {1, n, 3}, {2, n, 3}, {3, n, 3}, {5, 5, 1}, {7, 37, 7},
+		{20, 19, 1},       // empty: no entry at all
+		{2, n + 1, 2},     // the last row run is N
+		{1, n + 1, 1},     // row N+1 faults
+		{n - 3, n + 1, 2}, // rows N-3, N-1, N+1: the same
+	} {
+		st, err := interp.NewState(prog, map[string]int64{"N": n, "M": m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SeedDeterministic()
+		a, b := st.Array("A").Data, st.Array("B").Data
+		want := append([]float64(nil), a...)
+		rows := int64(0)
+		for i := tc.start; i <= tc.end && i <= n; i += tc.step {
+			for j := int64(1); j <= m; j++ {
+				want[(i-1)*m+j-1] = want[(i-1)*m+j-1]*2.0 + b[(n-i)*m+m-j]
+			}
+			rows++
+		}
+		faults := tc.start <= tc.end && tc.start+(tc.end-tc.start)/tc.step*tc.step > n
+		fr, err := p.seqFrame(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Range(loop)(fr, tc.start, tc.end, tc.step)
+		if (fr.Err() != nil) != faults || fr.Rows != rows || (fr.Fallbacks > 0) != faults {
+			t.Fatalf("slice %d..%d step %d: error %v, %d row entries, %d fallbacks; want a fault: %v, %d row entries",
+				tc.start, tc.end, tc.step, fr.Err(), fr.Rows, fr.Fallbacks, faults, rows)
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("slice %d..%d step %d: element %d: %v, want %v", tc.start, tc.end, tc.step, i, a[i], want[i])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"cmp"
 	"testing"
 
 	"repro/internal/core"
@@ -33,14 +34,20 @@ import (
 // worker) and edgerelax run their gathers and scatters in row form; the
 // temporaries, and edgerelax's stamps (its scatter is read back, so each
 // entry proves its offsets distinct), come from the program's free list, so
-// only a team's first run allocates them. Nor may a count
+// only a team's first run allocates them. jacobi2d (one worker, N=16) and
+// adilike run their 2-D nests through the nest driver, which checks each
+// cursor once per slice on the stack and keeps each cursor's delta in that
+// same pooled scratch, so it allocates nothing per slice. Nor may a count
 // depend on how many runs the pooled team has served (-count reuses it):
 // formatting the team's generation allocates only from 100 on, so only a
 // traced run, which has a recorder to stamp, formats it.
 func TestSliceAllocatesNothing(t *testing.T) {
-	jacobi, err := suite.Get("jacobi1d")
-	if err != nil {
-		t.Fatal(err)
+	kernel := func(name string) string {
+		k, err := suite.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.Source
 	}
 	// dotchain's shape (reduction, broadcast of the result, update) inside a
 	// time loop, plus a private temporary; the suite's dotchain has no
@@ -73,14 +80,17 @@ end
 		name, src   string
 		workers     int
 		short, long int64
+		n           int64 // 64 when zero
 	}{
-		{"jacobi1d", jacobi.Source, 1, 100, 200},
-		{"reduction-chain", chain, 1, 100, 200},
-		{"gatherscatter", irregular("gatherscatter"), 2, 100, 200},
-		{"meshsmooth", irregular("meshsmooth"), 2, 100, 200},
-		{"rotgather", rotGather, 1, 130, 250},
-		{"permcopy", irregular("permcopy"), 1, 100, 200},
-		{"edgerelax", irregular("edgerelax"), 2, 100, 200},
+		{"jacobi1d", kernel("jacobi1d"), 1, 100, 200, 0},
+		{"reduction-chain", chain, 1, 100, 200, 0},
+		{"gatherscatter", irregular("gatherscatter"), 2, 100, 200, 0},
+		{"meshsmooth", irregular("meshsmooth"), 2, 100, 200, 0},
+		{"rotgather", rotGather, 1, 130, 250, 0},
+		{"permcopy", irregular("permcopy"), 1, 100, 200, 0},
+		{"edgerelax", irregular("edgerelax"), 2, 100, 200, 0},
+		{"jacobi2d", kernel("jacobi2d"), 1, 100, 200, 16},
+		{"adilike", kernel("adilike"), 2, 100, 200, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src, core.Options{})
@@ -89,7 +99,7 @@ end
 			}
 			allocs := func(trips int64) (perRun float64) {
 				r, err := c.NewRunner(exec.Config{Workers: tc.workers, Mode: exec.SPMD,
-					Params: map[string]int64{"N": 64, "T": trips}})
+					Params: map[string]int64{"N": cmp.Or(tc.n, 64), "T": trips}})
 				if err != nil {
 					t.Fatal(err)
 				}

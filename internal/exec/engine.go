@@ -17,17 +17,18 @@ import (
 // one as its error and keeps synchronizing, so peers are not deadlocked by
 // the failure.
 type engine interface {
-	// bounds evaluates a loop's lower and upper bound.
-	bounds(l *ir.Loop) (lo, hi int64, err error)
+	// bounds evaluates the lower and upper bound of a step's loop.
+	bounds(at *stepAt) (lo, hi int64, err error)
 	// probeBounds is bounds for activity estimates: a failure is reported
 	// as !ok and leaves no fault behind (the estimate then counts every
 	// worker).
-	probeBounds(l *ir.Loop) (lo, hi int64, ok bool)
+	probeBounds(at *stepAt) (lo, hi int64, ok bool)
 	// setIndex binds the index register of a sequential loop the steps
 	// drive.
 	setIndex(reg int, v int64)
-	// runSlice executes l's body for start, start+step, ... up to end.
-	runSlice(l *ir.Loop, start, end, step int64) error
+	// runSlice executes the body of a step's loop for start, start+step,
+	// ... up to end.
+	runSlice(at *stepAt, start, end, step int64) error
 	// exec executes statements in order with sequential semantics (a
 	// nested `parallel` annotation runs sequentially here).
 	exec(stmts []ir.Stmt) error
@@ -80,11 +81,10 @@ func newFrameEngine(run *teamRun, w int) engine {
 // aside while they evaluate and stays the recorded one: if it made every
 // later bounds call fail, the worker would skip the relay posts and nested
 // sync sites its peers wait on.
-func (e *frameEngine) bounds(l *ir.Loop) (lo, hi int64, err error) {
+func (e *frameEngine) bounds(at *stepAt) (lo, hi int64, err error) {
 	mark, markVal := e.fr.FaultMark()
 	e.fr.FaultRestore(nil, 0)
-	loF, hiF := e.exe.Bounds(l)
-	lo, hi = loF(e.fr), hiF(e.fr)
+	lo, hi = at.lo(e.fr), at.hi(e.fr)
 	err = e.fr.Err()
 	if mark != nil {
 		e.fr.FaultRestore(mark, markVal)
@@ -92,9 +92,9 @@ func (e *frameEngine) bounds(l *ir.Loop) (lo, hi int64, err error) {
 	return lo, hi, err
 }
 
-func (e *frameEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
+func (e *frameEngine) probeBounds(at *stepAt) (lo, hi int64, ok bool) {
 	mark, markVal := e.fr.FaultMark()
-	lo, hi, err := e.bounds(l)
+	lo, hi, err := e.bounds(at)
 	e.fr.FaultRestore(mark, markVal)
 	return lo, hi, err == nil
 }
@@ -103,12 +103,11 @@ func (e *frameEngine) setIndex(reg int, v int64) { e.fr.Regs[reg] = v }
 
 // runSlice hands the slice to the loop's lowered driver — the executor's
 // hottest loop lives in internal/compile.
-func (e *frameEngine) runSlice(l *ir.Loop, start, end, step int64) error {
-	rng := e.exe.Range(l)
-	if rng == nil {
-		return fmt.Errorf("loop %s not lowered by the closure backend", l.Index)
+func (e *frameEngine) runSlice(at *stepAt, start, end, step int64) error {
+	if at.rng == nil {
+		return fmt.Errorf("loop %s not lowered by the closure backend", at.loop.Index)
 	}
-	rng(e.fr, start, end, step)
+	at.rng(e.fr, start, end, step)
 	return e.fr.Err()
 }
 

@@ -175,11 +175,15 @@ type Runner struct {
 
 // stepAt is what NewRunner resolved for one step: its loop's placement,
 // lowered over the register file so a slice is a few multiply-adds, its
-// relay (index in relays) or fold (in folds), and its index register.
+// relay (index in relays) or fold (in folds), its index register, and the
+// loop with its driver and bound closures, so a slice looks up no map.
 type stepAt struct {
 	place       *placement
 	relay, fold int
 	reg         int
+	loop        *ir.Loop
+	rng         compile.RangeFn
+	lo, hi      compile.IntFn
 }
 
 // placement is a decomp.Placement resolved for the runner's register file.
@@ -221,6 +225,10 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 	r.at = make([]stepAt, len(r.low.Steps))
 	for i, st := range r.low.Steps {
 		at := &r.at[i]
+		if st.Loop != nil {
+			at.loop, at.rng = st.Loop, r.exe.Range(st.Loop)
+			at.lo, at.hi = r.exe.Bounds(st.Loop)
+		}
 		switch st.Kind {
 		case syncopt.StepSeq, syncopt.StepNext:
 			at.reg, _ = r.exe.Layout().IndexReg(st.Loop.Index) // the layout gives every loop index one
@@ -630,8 +638,8 @@ func (ws *workerState) fail(err error) {
 // bounds evaluates a loop's bounds; a fault becomes the worker's error.
 // The worker keeps participating in synchronization afterwards so peers
 // are not deadlocked by its failure.
-func (ws *workerState) bounds(l *ir.Loop) (lo, hi int64, ok bool) {
-	lo, hi, err := ws.eng.bounds(l)
+func (ws *workerState) bounds(at *stepAt) (lo, hi int64, ok bool) {
+	lo, hi, err := ws.eng.bounds(at)
 	if err != nil {
 		ws.fail(err)
 		return 0, 0, false
@@ -666,11 +674,11 @@ func (ws *workerState) runSteps() {
 				ws.seqExec(st.Stmts)
 			}
 		case syncopt.StepWavefront:
-			ws.execWavefront(st.Loop, at)
+			ws.execWavefront(at)
 		case syncopt.StepDispatch:
 			ws.dispatch()
 		case syncopt.StepSeq:
-			if lo, hi, ok := ws.bounds(st.Loop); ok && lo <= hi {
+			if lo, hi, ok := ws.bounds(at); ok && lo <= hi {
 				ws.hi[pc] = hi
 				ws.setIndex(at.reg, lo)
 			} else {
@@ -717,8 +725,8 @@ func (ws *workerState) dispatch() {
 // ascending rank order with point-to-point handoffs preserves the exact
 // sequential iteration order across workers (§3.3 pipelining — workers in
 // an enclosing sequential loop proceed in a staggered wave).
-func (ws *workerState) execWavefront(l *ir.Loop, at *stepAt) {
-	lo, hi, ok := ws.bounds(l)
+func (ws *workerState) execWavefront(at *stepAt) {
+	lo, hi, ok := ws.bounds(at)
 	if !ok {
 		return
 	}
@@ -734,7 +742,7 @@ func (ws *workerState) execWavefront(l *ir.Loop, at *stepAt) {
 		run.chaos.PostSync(ws.w)
 	}
 	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, run.cfg.Workers)
-	ws.runSlice(l, start, end, step)
+	ws.runSlice(at, start, end, step)
 	if run.san != nil {
 		run.san.tr.P2PPost(chain, ws.w)
 	}
@@ -745,15 +753,15 @@ func (ws *workerState) execWavefront(l *ir.Loop, at *stepAt) {
 // worker's error cannot change inside the slice (a faulting body only sets
 // the engine's fault slot), so it is tested once here and the engine's loop
 // tests only its own slot.
-func (ws *workerState) runSlice(l *ir.Loop, start, end, step int64) {
+func (ws *workerState) runSlice(at *stepAt, start, end, step int64) {
 	if ws.err == nil {
-		ws.fail(ws.eng.runSlice(l, start, end, step))
+		ws.fail(ws.eng.runSlice(at, start, end, step))
 	}
 }
 
 // execParallelSlice runs this worker's partition of a parallel loop.
 func (ws *workerState) execParallelSlice(l *ir.Loop, at *stepAt) {
-	lo, hi, ok := ws.bounds(l)
+	lo, hi, ok := ws.bounds(at)
 	if !ok {
 		return
 	}
@@ -773,7 +781,7 @@ func (ws *workerState) execParallelSlice(l *ir.Loop, at *stepAt) {
 	for i := range slots {
 		ws.activate(l.Reductions[i].Var, &slots[i], reductionIdentity(l.Reductions[i].Op))
 	}
-	ws.runSlice(l, start, end, step)
+	ws.runSlice(at, start, end, step)
 	if slots != nil {
 		ws.fold(l, at)
 	}
@@ -949,7 +957,7 @@ func (ws *workerState) producers(s *syncopt.Site) (self bool, total int) {
 		act[w] = s.All || (w == 0 && s.Master)
 	}
 	for _, i := range s.Producers {
-		lo, hi, ok := ws.eng.probeBounds(ws.run.low.Steps[i].Loop)
+		lo, hi, ok := ws.eng.probeBounds(&ws.run.at[i])
 		for w := range act {
 			if !act[w] {
 				st, en, _ := ws.run.at[i].place.slice(ws.regs, lo, hi, w, len(act))

@@ -44,7 +44,8 @@ func newRefEngine(run *teamRun, w int) engine {
 	return e
 }
 
-func (e *refEngine) bounds(l *ir.Loop) (lo, hi int64, err error) {
+func (e *refEngine) bounds(at *stepAt) (lo, hi int64, err error) {
+	l := at.loop
 	lo, err = e.env.evalInt(l.Lo)
 	if err != nil {
 		return 0, 0, err
@@ -56,9 +57,9 @@ func (e *refEngine) bounds(l *ir.Loop) (lo, hi int64, err error) {
 	return lo, hi, nil
 }
 
-func (e *refEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
-	lo, err1 := e.env.evalInt(l.Lo)
-	hi, err2 := e.env.evalInt(l.Hi)
+func (e *refEngine) probeBounds(at *stepAt) (lo, hi int64, ok bool) {
+	lo, err1 := e.env.evalInt(at.loop.Lo)
+	hi, err2 := e.env.evalInt(at.loop.Hi)
 	if err1 != nil || err2 != nil {
 		return 0, 0, false
 	}
@@ -69,8 +70,8 @@ func (e *refEngine) probeBounds(l *ir.Loop) (lo, hi int64, ok bool) {
 // register, the binding outlives the loop.
 func (e *refEngine) setIndex(reg int, v int64) { e.env.idx[e.indexName[reg]] = v }
 
-func (e *refEngine) runSlice(l *ir.Loop, start, end, step int64) error {
-	var err error
+func (e *refEngine) runSlice(at *stepAt, start, end, step int64) error {
+	l, err := at.loop, error(nil)
 	for i := start; i <= end && err == nil; i += step {
 		e.env.idx[l.Index] = i
 		err = e.exec(l.Body)

@@ -317,7 +317,7 @@ echo "== pinned gates still exist =="
 # certificate golden and its step mutants; the final-state golden, the
 # 50-seed chaos determinism of the reduction fold, the trace's
 # pseudo-site table, the affine form's differential fuzz and the row form's
-# gather/scatter fuzz.
+# gather/scatter and nest fuzzes.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -333,7 +333,7 @@ pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedP
     TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
-    FuzzRowGather TestRowGatherMatchesInterp
+    FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
