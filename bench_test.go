@@ -4,6 +4,7 @@
 //
 //	go test -bench=BenchmarkFM -benchmem .             # Ablation A1
 //	go test -bench=InnerLoop -benchtime=20x .          # closure hot loop, assigns/s
+//	go test -bench=SeedState -benchtime=200x .         # a run's state allocation and seeding
 //	go test -bench=FineGrain -benchtime=20x .          # one thread vs two workers at sync_p2p's grain
 //	go test -bench=InspectorScan -benchtime=2000x .    # inspector scan, ns per visited element
 //
@@ -27,10 +28,11 @@ import (
 )
 
 // BenchmarkInnerLoop is the local reading of the lowered inner loop: the four
-// compute_dense programs of the committed benchmark at its sizes, four
+// compute_dense programs of the committed benchmark at its sizes, six
 // fine-grain ones at the grain of sync_p2p (14- to 62-element rows, thousands
-// of loop entries) and sync_barrier's two 2-D nests at its sizes (14- and
-// 16-element rows), run sequentially on one frame (no team, no sync),
+// of loop entries; redblack and guardedpivot behind index guards) and
+// sync_barrier's two 2-D nests at its sizes (14- and 16-element rows), run
+// sequentially on one frame (no team, no sync),
 // reported as assignments per second. The state is allocated and seeded once,
 // outside the loop: every iteration runs the program again over what the last
 // one left, which costs the same and keeps allocation and the timer's
@@ -48,6 +50,8 @@ func BenchmarkInnerLoop(b *testing.B) {
 		{"jacobi2d", map[string]int64{"N": 16, "T": 600}},
 		{"shallow", map[string]int64{"N": 16, "T": 300}},
 		{"pipeline", map[string]int64{"N": 64, "M": 3000}},
+		{"redblack", map[string]int64{"N": 64, "T": 2000}},
+		{"guardedpivot", map[string]int64{"N": 256}},
 		{"adilike", map[string]int64{"N": 16, "T": 600}},
 		{"tomcatvlike", map[string]int64{"N": 16, "T": 500}},
 	} {
@@ -84,6 +88,58 @@ func benchRunSeq(b *testing.B, prog *ir.Program, params map[string]int64) {
 		if err := exe.RunSeq(st); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSeedState times what a bench run does before its team starts:
+// interp.NewState and SeedDeterministic for one program, at the nominal sizes
+// of the four workloads that time runs. bench's op_ms includes it, while
+// exec.run_ms and suite.Paired time the run alone.
+func BenchmarkSeedState(b *testing.B) {
+	for _, tc := range []struct {
+		workload, name string
+		params         map[string]int64
+	}{
+		{"sync_p2p", "jacobi1d", map[string]int64{"N": 64, "T": 3000}},
+		{"sync_p2p", "redblack", map[string]int64{"N": 64, "T": 2000}},
+		{"sync_p2p", "jacobi2d", map[string]int64{"N": 16, "T": 600}},
+		{"sync_p2p", "shallow", map[string]int64{"N": 16, "T": 300}},
+		{"sync_p2p", "tred2like", map[string]int64{"N": 256}},
+		{"sync_p2p", "guardedpivot", map[string]int64{"N": 256}},
+		{"sync_p2p", "pipeline", map[string]int64{"N": 64, "M": 3000}},
+		{"sync_p2p", "erlebacher", map[string]int64{"N": 64, "M": 2000}},
+		{"sync_barrier", "mg2level", map[string]int64{"N": 256, "M": 128, "T": 500}},
+		{"sync_barrier", "adilike", map[string]int64{"N": 16, "T": 600}},
+		{"sync_barrier", "tomcatvlike", map[string]int64{"N": 16, "T": 500}},
+		{"sync_barrier", "dotchain", map[string]int64{"N": 4096}},
+		{"compute_dense", "matmul", map[string]int64{"N": 96}},
+		{"compute_dense", "jacobi2d", map[string]int64{"N": 192, "T": 4}},
+		{"compute_dense", "stencil9", map[string]int64{"N": 160, "T": 4}},
+		{"compute_dense", "dotchain", map[string]int64{"N": 262144}},
+		{"irregular", "permcopy", map[string]int64{"N": 2048, "T": 200}},
+		{"irregular", "gatherscatter", map[string]int64{"N": 2048, "T": 200}},
+		{"irregular", "meshsmooth", map[string]int64{"N": 2048, "T": 200}},
+		{"irregular", "edgerelax", map[string]int64{"N": 2048, "T": 200}},
+		{"irregular", "spmvcsr", map[string]int64{"N": 1024, "T": 200}},
+	} {
+		k, err := suite.Get(tc.name)
+		if err != nil {
+			k, err = suite.GetIrregular(tc.name)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog := k.Program()
+		b.Run(fmt.Sprintf("%s/%s/N%d", tc.workload, tc.name, tc.params["N"]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := interp.NewState(prog, tc.params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.SeedDeterministic()
+			}
+		})
 	}
 }
 

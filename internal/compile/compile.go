@@ -334,16 +334,17 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	if !c.p.opt.Instrument && !hasLoop(n.Body) {
 		// The sanitizer must see every access, so instrumented lowerings
 		// keep the per-access form only.
+		inner := c.indexGuard(f, n.Body)
 		c.inner = &innerLoop{reg: reg}
-		if f.fast, err = c.seq(n.Body); err == nil {
-			f.row = c.rowForm(n.Body)
+		if f.fast, err = c.seq(inner); err == nil {
+			f.row = c.rowForm(inner)
 		}
 		f.refs, c.inner = c.inner.refs, nil
 		if err != nil {
 			return nil, err
 		}
 	}
-	rng := c.nest(n, reg, f.rangeFn())
+	rng := c.nest(n, reg, f.guard.rangeFn(f, f.rangeFn()))
 	c.p.ranges[n], c.last = rng, f
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
 	loF, hiF := lo.fn, hi.fn
@@ -352,14 +353,15 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 
 // nest returns forms.nest for loop n, index register reg, if n's body is one
 // loop m (lowered last) with cursors and another index, its bounds affine in
-// neither index; otherwise rng, n's per-entry driver.
+// neither index and no guard in its body (the nest's rows run m's then
+// statements over all of m's range); otherwise rng, n's per-entry driver.
 func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 	in := c.last
 	steady := func(x ir.Expr) bool {
 		a, ok := c.env.Affine(x)
 		return ok && a.Coeff(linear.Loop(n.Index)) == 0 && a.Coeff(linear.Loop(in.loop.Index)) == 0
 	}
-	if len(n.Body) != 1 || in == nil || n.Body[0] != in.loop || len(in.refs) == 0 || in.reg == reg ||
+	if len(n.Body) != 1 || in == nil || n.Body[0] != in.loop || len(in.refs) == 0 || in.reg == reg || in.guard != nil ||
 		!steady(in.loop.Lo) || !steady(in.loop.Hi) {
 		return rng
 	}
@@ -555,32 +557,14 @@ func (c *cc) intExpr(x ir.Expr) (intRes, error) {
 		switch n.Name {
 		case "min":
 			if l.isConst && r.isConst {
-				if l.cv < r.cv {
-					return constInt(l.cv), nil
-				}
-				return constInt(r.cv), nil
+				return constInt(min(l.cv, r.cv)), nil
 			}
-			return intRes{fn: func(fr *Frame) int64 {
-				lv, rv := lf(fr), rf(fr)
-				if lv < rv {
-					return lv
-				}
-				return rv
-			}}, nil
+			return intRes{fn: func(fr *Frame) int64 { return min(lf(fr), rf(fr)) }}, nil
 		case "max":
 			if l.isConst && r.isConst {
-				if l.cv > r.cv {
-					return constInt(l.cv), nil
-				}
-				return constInt(r.cv), nil
+				return constInt(max(l.cv, r.cv)), nil
 			}
-			return intRes{fn: func(fr *Frame) int64 {
-				lv, rv := lf(fr), rf(fr)
-				if lv > rv {
-					return lv
-				}
-				return rv
-			}}, nil
+			return intRes{fn: func(fr *Frame) int64 { return max(lf(fr), rf(fr)) }}, nil
 		}
 		if l.isConst && r.isConst && r.cv != 0 {
 			return constInt(floorMod(l.cv, r.cv)), nil

@@ -248,7 +248,8 @@ func (r *curRef) enter(fr *Frame, reach, first, last, step int64) (delta int64, 
 
 // forms is one innermost loop lowered: checked, the body as Prog.Stmt lowers
 // it; fast, its cursor form over refs (with no refs, what every entry runs);
-// row, if the body has one, its row form over the same cursors.
+// row, if the body has one, its row form over the same cursors; with a guard
+// (guard.go), of the then statements.
 type forms struct {
 	p             *Prog
 	loop          *ir.Loop
@@ -256,6 +257,7 @@ type forms struct {
 	refs          []curRef
 	fast, checked StmtFn
 	row           *rowBody
+	guard         *guard
 }
 
 // rangeFn builds the per-entry driver: an entry whose references all pass

@@ -399,6 +399,66 @@ end
 		Fault:    "7:5: array A: subscript 1 = 12 out of bounds",
 		Fallback: true,
 	},
+	{
+		// An index guard admits every other iteration; C ends before the 20th
+		// admitted one of 40. The entry check over the admitted progression
+		// fails, the guarded body runs per access over it and faults there,
+		// after the 19 stores before it.
+		Name: "guarded-body-faults-at-the-20th-admitted-iteration",
+		Src: `
+program guardfault
+param N
+real A(2 * N), C(N - 2)
+do i = 1, 2 * N
+  if mod(i, 2) == 0 then
+    C(i) = A(i) * 0.5 + 1.0
+  end if
+end do
+end
+`,
+		Params:   map[string]int64{"N": 40},
+		Fault:    "7:5: array C: subscript 1 = 40 out of bounds",
+		Fallback: true,
+	},
+	{
+		// Past 2^53 float64 rounds: i == E holds at i = 2^53 and at
+		// i = 2^53 + 1 = E, both of which round to 2^53. The entry and E lie
+		// past the range in which integers and the interpreter's floats
+		// agree, so it runs the guarded body per access, a fallback.
+		Name: "index-guard-past-2^53",
+		Src: `
+program near53
+param M, E
+real A(8)
+do i = M, M + 7
+  if i == E then
+    A(i - M + 1) = A(i - M + 1) + 1.0
+  end if
+end do
+end
+`,
+		Params:   map[string]int64{"M": 1<<53 - 3, "E": 1<<53 + 1},
+		Fallback: true,
+	},
+	{
+		// The entry is small but the bound is not: i > E holds for every i,
+		// and the guarded body runs per access, a fallback, rather than the
+		// bound reaching past the offsets an admitted interval is cut with.
+		Name: "index-guard-bound-past-2^53",
+		Src: `
+program far
+param N, E
+real A(N)
+do i = 1, N
+  if i > E then
+    A(i) = A(i) + 1.0
+  end if
+end do
+end
+`,
+		Params:   map[string]int64{"N": 9, "E": -(1 << 62)},
+		Fallback: true,
+	},
 }
 
 // RowCase is one program for the row form of innermost loops: a single
@@ -1060,9 +1120,160 @@ end
 		Params: map[string]int64{"N": 23, "M": 14},
 		Row:    true,
 	},
+	{
+		// Red-black relaxation: each half-sweep's parity guard admits every
+		// other element, a progression of step 2 (on a cyclic team of two, a
+		// worker's slice holds one parity only, and the other worker's
+		// progression is empty).
+		Name: "red-black-both-parities",
+		Src: `
+program rb
+param N, T
+real A(N)
+do k = 1, T
+  parallel do i = 2, N - 1
+    if mod(i, 2) == 0 then
+      A(i) = 0.5 * (A(i - 1) + A(i + 1))
+    end if
+  end do
+  parallel do i = 2, N - 1
+    if mod(i, 2) == 1 then
+      A(i) = 0.5 * (A(i - 1) + A(i + 1))
+    end if
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 41, "T": 3},
+		Row:    true,
+	},
+	{
+		// The guard keeps the body's neighbours in range: over 1..N the
+		// entry check would fail at both ends, over 2..N-1 it passes.
+		Name: "interior-guard-keeps-the-ends-in-range",
+		Src: `
+program interior
+param N
+real A(N), B(N)
+do i = 1, N
+  if i >= 2 .and. i <= N - 1 then
+    B(i) = 0.5 * (A(i - 1) + A(i + 1))
+  end if
+end do
+end
+`,
+		Params: map[string]int64{"N": 40},
+		Row:    true,
+	},
+	{
+		// A 2-D red-black sweep: the guarded inner loop keeps the per-entry
+		// driver, since a nest's rows would run its then statements over all
+		// of its range.
+		Name: "red-black-nest",
+		Src: `
+program rb2d
+param N
+real A(N, N)
+do j = 1, N
+  do i = 2, N - 1
+    if mod(i, 2) == 0 then
+      A(j, i) = 0.5 * (A(j, i - 1) + A(j, i + 1)) + j
+    end if
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 12},
+		Row:    true,
+	},
+	{
+		// On a cyclic team of three a slice steps by 3, which the congruence
+		// i ≡ 1 (mod 4) turns into a progression of step 12 (or none).
+		Name: "congruence-with-the-slice-step",
+		Src: `
+program cyc3
+param N
+real A(N), B(N)
+parallel do i = 1, N
+  if mod(i, 4) == 1 .and. i > 4 then
+    A(i) = B(i) * 2.0 + A(i)
+  end if
+end do
+end
+`,
+		Params: map[string]int64{"N": 61},
+		Row:    true,
+	},
+	{
+		// The bound's float evaluation, which the interpreter compares with,
+		// rounds below 2^53: (M + 1) * 3 is past 2^54 and loses its low bits,
+		// so e is 2^53 - 4 where its affine form M + 3 is 2^53 - 3. The guard
+		// must admit i = 2^53 - 4.
+		Name: "index-guard-bound-rounds-in-float64",
+		Src: `
+program rounds
+param M
+real A(4)
+do i = M + 1, M + 4
+  if i == (M + 1) * 3 - 2 * M then
+    A(i - M) = A(i - M) + 1.0
+  end if
+end do
+end
+`,
+		Params: map[string]int64{"M": 1<<53 - 6},
+		Row:    true,
+	},
 }
 
 func init() {
+	// mod(i, 3) == c over a range that crosses zero: mod keeps i's sign, so c
+	// > 0 admits only positive i, c < 0 only negative ones, c = 0 both, and
+	// |c| = 3 nothing.
+	for c := -3; c <= 3; c++ {
+		RowCases = append(RowCases, RowCase{
+			Name: fmt.Sprintf("mod-3-equals-%d-across-zero", c),
+			Src: fmt.Sprintf(`
+program mod3
+param N
+real A(N), B(N)
+do i = -7, 7
+  if mod(i, 3) == %d then
+    A(i + 8) = B(i + 8) * 2.0 + 1.0
+  end if
+end do
+end
+`, c),
+			Params: map[string]int64{"N": 15},
+			Row:    c > -3 && c < 3,
+		})
+	}
+	// i == e over 3..18 with e below the range, at its ends, inside it and
+	// above it, e on either side.
+	for _, e := range []struct {
+		name, cond string
+		e          int64
+	}{
+		{"below", "i == E", 1}, {"at-the-low-end", "E == i", 3}, {"inside", "N - 11 == i", 0},
+		{"at-the-high-end", "i == E", 18}, {"above", "E == i", 25},
+	} {
+		RowCases = append(RowCases, RowCase{
+			Name: "index-equals-e-" + e.name,
+			Src: `
+program ieq
+param N, E
+real A(N), B(N)
+do i = 3, N - 2
+  if ` + e.cond + ` then
+    A(i) = B(i) + 1.0
+  end if
+end do
+end
+`,
+			Params: map[string]int64{"N": 20, "E": e.e},
+			Row:    e.e != 1 && e.e != 25,
+		})
+	}
 	// The chunk's edges — one iteration, one short of a chunk, a chunk, one
 	// over, several chunks and one — for chunks of 128 and of 256.
 	for _, n := range []int64{1, 127, 128, 129, 255, 256, 257, 513} {

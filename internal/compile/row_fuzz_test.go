@@ -251,7 +251,23 @@ func checkRowNest(t *testing.T, data []byte) *Frame {
 	fr := checkAgainstInterp(t, src, params, func(*interp.State) {})
 	prog := parser.MustParse(src)
 	loop := prog.Body[0].(*ir.Loop)
-	slice := func(opt Options, start, step int64) (*interp.State, string) {
+	for _, step := range []int64{2, 3} {
+		for start := int64(0); start < 2; start++ {
+			checkSlices(t, fmt.Sprintf("rows from %d by %d", start, step), prog, params, func(p *Prog, fr *Frame) {
+				lo, hi := p.Bounds(loop)
+				p.Range(loop)(fr, lo(fr)+start, hi(fr), step)
+			})
+		}
+	}
+	return fr
+}
+
+// checkSlices runs drive on the closure program and on the per-access
+// lowering of prog, each over a freshly seeded state (the per-access one with
+// a one-worker tracker, which only makes its hooks callable): one error text,
+// the same arrays.
+func checkSlices(t *testing.T, what string, prog *ir.Program, params map[string]int64, drive func(*Prog, *Frame)) {
+	slice := func(opt Options) (*interp.State, string) {
 		st, err := interp.NewState(prog, params)
 		if err != nil {
 			t.Fatal(err)
@@ -269,25 +285,21 @@ func checkRowNest(t *testing.T, data []byte) *Frame {
 		for _, a := range prog.Arrays {
 			fr.San.Register(a.Name, int64(len(st.Array(a.Name).Data)))
 		}
-		fr.San.Register("s", 1)
-		lo, hi := p.Bounds(loop)
-		p.Range(loop)(fr, lo(fr)+start, hi(fr), step)
+		for _, s := range prog.Scalars {
+			fr.San.Register(s, 1)
+		}
+		drive(p, fr)
 		if err := fr.Err(); err != nil {
 			return st, err.Error()
 		}
 		return st, ""
 	}
-	for _, step := range []int64{2, 3} {
-		for start := int64(0); start < 2; start++ {
-			cSt, cErr := slice(Options{}, start, step)
-			pSt, pErr := slice(Options{Instrument: true}, start, step)
-			if cErr != pErr {
-				t.Fatalf("rows from %d by %d: closure program %q, per-access lowering %q\n%s", start, step, cErr, pErr, src)
-			}
-			requireSameArrays(t, fmt.Sprintf("rows from %d by %d: closure vs per-access", start, step), cSt, pSt)
-		}
+	cSt, cErr := slice(Options{})
+	pSt, pErr := slice(Options{Instrument: true})
+	if cErr != pErr {
+		t.Fatalf("%s: closure program %q, per-access lowering %q\n%s", what, cErr, pErr, prog)
 	}
-	return fr
+	requireSameArrays(t, what+": closure vs per-access", cSt, pSt)
 }
 
 // FuzzRowNest drives checkRowNest; its seeds are committed under
@@ -319,5 +331,178 @@ func TestRowNestMatchesInterp(t *testing.T) {
 	}
 	if rows == 0 || scalar == 0 || fallbacks == 0 {
 		t.Fatalf("of %d nests %d took row entries, %d none, %d fell back; the generator must reach each", trials, rows, scalar, fallbacks)
+	}
+}
+
+// guardCase decodes data into a loop over i, alone or inside a loop over j,
+// whose body is one if on a conjunction of one to three atoms: mostly index
+// guard atoms (i OP e either way round, e affine in L, K, j and literals;
+// mod(i, m) == c with |c| up to |m| + 1), some from outside that grammar
+// (/=, .or., .not., a scalar, an array element, a float literal, mod by a
+// parameter or by 0). i runs over L..L+K, L negative, crossing zero or within
+// a few of +-2^53. The then statements store into A and B, N by N, and read
+// them through subscripts i - L + s or L + K - i + s, s placing them in range
+// or one past either end, in the row grammar or (i as a value) not. Bytes
+// past the end of data read as 0.
+func guardCase(data []byte) (src string, params map[string]int64, nest bool) {
+	next := func() int64 {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int64(b)
+	}
+	k := next() % 24
+	var l int64
+	switch next() % 6 {
+	case 0, 1:
+		l = -k - 1 - next()%20
+	case 2, 3:
+		l = -(next() % (k + 1))
+	case 4:
+		l = 1<<53 - k/2 - 2 + next()%5
+	default:
+		l = -(1 << 53) - k/2 - 2 + next()%5
+	}
+	j, nest := "1", next()%2 == 0
+	if nest {
+		j = "j"
+	}
+	bound := func() string {
+		d := next()%(k+5) - 2
+		switch next() % 4 {
+		case 0:
+			return fmt.Sprintf("L + (%d)", d)
+		case 1:
+			return fmt.Sprintf("L + K - (%d)", d)
+		case 2:
+			if nest {
+				return fmt.Sprintf("L + 2 * j + (%d)", d-3)
+			}
+		}
+		return fmt.Sprintf("(%d)", d-k/2)
+	}
+	op := func() string { return [...]string{"==", "<", "<=", ">", ">="}[next()%5] }
+	atom := func() string {
+		switch next() % 8 {
+		case 0, 1, 2:
+			return "i " + op() + " " + bound()
+		case 3:
+			return bound() + " " + op() + " i"
+		case 4, 5:
+			m := next()%5 + 1
+			c := next()%(2*m+3) - m - 1
+			if next()%3 == 0 {
+				m = -m
+			}
+			if next()%2 == 0 {
+				return fmt.Sprintf("(%d) == mod(i, %d)", c, m)
+			}
+			return fmt.Sprintf("mod(i, %d) == %d", m, c)
+		}
+		return [...]string{"i /= " + bound(), "(i == " + bound() + ") .or. (mod(i, 2) == 0)", ".not. (i > " + bound() + ")",
+			"s < 0.5", "B(1, 1) > 0.25", "i <= L + 2.5", "mod(i, K + 2) == 0", "mod(i, 0) == 0"}[next()%8]
+	}
+	cond := atom()
+	for a := next() % 3; a > 0; a-- {
+		cond = "(" + cond + ") .and. (" + atom() + ")"
+	}
+	// A statement stores into one array and reads mostly the other.
+	stored := "B"
+	ref := func(store bool) string {
+		s := [...]int64{1, 2, 3, 1, 2, 3, 1, 2, 0, 4}[next()%10]
+		sub := fmt.Sprintf("i - L + %d", s)
+		if next()%3 == 0 {
+			sub = fmt.Sprintf("L + K - i + %d", s)
+		}
+		name := [...]string{"A", "B"}[next()%2]
+		if store {
+			stored = name
+		} else if next()%3 != 0 {
+			name = map[string]string{"A": "B", "B": "A"}[stored]
+		}
+		return fmt.Sprintf("%s(%s, %s)", name, sub, j)
+	}
+	var body strings.Builder
+	for n := 1 + next()%2; n > 0; n-- {
+		switch next() % 4 {
+		case 0:
+			fmt.Fprintf(&body, "      %s = %s * 0.5 + %s\n", ref(true), ref(false), ref(false))
+		case 1:
+			fmt.Fprintf(&body, "      %s = %s - %s\n", ref(true), ref(false), j)
+		case 2:
+			fmt.Fprintf(&body, "      s = s + %s\n", ref(false))
+		default:
+			fmt.Fprintf(&body, "      %s = %s + i * 0.25\n", ref(true), ref(false))
+		}
+	}
+	loop := fmt.Sprintf("  do i = L, L + K\n    if %s then\n%s    end if\n  end do\n", cond, body.String())
+	if nest {
+		loop = "do j = 1, J\n" + loop + "end do\n"
+	}
+	params = map[string]int64{"N": k + 3, "L": l, "K": k, "J": 1 + next()%3}
+	return "program gz\nparam N, L, K, J\nreal A(N, N), B(N, N), s\n" + loop + "end\n", params, nest
+}
+
+// checkRowGuard runs one decoded loop through checkAgainstInterp, then drives
+// the guarded loop as a partition does, by steps 1, 2 and 3 from each start
+// a step allows (in a nest, for each j), on the closure program and on the
+// per-access lowering: one error text, the same arrays. It returns the
+// closure program's frame from the sequential run.
+func checkRowGuard(t *testing.T, data []byte) *Frame {
+	src, params, nest := guardCase(data)
+	fr := checkAgainstInterp(t, src, params, func(*interp.State) {})
+	prog := parser.MustParse(src)
+	loop := prog.Body[0].(*ir.Loop)
+	if nest {
+		loop = loop.Body[0].(*ir.Loop)
+	}
+	for step := int64(1); step <= 3; step++ {
+		for start := int64(0); start < step; start++ {
+			checkSlices(t, fmt.Sprintf("from %d by %d", start, step), prog, params, func(p *Prog, fr *Frame) {
+				reg, _ := p.Layout().IndexReg("j")
+				for j := int64(1); j == 1 || nest && j <= params["J"]; j++ {
+					if nest {
+						fr.Regs[reg] = j
+					}
+					lo, hi := p.Bounds(loop)
+					p.Range(loop)(fr, lo(fr)+start, hi(fr), step)
+				}
+			})
+		}
+	}
+	return fr
+}
+
+// FuzzRowGuard drives checkRowGuard; its seeds are committed under
+// testdata/fuzz/FuzzRowGuard:
+//
+//	go test -run '^$' -fuzz FuzzRowGuard -fuzztime 30s ./internal/compile
+func FuzzRowGuard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkRowGuard(t, data) })
+}
+
+// TestRowGuardMatchesInterp runs checkRowGuard over random inputs and requires
+// the generator to reach row entries, entries with none, and fallbacks.
+func TestRowGuardMatchesInterp(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var rows, scalar, fallbacks int
+	const trials = 400
+	for trial := 0; trial < trials; trial++ {
+		data := make([]byte, 8+rng.Intn(40))
+		rng.Read(data)
+		fr := checkRowGuard(t, data)
+		if fr.Rows > 0 {
+			rows++
+		} else {
+			scalar++
+		}
+		if fr.Fallbacks > 0 {
+			fallbacks++
+		}
+	}
+	if rows == 0 || scalar == 0 || fallbacks == 0 {
+		t.Fatalf("of %d loops %d took row entries, %d none, %d fell back; the generator must reach each", trials, rows, scalar, fallbacks)
 	}
 }

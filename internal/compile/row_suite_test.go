@@ -16,9 +16,14 @@ import (
 var rowEntries = map[string]int64{
 	"jacobi1d": 20, "jacobi2d": 2520, "stencil9": 2520, "shallow": 4512, "tred2like": 191,
 	"lulike": 4655, "pipeline": 63, "matmul": 9216, "dotchain": 5, "mg2level": 12,
-	"life": 1008, "tomcatvlike": 1692, "guardedpivot": 191, "adilike": 1152,
-	// Parity guards in the body; a true carried dependence.
-	"redblack": 0, "erlebacher": 0,
+	"life": 1008, "tomcatvlike": 1692, "adilike": 1152,
+	// Index guards in the body (guard.go): each entry runs the progression its
+	// guard admits. redblack's parity guards take every other element of a
+	// row; guardedpivot's i == k takes one, so each k adds a one-iteration
+	// row entry to the 191 of its update loop.
+	"redblack": 20, "guardedpivot": 382,
+	// A true carried dependence.
+	"erlebacher": 0,
 	// Two gather or scatter loops per time step (T = 8) plus the fills that do
 	// not use the index as a value. spmvcsr's gathers run in entries of two
 	// nonzeros, below the gathers' break-even, and stay scalar: its 10 are the

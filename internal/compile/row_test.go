@@ -326,6 +326,7 @@ func TestNestEntries(t *testing.T) {
 		{"nest-inner-bound-uses-the-outer-index", false, 17},
 		{"nest-empty-inner-range", false, 0},
 		{"nest-corner-out-at-the-last-outer-iteration", true, 0},
+		{"red-black-nest", false, 12},
 		{"last-iteration-second-dimension", true, 0},
 	} {
 		calls = 0

@@ -37,7 +37,9 @@ import (
 // only a team's first run allocates them. jacobi2d (one worker, N=16) and
 // adilike run their 2-D nests through the nest driver, which checks each
 // cursor once per slice on the stack and keeps each cursor's delta in that
-// same pooled scratch, so it allocates nothing per slice. Nor may a count
+// same pooled scratch, so it allocates nothing per slice. redblack (two
+// workers) runs its parity-guarded loops as progressions whose start and step
+// each entry works out on the stack. Nor may a count
 // depend on how many runs the pooled team has served (-count reuses it):
 // formatting the team's generation allocates only from 100 on, so only a
 // traced run, which has a recorder to stamp, formats it.
@@ -91,6 +93,7 @@ end
 		{"edgerelax", irregular("edgerelax"), 2, 100, 200, 0},
 		{"jacobi2d", kernel("jacobi2d"), 1, 100, 200, 16},
 		{"adilike", kernel("adilike"), 2, 100, 200, 16},
+		{"redblack", kernel("redblack"), 2, 100, 200, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src, core.Options{})

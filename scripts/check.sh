@@ -231,10 +231,11 @@ if driver_hits="$(grep -nE '\.Body\(|bodies\[' \
 fi
 # The row form is a third body behind the same driver: rowBody has no
 # exported method, its run (the chunk loop) has exactly one call site, in
-# rangeFn, and the executor does not know the type exists.
-row_calls="$(grep -nE '\.run\(fr, refs' internal/compile/*.go | grep -v '_test\.go:' || true)"
+# forms.entry, which both loop drivers share, and the executor does not know
+# the type exists.
+row_calls="$(grep -nE '\.run\(fr, ' internal/compile/*.go | grep -v '_test\.go:' || true)"
 if [ "$(echo "$row_calls" | grep -c .)" -ne 1 ] || ! echo "$row_calls" | grep -q '^internal/compile/cursor.go:.*row\.run('; then
-    echo "ERROR: rowBody.run must be called from rangeFn (cursor.go) and nowhere else:" >&2
+    echo "ERROR: rowBody.run must be called from forms.entry (cursor.go) and nowhere else:" >&2
     echo "$row_calls" >&2
     exit 1
 fi
@@ -245,7 +246,7 @@ if [ -n "$row_hits" ]; then
     echo "$row_hits" >&2
     exit 1
 fi
-echo "-- no .Body( / bodies[ in non-test files of internal/exec and internal/compile; rowBody.run called from rangeFn only"
+echo "-- no .Body( / bodies[ in non-test files of internal/exec and internal/compile; rowBody.run called from forms.entry only"
 
 echo "== one schedule lowering (syncopt.Lower) =="
 # The executor and the cost simulator run the step program syncopt.Lower
@@ -317,7 +318,7 @@ echo "== pinned gates still exist =="
 # certificate golden and its step mutants; the final-state golden, the
 # 50-seed chaos determinism of the reduction fold, the trace's
 # pseudo-site table, the affine form's differential fuzz and the row form's
-# gather/scatter and nest fuzzes.
+# gather/scatter, nest and index-guard fuzzes.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -333,7 +334,8 @@ pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedP
     TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
-    FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp
+    FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
+    FuzzRowGuard TestRowGuardMatchesInterp
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
