@@ -30,9 +30,11 @@ import (
 // BenchmarkInnerLoop is the local reading of the lowered inner loop: the four
 // compute_dense programs of the committed benchmark at its sizes, six
 // fine-grain ones at the grain of sync_p2p (14- to 62-element rows, thousands
-// of loop entries; redblack and guardedpivot behind index guards) and
-// sync_barrier's two 2-D nests at its sizes (14- and 16-element rows), run
-// sequentially on one frame (no team, no sync),
+// of loop entries; redblack and guardedpivot behind index guards),
+// sync_barrier's two 2-D nests at its sizes (14- and 16-element rows) and the
+// five irregular programs at the sizes of irregular (gathers and scatters;
+// spmvcsr's two-nonzero CSR rows), run sequentially on one frame (no team,
+// no sync),
 // reported as assignments per second. The state is allocated and seeded once,
 // outside the loop: every iteration runs the program again over what the last
 // one left, which costs the same and keeps allocation and the timer's
@@ -54,8 +56,16 @@ func BenchmarkInnerLoop(b *testing.B) {
 		{"guardedpivot", map[string]int64{"N": 256}},
 		{"adilike", map[string]int64{"N": 16, "T": 600}},
 		{"tomcatvlike", map[string]int64{"N": 16, "T": 500}},
+		{"permcopy", map[string]int64{"N": 2048, "T": 200}},
+		{"gatherscatter", map[string]int64{"N": 2048, "T": 200}},
+		{"meshsmooth", map[string]int64{"N": 2048, "T": 200}},
+		{"edgerelax", map[string]int64{"N": 2048, "T": 200}},
+		{"spmvcsr", map[string]int64{"N": 1024, "T": 200}},
 	} {
 		k, err := suite.Get(tc.name)
+		if err != nil {
+			k, err = suite.GetIrregular(tc.name)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -351,18 +351,45 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	return func(fr *Frame) { rng(fr, loF(fr), hiF(fr), 1) }, nil
 }
 
-// nest returns forms.nest for loop n, index register reg, if n's body is one
-// loop m (lowered last) with cursors and another index, its bounds affine in
-// neither index and no guard in its body (the nest's rows run m's then
-// statements over all of m's range); otherwise rng, n's per-entry driver.
+// nest returns forms.nest for loop n, index register reg, if n's body is
+// assignments, run per row as they are lowered, and then one loop m (lowered
+// last) with cursors and another index and no guard in its body (the nest's
+// rows run m's then statements over all of m's range). m's bounds are one box
+// for every row if affine in neither index; otherwise they vary, and must read
+// no array n's body stores, so that what they yield in a row is fixed before
+// any row runs (an integer expression reads no scalar, and m writes no
+// register they read: a validated program has no live index of m's name).
+// Otherwise nest returns rng, n's per-entry driver.
 func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
-	in := c.last
-	steady := func(x ir.Expr) bool {
-		a, ok := c.env.Affine(x)
-		return ok && a.Coeff(linear.Loop(n.Index)) == 0 && a.Coeff(linear.Loop(in.loop.Index)) == 0
+	in, k := c.last, len(n.Body)-1
+	if k < 0 || in == nil || n.Body[k] != in.loop || len(in.refs) == 0 || in.reg == reg || in.guard != nil {
+		return rng
 	}
-	if len(n.Body) != 1 || in == nil || n.Body[0] != in.loop || len(in.refs) == 0 || in.reg == reg || in.guard != nil ||
-		!steady(in.loop.Lo) || !steady(in.loop.Hi) {
+	pre := make([]StmtFn, k)
+	for i, s := range n.Body[:k] {
+		if _, isAssign := s.(*ir.Assign); !isAssign {
+			return rng
+		}
+		pre[i] = c.p.stmts[s]
+	}
+	vary, ok := false, true
+	bounds := []ir.Expr{in.loop.Lo, in.loop.Hi}
+	for _, x := range bounds {
+		a, affine := c.env.Affine(x)
+		vary = vary || !affine || a.Coeff(linear.Loop(n.Index)) != 0
+	}
+	for i := 0; vary && ok && i < len(bounds); i++ {
+		ir.WalkExprs(bounds[i], func(x ir.Expr) {
+			if r, isRef := x.(*ir.Ref); isRef && r.IsArray() {
+				ir.WalkStmts(n.Body, func(s ir.Stmt) bool {
+					a, isAssign := s.(*ir.Assign)
+					ok = ok && !(isAssign && a.LHS.Name == r.Name)
+					return ok
+				})
+			}
+		})
+	}
+	if !ok {
 		return rng
 	}
 	for i := range in.refs {
@@ -376,7 +403,7 @@ func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 			}
 		}
 	}
-	return in.nest(reg, c.p.lob[in.loop], c.p.hib[in.loop], rng)
+	return in.nest(reg, pre, c.p.lob[in.loop], c.p.hib[in.loop], vary, rng)
 }
 
 func hasLoop(stmts []ir.Stmt) bool {

@@ -305,52 +305,110 @@ func (f *forms) scalar(fr *Frame, body StmtFn, start, end, step int64) {
 	}
 }
 
+// nestRows is the most rows whose bounds a nest driver reads ahead, when they
+// vary: the check of a block of rows waits for all of them.
+const nestRows = 256
+
 // nest builds the driver of an outer loop, index register reg, whose body is
-// f's loop alone over lo..hi, bounds no iteration of either loop changes. An
-// outer entry checks each cursor once for all its rows, which it then runs
-// as entries of f, adding each cursor's delta in between; if legality cannot
-// differ between rows (rowBody.steady), it is decided once too. An outer
-// entry whose inner range is empty or whose check fails runs perEntry, which
-// checks each row as it comes and so raises every fault as before.
-func (f *forms) nest(reg int, lo, hi IntFn, perEntry RangeFn) RangeFn {
+// the assignments pre and then f's loop over lo..hi, bounds no iteration of
+// either loop changes and, unless vary, the same in every row. An outer entry
+// checks each cursor once for a block of rows — all its rows, or nestRows of
+// them when the bounds vary — which it then runs, pre and then an entry of f,
+// adding each cursor's delta in between; if legality cannot differ between
+// rows (rowBody.steady, same bounds), it is decided once too. From a block
+// that no one check covers (its box is empty, a bound faults, or the check
+// fails) the entry runs perEntry, which checks each row as it comes and so
+// raises every fault as before.
+func (f *forms) nest(reg int, pre []StmtFn, lo, hi IntFn, vary bool, perEntry RangeFn) RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
 			return
 		}
-		span, first, last := end-start, lo(fr), hi(fr)
-		count, reach := last-first+1, span/step*step
-		ok := span >= 0 && first <= last && count > 0
-		delta := f.p.scratch(fr).delta[:len(f.refs)]
-		fr.Regs[reg] = start
-		for i := 0; ok && i < len(f.refs); i++ {
-			delta[i], ok = f.refs[i].enter(fr, reach, first, last, step)
-		}
-		if !ok {
+		span := end - start
+		if span < 0 {
 			perEntry(fr, start, end, step)
 			return
 		}
-		row, once := f.row, false
-		if row.steady(f.refs, delta) {
-			if once = rowLegal(row, fr, f.refs, first, count, 1); once {
-				fold(fr, f.refs, first, 1)
+		last := start + span/step*step
+		for b := start; ; b += step {
+			e := last
+			if vary {
+				e = b + min((last-b)/step, nestRows-1)*step
 			}
-			row = nil
-		}
-		cur := fr.cur[f.refs[0].slot:][:len(delta)] // a loop's slots are consecutive
-		for i := start; i <= end; i += step {
-			if fr.fault != nil {
+			if !f.block(fr, reg, pre, lo, hi, vary, b, e, step) {
+				perEntry(fr, b, end, step)
 				return
 			}
-			fr.Regs[reg] = i
-			if once {
-				f.row.chunks(fr, count)
+			if b = e; e == last || fr.fault != nil {
+				return
 			}
-			folded := !once && f.entry(fr, row, first, last, 1)
-			for k := range cur {
-				if cur[k].base += delta[k]; folded {
-					cur[k].base -= first * cur[k].stride
-				}
+		}
+	}
+}
+
+// block runs the rows b, b+step, ..., e of an outer entry (nest) behind one
+// check, or reports false, having run nothing, if the box of their inner
+// ranges is empty or one check cannot cover it. The bounds of varying rows are
+// read first, into the scratch; a fault one trips there is taken back.
+func (f *forms) block(fr *Frame, reg int, pre []StmtFn, lo, hi IntFn, vary bool, b, e, step int64) bool {
+	s, first, last := f.p.scratch(fr), int64(math.MaxInt64), int64(math.MinInt64)
+	if len(s.bound) == 0 && vary {
+		s.bound = make([]int64, 2*nestRows)
+	}
+	for r, i := 0, b; ; r, i = r+2, i+step {
+		fr.Regs[reg] = i
+		l, h := lo(fr), hi(fr)
+		if !vary {
+			first, last = l, h
+			break
+		}
+		if s.bound[r], s.bound[r+1] = l, h; l <= h {
+			first, last = min(first, l), max(last, h)
+		}
+		if i == e || fr.fault != nil {
+			break
+		}
+	}
+	fr.Regs[reg] = b
+	count := last - first + 1
+	ok, delta := fr.fault == nil && first <= last && count > 0, s.delta[:len(f.refs)]
+	fr.fault = nil
+	for i := 0; ok && i < len(f.refs); i++ {
+		delta[i], ok = f.refs[i].enter(fr, e-b, first, last, step)
+	}
+	if !ok {
+		return false
+	}
+	row, once := f.row, false
+	if !vary && row.steady(f.refs, delta) {
+		if once = rowLegal(row, fr, f.refs, first, count, 1); once {
+			fold(fr, f.refs, first, 1)
+		}
+		row = nil
+	}
+	cur := fr.cur[f.refs[0].slot:][:len(delta)] // a loop's slots are consecutive
+	for r, i := 0, b; ; r, i = r+2, i+step {
+		fr.Regs[reg] = i
+		for _, st := range pre {
+			if st(fr); fr.fault != nil {
+				return true
 			}
+		}
+		l, h := first, last
+		if vary {
+			l, h = s.bound[r], s.bound[r+1]
+		}
+		if once {
+			f.row.chunks(fr, count)
+		}
+		folded := !once && l <= h && f.entry(fr, row, l, h, 1)
+		for k := range cur {
+			if cur[k].base += delta[k]; folded {
+				cur[k].base -= l * cur[k].stride
+			}
+		}
+		if i == e || fr.fault != nil {
+			return true
 		}
 	}
 }

@@ -459,6 +459,118 @@ end
 		Params:   map[string]int64{"N": 9, "E": -(1 << 62)},
 		Fallback: true,
 	},
+	{
+		// A CSR row loop (spmvcsr's) whose row pointer holds a non-integer at
+		// row 6: reading row 5's upper bound faults. The nest driver, which
+		// reads the bounds of its rows before it checks them, takes that
+		// fault back and runs the slice row by row, which raises it after
+		// rows 1 to 4 and row 5's y(5) = 0.0.
+		Name: "csr-non-integer-row-pointer-at-row-6",
+		Src: `
+program csrnonint
+param N
+real rp(N + 1), cl(4 * N), v(4 * N), x(N), y(N)
+rp(1) = 1.0
+do kk = 2, N + 1
+  rp(kk) = rp(kk - 1) + 2.0
+end do
+do kk = 1, 4 * N
+  cl(kk) = mod(kk * 5, N) + 1.0
+end do
+rp(6) = 9.5
+parallel do i = 1, N
+  y(i) = 0.0
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + v(k) * x(cl(k))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 12},
+		Fault:  "15:17: array rp element = 9.5 is not an integer subscript value",
+	},
+	{
+		// Row 5 runs past the nonzeros: the box of the rows' ranges fails its
+		// check, the slice runs row by row, and row 5's own check fails.
+		Name: "csr-row-pointer-past-the-nonzeros-at-row-6",
+		Src: `
+program csrpast
+param N
+real rp(N + 1), cl(4 * N), v(4 * N), x(N), y(N)
+rp(1) = 1.0
+do kk = 2, N + 1
+  rp(kk) = rp(kk - 1) + 2.0
+end do
+do kk = 1, 4 * N
+  cl(kk) = mod(kk * 5, N) + 1.0
+end do
+rp(6) = 4 * N + 3.0
+parallel do i = 1, N
+  y(i) = 0.0
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + v(k) * x(cl(k))
+  end do
+end do
+end
+`,
+		Params:   map[string]int64{"N": 12},
+		Fault:    "16:19: array v: subscript 1 = 49 out of bounds",
+		Fallback: true,
+	},
+	{
+		// The row pointer is one element short: the last row's upper bound
+		// reads past it.
+		Name: "csr-row-pointer-read-past-its-array",
+		Src: `
+program csrshort
+param N
+real rp(N), cl(4 * N), v(4 * N), x(N), y(N)
+rp(1) = 1.0
+do kk = 2, N
+  rp(kk) = rp(kk - 1) + 2.0
+end do
+do kk = 1, 4 * N
+  cl(kk) = mod(kk * 5, N) + 1.0
+end do
+parallel do i = 1, N
+  y(i) = 0.0
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + v(k) * x(cl(k))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 12},
+		Fault:  "14:17: array rp: subscript 1 = 13 out of bounds",
+	},
+	{
+		// Every bound and cursor is in range, but a gathered element is not:
+		// row 6's entry faults inside the nest driver, after its first
+		// iteration's store.
+		Name: "csr-gather-out-of-range-in-row-6",
+		Src: `
+program csrgather
+param N
+real rp(N + 1), cl(4 * N), v(4 * N), x(N), y(N)
+rp(1) = 1.0
+do kk = 2, N + 1
+  rp(kk) = rp(kk - 1) + 2.0
+end do
+do kk = 1, 4 * N
+  cl(kk) = mod(kk * 5, N) + 1.0
+end do
+cl(12) = N + 1.0
+parallel do i = 1, N
+  y(i) = 0.0
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + v(k) * x(cl(k))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 12},
+		Fault:  "16:26: array x: subscript 1 = 13 out of bounds",
+	},
 }
 
 // RowCase is one program for the row form of innermost loops: a single
@@ -1068,8 +1180,8 @@ end
 		Params: map[string]int64{"N": 8},
 	},
 	{
-		// Inner bounds outside the affine grammar: no nest driver, the
-		// per-entry one checks every row.
+		// Inner bounds outside the affine grammar: the nest driver reads
+		// every row's bounds before its one check, and asks legality per row.
 		Name: "nest-inner-bound-not-affine",
 		Src: `
 program halfrow
@@ -1086,7 +1198,8 @@ end
 		Row:    true,
 	},
 	{
-		// Inner bounds that move with the outer index: no nest driver.
+		// Inner bounds that move with the outer index: one check over the
+		// box of the rows' ranges, legality per row.
 		Name: "nest-inner-bound-uses-the-outer-index",
 		Src: `
 program tri
@@ -1222,6 +1335,90 @@ end do
 end
 `,
 		Params: map[string]int64{"M": 1<<53 - 6},
+		Row:    true,
+	},
+	{
+		// CSR rows of 0, 5 and 10 nonzeros, the first and the last row empty:
+		// one check per slice over the box of the non-empty rows, which skip
+		// the empty ones, and the 10-long rows run in row form.
+		Name: "csr-empty-rows",
+		Src: `
+program csrempty
+param N
+real rp(N + 1), cl(10 * N), v(10 * N), x(N), y(N)
+rp(1) = 1.0
+rp(2) = 1.0
+do kk = 3, N
+  rp(kk) = rp(kk - 1) + mod(kk, 3) * 5.0
+end do
+rp(N + 1) = rp(N)
+do kk = 1, 10 * N
+  cl(kk) = mod(kk * 7, N) + 1.0
+end do
+parallel do i = 1, N
+  y(i) = 0.0
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + v(k) * x(cl(k))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 29},
+		Row:    true,
+	},
+	{
+		// Rows of 9 nonzeros but for row 5, whose row pointer drops below
+		// row 4's: row 5 is empty and row 6 runs over rows 4 and 5's
+		// nonzeros again.
+		Name: "csr-decreasing-row-pointer",
+		Src: `
+program csrdown
+param N
+real rp(N + 1), cl(9 * N), v(9 * N), x(N), y(N)
+rp(1) = 1.0
+do kk = 2, N + 1
+  rp(kk) = rp(kk - 1) + 9.0
+end do
+rp(6) = rp(5) - 4.0
+do kk = 1, 9 * N
+  cl(kk) = mod(kk * 7, N) + 1.0
+end do
+parallel do i = 1, N
+  y(i) = 0.0
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + v(k) * x(cl(k))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 23},
+		Row:    true,
+	},
+	{
+		// Two assignments before the row loop, run once per row before its
+		// entry, the second read by it.
+		Name: "csr-two-prefix-statements",
+		Src: `
+program csrpre
+param N
+real rp(N + 1), cl(9 * N), v(9 * N), x(N), y(N), z(N)
+rp(1) = 1.0
+do kk = 2, N + 1
+  rp(kk) = rp(kk - 1) + 9.0
+end do
+do kk = 1, 9 * N
+  cl(kk) = mod(kk * 7, N) + 1.0
+end do
+parallel do i = 1, N
+  y(i) = 0.0
+  z(i) = x(i) * 0.5 + y(i)
+  do k = rp(i), rp(i + 1) - 1
+    y(i) = y(i) + (v(k) * x(cl(k)) - z(i))
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 23},
 		Row:    true,
 	},
 }

@@ -32,12 +32,12 @@ const rowGatherMin = 8
 
 // rowScratch is what a frame's row entries work in: nrow chunks of
 // temporaries, a stamp per array element for gatherRef.check, and the deltas
-// of a nest's cursors (forms.nest).
+// of a nest's cursors and the bounds of its rows (forms.block).
 type rowScratch struct {
-	row   []float64
-	stamp []uint64
-	delta []int64
-	epoch uint64
+	row          []float64
+	stamp        []uint64
+	delta, bound []int64
+	epoch        uint64
 }
 
 // rowOp is an operand: a node, whose fn evaluates it into dst for len(dst)
@@ -129,59 +129,125 @@ func (c *cc) rowExpr(x ir.Expr, t int) (op rowOp, ok bool) {
 		r, err := c.numExpr(x)
 		return rowOp{inv: r.fn}, err == nil
 	}
-	l, r, binary := ops[0], ops[1], len(args) == 2
+	l, r := ops[0], ops[1]
+	var lp rowLoops
+	if call != nil {
+		lp = callLoops(call)
+	} else {
+		lp = rowArith[kind]
+	}
 	c.p.nrow = max(c.p.nrow, t+1)
-	return rowOp{fn: func(fr *Frame, j0 int64, dst []float64) {
-		var a, b []float64
-		var s float64
-		if l.inv != nil {
-			s = l.inv(fr)
-		} else {
-			a = l.vec(fr, j0, dst)
-		}
-		switch {
-		case !binary:
-		case r.inv != nil:
-			s = r.inv(fr)
-		case a == nil:
-			b = r.vec(fr, j0, dst)
-		default:
-			b = r.vec(fr, j0, fr.scr.row[t*rowChunk:][:len(dst)])
-		}
-		// dst = a kind b elementwise, a nil operand standing for the scalar
-		// s; dst may be a or b itself. These three loops, which the four
-		// operators and the calls share, are where a row entry spends its
-		// time.
-		switch {
-		case a == nil:
-			for i, y := range b[:len(dst)] {
-				dst[i] = arith(kind, call, s, y)
+	// The operand shape picks the loop here, once per node: a scalar on the
+	// left, one on the right (a unary node's missing operand reads as 0), or
+	// neither.
+	switch {
+	case l.inv != nil:
+		return rowOp{fn: func(fr *Frame, j0 int64, dst []float64) {
+			s := l.inv(fr)
+			lp.sv(dst, s, r.vec(fr, j0, dst))
+		}}, true
+	case len(args) == 1 || r.inv != nil:
+		return rowOp{fn: func(fr *Frame, j0 int64, dst []float64) {
+			a, s := l.vec(fr, j0, dst), 0.0
+			if r.inv != nil {
+				s = r.inv(fr)
 			}
-		case b == nil:
-			for i, x := range a[:len(dst)] {
-				dst[i] = arith(kind, call, x, s)
-			}
-		default:
-			b = b[:len(dst)]
-			for i, x := range a[:len(dst)] {
-				dst[i] = arith(kind, call, x, b[i])
-			}
-		}
-	}}, true
+			lp.vs(dst, a, s)
+		}}, true
+	default:
+		return rowOp{fn: func(fr *Frame, j0 int64, dst []float64) {
+			lp.vv(dst, l.vec(fr, j0, dst), r.vec(fr, j0, fr.scr.row[t*rowChunk:][:len(dst)]))
+		}}, true
+	}
 }
 
-func arith(kind ir.BinKind, call func(x, y float64) float64, x, y float64) float64 {
-	switch kind {
-	case ir.Add:
-		return x + y
-	case ir.Sub:
-		return x - y
-	case ir.Mul:
-		return x * y
-	case ir.Div:
-		return x / y
-	}
-	return call(x, y)
+// rowLoops are d = x op y over one chunk for one operator, a loop per operand
+// shape: the scalar s on the left (sv), s on the right (vs), or two vectors
+// (vv). d may be a or b itself, never a part of either. These loops are where
+// a row entry spends its time, so each operator has its own, with nothing to
+// decide per element.
+type rowLoops struct {
+	sv func(d []float64, s float64, b []float64)
+	vs func(d, a []float64, s float64)
+	vv func(d, a, b []float64)
+}
+
+var rowArith = [...]rowLoops{
+	ir.Add: {func(d []float64, s float64, b []float64) {
+		for i, y := range b[:len(d)] {
+			d[i] = s + y
+		}
+	}, func(d, a []float64, s float64) {
+		for i, x := range a[:len(d)] {
+			d[i] = x + s
+		}
+	}, func(d, a, b []float64) {
+		b = b[:len(d)]
+		for i, x := range a[:len(d)] {
+			d[i] = x + b[i]
+		}
+	}},
+	ir.Sub: {func(d []float64, s float64, b []float64) {
+		for i, y := range b[:len(d)] {
+			d[i] = s - y
+		}
+	}, func(d, a []float64, s float64) {
+		for i, x := range a[:len(d)] {
+			d[i] = x - s
+		}
+	}, func(d, a, b []float64) {
+		b = b[:len(d)]
+		for i, x := range a[:len(d)] {
+			d[i] = x - b[i]
+		}
+	}},
+	ir.Mul: {func(d []float64, s float64, b []float64) {
+		for i, y := range b[:len(d)] {
+			d[i] = s * y
+		}
+	}, func(d, a []float64, s float64) {
+		for i, x := range a[:len(d)] {
+			d[i] = x * s
+		}
+	}, func(d, a, b []float64) {
+		b = b[:len(d)]
+		for i, x := range a[:len(d)] {
+			d[i] = x * b[i]
+		}
+	}},
+	ir.Div: {func(d []float64, s float64, b []float64) {
+		for i, y := range b[:len(d)] {
+			d[i] = s / y
+		}
+	}, func(d, a []float64, s float64) {
+		for i, x := range a[:len(d)] {
+			d[i] = x / s
+		}
+	}, func(d, a, b []float64) {
+		b = b[:len(d)]
+		for i, x := range a[:len(d)] {
+			d[i] = x / b[i]
+		}
+	}},
+}
+
+// callLoops are the rowLoops of an intrinsic or unary minus, f(x, y) per
+// element.
+func callLoops(f func(x, y float64) float64) rowLoops {
+	return rowLoops{func(d []float64, s float64, b []float64) {
+		for i, y := range b[:len(d)] {
+			d[i] = f(s, y)
+		}
+	}, func(d, a []float64, s float64) {
+		for i, x := range a[:len(d)] {
+			d[i] = f(x, s)
+		}
+	}, func(d, a, b []float64) {
+		b = b[:len(d)]
+		for i, x := range a[:len(d)] {
+			d[i] = f(x, b[i])
+		}
+	}}
 }
 
 // rowBody is the row form of one innermost loop: its assignments, each over

@@ -169,8 +169,14 @@ func TestRowGatherMatchesInterp(t *testing.T) {
 // extreme corner (a unique corner when both coefficients are non-zero), low
 // or high. The statements are stores of sums and products, in-place updates
 // and a reduction, inside the row grammar, and stores that read j as a value
-// or sit under an if, outside it. Bytes past the end of data read as 0.
-func nestCase(data []byte) (src string, n int64) {
+// or sit under an if, outside it. The bytes left may then ask for up to two
+// assignments in the i loop before the j loop — stores of B and of s, or of
+// the row pointer below, which takes the nest driver away — and for a CSR
+// shape: j over rp(i)..rp(i+1)-1, rp's elements rising by 0 to 3 inside
+// jlo..jhi+1, one of them planted lower than the one before it, half an
+// integer, or one past jhi, or the last of them missing from rp (a bound that
+// faults). Bytes past the end of data read as 0, which asks for neither.
+func nestCase(data []byte) (src string, params map[string]int64, rp []float64) {
 	next := func() int64 {
 		if len(data) == 0 {
 			return 0
@@ -182,7 +188,7 @@ func nestCase(data []byte) (src string, n int64) {
 	ilo, jlo := 1+next()%4, next()%6-2
 	ihi, jhi := ilo-1+next()%12, jlo-1+next()%40
 	di, dj := max(ihi-ilo, 0), max(jhi-jlo, 0)
-	n = 2*di + 2*dj + 1 + next()%3
+	n := 2*di + 2*dj + 1 + next()%3
 	plant, subs := next()%24, int64(0)
 	sub := func() string {
 		ki, kj := next()%5-2, next()%5-2
@@ -234,8 +240,39 @@ func nestCase(data []byte) (src string, n int64) {
 			}
 		}
 	}
-	return fmt.Sprintf("program nz\nparam N\nreal A(N, N), B(N, N), C(N, N), s\ndo i = %d, %d\n  do j = %d, %d\n%s  end do\nend do\nend\n",
-		ilo, ihi, jlo, jhi, body.String()), n
+	params = map[string]int64{"N": n, "M": 1}
+	var pre strings.Builder
+	for k := next() % 3; k > 0; k-- {
+		switch r := fmt.Sprintf("i - (%d)", ilo-1); next() % 3 {
+		case 0:
+			fmt.Fprintf(&pre, "  B(%s, %d) = B(%s, %d) * 0.5 + 0.25\n", r, 1+next()%n, r, 1+next()%n)
+		case 1:
+			fmt.Fprintf(&pre, "  s = s * 0.5 + A(%s, %d)\n", r, 1+next()%n)
+		default:
+			pre.WriteString("  rp(i + 1) = rp(i + 1) + 1.0\n")
+		}
+	}
+	decl, inner := "", fmt.Sprintf("%d, %d", jlo, jhi)
+	if next()%2 == 1 || strings.Contains(pre.String(), "rp") {
+		decl, inner, params["M"] = ", rp(M)", "rp(i), rp(i + 1) - 1", max(ihi+1, 1)
+		rp = make([]float64, params["M"])
+		for r, v := 0, jlo; r < len(rp); r, v = r+1, v+next()%4 {
+			rp[r] = float64(min(v, jhi+1))
+		}
+		r := next() % params["M"]
+		switch next() % 5 {
+		case 0:
+			rp[r] = float64(jlo) // below the one before it, unless that is jlo too
+		case 1:
+			rp[r] += 0.5
+		case 2:
+			rp[r] = float64(jhi + 2)
+		case 3:
+			params["M"] = max(params["M"]-1, 1)
+		}
+	}
+	return fmt.Sprintf("program nz\nparam N, M\nreal A(N, N), B(N, N), C(N, N), s%s\ndo i = %d, %d\n%s  do j = %s\n%s  end do\nend do\nend\n",
+		decl, ilo, ihi, pre.String(), inner, body.String()), params, rp
 }
 
 func abs(v int64) int64 { return max(v, -v) }
@@ -246,14 +283,18 @@ func abs(v int64) int64 { return max(v, -v) }
 // one error text, the same arrays. It returns the closure program's frame
 // from the sequential run.
 func checkRowNest(t *testing.T, data []byte) *Frame {
-	src, n := nestCase(data)
-	params := map[string]int64{"N": n}
-	fr := checkAgainstInterp(t, src, params, func(*interp.State) {})
+	src, params, rp := nestCase(data)
+	fill := func(st *interp.State) {
+		if rp != nil {
+			copy(st.Array("rp").Data, rp)
+		}
+	}
+	fr := checkAgainstInterp(t, src, params, fill)
 	prog := parser.MustParse(src)
 	loop := prog.Body[0].(*ir.Loop)
 	for _, step := range []int64{2, 3} {
 		for start := int64(0); start < 2; start++ {
-			checkSlices(t, fmt.Sprintf("rows from %d by %d", start, step), prog, params, func(p *Prog, fr *Frame) {
+			checkSlices(t, fmt.Sprintf("rows from %d by %d", start, step), prog, params, fill, func(p *Prog, fr *Frame) {
 				lo, hi := p.Bounds(loop)
 				p.Range(loop)(fr, lo(fr)+start, hi(fr), step)
 			})
@@ -263,16 +304,17 @@ func checkRowNest(t *testing.T, data []byte) *Frame {
 }
 
 // checkSlices runs drive on the closure program and on the per-access
-// lowering of prog, each over a freshly seeded state (the per-access one with
-// a one-worker tracker, which only makes its hooks callable): one error text,
-// the same arrays.
-func checkSlices(t *testing.T, what string, prog *ir.Program, params map[string]int64, drive func(*Prog, *Frame)) {
+// lowering of prog, each over a freshly seeded state, then fill (the
+// per-access one with a one-worker tracker, which only makes its hooks
+// callable): one error text, the same arrays.
+func checkSlices(t *testing.T, what string, prog *ir.Program, params map[string]int64, fill func(*interp.State), drive func(*Prog, *Frame)) {
 	slice := func(opt Options) (*interp.State, string) {
 		st, err := interp.NewState(prog, params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.SeedDeterministic()
+		fill(st)
 		p, err := Compile(prog, nil, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -311,14 +353,18 @@ func FuzzRowNest(f *testing.F) {
 }
 
 // TestRowNestMatchesInterp runs checkRowNest over random inputs and requires
-// the generator to reach row entries, scalar ones, faults and fallbacks.
+// the generator to reach row entries, scalar ones, faults, fallbacks and CSR
+// rows.
 func TestRowNestMatchesInterp(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var rows, scalar, fallbacks int
+	var rows, scalar, fallbacks, csr int
 	const trials = 400
 	for trial := 0; trial < trials; trial++ {
 		data := make([]byte, 8+rng.Intn(60))
 		rng.Read(data)
+		if _, _, rp := nestCase(data); rp != nil {
+			csr++
+		}
 		fr := checkRowNest(t, data)
 		if fr.Rows > 0 {
 			rows++
@@ -329,8 +375,9 @@ func TestRowNestMatchesInterp(t *testing.T) {
 			fallbacks++
 		}
 	}
-	if rows == 0 || scalar == 0 || fallbacks == 0 {
-		t.Fatalf("of %d nests %d took row entries, %d none, %d fell back; the generator must reach each", trials, rows, scalar, fallbacks)
+	if rows == 0 || scalar == 0 || fallbacks == 0 || csr == 0 {
+		t.Fatalf("of %d nests %d took row entries, %d none, %d fell back, %d had CSR rows; the generator must reach each",
+			trials, rows, scalar, fallbacks, csr)
 	}
 }
 
@@ -460,7 +507,7 @@ func checkRowGuard(t *testing.T, data []byte) *Frame {
 	}
 	for step := int64(1); step <= 3; step++ {
 		for start := int64(0); start < step; start++ {
-			checkSlices(t, fmt.Sprintf("from %d by %d", start, step), prog, params, func(p *Prog, fr *Frame) {
+			checkSlices(t, fmt.Sprintf("from %d by %d", start, step), prog, params, func(*interp.State) {}, func(p *Prog, fr *Frame) {
 				reg, _ := p.Layout().IndexReg("j")
 				for j := int64(1); j == 1 || nest && j <= params["J"]; j++ {
 					if nest {

@@ -2,6 +2,7 @@ package compile_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compile"
@@ -80,5 +81,35 @@ func TestKernelsTakeRowForm(t *testing.T) {
 			}
 			t.Logf("%d row entries", fr.Rows)
 		})
+	}
+}
+
+// TestCSRRowsTakeTheNestDriver pins that spmvcsr's gather loop, k from rp(i)
+// to rp(i + 1) - 1 under the row loop i, runs through the nest driver, which
+// checks the loop's four cursors once per block of rows — y(i) read, v(k),
+// cl(k) under the gather x(cl(k)), y(i) stored — and steps them per row by
+// the deltas it leaves in the frame's scratch: one element for y, none for
+// v and cl, whose rows start where rp says. The per-entry driver leaves none.
+func TestCSRRowsTakeTheNestDriver(t *testing.T) {
+	k, err := suite.GetIrregular("spmvcsr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := k.Program()
+	p, err := compile.Compile(prog, nil, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := interp.NewState(prog, k.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SeedDeterministic()
+	fr, err := p.RunSeqFrame(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fr.NestDeltas(); len(got) < 4 || !slices.Equal(got[:4], []int64{1, 0, 0, 1}) || fr.Fallbacks != 0 {
+		t.Fatalf("nest deltas %v, %d fallbacks; want [1 0 0 1] first, none", got, fr.Fallbacks)
 	}
 }

@@ -322,11 +322,21 @@ func TestNestEntries(t *testing.T) {
 		{"outer-index-parameter-and-scalar-as-values", true, 1},
 		{"nest-transpose-decides-per-row", true, 20},
 		{"nest-flow-in-a-later-row", true, 19},
-		{"nest-inner-bound-not-affine", false, 18},
-		{"nest-inner-bound-uses-the-outer-index", false, 17},
+		{"nest-inner-bound-not-affine", true, 18},
+		{"nest-inner-bound-uses-the-outer-index", true, 17},
 		{"nest-empty-inner-range", false, 0},
 		{"nest-corner-out-at-the-last-outer-iteration", true, 0},
 		{"red-black-nest", false, 12},
+		// CSR rows: legality per row of 8 nonzeros or more, plus one for the
+		// row pointer's recurrence where it runs in a loop without the index
+		// as a value; a bound that faults leaves the slice to the per-entry
+		// driver before any check.
+		{"csr-empty-rows", true, 9},
+		{"csr-decreasing-row-pointer", true, 1 + 22},
+		{"csr-two-prefix-statements", true, 1 + 23},
+		{"csr-non-integer-row-pointer-at-row-6", false, 1},
+		{"csr-row-pointer-read-past-its-array", false, 1},
+		{"csr-gather-out-of-range-in-row-6", true, 1},
 		{"last-iteration-second-dimension", true, 0},
 	} {
 		calls = 0
@@ -396,6 +406,55 @@ end
 			if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("slice %d..%d step %d: element %d: %v, want %v", tc.start, tc.end, tc.step, i, a[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRowOperatorShapes runs each operator of the row form, unary minus, a
+// one- and a two-argument intrinsic in each operand shape — a scalar on the
+// left, on the right, two vectors (a unary node: a vector) — against the
+// interpreter bit for bit, over operands that pair ±0, ±Inf, huge and
+// subnormal values (so that Inf - Inf, 0 * Inf, 0 / 0 and Inf / Inf make
+// NaNs, no two of which meet): through unit and non-unit strides, into a
+// store's own array, into a temporary, and with the node's destination the
+// same slice as its left operand (E, G) or its right one (F). Every program
+// must take row entries.
+func TestRowOperatorShapes(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -2.5, 1e308, 5e-324, 3, -0.125}
+	fill := func(st *interp.State) {
+		a, b, m := st.Array("A").Data, st.Array("B").Data, len(specials)
+		for i := range a {
+			a[i], b[i] = specials[i%m], specials[i/m%m]
+		}
+		copy(st.Array("Z").Data, specials)
+	}
+	binary := func(op string) func(x, y string) string {
+		return func(x, y string) string { return "(" + x + " " + op + " " + y + ")" }
+	}
+	for _, op := range []struct {
+		name string
+		node func(x, y string) string
+	}{
+		{"add", binary("+")}, {"sub", binary("-")}, {"mul", binary("*")}, {"div", binary("/")},
+		{"min", func(x, y string) string { return "min(" + x + ", " + y + ")" }},
+		{"neg", func(x, _ string) string { return "(-" + x + ")" }},
+		{"sqrt", func(x, _ string) string { return "sqrt(" + x + ")" }},
+	} {
+		e := op.node
+		src := "program opshape\nparam N\nreal A(2 * N + 1), B(2 * N + 1), Z(10), C(4, N), D(N), E(N), F(N), G(2 * N), H(N)\n" +
+			"do i = 1, N\n" +
+			"  C(1, i) = " + e("Z(1)", "B(i)") + "\n" + // scalar left, into a temporary
+			"  C(2, i) = " + e("Z(3)", "B(2 * i + 1)") + "\n" + // scalar left, strided
+			"  C(3, i) = " + e("A(i)", "Z(4)") + "\n" + // scalar right
+			"  C(4, i) = " + e("A(2 * i)", "Z(2)") + "\n" + // scalar right, strided
+			"  D(i) = " + e("A(i)", "B(i)") + "\n" + // two vectors, into D itself
+			"  E(i) = " + e("(A(i) - B(i))", "B(i)") + "\n" + // the left operand is E's slice
+			"  F(i) = " + e("Z(1)", "(A(i) * B(i))") + "\n" + // the right operand is F's slice
+			"  G(2 * i) = " + e("(A(2 * i) + Z(5))", "A(i)") + "\n" + // a strided store
+			"  H(i) = " + e("H(i)", "B(2 * i)") + "\n" + // in place, through a temporary
+			"end do\nend\n"
+		if fr := checkAgainstInterp(t, src, map[string]int64{"N": 150}, fill); fr.Rows == 0 {
+			t.Fatalf("%s: no row entry\n%s", op.name, src)
 		}
 	}
 }

@@ -39,7 +39,9 @@ import (
 // cursor once per slice on the stack and keeps each cursor's delta in that
 // same pooled scratch, so it allocates nothing per slice. redblack (two
 // workers) runs its parity-guarded loops as progressions whose start and step
-// each entry works out on the stack. Nor may a count
+// each entry works out on the stack. spmvcsr (one worker) runs its CSR rows
+// through the nest driver, which reads a block of rows' bounds into that
+// pooled scratch too. Nor may a count
 // depend on how many runs the pooled team has served (-count reuses it):
 // formatting the team's generation allocates only from 100 on, so only a
 // traced run, which has a recorder to stamp, formats it.
@@ -94,6 +96,7 @@ end
 		{"jacobi2d", kernel("jacobi2d"), 1, 100, 200, 16},
 		{"adilike", kernel("adilike"), 2, 100, 200, 16},
 		{"redblack", kernel("redblack"), 2, 100, 200, 0},
+		{"spmvcsr", irregular("spmvcsr"), 1, 100, 200, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src, core.Options{})

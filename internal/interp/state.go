@@ -97,12 +97,13 @@ func (a *ArrayVal) Offset(subs []int64) (int64, error) {
 // bitwise-comparable.
 func (st *State) SeedDeterministic() {
 	for _, a := range st.arrays {
-		h := fnv64(a.Name)
-		for i := range a.Data {
+		h, data := fnv64(a.Name), a.Data
+		for i := range data {
 			x := splitmix64(h + uint64(i))
-			// Map to (0,1): keep away from exact 0 to avoid
-			// division hazards in kernels.
-			a.Data[i] = (float64(x>>11) + 1) / float64(1<<53)
+			// Map to (0,1): keep away from exact 0 to avoid division
+			// hazards in kernels. x>>11 is below 2^53, so the conversion
+			// is exact, and so is the scaling by a power of two.
+			data[i] = (float64(int64(x>>11)) + 1) * 0x1p-53
 		}
 	}
 	for k := range st.Scalars {

@@ -308,9 +308,10 @@ echo "== pinned gates still exist =="
 # none was renamed or deleted, so the gate it stands for cannot vanish
 # quietly: the closure frame against the tree-walking reference engine bit
 # for bit on all 21 kernels (TestBackendParity); the row-form differentials,
-# legality tables and the pinned list of kernels that take row entries; the
-# >= 100-run pooled chaos + sanitizer reuse sweep; the cancelled pooled run
-# whose team is closed so the next checkout builds cold; the span-tree and
+# legality tables, the operator-by-shape table of its loops and the pinned
+# list of kernels that take row entries; the >= 100-run pooled chaos +
+# sanitizer reuse sweep; the cancelled pooled run whose team is closed so
+# the next checkout builds cold; the span-tree and
 # Chrome-interleaving goldens; the irregular suite's >= 50% floor; the
 # feedback loop's property suite; the site-numbering agreement of remarks,
 # executor and certifier; the simulator's Figure 4 and Gantt goldens and
@@ -335,7 +336,7 @@ pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedP
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
-    FuzzRowGuard TestRowGuardMatchesInterp
+    FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeTheNestDriver
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
