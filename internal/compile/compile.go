@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/interp"
@@ -52,6 +53,9 @@ type Prog struct {
 	// holds the sets frames have released, up to 8 (a wider team allocates).
 	nrow int
 	rows chan *rowScratch
+	// nmemo counts the memos a frame keeps, scopes numbers their scopes.
+	nmemo  int
+	scopes map[*ir.Loop]int
 	// ord numbers every statement densely in ir.WalkStmts order; Frame.Sites
 	// is indexed by it.
 	ord map[ir.Stmt]int
@@ -75,6 +79,7 @@ func Compile(prog *ir.Program, lay *interp.Layout, opt Options) (*Prog, error) {
 		hib:    map[*ir.Loop]IntFn{},
 		ord:    map[ir.Stmt]int{},
 		rows:   make(chan *rowScratch, 8),
+		scopes: map[*ir.Loop]int{},
 	}
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
 		p.ord[s] = len(p.ord)
@@ -227,8 +232,9 @@ type cc struct {
 	// lower to cursors (cursor.go), and the closures are not registered as
 	// the statements' own — Prog.Stmt keeps the per-access-checked form.
 	inner *innerLoop
-	// last is the loop lowered last: the one a loop's body ends with (nest).
-	last *forms
+	// last is the loop lowered last: the one a loop's body ends with (nest);
+	last  *forms
+	loops []ir.Stmt // the loops being lowered, outermost first
 }
 
 func (c *cc) errf(pos ir.Pos, format string, args ...any) error {
@@ -320,7 +326,9 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	outer := c.scope[n.Index]
 	c.scope[n.Index] = true
 	c.env.Bind(n.Index, linear.Loop(n.Index))
+	c.loops = append(c.loops, n)
 	defer func() {
+		c.loops = c.loops[:len(c.loops)-1]
 		if c.scope[n.Index] = outer; !outer {
 			// Out of scope the name can only be a parameter's.
 			c.env.Bind(n.Index, linear.Sym(n.Index))
@@ -330,7 +338,7 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &forms{p: c.p, loop: n, reg: reg, fast: body, checked: body}
+	f := &forms{p: c.p, loop: n, reg: reg, fast: body, checked: body, memo: -1}
 	if !c.p.opt.Instrument && !hasLoop(n.Body) {
 		// The sanitizer must see every access, so instrumented lowerings
 		// keep the per-access form only.
@@ -343,8 +351,22 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		var index []string
+		for i := 0; f.row != nil && i < len(f.row.gathers); i++ {
+			index = append(index, f.refs[f.row.gathers[i].slot-f.refs[0].slot].ref.Name)
+		}
+		if len(f.refs) > 0 {
+			f.memo, f.scope = c.memoScope(n.Body, index, n.Index)
+		}
 	}
-	rng := c.nest(n, reg, f.guard.rangeFn(f, f.rangeFn()))
+	rng := c.nest(n, reg, f.rangeFn())
+	if _, ok := c.p.scopes[n]; ok {
+		p, drive := c.p, rng
+		rng = func(fr *Frame, start, end, step int64) {
+			p.Enter(fr, n)
+			drive(fr, start, end, step)
+		}
+	}
 	c.p.ranges[n], c.last = rng, f
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
 	loF, hiF := lo.fn, hi.fn
@@ -358,7 +380,8 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 // for every row if affine in neither index; otherwise they vary, and must read
 // no array n's body stores, so that what they yield in a row is fixed before
 // any row runs (an integer expression reads no scalar, and m writes no
-// register they read: a validated program has no live index of m's name).
+// register they read: a validated program has no live index of m's name);
+// the bounds an entry's rows read get a memo, if memoScope finds a scope.
 // Otherwise nest returns rng, n's per-entry driver.
 func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 	in, k := c.last, len(n.Body)-1
@@ -372,23 +395,24 @@ func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 		}
 		pre[i] = c.p.stmts[s]
 	}
-	vary, ok := false, true
+	vary, ok, arrays := false, true, []string(nil)
 	bounds := []ir.Expr{in.loop.Lo, in.loop.Hi}
 	for _, x := range bounds {
 		a, affine := c.env.Affine(x)
 		vary = vary || !affine || a.Coeff(linear.Loop(n.Index)) != 0
 	}
-	for i := 0; vary && ok && i < len(bounds); i++ {
+	for i := 0; vary && i < len(bounds); i++ {
 		ir.WalkExprs(bounds[i], func(x ir.Expr) {
 			if r, isRef := x.(*ir.Ref); isRef && r.IsArray() {
-				ir.WalkStmts(n.Body, func(s ir.Stmt) bool {
-					a, isAssign := s.(*ir.Assign)
-					ok = ok && !(isAssign && a.LHS.Name == r.Name)
-					return ok
-				})
+				arrays = append(arrays, r.Name)
 			}
 		})
 	}
+	ir.WalkStmts(n.Body, func(s ir.Stmt) bool {
+		a, isAssign := s.(*ir.Assign)
+		ok = ok && !(isAssign && slices.Contains(arrays, a.LHS.Name))
+		return ok
+	})
 	if !ok {
 		return rng
 	}
@@ -403,7 +427,56 @@ func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 			}
 		}
 	}
-	return in.nest(reg, pre, c.p.lob[in.loop], c.p.hib[in.loop], vary, rng)
+	in.memo = -1 // its cursors are the nest's too (forms.rangeFn)
+	memo, scope := -1, -1
+	if vary {
+		memo, scope = c.memoScope([]ir.Stmt{in.loop}, arrays, n.Index, in.loop.Index)
+	}
+	return in.nest(reg, pre, c.p.lob[in.loop], c.p.hib[in.loop], vary, rng, memo, scope)
+}
+
+// memoWrites is ir.WritesOf; a test swaps in one that misses stores.
+var memoWrites = ir.WritesOf
+
+// memoScope gives a memo to the entries of the loop being lowered, which
+// decide from the arrays in arrays and from what body reads but the indices
+// own: it returns the memo's number and the id of its scope S, the outermost
+// enclosing loop in which, S included, no loop writes an index that body reads
+// and no assignment stores one of arrays — or -1, -1. While one execution of S
+// lasts, such an entry decides as a function of its start, end and step.
+func (c *cc) memoScope(body []ir.Stmt, arrays []string, own ...string) (memo, scope int) {
+	reads, at := ir.ReadsOf(body), -1
+	for _, name := range own {
+		delete(reads, name)
+	}
+	for i := len(c.loops) - 2; i >= 0; i-- {
+		clear, w := true, memoWrites(c.loops[i:i+1])
+		for name := range ir.LoopIndicesOf(c.loops[i : i+1]) {
+			clear = clear && !reads[name]
+		}
+		if !clear || slices.ContainsFunc(arrays, func(a string) bool { return w[a] }) {
+			break
+		}
+		at = i
+	}
+	if at < 0 {
+		return -1, -1
+	}
+	l := c.loops[at].(*ir.Loop)
+	if _, known := c.p.scopes[l]; !known {
+		c.p.scopes[l] = len(c.p.scopes)
+	}
+	c.p.nmemo++
+	return c.p.nmemo - 1, c.p.scopes[l]
+}
+
+// Enter is what an entry of loop l runs first where the executor's steps
+// drive l (StepSeq) rather than its RangeFn, which runs it too: if l scopes
+// memos (cc.memoScope), those its last execution took lapse.
+func (p *Prog) Enter(fr *Frame, l *ir.Loop) {
+	if id, ok := p.scopes[l]; ok && fr.scr != nil {
+		fr.scr.gen[id]++
+	}
 }
 
 func hasLoop(stmts []ir.Stmt) bool {

@@ -216,6 +216,7 @@ func mulChecked(a, b int64) (int64, bool) {
 // product that wraps must not pass for an in-range value. Base, stride and
 // delta may wrap: base + idx*stride is still the exact offset.
 func (r *curRef) enter(fr *Frame, reach, first, last, step int64) (delta int64, ok bool) {
+	fr.Checks++
 	dims := fr.Dims[r.id]
 	if len(dims) != len(r.k) {
 		return 0, false
@@ -249,7 +250,7 @@ func (r *curRef) enter(fr *Frame, reach, first, last, step int64) (delta int64, 
 // forms is one innermost loop lowered: checked, the body as Prog.Stmt lowers
 // it; fast, its cursor form over refs (with no refs, what every entry runs);
 // row, if the body has one, its row form over the same cursors; with a guard
-// (guard.go), of the then statements.
+// (guard.go), of the then statements; memo (-1: none) in scope (memoScope).
 type forms struct {
 	p             *Prog
 	loop          *ir.Loop
@@ -258,28 +259,66 @@ type forms struct {
 	fast, checked StmtFn
 	row           *rowBody
 	guard         *guard
+	memo, scope   int
 }
 
-// rangeFn builds the per-entry driver: an entry whose references all pass
-// their range check runs entry, any other counts a fallback and runs checked.
+// memo is what an entry over key = {start, end, step} decided, for the next
+// ones with that key in one execution (gen) of its scope: the progression its
+// guard admits and its form, or a nest's rows' bounds.
+type memo struct {
+	gen        uint64
+	key        [3]int64
+	lo, hi, by int64
+	row        bool
+	bound      []int64
+}
+
+// rangeFn builds the per-entry driver: an entry runs the progression its guard
+// admits, if any; if the guard could compute it and every reference passes
+// its range check, it runs entry, else counts a fallback and runs checked. An
+// entry with its memo's key checks nothing: it runs the form that one ran,
+// over the cursors as that one left them (only the loop's entries write them,
+// and any other entry voids the memo).
 func (f *forms) rangeFn() RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
 			return
 		}
+		var m *memo
+		if f.memo >= 0 {
+			s := f.p.scratch(fr)
+			if m = &s.memo[f.memo]; m.gen == s.gen[f.scope] && m.key == [3]int64{start, end, step} {
+				if m.row {
+					f.row.chunks(fr, (m.hi-m.lo)/m.by+1)
+				} else {
+					f.scalar(fr, f.fast, m.lo, m.hi, m.by)
+				}
+				return
+			}
+			m.key = [3]int64{}
+		}
+		lo, hi, by, ok := start, end, step, true
+		if f.guard != nil {
+			if lo, hi, by, ok = f.guard.span(fr, start, end, step); lo > hi {
+				return
+			}
+		}
 		// end-start wraps negative when the span exceeds int64.
-		span := end - start
-		ok := span >= 0 || len(f.refs) == 0
-		last := start + span/step*step
+		span := hi - lo
+		ok = ok && (span >= 0 || len(f.refs) == 0)
+		last := lo + span/by*by
 		for i := 0; ok && i < len(f.refs); i++ {
-			_, ok = f.refs[i].enter(fr, 0, start, last, 0)
+			_, ok = f.refs[i].enter(fr, 0, lo, last, 0)
 		}
 		if !ok {
 			fr.Fallbacks++
-			f.scalar(fr, f.checked, start, end, step)
+			f.scalar(fr, f.checked, lo, hi, by)
 			return
 		}
-		f.entry(fr, f.row, start, end, step)
+		row := f.entry(fr, f.row, lo, hi, by)
+		if m != nil && fr.fault == nil {
+			*m = memo{fr.scr.gen[f.scope], [3]int64{start, end, step}, lo, hi, by, row, m.bound}
+		}
 	}
 }
 
@@ -318,8 +357,9 @@ const nestRows = 256
 // rows (rowBody.steady, same bounds), it is decided once too. From a block
 // that no one check covers (its box is empty, a bound faults, or the check
 // fails) the entry runs perEntry, which checks each row as it comes and so
-// raises every fault as before.
-func (f *forms) nest(reg int, pre []StmtFn, lo, hi IntFn, vary bool, perEntry RangeFn) RangeFn {
+// raises every fault as before. An entry that ran without a fault leaves its
+// rows' bounds in its memo (mem, in scope) for the next with its key.
+func (f *forms) nest(reg int, pre []StmtFn, lo, hi IntFn, vary bool, perEntry RangeFn, mem, scope int) RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
 			return
@@ -329,17 +369,33 @@ func (f *forms) nest(reg int, pre []StmtFn, lo, hi IntFn, vary bool, perEntry Ra
 			perEntry(fr, start, end, step)
 			return
 		}
-		last := start + span/step*step
+		last, m, hit := start+span/step*step, (*memo)(nil), false
+		if mem >= 0 {
+			s := f.p.scratch(fr)
+			m = &s.memo[mem]
+			if hit = m.gen == s.gen[scope] && m.key == [3]int64{start, end, step}; !hit {
+				m.key, m.bound = [3]int64{}, m.bound[:0]
+			}
+		}
 		for b := start; ; b += step {
-			e := last
+			e, bound := last, []int64(nil)
 			if vary {
 				e = b + min((last-b)/step, nestRows-1)*step
 			}
-			if !f.block(fr, reg, pre, lo, hi, vary, b, e, step) {
+			if hit {
+				bound = m.bound[2*((b-start)/step):]
+			}
+			if !f.block(fr, reg, pre, lo, hi, vary, b, e, step, bound) {
 				perEntry(fr, b, end, step)
 				return
 			}
+			if m != nil && !hit {
+				m.bound = append(m.bound, fr.scr.bound[:2*((e-b)/step+1)]...)
+			}
 			if b = e; e == last || fr.fault != nil {
+				if m != nil && !hit && fr.fault == nil {
+					m.gen, m.key = fr.scr.gen[scope], [3]int64{start, end, step}
+				}
 				return
 			}
 		}
@@ -349,20 +405,27 @@ func (f *forms) nest(reg int, pre []StmtFn, lo, hi IntFn, vary bool, perEntry Ra
 // block runs the rows b, b+step, ..., e of an outer entry (nest) behind one
 // check, or reports false, having run nothing, if the box of their inner
 // ranges is empty or one check cannot cover it. The bounds of varying rows are
-// read first, into the scratch; a fault one trips there is taken back.
-func (f *forms) block(fr *Frame, reg int, pre []StmtFn, lo, hi IntFn, vary bool, b, e, step int64) bool {
+// read first, into the scratch (unless bound holds them); a fault one trips
+// there is taken back.
+func (f *forms) block(fr *Frame, reg int, pre []StmtFn, lo, hi IntFn, vary bool, b, e, step int64, bound []int64) bool {
 	s, first, last := f.p.scratch(fr), int64(math.MaxInt64), int64(math.MinInt64)
 	if len(s.bound) == 0 && vary {
 		s.bound = make([]int64, 2*nestRows)
 	}
+	read := bound == nil
+	if read {
+		bound = s.bound
+	}
 	for r, i := 0, b; ; r, i = r+2, i+step {
 		fr.Regs[reg] = i
-		l, h := lo(fr), hi(fr)
 		if !vary {
-			first, last = l, h
+			first, last = lo(fr), hi(fr)
 			break
 		}
-		if s.bound[r], s.bound[r+1] = l, h; l <= h {
+		if read {
+			bound[r], bound[r+1] = lo(fr), hi(fr)
+		}
+		if l, h := bound[r], bound[r+1]; l <= h {
 			first, last = min(first, l), max(last, h)
 		}
 		if i == e || fr.fault != nil {
@@ -396,7 +459,7 @@ func (f *forms) block(fr *Frame, reg int, pre []StmtFn, lo, hi IntFn, vary bool,
 		}
 		l, h := first, last
 		if vary {
-			l, h = s.bound[r], s.bound[r+1]
+			l, h = bound[r], bound[r+1]
 		}
 		if once {
 			f.row.chunks(fr, count)

@@ -571,6 +571,57 @@ end
 		Params: map[string]int64{"N": 12},
 		Fault:  "16:26: array x: subscript 1 = 13 out of bounds",
 	},
+	// The loop memos (forms.rangeFn): a time loop whose gather loop reuses
+	// its first entry's checks (a second loop keeps the time loop from being
+	// a nest, whose driver checks once per entry of its own). The first entry finds a bad index element,
+	// so it runs the scalar cursor form, which faults at i = 20, after the
+	// stores of i < 20, and no entry after it is reached.
+	{
+		Name: "memo-bad-index-at-the-first-entry",
+		Src: `
+program memobad
+param N, T
+real A(N), B(N), C(N), P(N)
+do i = 1, N
+  P(i) = i
+end do
+P(20) = 0.0
+do t = 1, T
+  do i = 1, N
+    B(i) = A(P(i)) * 0.5 + B(i)
+  end do
+  do i = 1, N
+    C(i) = B(i) * 0.5
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 3},
+		Fault:  "11:12: array A: subscript 1 = 0 out of bounds",
+	},
+	{
+		// The element goes bad inside the time loop, after the first step's
+		// entries have passed their check: the store keeps the gather loop's
+		// checks from being reused, and the second step faults at i = 20.
+		Name: "memo-index-goes-bad-inside-the-time-loop",
+		Src: `
+program memolate
+param N, T
+real A(N), B(N), P(N)
+do i = 1, N
+  P(i) = i
+end do
+do t = 1, T
+  do i = 1, N
+    B(i) = A(P(i)) * 0.5 + B(i)
+  end do
+  P(20) = 2.5
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 3},
+		Fault:  "10:14: array P element = 2.5 is not an integer subscript value",
+	},
 }
 
 // RowCase is one program for the row form of innermost loops: a single
@@ -1419,6 +1470,128 @@ end do
 end
 `,
 		Params: map[string]int64{"N": 23},
+		Row:    true,
+	},
+	// The loop memos (forms.rangeFn). A read-back scatter through P takes the
+	// row form while P is a permutation and the scalar form once it holds a
+	// repeat; each case makes the repeat with a store the memo's scope rule
+	// must see, and an entry that reused a verdict from before the store would
+	// run rows over the repeat and leave the wrong bits.
+	{
+		Name: "memo-index-stored-by-a-parallel-step",
+		Src: `
+program memopar
+param N, T
+real A(N), B(N), P(N)
+do i = 1, N
+  P(i) = N - i + 1.0
+end do
+do t = 1, T
+  do i = 1, N
+    A(P(i)) = A(P(i)) * 0.5 + B(i)
+  end do
+  do i = 1, N
+    P(i) = max(P(i) - 1.0, 1.0)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 3},
+		Row:    true,
+	},
+	{
+		Name: "memo-index-stored-by-a-guarded-statement",
+		Src: `
+program memoguard
+param N, T
+real A(N), B(N), P(N)
+do i = 1, N
+  P(i) = N - i + 1.0
+end do
+do t = 1, T
+  do i = 1, N
+    A(P(i)) = A(P(i)) * 0.5 + B(i)
+  end do
+  P(N) = P(1)
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 3},
+		Row:    true,
+	},
+	{
+		Name: "memo-index-stored-in-a-nested-sequential-loop",
+		Src: `
+program memonest
+param N, T
+real A(N), B(N), P(N)
+do i = 1, N
+  P(i) = N - i + 1.0
+end do
+do t = 1, T
+  do i = 1, N
+    A(P(i)) = A(P(i)) * 0.5 + B(i)
+  end do
+  do k = 1, 2
+    do j = 1, t
+      P(j) = P(j + 1)
+    end do
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 3},
+		Row:    true,
+	},
+	{
+		// The store is outside the time loop, between two of its
+		// executions: the second must not reuse the first one's verdict.
+		Name: "memo-index-stored-between-executions-of-the-time-loop",
+		Src: `
+program memobetween
+param N, T
+real A(N), B(N), C(N), P(N)
+do i = 1, N
+  P(i) = N - i + 1.0
+end do
+do r = 1, 2
+  do t = 1, T
+    do i = 1, N
+      A(P(i)) = A(P(i)) * 0.5 + B(i)
+    end do
+    do i = 1, N
+      C(i) = B(i) * 0.5
+    end do
+  end do
+  P(N) = P(1)
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 3},
+		Row:    true,
+	},
+	{
+		// Slices that change with t: each entry's start differs from the
+		// last one's, so none reuses a memo; C's subscript moves with t too.
+		Name: "memo-slice-bounds-vary-with-t",
+		Src: `
+program memovary
+param N, T
+real A(N), B(N), C(N), P(N)
+do i = 1, N
+  P(i) = N - i + 1.0
+end do
+do t = 1, T
+  do i = t, N
+    A(P(i)) = A(P(i)) * 0.5 + B(i)
+  end do
+  do i = 1, N - t
+    C(i) = C(i) * 0.5 + A(i + t)
+  end do
+end do
+end
+`,
+		Params: map[string]int64{"N": 64, "T": 4},
 		Row:    true,
 	},
 }

@@ -124,6 +124,9 @@ type Frame struct {
 	// program's from the first entry that needs it until Prog.Release.
 	Rows int64
 	scr  *rowScratch
+	// Checks counts cursor range checks (curRef.enter): one per reference of
+	// an entry that ran them, or of a nest's block of rows (forms.rangeFn).
+	Checks int64
 
 	fault    *Fault
 	faultVal int64

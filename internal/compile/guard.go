@@ -88,32 +88,26 @@ func (c *cc) constInt(x ir.Expr) (int64, bool) {
 	return a.Const, affine && a.IsConstant() && err == nil && v.cv == float64(a.Const) && a.Const >= -exact && a.Const <= exact
 }
 
-// rangeFn wraps rng, the then statements' driver (nil g: rng): an entry runs
-// the progression of the indices g admits, unless start, end or an e is no
-// integer within ±2^53 or the step overflows: a fallback, guarded per access.
-func (g *guard) rangeFn(f *forms, rng RangeFn) RangeFn {
-	if g == nil {
-		return rng
+// span is the progression lo, lo+by, ... up to hi of the indices of the entry
+// start..end by step that g admits (lo > hi: none); !ok, with the entry's own
+// range, if start, end or an e is no integer within ±2^53 or the step
+// overflows: the entry then runs the guarded body per access, a fallback.
+func (g *guard) span(fr *Frame, start, end, step int64) (lo, hi, by int64, ok bool) {
+	lo, hi, ok = max(start, g.lo), min(end, g.hi), start >= -exact && end <= exact
+	for _, b := range g.bounds {
+		v := b.e(fr)
+		e := int64(v)
+		ok = ok && float64(e) == v && e >= -exact && e <= exact
+		lo, hi = max(lo, e+b.lo), min(hi, e+b.hi)
 	}
-	return func(fr *Frame, start, end, step int64) {
-		if start > end {
-			return
-		}
-		lo, hi, ok := max(start, g.lo), min(end, g.hi), start >= -exact && end <= exact
-		for _, b := range g.bounds {
-			v := b.e(fr)
-			e := int64(v)
-			ok = ok && float64(e) == v && e >= -exact && e <= exact
-			lo, hi = max(lo, e+b.lo), min(hi, e+b.hi)
-		}
-		r, m, some, fits := crt(floorMod(start, step), step, g.r, g.m)
-		if !ok || !fits {
-			fr.Fallbacks++
-			f.scalar(fr, f.checked, start, end, step)
-		} else if d := floorMod(r-floorMod(lo, m), m); some && d <= hi-lo {
-			rng(fr, lo+d, hi, m)
-		}
+	r, m, some, fits := crt(floorMod(start, step), step, g.r, g.m)
+	if !ok || !fits {
+		return start, end, step, false
 	}
+	if d := floorMod(r-floorMod(lo, m), m); some && d <= hi-lo {
+		return lo + d, hi, m, true
+	}
+	return 1, 0, 1, true
 }
 
 // crt solves i ≡ a (mod m) and i ≡ b (mod n), 0 <= a < m, 0 <= b < n: if some,

@@ -31,13 +31,16 @@ const rowChunk = 128
 const rowGatherMin = 8
 
 // rowScratch is what a frame's row entries work in: nrow chunks of
-// temporaries, a stamp per array element for gatherRef.check, and the deltas
-// of a nest's cursors and the bounds of its rows (forms.block).
+// temporaries, a stamp per array element for gatherRef.check, the deltas
+// of a nest's cursors and the bounds of its rows (forms.block), and the
+// loops' memos, with the entries of each memo scope so far (Prog.Enter).
 type rowScratch struct {
 	row          []float64
 	stamp        []uint64
 	delta, bound []int64
 	epoch        uint64
+	memo         []memo
+	gen          []uint64
 }
 
 // rowOp is an operand: a node, whose fn evaluates it into dst for len(dst)
@@ -541,16 +544,21 @@ func (p *Prog) scratch(fr *Frame) *rowScratch {
 		select {
 		case fr.scr = <-p.rows:
 		default:
-			fr.scr = &rowScratch{row: make([]float64, max(p.nrow, 1)*rowChunk), delta: make([]int64, p.ncur)}
+			fr.scr = &rowScratch{row: make([]float64, max(p.nrow, 1)*rowChunk), delta: make([]int64, p.ncur),
+				memo: make([]memo, p.nmemo), gen: make([]uint64, len(p.scopes))}
 		}
 	}
 	return fr.scr
 }
 
 // Release hands the frame's row scratch back for the next frame to take; the
-// executor calls it when a worker's body ends, so runs allocate none.
+// executor calls it when a worker's body ends, so runs allocate none. Its
+// memos end with the run (a key never has step 0); their storage stays.
 func (p *Prog) Release(fr *Frame) {
 	if fr.scr != nil {
+		for i, m := range fr.scr.memo {
+			fr.scr.memo[i] = memo{bound: m.bound[:0]}
+		}
 		select {
 		case p.rows <- fr.scr:
 		default:

@@ -34,7 +34,10 @@ import (
 // worker) and edgerelax run their gathers and scatters in row form; the
 // temporaries, and edgerelax's stamps (its scatter is read back, so each
 // entry proves its offsets distinct), come from the program's free list, so
-// only a team's first run allocates them. jacobi2d (one worker, N=16) and
+// only a team's first run allocates them; so do the loop memos by which the
+// gather loops of permcopy (one and two workers) and edgerelax check their
+// index elements once per run (their counters per scope, a nest's rows'
+// bounds: spmvcsr). jacobi2d (one worker, N=16) and
 // adilike run their 2-D nests through the nest driver, which checks each
 // cursor once per slice on the stack and keeps each cursor's delta in that
 // same pooled scratch, so it allocates nothing per slice. redblack (two
@@ -92,6 +95,7 @@ end
 		{"meshsmooth", irregular("meshsmooth"), 2, 100, 200, 0},
 		{"rotgather", rotGather, 1, 130, 250, 0},
 		{"permcopy", irregular("permcopy"), 1, 100, 200, 0},
+		{"permcopy-p2", irregular("permcopy"), 2, 100, 200, 0},
 		{"edgerelax", irregular("edgerelax"), 2, 100, 200, 0},
 		{"jacobi2d", kernel("jacobi2d"), 1, 100, 200, 16},
 		{"adilike", kernel("adilike"), 2, 100, 200, 16},

@@ -28,11 +28,12 @@ import (
 // first depends on the partition (the table's is the sequential one). The
 // CSR row loops also run on two and seven workers: the nest driver takes a
 // slice's rows a block at a time, so the faulting row lands at the start,
-// the middle and the end of a slice.
+// the middle and the end of a slice. So do the time loops of the memo cases,
+// whose gather loops reuse their first entry's checks.
 func TestHoistedCheckOnATeam(t *testing.T) {
 	for _, tc := range cursortest.Cases {
 		teams := []int{1, 3}
-		if strings.HasPrefix(tc.Name, "csr-") {
+		if strings.HasPrefix(tc.Name, "csr-") || strings.HasPrefix(tc.Name, "memo-") {
 			teams = []int{1, 2, 3, 7}
 		}
 		for _, kind := range []decomp.Kind{decomp.Block, decomp.Cyclic} {

@@ -26,6 +26,9 @@ type engine interface {
 	// setIndex binds the index register of a sequential loop the steps
 	// drive.
 	setIndex(reg int, v int64)
+	// enter runs what an entry of a sequential loop the steps drive runs
+	// first (compile.Prog.Enter).
+	enter(at *stepAt)
 	// runSlice executes the body of a step's loop for start, start+step,
 	// ... up to end.
 	runSlice(at *stepAt, start, end, step int64) error
@@ -100,6 +103,8 @@ func (e *frameEngine) probeBounds(at *stepAt) (lo, hi int64, ok bool) {
 }
 
 func (e *frameEngine) setIndex(reg int, v int64) { e.fr.Regs[reg] = v }
+
+func (e *frameEngine) enter(at *stepAt) { e.exe.Enter(e.fr, at.loop) }
 
 // runSlice hands the slice to the loop's lowered driver — the executor's
 // hottest loop lives in internal/compile.

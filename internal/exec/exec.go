@@ -328,11 +328,14 @@ func (r *Runner) Run() (*Result, error) {
 // the team's failure latch, every worker blocked in a runtime primitive
 // unwinds, and the call returns a *spmdrt.CancelError wrapping ctx.Err().
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
+	sp := r.cfg.Spans.Start(r.cfg.SpansParent, "state")
 	st, err := interp.NewState(r.prog, r.cfg.Params)
 	if err != nil {
+		r.cfg.Spans.End(sp)
 		return nil, err
 	}
 	st.SeedDeterministic()
+	r.cfg.Spans.End(sp)
 	return r.RunContextOn(ctx, st)
 }
 
@@ -681,6 +684,7 @@ func (ws *workerState) runSteps() {
 			if lo, hi, ok := ws.bounds(at); ok && lo <= hi {
 				ws.hi[pc] = hi
 				ws.setIndex(at.reg, lo)
+				ws.eng.enter(at)
 			} else {
 				pc = st.Jump - 1
 			}

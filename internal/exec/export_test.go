@@ -29,6 +29,12 @@ func RecordRowEntries(r *Runner) (total func() int64) {
 	return recordFrames(r, func(fr *compile.Frame) int64 { return fr.Rows })
 }
 
+// RecordChecks is RecordFallbacks for compile.Frame.Checks, the cursor range
+// checks loop entries made.
+func RecordChecks(r *Runner) (total func() int64) {
+	return recordFrames(r, func(fr *compile.Frame) int64 { return fr.Checks })
+}
+
 func recordFrames(r *Runner, count func(*compile.Frame) int64) (total func() int64) {
 	var mu sync.Mutex
 	var frames []*compile.Frame

@@ -70,6 +70,8 @@ func (e *refEngine) probeBounds(at *stepAt) (lo, hi int64, ok bool) {
 // register, the binding outlives the loop.
 func (e *refEngine) setIndex(reg int, v int64) { e.env.idx[e.indexName[reg]] = v }
 
+func (e *refEngine) enter(*stepAt) {}
+
 func (e *refEngine) runSlice(at *stepAt, start, end, step int64) error {
 	l, err := at.loop, error(nil)
 	for i := start; i <= end && err == nil; i += step {

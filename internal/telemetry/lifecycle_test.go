@@ -52,6 +52,7 @@ const jacobiTreeGolden = `run
   execute
     setup
     certify
+    state
     pool lease
     team run
   profile

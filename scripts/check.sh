@@ -318,8 +318,9 @@ echo "== pinned gates still exist =="
 # its per-kernel sync counts against the executor's; the certifier's
 # certificate golden and its step mutants; the final-state golden, the
 # 50-seed chaos determinism of the reduction fold, the trace's
-# pseudo-site table, the affine form's differential fuzz and the row form's
-# gather/scatter, nest and index-guard fuzzes.
+# pseudo-site table, the affine form's differential fuzz, the row form's
+# gather/scatter, nest and index-guard fuzzes, and the loop memos' sabotage
+# test, fuzz and once-per-time-loop check count.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -332,11 +333,12 @@ pinned() {
 }
 pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedPrograms \
     TestRowLegalityTableOnATeam TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled \
-    TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites
+    TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites TestChecksOncePerTimeLoop
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
-    FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeTheNestDriver
+    FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeTheNestDriver \
+    TestMemoSabotagedScopeIsCaught FuzzStepMemo TestStepMemoMatchesInterp
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
