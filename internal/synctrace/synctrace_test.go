@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -193,6 +194,52 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("String() empty")
+	}
+}
+
+// TestSummarizeSiteRow pins one site's row of the fold exactly on events
+// with fixed timestamps: three barrier episodes of four workers at site 0,
+// beside counter waits at site 1 that must not leak into it.
+func TestSummarizeSiteRow(t *testing.T) {
+	r := New(4, 64)
+	r.AddSite("site 1 [barrier]")
+	r.AddSite("site 2 [counter]")
+	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
+	// Arrivals per episode, released at the last one: slacks 10, 4 and
+	// 7 ms, stragglers w3, w1 and w3.
+	for ep, arrive := range [][4]int64{{0, 1, 2, 10}, {20, 24, 21, 22}, {30, 31, 33, 37}} {
+		release := slices.Max(arrive[:])
+		for w, at := range arrive {
+			r.push(w, Event{Kind: EvBarrier, Site: 0, Arg: int64(ep + 1), Start: ms(at), End: ms(release)})
+		}
+	}
+	r.push(1, Event{Kind: EvCounterWait, Site: 1, Arg: 1, Start: ms(40), End: ms(90)})
+	r.push(2, Event{Kind: EvCounterWait, Site: 1, Arg: 1, Start: ms(40), End: ms(41)})
+	s := Summarize(r)
+
+	var row SiteSummary
+	for _, ss := range s.Sites {
+		if ss.ID == 0 {
+			row = ss
+		}
+	}
+	// Waits, ascending: 0 0 0 2 3 4 4 6 7 8 9 10 ms.
+	if row.Kind != EvBarrier || row.Count != 12 || row.Total != 53*time.Millisecond {
+		t.Errorf("site 0 row: kind %s, count %d, total %s; want barrier, 12, 53ms", row.Kind, row.Count, row.Total)
+	}
+	if row.P50 != 4*time.Millisecond || row.P99 != 10*time.Millisecond || row.Max != 10*time.Millisecond {
+		t.Errorf("site 0 quantiles: p50 %s, p99 %s, max %s; want 4ms, 10ms, 10ms", row.P50, row.P99, row.Max)
+	}
+	if len(s.Imbalance) != 1 || s.Imbalance[0].ID != 0 {
+		t.Fatalf("imbalance rows %+v, want one for site 0", s.Imbalance)
+	}
+	im := s.Imbalance[0]
+	if got := im.MeanSlack * time.Duration(im.Episodes); im.Episodes != 3 || got != 21*time.Millisecond {
+		t.Errorf("site 0 slack: %d episodes summing to %s, want 3 summing to 21ms", im.Episodes, got)
+	}
+	if im.MaxSlack != 10*time.Millisecond || im.Straggler != 3 ||
+		!slices.Equal(im.LastByWorker, []int64{0, 1, 0, 2}) {
+		t.Errorf("site 0 imbalance %+v, want max slack 10ms, straggler w3, last by worker [0 1 0 2]", im)
 	}
 }
 

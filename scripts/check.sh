@@ -319,8 +319,10 @@ echo "== pinned gates still exist =="
 # certificate golden and its step mutants; the final-state golden, the
 # 50-seed chaos determinism of the reduction fold, the trace's
 # pseudo-site table, the affine form's differential fuzz, the row form's
-# gather/scatter, nest and index-guard fuzzes, and the loop memos' sabotage
-# test, fuzz and once-per-time-loop check count.
+# gather/scatter, nest and index-guard fuzzes, the loop memos' sabotage
+# test, fuzz and once-per-time-loop check count, and the one per-site
+# account of a traced run (profile, report and counts against the trace
+# summary's rows) with the summary's exact row on fixed timestamps.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -333,7 +335,8 @@ pinned() {
 }
 pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedPrograms \
     TestRowLegalityTableOnATeam TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled \
-    TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites TestChecksOncePerTimeLoop
+    TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites TestChecksOncePerTimeLoop \
+    TestOneSiteAccount
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
@@ -346,9 +349,9 @@ pinned ./internal/suite TestIrregularBarrierElimination TestFDOPropertySuite Tes
     TestSiteNumberingAgreement
 pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGanttGolden
 pinned ./internal/certify TestCertificateGolden TestStepMutants
-pinned ./internal/synctrace TestRingGrowsToCap
+pinned ./internal/synctrace TestRingGrowsToCap TestSummarizeSiteRow
 pinned ./internal/linear FuzzAffine TestAffineMatchesReference
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier and affine-form gates present"
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form and site-account gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
