@@ -124,7 +124,7 @@ func main() {
 
 	var fres *fdo.Result
 	if *fdoIn != "" {
-		prior, err := profile.Load(*fdoIn)
+		prior, err := profile.ReadFile(*fdoIn)
 		if err != nil {
 			fail(err)
 		}

@@ -104,7 +104,7 @@ func cmdMerge(args []string, stdout, stderr io.Writer) int {
 	}
 	ps := make([]*profile.Profile, 0, fs.NArg())
 	for _, path := range fs.Args() {
-		p, err := profile.Load(path)
+		p, err := profile.ReadFile(path)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -142,11 +142,11 @@ func cmdDiff(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "spmdprof diff: need exactly two profile files (old new)")
 		return 2
 	}
-	old, err := profile.Load(fs.Arg(0))
+	old, err := profile.ReadFile(fs.Arg(0))
 	if err != nil {
 		return fail(stderr, err)
 	}
-	cand, err := profile.Load(fs.Arg(1))
+	cand, err := profile.ReadFile(fs.Arg(1))
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -173,7 +173,7 @@ func cmdTop(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "spmdprof top: need exactly one profile file")
 		return 2
 	}
-	p, err := profile.Load(fs.Arg(0))
+	p, err := profile.ReadFile(fs.Arg(0))
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -225,7 +225,7 @@ func cmdLedger(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "spmdprof ledger: need exactly one ledger file")
 		return 2
 	}
-	recs, err := profile.LoadLedger(fs.Arg(0))
+	recs, err := profile.ReadLedgerFile(fs.Arg(0))
 	if err != nil {
 		return fail(stderr, err)
 	}

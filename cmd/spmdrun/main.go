@@ -244,7 +244,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("unknown mode %q (want base or opt)", o.mode))
 	}
 	if o.profileIn != "" {
-		prior, err := profile.Load(o.profileIn)
+		prior, err := profile.ReadFile(o.profileIn)
 		if err != nil {
 			return fail(err)
 		}

@@ -121,7 +121,7 @@ func TestTraceIDJoinsEnvelopeLedgerAndSpans(t *testing.T) {
 		t.Fatal("envelope missing trace_id")
 	}
 
-	recs, err := profile.LoadLedger(ledgerPath)
+	recs, err := profile.ReadLedgerFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,10 @@ func (m Mode) String() string {
 	return "spmd"
 }
 
-// EngineName is what the `backend` field of profiles, ledger records, the
-// spmdrun -json payload and the /metrics label reads. The schemas predate
-// the single statement engine and keep the field so existing profiles and
-// fixtures still merge.
+// EngineName is what the `backend` field of profiles, ledger records and
+// the spmdrun -json payload reads. The schemas predate the single
+// statement engine and keep the field so existing profiles and fixtures
+// still merge.
 const EngineName = "closure"
 
 // ConfigError reports an invalid Config field. NewRunner returns it
@@ -394,6 +394,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		p2ps:     make([]*spmdrt.P2P, r.nSites),
 		dispatch: team.NewCounter(),
 		errs:     make([]error, r.cfg.Workers),
+		ws:       make([]*workerState, r.cfg.Workers),
 		relay:    make([]*spmdrt.P2P, len(r.relays)),
 		folds:    make([]foldState, len(r.folds)),
 		sabotage: r.cfg.SabotageEdge - 1,
@@ -402,7 +403,6 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		run.folds[i].parts = make([]float64, r.cfg.Workers*(len(l.Reductions)+foldPad))
 	}
 	run.dispatch.Site = "fork-join dispatch"
-	team.Stats.InitSites(r.nSites)
 	if r.cfg.ChaosSeed != 0 {
 		run.chaos = spmdrt.NewChaos(r.cfg.ChaosSeed, r.cfg.Workers)
 	}
@@ -476,6 +476,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 			cells:     make([]float64, r.maxCells),
 			saves:     make([]savedPriv, 0, r.maxCells),
 		}
+		run.ws[w] = ws
 		run.seedParams(ws.regs)
 		if run.inspW != nil {
 			ws.insp = make([]inspWorker, r.nSites)
@@ -491,7 +492,6 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		}
 		ws.runSteps()
 		ws.eng.done()
-		team.Stats.AddTally(ws.tally)
 		run.errs[w] = ws.err
 	}
 	runSp := spans.Start(parentSp, "team run")
@@ -522,7 +522,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 	if run.rec != nil {
 		run.rec.SetMeta("team_generation", strconv.FormatInt(team.Generation(), 10))
 	}
-	res := &Result{State: st, Stats: team.Stats.Snapshot(), Elapsed: elapsed, Trace: run.rec}
+	res := &Result{State: st, Stats: run.stats(), Elapsed: elapsed, Trace: run.rec}
 	if run.inspW != nil {
 		res.Inspector = map[int]InspectorSite{}
 		var scanNS, scans int64
@@ -557,6 +557,8 @@ type teamRun struct {
 	p2ps     []*spmdrt.P2P
 	dispatch *spmdrt.Counter
 	errs     []error
+	// ws[w] is worker w's state, whose tallies stats sums after the join.
+	ws []*workerState
 	// relay[i] is the rank-order handoff chain of relays[i]; folds[i] holds
 	// the partials and arrivals of folds[i].
 	relay []*spmdrt.P2P
@@ -573,6 +575,35 @@ type teamRun struct {
 	inspW [][]inspWorker
 	// sabotage is the sync-site id to silently drop (-1 for none).
 	sabotage int
+}
+
+// stats sums the workers' tallies into the run's counts: site i's are
+// tally[i] over the workers, and the slot past the sites (the relay chains)
+// counts toward the totals only. Every worker takes part in every dispatch,
+// so worker 0's sequence number is their count.
+func (run *teamRun) stats() spmdrt.StatsSnapshot {
+	s := spmdrt.StatsSnapshot{Dispatches: run.ws[0].dispatchSeq}
+	if run.nSites > 0 {
+		s.PerSite = map[int]spmdrt.SiteCounts{}
+	}
+	for i := 0; i <= run.nSites; i++ {
+		var c spmdrt.SiteCounts
+		for _, ws := range run.ws {
+			t := &ws.tally[i]
+			c.Barriers += t.Barriers
+			c.CounterIncrs += t.CounterIncrs
+			c.CounterWaits += t.CounterWaits
+			c.NeighborWaits += t.NeighborWaits
+		}
+		s.Barriers += c.Barriers
+		s.CounterIncrs += c.CounterIncrs
+		s.CounterWaits += c.CounterWaits
+		s.NeighborWaits += c.NeighborWaits
+		if i < run.nSites && c != (spmdrt.SiteCounts{}) {
+			s.PerSite[i+1] = c
+		}
+	}
+	return s
 }
 
 // seedParams stores the run's parameter values in their registers.
@@ -609,10 +640,12 @@ type workerState struct {
 	cum []int64
 	// cross: per-site neighbor-sync crossing counts.
 	cross []int64
-	// tally: per-site counter and point-to-point events (last: the relay
-	// chains' unsited waits), handed to Stats when the body ends.
+	// tally: per-site events — barrier episodes on worker 0 only, counter
+	// and point-to-point events on every worker (last: the relay chains'
+	// unsited waits) — summed into Result.Stats after the join.
 	tally []spmdrt.SiteCounts
-	// dispatchSeq: fork-join dispatch sequence number.
+	// dispatchSeq: fork-join dispatch sequence number, so worker 0's is the
+	// run's dispatch count.
 	dispatchSeq int64
 	activeBuf   []bool
 	// relayInst[i] counts this worker's passes through relay chain i.
@@ -711,7 +744,6 @@ func (ws *workerState) dispatch() {
 	run.chaos.PreSync(ws.w)
 	ws.dispatchSeq++
 	if ws.w == 0 {
-		run.team.Stats.Dispatches.Add(1)
 		if run.san != nil {
 			run.san.tr.CounterPost(run.dispatch, ws.w)
 		}
@@ -905,6 +937,9 @@ func (ws *workerState) applySync(site int) {
 	defer run.chaos.PostSync(ws.w)
 	switch sync.Class {
 	case comm.ClassBarrier:
+		if ws.w == 0 {
+			ws.tally[site].Barriers++
+		}
 		if run.san != nil {
 			run.san.tr.Barrier(ws.w, func() { run.team.BarrierAt(ws.w, site) })
 		} else {

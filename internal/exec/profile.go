@@ -32,10 +32,10 @@ func (r *Runner) siteKind(id int) string {
 // run, keyed by the global 1-based sync-site numbering (the same ids as
 // the remarks, StatsSnapshot.PerSite, SabotageEdge and certify.DropSite).
 // Dynamic operation counts come from the runtime stats; the wait sketch
-// and barrier-imbalance attribution come from a direct pass over the
-// trace's surviving events (trace site ids are the 1-based id minus one;
-// pseudo-sites beyond the scheduled boundaries are excluded). The result
-// is sorted by ascending site id — satellite of the byte-stability
+// and barrier-imbalance attribution come from the site's rows of the trace
+// summary (synctrace.Summarize; trace site ids are the 1-based id minus
+// one, and pseudo-sites beyond the scheduled boundaries are excluded). The
+// result is sorted by ascending site id — satellite of the byte-stability
 // requirement: no map-iteration order reaches the serialized profile.
 func (r *Runner) SiteProfiles(res *Result) []profile.SiteProfile {
 	if res == nil {
@@ -50,13 +50,10 @@ func (r *Runner) SiteProfiles(res *Result) []profile.SiteProfile {
 		}
 		return sp
 	}
-	for _, id := range res.Stats.SiteIDs() {
-		if id < 1 || id > r.nSites {
-			continue
+	for id, c := range res.Stats.PerSite {
+		if id >= 1 && id <= r.nSites {
+			get(id).Ops = c.Barriers + c.CounterIncrs + c.CounterWaits + c.NeighborWaits
 		}
-		c := res.Stats.PerSite[id]
-		sp := get(id)
-		sp.Ops = c.Barriers + c.CounterIncrs + c.CounterWaits + c.NeighborWaits
 	}
 	// Inspector sites carry their scan statistics even when every
 	// crossing resolved conflict-free (Ops stays 0: no one waited).
@@ -70,62 +67,21 @@ func (r *Runner) SiteProfiles(res *Result) []profile.SiteProfile {
 		sp.WaitCrossings = is.WaitCrossings
 		sp.Conservative = is.Conservative
 	}
-	if rec := res.Trace; rec != nil {
-		// Barrier arrival tracking per (site, episode): first/last arrival
-		// give the episode's slack, the last arrival its straggler.
-		type epKey struct {
-			site int32
-			ep   int64
-		}
-		type window struct {
-			first, last int64
-			straggler   int
-			seen        int
-		}
-		episodes := map[epKey]*window{}
-		for w := 0; w < rec.Workers(); w++ {
-			for _, e := range rec.WorkerEvents(w) {
-				id := int(e.Site) + 1
-				if id < 1 || id > r.nSites {
-					continue
-				}
-				if e.Kind.Blocking() {
-					get(id).Wait.Add(e.Dur())
-				}
-				if e.Kind == synctrace.EvBarrier {
-					k := epKey{e.Site, e.Arg}
-					win := episodes[k]
-					if win == nil {
-						win = &window{first: e.Start, last: e.Start, straggler: w}
-						episodes[k] = win
-					} else {
-						if e.Start < win.first {
-							win.first = e.Start
-						}
-						if e.Start > win.last {
-							win.last = e.Start
-							win.straggler = w
-						}
-					}
-					win.seen++
+	if sum := synctrace.Summarize(res.Trace); sum != nil {
+		for _, row := range sum.Sites {
+			if id := int(row.ID) + 1; id >= 1 && id <= r.nSites {
+				sp := get(id)
+				for _, d := range row.Waits {
+					sp.Wait.Add(d)
 				}
 			}
 		}
-		for k, win := range episodes {
-			if win.seen < 2 {
-				continue // a 1-worker team has no imbalance
+		for _, im := range sum.Imbalance {
+			if id := int(im.ID) + 1; id >= 1 && id <= r.nSites {
+				sp := get(id)
+				sp.Episodes, sp.SlackSumNS = im.Episodes, int64(im.SlackSum)
+				sp.MaxSlackNS, sp.LastByWorker = int64(im.MaxSlack), im.LastByWorker
 			}
-			sp := get(int(k.site) + 1)
-			slack := win.last - win.first
-			sp.Episodes++
-			sp.SlackSumNS += slack
-			if slack > sp.MaxSlackNS {
-				sp.MaxSlackNS = slack
-			}
-			if sp.LastByWorker == nil {
-				sp.LastByWorker = make([]int64, rec.Workers())
-			}
-			sp.LastByWorker[win.straggler]++
 		}
 	}
 	out := make([]profile.SiteProfile, 0, len(bySite))

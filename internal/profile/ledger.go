@@ -53,7 +53,9 @@ func Decode(data []byte) (*Profile, error) {
 	return &p, nil
 }
 
-// ReadFile reads and decodes an envelope-wrapped profile.
+// ReadFile reads and decodes an envelope-wrapped profile from path. It is
+// the one profile reader every consumer (spmdprof, barrierc -fdo, spmdrun
+// -profile-in) shares; failures wrap ErrEnvelope or ErrSchema.
 func ReadFile(path string) (*Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -156,7 +158,8 @@ func ReadLedger(r io.Reader) ([]*LedgerRecord, error) {
 	return recs, nil
 }
 
-// ReadLedgerFile reads every record in the ledger at path.
+// ReadLedgerFile reads every record of the append-only run ledger at path.
+// Failures wrap ErrEnvelope or ErrSchema and name the offending line.
 func ReadLedgerFile(path string) ([]*LedgerRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// Typed ingestion errors. Every reader in this package (Load, LoadLedger,
-// Decode, MatchIdentity, Compatible) reports failures wrapping one of
-// these sentinels, so callers branch with errors.Is instead of matching
-// message text:
+// Typed ingestion errors. Every reader in this package (ReadFile,
+// ReadLedgerFile, Decode, ReadLedger, MatchIdentity, Compatible) reports
+// failures wrapping one of these sentinels, so callers branch with
+// errors.Is instead of matching message text:
 //
 //   - ErrEnvelope: the bytes are not a well-formed profile/ledger envelope
 //     (wrong tool name, malformed JSON, bad payload shape).
@@ -25,19 +25,6 @@ var (
 	ErrHashMismatch = errors.New("profile: identity hash mismatch")
 	ErrIncompatible = errors.New("profile: incompatible configuration")
 )
-
-// Load reads and decodes an envelope-wrapped profile from path. It is the
-// one ingestion entry point every consumer (spmdprof, barrierc -fdo,
-// spmdrun -profile-in) shares; failures wrap ErrEnvelope or ErrSchema.
-func Load(path string) (*Profile, error) {
-	return ReadFile(path)
-}
-
-// LoadLedger reads every record of the append-only run ledger at path.
-// Failures wrap ErrEnvelope or ErrSchema and name the offending line.
-func LoadLedger(path string) ([]*LedgerRecord, error) {
-	return ReadLedgerFile(path)
-}
 
 // MatchIdentity checks the profile against a compilation's identity
 // hashes: the error wraps ErrHashMismatch and names the mismatching hash,

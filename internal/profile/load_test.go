@@ -28,12 +28,12 @@ func writeSample(t *testing.T) string {
 }
 
 func TestLoadRoundTrip(t *testing.T) {
-	p, err := Load(writeSample(t))
+	p, err := ReadFile(writeSample(t))
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("ReadFile: %v", err)
 	}
 	if p.Program != "jacobi1d" || p.Workers != 4 || len(p.Sites) != 1 {
-		t.Fatalf("Load round-trip mangled profile: %+v", p)
+		t.Fatalf("ReadFile round-trip mangled profile: %+v", p)
 	}
 }
 
@@ -47,12 +47,12 @@ func TestLoadErrEnvelope(t *testing.T) {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(path)
+		_, err := ReadFile(path)
 		if !errors.Is(err, ErrEnvelope) {
-			t.Errorf("%s: Load error = %v, want ErrEnvelope", name, err)
+			t.Errorf("%s: ReadFile error = %v, want ErrEnvelope", name, err)
 		}
 		if errors.Is(err, ErrSchema) {
-			t.Errorf("%s: Load error wraps ErrSchema too: %v", name, err)
+			t.Errorf("%s: ReadFile error wraps ErrSchema too: %v", name, err)
 		}
 	}
 }
@@ -72,12 +72,12 @@ func TestLoadErrSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(path)
+	_, err = ReadFile(path)
 	if !errors.Is(err, ErrSchema) {
-		t.Fatalf("Load error = %v, want ErrSchema", err)
+		t.Fatalf("ReadFile error = %v, want ErrSchema", err)
 	}
 	if errors.Is(err, ErrEnvelope) {
-		t.Fatalf("Load error wraps ErrEnvelope too: %v", err)
+		t.Fatalf("ReadFile error wraps ErrEnvelope too: %v", err)
 	}
 }
 
@@ -116,9 +116,9 @@ func TestLoadLedgerErrEnvelope(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"schema_version\":1,\"tool\":\"spmdrun\",\"payload\":{}}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadLedger(path)
+	_, err := ReadLedgerFile(path)
 	if !errors.Is(err, ErrEnvelope) {
-		t.Fatalf("LoadLedger error = %v, want ErrEnvelope", err)
+		t.Fatalf("ReadLedgerFile error = %v, want ErrEnvelope", err)
 	}
 }
 
@@ -131,11 +131,11 @@ func TestLoadLedgerRoundTrip(t *testing.T) {
 	if err := AppendLedger(path, rec); err != nil {
 		t.Fatalf("AppendLedger: %v", err)
 	}
-	recs, err := LoadLedger(path)
+	recs, err := ReadLedgerFile(path)
 	if err != nil {
-		t.Fatalf("LoadLedger: %v", err)
+		t.Fatalf("ReadLedgerFile: %v", err)
 	}
 	if len(recs) != 2 || recs[0].Profile.Program != "jacobi1d" {
-		t.Fatalf("LoadLedger = %d records, want 2 with profiles", len(recs))
+		t.Fatalf("ReadLedgerFile = %d records, want 2 with profiles", len(recs))
 	}
 }

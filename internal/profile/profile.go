@@ -1,13 +1,12 @@
 // Package profile is the durable synchronization-profiling layer: a
 // schema-versioned, mergeable, diffable record of what every sync site
-// cost at run time. PR 2 and PR 5 made individual runs richly observable
-// (per-site wait quantiles, the static×runtime sync report) but all of it
-// evaporated at process exit; a Profile survives — written by
-// `spmdrun -profile-out`, appended per run to a ledger
-// (`spmdrun -ledger`), rolled up across runs with Merge, and compared
-// across builds or configurations with Diff — so feedback-directed
-// re-optimization (`-profile-in`, ROADMAP item 1) and the `barrierd`
-// dashboards (item 4) have measured per-site cost history to consume.
+// cost at run time. A run's trace summary and sync report evaporate at
+// process exit; a Profile survives — written by `spmdrun -profile-out`,
+// appended per run to a ledger (`spmdrun -ledger`), rolled up across runs
+// with Merge, and compared across builds or configurations with Diff — so
+// feedback-directed re-optimization (`spmdrun -profile-in`, `barrierc
+// -fdo`) and the regression watch (`spmdprof ledger -watch`) have measured
+// per-site cost history to consume.
 //
 // Site ids are the global 1-based sync-site numbering shared with the
 // optimization remarks, the watchdog's deadlock reports,

@@ -51,7 +51,7 @@ func NewPersistentTeam(n int, kind BarrierKind) *PersistentTeam {
 }
 
 // Team exposes the underlying Team for setup (SetWatchdog, SetTrace,
-// NewCounter, Stats) and for the region function's Barrier calls.
+// NewCounter) and for the region function's Barrier calls.
 func (pt *PersistentTeam) Team() *Team { return pt.t }
 
 // N returns the team size.
@@ -123,11 +123,12 @@ func (pt *PersistentTeam) Run(fn func(w int)) error {
 }
 
 // ResetForReuse scrubs all cross-run state so the next checkout observes a
-// factory-fresh team: stats totals and per-site attribution, the armed
-// watchdog deadline, the bound trace recorder, per-worker episode counters
-// and the barrier's internal sense/count/round state (the barrier is
-// rebuilt outright — cheaper to reason about than unwinding three
-// different algorithms' state machines). A failed or closed team is
+// factory-fresh team: the armed watchdog deadline, the bound trace
+// recorder, per-worker episode counters and the barrier's internal
+// sense/count/round state (the barrier is rebuilt outright — cheaper to
+// reason about than unwinding three different algorithms' state
+// machines). The team keeps no run statistics to scrub: the executor
+// counts each run in its own worker state. A failed or closed team is
 // rejected; close it instead.
 func (pt *PersistentTeam) ResetForReuse() error {
 	pt.mu.Lock()
@@ -139,7 +140,6 @@ func (pt *PersistentTeam) ResetForReuse() error {
 	if err := t.mon.Err(); err != nil {
 		return fmt.Errorf("spmdrt: reset of a failed team: %w", err)
 	}
-	t.Stats.Reset()
 	t.SetWatchdog(0)
 	t.trace = nil
 	for i := range t.eps {
@@ -150,18 +150,13 @@ func (pt *PersistentTeam) ResetForReuse() error {
 }
 
 // VerifyClean audits the post-reset state: the failure latch must be
-// untripped, every stats counter zero with no per-site residue, no worker
-// registered at a monitor wait site, and no trace recorder bound. It is
-// the pool's checkout-time guard against cross-run contamination.
+// untripped, no worker registered at a monitor wait site, and no trace
+// recorder bound. It is the pool's checkout-time guard against cross-run
+// contamination.
 func (pt *PersistentTeam) VerifyClean() error {
 	t := pt.t
 	if err := t.mon.Err(); err != nil {
 		return fmt.Errorf("spmdrt: team failure latch tripped: %w", err)
-	}
-	if t.Stats.Residue() {
-		// Build the full snapshot only on the failure path; the audit runs
-		// on every pool release and must stay allocation-free when clean.
-		return fmt.Errorf("spmdrt: stats residue after reset: %s", t.Stats.Snapshot())
 	}
 	for w := 0; w < t.N; w++ {
 		if site := t.mon.sites[w].p.Load(); site != nil {

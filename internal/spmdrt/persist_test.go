@@ -12,26 +12,30 @@ import (
 )
 
 // TestPersistentTeamReuse drives many back-to-back runs on one parked
-// team: every run must observe factory-fresh stats, and the generation id
-// must increase monotonically across reuse.
+// team: every run must cross all its barriers, every reset must audit
+// clean, and the generation id must increase monotonically across reuse.
 func TestPersistentTeamReuse(t *testing.T) {
 	const runs = 60
 	pt := NewPersistentTeam(4, Central)
 	defer pt.Close()
 	team := pt.Team()
 	for i := 0; i < runs; i++ {
+		episodes := 0 // worker 0's barrier calls this run
 		if err := pt.Run(func(w int) {
-			team.Barrier(w)
-			team.Barrier(w)
-			team.Barrier(w)
+			for range 3 {
+				team.Barrier(w)
+				if w == 0 {
+					episodes++
+				}
+			}
 		}); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if got := team.Generation(); got != int64(i+1) {
 			t.Fatalf("run %d: generation = %d, want %d", i, got, i+1)
 		}
-		if got := team.Stats.Snapshot().Barriers; got != 3 {
-			t.Fatalf("run %d: barriers = %d, want 3 (cross-run stat contamination)", i, got)
+		if episodes != 3 {
+			t.Fatalf("run %d: barriers = %d, want 3", i, episodes)
 		}
 		if err := pt.ResetForReuse(); err != nil {
 			t.Fatalf("run %d: reset: %v", i, err)
@@ -43,8 +47,8 @@ func TestPersistentTeamReuse(t *testing.T) {
 }
 
 // TestPersistentTeamResetScrubs arms every piece of per-run state the
-// reset protocol must scrub — watchdog deadline, trace recorder, per-site
-// stats — and checks a reset team audits clean.
+// reset protocol must scrub — watchdog deadline, trace recorder and its
+// episode counters — and checks a reset team audits clean.
 func TestPersistentTeamResetScrubs(t *testing.T) {
 	pt := NewPersistentTeam(3, Dissemination)
 	defer pt.Close()
@@ -53,26 +57,20 @@ func TestPersistentTeamResetScrubs(t *testing.T) {
 	rec := synctrace.New(3, 64)
 	rec.AddSite("site 1")
 	team.SetTrace(rec)
-	team.Stats.InitSites(2)
 	if err := pt.Run(func(w int) {
 		team.BarrierAt(w, 0)
 		team.BarrierAt(w, 1)
 	}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	snap := team.Stats.Snapshot()
-	if snap.Barriers != 2 || len(snap.PerSite) != 2 {
-		t.Fatalf("pre-reset snapshot unexpected: %s", snap)
+	if got := rec.Recorded(); got != 2*3 {
+		t.Fatalf("pre-reset run recorded %d events, want 2 barriers x 3 workers", got)
 	}
 	if err := pt.ResetForReuse(); err != nil {
 		t.Fatalf("reset: %v", err)
 	}
 	if err := pt.VerifyClean(); err != nil {
 		t.Fatalf("verify clean after traced+sited run: %v", err)
-	}
-	snap = team.Stats.Snapshot()
-	if snap.Barriers != 0 || snap.PerSite != nil {
-		t.Fatalf("post-reset snapshot not scrubbed: %s", snap)
 	}
 	// The next run must work with the rebuilt barrier and stay untraced:
 	// the recorder keeps only the first run's 2 barriers x 3 workers.

@@ -3,9 +3,11 @@
 // implementations (central sense-reversing, combining tree,
 // dissemination), producer/consumer counters (§2.2 of the paper) and
 // per-worker point-to-point completion counters for neighbor and pipeline
-// synchronization. All primitives record dynamic synchronization counts so
-// the benchmark harness can reproduce the paper's "barriers executed"
-// tables exactly.
+// synchronization. The primitives keep no run statistics: the executor
+// tallies each worker's synchronization events where it calls them and sums
+// the tallies into a StatsSnapshot after the join, which is how the
+// benchmark harness reproduces the paper's "barriers executed" tables
+// exactly.
 //
 // The runtime is hardened against the failure modes of an unsound
 // synchronization schedule: every blocking primitive escalates its wait
@@ -27,110 +29,6 @@ import (
 	"repro/internal/synctrace"
 )
 
-// Stats counts dynamic synchronization events. A barrier crossed by all P
-// workers counts as one executed barrier, matching the paper's metric.
-// Besides the totals, a Stats optionally carries per-sync-site counters
-// (InitSites) so the executor can attribute every dynamic event to the
-// scheduled boundary that caused it.
-type Stats struct {
-	Barriers      atomic.Int64
-	CounterIncrs  atomic.Int64
-	CounterWaits  atomic.Int64
-	NeighborWaits atomic.Int64
-	Dispatches    atomic.Int64
-	// sites, when initialized, holds one padded counter block per
-	// scheduled sync site (indexed by 0-based site id).
-	sites []siteCounters
-}
-
-type siteCounters struct {
-	barriers, counterIncrs, counterWaits, neighborWaits atomic.Int64
-	_                                                   pad
-}
-
-// InitSites allocates per-site counters for n scheduled sync sites.
-// Call before the team runs; per-site methods are no-ops until then.
-func (s *Stats) InitSites(n int) {
-	if n > 0 {
-		s.sites = make([]siteCounters, n)
-	}
-}
-
-// Reset zeroes every counter and drops the per-site attribution,
-// returning the Stats to its as-constructed state. Reuse-time only: call
-// with no workers running (the persistent-team reset protocol does).
-func (s *Stats) Reset() {
-	s.Barriers.Store(0)
-	s.CounterIncrs.Store(0)
-	s.CounterWaits.Store(0)
-	s.NeighborWaits.Store(0)
-	s.Dispatches.Store(0)
-	s.sites = nil
-}
-
-// AddTally folds one worker's counter and point-to-point events into the
-// counters, once, when its body ends: tally[i] is what it did at 0-based
-// site i, and elements past the sited ones count toward the totals only.
-// Nothing reads the counters before the join, so every count stays exact
-// and each wait loses two atomic adds on lines all workers share.
-func (s *Stats) AddTally(tally []SiteCounts) {
-	for i, c := range tally {
-		s.CounterIncrs.Add(c.CounterIncrs)
-		s.CounterWaits.Add(c.CounterWaits)
-		s.NeighborWaits.Add(c.NeighborWaits)
-		if i < len(s.sites) {
-			s.sites[i].counterIncrs.Add(c.CounterIncrs)
-			s.sites[i].counterWaits.Add(c.CounterWaits)
-			s.sites[i].neighborWaits.Add(c.NeighborWaits)
-		}
-	}
-}
-
-// Residue reports whether any counter — aggregate or per-site — is
-// nonzero. It is the allocation-free form of the post-reset audit: the
-// pool checks it on every release, so it must not build the snapshot map
-// just to confirm everything is zero.
-func (s *Stats) Residue() bool {
-	if s.Barriers.Load() != 0 || s.CounterIncrs.Load() != 0 ||
-		s.CounterWaits.Load() != 0 || s.NeighborWaits.Load() != 0 ||
-		s.Dispatches.Load() != 0 {
-		return true
-	}
-	for i := range s.sites {
-		if s.sites[i].barriers.Load() != 0 || s.sites[i].counterIncrs.Load() != 0 ||
-			s.sites[i].counterWaits.Load() != 0 || s.sites[i].neighborWaits.Load() != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Snapshot returns a plain-value copy of the counters.
-func (s *Stats) Snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Barriers:      s.Barriers.Load(),
-		CounterIncrs:  s.CounterIncrs.Load(),
-		CounterWaits:  s.CounterWaits.Load(),
-		NeighborWaits: s.NeighborWaits.Load(),
-		Dispatches:    s.Dispatches.Load(),
-	}
-	if s.sites != nil {
-		snap.PerSite = map[int]SiteCounts{}
-		for i := range s.sites {
-			sc := SiteCounts{
-				Barriers:      s.sites[i].barriers.Load(),
-				CounterIncrs:  s.sites[i].counterIncrs.Load(),
-				CounterWaits:  s.sites[i].counterWaits.Load(),
-				NeighborWaits: s.sites[i].neighborWaits.Load(),
-			}
-			if sc != (SiteCounts{}) {
-				snap.PerSite[i+1] = sc
-			}
-		}
-	}
-	return snap
-}
-
 // SiteCounts is one sync site's share of the dynamic event totals.
 type SiteCounts struct {
 	Barriers      int64
@@ -139,10 +37,11 @@ type SiteCounts struct {
 	NeighborWaits int64
 }
 
-// StatsSnapshot is an immutable copy of Stats. PerSite, when the run was
-// site-attributed (Stats.InitSites), maps 1-based sync-site ids — the
-// numbering of watchdog reports and SabotageEdge — to that site's counts;
-// sites that executed no events are omitted.
+// StatsSnapshot is one run's dynamic synchronization counts. A barrier
+// crossed by all P workers counts as one executed barrier, matching the
+// paper's metric. PerSite, when the run was site-attributed, maps 1-based
+// sync-site ids — the numbering of watchdog reports and SabotageEdge — to
+// that site's counts; sites that executed no events are omitted.
 type StatsSnapshot struct {
 	Barriers      int64
 	CounterIncrs  int64
@@ -586,7 +485,6 @@ func (p *P2P) Progress(w int) int64 { return p.slots[w].Load() }
 // Team runs SPMD region functions on n workers.
 type Team struct {
 	N       int
-	Stats   *Stats
 	barrier Barrier
 	kind    BarrierKind
 	mon     *Monitor
@@ -606,7 +504,7 @@ func NewTeam(n int, kind BarrierKind) *Team {
 		panic("spmdrt: team needs at least one worker")
 	}
 	mon := newMonitor(n)
-	return &Team{N: n, Stats: &Stats{}, barrier: newBarrier(kind, n, mon), kind: kind, mon: mon}
+	return &Team{N: n, barrier: newBarrier(kind, n, mon), kind: kind, mon: mon}
 }
 
 // BarrierKind returns the team's barrier implementation kind.
@@ -662,21 +560,13 @@ func (t *Team) Run(fn func(w int)) error {
 	return runWorkers(t.N, t.mon, fn)
 }
 
-// Barrier synchronizes all team workers and counts one barrier episode,
-// unattributed to any sync site.
+// Barrier synchronizes all team workers, unattributed to any sync site.
 func (t *Team) Barrier(w int) { t.BarrierAt(w, -1) }
 
-// BarrierAt is Barrier attributed to a 0-based sync-site id: the episode
-// counts against the site's Stats slot (an out-of-range id, such as the
-// executor's -1 "unsited", against none) and, when a recorder is bound, is
-// recorded as an enter/exit span (Arg = the worker's episode number).
+// BarrierAt is Barrier attributed to a 0-based sync-site id (-1 for none):
+// when a recorder is bound, the episode is recorded as an enter/exit span
+// tagged with the site (Arg = the worker's episode number).
 func (t *Team) BarrierAt(w, site int) {
-	if w == 0 {
-		t.Stats.Barriers.Add(1)
-		if site >= 0 && site < len(t.Stats.sites) {
-			t.Stats.sites[site].barriers.Add(1)
-		}
-	}
 	if rec := t.trace; rec != nil {
 		start := rec.Now()
 		t.barrier.Wait(w)

@@ -15,6 +15,7 @@ func testBarrierOrdering(t *testing.T, kind BarrierKind, n, rounds int) {
 	// that lets anyone through early fails immediately.
 	slots := make([]atomic.Int64, n)
 	fail := atomic.Int64{}
+	episodes := 0 // worker 0's barrier calls
 	err := team.Run(func(w int) {
 		for r := 1; r <= rounds; r++ {
 			slots[w].Store(int64(r))
@@ -25,6 +26,9 @@ func testBarrierOrdering(t *testing.T, kind BarrierKind, n, rounds int) {
 				}
 			}
 			team.Barrier(w)
+			if w == 0 {
+				episodes += 2
+			}
 		}
 	})
 	if err != nil {
@@ -33,8 +37,8 @@ func testBarrierOrdering(t *testing.T, kind BarrierKind, n, rounds int) {
 	if f := fail.Load(); f != 0 {
 		t.Fatalf("%v barrier with %d workers leaked: code %d", kind, n, f)
 	}
-	if got := team.Stats.Barriers.Load(); got != int64(2*rounds) {
-		t.Errorf("barrier episodes = %d, want %d", got, 2*rounds)
+	if episodes != 2*rounds {
+		t.Errorf("barrier episodes = %d, want %d", episodes, 2*rounds)
 	}
 }
 
@@ -138,20 +142,21 @@ func TestP2PPipeline(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshot pins the snapshot's renderings: the totals line never
+// mentions sites, and per-site output runs in ascending site order.
 func TestStatsSnapshot(t *testing.T) {
-	var s Stats
-	s.Barriers.Add(3)
-	s.CounterIncrs.Add(2)
-	s.CounterWaits.Add(5)
-	s.NeighborWaits.Add(7)
-	s.Dispatches.Add(1)
-	snap := s.Snapshot()
-	if snap.Barriers != 3 || snap.CounterIncrs != 2 || snap.CounterWaits != 5 ||
-		snap.NeighborWaits != 7 || snap.Dispatches != 1 {
-		t.Errorf("snapshot = %+v", snap)
+	snap := StatsSnapshot{Barriers: 3, CounterIncrs: 2, CounterWaits: 5, NeighborWaits: 7, Dispatches: 1,
+		PerSite: map[int]SiteCounts{4: {NeighborWaits: 7}, 2: {Barriers: 3}}}
+	if got, want := snap.String(), "barriers=3 counters(incr=2,wait=5) neighbor-waits=7 dispatches=1"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
-	if snap.String() == "" {
-		t.Error("empty string")
+	if got := snap.SiteIDs(); !reflect.DeepEqual(got, []int{2, 4}) {
+		t.Errorf("SiteIDs() = %v, want [2 4]", got)
+	}
+	want := "site 2: barriers=3 counters(incr=0,wait=0) neighbor-waits=0\n" +
+		"site 4: barriers=0 counters(incr=0,wait=0) neighbor-waits=7"
+	if got := snap.PerSiteString(); got != want {
+		t.Errorf("PerSiteString() = %q, want %q", got, want)
 	}
 }
 
@@ -182,15 +187,17 @@ func TestNewBarrierPanics(t *testing.T) {
 func TestSingleWorkerBarrierIsNoop(t *testing.T) {
 	for _, k := range []BarrierKind{Central, Tree, Dissemination} {
 		team := NewTeam(1, k)
+		episodes := 0
 		if err := team.Run(func(w int) {
 			for i := 0; i < 10; i++ {
 				team.Barrier(w)
+				episodes++
 			}
 		}); err != nil {
 			t.Fatalf("%v: Run: %v", k, err)
 		}
-		if team.Stats.Barriers.Load() != 10 {
-			t.Errorf("%v: episodes = %d", k, team.Stats.Barriers.Load())
+		if episodes != 10 {
+			t.Errorf("%v: episodes = %d", k, episodes)
 		}
 	}
 }
@@ -204,20 +211,5 @@ func TestP2PSlotsDoNotShareALine(t *testing.T) {
 		if d := uintptr(unsafe.Pointer(&p.slots[w].v)) - uintptr(unsafe.Pointer(&p.slots[w-1].v)); d < 128 {
 			t.Fatalf("slots %d and %d are %d bytes apart", w-1, w, d)
 		}
-	}
-}
-
-// TestAddTallyIsExact folds two workers' tallies into sited and unsited
-// counters and reads back exactly what they counted.
-func TestAddTallyIsExact(t *testing.T) {
-	var s Stats
-	s.InitSites(2)
-	s.AddTally([]SiteCounts{{CounterIncrs: 1, CounterWaits: 2}, {NeighborWaits: 3}, {NeighborWaits: 5}})
-	s.AddTally([]SiteCounts{{CounterWaits: 2}, {NeighborWaits: 4}, {}})
-	snap := s.Snapshot()
-	want := StatsSnapshot{CounterIncrs: 1, CounterWaits: 4, NeighborWaits: 12, PerSite: map[int]SiteCounts{
-		1: {CounterIncrs: 1, CounterWaits: 4}, 2: {NeighborWaits: 7}}}
-	if !reflect.DeepEqual(snap, want) {
-		t.Fatalf("snapshot %+v, want %+v", snap, want)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // the suite's wait-decomposition table consumes: per-site wait-time
 // distributions, per-kind totals, barrier arrival imbalance, and a
 // critical-path-style attribution of worker time to compute vs. each
-// synchronization kind.
+// synchronization kind. It is the one fold over a trace's events: the
+// executor's per-site profiles and report columns are read off its rows.
 type Summary struct {
 	Workers int
 	// Span is the wall-clock interval covered by the trace.
@@ -21,7 +22,8 @@ type Summary struct {
 	// ByKind sums wait time and event counts per kind (index by Kind).
 	ByKind [numKinds]KindTotal
 	// Sites holds one entry per (site, kind) pair that recorded blocking
-	// waits, sorted by total wait descending.
+	// waits, sorted by total wait descending. The executor's sites each
+	// record one blocking kind, so a scheduled site has at most one row.
 	Sites []SiteSummary
 	// Imbalance holds per-barrier-site arrival-slack profiles.
 	Imbalance []SiteImbalance
@@ -50,6 +52,8 @@ type SiteSummary struct {
 	Max   time.Duration
 	// Hist counts waits per power-of-two microsecond bucket.
 	Hist [histBuckets]int64
+	// Waits holds every wait, ascending.
+	Waits []time.Duration
 }
 
 // SiteImbalance profiles barrier arrival slack at one site: for each
@@ -59,6 +63,7 @@ type SiteImbalance struct {
 	ID        int32
 	Name      string
 	Episodes  int64
+	SlackSum  time.Duration // exact, so profiles merge it across runs
 	MeanSlack time.Duration
 	MaxSlack  time.Duration
 	// Straggler is the worker most often last to arrive, with the share
@@ -88,34 +93,6 @@ func (s *Summary) SiteWait(id int32) time.Duration {
 		}
 	}
 	return t
-}
-
-// SiteWaitStats merges the per-kind entries of one site id into a single
-// wait distribution: counts and totals are summed across kinds, while the
-// quantiles (p50/p99) are taken from the dominant kind — the entry with
-// the largest total wait — since exact merged quantiles would need the raw
-// durations. ok is false when the site recorded no blocking waits.
-func (s *Summary) SiteWaitStats(id int32) (merged SiteSummary, ok bool) {
-	for _, ss := range s.Sites {
-		if ss.ID != id {
-			continue
-		}
-		if !ok {
-			// Sites is sorted by total wait descending, so the first
-			// entry seen for the id is its dominant kind.
-			merged, ok = ss, true
-			continue
-		}
-		merged.Count += ss.Count
-		merged.Total += ss.Total
-		if ss.Max > merged.Max {
-			merged.Max = ss.Max
-		}
-		if ss.Min < merged.Min {
-			merged.Min = ss.Min
-		}
-	}
-	return merged, ok
 }
 
 // Summarize aggregates the recorder's surviving events. Call only after
@@ -162,7 +139,7 @@ func Summarize(r *Recorder) *Summary {
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		ss := SiteSummary{ID: k.id, Name: r.SiteName(k.id), Kind: k.kind,
 			Count: int64(len(ds)), Min: ds[0], Max: ds[len(ds)-1],
-			P50: quantile(ds, 0.50), P99: quantile(ds, 0.99)}
+			P50: quantile(ds, 0.50), P99: quantile(ds, 0.99), Waits: ds}
 		for _, d := range ds {
 			ss.Total += d
 			ss.Hist[histBucket(d)]++
@@ -201,14 +178,14 @@ func Summarize(r *Recorder) *Summary {
 		}
 		slack := time.Duration(last.at - first.at)
 		si.Episodes++
-		si.MeanSlack += slack // running sum; divided below
+		si.SlackSum += slack
 		if slack > si.MaxSlack {
 			si.MaxSlack = slack
 		}
 		si.LastByWorker[last.worker]++
 	}
 	for _, si := range imb {
-		si.MeanSlack /= time.Duration(si.Episodes)
+		si.MeanSlack = si.SlackSum / time.Duration(si.Episodes)
 		for w, c := range si.LastByWorker {
 			if c > si.LastByWorker[si.Straggler] {
 				si.Straggler = w

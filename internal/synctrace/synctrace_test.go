@@ -237,6 +237,9 @@ func TestSummarizeSiteRow(t *testing.T) {
 	if got := im.MeanSlack * time.Duration(im.Episodes); im.Episodes != 3 || got != 21*time.Millisecond {
 		t.Errorf("site 0 slack: %d episodes summing to %s, want 3 summing to 21ms", im.Episodes, got)
 	}
+	if im.SlackSum != 21*time.Millisecond {
+		t.Errorf("site 0 slack sum %s, want 21ms", im.SlackSum)
+	}
 	if im.MaxSlack != 10*time.Millisecond || im.Straggler != 3 ||
 		!slices.Equal(im.LastByWorker, []int64{0, 1, 0, 2}) {
 		t.Errorf("site 0 imbalance %+v, want max slack 10ms, straggler w3, last by worker [0 1 0 2]", im)
