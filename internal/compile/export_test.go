@@ -22,3 +22,14 @@ func (fr *Frame) NestDeltas() []int64 {
 	}
 	return fr.scr.delta
 }
+
+// CountLegality makes every row-legality decision (rowLegal) count, until
+// restore puts the rule back: total reads how many were made.
+func CountLegality() (total func() int64, restore func()) {
+	legal, n := rowLegal, int64(0)
+	rowLegal = func(rb *rowBody, fr *Frame, refs []curRef, start, count, step int64) bool {
+		n++
+		return legal(rb, fr, refs, start, count, step)
+	}
+	return func() int64 { return n }, func() { rowLegal = legal }
+}

@@ -320,7 +320,8 @@ echo "== pinned gates still exist =="
 # 50-seed chaos determinism of the reduction fold, the trace's
 # pseudo-site table, the affine form's differential fuzz, the row form's
 # gather/scatter, nest and index-guard fuzzes, the loop memos' sabotage
-# test, fuzz and once-per-time-loop check count, and the one per-site
+# test, fuzz and once-per-time-loop check count, the loop entries'
+# decisions (row entries, fallbacks, checks, legality) in two goldens, and the one per-site
 # account of a traced run (profile, report and counts against the trace
 # summary's rows) with the summary's exact row on fixed timestamps.
 pinned() {
@@ -336,12 +337,12 @@ pinned() {
 pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedPrograms \
     TestRowLegalityTableOnATeam TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled \
     TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites TestChecksOncePerTimeLoop \
-    TestOneSiteAccount
+    TestOneSiteAccount TestEntryDecisionsGolden
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
     FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeTheNestDriver \
-    TestMemoSabotagedScopeIsCaught FuzzStepMemo TestStepMemoMatchesInterp
+    TestMemoSabotagedScopeIsCaught FuzzStepMemo TestStepMemoMatchesInterp TestEntryDecisionsGolden
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
