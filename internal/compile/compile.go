@@ -124,14 +124,7 @@ type Detached struct{ c *cc }
 func (p *Prog) Detached() Detached {
 	q := *p
 	q.opt.Instrument = false
-	c := &cc{p: &q, scope: map[string]bool{}}
-	ir.WalkStmts(p.prog.Body, func(s ir.Stmt) bool {
-		if l, ok := s.(*ir.Loop); ok {
-			c.scope[l.Index] = true
-		}
-		return true
-	})
-	return Detached{c}
+	return Detached{&cc{p: &q, scope: ir.LoopIndicesOf(p.prog.Body)}}
 }
 
 // Int lowers an integer expression.
@@ -231,9 +224,9 @@ type cc struct {
 	// time in cursor form: array references affine in inner's index then
 	// lower to cursors (cursor.go), and the closures are not registered as
 	// the statements' own — Prog.Stmt keeps the per-access-checked form.
-	inner *innerLoop
+	inner *plan
 	// last is the loop lowered last: the one a loop's body ends with (nest);
-	last  *forms
+	last  *plan
 	loops []ir.Stmt // the loops being lowered, outermost first
 }
 
@@ -338,28 +331,30 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &forms{p: c.p, loop: n, reg: reg, fast: body, checked: body, memo: -1}
-	if !c.p.opt.Instrument && !hasLoop(n.Body) {
+	pl := &plan{p: c.p, loop: n, reg: reg, outer: -1, fast: body, checked: body, memo: -1}
+	if len(c.loops) > 1 {
+		pl.outer, _ = c.p.lay.IndexReg(c.loops[len(c.loops)-2].(*ir.Loop).Index)
+	}
+	if !c.p.opt.Instrument && len(ir.LoopIndicesOf(n.Body)) == 0 {
 		// The sanitizer must see every access, so instrumented lowerings
 		// keep the per-access form only.
-		inner := c.indexGuard(f, n.Body)
-		c.inner = &innerLoop{reg: reg}
-		if f.fast, err = c.seq(inner); err == nil {
-			f.row = c.rowForm(inner)
+		inner := c.indexGuard(pl, n.Body)
+		c.inner = pl
+		if pl.fast, err = c.seq(inner); err == nil {
+			pl.row = c.rowForm(inner)
 		}
-		f.refs, c.inner = c.inner.refs, nil
-		if err != nil {
+		if c.inner = nil; err != nil {
 			return nil, err
 		}
 		var index []string
-		for i := 0; f.row != nil && i < len(f.row.gathers); i++ {
-			index = append(index, f.refs[f.row.gathers[i].slot-f.refs[0].slot].ref.Name)
+		for i := 0; pl.row != nil && i < len(pl.row.gathers); i++ {
+			index = append(index, pl.ref(pl.row.gathers[i].slot).ref.Name)
 		}
-		if len(f.refs) > 0 {
-			f.memo, f.scope = c.memoScope(n.Body, index, n.Index)
+		if len(pl.refs) > 0 {
+			pl.memo, pl.scope = c.memoScope(n.Body, index, n.Index)
 		}
 	}
-	rng := c.nest(n, reg, f.rangeFn())
+	rng := c.nest(n, reg, pl.rangeFn())
 	if _, ok := c.p.scopes[n]; ok {
 		p, drive := c.p, rng
 		rng = func(fr *Frame, start, end, step int64) {
@@ -367,72 +362,49 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 			drive(fr, start, end, step)
 		}
 	}
-	c.p.ranges[n], c.last = rng, f
+	c.p.ranges[n], c.last = rng, pl
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
 	loF, hiF := lo.fn, hi.fn
 	return func(fr *Frame) { rng(fr, loF(fr), hiF(fr), 1) }, nil
 }
 
-// nest returns forms.nest for loop n, index register reg, if n's body is
-// assignments, run per row as they are lowered, and then one loop m (lowered
-// last) with cursors and another index and no guard in its body (the nest's
-// rows run m's then statements over all of m's range). m's bounds are one box
-// for every row if affine in neither index; otherwise they vary, and must read
-// no array n's body stores, so that what they yield in a row is fixed before
-// any row runs (an integer expression reads no scalar, and m writes no
-// register they read: a validated program has no live index of m's name);
-// the bounds an entry's rows read get a memo, if memoScope finds a scope.
-// Otherwise nest returns rng, n's per-entry driver.
+// nest returns the driver of a nest's plan, loop n with index register reg,
+// if n's body is assignments, run per row as they are lowered, and then one
+// loop m (lowered last) with cursors, another index and no guard. m's bounds
+// are one box for every row if affine in neither index; otherwise they vary,
+// and must read no array n's body stores, so that what they yield in a row is
+// fixed before any row runs (an integer expression reads no scalar, and m
+// writes no register they read: a validated program has no live index of m's
+// name), and an entry's rows get a memo if memoScope finds a scope. Otherwise
+// nest returns rng, the driver of n's own plan.
 func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 	in, k := c.last, len(n.Body)-1
 	if k < 0 || in == nil || n.Body[k] != in.loop || len(in.refs) == 0 || in.reg == reg || in.guard != nil {
 		return rng
 	}
-	pre := make([]StmtFn, k)
+	np, ok, arrays, w := *in, true, []string(nil), ir.WritesOf(n.Body)
+	np.pre, np.lo, np.hi, np.perRow = make([]StmtFn, k), c.p.lob[in.loop], c.p.hib[in.loop], rng
 	for i, s := range n.Body[:k] {
-		if _, isAssign := s.(*ir.Assign); !isAssign {
-			return rng
-		}
-		pre[i] = c.p.stmts[s]
+		_, isAssign := s.(*ir.Assign)
+		ok, np.pre[i] = ok && isAssign, c.p.stmts[s]
 	}
-	vary, ok, arrays := false, true, []string(nil)
-	bounds := []ir.Expr{in.loop.Lo, in.loop.Hi}
-	for _, x := range bounds {
-		a, affine := c.env.Affine(x)
-		vary = vary || !affine || a.Coeff(linear.Loop(n.Index)) != 0
-	}
-	for i := 0; vary && i < len(bounds); i++ {
-		ir.WalkExprs(bounds[i], func(x ir.Expr) {
+	for _, x := range []ir.Expr{in.loop.Lo, in.loop.Hi} {
+		a, affine := c.env.Affine(x) // an affine bound reads no array
+		np.vary = np.vary || !affine || a.Coeff(linear.Loop(n.Index)) != 0
+		ir.WalkExprs(x, func(x ir.Expr) {
 			if r, isRef := x.(*ir.Ref); isRef && r.IsArray() {
-				arrays = append(arrays, r.Name)
+				arrays, ok = append(arrays, r.Name), ok && !w[r.Name]
 			}
 		})
 	}
-	ir.WalkStmts(n.Body, func(s ir.Stmt) bool {
-		a, isAssign := s.(*ir.Assign)
-		ok = ok && !(isAssign && slices.Contains(arrays, a.LHS.Name))
-		return ok
-	})
 	if !ok {
 		return rng
 	}
-	for i := range in.refs {
-		r := &in.refs[i]
-		r.out = make([]int64, len(r.rest))
-		for d, rest := range r.rest {
-			for _, t := range rest.terms {
-				if t.reg == reg {
-					r.out[d] += t.k
-				}
-			}
-		}
+	in.memo, np.memo = -1, -1 // its cursors are the nest's too
+	if np.vary {
+		np.memo, np.scope = c.memoScope([]ir.Stmt{in.loop}, arrays, n.Index, in.loop.Index)
 	}
-	in.memo = -1 // its cursors are the nest's too (forms.rangeFn)
-	memo, scope := -1, -1
-	if vary {
-		memo, scope = c.memoScope([]ir.Stmt{in.loop}, arrays, n.Index, in.loop.Index)
-	}
-	return in.nest(reg, pre, c.p.lob[in.loop], c.p.hib[in.loop], vary, rng, memo, scope)
+	return np.rangeFn()
 }
 
 // memoWrites is ir.WritesOf; a test swaps in one that misses stores.
@@ -477,16 +449,6 @@ func (p *Prog) Enter(fr *Frame, l *ir.Loop) {
 	if id, ok := p.scopes[l]; ok && fr.scr != nil {
 		fr.scr.gen[id]++
 	}
-}
-
-func hasLoop(stmts []ir.Stmt) bool {
-	found := false
-	ir.WalkStmts(stmts, func(s ir.Stmt) bool {
-		_, isLoop := s.(*ir.Loop)
-		found = found || isLoop
-		return !found
-	})
-	return found
 }
 
 func (c *cc) ifStmt(n *ir.If) (StmtFn, error) {
@@ -993,7 +955,6 @@ func intLeaf(x ir.Expr) bool {
 // and neither magnitude exceeds 2^53 the operands convert exactly and the
 // remainders agree: both take x's sign, and a zero one of a negative x is -0.
 func modInt(x, y int64) float64 {
-	const exact = 1 << 53
 	if y == 0 || x > exact || x < -exact || y > exact || y < -exact {
 		return math.Mod(float64(x), float64(y))
 	}

@@ -19,7 +19,7 @@ import (
 // a subscript is monotone in idx: checking it at the first and the last
 // iteration checks every iteration in between, and the range check moves
 // from each access to the loop entry (in a nest, to the outer loop's entry:
-// forms.nest). When any reference of the body fails
+// a nest's plan). When any reference of the body fails
 // the entry check, that entry runs the per-access-checked body instead, so
 // a fault is found at the same iteration, with the same value and after
 // the same stores as without cursors. An indirect reference A(IDX(affine))
@@ -70,23 +70,12 @@ func (a RegAffine) Eval(regs []int64) int64 {
 	return v
 }
 
-// innerLoop is the innermost loop whose body is being lowered in cursor
-// form, with the references that became cursors so far — each once: the
-// scalar and the row form of a reference share a slot, and an entry runs one
-// enter for both. assigned is for the row form: the scalars the body stores to.
-type innerLoop struct {
-	reg      int
-	refs     []curRef
-	assigned []string
-}
-
 // ref is the cursor reference in slot: a loop's slots are consecutive.
-func (in *innerLoop) ref(slot int) *curRef { return &in.refs[slot-in.refs[0].slot] }
+func (pl *plan) ref(slot int) *curRef { return &pl.refs[slot-pl.refs[0].slot] }
 
 // curRef is one cursor reference: its frame slot, its array and, per
-// dimension, the subscript's coefficient of the loop index and the rest;
-// in the inner loop of a nest (forms.nest), out is rest's coefficient of the
-// outer index.
+// dimension, the subscript's coefficient of the loop index and the rest, and
+// out, rest's coefficient of the enclosing loop's index (a nest's plan).
 type curRef struct {
 	ref      *ir.Ref
 	slot, id int
@@ -99,7 +88,7 @@ type curRef struct {
 // lowered and every subscript is affine. References it declines lower
 // through offsetFn, which also reports their errors.
 func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
-	in := c.inner
+	in := c.inner // the plan of the loop whose cursor form is being lowered
 	if in == nil {
 		return 0, false
 	}
@@ -113,8 +102,8 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 	if !known || decl == nil || decl.Rank() != len(n.Subs) {
 		return 0, false
 	}
-	ref := curRef{ref: n, slot: c.p.ncur, id: id,
-		k: make([]int64, 0, len(n.Subs)), rest: make([]RegAffine, 0, len(n.Subs))}
+	ref := curRef{ref: n, slot: c.p.ncur, id: id, k: make([]int64, 0, len(n.Subs)),
+		out: make([]int64, 0, len(n.Subs)), rest: make([]RegAffine, 0, len(n.Subs))}
 	for _, sx := range n.Subs {
 		// Only ring operations are affine (see enter), so /, mod, min, max
 		// and indirect reads stay on the checked path.
@@ -127,16 +116,16 @@ func (c *cc) cursor(n *ir.Ref) (slot int, ok bool) {
 			return 0, false
 		}
 		// Split the loop's own index off: what is left is loop-invariant.
-		k, terms := int64(0), rest.terms[:0]
+		k, out, terms := int64(0), int64(0), rest.terms[:0]
 		for _, t := range rest.terms {
 			if t.reg == in.reg {
 				k += t.k
-			} else {
-				terms = append(terms, t)
+			} else if terms = append(terms, t); t.reg == in.outer {
+				out += t.k
 			}
 		}
 		rest.terms = terms
-		ref.k, ref.moves = append(ref.k, k), ref.moves || k != 0
+		ref.k, ref.out, ref.moves = append(ref.k, k), append(ref.out, out), ref.moves || k != 0
 		ref.rest = append(ref.rest, rest)
 	}
 	c.p.ncur++
@@ -247,231 +236,220 @@ func (r *curRef) enter(fr *Frame, reach, first, last, step int64) (delta int64, 
 	return delta * step, true
 }
 
-// forms is one innermost loop lowered: checked, the body as Prog.Stmt lowers
-// it; fast, its cursor form over refs (with no refs, what every entry runs);
-// row, if the body has one, its row form over the same cursors; with a guard
-// (guard.go), of the then statements; memo (-1: none) in scope (memoScope).
-type forms struct {
-	p             *Prog
-	loop          *ir.Loop
-	reg           int
-	refs          []curRef
-	fast, checked StmtFn
-	row           *rowBody
-	guard         *guard
-	memo, scope   int
+// plan is the entry plan of one innermost loop (docs/INTERNALS.md §11): its
+// body as Prog.Stmt lowers it (checked), in cursor form over refs (fast) and
+// in row form (row; assigned: the scalars it stores), of a guard's then
+// statements if it has one. An entry is one row, what its guard admits, unless
+// lo is set: then each index of it, in register outer, is a row running pre
+// and loop over lo..hi (the same in every row unless vary); perRow runs rows
+// one check cannot cover; memo (-1: none) lives in scope (memoScope).
+type plan struct {
+	p                       *Prog
+	loop                    *ir.Loop
+	reg, outer, memo, scope int
+	refs                    []curRef
+	assigned                []string
+	fast, checked           StmtFn
+	row                     *rowBody
+	guard                   *guard
+	pre                     []StmtFn
+	lo, hi                  IntFn
+	vary                    bool
+	perRow                  RangeFn
 }
 
-// memo is what an entry over key = {start, end, step} decided, for the next
-// ones with that key in one execution (gen) of its scope: the progression its
-// guard admits and its form, or a nest's rows' bounds.
+// planRow is one row of a plan: first, first+step, ... up to last.
+type planRow struct{ first, last, step int64 }
+
+// memo is what an entry over key = {start, end, step} decided for the next
+// with that key in one execution (gen) of its scope: rows, and n from decide.
 type memo struct {
-	gen        uint64
-	key        [3]int64
-	lo, hi, by int64
-	row        bool
-	bound      []int64
+	gen  uint64
+	key  [3]int64
+	rows []planRow
+	n    int64
 }
 
-// rangeFn builds the per-entry driver: an entry runs the progression its guard
-// admits, if any; if the guard could compute it and every reference passes
-// its range check, it runs entry, else counts a fallback and runs checked. An
-// entry with its memo's key checks nothing: it runs the form that one ran,
-// over the cursors as that one left them (only the loop's entries write them,
-// and any other entry voids the memo).
-func (f *forms) rangeFn() RangeFn {
+// nestRows is the most rows whose bounds a nest's plan reads ahead, when they
+// vary: the check of a block of rows waits for all of them.
+const nestRows = 256
+
+// boxDrop is how many rows a block's box leaves out at its end: 0, or 1 in a
+// test that shows the differential catches a box too small.
+var boxDrop int
+
+// rangeFn is the one driver of a plan's entries. It looks up the memo, fills
+// the rows (one, or a nest's a block at a time), checks each cursor once over
+// their box (check), decides each row's form (decide) and runs it; one row
+// that fails the check falls back to checked, a nest's block to perRow. A
+// one-row hit runs its entry's form over the cursors as that left them (only
+// the loop's entries write them, and any other entry voids the memo); a
+// nest's reads no bounds. A faultless entry leaves its rows in its memo.
+func (pl *plan) rangeFn() RangeFn {
 	return func(fr *Frame, start, end, step int64) {
 		if start > end || fr.fault != nil {
 			return
 		}
 		var m *memo
-		if f.memo >= 0 {
-			s := f.p.scratch(fr)
-			if m = &s.memo[f.memo]; m.gen == s.gen[f.scope] && m.key == [3]int64{start, end, step} {
-				if m.row {
-					f.row.chunks(fr, (m.hi-m.lo)/m.by+1)
-				} else {
-					f.scalar(fr, f.fast, m.lo, m.hi, m.by)
+		if pl.memo >= 0 {
+			s := pl.p.scratch(fr)
+			if m = &s.memo[pl.memo]; m.gen != s.gen[pl.scope] || m.key != [3]int64{start, end, step} {
+				m.key, m.rows = [3]int64{}, m.rows[:0]
+			} else if pl.lo == nil {
+				pl.runRow(fr, m.rows[0], m.n, pl.fast)
+				return
+			}
+		}
+		if pl.lo == nil { // the entry's own row, or what its guard admits
+			r, ok := planRow{start, end, step}, true
+			if pl.guard != nil {
+				if r.first, r.last, r.step, ok = pl.guard.span(fr, start, end, step); r.first > r.last {
+					return
 				}
+			}
+			if span := r.last - r.first; span >= 0 && r.step != 1 { // end at the last index run
+				r.last = r.first + span/r.step*r.step
+			}
+			if !ok || !pl.check(fr, 0, r.first, r.last, step, nil) {
+				fr.Fallbacks++ // the per-access-checked body runs the entry
+				pl.runRow(fr, planRow{start, end, step}, 0, pl.checked)
 				return
 			}
-			m.key = [3]int64{}
-		}
-		lo, hi, by, ok := start, end, step, true
-		if f.guard != nil {
-			if lo, hi, by, ok = f.guard.span(fr, start, end, step); lo > hi {
-				return
+			n := pl.decide(fr, r)
+			if pl.runRow(fr, r, n, pl.fast); m != nil && fr.fault == nil {
+				m.gen, m.key, m.rows, m.n = fr.scr.gen[pl.scope], [3]int64{start, end, step}, append(m.rows, r), n
 			}
-		}
-		// end-start wraps negative when the span exceeds int64.
-		span := hi - lo
-		ok = ok && (span >= 0 || len(f.refs) == 0)
-		last := lo + span/by*by
-		for i := 0; ok && i < len(f.refs); i++ {
-			_, ok = f.refs[i].enter(fr, 0, lo, last, 0)
-		}
-		if !ok {
-			fr.Fallbacks++
-			f.scalar(fr, f.checked, lo, hi, by)
 			return
 		}
-		row := f.entry(fr, f.row, lo, hi, by)
-		if m != nil && fr.fault == nil {
-			*m = memo{fr.scr.gen[f.scope], [3]int64{start, end, step}, lo, hi, by, row, m.bound}
-		}
-	}
-}
-
-// entry runs an entry, its cursors loaded and checked, in row form if row
-// allows it (and rowGatherMin, for a body that gathers) and in the scalar
-// cursor form if not. It reports whether row ran, folding the cursors.
-func (f *forms) entry(fr *Frame, row *rowBody, start, end, step int64) bool {
-	if count := (end-start)/step + 1; row != nil && (row.gathers == nil || count >= rowGatherMin) &&
-		row.run(fr, f.refs, start, count, step) {
-		return true
-	}
-	f.scalar(fr, f.fast, start, end, step)
-	return false
-}
-
-func (f *forms) scalar(fr *Frame, body StmtFn, start, end, step int64) {
-	for i := start; i <= end; i += step {
-		if fr.fault != nil {
+		if end-start < 0 { // the span exceeds int64
+			pl.perRow(fr, start, end, step)
 			return
 		}
-		fr.Regs[f.reg] = i
-		body(fr)
-	}
-}
-
-// nestRows is the most rows whose bounds a nest driver reads ahead, when they
-// vary: the check of a block of rows waits for all of them.
-const nestRows = 256
-
-// nest builds the driver of an outer loop, index register reg, whose body is
-// the assignments pre and then f's loop over lo..hi, bounds no iteration of
-// either loop changes and, unless vary, the same in every row. An outer entry
-// checks each cursor once for a block of rows — all its rows, or nestRows of
-// them when the bounds vary — which it then runs, pre and then an entry of f,
-// adding each cursor's delta in between; if legality cannot differ between
-// rows (rowBody.steady, same bounds), it is decided once too. From a block
-// that no one check covers (its box is empty, a bound faults, or the check
-// fails) the entry runs perEntry, which checks each row as it comes and so
-// raises every fault as before. An entry that ran without a fault leaves its
-// rows' bounds in its memo (mem, in scope) for the next with its key.
-func (f *forms) nest(reg int, pre []StmtFn, lo, hi IntFn, vary bool, perEntry RangeFn, mem, scope int) RangeFn {
-	return func(fr *Frame, start, end, step int64) {
-		if start > end || fr.fault != nil {
-			return
-		}
-		span := end - start
-		if span < 0 {
-			perEntry(fr, start, end, step)
-			return
-		}
-		last, m, hit := start+span/step*step, (*memo)(nil), false
-		if mem >= 0 {
-			s := f.p.scratch(fr)
-			m = &s.memo[mem]
-			if hit = m.gen == s.gen[scope] && m.key == [3]int64{start, end, step}; !hit {
-				m.key, m.bound = [3]int64{}, m.bound[:0]
-			}
-		}
+		hit, last := m != nil && m.key[2] != 0, start+(end-start)/step*step
 		for b := start; ; b += step {
-			e, bound := last, []int64(nil)
-			if vary {
+			e := last
+			if pl.vary {
 				e = b + min((last-b)/step, nestRows-1)*step
 			}
-			if hit {
-				bound = m.bound[2*((b-start)/step):]
-			}
-			if !f.block(fr, reg, pre, lo, hi, vary, b, e, step, bound) {
-				perEntry(fr, b, end, step)
+			rows, delta, first, boxLast, ok := pl.fill(fr, m, hit, start, step, b, e)
+			reach := max(e-b-int64(boxDrop)*step, 0)
+			if !ok || !pl.check(fr, reach, first, boxLast, step, delta) {
+				pl.perRow(fr, b, end, step)
 				return
 			}
+			pl.rows(fr, rows, delta, b, e, step)
 			if m != nil && !hit {
-				m.bound = append(m.bound, fr.scr.bound[:2*((e-b)/step+1)]...)
+				if m.rows = append(m.rows, rows...); e == last && fr.fault == nil {
+					m.gen, m.key = fr.scr.gen[pl.scope], [3]int64{start, end, step}
+				}
 			}
 			if b = e; e == last || fr.fault != nil {
-				if m != nil && !hit && fr.fault == nil {
-					m.gen, m.key = fr.scr.gen[scope], [3]int64{start, end, step}
-				}
 				return
 			}
 		}
 	}
 }
 
-// block runs the rows b, b+step, ..., e of an outer entry (nest) behind one
-// check, or reports false, having run nothing, if the box of their inner
-// ranges is empty or one check cannot cover it. The bounds of varying rows are
-// read first, into the scratch (unless bound holds them); a fault one trips
-// there is taken back.
-func (f *forms) block(fr *Frame, reg int, pre []StmtFn, lo, hi IntFn, vary bool, b, e, step int64, bound []int64) bool {
-	s, first, last := f.p.scratch(fr), int64(math.MaxInt64), int64(math.MinInt64)
-	if len(s.bound) == 0 && vary {
-		s.bound = make([]int64, 2*nestRows)
+// check range-checks each cursor over the box first..last of rows whose outer
+// index reaches reach past its register, leaving each delta in delta.
+func (pl *plan) check(fr *Frame, reach, first, last, step int64, delta []int64) bool {
+	ok := len(pl.refs) == 0 || first <= last && uint64(last-first) < math.MaxInt64
+	for i := 0; ok && i < len(pl.refs); i++ {
+		var d int64
+		if d, ok = pl.refs[i].enter(fr, reach, first, last, step); delta != nil {
+			delta[i] = d
+		}
 	}
-	read := bound == nil
-	if read {
-		bound = s.bound
+	return ok
+}
+
+// decide returns how many iterations row r runs in row form, its cursors
+// folded to index them from 0, or 0 for the scalar cursor form.
+func (pl *plan) decide(fr *Frame, r planRow) int64 {
+	n := (r.last-r.first)/r.step + 1
+	if rb := pl.row; r.first > r.last || rb == nil || rb.gathers != nil && n < rowGatherMin ||
+		!rowLegal(rb, fr, pl.refs, r.first, n, r.step) {
+		return 0
 	}
-	for r, i := 0, b; ; r, i = r+2, i+step {
-		fr.Regs[reg] = i
-		if !vary {
-			first, last = lo(fr), hi(fr)
+	for i := range pl.refs {
+		cu := &fr.cur[pl.refs[i].slot]
+		cu.base, cu.stride = cu.base+r.first*cu.stride, cu.stride*r.step
+	}
+	return n
+}
+
+// fill returns the rows b..e of a nest's entry from start by step (the memo's or
+// read into the scratch), where its cursors' deltas go, the box of the rows'
+// ranges, and whether their bounds could be read, a fault there taken back.
+func (pl *plan) fill(fr *Frame, m *memo, hit bool, start, step, b, e int64) (rows []planRow, delta []int64, first, last int64, ok bool) {
+	s := pl.p.scratch(fr)
+	if rows, delta, first, last, ok = s.rows[:0], s.delta[:len(pl.refs)], math.MaxInt64, math.MinInt64, true; hit {
+		rows = m.rows[(b-start)/step:][:(e-b)/step+1]
+	}
+	for i := b; !hit; i += step {
+		fr.Regs[pl.outer] = i
+		rows = append(rows, planRow{pl.lo(fr), pl.hi(fr), 1})
+		if !pl.vary || i == e || fr.fault != nil {
+			s.rows, ok, fr.fault = rows, fr.fault == nil, nil
 			break
 		}
-		if read {
-			bound[r], bound[r+1] = lo(fr), hi(fr)
-		}
-		if l, h := bound[r], bound[r+1]; l <= h {
-			first, last = min(first, l), max(last, h)
-		}
-		if i == e || fr.fault != nil {
-			break
+	}
+	for _, r := range rows[:max(len(rows)-boxDrop, 1)] {
+		if r.first <= r.last {
+			first, last = min(first, r.first), max(last, r.last)
 		}
 	}
-	fr.Regs[reg] = b
-	count := last - first + 1
-	ok, delta := fr.fault == nil && first <= last && count > 0, s.delta[:len(f.refs)]
-	fr.fault = nil
-	for i := 0; ok && i < len(f.refs); i++ {
-		delta[i], ok = f.refs[i].enter(fr, e-b, first, last, step)
-	}
-	if !ok {
-		return false
-	}
-	row, once := f.row, false
-	if !vary && row.steady(f.refs, delta) {
-		if once = rowLegal(row, fr, f.refs, first, count, 1); once {
-			fold(fr, f.refs, first, 1)
+	fr.Regs[pl.outer] = b
+	return rows, delta, first, last, ok
+}
+
+// rows runs a nest's checked rows b..e by step: pre, then the row in the form
+// decide gives it, decided once where no row can answer otherwise (the same
+// bounds in each, no gather, each cursor on a stored array moving with the
+// store, so every pair of offsets legal compares shifts together), the
+// cursors stepped by their deltas.
+func (pl *plan) rows(fr *Frame, rows []planRow, delta []int64, b, e, step int64) {
+	once, r, n := !pl.vary && pl.row != nil && pl.row.gathers == nil, planRow{}, int64(0)
+	cur := fr.cur[pl.refs[0].slot:][:len(delta)] // a loop's slots are consecutive
+	for i := 0; once && i < len(delta); i++ {
+		for _, at := range pl.row.stores {
+			once = once && (pl.refs[i].id != pl.refs[at].id || delta[i] == delta[at])
 		}
-		row = nil
 	}
-	cur := fr.cur[f.refs[0].slot:][:len(delta)] // a loop's slots are consecutive
-	for r, i := 0, b; ; r, i = r+2, i+step {
-		fr.Regs[reg] = i
-		for _, st := range pre {
+	for k, i := 0, b; ; k, i = k+1, i+step {
+		fr.Regs[pl.outer], r = i, rows[min(k, len(rows)-1)] // a nest whose bounds do not vary has one
+		for _, st := range pl.pre {
 			if st(fr); fr.fault != nil {
-				return true
+				return
 			}
 		}
-		l, h := first, last
-		if vary {
-			l, h = bound[r], bound[r+1]
+		if k == 0 || !once {
+			n = pl.decide(fr, r)
 		}
-		if once {
-			f.row.chunks(fr, count)
+		if n > 0 { // what runRow does, without a call per row
+			pl.row.chunks(fr, n)
+		} else {
+			pl.runRow(fr, r, 0, pl.fast)
 		}
-		folded := !once && l <= h && f.entry(fr, row, l, h, 1)
-		for k := range cur {
-			if cur[k].base += delta[k]; folded {
-				cur[k].base -= l * cur[k].stride
+		for j := range cur {
+			if cur[j].base += delta[j]; !once && n > 0 { // unfold
+				cur[j].base -= r.first * cur[j].stride
 			}
 		}
 		if i == e || fr.fault != nil {
-			return true
+			return
 		}
+	}
+}
+
+// runRow runs row r, its cursors loaded: in row form over its n iterations,
+// its cursors folded, or if n is 0 through body.
+func (pl *plan) runRow(fr *Frame, r planRow, n int64, body StmtFn) {
+	if n > 0 {
+		pl.row.chunks(fr, n)
+	}
+	for i := r.first; n == 0 && i <= r.last && fr.fault == nil; i += r.step {
+		fr.Regs[pl.reg] = i
+		body(fr)
 	}
 }

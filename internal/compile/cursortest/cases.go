@@ -461,7 +461,7 @@ end
 	},
 	{
 		// A CSR row loop (spmvcsr's) whose row pointer holds a non-integer at
-		// row 6: reading row 5's upper bound faults. The nest driver, which
+		// row 6: reading row 5's upper bound faults. The nest's plan, which
 		// reads the bounds of its rows before it checks them, takes that
 		// fault back and runs the slice row by row, which raises it after
 		// rows 1 to 4 and row 5's y(5) = 0.0.
@@ -545,7 +545,7 @@ end
 	},
 	{
 		// Every bound and cursor is in range, but a gathered element is not:
-		// row 6's entry faults inside the nest driver, after its first
+		// row 6's entry faults inside the nest's plan, after its first
 		// iteration's store.
 		Name: "csr-gather-out-of-range-in-row-6",
 		Src: `
@@ -571,9 +571,9 @@ end
 		Params: map[string]int64{"N": 12},
 		Fault:  "16:26: array x: subscript 1 = 13 out of bounds",
 	},
-	// The loop memos (forms.rangeFn): a time loop whose gather loop reuses
+	// The loop memos (plan.rangeFn): a time loop whose gather loop reuses
 	// its first entry's checks (a second loop keeps the time loop from being
-	// a nest, whose driver checks once per entry of its own). The first entry finds a bad index element,
+	// a nest, whose plan checks once per entry of its own). The first entry finds a bad index element,
 	// so it runs the scalar cursor form, which faults at i = 20, after the
 	// stores of i < 20, and no entry after it is reached.
 	{
@@ -636,7 +636,7 @@ type RowCase struct {
 	Row bool
 }
 
-// RowCases is the legality table: what the rules of rowBody.run must accept
+// RowCases is the legality table: what the rules of rowBody.legal must accept
 // and what they must refuse. Every case must also agree with the interpreter
 // bit for bit whatever form runs.
 var RowCases = []RowCase{
@@ -1231,7 +1231,7 @@ end
 		Params: map[string]int64{"N": 8},
 	},
 	{
-		// Inner bounds outside the affine grammar: the nest driver reads
+		// Inner bounds outside the affine grammar: the nest's plan reads
 		// every row's bounds before its one check, and asks legality per row.
 		Name: "nest-inner-bound-not-affine",
 		Src: `
@@ -1330,8 +1330,8 @@ end
 		Row:    true,
 	},
 	{
-		// A 2-D red-black sweep: the guarded inner loop keeps the per-entry
-		// driver, since a nest's rows would run its then statements over all
+		// A 2-D red-black sweep: the guarded inner loop keeps its one-row
+		// plan, since a nest's rows would run its then statements over all
 		// of its range.
 		Name: "red-black-nest",
 		Src: `
@@ -1472,7 +1472,7 @@ end
 		Params: map[string]int64{"N": 23},
 		Row:    true,
 	},
-	// The loop memos (forms.rangeFn). A read-back scatter through P takes the
+	// The loop memos (plan.rangeFn). A read-back scatter through P takes the
 	// row form while P is a permutation and the scalar form once it holds a
 	// repeat; each case makes the repeat with a store the memo's scope rule
 	// must see, and an entry that reused a verdict from before the store would

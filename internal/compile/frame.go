@@ -124,8 +124,8 @@ type Frame struct {
 	// program's from the first entry that needs it until Prog.Release.
 	Rows int64
 	scr  *rowScratch
-	// Checks counts cursor range checks (curRef.enter): one per reference of
-	// an entry that ran them, or of a nest's block of rows (forms.rangeFn).
+	// Checks counts cursor range checks (curRef.enter): one per cursor of a
+	// block of an entry plan's rows that ran them (plan.rangeFn).
 	Checks int64
 
 	fault    *Fault

@@ -31,13 +31,13 @@ type guardBound struct {
 var guardOps = map[ir.BinKind]guardBound{ir.EqOp: {}, ir.LtOp: {lo: -far, hi: -1},
 	ir.LeOp: {lo: -far}, ir.GtOp: {lo: 1, hi: far}, ir.GeOp: {hi: far}}
 
-// indexGuard sets f.guard and returns its then statements if body is one if
-// with no else on an index guard over f's index; otherwise it returns body.
-func (c *cc) indexGuard(f *forms, body []ir.Stmt) []ir.Stmt {
+// indexGuard sets pl.guard and returns its then statements if body is one if
+// with no else on an index guard over pl's index; otherwise it returns body.
+func (c *cc) indexGuard(pl *plan, body []ir.Stmt) []ir.Stmt {
 	g := &guard{lo: -exact, hi: exact, m: 1}
 	for _, s := range body {
-		if s, ok := s.(*ir.If); ok && len(body) == 1 && len(s.Else) == 0 && c.guardAtoms(s.Cond, f.loop.Index, g) {
-			f.guard = g
+		if s, ok := s.(*ir.If); ok && len(body) == 1 && len(s.Else) == 0 && c.guardAtoms(s.Cond, pl.loop.Index, g) {
+			pl.guard = g
 			return s.Then
 		}
 	}

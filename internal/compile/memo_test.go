@@ -80,7 +80,7 @@ func TestMemoSabotagedScopeIsCaught(t *testing.T) {
 // shifts the first t elements down — and up to one between two executions
 // of the time loop. A stored element is a repeat, 0, one past the end, half
 // an integer or 1. A time loop with no store may end with a loop that sums
-// into s, so that it is no nest (forms.nest, which checks per entry of its
+// into s, so that it is no nest (a nest's plan, which checks per entry of its
 // own). Bytes past the end of data read as 0: no store, one execution, one
 // step, no nest.
 func memoCase(data []byte) (src string, params map[string]int64, idx map[string][]float64) {

@@ -32,15 +32,15 @@ const rowGatherMin = 8
 
 // rowScratch is what a frame's row entries work in: nrow chunks of
 // temporaries, a stamp per array element for gatherRef.check, the deltas
-// of a nest's cursors and the bounds of its rows (forms.block), and the
-// loops' memos, with the entries of each memo scope so far (Prog.Enter).
+// of a nest's cursors and the rows of its block (plan.fill), and the loops'
+// memos, with the entries of each memo scope so far (Prog.Enter).
 type rowScratch struct {
-	row          []float64
-	stamp        []uint64
-	delta, bound []int64
-	epoch        uint64
-	memo         []memo
-	gen          []uint64
+	row        []float64
+	stamp, gen []uint64
+	delta      []int64
+	rows       []planRow
+	epoch      uint64
+	memo       []memo
 }
 
 // rowOp is an operand: a node, whose fn evaluates it into dst for len(dst)
@@ -422,31 +422,10 @@ func (c *cc) rowForm(body []ir.Stmt) *rowBody {
 	return rb
 }
 
-// run runs one entry — count iterations from start by step, every cursor of
-// refs loaded and range-checked — in row form, unless legal refuses it.
-func (rb *rowBody) run(fr *Frame, refs []curRef, start, count, step int64) bool {
-	if !rowLegal(rb, fr, refs, start, count, step) {
-		return false
-	}
-	fold(fr, refs, start, step)
-	rb.p.scratch(fr)
-	rb.chunks(fr, count)
-	return true
-}
-
-// fold makes the cursors of refs index an entry's iterations from 0: the
-// body's chunks do, and only the entry uses the cursors from here on.
-func fold(fr *Frame, refs []curRef, start, step int64) {
-	for i := range refs {
-		cu := &fr.cur[refs[i].slot]
-		cu.base += start * cu.stride
-		cu.stride *= step
-	}
-}
-
-// chunks runs the body over count iterations of an entry, its cursors
-// folded and its scratch taken, a chunk at a time.
+// chunks runs the body over count iterations of a row, its cursors folded, a
+// chunk at a time.
 func (rb *rowBody) chunks(fr *Frame, count int64) {
+	rb.p.scratch(fr)
 	fr.Rows++
 	for j0 := int64(0); j0 < count; j0 += rowChunk {
 		n := int(min(rowChunk, count-j0))
@@ -496,24 +475,6 @@ func (rb *rowBody) legal(fr *Frame, refs []curRef, start, count, step int64) boo
 	return true
 }
 
-// steady reports whether legal answers alike for every row of a nest's outer
-// entry (forms.nest): rb has no gathers, and each cursor on a stored array
-// moves by the store's delta, so every pair of offsets legal compares, each
-// inside the array in every row, shifts together.
-func (rb *rowBody) steady(refs []curRef, delta []int64) bool {
-	if rb == nil || rb.gathers != nil {
-		return false
-	}
-	for _, at := range rb.stores {
-		for i := range refs {
-			if refs[i].id == refs[at].id && delta[i] != delta[at] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // check reports whether every index element of the entry addresses A
 // (gatherIn) and, if distinct, no two one element: stamps, epoch per check.
 func (g *gatherRef) check(fr *Frame, p *Prog, start, count, step int64) bool {
@@ -557,7 +518,7 @@ func (p *Prog) scratch(fr *Frame) *rowScratch {
 func (p *Prog) Release(fr *Frame) {
 	if fr.scr != nil {
 		for i, m := range fr.scr.memo {
-			fr.scr.memo[i] = memo{bound: m.bound[:0]}
+			fr.scr.memo[i] = memo{rows: m.rows[:0]}
 		}
 		select {
 		case p.rows <- fr.scr:

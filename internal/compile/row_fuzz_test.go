@@ -171,7 +171,7 @@ func TestRowGatherMatchesInterp(t *testing.T) {
 // and a reduction, inside the row grammar, and stores that read j as a value
 // or sit under an if, outside it. The bytes left may then ask for up to two
 // assignments in the i loop before the j loop — stores of B and of s, or of
-// the row pointer below, which takes the nest driver away — and for a CSR
+// the row pointer below, which takes the nest's plan away — and for a CSR
 // shape: j over rp(i)..rp(i+1)-1, rp's elements rising by 0 to 3 inside
 // jlo..jhi+1, one of them planted lower than the one before it, half an
 // integer, or one past jhi, or the last of them missing from rp (a bound that

@@ -84,13 +84,13 @@ func TestKernelsTakeRowForm(t *testing.T) {
 	}
 }
 
-// TestCSRRowsTakeTheNestDriver pins that spmvcsr's gather loop, k from rp(i)
-// to rp(i + 1) - 1 under the row loop i, runs through the nest driver, which
+// TestCSRRowsTakeANestPlan pins that spmvcsr's gather loop, k from rp(i)
+// to rp(i + 1) - 1 under the row loop i, runs through a nest's plan, which
 // checks the loop's four cursors once per block of rows — y(i) read, v(k),
 // cl(k) under the gather x(cl(k)), y(i) stored — and steps them per row by
 // the deltas it leaves in the frame's scratch: one element for y, none for
-// v and cl, whose rows start where rp says. The per-entry driver leaves none.
-func TestCSRRowsTakeTheNestDriver(t *testing.T) {
+// v and cl, whose rows start where rp says. A one-row plan leaves none.
+func TestCSRRowsTakeANestPlan(t *testing.T) {
 	k, err := suite.GetIrregular("spmvcsr")
 	if err != nil {
 		t.Fatal(err)

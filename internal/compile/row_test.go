@@ -2,7 +2,11 @@ package compile
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/compile/cursortest"
@@ -88,6 +92,79 @@ func TestRowSabotagedLegalityIsCaught(t *testing.T) {
 		"read-modify-write-through-a-map-with-one-repeat"} {
 		if !caught[name] {
 			t.Errorf("%s: the sabotaged rule was not caught", name)
+		}
+	}
+}
+
+// TestPlanSabotagedBoxIsCaught makes the box of every block of rows leave out
+// its last row (boxDrop), so that one check no longer covers all the rows it
+// stands for, and runs the cursortest tables and the committed FuzzRowNest
+// seeds again: the differential must see it — some program must then come
+// out different from the interpreter, in its bits, in whether or where it
+// faults, or in a Go panic. The nest whose corner leaves its array in the
+// last row, and the two seeds that plant one there, must be among them.
+func TestPlanSabotagedBoxIsCaught(t *testing.T) {
+	defer func() { boxDrop = 0 }()
+	boxDrop = 1
+	differs := func(src string, params map[string]int64, rp []float64) (differ bool) {
+		defer func() { differ = differ || recover() != nil }()
+		prog := parser.MustParse(src)
+		run := func(seq func(*interp.State) error) (*interp.State, error) {
+			st, err := interp.NewState(prog, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SeedDeterministic(); rp != nil {
+				copy(st.Array("rp").Data, rp)
+			}
+			return st, seq(st)
+		}
+		want, iErr := run(interp.RunOn)
+		got, cErr := run(func(st *interp.State) error { _, err := seqRunOn(t, st, Options{}); return err })
+		if (iErr == nil) != (cErr == nil) || cErr != nil {
+			return cErr == nil || !strings.HasPrefix(iErr.Error(), cErr.Error())
+		}
+		for _, d := range prog.Arrays {
+			for i, v := range want.Array(d.Name).Data {
+				differ = differ || math.Float64bits(v) != math.Float64bits(got.Array(d.Name).Data[i])
+			}
+		}
+		return differ
+	}
+	var caught []string
+	for _, tc := range cursortest.Cases {
+		if differs(tc.Src, tc.Params, nil) {
+			caught = append(caught, tc.Name)
+		}
+	}
+	for _, tc := range cursortest.RowCases {
+		if differs(tc.Src, tc.Params, nil) {
+			caught = append(caught, tc.Name)
+		}
+	}
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzRowNest", "*"))
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("no FuzzRowNest seeds: %v", err)
+	}
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if src, params, rp := nestCase([]byte(data)); differs(src, params, rp) {
+			caught = append(caught, "seed "+filepath.Base(path))
+		}
+	}
+	t.Logf("caught by: %v", caught)
+	for _, name := range []string{"nest-corner-out-at-the-last-outer-iteration",
+		"seed corner-high-after-row-entries", "seed corner-low-after-row-entries"} {
+		if !slices.Contains(caught, name) {
+			t.Errorf("%s: a box that leaves out a block's last row was not caught", name)
 		}
 	}
 }
@@ -292,10 +369,10 @@ func TestMulCheckedMatchesTheDividingForm(t *testing.T) {
 }
 
 // TestNestEntries reads off a sequential run of the cursortest nests whether
-// a nest driver checked the cursors — it leaves their deltas in the frame's
-// scratch, the per-entry driver none — and how often rowBody.legal was asked:
+// a nest's plan checked the cursors — it leaves their deltas in the frame's
+// scratch, a one-row plan none — and how often rowBody.legal was asked:
 // once per outer entry when no row can answer differently, once per row
-// otherwise. A nest whose check fails runs the per-entry driver, which asks
+// otherwise. A nest whose check fails runs its rows one at a time, which asks
 // nothing where the table's fallback leaves no row form.
 func TestNestEntries(t *testing.T) {
 	defer func(f func(*rowBody, *Frame, []curRef, int64, int64, int64) bool) { rowLegal = f }(rowLegal)
@@ -329,8 +406,8 @@ func TestNestEntries(t *testing.T) {
 		{"red-black-nest", false, 12},
 		// CSR rows: legality per row of 8 nonzeros or more, plus one for the
 		// row pointer's recurrence where it runs in a loop without the index
-		// as a value; a bound that faults leaves the slice to the per-entry
-		// driver before any check.
+		// as a value; a bound that faults leaves the slice to its rows one at
+		// a time before any check.
 		{"csr-empty-rows", true, 9},
 		{"csr-decreasing-row-pointer", true, 1 + 22},
 		{"csr-two-prefix-statements", true, 1 + 23},
@@ -343,15 +420,15 @@ func TestNestEntries(t *testing.T) {
 		_, fr, _ := seqRun(t, src[tc.name], params[tc.name], Options{})
 		checked := fr.scr != nil && slices.ContainsFunc(fr.scr.delta, func(d int64) bool { return d != 0 })
 		if checked != tc.checked || calls != tc.calls {
-			t.Errorf("%s: checked by a nest driver %v, %d legality decisions; want %v, %d", tc.name, checked, calls, tc.checked, tc.calls)
+			t.Errorf("%s: checked by a nest's plan %v, %d legality decisions; want %v, %d", tc.name, checked, calls, tc.checked, tc.calls)
 		}
 	}
 }
 
 // TestNestSlices drives a nest's outer loop the way a partition does — block
 // slices, cyclic ones with a step, one row — and slices whose last row is out
-// of range: those run row by row on the per-entry driver, every row before
-// the last in row form, and fault in the last.
+// of range: those run row by row on the inner loop's own plan, every row
+// before the last in row form, and fault in the last.
 func TestNestSlices(t *testing.T) {
 	const src = `
 program nslices

@@ -38,12 +38,12 @@ import (
 // gather loops of permcopy (one and two workers) and edgerelax check their
 // index elements once per run (their counters per scope, a nest's rows'
 // bounds: spmvcsr). jacobi2d (one worker, N=16) and
-// adilike run their 2-D nests through the nest driver, which checks each
+// adilike run their 2-D nests through a nest's plan, which checks each
 // cursor once per slice on the stack and keeps each cursor's delta in that
 // same pooled scratch, so it allocates nothing per slice. redblack (two
 // workers) runs its parity-guarded loops as progressions whose start and step
 // each entry works out on the stack. spmvcsr (one worker) runs its CSR rows
-// through the nest driver, which reads a block of rows' bounds into that
+// through a nest's plan, which reads a block of rows' bounds into that
 // pooled scratch too. Nor may a count
 // depend on how many runs the pooled team has served (-count reuses it):
 // formatting the team's generation allocates only from 100 on, so only a

@@ -26,7 +26,7 @@ import (
 //
 // The fault's text is not compared with the table's: which worker reports
 // first depends on the partition (the table's is the sequential one). The
-// CSR row loops also run on two and seven workers: the nest driver takes a
+// CSR row loops also run on two and seven workers: the nest's plan takes a
 // slice's rows a block at a time, so the faulting row lands at the start,
 // the middle and the end of a slice. So do the time loops of the memo cases,
 // whose gather loops reuse their first entry's checks.

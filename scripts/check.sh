@@ -229,16 +229,22 @@ if driver_hits="$(grep -nE '\.Body\(|bodies\[' \
     echo "$driver_hits" >&2
     exit 1
 fi
-# The row form is a third body behind the same driver: rowBody has no
-# exported method, its run (the chunk loop) has exactly one call site, in
-# forms.entry, which both loop drivers share, and the executor does not know
-# the type exists.
-row_calls="$(grep -nE '\.run\(fr, ' internal/compile/*.go | grep -v '_test\.go:' || true)"
-if [ "$(echo "$row_calls" | grep -c .)" -ne 1 ] || ! echo "$row_calls" | grep -q '^internal/compile/cursor.go:.*row\.run('; then
-    echo "ERROR: rowBody.run must be called from forms.entry (cursor.go) and nowhere else:" >&2
-    echo "$row_calls" >&2
-    exit 1
-fi
+# Every innermost loop runs through one entry plan driver, plan.rangeFn in
+# cursor.go and the plan methods it calls: the cursor range check
+# (curRef.enter) and the row-legality decision (rowLegal) each have exactly
+# one non-test call site, and it lies inside a method of plan, so no second
+# driver can check or decide on its own. The row body has no exported method,
+# and the executor does not know the type exists.
+for call in '\.enter\(fr, ' 'rowLegal\('; do
+    sites="$(grep -nE "$call" $(ls internal/compile/*.go | grep -v '_test\.go$') | grep -v 'var rowLegal' || true)"
+    line="$(echo "$sites" | sed -n 's/^internal\/compile\/cursor\.go:\([0-9]*\):.*/\1/p')"
+    owner="$(awk -v l="${line:-0}" 'NR <= l && /^func / { f = $0 } END { print f }' internal/compile/cursor.go)"
+    if [ "$(echo "$sites" | grep -c .)" -ne 1 ] || [ -z "$line" ] || ! echo "$owner" | grep -q '^func (pl \*plan) '; then
+        echo "ERROR: $call must have one non-test call site, in a plan method of cursor.go (the driver):" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
 row_hits="$(grep -nE 'func \(rb \*rowBody\) [A-Z]' internal/compile/*.go || true
     grep -nE 'rowBody|rowChunk' $(ls internal/exec/*.go | grep -v '_test\.go$') || true)"
 if [ -n "$row_hits" ]; then
@@ -246,7 +252,7 @@ if [ -n "$row_hits" ]; then
     echo "$row_hits" >&2
     exit 1
 fi
-echo "-- no .Body( / bodies[ in non-test files of internal/exec and internal/compile; rowBody.run called from forms.entry only"
+echo "-- no .Body( / bodies[ in non-test files of internal/exec and internal/compile; curRef.enter and rowLegal called once each, from the plan driver"
 
 echo "== one schedule lowering (syncopt.Lower) =="
 # The executor and the cost simulator run the step program syncopt.Lower
@@ -341,8 +347,9 @@ pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedP
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
-    FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeTheNestDriver \
-    TestMemoSabotagedScopeIsCaught FuzzStepMemo TestStepMemoMatchesInterp TestEntryDecisionsGolden
+    FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeANestPlan \
+    TestMemoSabotagedScopeIsCaught FuzzStepMemo TestStepMemoMatchesInterp TestEntryDecisionsGolden \
+    TestPlanSabotagedBoxIsCaught
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
