@@ -80,6 +80,8 @@ type runPayload struct {
 	TraceID string `json:"trace_id,omitempty"`
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
+	// Width is how many of the workers the run leased (exec.WidthDecision).
+	Width   int    `json:"width"`
 	Barrier string `json:"barrier"`
 	Backend string `json:"backend"`
 	// ElapsedNS is the execution leg; WallNS (spans enabled only) is the
@@ -295,6 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Program:   c.Prog.Name,
 		Mode:      o.mode,
 		Workers:   o.workers,
+		Width:     runner.Width(),
 		Barrier:   bkName,
 		Backend:   exec.EngineName,
 		ElapsedNS: res.Elapsed.Nanoseconds(),
@@ -315,6 +318,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !o.jsonOut {
 		fmt.Fprintf(stdout, "program %s  mode=%s  P=%d  barrier=%s  backend=%s\n",
 			c.Prog.Name, o.mode, o.workers, bkName, exec.EngineName)
+		fmt.Fprintf(stdout, "width:    %s\n", runner.WidthDecision())
 		if res.FDO != nil {
 			fmt.Fprintf(stdout, "fdo:      %d flip(s), predicted save %s/run\n",
 				res.FDO.Flips, time.Duration(res.FDO.PredictedSaveNS))

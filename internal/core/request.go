@@ -247,7 +247,10 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	// The execute span opens before runner construction so the executor's
 	// spans know their parent at Config-assembly time.
 	execSp := tr.Start(0, "execute")
+	// A profile, a report and a feedback pass read the schedule's waits at
+	// P workers, so they run at all P (exec.Config.FixedWidth).
 	cfg := exec.Config{
+		FixedWidth:      req.Run.Profile || req.Run.Report || req.Compile.FDOProfile != nil,
 		Workers:         workers,
 		Barrier:         barrier,
 		Params:          req.Run.Params,

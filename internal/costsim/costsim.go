@@ -124,9 +124,9 @@ type Simulator struct {
 	aff map[linear.Var]int64
 	// hi[i] is the upper bound of the sequential loop StepSeq i entered.
 	hi []int64
-	// nodes memoizes each assignment's weight.
-	nodes map[*ir.Assign]float64
-	err   error
+	// w weighs statements under ev.
+	w   *weigher
+	err error
 	// trace, when non-nil, records per-worker activity segments.
 	trace *[]Segment
 }
@@ -149,9 +149,9 @@ func simulate(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int6
 		clocks: make([]float64, nproc),
 		ev:     interp.NewEnv(&interp.State{Prog: sched.Prog, Params: params}),
 		aff:    map[linear.Var]int64{},
-		nodes:  map[*ir.Assign]float64{},
 		trace:  trace,
 	}
+	s.w = &weigher{ev: s.ev}
 	s.hi = make([]int64, len(s.low.Steps))
 	for _, p := range sched.Prog.Params {
 		v, ok := params[p]
@@ -200,7 +200,7 @@ func (s *Simulator) run() {
 				s.runSlice(st.Loop, w, s.clocks[w])
 			}
 		case syncopt.StepReplicated:
-			wsum := s.weightStmt(st.Stmts[0])
+			wsum := s.w.stmt(st.Stmts[0])
 			for w := range s.clocks {
 				s.compute(w, s.clocks[w], wsum)
 			}
@@ -209,13 +209,13 @@ func (s *Simulator) run() {
 			// the clocks anyway).
 			s.res.Work += wsum
 		case syncopt.StepGuarded:
-			wsum := s.weightStmt(st.Stmts[0])
+			wsum := s.w.stmt(st.Stmts[0])
 			s.compute(0, s.clocks[0], wsum)
 			s.res.Work += wsum
 		case syncopt.StepWavefront:
 			s.wavefront(st.Loop)
 		case syncopt.StepSeq:
-			if lo, hi, ok := s.bounds(st.Loop); !ok {
+			if lo, hi, ok := s.w.bounds(st.Loop); !ok {
 				s.fail(fmt.Errorf("costsim: non-evaluable bounds of loop %s", st.Loop.Index))
 			} else if lo <= hi {
 				s.hi[pc] = hi
@@ -241,14 +241,6 @@ func (s *Simulator) setIndex(l *ir.Loop, k int64) {
 	s.aff[linear.Loop(l.Index)] = k
 }
 
-// bounds evaluates a loop's bounds; ok is false when they do not evaluate
-// to integers over the parameters and the live loop indices.
-func (s *Simulator) bounds(l *ir.Loop) (lo, hi int64, ok bool) {
-	lo, err1 := s.ev.EvalInt(l.Lo)
-	hi, err2 := s.ev.EvalInt(l.Hi)
-	return lo, hi, err1 == nil && err2 == nil
-}
-
 // compute charges worker w d units of computation starting at start.
 func (s *Simulator) compute(w int, start, d float64) {
 	s.segment(w, start, start+d, SegCompute)
@@ -259,7 +251,7 @@ func (s *Simulator) compute(w int, start, d float64) {
 // indices, by the placement arithmetic the executor uses; ok is false when
 // the bounds do not evaluate or the loop has no placement.
 func (s *Simulator) slice(l *ir.Loop, w int) (start, end, step int64, ok bool) {
-	lo, hi, ok := s.bounds(l)
+	lo, hi, ok := s.w.bounds(l)
 	pl := s.plan.Placements[l]
 	if !ok || pl == nil {
 		return 0, -1, 1, false
@@ -279,12 +271,7 @@ func (s *Simulator) runSlice(l *ir.Loop, w int, t float64) {
 	if !ok {
 		s.fail(fmt.Errorf("costsim: non-evaluable bounds or no placement for loop %s", l.Index))
 	}
-	var wsum float64
-	for i := first; i <= last; i += step {
-		s.ev.SetIndex(l.Index, i)
-		wsum += s.weightStmts(l.Body)
-	}
-	s.ev.ClearIndex(l.Index)
+	wsum := s.w.iterations(l, first, last, step)
 	s.compute(w, t, wsum)
 	s.res.Work += wsum
 }
@@ -387,53 +374,4 @@ func (s *Simulator) sync(id int) {
 	case comm.ClassInspector:
 		s.fail(&InspectorError{Site: id + 1})
 	}
-}
-
-// weightStmt/weightStmts estimate computation in expression nodes under
-// the current environment; If branches charge the heavier arm.
-func (s *Simulator) weightStmts(stmts []ir.Stmt) float64 {
-	var sum float64
-	for _, st := range stmts {
-		sum += s.weightStmt(st)
-	}
-	return sum
-}
-
-func (s *Simulator) weightStmt(st ir.Stmt) float64 {
-	switch n := st.(type) {
-	case *ir.Assign:
-		w, ok := s.nodes[n]
-		if !ok {
-			w = float64(exprNodes(n.LHS) + exprNodes(n.RHS))
-			s.nodes[n] = w
-		}
-		return w
-	case *ir.If:
-		thenW := s.weightStmts(n.Then)
-		elseW := s.weightStmts(n.Else)
-		if elseW > thenW {
-			thenW = elseW
-		}
-		return float64(exprNodes(n.Cond)) + thenW
-	case *ir.Loop:
-		lo, hi, ok := s.bounds(n)
-		if !ok {
-			return 0
-		}
-		var sum float64
-		for i := lo; i <= hi; i++ {
-			s.ev.SetIndex(n.Index, i)
-			sum += s.weightStmts(n.Body)
-		}
-		s.ev.ClearIndex(n.Index)
-		return sum + float64(hi-lo+1)
-	default:
-		return 0
-	}
-}
-
-func exprNodes(e ir.Expr) int {
-	n := 0
-	ir.WalkExprs(e, func(ir.Expr) { n++ })
-	return n
 }

@@ -61,7 +61,7 @@ func TestSyncCountsMatchExecutor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r, err := newRunner(exec.Config{Workers: P, Params: k.Params, Mode: exec.SPMD})
+					r, err := newRunner(exec.Config{Workers: P, Params: k.Params, Mode: exec.SPMD, FixedWidth: true})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -100,7 +100,7 @@ func accountRun(t *testing.T, kernel string, p int, mode exec.Mode) (*core.Runne
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := exec.Config{Workers: p, Params: clampParams(k.Params), Mode: mode, Trace: true}
+	cfg := exec.Config{Workers: p, Params: clampParams(k.Params), Mode: mode, Trace: true, FixedWidth: true}
 	newRunner := c.NewRunner
 	if mode == exec.ForkJoin {
 		newRunner = c.NewBaselineRunner

@@ -45,7 +45,7 @@ func TestHoistedCheckOnATeam(t *testing.T) {
 					}
 					run := func(sanitize, ref bool) (*interp.State, string, int64) {
 						r, err := c.NewRunner(exec.Config{Workers: workers, Params: tc.Params,
-							Mode: exec.SPMD, Sanitize: sanitize,
+							Mode: exec.SPMD, Sanitize: sanitize, FixedWidth: true,
 							// A worker that stops synchronizing after its fault
 							// must fail the test, not hang it.
 							WatchdogTimeout: 20 * time.Second})

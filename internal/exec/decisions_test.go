@@ -27,7 +27,7 @@ func TestEntryDecisionsGolden(t *testing.T) {
 		}
 		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
 			for _, workers := range []int{2, 3} {
-				cfg := exec.Config{Workers: workers, Params: k.Params, Mode: mode}
+				cfg := exec.Config{Workers: workers, Params: k.Params, Mode: mode, FixedWidth: true}
 				newRunner, label := c.NewRunner, "opt"
 				if mode == exec.ForkJoin {
 					newRunner, label = c.NewBaselineRunner, "base"

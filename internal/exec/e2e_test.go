@@ -227,7 +227,7 @@ func TestJacobiDynamicCounts(t *testing.T) {
 	if got := bres.Stats.Dispatches; got != 10 {
 		t.Errorf("baseline dispatches = %d, want 10", got)
 	}
-	opt, _ := c.NewRunner(exec.Config{Workers: 4, Params: k.params, Mode: exec.SPMD})
+	opt, _ := c.NewRunner(exec.Config{Workers: 4, Params: k.params, Mode: exec.SPMD, FixedWidth: true})
 	ores, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -116,6 +116,11 @@ type Config struct {
 	Spans *telemetry.Trace
 	// SpansParent is the parent span for the spans the executor records.
 	SpansParent telemetry.SpanID
+	// FixedWidth makes every run lease all Workers, the paper's fixed-P
+	// measure. Otherwise NewRunner chooses the width once (WidthDecision),
+	// and Sanitize, ChaosSeed and SabotageEdge, which exist to observe
+	// P-worker interleavings, imply it.
+	FixedWidth bool
 }
 
 // Result carries the final state and the dynamic synchronization counts.
@@ -142,6 +147,10 @@ type Runner struct {
 	prog *ir.Program
 	plan *decomp.Plan
 	cfg  Config
+	// width is how many workers a run leases (decision.W), which every
+	// slice, fold and neighbor test of a run divides by.
+	width    int
+	decision WidthDecision
 	// low is the schedule lowered for cfg.Mode (syncopt.Lower), the step
 	// program every worker runs; low.Sites[id] is the boundary with global
 	// sync-site id id+1. at[i] is what NewRunner resolved for low.Steps[i].
@@ -284,6 +293,8 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			}
 		}
 	}
+	r.decision = r.decideWidth()
+	r.width = r.decision.W
 	return r, nil
 }
 
@@ -297,8 +308,14 @@ func (r *Runner) lowerPlacement(pl *decomp.Placement) (*placement, error) {
 	return &placement{of: pl, offset: off, ext: ext}, err
 }
 
-// Workers returns the configured team size.
+// Workers returns the configured team size, P.
 func (r *Runner) Workers() int { return r.cfg.Workers }
+
+// Width returns how many of the Workers a run leases.
+func (r *Runner) Width() int { return r.width }
+
+// WidthDecision returns how NewRunner chose Width.
+func (r *Runner) WidthDecision() WidthDecision { return r.decision }
 
 // Traced reports whether runs record sync events (Config.Trace).
 func (r *Runner) Traced() bool { return r.cfg.Trace }
@@ -372,7 +389,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		tp = DefaultPool()
 	}
 	leaseSp := spans.Start(parentSp, "pool lease")
-	lease, err := tp.Checkout(r.cfg.Workers, r.cfg.Barrier)
+	lease, err := tp.Checkout(r.width, r.cfg.Barrier)
 	spans.End(leaseSp)
 	if err != nil {
 		return nil, err
@@ -393,21 +410,21 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		counters: make([]*spmdrt.Counter, r.nSites),
 		p2ps:     make([]*spmdrt.P2P, r.nSites),
 		dispatch: team.NewCounter(),
-		errs:     make([]error, r.cfg.Workers),
-		ws:       make([]*workerState, r.cfg.Workers),
+		errs:     make([]error, r.width),
+		ws:       make([]*workerState, r.width),
 		relay:    make([]*spmdrt.P2P, len(r.relays)),
 		folds:    make([]foldState, len(r.folds)),
 		sabotage: r.cfg.SabotageEdge - 1,
 	}
 	for i, l := range r.folds {
-		run.folds[i].parts = make([]float64, r.cfg.Workers*(len(l.Reductions)+foldPad))
+		run.folds[i].parts = make([]float64, r.width*(len(l.Reductions)+foldPad))
 	}
 	run.dispatch.Site = "fork-join dispatch"
 	if r.cfg.ChaosSeed != 0 {
-		run.chaos = spmdrt.NewChaos(r.cfg.ChaosSeed, r.cfg.Workers)
+		run.chaos = spmdrt.NewChaos(r.cfg.ChaosSeed, r.width)
 	}
 	if r.cfg.Sanitize {
-		run.san = newSanRun(r.prog, r.exe, ps, r.cfg.Workers)
+		run.san = newSanRun(r.prog, r.exe, ps, r.width)
 	}
 	for i := 0; i < r.nSites; i++ {
 		run.counters[i] = team.NewCounter()
@@ -415,10 +432,10 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		run.p2ps[i] = team.NewP2P()
 	}
 	if r.hasInsp {
-		run.inspW = make([][]inspWorker, r.cfg.Workers)
+		run.inspW = make([][]inspWorker, r.width)
 	}
 	if r.cfg.Trace {
-		rec := synctrace.New(r.cfg.Workers, r.cfg.TraceBufCap)
+		rec := synctrace.New(r.width, r.cfg.TraceBufCap)
 		// Scheduled sites register first so trace ids 0..nSites-1 match
 		// the stats/watchdog/sabotage numbering (1-based there).
 		for i := 0; i < r.nSites; i++ {
@@ -467,7 +484,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 			cum:       make([]int64, r.nSites),
 			cross:     make([]int64, r.nSites),
 			tally:     make([]spmdrt.SiteCounts, r.nSites+1),
-			activeBuf: make([]bool, r.cfg.Workers),
+			activeBuf: make([]bool, r.width),
 			hi:        make([]int64, len(r.low.Steps)),
 			relayInst: make([]int64, len(r.relays)),
 			foldCnt:   make([]foldCount, len(r.folds)),
@@ -777,7 +794,7 @@ func (ws *workerState) execWavefront(at *stepAt) {
 		}
 		run.chaos.PostSync(ws.w)
 	}
-	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, run.cfg.Workers)
+	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, run.width)
 	ws.runSlice(at, start, end, step)
 	if run.san != nil {
 		run.san.tr.P2PPost(chain, ws.w)
@@ -801,7 +818,7 @@ func (ws *workerState) execParallelSlice(l *ir.Loop, at *stepAt) {
 	if !ok {
 		return
 	}
-	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, ws.run.cfg.Workers)
+	start, end, step := at.place.slice(ws.regs, lo, hi, ws.w, ws.run.width)
 	// Activate privates and reduction partials: redirect the scalar to a
 	// worker-local cell, remembering the previous redirection for restore
 	// (a replicated scalar is already redirected when the loop starts). A
@@ -852,7 +869,7 @@ type foldCount struct {
 // arrives adds this instance's active workers to the worker's arrival
 // target at a reduction step and reports whether it is one of them.
 func (ws *workerState) arrives(l *ir.Loop, at *stepAt, lo, hi int64) bool {
-	fc, pl, W := &ws.foldCnt[at.fold], at.place, ws.run.cfg.Workers
+	fc, pl, W := &ws.foldCnt[at.fold], at.place, ws.run.width
 	if fc.act == nil {
 		n := len(l.Reductions)
 		fc.act, fc.slots = make([]bool, W), ws.run.folds[at.fold].parts[ws.w*(n+foldPad):][:n]
@@ -974,7 +991,7 @@ func (ws *workerState) applySync(site int) {
 				run.san.tr.P2PJoin(run.p2ps[site], ws.w, ws.w-1)
 			}
 		}
-		if sync.WaitUpper && ws.w < run.cfg.Workers-1 {
+		if sync.WaitUpper && ws.w < run.width-1 {
 			ws.tally[site].NeighborWaits++
 			run.p2ps[site].WaitForAs(ws.w, ws.w+1, c)
 			if run.san != nil {

@@ -154,3 +154,7 @@ func RowsDetached(r *Runner, st *interp.State, kind decomp.Kind) (rows int, err 
 	}
 	return rows, nil
 }
+
+// SetWidth makes r's runs lease w of its workers, whatever NewRunner
+// decided: the narrowed run of a kernel the decision keeps at P.
+func SetWidth(r *Runner, w int) { r.width = w }

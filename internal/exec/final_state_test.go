@@ -36,7 +36,7 @@ func TestFinalStateGolden(t *testing.T) {
 		}
 		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
 			for _, workers := range []int{1, 2, 3, 8} {
-				cfg := exec.Config{Workers: workers, Params: params, Mode: mode}
+				cfg := exec.Config{Workers: workers, Params: params, Mode: mode, FixedWidth: true}
 				newRunner, label := c.NewRunner, "opt"
 				if mode == exec.ForkJoin {
 					newRunner, label = c.NewBaselineRunner, "base"

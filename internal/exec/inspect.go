@@ -220,7 +220,7 @@ func (ws *workerState) applyInspector(site int) {
 			ws.sc = newScanner(ws)
 		}
 		var exact bool
-		iw.row, exact = ws.sc.row(st, ws.w, run.cfg.Workers, iw.row)
+		iw.row, exact = ws.sc.row(st, ws.w, run.width, iw.row)
 		if ws.w == 0 {
 			iw.scanNS += time.Since(t0).Nanoseconds()
 			iw.visits += scanBudget - max(ws.sc.budget, 0)
@@ -307,7 +307,7 @@ type scanner struct {
 func newScanner(ws *workerState) *scanner {
 	fr := ws.run.bindFrame()
 	fr.Regs = ws.regs
-	return &scanner{fr: fr, waits: make([]bool, ws.run.cfg.Workers)}
+	return &scanner{fr: fr, waits: make([]bool, ws.run.width)}
 }
 
 // row computes worker u's row at site st into row's storage; exact is false

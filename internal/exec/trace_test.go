@@ -322,7 +322,7 @@ func TestTracedRunPaysForItsEventsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD, Trace: true,
+	r, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD, Trace: true, FixedWidth: true,
 		Params: map[string]int64{"N": 64, "T": 4}})
 	if err != nil {
 		t.Fatal(err)

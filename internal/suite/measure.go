@@ -100,7 +100,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	}
 
 	base, err := c.NewBaselineRunner(exec.Config{
-		Workers: opt.Workers, Barrier: opt.Barrier, Params: params})
+		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, FixedWidth: true})
 	if err != nil {
 		return m, err
 	}
@@ -114,7 +114,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	m.DynBase = bres.Stats
 
 	optr, err := c.NewRunner(exec.Config{
-		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Mode: exec.SPMD})
+		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Mode: exec.SPMD, FixedWidth: true})
 	if err != nil {
 		return m, err
 	}

@@ -78,11 +78,13 @@ const table4Pairs = 20
 
 // Table4 measures elapsed time for the selected kernels across worker
 // counts (the paper's performance table): per row, the paired comparison
-// of the optimized SPMD run against the fork-join baseline (see Paired).
+// of the optimized SPMD run against the fork-join baseline (see Paired),
+// both on all P workers, and the width the optimized runner would choose
+// (exec.WidthDecision).
 func Table4(w io.Writer, names []string, workerList []int) error {
 	fmt.Fprintf(w, "Table 4: elapsed time, fork-join base vs optimized SPMD (%d pairs)\n", table4Pairs)
-	fmt.Fprintf(w, "%-14s %4s %12s %12s %12s %12s %9s  %s\n",
-		"program", "P", "base", "optimized", "delta", "±noise", "speedup", "verdict")
+	fmt.Fprintf(w, "%-14s %4s %12s %12s %12s %12s %9s  %-10s %s\n",
+		"program", "P", "base", "optimized", "delta", "±noise", "speedup", "verdict", "width")
 	for _, name := range names {
 		k, err := Get(name)
 		if err != nil {
@@ -97,10 +99,14 @@ func Table4(w io.Writer, names []string, workerList []int) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-14s %4d %12s %12s %12s %12s %8.2fx  %s\n",
+			decided, err := c.NewRunner(exec.Config{Workers: p, Params: k.Params, Mode: exec.SPMD})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%-14s %4d %12s %12s %12s %12s %8.2fx  %-10s %d\n",
 				name, p, cmp.MedianA.Round(time.Microsecond), cmp.MedianB.Round(time.Microsecond),
 				cmp.Delta.Round(time.Microsecond), cmp.Noise.Round(time.Microsecond),
-				float64(cmp.MedianA)/float64(cmp.MedianB), cmp.Verdict(0))
+				float64(cmp.MedianA)/float64(cmp.MedianB), cmp.Verdict(0), decided.Width())
 		}
 	}
 	return nil
@@ -109,11 +115,11 @@ func Table4(w io.Writer, names []string, workerList []int) error {
 // elapsedBaseVsOpt builds c's baseline and optimized runners once at P
 // workers and compares their Elapsed over n pairs.
 func elapsedBaseVsOpt(c *core.Compiled, params map[string]int64, workers, n int) (Comparison, error) {
-	base, err := c.NewBaselineRunner(exec.Config{Workers: workers, Params: params})
+	base, err := c.NewBaselineRunner(exec.Config{Workers: workers, Params: params, FixedWidth: true})
 	if err != nil {
 		return Comparison{}, err
 	}
-	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD})
+	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD, FixedWidth: true})
 	if err != nil {
 		return Comparison{}, err
 	}

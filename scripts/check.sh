@@ -327,9 +327,11 @@ echo "== pinned gates still exist =="
 # pseudo-site table, the affine form's differential fuzz, the row form's
 # gather/scatter, nest and index-guard fuzzes, the loop memos' sabotage
 # test, fuzz and once-per-time-loop check count, the loop entries'
-# decisions (row entries, fallbacks, checks, legality) in two goldens, and the one per-site
+# decisions (row entries, fallbacks, checks, legality) in two goldens, the one per-site
 # account of a traced run (profile, report and counts against the trace
-# summary's rows) with the summary's exact row on fixed timestamps.
+# summary's rows) with the summary's exact row on fixed timestamps, and the
+# team widths runners choose, with narrowed runs held to the fixed-width
+# final state.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -343,7 +345,7 @@ pinned() {
 pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedPrograms \
     TestRowLegalityTableOnATeam TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled \
     TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites TestChecksOncePerTimeLoop \
-    TestOneSiteAccount TestEntryDecisionsGolden
+    TestOneSiteAccount TestEntryDecisionsGolden TestWidthDecisionsGolden
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
@@ -359,7 +361,7 @@ pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGant
 pinned ./internal/certify TestCertificateGolden TestStepMutants
 pinned ./internal/synctrace TestRingGrowsToCap TestSummarizeSiteRow
 pinned ./internal/linear FuzzAffine TestAffineMatchesReference
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form and site-account gates present"
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account and team-width gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
