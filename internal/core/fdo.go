@@ -21,7 +21,9 @@ func (c *Compiled) ScheduleHash() string { return scheduleHash(c.Schedule.Remark
 // Reoptimize runs the feedback-directed pass: it validates that p was
 // measured on exactly this compilation's optimized schedule (program and
 // schedule hashes; profile.ErrHashMismatch otherwise, profile.ErrIncompatible
-// for a chaos-perturbed profile whose waits are deliberate noise), builds
+// for a chaos-perturbed profile whose waits are deliberate noise or for a
+// one-worker run's, which waited on nobody — a runner narrowed to one
+// worker (Runner.Width) stamps its profile so), builds
 // an independent certifier closure, and hands both to fdo.Reoptimize. The
 // result is a NEW Compiled sharing this one's analysis artifacts but
 // carrying the re-optimized schedule — with fresh certify/lowering memos,
@@ -37,6 +39,10 @@ func (c *Compiled) Reoptimize(p *profile.Profile, opt fdo.Options) (*Compiled, *
 	if p.ChaosSeed != 0 {
 		return nil, nil, fmt.Errorf("%w: profile aggregates chaos-perturbed runs (seed %d); measured waits are injected noise",
 			profile.ErrIncompatible, p.ChaosSeed)
+	}
+	if p.Workers < 2 {
+		return nil, nil, fmt.Errorf("%w: profile of %d-worker runs measures no sync waits",
+			profile.ErrIncompatible, p.Workers)
 	}
 
 	// One Analyze, many cheap Checks: the same flows re-judge every

@@ -47,7 +47,9 @@ func (r *Runner) ScheduleHash() string {
 // Profile assembles one traced run's durable sync profile: identity
 // hashes, execution configuration, and the per-site records built by
 // exec.SiteProfiles. res must come from this runner. The profile has
-// Runs == 1; roll up across runs with profile.Merge.
+// Runs == 1; roll up across runs with profile.Merge. Its Workers is the
+// team the run leased (Width), which is P unless the runner narrowed: a
+// narrowed run's waits are not P workers' waits.
 func (r *Runner) Profile(res *Result) *profile.Profile {
 	p := &profile.Profile{
 		Schema:       profile.Schema,
@@ -55,7 +57,7 @@ func (r *Runner) Profile(res *Result) *profile.Profile {
 		ProgramHash:  r.c.ProgramHash(),
 		ScheduleHash: r.ScheduleHash(),
 		Mode:         r.Mode().String(),
-		Workers:      r.Workers(),
+		Workers:      r.Width(),
 		Backend:      exec.EngineName,
 		Barrier:      r.BarrierName(),
 		ChaosSeed:    r.ChaosSeed(),

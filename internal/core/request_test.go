@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/fdo"
 	"repro/internal/profile"
 )
@@ -135,6 +136,36 @@ func TestDoFDORoundTrip(t *testing.T) {
 			WithFDOProfile(&chaotic, fdo.Options{})))
 	if !errors.Is(err, profile.ErrIncompatible) {
 		t.Fatalf("chaos profile error = %v, want profile.ErrIncompatible", err)
+	}
+}
+
+// TestNarrowedProfileIsLabelled: a runner narrowed to one worker stamps its
+// profile and report with the width its runs leased, not P, and the
+// feedback pass refuses the profile (a one-worker run waits on nobody).
+func TestNarrowedProfileIsLabelled(t *testing.T) {
+	c, err := Compile(reqSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.NewRunner(exec.Config{Workers: 2, Params: map[string]int64{"N": 64, "T": 3000},
+		Mode: exec.SPMD, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Width() != 1 {
+		t.Fatalf("width %v, want a runner narrowed to 1", r.WidthDecision())
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := r.Profile(res)
+	if prof.Workers != 1 || r.SyncReport(res).Workers != 1 {
+		t.Fatalf("profile workers %d, report workers %d: want the leased width 1",
+			prof.Workers, r.SyncReport(res).Workers)
+	}
+	if _, _, err := c.Reoptimize(prof, fdo.Options{}); !errors.Is(err, profile.ErrIncompatible) {
+		t.Fatalf("one-worker profile error = %v, want profile.ErrIncompatible", err)
 	}
 }
 

@@ -153,7 +153,8 @@ func (r *Runner) Remarks() *remarks.Set {
 // SyncReport joins this runner's static remarks with one run's per-site
 // runtime attribution into the ranked "cost of kept barriers" report.
 // Wait-time columns are populated only when the run was traced
-// (exec.Config.Trace); otherwise ranking falls back to dynamic counts.
+// (exec.Config.Trace); otherwise ranking falls back to dynamic counts. The
+// report's Workers is the team the run leased (Width).
 func (r *Runner) SyncReport(res *Result) *remarks.Report {
 	var rt map[int]remarks.SiteRuntime
 	traced := false
@@ -161,5 +162,5 @@ func (r *Runner) SyncReport(res *Result) *remarks.Report {
 		rt = r.Runner.SiteRuntimes(&res.Result)
 		traced = res.Trace != nil
 	}
-	return remarks.BuildReport(r.Remarks(), rt, r.Workers(), traced)
+	return remarks.BuildReport(r.Remarks(), rt, r.Width(), traced)
 }
