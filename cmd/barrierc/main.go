@@ -131,7 +131,7 @@ func main() {
 		// Everything downstream — -remarks, -certify, the schedule dump —
 		// sees the re-optimized compilation, so the flipped sites carry
 		// their profile evidence into whatever view was asked for.
-		c, fres, err = c.Reoptimize(prior, fdo.Options{})
+		c, fres, err = c.Reoptimize(prior)
 		if err != nil {
 			fail(err)
 		}

@@ -250,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		core.WithFDOProfile(prior, fdo.Options{})(&req)
+		core.WithFDOProfile(prior)(&req)
 	}
 	req.Run.Watchdog = o.watchdog
 	req.Run.ChaosSeed = o.chaos

@@ -17,9 +17,6 @@ import (
 // decomposition kind the schedule was built for.
 type Options struct {
 	Decomp decomp.Kind
-	// MinParam is the smallest value assumed for every program parameter
-	// (clamped to at least 1).
-	MinParam int64
 }
 
 // Analysis holds the cross-processor flows recomputed for one program under
@@ -139,10 +136,10 @@ func (c *Certificate) JSON() []byte {
 func Analyze(prog *ir.Program, p *Program, opts Options) *Analysis {
 	plan := decomp.Build(prog, opts.Decomp)
 	info := region.Classify(prog, plan.Wavefront)
-	a := newAnalyzer(prog, plan, info.Modes, opts.MinParam)
+	a := newAnalyzer(prog, plan, info.Modes)
 	// The certifier recomputes the irregular-access lattice itself rather
 	// than trusting the optimizer's copy.
-	a.facts = irreg.Analyze(prog, info, opts.MinParam)
+	a.facts = irreg.Analyze(prog, info, 1)
 	an := &Analysis{prog: prog, dec: opts.Decomp}
 	for _, lv := range p.levels() {
 		r := regionFlows{loop: lv.loop, groups: len(lv.groups)}

@@ -108,13 +108,11 @@ type analyzer struct {
 	oracleBudget int
 }
 
-func newAnalyzer(prog *ir.Program, plan *decomp.Plan, modes map[ir.Stmt]region.Mode, minParam int64) *analyzer {
-	if minParam < 1 {
-		minParam = 1
-	}
+func newAnalyzer(prog *ir.Program, plan *decomp.Plan, modes map[ir.Stmt]region.Mode) *analyzer {
+	// Every program parameter is a positive integer.
 	assume := linear.NewSystem()
 	for _, p := range prog.Params {
-		assume.AddGE(linear.VarExpr(linear.Sym(p)), linear.NewAffine(minParam))
+		assume.AddGE(linear.VarExpr(linear.Sym(p)), linear.NewAffine(1))
 	}
 	return &analyzer{prog: prog, plan: plan, modes: modes, assume: assume, oracleBudget: 64}
 }

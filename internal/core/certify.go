@@ -78,7 +78,7 @@ var siteKinds = [...]certify.Kind{
 
 // CertifyOptions returns the certifier options matching this compilation.
 func (c *Compiled) CertifyOptions() certify.Options {
-	return certify.Options{Decomp: c.Options.Decomp, MinParam: c.Options.MinParam}
+	return certify.Options{Decomp: c.Options.Decomp}
 }
 
 // Certify runs the independent static certifier over the optimized

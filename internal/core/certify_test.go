@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -35,10 +36,11 @@ func TestCertifyFacade(t *testing.T) {
 	}
 }
 
-// TestCompileLintOption: Options.Lint gates compilation on a clean lint
-// run and surfaces the findings as a typed error.
+// TestCompileLintOption: WithLint gates a request on a clean lint run and
+// surfaces the findings as a typed error.
 func TestCompileLintOption(t *testing.T) {
-	if _, err := core.Compile(src, core.Options{Lint: true}); err != nil {
+	params := core.WithParams(map[string]int64{"N": 16, "T": 1})
+	if _, err := core.Do(context.Background(), core.NewRequest(src, core.WithLint(), params)); err != nil {
 		t.Fatalf("clean program rejected by lint gate: %v", err)
 	}
 	bad := `
@@ -52,7 +54,7 @@ do i = 1, N
 end do
 end
 `
-	_, err := core.Compile(bad, core.Options{Lint: true})
+	_, err := core.Do(context.Background(), core.NewRequest(bad, core.WithLint(), params))
 	var le *core.LintError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *core.LintError", err)

@@ -41,15 +41,14 @@ type Options struct {
 	Decomp decomp.Kind
 	// Sync are the synchronization-optimizer options (ablation knobs).
 	Sync syncopt.Options
-	// MinParam is the assumed lower bound of every symbolic parameter
-	// (default 1). Larger values can sharpen the analysis.
-	MinParam int64
-	// Lint runs the source-level linter before compiling; Compile then
-	// fails with a *LintError when any warning-or-worse finding exists.
-	Lint bool
 }
 
-// LintError reports lint findings that aborted a compilation.
+// minParam is the lower bound the analyses assume for every symbolic
+// parameter: parameters are positive integers (docs/DSL.md).
+const minParam = 1
+
+// LintError reports the lint findings that aborted a request
+// (CompileOptions.Lint).
 type LintError struct {
 	Diags []lint.Diagnostic
 }
@@ -68,8 +67,7 @@ func (e *LintError) Error() string {
 // Compiled is the result of running the pipeline on one program.
 type Compiled struct {
 	Prog *ir.Program
-	// Options are the pipeline options the program was compiled with
-	// (MinParam resolved to its default when unset).
+	// Options are the pipeline options the program was compiled with.
 	Options Options
 	// Parallelized reports what the parallelizer did.
 	Parallelized *parallel.Result
@@ -101,11 +99,6 @@ type Compiled struct {
 
 // Compile parses DSL source and runs the full pipeline.
 func Compile(src string, opt Options) (*Compiled, error) {
-	if opt.Lint {
-		if diags := lint.Source(src); lint.HasFindings(diags) {
-			return nil, &LintError{Diags: diags}
-		}
-	}
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
@@ -116,10 +109,6 @@ func Compile(src string, opt Options) (*Compiled, error) {
 // CompileProgram runs the pipeline on an already-built program. The
 // program is mutated in place (parallel markings, privatization).
 func CompileProgram(prog *ir.Program, opt Options) *Compiled {
-	minParam := opt.MinParam
-	if minParam <= 0 {
-		minParam = 1
-	}
 	// Each phase is timed and its Fourier-Motzkin work attributed by
 	// diffing the solver's global counters around it; the per-compile
 	// bill lands on Compiled.Costs.
@@ -164,7 +153,6 @@ func CompileProgram(prog *ir.Program, opt Options) *Compiled {
 	costs.Bailouts = delta.Bailouts
 	costs.Enumerations = delta.Enumerations
 
-	opt.MinParam = minParam
 	return &Compiled{
 		Prog:         prog,
 		Options:      opt,

@@ -108,32 +108,6 @@ func TestOptionsPassThrough(t *testing.T) {
 	}
 }
 
-func TestMinParamSharpensAnalysis(t *testing.T) {
-	// With N possibly 1, loop 2..N-1 may be empty but analysis stays
-	// sound either way; just confirm MinParam plumbs through without
-	// breaking compilation and runners still verify.
-	c, err := core.Compile(src, core.Options{MinParam: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]int64{"N": 32, "T": 3}
-	ref, err := c.RunSequential(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.NewRunner(exec.Config{Workers: 3, Params: params, Mode: exec.SPMD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := exec.ComparableDiff(ref, res.State, c.Prog); d > 1e-9 {
-		t.Errorf("diverged by %g", d)
-	}
-}
-
 func TestBaselineRunnerForcesForkJoin(t *testing.T) {
 	c, err := core.Compile(src, core.Options{})
 	if err != nil {

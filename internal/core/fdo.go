@@ -29,7 +29,7 @@ func (c *Compiled) ScheduleHash() string { return scheduleHash(c.Schedule.Remark
 // carrying the re-optimized schedule — with fresh certify/lowering memos,
 // so its Verdict() re-proves the flipped schedule from scratch. The
 // receiver is never mutated.
-func (c *Compiled) Reoptimize(p *profile.Profile, opt fdo.Options) (*Compiled, *fdo.Result, error) {
+func (c *Compiled) Reoptimize(p *profile.Profile) (*Compiled, *fdo.Result, error) {
 	if p == nil {
 		return nil, nil, fmt.Errorf("core: nil profile")
 	}
@@ -60,7 +60,7 @@ func (c *Compiled) Reoptimize(p *profile.Profile, opt fdo.Options) (*Compiled, *
 		return cert != nil && len(viols) == 0, nil
 	}
 
-	res, err := fdo.Reoptimize(c.Schedule, p, check, opt)
+	res, err := fdo.Reoptimize(c.Schedule, p, check)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,13 +11,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/decomp"
 	"repro/internal/exec"
 	"repro/internal/fdo"
 	"repro/internal/lint"
 	"repro/internal/profile"
 	"repro/internal/spmdrt"
-	"repro/internal/syncopt"
 	"repro/internal/telemetry"
 )
 
@@ -28,18 +26,12 @@ type CompileOptions struct {
 	// Certify requires the schedule the run will execute to pass the
 	// independent static certifier; Do fails with *CertifyError otherwise.
 	Certify bool
-	// Decomp/Sync/MinParam mirror Options (the pipeline knobs).
-	Decomp   decomp.Kind
-	Sync     syncopt.Options
-	MinParam int64
 	// FDOProfile, when set, feeds a prior run's measured profile back
 	// through the feedback-directed optimizer: the run executes the
 	// re-optimized schedule and Result.FDO records the decisions. The
 	// profile must match this compilation's identity hashes
 	// (profile.ErrHashMismatch otherwise).
 	FDOProfile *profile.Profile
-	// FDO are the feedback pass's thresholds (zero value = defaults).
-	FDO fdo.Options
 }
 
 // RunOptions are a Request's run-time configuration.
@@ -112,9 +104,9 @@ func WithLint() RequestOption { return func(r *Request) { r.Compile.Lint = true 
 func WithCertify() RequestOption { return func(r *Request) { r.Compile.Certify = true } }
 
 // WithFDOProfile feeds a prior run's profile back through the
-// feedback-directed optimizer with the given thresholds.
-func WithFDOProfile(p *profile.Profile, opt fdo.Options) RequestOption {
-	return func(r *Request) { r.Compile.FDOProfile, r.Compile.FDO = p, opt }
+// feedback-directed optimizer.
+func WithFDOProfile(p *profile.Profile) RequestOption {
+	return func(r *Request) { r.Compile.FDOProfile = p }
 }
 
 // WithWorkers sets the worker count.
@@ -183,11 +175,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 
 	compileStart := time.Now()
 	compileSp := tr.Start(0, "compile")
-	c, err := Compile(req.Source, Options{
-		Decomp:   req.Compile.Decomp,
-		Sync:     req.Compile.Sync,
-		MinParam: req.Compile.MinParam,
-	})
+	c, err := Compile(req.Source, Options{})
 	tr.End(compileSp)
 	if err != nil {
 		tr.Finish()
@@ -217,7 +205,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 			return nil, fmt.Errorf("core: feedback re-optimization applies to the optimized schedule, not the fork-join baseline")
 		}
 		sp := tr.Start(0, "fdo")
-		c, fres, err = c.Reoptimize(req.Compile.FDOProfile, req.Compile.FDO)
+		c, fres, err = c.Reoptimize(req.Compile.FDOProfile)
 		tr.End(sp)
 		if err != nil {
 			tr.Finish()
@@ -307,6 +295,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		// exec.Result outcome fields ride on the execute span.
 		tr.SetAttr(execSp, "elapsed_ns", fmt.Sprint(res.Elapsed.Nanoseconds()))
 		tr.SetAttr(execSp, "workers", fmt.Sprint(workers))
+		tr.SetAttr(execSp, "width", fmt.Sprint(runner.Width()))
 	}
 	res.Runner = runner
 	res.FDO = fres

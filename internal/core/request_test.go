@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/fdo"
 	"repro/internal/profile"
 )
 
@@ -108,7 +107,7 @@ func TestDoFDORoundTrip(t *testing.T) {
 	}
 	second, err := Do(context.Background(),
 		NewRequest(reqSrc, WithWorkers(4), WithParams(reqParams), WithCertify(),
-			WithFDOProfile(first.Profile, fdo.Options{})))
+			WithFDOProfile(first.Profile)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestDoFDORoundTrip(t *testing.T) {
 	_, err = Do(context.Background(),
 		NewRequest(strings.Replace(reqSrc, "0.5", "0.25", 1),
 			WithWorkers(4), WithParams(reqParams),
-			WithFDOProfile(first.Profile, fdo.Options{})))
+			WithFDOProfile(first.Profile)))
 	if !errors.Is(err, profile.ErrHashMismatch) {
 		t.Fatalf("stale profile error = %v, want profile.ErrHashMismatch", err)
 	}
@@ -133,7 +132,7 @@ func TestDoFDORoundTrip(t *testing.T) {
 	chaotic.ChaosSeed = 7
 	_, err = Do(context.Background(),
 		NewRequest(reqSrc, WithWorkers(4), WithParams(reqParams),
-			WithFDOProfile(&chaotic, fdo.Options{})))
+			WithFDOProfile(&chaotic)))
 	if !errors.Is(err, profile.ErrIncompatible) {
 		t.Fatalf("chaos profile error = %v, want profile.ErrIncompatible", err)
 	}
@@ -164,7 +163,7 @@ func TestNarrowedProfileIsLabelled(t *testing.T) {
 		t.Fatalf("profile workers %d, report workers %d: want the leased width 1",
 			prof.Workers, r.SyncReport(res).Workers)
 	}
-	if _, _, err := c.Reoptimize(prof, fdo.Options{}); !errors.Is(err, profile.ErrIncompatible) {
+	if _, _, err := c.Reoptimize(prof); !errors.Is(err, profile.ErrIncompatible) {
 		t.Fatalf("one-worker profile error = %v, want profile.ErrIncompatible", err)
 	}
 }
@@ -229,8 +228,34 @@ var coreAPI = []string{
 	"Exe (Compiled)",
 }
 
+// coreKnobs are the exported fields of the option structs: every settable
+// compile- and run-time value of the facade. A knob added here is an API
+// change too.
+var coreKnobs = []string{
+	"CompileOptions.Certify",
+	"CompileOptions.FDOProfile",
+	"CompileOptions.Lint",
+	"Options.Decomp",
+	"Options.Sync",
+	"RunOptions.Barrier",
+	"RunOptions.BarrierAuto",
+	"RunOptions.Baseline",
+	"RunOptions.ChaosSeed",
+	"RunOptions.P",
+	"RunOptions.Params",
+	"RunOptions.Profile",
+	"RunOptions.Report",
+	"RunOptions.Sabotage",
+	"RunOptions.Sanitize",
+	"RunOptions.Spans",
+	"RunOptions.Trace",
+	"RunOptions.TraceBufCap",
+	"RunOptions.Watchdog",
+}
+
 // TestAPISurface locks the package's exported API: additions, removals and
-// renames must update coreAPI (and the docs) in the same change.
+// renames must update coreAPI (and the docs) in the same change. It also
+// locks the option structs' fields against coreKnobs.
 func TestAPISurface(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -239,7 +264,7 @@ func TestAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
+	var got, knobs []string
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -268,6 +293,15 @@ func TestAPISurface(t *testing.T) {
 							if s.Name.IsExported() {
 								got = append(got, s.Name.Name)
 							}
+							if st, ok := s.Type.(*ast.StructType); ok && strings.HasSuffix(s.Name.Name, "Options") {
+								for _, f := range st.Fields.List {
+									for _, n := range f.Names {
+										if n.IsExported() {
+											knobs = append(knobs, s.Name.Name+"."+n.Name)
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
 								if n.IsExported() {
@@ -286,5 +320,10 @@ func TestAPISurface(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("exported API surface changed.\n--- locked ---\n%s\n--- actual ---\n%s\n(update coreAPI deliberately if this change is intended)",
 			strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+	sort.Strings(knobs)
+	if strings.Join(knobs, "\n") != strings.Join(coreKnobs, "\n") {
+		t.Fatalf("option fields changed.\n--- locked ---\n%s\n--- actual ---\n%s\n(update coreKnobs deliberately if this change is intended)",
+			strings.Join(coreKnobs, "\n"), strings.Join(knobs, "\n"))
 	}
 }

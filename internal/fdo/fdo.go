@@ -38,60 +38,35 @@ import (
 // rejects every mutation (fail closed).
 type CheckFunc func(*syncopt.Schedule) (bool, error)
 
-// Options are the feedback pass's flip thresholds. The defaults encode
-// hysteresis in both directions — weakenings must be predicted clearly
-// profitable and promotions must be measured clearly pathological — so a
-// second feedback iteration over the re-optimized schedule's own profile
-// reaches a fixed point instead of oscillating.
-type Options struct {
-	// MinWaits is the minimum number of recorded blocking waits at a site
-	// before its measurements are trusted (default 1).
-	MinWaits int64
-	// MinShare is the minimum fraction of whole-program wait a site must
-	// carry before a weakening is attempted (default 0.01).
-	MinShare float64
-	// WeakenFactor gates weakening: the candidate's estimated per-op cost
-	// must be below measured × WeakenFactor (default 0.75).
-	WeakenFactor float64
-	// PromoteFactor and PromoteShare gate strengthening: a non-barrier
+// The feedback pass's flip thresholds. They encode hysteresis in both
+// directions — weakenings must be predicted clearly profitable and
+// promotions must be measured clearly pathological — so a second feedback
+// iteration over the re-optimized schedule's own profile reaches a fixed
+// point instead of oscillating.
+const (
+	// minWaits is the minimum number of recorded blocking waits at a site
+	// before its measurements are trusted.
+	minWaits = 1
+	// minShare is the minimum fraction of whole-program wait a site must
+	// carry before a weakening is attempted.
+	minShare = 0.01
+	// weakenFactor gates weakening: the candidate's estimated per-op cost
+	// must be below measured × weakenFactor.
+	weakenFactor = 0.75
+	// promoteFactor and promoteShare gate strengthening: a non-barrier
 	// site is promoted to a barrier only when its measured per-op wait is
-	// at least PromoteFactor × the measured barrier cost prior (default 4)
-	// AND its wait share is at least PromoteShare (default 0.25).
-	PromoteFactor float64
-	PromoteShare  float64
-	// AlgoShare and AlgoContentionNS gate the barrier-algorithm
+	// at least promoteFactor × the measured barrier cost prior AND its
+	// wait share is at least promoteShare.
+	promoteFactor = 4
+	promoteShare  = 0.25
+	// algoShare and algoContentionNS gate the barrier-algorithm
 	// recommendation: the dominant barrier site must carry at least
-	// AlgoShare of program wait (default 0.2) and its contention component
-	// — (wait − arrival slack) per episode, the part a different barrier
-	// algorithm can affect — must exceed AlgoContentionNS (default 20µs).
-	AlgoShare        float64
-	AlgoContentionNS int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinWaits == 0 {
-		o.MinWaits = 1
-	}
-	if o.MinShare == 0 {
-		o.MinShare = 0.01
-	}
-	if o.WeakenFactor == 0 {
-		o.WeakenFactor = 0.75
-	}
-	if o.PromoteFactor == 0 {
-		o.PromoteFactor = 4
-	}
-	if o.PromoteShare == 0 {
-		o.PromoteShare = 0.25
-	}
-	if o.AlgoShare == 0 {
-		o.AlgoShare = 0.2
-	}
-	if o.AlgoContentionNS == 0 {
-		o.AlgoContentionNS = 20_000
-	}
-	return o
-}
+	// algoShare of program wait and its contention component — (wait −
+	// arrival slack) per episode, the part a different barrier algorithm
+	// can affect — must exceed algoContentionNS.
+	algoShare        = 0.2
+	algoContentionNS = 20_000
+)
 
 // Decision records one site-level outcome of the feedback pass, flips and
 // rejections alike, in the order the pass visited them (descending
@@ -289,15 +264,13 @@ func rendezvousBound(sy *syncopt.Sync) bool {
 // mutated. The pass is deterministic: sites are visited in descending
 // measured-wait order (site id as tiebreak), candidates in estimated-cost
 // order, and no map iteration order leaks into decisions.
-func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc, opt Options) (*Result, error) {
+func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc) (*Result, error) {
 	if sched == nil || prof == nil {
 		return nil, fmt.Errorf("fdo: nil schedule or profile")
 	}
 	if check == nil {
 		check = func(*syncopt.Schedule) (bool, error) { return false, nil }
 	}
-	opt = opt.withDefaults()
-
 	out := sched.Clone()
 	bounds := out.Boundaries()
 	res := &Result{Schedule: out}
@@ -333,7 +306,7 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc,
 		if sp.Kind != from {
 			return nil, fmt.Errorf("fdo: profile site %d measured %q but schedule has %q (stale profile?)", sp.Site, sp.Kind, from)
 		}
-		if sy.Class == comm.ClassNone || sp.Wait.Count < opt.MinWaits || sp.Ops == 0 {
+		if sy.Class == comm.ClassNone || sp.Wait.Count < minWaits || sp.Ops == 0 {
 			continue
 		}
 		pr := prior(prof, sp, totalWaitNS)
@@ -344,7 +317,7 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc,
 		// A barrier orders everything, so certification cannot fail, but
 		// the check still runs (fail closed on a buggy checker).
 		if sy.Class != comm.ClassBarrier && hasBarrierCost &&
-			pr.Share >= opt.PromoteShare && siteCost >= opt.PromoteFactor*barrierCost {
+			pr.Share >= promoteShare && siteCost >= promoteFactor*barrierCost {
 			old := *sy
 			sy.Class = comm.ClassBarrier
 			sy.WaitLower, sy.WaitUpper = false, false
@@ -369,10 +342,9 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc,
 		// Weaken: retry the rejected-alternatives ladder, re-ranked by
 		// measured kind costs, keeping the first candidate the certifier
 		// re-proves whose estimated cost clears the hysteresis gate.
-		if pr.Share < opt.MinShare {
+		if pr.Share < minShare {
 			continue
 		}
-		flipped := false
 		bound := rendezvousBound(sy)
 		for _, cand := range candidates(sy, costs, siteCost) {
 			est := estCost(cand, costs, siteCost)
@@ -382,11 +354,11 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc,
 					Reason: "every flow at this site individually requires the full rendezvous; a counter here must couple the same producer and consumer sets, so no prior measured at a sparser site argues a discount"})
 				continue
 			}
-			if est >= siteCost*opt.WeakenFactor {
+			if est >= siteCost*weakenFactor {
 				res.Decisions = append(res.Decisions, Decision{Site: sp.Site, Action: "reject",
 					From: from, To: cand, Prior: pr, Certified: false,
 					Reason: fmt.Sprintf("estimated %.0fns/op for %s does not clear %.0fns/op measured × %.2f",
-						est, cand, siteCost, opt.WeakenFactor)})
+						est, cand, siteCost, weakenFactor)})
 				continue
 			}
 			old := *sy
@@ -413,15 +385,11 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc,
 				PredictedSaveNS: save, Certified: true})
 			res.Flips++
 			res.PredictedSaveNS += save
-			flipped = true
 			break
-		}
-		if flipped {
-			continue
 		}
 	}
 
-	res.BarrierAlgo, _ = recommendAlgo(prof, bounds, opt, totalWaitNS, res)
+	res.BarrierAlgo, _ = recommendAlgo(prof, bounds, totalWaitNS, res)
 	return res, nil
 }
 
@@ -432,7 +400,7 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc,
 // Slack-dominated waits are straggler-bound — every algorithm waits for
 // the last arrival equally — so only the contention component,
 // (wait − slack)/episode, argues for a different algorithm.
-func recommendAlgo(prof *profile.Profile, bounds []*syncopt.Sync, opt Options, totalWaitNS int64, res *Result) (string, bool) {
+func recommendAlgo(prof *profile.Profile, bounds []*syncopt.Sync, totalWaitNS int64, res *Result) (string, bool) {
 	best := -1
 	for i := range prof.Sites {
 		sp := &prof.Sites[i]
@@ -452,11 +420,11 @@ func recommendAlgo(prof *profile.Profile, bounds []*syncopt.Sync, opt Options, t
 	}
 	sp := &prof.Sites[best]
 	pr := prior(prof, sp, totalWaitNS)
-	if pr.Share < opt.AlgoShare {
+	if pr.Share < algoShare {
 		return "", false
 	}
 	contention := (sp.Wait.SumNS - sp.SlackSumNS) / sp.Episodes
-	if contention < opt.AlgoContentionNS {
+	if contention < algoContentionNS {
 		return "", false
 	}
 	algo := "tree"
@@ -467,7 +435,7 @@ func recommendAlgo(prof *profile.Profile, bounds []*syncopt.Sync, opt Options, t
 		return "", false
 	}
 	reason := fmt.Sprintf("site %d contention %.0fns/episode exceeds %.0fns with slack share %.0f%% at P=%d",
-		sp.Site, float64(contention), float64(opt.AlgoContentionNS), pr.SlackShare*100, prof.Workers)
+		sp.Site, float64(contention), float64(algoContentionNS), pr.SlackShare*100, prof.Workers)
 	sy := bounds[sp.Site-1]
 	if sy.FDO == nil { // don't overwrite a flip record; algo only annotates untouched sites
 		sy.FDO = &remarks.FDORemark{From: sp.Kind, Action: "algo", Reason: reason,

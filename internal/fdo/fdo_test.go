@@ -56,7 +56,7 @@ func alwaysNo(*syncopt.Schedule) (bool, error) { return false, nil }
 func TestReoptimizeWeakens(t *testing.T) {
 	sched := synthSched()
 	prof := synthProfile(sched)
-	res, err := Reoptimize(sched, prof, alwaysOK, Options{})
+	res, err := Reoptimize(sched, prof, alwaysOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReoptimizeWeakens(t *testing.T) {
 func TestReoptimizeRespectsCertifier(t *testing.T) {
 	sched := synthSched()
 	prof := synthProfile(sched)
-	res, err := Reoptimize(sched, prof, alwaysNo, Options{})
+	res, err := Reoptimize(sched, prof, alwaysNo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReoptimizeRespectsCertifier(t *testing.T) {
 }
 
 func TestReoptimizeNilCheckFailsClosed(t *testing.T) {
-	res, err := Reoptimize(synthSched(), synthProfile(nil), nil, Options{})
+	res, err := Reoptimize(synthSched(), synthProfile(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestReoptimizePromotesMeasuredSlowPrimitive(t *testing.T) {
 	s3.Wait.Add(100 * time.Microsecond)
 	p.Sites = []profile.SiteProfile{s1, s2, s3}
 
-	res, err := Reoptimize(sched, p, alwaysOK, Options{})
+	res, err := Reoptimize(sched, p, alwaysOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestReoptimizePromotesMeasuredSlowPrimitive(t *testing.T) {
 
 func TestReoptimizeDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
-		a, err := Reoptimize(synthSched(), synthProfile(nil), alwaysOK, Options{})
+		a, err := Reoptimize(synthSched(), synthProfile(nil), alwaysOK)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Reoptimize(synthSched(), synthProfile(nil), alwaysOK, Options{})
+		b, err := Reoptimize(synthSched(), synthProfile(nil), alwaysOK)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestReoptimizeRendezvousBound(t *testing.T) {
 	prof := synthProfile(sched)
 	prof.Sites[1].Ops = 0
 	prof.Sites[1].Wait = profile.Sketch{}
-	res, err := Reoptimize(sched, prof, alwaysOK, Options{})
+	res, err := Reoptimize(sched, prof, alwaysOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestReoptimizeRendezvousBound(t *testing.T) {
 	// from a sparser site, so it does not transfer — still refused.
 	sched2 := synthSched()
 	sched2.Top.After[0].Deps = allBarrierDeps
-	res2, err := Reoptimize(sched2, synthProfile(sched2), alwaysOK, Options{})
+	res2, err := Reoptimize(sched2, synthProfile(sched2), alwaysOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestReoptimizeRendezvousBound(t *testing.T) {
 	prof3 := synthProfile(sched3)
 	prof3.Sites[1].Ops = 0
 	prof3.Sites[1].Wait = profile.Sketch{}
-	res3, err := Reoptimize(sched3, prof3, alwaysOK, Options{})
+	res3, err := Reoptimize(sched3, prof3, alwaysOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +250,12 @@ func TestReoptimizeStaleProfileErrors(t *testing.T) {
 	sched := synthSched()
 	prof := synthProfile(sched)
 	prof.Sites[0].Site = 99 // outside the schedule
-	if _, err := Reoptimize(sched, prof, alwaysOK, Options{}); err == nil {
+	if _, err := Reoptimize(sched, prof, alwaysOK); err == nil {
 		t.Fatal("profile site outside the schedule must error")
 	}
 	prof = synthProfile(sched)
 	prof.Sites[1].Kind = "barrier" // schedule has a counter there
-	if _, err := Reoptimize(sched, prof, alwaysOK, Options{}); err == nil {
+	if _, err := Reoptimize(sched, prof, alwaysOK); err == nil {
 		t.Fatal("profile kind disagreeing with the schedule must error")
 	}
 }
@@ -279,7 +279,7 @@ func TestReoptimizeAlgoRecommendation(t *testing.T) {
 		return p
 	}
 	// Contention-dominated (slack ~0): recommend dissemination at P=8.
-	res, err := Reoptimize(synthSched(), mk(0), alwaysNo, Options{})
+	res, err := Reoptimize(synthSched(), mk(0), alwaysNo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestReoptimizeAlgoRecommendation(t *testing.T) {
 		t.Fatalf("BarrierAlgo = %q, want dissemination for contention-dominated P=8", res.BarrierAlgo)
 	}
 	// Slack-dominated: every algorithm waits for the straggler; keep central.
-	res, err = Reoptimize(synthSched(), mk(4*time.Millisecond.Nanoseconds()), alwaysNo, Options{})
+	res, err = Reoptimize(synthSched(), mk(4*time.Millisecond.Nanoseconds()), alwaysNo)
 	if err != nil {
 		t.Fatal(err)
 	}

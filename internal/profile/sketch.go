@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -216,6 +217,9 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
+	if raw.Count < 0 {
+		return fmt.Errorf("profile: sketch has negative count %d", raw.Count)
+	}
 	*s = Sketch{Count: raw.Count, SumNS: raw.SumNS, MinNS: raw.MinNS, MaxNS: raw.MaxNS}
 	var total int64
 	for _, bc := range raw.Buckets {
@@ -225,6 +229,9 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 		}
 		if c < 0 {
 			return fmt.Errorf("profile: sketch bucket %d has negative count %d", b, c)
+		}
+		if c > math.MaxInt64-total {
+			return fmt.Errorf("profile: sketch bucket counts overflow int64")
 		}
 		s.counts[b] += c
 		total += c

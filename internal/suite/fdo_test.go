@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fdo"
 )
 
 // TestFDOPropertySuite drives the full feedback loop over every kernel —
@@ -51,11 +50,11 @@ func TestFDOPropertySuite(t *testing.T) {
 					prof := r.Profile(res)
 
 					// Determinism: same compilation, same profile, twice.
-					c2, fres, err := c.Reoptimize(prof, fdo.Options{})
+					c2, fres, err := c.Reoptimize(prof)
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, fres2, err := c.Reoptimize(prof, fdo.Options{})
+					_, fres2, err := c.Reoptimize(prof)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -115,7 +114,7 @@ func TestFDOPropertySuite(t *testing.T) {
 
 					// Convergence: the second iteration must not oscillate.
 					prof2 := r2.Profile(res2)
-					_, fres3, err := c2.Reoptimize(prof2, fdo.Options{})
+					_, fres3, err := c2.Reoptimize(prof2)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fdo"
 	"repro/internal/profile"
 )
 
@@ -161,7 +160,7 @@ func fdoLegs(t *testing.T, name string, workers int) (static, guided Leg) {
 	if err != nil {
 		t.Fatalf("%s: merge: %v", name, err)
 	}
-	c2, fres, err := c.Reoptimize(prof, fdo.Options{})
+	c2, fres, err := c.Reoptimize(prof)
 	if err != nil {
 		t.Fatalf("%s: reoptimize: %v", name, err)
 	}

@@ -115,7 +115,8 @@ func TestPhaseDurationsSumToWall(t *testing.T) {
 }
 
 // TestExecuteSpanAttrs: the execute span carries the exec.Result outcome
-// fields; the compile span carries the remarks.Costs solver totals.
+// fields, the requested worker count and the team width the runner
+// leased; the compile span carries the remarks.Costs solver totals.
 func TestExecuteSpanAttrs(t *testing.T) {
 	res := jacobiResult(t)
 	byName := map[string]telemetry.Span{}
@@ -126,7 +127,7 @@ func TestExecuteSpanAttrs(t *testing.T) {
 	if !ok {
 		t.Fatal("no execute span")
 	}
-	for _, key := range []string{"elapsed_ns", "workers"} {
+	for _, key := range []string{"elapsed_ns", "workers", "width"} {
 		if ex.Attrs[key] == "" {
 			t.Errorf("execute span missing attr %q (have %v)", key, ex.Attrs)
 		}
@@ -139,6 +140,29 @@ func TestExecuteSpanAttrs(t *testing.T) {
 		if co.Attrs[key] == "" {
 			t.Errorf("compile span missing attr %q (have %v)", key, co.Attrs)
 		}
+	}
+
+	// jacobi1d at this size narrows to one worker at P=2
+	// (exec's width_decisions.golden); a spans-only request keeps the
+	// narrowing, and the span says both what was asked and what ran.
+	k, err := suite.Get("jacobi1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := core.Do(context.Background(), core.NewRequest(k.Source,
+		core.WithParams(map[string]int64{"N": 64, "T": 3000}), core.WithWorkers(2), core.WithSpans()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow.Telemetry.Finish()
+	var attrs map[string]string
+	for _, sp := range narrow.Telemetry.Spans() {
+		if sp.Name == "execute" {
+			attrs = sp.Attrs
+		}
+	}
+	if attrs["workers"] != "2" || attrs["width"] != "1" {
+		t.Errorf("narrowed execute span attrs %v, want workers=2 width=1", attrs)
 	}
 }
 

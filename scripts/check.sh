@@ -298,16 +298,17 @@ echo "== one timing sampler =="
 # env knobs, of the second harness (its measurers, its check.sh helper,
 # its committed result files), of the serving face (debug-server flags
 # and package, the process-wide aggregator, the expvar surfaces) and of the
-# second reduction merge and team source must not come back in any .go or
-# .sh file, in docs/ or in README.md.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD' # retired-names
+# second reduction merge and team source, and of the feedback pass's
+# settable thresholds (now the pass's constants) must not come back in any
+# .go or .sh file, in docs/ or in README.md.
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS' # retired-names
 if sampler_hits="$({ find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0
     printf '%s\0' docs/*.md README.md; } | xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
     echo "$sampler_hits" >&2
     exit 1
 fi
-echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge or team-spawn name in any .go or .sh file, docs/ or README.md"
+echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn or feedback-threshold name in any .go or .sh file, docs/ or README.md"
 
 echo "== pinned gates still exist =="
 # The -race leg above has already run these; what is checked here is that
@@ -329,9 +330,9 @@ echo "== pinned gates still exist =="
 # test, fuzz and once-per-time-loop check count, the loop entries'
 # decisions (row entries, fallbacks, checks, legality) in two goldens, the one per-site
 # account of a traced run (profile, report and counts against the trace
-# summary's rows) with the summary's exact row on fixed timestamps, and the
+# summary's rows) with the summary's exact row on fixed timestamps, the
 # team widths runners choose, with narrowed runs held to the fixed-width
-# final state.
+# final state, and the profile reader's decode fuzz with its hostile seeds.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -361,7 +362,8 @@ pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGant
 pinned ./internal/certify TestCertificateGolden TestStepMutants
 pinned ./internal/synctrace TestRingGrowsToCap TestSummarizeSiteRow
 pinned ./internal/linear FuzzAffine TestAffineMatchesReference
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account and team-width gates present"
+pinned ./internal/profile FuzzDecode
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width and profile-decode gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
