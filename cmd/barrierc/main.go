@@ -184,11 +184,8 @@ func main() {
 	if fres != nil {
 		fmt.Printf("fdo: %d flip(s), predicted save %s/run\n", fres.Flips, time.Duration(fres.PredictedSaveNS))
 		for _, d := range fres.Decisions {
-			switch d.Action {
-			case "weaken", "promote":
+			if d.Action != "reject" {
 				fmt.Printf("  site %d: %s %s -> %s (%s)\n", d.Site, d.Action, d.From, d.To, d.Reason)
-			case "algo":
-				fmt.Printf("  site %d: recommend %s barrier (%s)\n", d.Site, d.BarrierAlgo, d.Reason)
 			}
 		}
 	}

@@ -8,15 +8,16 @@
 //	    Merging a single profile re-emits it byte-identically, which is
 //	    the round-trip determinism gate scripts/check.sh relies on.
 //
-//	spmdprof diff [-rel F] [-abs DUR] [-min-waits N] old.json new.json
+//	spmdprof diff old.json new.json
 //	    Rank per-site p99-wait shifts of new against the old baseline.
-//	    Exit 1 when any shift clears both noise bars (a regression),
-//	    0 when quiet — the cross-run regression watch.
+//	    Exit 1 when any shift clears both fixed noise bars (≥ 25µs and
+//	    ≥ 50% at ≥ 4 waits/run: a regression), 0 when quiet — the
+//	    cross-run regression watch.
 //
 //	spmdprof top [-n N] profile.json
 //	    The N most expensive sites by total blocking wait.
 //
-//	spmdprof ledger [-watch] [-rel F] [-abs DUR] [-min-waits N] ledger.jsonl
+//	spmdprof ledger [-watch] ledger.jsonl
 //	    Summarize an append-only run ledger per (program, schedule,
 //	    config) group. With -watch, diff each group's latest run against
 //	    the merged history before it; exit 1 on any regression.
@@ -72,23 +73,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   spmdprof merge [-o out.json] p1.json [p2.json ...]
-  spmdprof diff [-rel F] [-abs DUR] [-min-waits N] old.json new.json
+  spmdprof diff old.json new.json
   spmdprof top [-n N] profile.json
-  spmdprof ledger [-watch] [-rel F] [-abs DUR] [-min-waits N] ledger.jsonl
+  spmdprof ledger [-watch] ledger.jsonl
 `)
 }
 
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "spmdprof:", err)
 	return 1
-}
-
-// diffFlags registers the shared noise-threshold flags.
-func diffFlags(fs *flag.FlagSet) (rel *float64, abs *time.Duration, minWaits *int64) {
-	rel = fs.Float64("rel", 0, "minimum relative p99 shift to flag (default 0.5 = 50%)")
-	abs = fs.Duration("abs", 0, "minimum absolute p99 shift to flag (default 25µs)")
-	minWaits = fs.Int64("min-waits", 0, "minimum recorded waits per run for a site to be judged (default 4)")
-	return
 }
 
 func cmdMerge(args []string, stdout, stderr io.Writer) int {
@@ -134,7 +127,6 @@ func cmdMerge(args []string, stdout, stderr io.Writer) int {
 func cmdDiff(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("spmdprof diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rel, abs, minWaits := diffFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -150,8 +142,7 @@ func cmdDiff(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	rep, err := profile.Diff(old, cand, profile.DiffOptions{
-		MinRelative: *rel, MinAbsolute: *abs, MinWaits: *minWaits})
+	rep, err := profile.Diff(old, cand)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -217,7 +208,6 @@ func cmdLedger(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("spmdprof ledger", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	watch := fs.Bool("watch", false, "diff each group's latest run against its merged prior history; exit 1 on regressions")
-	rel, abs, minWaits := diffFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -280,8 +270,7 @@ func cmdLedger(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		rep, err := profile.Diff(hist, ps[len(ps)-1], profile.DiffOptions{
-			MinRelative: *rel, MinAbsolute: *abs, MinWaits: *minWaits})
+		rep, err := profile.Diff(hist, ps[len(ps)-1])
 		if err != nil {
 			return fail(stderr, err)
 		}

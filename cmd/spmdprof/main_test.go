@@ -100,17 +100,25 @@ func TestDiffExitCodes(t *testing.T) {
 	}
 }
 
-// TestDiffThresholdFlags: raising -rel above the shift silences it.
-func TestDiffThresholdFlags(t *testing.T) {
+// TestMergeOverflowWritesNothing: a rollup whose sketch count would pass
+// 2^63-1 fails, and -o leaves no file behind that the reader would reject.
+func TestMergeOverflowWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	old := writeProfile(t, dir, "old.json", mkProfile(t, 100*time.Microsecond))
-	slow := writeProfile(t, dir, "slow.json", mkProfile(t, 300*time.Microsecond))
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"diff", old, slow}, &stdout, &stderr); code != 1 {
-		t.Fatalf("3x shift not flagged at defaults (exit %d)", code)
+	in := filepath.Join(dir, "full.json")
+	full := `{"schema_version":1,"tool":"spmd-profile","payload":{"profile_schema":1,` +
+		`"program":"p","program_hash":"h","schedule_hash":"s","mode":"spmd","workers":2,` +
+		`"backend":"closure","runs":1,"span_ns":1,"sites":[{"site":1,"kind":"barrier","ops":1,` +
+		`"wait":{"count":9223372036854775807,"sum_ns":0,"buckets":[[0,9223372036854775807]]}}]}}`
+	if err := os.WriteFile(in, []byte(full), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if code := run([]string{"diff", "-rel", "5", old, slow}, &stdout, &stderr); code != 0 {
-		t.Fatalf("3x shift flagged at -rel 5 (exit %d)", code)
+	out := filepath.Join(dir, "merged.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"merge", "-o", out, in, in}, &stdout, &stderr); code == 0 {
+		t.Fatalf("merge of an overflowing count exited 0, stderr: %s", stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("merge wrote %s despite failing (stat err %v)", out, err)
 	}
 }
 

@@ -150,7 +150,7 @@ func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.kernel, "kernel", "", "run a named suite kernel")
 	fs.IntVar(&o.workers, "p", 8, "number of workers")
 	fs.StringVar(&o.mode, "mode", "opt", "base (fork-join) or opt (SPMD)")
-	fs.StringVar(&o.barrier, "barrier", "central", "barrier implementation: central, tree, dissemination, or auto (adopt the -profile-in recommendation)")
+	fs.StringVar(&o.barrier, "barrier", "central", "barrier implementation: central, tree, or dissemination")
 	fs.BoolVar(&o.verify, "verify", true, "compare against the sequential interpreter")
 	fs.BoolVar(&o.jsonOut, "json", false, "print the result as a versioned JSON envelope on stdout")
 	fs.BoolVar(&o.report, "report", false, "join static remarks with runtime per-site waits; print the ranked kept-barrier cost table (forces tracing)")
@@ -229,15 +229,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// exec.Config assembly (including the tracing forced by -report,
 	// -profile-out and -ledger, which need the trace's wait sketches).
 	req := core.NewRequest(src, core.WithParams(params), core.WithWorkers(o.workers))
-	if o.barrier == "auto" {
-		// Adopt the feedback pass's recommendation when -profile-in
-		// produced one; central otherwise.
-		req.Run.BarrierAuto = true
-	} else if kind, ok := spmdrt.ParseBarrierKind(o.barrier); ok {
-		req.Run.Barrier = kind
-	} else {
+	kind, ok := spmdrt.ParseBarrierKind(o.barrier)
+	if !ok {
 		return fail(fmt.Errorf("unknown barrier %q", o.barrier))
 	}
+	req.Run.Barrier = kind
 	switch o.mode {
 	case "base":
 		req.Run.Baseline = true
@@ -270,15 +266,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c := runner.Compiled()
 	bkName := runner.BarrierName()
 	if res.FDO != nil {
-		fmt.Fprintf(stderr, "fdo:      %d flip(s), predicted save %s/run", res.FDO.Flips,
+		fmt.Fprintf(stderr, "fdo:      %d flip(s), predicted save %s/run\n", res.FDO.Flips,
 			time.Duration(res.FDO.PredictedSaveNS))
-		if res.FDO.BarrierAlgo != "" {
-			fmt.Fprintf(stderr, ", recommend %s barrier", res.FDO.BarrierAlgo)
-			if req.Run.BarrierAuto {
-				fmt.Fprint(stderr, " (adopted)")
-			}
-		}
-		fmt.Fprintln(stderr)
 	}
 	if res.TracingForced {
 		why := "-report"

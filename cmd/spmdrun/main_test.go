@@ -154,7 +154,7 @@ func TestProfileFeedbackRoundTrip(t *testing.T) {
 
 	stdout.Reset()
 	stderr.Reset()
-	args = []string{"-kernel", "meshsmooth", "-p", "4", "-json", "-profile-in", prof, "-barrier", "auto"}
+	args = []string{"-kernel", "meshsmooth", "-p", "4", "-json", "-profile-in", prof}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
 	}
@@ -196,6 +196,7 @@ func TestRunErrorsExitNonzero(t *testing.T) {
 	}{
 		{[]string{"-kernel", "nosuch"}, ""},
 		{[]string{"-kernel", "jacobi1d", "-barrier", "bogus"}, ""},
+		{[]string{"-kernel", "jacobi1d", "-barrier", "auto"}, `unknown barrier "auto"`},
 		{[]string{"-kernel", "jacobi1d", "-mode", "bogus"}, ""},
 		{nil, ""},
 		{[]string{"-kernel", "jacobi1d", "-metrics" + "-addr", ":0"}, "flag provided but not defined: -metrics" + "-addr"},

@@ -43,9 +43,6 @@ type RunOptions struct {
 	Baseline bool
 	// Barrier selects the barrier implementation (default Central).
 	Barrier spmdrt.BarrierKind
-	// BarrierAuto adopts the feedback pass's barrier-algorithm
-	// recommendation (when one exists) over Barrier.
-	BarrierAuto bool
 	// Params are the program parameters.
 	Params map[string]int64
 	// Trace records sync events. Profile and Report need the trace's wait
@@ -211,9 +208,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 			tr.Finish()
 			return nil, err
 		}
-		if tr != nil && fres != nil {
-			tr.SetAttr(sp, "barrier_algo", fres.BarrierAlgo)
-		}
 	}
 
 	// A feedback-driven run also traces: the re-optimized schedule must
@@ -226,12 +220,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	if workers == 0 {
 		workers = 8
 	}
-	barrier := req.Run.Barrier
-	if req.Run.BarrierAuto && fres != nil {
-		if kind, ok := spmdrt.ParseBarrierKind(fres.BarrierAlgo); ok {
-			barrier = kind
-		}
-	}
 	// The execute span opens before runner construction so the executor's
 	// spans know their parent at Config-assembly time.
 	execSp := tr.Start(0, "execute")
@@ -240,7 +228,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	cfg := exec.Config{
 		FixedWidth:      req.Run.Profile || req.Run.Report || req.Compile.FDOProfile != nil,
 		Workers:         workers,
-		Barrier:         barrier,
+		Barrier:         req.Run.Barrier,
 		Params:          req.Run.Params,
 		WatchdogTimeout: req.Run.Watchdog,
 		ChaosSeed:       req.Run.ChaosSeed,

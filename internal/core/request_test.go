@@ -203,8 +203,6 @@ var coreAPI = []string{
 	"Result",
 	"Run (Runner)",
 	"RunContext (Runner)",
-	"RunContextOn (Runner)",
-	"RunOn (Runner)",
 	"RunOptions",
 	"RunSequential (Compiled)",
 	"Runner",
@@ -238,7 +236,6 @@ var coreKnobs = []string{
 	"Options.Decomp",
 	"Options.Sync",
 	"RunOptions.Barrier",
-	"RunOptions.BarrierAuto",
 	"RunOptions.Baseline",
 	"RunOptions.ChaosSeed",
 	"RunOptions.P",

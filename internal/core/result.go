@@ -6,7 +6,6 @@ import (
 	"repro/internal/certify"
 	"repro/internal/exec"
 	"repro/internal/fdo"
-	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/remarks"
 	"repro/internal/telemetry"
@@ -96,7 +95,7 @@ type Result struct {
 
 // Runner executes one compiled schedule. It embeds the executor's runner —
 // inspection methods (NumSyncSites, SyncSiteClasses, Mode) promote — and
-// shadows the run methods to return the consolidated *Result.
+// shadows Run and RunContext to return the consolidated *Result.
 type Runner struct {
 	*exec.Runner
 	c     *Compiled
@@ -119,25 +118,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.wrap(res), nil
-}
-
-// RunOn executes the program over existing storage.
-func (r *Runner) RunOn(st *interp.State) (*Result, error) {
-	return r.RunContextOn(context.Background(), st)
-}
-
-// RunContextOn is RunOn under a context (see RunContext).
-func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, error) {
-	res, err := r.Runner.RunContextOn(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return r.wrap(res), nil
-}
-
-func (r *Runner) wrap(res *exec.Result) *Result {
-	return &Result{Result: *res, Certify: r.c.verdictOf(r.sched), Costs: r.c.Costs}
+	return &Result{Result: *res, Certify: r.c.verdictOf(r.sched), Costs: r.c.Costs}, nil
 }
 
 // Remarks returns the remark set of the schedule this runner executes (the

@@ -59,13 +59,6 @@ const (
 	// wait share is at least promoteShare.
 	promoteFactor = 4
 	promoteShare  = 0.25
-	// algoShare and algoContentionNS gate the barrier-algorithm
-	// recommendation: the dominant barrier site must carry at least
-	// algoShare of program wait and its contention component — (wait −
-	// arrival slack) per episode, the part a different barrier algorithm
-	// can affect — must exceed algoContentionNS.
-	algoShare        = 0.2
-	algoContentionNS = 20_000
 )
 
 // Decision records one site-level outcome of the feedback pass, flips and
@@ -73,10 +66,9 @@ const (
 // measured wait, site id as tiebreak).
 type Decision struct {
 	Site int `json:"site"`
-	// Action is "weaken", "promote", "algo", or "reject".
+	// Action is "weaken", "promote", or "reject".
 	Action string `json:"action"`
-	// From/To are primitive spellings (remarks.Prim*); To is empty for
-	// "algo" and "reject".
+	// From/To are primitive spellings (remarks.Prim*).
 	From string `json:"from"`
 	To   string `json:"to,omitempty"`
 	// Reason justifies the action (or the rejection).
@@ -89,23 +81,15 @@ type Decision struct {
 	// (always true for kept flips; false on "reject" when certification
 	// was the blocker).
 	Certified bool `json:"certified"`
-	// BarrierAlgo is the recommendation for "algo" decisions.
-	BarrierAlgo string `json:"barrier_algo,omitempty"`
 }
 
 // Result is the feedback pass's outcome: the re-optimized schedule (a
-// clone; the input schedule is untouched), the per-site decision log, and
-// the run-wide barrier-algorithm recommendation ("" to keep the measured
-// one).
+// clone; the input schedule is untouched) and the per-site decision log.
 type Result struct {
 	Schedule  *syncopt.Schedule `json:"-"`
 	Decisions []Decision        `json:"decisions,omitempty"`
 	// Flips counts schedule-changing decisions (weaken + promote).
 	Flips int `json:"flips"`
-	// BarrierAlgo is the recommended barrier algorithm for re-runs, from
-	// straggler/slack attribution at the dominant barrier site ("" when
-	// the measured algorithm stands).
-	BarrierAlgo string `json:"barrier_algo,omitempty"`
 	// PredictedSaveNS sums the per-run savings predicted for all flips.
 	PredictedSaveNS int64 `json:"predicted_save_ns,omitempty"`
 }
@@ -389,59 +373,5 @@ func Reoptimize(sched *syncopt.Schedule, prof *profile.Profile, check CheckFunc)
 		}
 	}
 
-	res.BarrierAlgo, _ = recommendAlgo(prof, bounds, totalWaitNS, res)
 	return res, nil
-}
-
-// recommendAlgo derives the run-wide barrier-algorithm recommendation from
-// straggler/slack attribution at the dominant surviving barrier site. The
-// runtime has one barrier implementation per team, so the recommendation
-// is run-wide; the decision log records which site's attribution drove it.
-// Slack-dominated waits are straggler-bound — every algorithm waits for
-// the last arrival equally — so only the contention component,
-// (wait − slack)/episode, argues for a different algorithm.
-func recommendAlgo(prof *profile.Profile, bounds []*syncopt.Sync, totalWaitNS int64, res *Result) (string, bool) {
-	best := -1
-	for i := range prof.Sites {
-		sp := &prof.Sites[i]
-		if sp.Kind != remarks.PrimBarrier || sp.Episodes == 0 {
-			continue
-		}
-		if sp.Site >= 1 && sp.Site <= len(bounds) && bounds[sp.Site-1].Class != comm.ClassBarrier {
-			continue // this site was weakened above; its attribution is moot
-		}
-		if best == -1 || sp.Wait.SumNS > prof.Sites[best].Wait.SumNS ||
-			(sp.Wait.SumNS == prof.Sites[best].Wait.SumNS && sp.Site < prof.Sites[best].Site) {
-			best = i
-		}
-	}
-	if best == -1 {
-		return "", false
-	}
-	sp := &prof.Sites[best]
-	pr := prior(prof, sp, totalWaitNS)
-	if pr.Share < algoShare {
-		return "", false
-	}
-	contention := (sp.Wait.SumNS - sp.SlackSumNS) / sp.Episodes
-	if contention < algoContentionNS {
-		return "", false
-	}
-	algo := "tree"
-	if prof.Workers >= 8 {
-		algo = "dissemination"
-	}
-	if algo == prof.Barrier {
-		return "", false
-	}
-	reason := fmt.Sprintf("site %d contention %.0fns/episode exceeds %.0fns with slack share %.0f%% at P=%d",
-		sp.Site, float64(contention), float64(algoContentionNS), pr.SlackShare*100, prof.Workers)
-	sy := bounds[sp.Site-1]
-	if sy.FDO == nil { // don't overwrite a flip record; algo only annotates untouched sites
-		sy.FDO = &remarks.FDORemark{From: sp.Kind, Action: "algo", Reason: reason,
-			Prior: pr, BarrierAlgo: algo}
-	}
-	res.Decisions = append(res.Decisions, Decision{Site: sp.Site, Action: "algo",
-		From: sp.Kind, Reason: reason, Prior: pr, Certified: true, BarrierAlgo: algo})
-	return algo, true
 }

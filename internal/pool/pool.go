@@ -25,18 +25,17 @@ type key struct {
 	kind    spmdrt.BarrierKind
 }
 
-// Options tune a Pool.
-type Options struct {
-	// MaxIdlePerKey bounds the parked teams per (workers, kind) key;
-	// surplus releases close the team instead of parking it (default 4).
-	MaxIdlePerKey int
-}
+// maxIdlePerKey bounds the parked teams per (workers, kind) key; surplus
+// releases close the team instead of parking it.
+const maxIdlePerKey = 4
+
+// Options is empty: a Pool has no settings. New keeps taking it so
+// existing callers of New(Options{}) compile.
+type Options struct{}
 
 // Pool is a concurrency-safe pool of persistent teams. The zero value is
 // not usable; construct with New.
 type Pool struct {
-	opts Options
-
 	mu     sync.Mutex
 	idle   map[key][]*spmdrt.PersistentTeam
 	closed bool
@@ -48,11 +47,8 @@ type Pool struct {
 }
 
 // New builds an empty pool.
-func New(opts Options) *Pool {
-	if opts.MaxIdlePerKey <= 0 {
-		opts.MaxIdlePerKey = 4
-	}
-	return &Pool{opts: opts, idle: map[key][]*spmdrt.PersistentTeam{}}
+func New(Options) *Pool {
+	return &Pool{idle: map[key][]*spmdrt.PersistentTeam{}}
 }
 
 // Checkout hands out a parked team for the given shape, building one cold
@@ -106,7 +102,7 @@ func (l *Lease) Release(runErr error) {
 	p := l.p
 	if runErr == nil && l.pt.ResetForReuse() == nil && l.pt.VerifyClean() == nil {
 		p.mu.Lock()
-		if !p.closed && len(p.idle[l.k]) < p.opts.MaxIdlePerKey {
+		if !p.closed && len(p.idle[l.k]) < maxIdlePerKey {
 			p.idle[l.k] = append(p.idle[l.k], l.pt)
 			p.mu.Unlock()
 			return

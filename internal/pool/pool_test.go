@@ -121,9 +121,9 @@ func TestFailedRunBuildsFreshTeam(t *testing.T) {
 // TestIdleBound: surplus clean releases close teams instead of parking
 // without bound.
 func TestIdleBound(t *testing.T) {
-	p := New(Options{MaxIdlePerKey: 2})
+	p := New(Options{})
 	defer p.Close()
-	leases := make([]*Lease, 5)
+	leases := make([]*Lease, maxIdlePerKey+2)
 	for i := range leases {
 		var err error
 		if leases[i], err = p.Checkout(2, spmdrt.Central); err != nil {
@@ -134,8 +134,8 @@ func TestIdleBound(t *testing.T) {
 		l.Release(nil)
 	}
 	s := p.Snapshot()
-	if s.Idle != 2 || s.Live != 2 {
-		t.Fatalf("gauges = %+v, want 2 idle / 2 live with MaxIdlePerKey=2", s)
+	if s.Idle != maxIdlePerKey || s.Live != maxIdlePerKey {
+		t.Fatalf("gauges = %+v, want %d idle / %d live", s, maxIdlePerKey, maxIdlePerKey)
 	}
 }
 

@@ -7,34 +7,20 @@ import (
 	"time"
 )
 
-// DiffOptions are the noise thresholds of a cross-run comparison. A
-// per-site wait shift only counts as a regression (or improvement) when it
-// clears BOTH the relative and the absolute bar, and only at sites with
-// enough recorded waits per run to be statistically meaningful — scheduler
-// jitter on a time-sliced host trivially moves a 3-sample p99 by 2x.
-type DiffOptions struct {
-	// MinRelative is the minimum relative p99 shift (default 0.5 = ±50%).
-	MinRelative float64
-	// MinAbsolute is the minimum absolute p99 shift (default 25µs).
-	MinAbsolute time.Duration
-	// MinWaits is the minimum per-run recorded waits on the noisier side
-	// for a site to be judged at all (default 4).
-	MinWaits int64
-}
-
-// withDefaults fills unset thresholds.
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.MinRelative <= 0 {
-		o.MinRelative = 0.5
-	}
-	if o.MinAbsolute <= 0 {
-		o.MinAbsolute = 25 * time.Microsecond
-	}
-	if o.MinWaits <= 0 {
-		o.MinWaits = 4
-	}
-	return o
-}
+// The noise bars of a cross-run comparison. A per-site wait shift only
+// counts as a regression (or improvement) when it clears BOTH the relative
+// and the absolute bar, and only at sites with enough recorded waits per
+// run to be statistically meaningful — scheduler jitter on a time-sliced
+// host trivially moves a 3-sample p99 by 2x.
+const (
+	// minRelative is the minimum relative p99 shift (±50%).
+	minRelative = 0.5
+	// minAbsolute is the minimum absolute p99 shift.
+	minAbsolute = 25 * time.Microsecond
+	// minWaits is the minimum per-run recorded waits on the noisier side
+	// for a site to be judged at all.
+	minWaits = 4
+)
 
 // Verdict classifies one site's shift.
 type Verdict string
@@ -77,8 +63,6 @@ type DiffReport struct {
 	// OldRuns/NewRuns are the run counts behind each side.
 	OldRuns int `json:"old_runs"`
 	NewRuns int `json:"new_runs"`
-	// Thresholds echoes the noise bars the verdicts used.
-	Thresholds DiffOptions `json:"thresholds"`
 	// Rows holds every judged site, ranked by |DeltaP99| descending
 	// (regressions and improvements float to the top).
 	Rows []DiffRow `json:"rows"`
@@ -100,13 +84,12 @@ func (r *DiffReport) TopRegression() *DiffRow {
 // Diff compares two compatible profiles site by site and ranks the
 // shifts. old is the baseline (typically a many-run Merge rollup), cand
 // the candidate.
-func Diff(old, cand *Profile, opts DiffOptions) (*DiffReport, error) {
+func Diff(old, cand *Profile) (*DiffReport, error) {
 	if err := old.Compatible(cand); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	rep := &DiffReport{Program: old.Program, Workers: old.Workers,
-		OldRuns: old.Runs, NewRuns: cand.Runs, Thresholds: opts}
+		OldRuns: old.Runs, NewRuns: cand.Runs}
 
 	ids := map[int]bool{}
 	for i := range old.Sites {
@@ -136,10 +119,10 @@ func Diff(old, cand *Profile, opts DiffOptions) (*DiffReport, error) {
 		}
 		row.DeltaP99 = row.NewP99 - row.OldP99
 		base := row.OldP99
-		if base < opts.MinAbsolute {
+		if base < minAbsolute {
 			// A near-silent baseline would make any shift infinite-relative;
 			// judge against the noise floor instead.
-			base = opts.MinAbsolute
+			base = minAbsolute
 		}
 		row.RelP99 = float64(row.DeltaP99) / float64(base)
 
@@ -151,12 +134,12 @@ func Diff(old, cand *Profile, opts DiffOptions) (*DiffReport, error) {
 		if abs < 0 {
 			abs = -abs
 		}
-		if waits >= opts.MinWaits && abs >= opts.MinAbsolute {
+		if waits >= minWaits && abs >= minAbsolute {
 			switch {
-			case row.RelP99 >= opts.MinRelative:
+			case row.RelP99 >= minRelative:
 				row.Verdict = VerdictRegression
 				rep.Regressions++
-			case row.RelP99 <= -opts.MinRelative:
+			case row.RelP99 <= -minRelative:
 				row.Verdict = VerdictImprovement
 				rep.Improvements++
 			}
@@ -190,7 +173,7 @@ func (r *DiffReport) Render() string {
 	fmt.Fprintf(&sb, "profile diff: %s  P=%d  old=%d run(s) new=%d run(s)  regressions=%d improvements=%d\n",
 		r.Program, r.Workers, r.OldRuns, r.NewRuns, r.Regressions, r.Improvements)
 	fmt.Fprintf(&sb, "(thresholds: |Δp99| ≥ %s and ≥ %.0f%%, ≥ %d waits/run)\n",
-		r.Thresholds.MinAbsolute, r.Thresholds.MinRelative*100, r.Thresholds.MinWaits)
+		minAbsolute, minRelative*100, minWaits)
 	if len(r.Rows) == 0 {
 		sb.WriteString("no sites to compare\n")
 		return sb.String()

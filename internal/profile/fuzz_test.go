@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -25,12 +26,52 @@ func TestDecodeRejectsWrappedCount(t *testing.T) {
 	}
 }
 
+// fullSite is a valid one-site profile that sets every count and duration
+// a site carries, each to a distinct non-negative value.
+const fullSite = `{"schema_version":1,"tool":"spmd-profile","payload":{"profile_schema":1,` +
+	`"program":"p","program_hash":"h","schedule_hash":"s","mode":"spmd","workers":2,` +
+	`"backend":"closure","runs":1,"span_ns":1,"sites":[{"site":1,"kind":"barrier","ops":3,` +
+	`"wait":{"count":1,"sum_ns":5,"min_ns":5,"max_ns":5,"buckets":[[5,1]]},` +
+	`"episodes":1,"slack_sum_ns":2,"max_slack_ns":2,"last_by_worker":[0,1],` +
+	`"scans":4,"empty_crossings":6,"wait_crossings":7,"conservative":8}]}}`
+
+// TestDecodeRejectsNegativeFields: every count and duration of a profile
+// is non-negative; a file that says otherwise is not a profile.
+func TestDecodeRejectsNegativeFields(t *testing.T) {
+	if _, err := Decode([]byte(fullSite)); err != nil {
+		t.Fatalf("valid profile rejected: %v", err)
+	}
+	for _, c := range []struct{ from, to string }{
+		{`"ops":3`, `"ops":-3`},
+		{`"sum_ns":5`, `"sum_ns":-5`},
+		{`"min_ns":5`, `"min_ns":-5`},
+		{`"max_ns":5`, `"max_ns":-5`},
+		{`"episodes":1`, `"episodes":-1`},
+		{`"slack_sum_ns":2`, `"slack_sum_ns":-2`},
+		{`"max_slack_ns":2`, `"max_slack_ns":-2`},
+		{`"last_by_worker":[0,1]`, `"last_by_worker":[0,-1]`},
+		{`"scans":4`, `"scans":-4`},
+		{`"empty_crossings":6`, `"empty_crossings":-6`},
+		{`"wait_crossings":7`, `"wait_crossings":-7`},
+		{`"conservative":8`, `"conservative":-8`},
+		{`"span_ns":1`, `"span_ns":-1`},
+	} {
+		b := strings.Replace(fullSite, c.from, c.to, 1)
+		if b == fullSite {
+			t.Fatalf("%s: not in the fixture", c.from)
+		}
+		if _, err := Decode([]byte(b)); !errors.Is(err, ErrEnvelope) {
+			t.Errorf("%s: Decode error = %v, want ErrEnvelope", c.to, err)
+		}
+	}
+}
+
 // FuzzDecode feeds arbitrary bytes to the one profile reader every
 // consumer shares (spmdrun -profile-in, barrierc -fdo, spmdprof). Decode
 // must never panic, and any profile it accepts must be a fixed point of
 // the file format: encoding it, decoding that and encoding again gives the
 // same bytes. The committed corpus holds a profile written by a real
-// meshsmooth run and the wrapped-count case.
+// meshsmooth run, the wrapped-count case and a negative-ops case.
 //
 //	go test -run '^$' -fuzz=FuzzDecode -fuzztime=30s ./internal/profile
 func FuzzDecode(f *testing.F) {

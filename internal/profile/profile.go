@@ -22,6 +22,7 @@ package profile
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -136,32 +137,56 @@ func (p *Profile) TotalWait() time.Duration {
 	return time.Duration(ns)
 }
 
-// TotalWaitSketch merges every site's wait sketch into one program-wide
-// wait distribution.
-func (p *Profile) TotalWaitSketch() *Sketch {
-	var s Sketch
-	for i := range p.Sites {
-		s.Merge(&p.Sites[i].Wait)
-	}
-	return &s
-}
-
 // normalize sorts sites by id (the serialization order every emitter must
-// use) and validates basic invariants.
+// use) and validates basic invariants. It is the one validation point of
+// every profile read, written or merged.
 func (p *Profile) normalize() error {
 	sort.Slice(p.Sites, func(i, j int) bool { return p.Sites[i].Site < p.Sites[j].Site })
 	for i := range p.Sites {
-		if p.Sites[i].Site < 1 {
-			return fmt.Errorf("profile: invalid site id %d (ids are 1-based)", p.Sites[i].Site)
+		sp := &p.Sites[i]
+		if sp.Site < 1 {
+			return fmt.Errorf("profile: invalid site id %d (ids are 1-based)", sp.Site)
 		}
-		if i > 0 && p.Sites[i].Site == p.Sites[i-1].Site {
-			return fmt.Errorf("profile: duplicate site id %d", p.Sites[i].Site)
+		if i > 0 && sp.Site == p.Sites[i-1].Site {
+			return fmt.Errorf("profile: duplicate site id %d", sp.Site)
+		}
+		if name, v, ok := sp.negativeField(); ok {
+			return fmt.Errorf("%w: site %d has negative %s %d", ErrEnvelope, sp.Site, name, v)
 		}
 	}
 	if p.Runs < 1 {
 		return fmt.Errorf("profile: runs=%d, want >= 1", p.Runs)
 	}
+	if p.SpanNS < 0 {
+		return fmt.Errorf("%w: negative span_ns %d", ErrEnvelope, p.SpanNS)
+	}
 	return nil
+}
+
+// negativeField names the first of the site's counts and durations that is
+// negative; every one of them is a count or a sum of durations, so a
+// negative value can only come from a corrupt or hostile file.
+func (s *SiteProfile) negativeField() (string, int64, bool) {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"ops", s.Ops}, {"episodes", s.Episodes},
+		{"slack_sum_ns", s.SlackSumNS}, {"max_slack_ns", s.MaxSlackNS},
+		{"scans", s.Scans}, {"empty_crossings", s.EmptyCrossings},
+		{"wait_crossings", s.WaitCrossings}, {"conservative", s.Conservative},
+		{"sum_ns", s.Wait.SumNS}, {"min_ns", s.Wait.MinNS}, {"max_ns", s.Wait.MaxNS},
+	} {
+		if f.v < 0 {
+			return f.name, f.v, true
+		}
+	}
+	for w, c := range s.LastByWorker {
+		if c < 0 {
+			return fmt.Sprintf("last_by_worker[%d]", w), c, true
+		}
+	}
+	return "", 0, false
 }
 
 // Compatible reports whether two profiles describe the same (program,
@@ -197,8 +222,9 @@ func (p *Profile) GroupKey() string {
 // Merge aggregates compatible profiles into one rollup, weighted naturally
 // by each input's run count: ops, sketches, spans and imbalance vectors
 // add exactly, so a merge of merges equals the merge of the underlying
-// runs. Merging a single profile returns an identical copy (the byte
-// round-trip identity the determinism gate relies on).
+// runs. A sum that would overflow is an error, never a wrapped count.
+// Merging a single profile returns an identical copy (the byte round-trip
+// identity the determinism gate relies on).
 func Merge(ps ...*Profile) (*Profile, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("profile: nothing to merge")
@@ -224,8 +250,9 @@ func Merge(ps ...*Profile) (*Profile, error) {
 		if p.ChaosSeed != base.ChaosSeed {
 			out.ChaosSeed = -1 // mixed perturbation lineage, keep it visible
 		}
-		out.Runs += p.Runs
-		out.SpanNS += p.SpanNS
+		if err := errors.Join(add(&out.Runs, p.Runs, "runs"), add(&out.SpanNS, p.SpanNS, "span_ns")); err != nil {
+			return nil, fmt.Errorf("profile: %w", err)
+		}
 		for i := range p.Sites {
 			sp := &p.Sites[i]
 			idx, ok := bySite[sp.Site]
@@ -239,29 +266,45 @@ func Merge(ps ...*Profile) (*Profile, error) {
 				return nil, fmt.Errorf("profile: site %d is %q in one input, %q in another",
 					sp.Site, dst.Kind, sp.Kind)
 			}
-			dst.Ops += sp.Ops
-			dst.Wait.Merge(&sp.Wait)
-			dst.Episodes += sp.Episodes
-			dst.SlackSumNS += sp.SlackSumNS
 			if sp.MaxSlackNS > dst.MaxSlackNS {
 				dst.MaxSlackNS = sp.MaxSlackNS
 			}
 			for len(dst.LastByWorker) < len(sp.LastByWorker) {
 				dst.LastByWorker = append(dst.LastByWorker, 0)
 			}
-			for w, c := range sp.LastByWorker {
-				dst.LastByWorker[w] += c
+			errs := []error{
+				dst.Wait.Merge(&sp.Wait),
+				add(&dst.Ops, sp.Ops, "ops"),
+				add(&dst.Episodes, sp.Episodes, "episodes"),
+				add(&dst.SlackSumNS, sp.SlackSumNS, "slack_sum_ns"),
+				add(&dst.Scans, sp.Scans, "scans"),
+				add(&dst.EmptyCrossings, sp.EmptyCrossings, "empty_crossings"),
+				add(&dst.WaitCrossings, sp.WaitCrossings, "wait_crossings"),
+				add(&dst.Conservative, sp.Conservative, "conservative"),
 			}
-			dst.Scans += sp.Scans
-			dst.EmptyCrossings += sp.EmptyCrossings
-			dst.WaitCrossings += sp.WaitCrossings
-			dst.Conservative += sp.Conservative
+			for w, c := range sp.LastByWorker {
+				errs = append(errs, add(&dst.LastByWorker[w], c, "last_by_worker"))
+			}
+			if err := errors.Join(errs...); err != nil {
+				return nil, fmt.Errorf("profile: site %d: %w", sp.Site, err)
+			}
 		}
 	}
 	if err := out.normalize(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// add sets *dst += v, or leaves *dst and returns an error when the sum
+// overflows.
+func add[T int | int64](dst *T, v T, name string) error {
+	sum := *dst + v
+	if (sum < *dst) != (v < 0) {
+		return fmt.Errorf("merged %s overflows (%d + %d)", name, *dst, v)
+	}
+	*dst = sum
+	return nil
 }
 
 // HashBytes is the canonical content hash used for ProgramHash and

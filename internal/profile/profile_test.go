@@ -192,6 +192,34 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsOverflow: a merged count or sum that does not fit in
+// int64 is an error, not a wrapped value the reader would then reject.
+func TestMergeRejectsOverflow(t *testing.T) {
+	const big = "9223372036854775807"
+	for _, c := range [][]string{
+		{`"count":1,`, `"count":` + big + `,`, `[[5,1]]`, `[[5,` + big + `]]`},
+		{`"runs":1`, `"runs":` + big},
+		{`"span_ns":1`, `"span_ns":` + big},
+		{`"ops":3`, `"ops":` + big},
+		{`"episodes":1`, `"episodes":` + big},
+		{`"slack_sum_ns":2`, `"slack_sum_ns":` + big},
+		{`"last_by_worker":[0,1]`, `"last_by_worker":[0,` + big + `]`},
+		{`"scans":4`, `"scans":` + big},
+		{`"empty_crossings":6`, `"empty_crossings":` + big},
+		{`"wait_crossings":7`, `"wait_crossings":` + big},
+		{`"conservative":8`, `"conservative":` + big},
+	} {
+		b := strings.NewReplacer(c...).Replace(fullSite)
+		q, err := Decode([]byte(b))
+		if err != nil {
+			t.Fatalf("%s: %v", c[1], err)
+		}
+		if _, err := Merge(q, q); err == nil {
+			t.Errorf("%s: Merge(q, q) succeeded, want an overflow error", c[1])
+		}
+	}
+}
+
 // TestDiffFlagsRegression: a site whose p99 wait grows well past both
 // noise bars must be ranked first and flagged; an untouched site stays
 // noise.
@@ -204,7 +232,7 @@ func TestDiffFlagsRegression(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s.Wait.Add(time.Duration(2_000_000 + i*100_000))
 	}
-	rep, err := Diff(old, cand, DiffOptions{})
+	rep, err := Diff(old, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +247,7 @@ func TestDiffFlagsRegression(t *testing.T) {
 		t.Fatalf("regression not ranked first: %+v", rep.Rows[0])
 	}
 	// The mirror image is an improvement.
-	rep2, err := Diff(cand, old, DiffOptions{})
+	rep2, err := Diff(cand, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +266,7 @@ func TestDiffQuietOnNoise(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Wait.Add(time.Duration(11_000 + i*1_100)) // ~10% shift, well under bars
 	}
-	rep, err := Diff(old, cand, DiffOptions{})
+	rep, err := Diff(old, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +283,7 @@ func TestDiffMinWaits(t *testing.T) {
 	sp := SiteProfile{Site: 7, Kind: "neighbor", Ops: 1}
 	sp.Wait.Add(50 * time.Millisecond)
 	cand.Sites = append(cand.Sites, sp)
-	rep, err := Diff(old, cand, DiffOptions{})
+	rep, err := Diff(old, cand)
 	if err != nil {
 		t.Fatal(err)
 	}

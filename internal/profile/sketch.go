@@ -21,7 +21,8 @@ import (
 // ([bucket, count] pairs in ascending bucket order) so an idle sketch
 // costs a few bytes and serialization is deterministic by construction.
 type Sketch struct {
-	// Count and SumNS are exact totals (SumNS saturates at MaxInt64).
+	// Count and SumNS are exact totals, except that a SumNS which would
+	// overflow int64 is set to sumOverflowNS (2^62-1).
 	Count int64 `json:"count"`
 	SumNS int64 `json:"sum_ns"`
 	// MinNS/MaxNS are the exact extreme samples (valid when Count > 0).
@@ -40,6 +41,10 @@ const (
 	// absorbing anything larger.
 	sketchBuckets = (59-subBits+1)<<subBits + (1 << (subBits + 1))
 )
+
+// sumOverflowNS is the value Add and Merge give SumNS when the exact sum
+// would overflow int64.
+const sumOverflowNS = int64(1)<<62 - 1
 
 // bucketOf maps a nanosecond duration to its bucket index. Values below
 // 2^(subBits+1) get exact unit buckets; above, the bucket is identified by
@@ -96,33 +101,41 @@ func (s *Sketch) Add(d time.Duration) {
 	if sum := s.SumNS + ns; sum >= s.SumNS {
 		s.SumNS = sum
 	} else {
-		s.SumNS = int64(1)<<62 - 1
+		s.SumNS = sumOverflowNS
 	}
 	s.counts[bucketOf(ns)]++
 }
 
 // Merge folds another sketch into this one. Counts add exactly, so
 // Merge(a, b).Quantile is identical to the sketch built from a's and b's
-// concatenated samples.
-func (s *Sketch) Merge(o *Sketch) {
+// concatenated samples. A count that would overflow int64 is an error,
+// and leaves s unchanged.
+func (s *Sketch) Merge(o *Sketch) error {
 	if o == nil || o.Count == 0 {
-		return
+		return nil
 	}
+	m := *s
 	if s.Count == 0 || o.MinNS < s.MinNS {
-		s.MinNS = o.MinNS
+		m.MinNS = o.MinNS
 	}
 	if o.MaxNS > s.MaxNS {
-		s.MaxNS = o.MaxNS
+		m.MaxNS = o.MaxNS
 	}
-	s.Count += o.Count
 	if sum := s.SumNS + o.SumNS; sum >= s.SumNS {
-		s.SumNS = sum
+		m.SumNS = sum
 	} else {
-		s.SumNS = int64(1)<<62 - 1
+		m.SumNS = sumOverflowNS
+	}
+	if err := add(&m.Count, o.Count, "count"); err != nil {
+		return err
 	}
 	for b, c := range o.counts {
-		s.counts[b] += c
+		if err := add(&m.counts[b], c, "bucket count"); err != nil {
+			return err
+		}
 	}
+	*s = m
+	return nil
 }
 
 // Quantile returns the q-quantile (nearest rank, matching the tracer's

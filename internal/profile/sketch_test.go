@@ -76,7 +76,9 @@ func TestSketchMergeQuantileProperty(t *testing.T) {
 				s.Add(time.Duration(ns))
 				all = append(all, ns)
 			}
-			merged.Merge(&s)
+			if err := merged.Merge(&s); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 		if merged.Count != int64(len(all)) {
@@ -122,7 +124,9 @@ func TestSketchMergeEqualsConcatenation(t *testing.T) {
 			whole.Add(time.Duration(ns))
 			part.Add(time.Duration(ns))
 		}
-		merged.Merge(&part)
+		if err := merged.Merge(&part); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wb, err := json.Marshal(whole)
 	if err != nil {

@@ -39,33 +39,25 @@ type FDORemark struct {
 	// From is the statically-chosen primitive this site had before the
 	// feedback pass.
 	From string `json:"from"`
-	// Action is "weaken" (cheaper primitive re-certified), "promote"
-	// (measured-slow primitive strengthened), or "algo" (barrier
-	// algorithm recommendation, schedule unchanged).
+	// Action is "weaken" (cheaper primitive re-certified) or "promote"
+	// (measured-slow primitive strengthened).
 	Action string `json:"action"`
 	// Reason is the one-line justification citing the measurements.
 	Reason string `json:"reason"`
 	// Prior is the measured cost prior behind the decision.
 	Prior ProfilePrior `json:"prior"`
 	// PredictedSaveNS is the per-run wait saving the cost priors predict
-	// for the flip (0 for algo recommendations).
+	// for the flip.
 	PredictedSaveNS int64 `json:"predicted_save_ns,omitempty"`
-	// BarrierAlgo is the recommended barrier algorithm ("algo" action).
-	BarrierAlgo string `json:"barrier_algo,omitempty"`
 }
 
 func (f *FDORemark) String() string {
-	switch f.Action {
-	case "algo":
-		return fmt.Sprintf("fdo: recommend %s barrier (%s)", f.BarrierAlgo, f.Reason)
-	default:
-		s := fmt.Sprintf("fdo: %s from %s (%s; prior p50=%s p99=%s share=%.0f%% over %d run(s))",
-			f.Action, f.From, f.Reason,
-			time.Duration(f.Prior.P50NS), time.Duration(f.Prior.P99NS),
-			f.Prior.Share*100, f.Prior.Runs)
-		if f.PredictedSaveNS > 0 {
-			s += fmt.Sprintf(", predicted save %s/run", time.Duration(f.PredictedSaveNS))
-		}
-		return s
+	s := fmt.Sprintf("fdo: %s from %s (%s; prior p50=%s p99=%s share=%.0f%% over %d run(s))",
+		f.Action, f.From, f.Reason,
+		time.Duration(f.Prior.P50NS), time.Duration(f.Prior.P99NS),
+		f.Prior.Share*100, f.Prior.Runs)
+	if f.PredictedSaveNS > 0 {
+		s += fmt.Sprintf(", predicted save %s/run", time.Duration(f.PredictedSaveNS))
 	}
+	return s
 }
