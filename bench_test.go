@@ -193,7 +193,7 @@ func BenchmarkFineGrain(b *testing.B) {
 		} {
 			b.Run(tc.name+"/"+leg.name, func(b *testing.B) {
 				cfg := leg.cfg
-				cfg.Params, cfg.Mode = tc.params, exec.SPMD
+				cfg.Params = tc.params
 				newRunner := c.NewRunner
 				if leg.name == "base" {
 					newRunner = c.NewBaselineRunner
@@ -226,7 +226,7 @@ func BenchmarkWidthDecision(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		low := c.Schedule.Lower(false)
+		low := c.Schedule.Lower()
 		b.Run(in.Workload+"/"+in.Kernel.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -254,7 +254,7 @@ func BenchmarkInspectorScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runner, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD,
+			runner, err := c.NewRunner(exec.Config{Workers: 2,
 				Params: map[string]int64{"N": 2048, "T": 1}})
 			if err != nil {
 				b.Fatal(err)

@@ -254,7 +254,7 @@ func printIrreg(c *core.Compiled) {
 // the independent certifier. Exit status: 0 certified, 1 rejected, 2
 // internal error (solver-oracle disagreement or bad site id).
 func runCertify(c *core.Compiled, sabotage int, witness bool) {
-	cs := core.ToCertify(c.Schedule.Lower(false))
+	cs := core.ToCertify(c.Schedule.Lower())
 	an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 	if len(an.OracleErrs) > 0 {
 		fmt.Fprintln(os.Stderr, "barrierc:", an.OracleErrs[0])

@@ -159,13 +159,13 @@ func renderGantt(w io.Writer, name string, workers int) error {
 	}
 	costs := costsim.SoftwareDSM()
 	fmt.Fprintf(w, "%s, P=%d, software-DSM costs\n\nfork-join baseline:\n", name, workers)
-	res, tr, err := costsim.SimulateTrace(c.Baseline, c.Plan, k.Params, workers, costsim.ForkJoin, costs)
+	res, tr, err := costsim.SimulateTrace(c.Baseline, c.Plan, k.Params, workers, costs)
 	if err != nil {
 		return err
 	}
 	costsim.RenderGantt(w, res, tr, workers, 100)
 	fmt.Fprintf(w, "\noptimized SPMD:\n")
-	res, tr, err = costsim.SimulateTrace(c.Schedule, c.Plan, k.Params, workers, costsim.SPMD, costs)
+	res, tr, err = costsim.SimulateTrace(c.Schedule, c.Plan, k.Params, workers, costs)
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt, err := c.NewRunner(exec.Config{Workers: p, Params: params, Mode: exec.SPMD})
+		opt, err := c.NewRunner(exec.Config{Workers: p, Params: params})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD})
+	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}

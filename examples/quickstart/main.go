@@ -59,7 +59,7 @@ func main() {
 	}
 
 	// Optimized: SPMD execution under the eliminated/weakened schedule.
-	opt, err := c.NewRunner(exec.Config{Workers: 8, Params: params, Mode: exec.SPMD})
+	opt, err := c.NewRunner(exec.Config{Workers: 8, Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}

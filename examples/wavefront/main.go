@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	const workers = 8
-	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD})
+	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func main() {
 	// The pipeline wave, as the cost simulator predicts it on a
 	// multiprocessor with software-DSM synchronization costs.
 	simRes, trace, err := costsim.SimulateTrace(c.Schedule, c.Plan, k.Params,
-		workers, costsim.SPMD, costsim.SoftwareDSM())
+		workers, costsim.SoftwareDSM())
 	if err != nil {
 		log.Fatal(err)
 	}
 	baseRes, err := costsim.Simulate(c.Baseline, c.Plan, k.Params,
-		workers, costsim.ForkJoin, costsim.SoftwareDSM())
+		workers, costsim.SoftwareDSM())
 	if err != nil {
 		log.Fatal(err)
 	}

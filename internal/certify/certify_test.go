@@ -59,7 +59,7 @@ func TestSabotageRejectedByBoth(t *testing.T) {
 	total, withWitness := 0, 0
 	for _, k := range suite.Kernels() {
 		c := compile(t, k.Source)
-		cs := core.ToCertify(c.Schedule.Lower(false))
+		cs := core.ToCertify(c.Schedule.Lower())
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		if len(an.OracleErrs) != 0 {
 			t.Fatalf("%s: oracle disagreement: %v", k.Name, an.OracleErrs[0])

@@ -67,8 +67,8 @@ func checkedPrograms(t *testing.T) []checked {
 	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
 		c := compile(t, k.Source)
 		for _, s := range []checked{
-			{kernel: k.Name, label: "opt", prog: core.ToCertify(c.Schedule.Lower(false))},
-			{kernel: k.Name, label: "base", prog: core.ToCertify(c.Baseline.Lower(true))},
+			{kernel: k.Name, label: "opt", prog: core.ToCertify(c.Schedule.Lower())},
+			{kernel: k.Name, label: "base", prog: core.ToCertify(c.Baseline.Lower())},
 		} {
 			s.an = certify.Analyze(c.Prog, s.prog, c.CertifyOptions())
 			if len(s.an.OracleErrs) > 0 {

@@ -25,7 +25,7 @@ func kernelSource(t *testing.T, name string) string {
 // leave the original schedule untouched.
 func TestDropSiteIsolation(t *testing.T) {
 	c := compile(t, kernelSource(t, "jacobi1d"))
-	cs := core.ToCertify(c.Schedule.Lower(false))
+	cs := core.ToCertify(c.Schedule.Lower())
 	kinds := cs.Kinds()
 	if len(kinds) == 0 {
 		t.Fatal("schedule has no sites")
@@ -105,7 +105,7 @@ end
 // unordered flows.
 func TestDropReductionLoopBottomRejected(t *testing.T) {
 	c := compile(t, accumSrc)
-	cs := core.ToCertify(c.Schedule.Lower(false))
+	cs := core.ToCertify(c.Schedule.Lower())
 	an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 	if len(an.OracleErrs) != 0 {
 		t.Fatalf("oracle disagreement: %v", an.OracleErrs[0])

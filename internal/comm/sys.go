@@ -117,15 +117,7 @@ func (a *Analyzer) classifyPair(x, y access, outer []*ir.Loop, carrier *ir.Loop)
 	test := func(extra ...linear.Constraint) bool {
 		s := b.sys.Copy()
 		s.Add(extra...)
-		in := s.SolveDetailed()
-		fm.Systems++
-		fm.VarsEliminated += in.VarsEliminated
-		fm.IneqsGenerated += in.IneqsGenerated
-		fm.IneqsRetained += in.IneqsRetained
-		if in.Result == linear.Unknown {
-			fm.Exact = false
-		}
-		return in.Result.MayHold()
+		return solveInto(&fm, s).MayHold()
 	}
 	du := linear.VarExpr(u2).Sub(linear.VarExpr(u1))
 	up := test(linear.GE(du, bs))         // consumer block above producer
@@ -356,20 +348,26 @@ func (a *Analyzer) singleProducer(x, y access, outer []*ir.Loop, carrier *ir.Loo
 		for _, d2 := range dirs {
 			s := b.sys.Copy()
 			s.Add(d1(u1a, u2a), d2(u1b, u2b))
-			in := s.SolveDetailed()
-			fm.Systems++
-			fm.VarsEliminated += in.VarsEliminated
-			fm.IneqsGenerated += in.IneqsGenerated
-			fm.IneqsRetained += in.IneqsRetained
-			if in.Result == linear.Unknown {
-				fm.Exact = false
-			}
-			if in.Result.MayHold() {
+			if solveInto(fm, s).MayHold() {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// solveInto solves s and tallies its solver work into fm, the evidence of
+// the pair being classified; a solve that gave up clears fm.Exact.
+func solveInto(fm *remarks.FMVerdict, s *linear.System) linear.Result {
+	in := s.SolveDetailed()
+	fm.Systems++
+	fm.VarsEliminated += in.VarsEliminated
+	fm.IneqsGenerated += in.IneqsGenerated
+	fm.IneqsRetained += in.IneqsRetained
+	if in.Result == linear.Unknown {
+		fm.Exact = false
+	}
+	return in.Result
 }
 
 // classifyCyclic handles cyclic distributions, where block-origin geometry
@@ -390,17 +388,7 @@ func (a *Analyzer) classifyCyclic(x, y access, outer []*ir.Loop, carrier *ir.Loo
 	}
 	var fm remarks.FMVerdict
 	fm.Exact = true
-	solve := func(s *linear.System) bool {
-		in := s.SolveDetailed()
-		fm.Systems++
-		fm.VarsEliminated += in.VarsEliminated
-		fm.IneqsGenerated += in.IneqsGenerated
-		fm.IneqsRetained += in.IneqsRetained
-		if in.Result == linear.Unknown {
-			fm.Exact = false
-		}
-		return in.Result.MayHold()
-	}
+	solve := func(s *linear.System) bool { return solveInto(&fm, s).MayHold() }
 	dep := newDep(x, y)
 	dep.Note = "cyclic distribution"
 	x1, ok1 := b.xexpr["$x"]

@@ -86,5 +86,5 @@ func (c *Compiled) CertifyOptions() certify.Options {
 // unordered flows on failure; the error reports solver-oracle disagreements
 // (in which case neither result should be trusted).
 func (c *Compiled) Certify() (*certify.Certificate, []certify.Violation, error) {
-	return certify.Certify(c.Prog, ToCertify(c.Schedule.Lower(false)), c.CertifyOptions())
+	return certify.Certify(c.Prog, ToCertify(c.Schedule.Lower()), c.CertifyOptions())
 }

@@ -28,7 +28,7 @@ func TestCertifyFacade(t *testing.T) {
 	if cert.Program != c.Prog.Name {
 		t.Errorf("certificate program %q, want %q", cert.Program, c.Prog.Name)
 	}
-	low := c.Schedule.Lower(false)
+	low := c.Schedule.Lower()
 	p := core.ToCertify(low)
 	if len(p.Steps) != len(low.Steps) || len(p.Sites) != len(low.Sites) {
 		t.Errorf("translated %d steps and %d sites, the lowering has %d and %d",

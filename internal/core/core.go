@@ -5,12 +5,14 @@
 // needed to execute or inspect the result.
 //
 //	c, err := core.Compile(src, core.Options{})
-//	runner, err := c.NewRunner(exec.Config{Workers: 8, Mode: exec.SPMD})
+//	runner, err := c.NewRunner(exec.Config{Workers: 8})
 //	res, err := runner.Run()
 //
 // Compile produces both the optimized schedule and the fork-join baseline
 // schedule so callers can reproduce the paper's base-vs-optimized
-// comparisons from a single compilation.
+// comparisons from a single compilation. Each schedule names its executor
+// (syncopt.Schedule.Baseline): NewRunner runs the optimized one SPMD,
+// NewBaselineRunner the baseline fork-join.
 package core
 
 import (
@@ -89,7 +91,8 @@ type Compiled struct {
 
 	// Memoized per-compilation artifacts: the closure lowering (shared by
 	// every runner built from this compilation) and the certify verdicts
-	// of the two schedules.
+	// of the two schedules: the optimized one's first, the baseline's
+	// second (verdictOf).
 	exeOnce  sync.Once
 	exe      *compile.Prog
 	exeErr   error
@@ -170,9 +173,6 @@ func CompileProgram(prog *ir.Program, opt Options) *Compiled {
 // remark per sync site, in the global site numbering.
 func (c *Compiled) Remarks() *remarks.Set { return c.Schedule.Remarks() }
 
-// BaselineRemarks returns the fork-join baseline schedule's remark set.
-func (c *Compiled) BaselineRemarks() *remarks.Set { return c.Baseline.Remarks() }
-
 // Exe returns the memoized closure lowering of the program. Every
 // uninstrumented runner built from this compilation shares it, so the
 // program is lowered once per Compile, not once per runner.
@@ -183,18 +183,17 @@ func (c *Compiled) Exe() (*compile.Prog, error) {
 	return c.exe, c.exeErr
 }
 
-// NewRunner builds a parallel runner for the optimized schedule.
+// NewRunner builds an SPMD runner for the optimized schedule.
 func (c *Compiled) NewRunner(cfg exec.Config) (*Runner, error) {
-	return c.newRunner(c.Schedule, cfg, schedOptimized)
+	return c.newRunner(c.Schedule, cfg)
 }
 
 // NewBaselineRunner builds a fork-join runner for the baseline schedule.
 func (c *Compiled) NewBaselineRunner(cfg exec.Config) (*Runner, error) {
-	cfg.Mode = exec.ForkJoin
-	return c.newRunner(c.Baseline, cfg, schedBaseline)
+	return c.newRunner(c.Baseline, cfg)
 }
 
-func (c *Compiled) newRunner(sched *syncopt.Schedule, cfg exec.Config, which int) (*Runner, error) {
+func (c *Compiled) newRunner(sched *syncopt.Schedule, cfg exec.Config) (*Runner, error) {
 	// Share the cached lowering when it applies (the sanitizer needs an
 	// instrumented lowering, which exec compiles per runner).
 	if !cfg.Sanitize && cfg.Compiled == nil {
@@ -208,7 +207,7 @@ func (c *Compiled) newRunner(sched *syncopt.Schedule, cfg exec.Config, which int
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Runner: er, c: c, sched: which}, nil
+	return &Runner{Runner: er, c: c, sched: sched}, nil
 }
 
 // RunSequential executes the program with the reference interpreter on a

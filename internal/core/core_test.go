@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/exec"
+	"repro/internal/profile"
 	"repro/internal/syncopt"
 )
 
@@ -108,21 +110,58 @@ func TestOptionsPassThrough(t *testing.T) {
 	}
 }
 
-func TestBaselineRunnerForcesForkJoin(t *testing.T) {
+// TestRunnerModeComesFromSchedule: the schedule a runner runs decides its
+// execution model, whatever Config.Mode says. The baseline runs fork-join
+// even when asked for SPMD; the optimized schedule runs SPMD with no Mode
+// set (Mode's zero value is ForkJoin), and its result carries the verdict
+// and its profile the mode of the program that ran.
+func TestRunnerModeComesFromSchedule(t *testing.T) {
 	c, err := core.Compile(src, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewBaselineRunner(exec.Config{Workers: 2, Params: map[string]int64{"N": 16, "T": 1}, Mode: exec.SPMD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Dispatches == 0 {
-		t.Error("baseline runner did not run in fork-join mode (no dispatches)")
+	for _, tc := range []struct {
+		name       string
+		newRunner  func(exec.Config) (*core.Runner, error)
+		cfgMode    exec.Mode
+		want       exec.Mode
+		dispatches bool
+	}{
+		{"baseline", c.NewBaselineRunner, exec.SPMD, exec.ForkJoin, true},
+		{"optimized", c.NewRunner, exec.ForkJoin, exec.SPMD, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := tc.newRunner(exec.Config{Workers: 2, Params: map[string]int64{"N": 16, "T": 1},
+				Mode: tc.cfgMode, FixedWidth: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Stats.Dispatches > 0; got != tc.dispatches {
+				t.Errorf("%d dispatches, want dispatches %v", res.Stats.Dispatches, tc.dispatches)
+			}
+			if r.Mode() != tc.want {
+				t.Errorf("Mode() = %v, want %v", r.Mode(), tc.want)
+			}
+			if p := r.Profile(res); p.Mode != tc.want.String() {
+				t.Errorf("profile mode %q, want %q", p.Mode, tc.want)
+			}
+			if tc.want == exec.SPMD {
+				if v := c.Verdict(); res.Certify.Certified != v.Certified || res.Certify.Certificate != v.Certificate {
+					t.Errorf("result verdict %+v, want the optimized schedule's %+v", res.Certify, v)
+				}
+				// Fork-join waits are no evidence about the SPMD program,
+				// even under the optimized schedule's hash.
+				p := r.Profile(res)
+				p.Mode = exec.ForkJoin.String()
+				if _, _, err := c.Reoptimize(p); !errors.Is(err, profile.ErrIncompatible) {
+					t.Errorf("fork-join profile: Reoptimize error %v, want profile.ErrIncompatible", err)
+				}
+			}
+		})
 	}
 }
 
@@ -149,7 +188,7 @@ func TestWorkersExceedingExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{7, 16} {
-		r, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD})
+		r, err := c.NewRunner(exec.Config{Workers: workers, Params: params})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +268,7 @@ end
 			cm.Schedule.Static(), cf.Schedule.Static(), cm.Schedule.Dump())
 	}
 	params := map[string]int64{"N": 40, "T": 4}
-	rm, err := cm.NewRunner(exec.Config{Workers: 4, Params: params, Mode: exec.SPMD})
+	rm, err := cm.NewRunner(exec.Config{Workers: 4, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +276,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := cf.NewRunner(exec.Config{Workers: 4, Params: params, Mode: exec.SPMD})
+	rf, err := cf.NewRunner(exec.Config{Workers: 4, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/certify"
+	"repro/internal/exec"
 	"repro/internal/fdo"
 	"repro/internal/profile"
 	"repro/internal/syncopt"
@@ -21,9 +22,10 @@ func (c *Compiled) ScheduleHash() string { return scheduleHash(c.Schedule.Remark
 // Reoptimize runs the feedback-directed pass: it validates that p was
 // measured on exactly this compilation's optimized schedule (program and
 // schedule hashes; profile.ErrHashMismatch otherwise, profile.ErrIncompatible
-// for a chaos-perturbed profile whose waits are deliberate noise or for a
+// for a chaos-perturbed profile whose waits are deliberate noise, for a
 // one-worker run's, which waited on nobody — a runner narrowed to one
-// worker (Runner.Width) stamps its profile so), builds
+// worker (Runner.Width) stamps its profile so — or for a fork-join run's,
+// whose schedule can share the optimized one's hash), builds
 // an independent certifier closure, and hands both to fdo.Reoptimize. The
 // result is a NEW Compiled sharing this one's analysis artifacts but
 // carrying the re-optimized schedule — with fresh certify/lowering memos,
@@ -44,16 +46,20 @@ func (c *Compiled) Reoptimize(p *profile.Profile) (*Compiled, *fdo.Result, error
 		return nil, nil, fmt.Errorf("%w: profile of %d-worker runs measures no sync waits",
 			profile.ErrIncompatible, p.Workers)
 	}
+	if p.Mode != exec.SPMD.String() {
+		return nil, nil, fmt.Errorf("%w: profile of %s runs; the optimized schedule runs %s",
+			profile.ErrIncompatible, p.Mode, exec.SPMD)
+	}
 
 	// One Analyze, many cheap Checks: the same flows re-judge every
 	// candidate mutation, exactly the certifier's DropSite economy.
-	an := certify.Analyze(c.Prog, ToCertify(c.Schedule.Lower(false)), c.CertifyOptions())
+	an := certify.Analyze(c.Prog, ToCertify(c.Schedule.Lower()), c.CertifyOptions())
 	if err := errors.Join(an.OracleErrs...); err != nil {
 		return nil, nil, fmt.Errorf("core: certifier oracle disagreement, feedback pass aborted: %w", err)
 	}
 	check := func(s *syncopt.Schedule) (bool, error) {
 		before := len(an.OracleErrs)
-		cert, viols := an.Check(ToCertify(s.Lower(false)))
+		cert, viols := an.Check(ToCertify(s.Lower()))
 		if len(an.OracleErrs) > before {
 			return false, errors.Join(an.OracleErrs[before:]...)
 		}

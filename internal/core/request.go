@@ -246,7 +246,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	if req.Run.Baseline {
 		runner, err = c.NewBaselineRunner(cfg)
 	} else {
-		cfg.Mode = exec.SPMD
 		runner, err = c.NewRunner(cfg)
 	}
 	tr.End(setupSp)
@@ -258,10 +257,7 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 
 	if req.Compile.Certify {
 		sp := tr.Start(execSp, "certify")
-		v := c.Verdict()
-		if req.Run.Baseline {
-			v = c.BaselineVerdict()
-		}
+		v := c.verdictOf(runner.sched)
 		tr.End(sp)
 		if tr != nil {
 			tr.SetAttr(sp, "certified", fmt.Sprint(v.Certified))

@@ -147,7 +147,7 @@ func TestNarrowedProfileIsLabelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := c.NewRunner(exec.Config{Workers: 2, Params: map[string]int64{"N": 64, "T": 3000},
-		Mode: exec.SPMD, Trace: true})
+		Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,6 @@ func TestNarrowedProfileIsLabelled(t *testing.T) {
 // Regenerate with: go test ./internal/core -run TestAPISurface -v (the
 // failure message prints the actual surface).
 var coreAPI = []string{
-	"BaselineRemarks (Compiled)",
-	"BaselineVerdict (Compiled)",
 	"Certify (Compiled)",
 	"CertifyError",
 	"CertifyOptions (Compiled)",

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fdo"
 	"repro/internal/profile"
 	"repro/internal/remarks"
+	"repro/internal/syncopt"
 	"repro/internal/telemetry"
 )
 
@@ -26,34 +27,27 @@ type Verdict struct {
 	Err error
 }
 
-const (
-	schedOptimized = 0
-	schedBaseline  = 1
-)
-
 // Verdict returns the memoized certify verdict of the optimized schedule's
 // SPMD step program.
-func (c *Compiled) Verdict() Verdict { return c.verdictOf(schedOptimized) }
+func (c *Compiled) Verdict() Verdict { return c.verdictOf(c.Schedule) }
 
-// BaselineVerdict returns the memoized certify verdict of the baseline
-// schedule's fork-join step program.
-func (c *Compiled) BaselineVerdict() Verdict { return c.verdictOf(schedBaseline) }
-
-func (c *Compiled) verdictOf(which int) Verdict {
-	c.verOnce[which].Do(func() {
-		low := c.Schedule.Lower(false)
-		if which == schedBaseline {
-			low = c.Baseline.Lower(true)
-		}
-		cert, viols, err := certify.Certify(c.Prog, ToCertify(low), c.CertifyOptions())
-		c.verdicts[which] = Verdict{
+// verdictOf returns the memoized certify verdict of the step program s
+// lowers to; s is one of this compilation's two schedules.
+func (c *Compiled) verdictOf(s *syncopt.Schedule) Verdict {
+	i := 0
+	if s.Baseline {
+		i = 1
+	}
+	c.verOnce[i].Do(func() {
+		cert, viols, err := certify.Certify(c.Prog, ToCertify(s.Lower()), c.CertifyOptions())
+		c.verdicts[i] = Verdict{
 			Certified:   err == nil && len(viols) == 0 && cert != nil,
 			Certificate: cert,
 			Violations:  viols,
 			Err:         err,
 		}
 	})
-	return c.verdicts[which]
+	return c.verdicts[i]
 }
 
 // Result is the consolidated facade result: the executor's result (final
@@ -62,7 +56,7 @@ func (c *Compiled) verdictOf(which int) Verdict {
 // triple spmdrun/benchtab/suite previously assembled by hand.
 type Result struct {
 	exec.Result
-	// Certify is the static verdict of the schedule this run executed
+	// Certify is the static verdict of the step program this run executed
 	// (the baseline schedule's verdict for baseline runners).
 	Certify Verdict
 	// Costs is the compilation's analysis bill (phase wall times and
@@ -95,11 +89,12 @@ type Result struct {
 
 // Runner executes one compiled schedule. It embeds the executor's runner —
 // inspection methods (NumSyncSites, SyncSiteClasses, Mode) promote — and
-// shadows Run and RunContext to return the consolidated *Result.
+// shadows Run and RunContext to return the consolidated *Result. Its
+// verdict, remarks and profile identity are those of the schedule it runs.
 type Runner struct {
 	*exec.Runner
 	c     *Compiled
-	sched int
+	sched *syncopt.Schedule
 }
 
 // Compiled returns the compilation this runner was built from.
@@ -124,12 +119,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 // Remarks returns the remark set of the schedule this runner executes (the
 // baseline schedule's remarks for baseline runners), in the same site
 // numbering the runner's watchdog, stats and sabotage flags use.
-func (r *Runner) Remarks() *remarks.Set {
-	if r.sched == schedBaseline {
-		return r.c.BaselineRemarks()
-	}
-	return r.c.Remarks()
-}
+func (r *Runner) Remarks() *remarks.Set { return r.sched.Remarks() }
 
 // SyncReport joins this runner's static remarks with one run's per-site
 // runtime attribution into the ranked "cost of kept barriers" report.

@@ -53,23 +53,17 @@ func TestCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
-				cfg := exec.Config{Workers: 4, Params: p, Mode: mode}
-				var r *core.Runner
-				if mode == exec.ForkJoin {
-					r, err = c.NewBaselineRunner(cfg)
-				} else {
-					r, err = c.NewRunner(cfg)
-				}
+			for _, newRunner := range []func(exec.Config) (*core.Runner, error){c.NewBaselineRunner, c.NewRunner} {
+				r, err := newRunner(exec.Config{Workers: 4, Params: p})
 				if err != nil {
 					t.Fatal(err)
 				}
 				res, err := r.Run()
 				if err != nil {
-					t.Fatalf("%v: %v", mode, err)
+					t.Fatalf("%v: %v", r.Mode(), err)
 				}
 				if d := exec.ComparableDiff(ref, res.State, c.Prog); d > 1e-9 {
-					t.Errorf("%v diverged by %g", mode, d)
+					t.Errorf("%v diverged by %g", r.Mode(), d)
 				}
 			}
 		})

@@ -64,17 +64,6 @@ func SoftwareDSM() Costs {
 	}
 }
 
-// Mode mirrors exec.Mode without importing it.
-type Mode int
-
-const (
-	// ForkJoin simulates the baseline: master executes sequential code,
-	// dispatch + join barrier around every parallel loop.
-	ForkJoin Mode = iota
-	// SPMD simulates the optimized schedule.
-	SPMD
-)
-
 // Result of one simulation.
 type Result struct {
 	// Makespan is the predicted parallel completion time.
@@ -133,19 +122,22 @@ type Simulator struct {
 
 // Simulate runs the prediction. P must be positive; params must bind every
 // program parameter. A schedule with an inspector site yields an
-// *InspectorError.
+// *InspectorError. The schedule decides the model: a baseline schedule
+// (syncopt.Schedule.Baseline) runs fork-join, its master executing the
+// sequential code and a dispatch and join barrier around every parallel
+// loop; any other runs SPMD.
 func Simulate(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int64,
-	nproc int, mode Mode, costs Costs) (Result, error) {
-	return simulate(sched, plan, params, nproc, mode, costs, nil)
+	nproc int, costs Costs) (Result, error) {
+	return simulate(sched, plan, params, nproc, costs, nil)
 }
 
 func simulate(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int64,
-	nproc int, mode Mode, costs Costs, trace *[]Segment) (Result, error) {
+	nproc int, costs Costs, trace *[]Segment) (Result, error) {
 	if nproc <= 0 {
 		return Result{}, fmt.Errorf("costsim: nproc must be positive")
 	}
 	s := &Simulator{
-		low: sched.Lower(mode == ForkJoin), plan: plan, costs: costs, nproc: nproc,
+		low: sched.Lower(), plan: plan, costs: costs, nproc: nproc,
 		clocks: make([]float64, nproc),
 		ev:     interp.NewEnv(&interp.State{Prog: sched.Prog, Params: params}),
 		aff:    map[linear.Var]int64{},

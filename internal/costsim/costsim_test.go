@@ -10,6 +10,7 @@ import (
 	"repro/internal/costsim"
 	"repro/internal/exec"
 	"repro/internal/suite"
+	"repro/internal/syncopt"
 )
 
 func compile(t *testing.T, name string) (*core.Compiled, map[string]int64) {
@@ -45,12 +46,13 @@ func TestSyncCountsMatchExecutor(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, P := range []int{2, 4, 8} {
-				for _, mode := range []costsim.Mode{costsim.SPMD, costsim.ForkJoin} {
-					sched, newRunner, label := c.Schedule, c.NewRunner, "opt"
-					if mode == costsim.ForkJoin {
-						sched, newRunner, label = c.Baseline, c.NewBaselineRunner, "base"
-					}
-					sim, err := costsim.Simulate(sched, c.Plan, k.Params, P, mode, costsim.SharedMemory())
+				for _, leg := range []struct {
+					label     string
+					sched     *syncopt.Schedule
+					newRunner func(exec.Config) (*core.Runner, error)
+				}{{"opt", c.Schedule, c.NewRunner}, {"base", c.Baseline, c.NewBaselineRunner}} {
+					sched, newRunner, label := leg.sched, leg.newRunner, leg.label
+					sim, err := costsim.Simulate(sched, c.Plan, k.Params, P, costsim.SharedMemory())
 					var insp *costsim.InspectorError
 					if wantInsp := sched.Static().Inspectors > 0; errors.As(err, &insp) || wantInsp {
 						if insp == nil || !wantInsp || sched.Boundaries()[insp.Site-1].Class != comm.ClassInspector {
@@ -61,7 +63,7 @@ func TestSyncCountsMatchExecutor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r, err := newRunner(exec.Config{Workers: P, Params: k.Params, Mode: exec.SPMD, FixedWidth: true})
+					r, err := newRunner(exec.Config{Workers: P, Params: k.Params, FixedWidth: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -86,7 +88,7 @@ func TestWorkConservation(t *testing.T) {
 	c, params := compile(t, "jacobi2d")
 	var ref float64
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		r, err := costsim.Simulate(c.Schedule, c.Plan, params, p, costsim.SPMD, costsim.SharedMemory())
+		r, err := costsim.Simulate(c.Schedule, c.Plan, params, p, costsim.SharedMemory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,22 +114,22 @@ func TestOptimizedBeatsBaseline(t *testing.T) {
 			const P = 8
 			shm := costsim.SharedMemory()
 			dsm := costsim.SoftwareDSM()
-			base, err := costsim.Simulate(c.Baseline, c.Plan, params, P, costsim.ForkJoin, shm)
+			base, err := costsim.Simulate(c.Baseline, c.Plan, params, P, shm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := costsim.Simulate(c.Schedule, c.Plan, params, P, costsim.SPMD, shm)
+			opt, err := costsim.Simulate(c.Schedule, c.Plan, params, P, shm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if opt.Makespan >= base.Makespan {
 				t.Errorf("shared-memory: optimized %v >= baseline %v", opt.Makespan, base.Makespan)
 			}
-			baseDSM, err := costsim.Simulate(c.Baseline, c.Plan, params, P, costsim.ForkJoin, dsm)
+			baseDSM, err := costsim.Simulate(c.Baseline, c.Plan, params, P, dsm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			optDSM, err := costsim.Simulate(c.Schedule, c.Plan, params, P, costsim.SPMD, dsm)
+			optDSM, err := costsim.Simulate(c.Schedule, c.Plan, params, P, dsm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,11 +148,11 @@ func TestOptimizedBeatsBaseline(t *testing.T) {
 func TestPipelineStagger(t *testing.T) {
 	c, params := compile(t, "pipeline")
 	const P = 16
-	base, err := costsim.Simulate(c.Baseline, c.Plan, params, P, costsim.ForkJoin, costsim.SoftwareDSM())
+	base, err := costsim.Simulate(c.Baseline, c.Plan, params, P, costsim.SoftwareDSM())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := costsim.Simulate(c.Schedule, c.Plan, params, P, costsim.SPMD, costsim.SoftwareDSM())
+	opt, err := costsim.Simulate(c.Schedule, c.Plan, params, P, costsim.SoftwareDSM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestSpeedupGrowsWithP(t *testing.T) {
 	c, params := compile(t, "jacobi2d")
 	prev := 0.0
 	for _, p := range []int{1, 2, 4, 8} {
-		r, err := costsim.Simulate(c.Schedule, c.Plan, params, p, costsim.SPMD, costsim.SharedMemory())
+		r, err := costsim.Simulate(c.Schedule, c.Plan, params, p, costsim.SharedMemory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,10 +184,10 @@ func TestSpeedupGrowsWithP(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	c, params := compile(t, "jacobi1d")
-	if _, err := costsim.Simulate(c.Schedule, c.Plan, params, 0, costsim.SPMD, costsim.SharedMemory()); err == nil {
+	if _, err := costsim.Simulate(c.Schedule, c.Plan, params, 0, costsim.SharedMemory()); err == nil {
 		t.Error("P=0 accepted")
 	}
-	if _, err := costsim.Simulate(c.Schedule, c.Plan, nil, 4, costsim.SPMD, costsim.SharedMemory()); err == nil {
+	if _, err := costsim.Simulate(c.Schedule, c.Plan, nil, 4, costsim.SharedMemory()); err == nil {
 		t.Error("missing params accepted")
 	}
 }
@@ -214,7 +216,7 @@ end
 	}
 	const P = 6
 	params := map[string]int64{"N": 240, "M": 40}
-	res, trace, err := costsim.SimulateTrace(c.Schedule, c.Plan, params, P, costsim.SPMD, costsim.SoftwareDSM())
+	res, trace, err := costsim.SimulateTrace(c.Schedule, c.Plan, params, P, costsim.SoftwareDSM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ end
 // TestRenderGanttOutput sanity-checks the renderer.
 func TestRenderGanttOutput(t *testing.T) {
 	c, params := compile(t, "pipeline")
-	res, trace, err := costsim.SimulateTrace(c.Schedule, c.Plan, params, 4, costsim.SPMD, costsim.SharedMemory())
+	res, trace, err := costsim.SimulateTrace(c.Schedule, c.Plan, params, 4, costsim.SharedMemory())
 	if err != nil {
 		t.Fatal(err)
 	}

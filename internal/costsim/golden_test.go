@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/costsim"
 	"repro/internal/suite"
+	"repro/internal/syncopt"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -52,11 +53,11 @@ func TestFigure4Golden(t *testing.T) {
 		c, params := compile(t, name)
 		for _, p := range ps {
 			for ci, costs := range []costsim.Costs{costsim.SharedMemory(), costsim.SoftwareDSM()} {
-				base, err := costsim.Simulate(c.Baseline, c.Plan, params, p, costsim.ForkJoin, costs)
+				base, err := costsim.Simulate(c.Baseline, c.Plan, params, p, costs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt, err := costsim.Simulate(c.Schedule, c.Plan, params, p, costsim.SPMD, costs)
+				opt, err := costsim.Simulate(c.Schedule, c.Plan, params, p, costs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,13 +79,9 @@ func TestGanttGolden(t *testing.T) {
 			var out bytes.Buffer
 			for _, run := range []struct {
 				label string
-				mode  costsim.Mode
-			}{{"base", costsim.ForkJoin}, {"opt", costsim.SPMD}} {
-				sched := c.Schedule
-				if run.mode == costsim.ForkJoin {
-					sched = c.Baseline
-				}
-				res, tr, err := costsim.SimulateTrace(sched, c.Plan, params, P, run.mode, costsim.SoftwareDSM())
+				sched *syncopt.Schedule
+			}{{"base", c.Baseline}, {"opt", c.Schedule}} {
+				res, tr, err := costsim.SimulateTrace(run.sched, c.Plan, params, P, costsim.SoftwareDSM())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -33,9 +33,9 @@ type Segment struct {
 // SimulateTrace is Simulate plus a per-worker activity trace suitable for
 // Gantt rendering.
 func SimulateTrace(sched *syncopt.Schedule, plan *decomp.Plan, params map[string]int64,
-	nproc int, mode Mode, costs Costs) (Result, []Segment, error) {
+	nproc int, costs Costs) (Result, []Segment, error) {
 	trace := []Segment{}
-	res, err := simulate(sched, plan, params, nproc, mode, costs, &trace)
+	res, err := simulate(sched, plan, params, nproc, costs, &trace)
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -20,17 +20,17 @@ import (
 // and an inspector kernel, each at two team sizes.
 func TestOneSiteAccount(t *testing.T) {
 	for _, tc := range []struct {
-		kernel string
-		mode   exec.Mode
+		kernel   string
+		baseline bool
 	}{
-		{"dotchain", exec.ForkJoin},
-		{"jacobi1d", exec.SPMD},
-		{"guardedpivot", exec.SPMD},
-		{"permcopy", exec.SPMD},
+		{"dotchain", true},
+		{"jacobi1d", false},
+		{"guardedpivot", false},
+		{"permcopy", false},
 	} {
 		for _, p := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/%s/P=%d", tc.kernel, tc.mode, p), func(t *testing.T) {
-				r, res := accountRun(t, tc.kernel, p, tc.mode)
+			t.Run(fmt.Sprintf("%s/%s/P=%d", tc.kernel, modeOf(tc.baseline), p), func(t *testing.T) {
+				r, res := accountRun(t, tc.kernel, p, tc.baseline)
 				sum := synctrace.Summarize(res.Trace)
 				profs := map[int]profile.SiteProfile{}
 				for _, sp := range r.SiteProfiles(&res.Result) {
@@ -87,8 +87,8 @@ func TestOneSiteAccount(t *testing.T) {
 }
 
 // accountRun compiles a suite kernel (affine or irregular) at test sizes and
-// runs it once traced on p workers.
-func accountRun(t *testing.T, kernel string, p int, mode exec.Mode) (*core.Runner, *core.Result) {
+// runs its baseline or optimized schedule once traced on p workers.
+func accountRun(t *testing.T, kernel string, p int, baseline bool) (*core.Runner, *core.Result) {
 	t.Helper()
 	k, err := suite.Get(kernel)
 	if err != nil {
@@ -100,9 +100,9 @@ func accountRun(t *testing.T, kernel string, p int, mode exec.Mode) (*core.Runne
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := exec.Config{Workers: p, Params: clampParams(k.Params), Mode: mode, Trace: true, FixedWidth: true}
+	cfg := exec.Config{Workers: p, Params: clampParams(k.Params), Trace: true, FixedWidth: true}
 	newRunner := c.NewRunner
-	if mode == exec.ForkJoin {
+	if baseline {
 		newRunner = c.NewBaselineRunner
 	}
 	r, err := newRunner(cfg)

@@ -108,7 +108,7 @@ end
 				t.Fatal(err)
 			}
 			allocs := func(trips int64) (perRun float64) {
-				r, err := c.NewRunner(exec.Config{Workers: tc.workers, Mode: exec.SPMD,
+				r, err := c.NewRunner(exec.Config{Workers: tc.workers,
 					Params: map[string]int64{"N": cmp.Or(tc.n, 64), "T": trips}})
 				if err != nil {
 					t.Fatal(err)

@@ -25,7 +25,7 @@ func contextRunner(t *testing.T, kernel string, params map[string]int64) *core.R
 	if params == nil {
 		params = k.Params
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 4, Params: params, Mode: exec.SPMD})
+	r, err := c.NewRunner(exec.Config{Workers: 4, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -45,7 +46,7 @@ func TestHoistedCheckOnATeam(t *testing.T) {
 					}
 					run := func(sanitize, ref bool) (*interp.State, string, int64) {
 						r, err := c.NewRunner(exec.Config{Workers: workers, Params: tc.Params,
-							Mode: exec.SPMD, Sanitize: sanitize, FixedWidth: true,
+							Sanitize: sanitize, FixedWidth: true,
 							// A worker that stops synchronizing after its fault
 							// must fail the test, not hang it.
 							WatchdogTimeout: 20 * time.Second})
@@ -62,7 +63,7 @@ func TestHoistedCheckOnATeam(t *testing.T) {
 						}
 						st.SeedDeterministic()
 						text := ""
-						if _, err := r.RunOn(st); err != nil {
+						if _, err := r.RunContextOn(context.Background(), st); err != nil {
 							text = err.Error()
 						}
 						return st, text, fallbacks()
@@ -122,7 +123,7 @@ func TestKernelsTakeNoFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.NewRunner(exec.Config{Workers: 3, Params: k.Params, Mode: exec.SPMD})
+			r, err := c.NewRunner(exec.Config{Workers: 3, Params: k.Params})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,14 +25,10 @@ func TestEntryDecisionsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
+		for _, l := range legs(c) {
 			for _, workers := range []int{2, 3} {
-				cfg := exec.Config{Workers: workers, Params: k.Params, Mode: mode, FixedWidth: true}
-				newRunner, label := c.NewRunner, "opt"
-				if mode == exec.ForkJoin {
-					newRunner, label = c.NewBaselineRunner, "base"
-				}
-				r, err := newRunner(cfg)
+				label := l.label
+				r, err := l.newRunner(exec.Config{Workers: workers, Params: k.Params, FixedWidth: true})
 				if err != nil {
 					t.Fatalf("%s %s P=%d: %v", k.Name, label, workers, err)
 				}

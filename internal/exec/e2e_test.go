@@ -12,7 +12,7 @@ import (
 )
 
 // kernels exercised end-to-end: every entry is run sequentially, under the
-// fork-join baseline and under the optimized exec.SPMD schedule, and the final
+// fork-join baseline and under the optimized SPMD schedule, and the final
 // states must agree (within a reduction-roundoff tolerance).
 var kernels = []struct {
 	name   string
@@ -188,7 +188,7 @@ func TestKernelsEndToEnd(t *testing.T) {
 				if d := exec.ComparableDiff(ref, bres.State, c.Prog); d > k.tol {
 					t.Fatalf("fork-join P=%d diverges: diff=%g", workers, d)
 				}
-				opt, err := c.NewRunner(exec.Config{Workers: workers, Params: k.params, Mode: exec.SPMD})
+				opt, err := c.NewRunner(exec.Config{Workers: workers, Params: k.params})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +227,7 @@ func TestJacobiDynamicCounts(t *testing.T) {
 	if got := bres.Stats.Dispatches; got != 10 {
 		t.Errorf("baseline dispatches = %d, want 10", got)
 	}
-	opt, _ := c.NewRunner(exec.Config{Workers: 4, Params: k.params, Mode: exec.SPMD, FixedWidth: true})
+	opt, _ := c.NewRunner(exec.Config{Workers: 4, Params: k.params, FixedWidth: true})
 	ores, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestPivotCounterCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _ := c.NewRunner(exec.Config{Workers: 4, Params: k.params, Mode: exec.SPMD})
+	opt, _ := c.NewRunner(exec.Config{Workers: 4, Params: k.params})
 	res, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestBarrierKindsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []spmdrt.BarrierKind{spmdrt.Central, spmdrt.Tree, spmdrt.Dissemination} {
-		r, _ := c.NewRunner(exec.Config{Workers: 6, Params: k.params, Mode: exec.SPMD, Barrier: kind})
+		r, _ := c.NewRunner(exec.Config{Workers: 6, Params: k.params, Barrier: kind})
 		res, err := r.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -305,7 +305,7 @@ func TestAblationsStillCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.NewRunner(exec.Config{Workers: 5, Params: k.params, Mode: exec.SPMD})
+			r, err := c.NewRunner(exec.Config{Workers: 5, Params: k.params})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +335,7 @@ func TestMissingParamFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 2, Params: nil, Mode: exec.SPMD})
+	r, err := c.NewRunner(exec.Config{Workers: 2, Params: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestReductionsAreReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 7, Params: k.params, Mode: exec.SPMD})
+	r, err := c.NewRunner(exec.Config{Workers: 7, Params: k.params})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode selects the execution model.
+// Mode is the execution model of a runner. The schedule decides it
+// (syncopt.Schedule.Baseline); Runner.Mode reports it.
 type Mode int
 
 const (
-	// ForkJoin is the baseline: sequential parts run on the master,
-	// every parallel loop is dispatched to the team and followed by a
-	// join barrier (pair it with a syncopt Baseline schedule).
+	// ForkJoin runs a baseline schedule: sequential parts run on the
+	// master, every parallel loop is dispatched to the team and followed
+	// by a join barrier.
 	ForkJoin Mode = iota
-	// SPMD runs the whole program on every worker under the optimized
+	// SPMD runs the whole program on every worker under an optimized
 	// schedule: replicated statements everywhere, guarded statements on
 	// the master, parallel loops partitioned, boundary synchronization
 	// as scheduled.
@@ -65,7 +66,10 @@ type Config struct {
 	Workers int
 	Barrier spmdrt.BarrierKind
 	Params  map[string]int64
-	Mode    Mode
+	// Mode is read by nothing: the schedule decides the execution model
+	// (syncopt.Schedule.Baseline). It stays so that existing callers that
+	// set it compile.
+	Mode Mode
 	// Compiled optionally injects a pre-lowered closure program (as built
 	// by compile.Compile) so repeated runners over one compilation share a
 	// single lowering. It is used only when it was lowered from this
@@ -151,7 +155,9 @@ type Runner struct {
 	// slice, fold and neighbor test of a run divides by.
 	width    int
 	decision WidthDecision
-	// low is the schedule lowered for cfg.Mode (syncopt.Lower), the step
+	// mode is the execution model the schedule lowers for.
+	mode Mode
+	// low is the lowered schedule (syncopt.Lower), the step
 	// program every worker runs; low.Sites[id] is the boundary with global
 	// sync-site id id+1. at[i] is what NewRunner resolved for low.Steps[i].
 	low    *syncopt.Steps
@@ -229,7 +235,11 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			return nil, err
 		}
 	}
-	r.low = sched.Lower(cfg.Mode == ForkJoin)
+	r.mode = SPMD
+	if sched.Baseline {
+		r.mode = ForkJoin
+	}
+	r.low = sched.Lower()
 	r.nSites = len(r.low.Sites)
 	r.at = make([]stepAt, len(r.low.Steps))
 	for i, st := range r.low.Steps {
@@ -286,7 +296,7 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 			r.hasInsp = true
 		}
 	}
-	if cfg.Mode == SPMD && sched.Info != nil {
+	if r.mode == SPMD && sched.Info != nil {
 		for i, name := range prog.Scalars {
 			if sched.Info.ReplicatedScalars[name] {
 				r.repl = append(r.repl, replScalar{name, i})
@@ -356,11 +366,6 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	return r.RunContextOn(ctx, st)
 }
 
-// RunOn executes the program over existing storage.
-func (r *Runner) RunOn(st *interp.State) (*Result, error) {
-	return r.RunContextOn(context.Background(), st)
-}
-
 // defaultPool is the process-wide team pool (see DefaultPool).
 var (
 	defaultPoolOnce sync.Once
@@ -376,8 +381,8 @@ func DefaultPool() *pool.Pool {
 	return defaultPool
 }
 
-// RunContextOn is RunOn under a context (see RunContext). The team is
-// checked out of Config.Pool.
+// RunContextOn executes the program over existing storage under a context
+// (see RunContext). The team is checked out of Config.Pool.
 func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &spmdrt.CancelError{Cause: err}

@@ -34,14 +34,10 @@ func TestFinalStateGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
+		for _, l := range legs(c) {
 			for _, workers := range []int{1, 2, 3, 8} {
-				cfg := exec.Config{Workers: workers, Params: params, Mode: mode, FixedWidth: true}
-				newRunner, label := c.NewRunner, "opt"
-				if mode == exec.ForkJoin {
-					newRunner, label = c.NewBaselineRunner, "base"
-				}
-				r, err := newRunner(cfg)
+				label := l.label
+				r, err := l.newRunner(exec.Config{Workers: workers, Params: params, FixedWidth: true})
 				if err != nil {
 					t.Fatalf("%s %s P=%d: %v", k.Name, label, workers, err)
 				}

@@ -168,7 +168,7 @@ func TestFuzzIrregularDifferential(t *testing.T) {
 		inspectorSites += st.Inspectors
 		eliminated += st.None
 
-		cs := core.ToCertify(c.Schedule.Lower(false))
+		cs := core.ToCertify(c.Schedule.Lower())
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		if len(an.OracleErrs) > 0 {
 			t.Fatalf("seed %d (%s): solver oracle disagreement: %v\n--- source ---\n%s",
@@ -202,7 +202,7 @@ func TestFuzzIrregularDifferential(t *testing.T) {
 			t.Fatalf("seed %d (%s): sequential: %v\n%s", seed, shape, err, src)
 		}
 		for _, workers := range []int{2, 5, 7} {
-			r, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD})
+			r, err := c.NewRunner(exec.Config{Workers: workers, Params: params})
 			if err != nil {
 				t.Fatalf("seed %d (%s): runner: %v", seed, shape, err)
 			}
@@ -223,7 +223,7 @@ func TestFuzzIrregularDifferential(t *testing.T) {
 		// Chaos + sanitizer: adversarial timing must neither corrupt the
 		// state nor reveal an unordered cross-worker flow at the
 		// inspector-synthesized waits.
-		r, err := c.NewRunner(exec.Config{Workers: 4, Params: params, Mode: exec.SPMD,
+		r, err := c.NewRunner(exec.Config{Workers: 4, Params: params,
 			ChaosSeed: seed*2654435761 + 7, Sanitize: true})
 		if err != nil {
 			t.Fatalf("seed %d (%s): chaos runner: %v", seed, shape, err)

@@ -184,7 +184,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 		// Independent static certification: the clean-room certifier must
 		// agree the schedule is sound, and must reject every single-edge
 		// sabotage of it.
-		cs := core.ToCertify(c.Schedule.Lower(false))
+		cs := core.ToCertify(c.Schedule.Lower())
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		if len(an.OracleErrs) > 0 {
 			t.Fatalf("seed %d: solver oracle disagreement: %v\n--- source ---\n%s",
@@ -213,7 +213,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 			kinds []certify.Kind
 		}{
 			{"opt", c.Remarks(), cs.Kinds()},
-			{"base", c.BaselineRemarks(), core.ToCertify(c.Baseline.Lower(true)).Kinds()},
+			{"base", c.Baseline.Remarks(), core.ToCertify(c.Baseline.Lower()).Kinds()},
 		} {
 			if len(sch.set.Remarks) != len(sch.kinds) {
 				t.Fatalf("seed %d: %s schedule has %d sync sites but %d remarks\n--- source ---\n%s",
@@ -239,25 +239,19 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v\n%s", seed, err, src)
 		}
-		for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
+		for _, l := range legs(c) {
 			for _, workers := range []int{2, 5} {
-				cfg := exec.Config{Workers: workers, Params: params, Mode: mode}
-				var r *core.Runner
-				if mode == exec.ForkJoin {
-					r, err = c.NewBaselineRunner(cfg)
-				} else {
-					r, err = c.NewRunner(cfg)
-				}
+				r, err := l.newRunner(exec.Config{Workers: workers, Params: params})
 				if err != nil {
 					t.Fatalf("seed %d: runner: %v", seed, err)
 				}
 				res, err := r.Run()
 				if err != nil {
-					t.Fatalf("seed %d %v P=%d: run: %v\n%s", seed, mode, workers, err, src)
+					t.Fatalf("seed %d %s P=%d: run: %v\n%s", seed, l.label, workers, err, src)
 				}
 				if d := exec.ComparableDiff(ref, res.State, c.Prog); d > tol {
-					t.Fatalf("seed %d %v P=%d diverges by %g\n--- source ---\n%s\n--- schedule ---\n%s",
-						seed, mode, workers, d, src, c.Schedule.Dump())
+					t.Fatalf("seed %d %s P=%d diverges by %g\n--- source ---\n%s\n--- schedule ---\n%s",
+						seed, l.label, workers, d, src, c.Schedule.Dump())
 				}
 			}
 		}
@@ -266,16 +260,10 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 		// Reductions fold in rank order, so both engines are deterministic
 		// and the final states of the same generated program must agree bit
 		// for bit — any float divergence is a lowering bug, not roundoff.
-		for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
+		for _, l := range legs(c) {
 			var states [2]*interp.State
 			for i, bk := range []string{"interp", "closure"} {
-				cfg := exec.Config{Workers: 3, Params: params, Mode: mode}
-				var r *core.Runner
-				if mode == exec.ForkJoin {
-					r, err = c.NewBaselineRunner(cfg)
-				} else {
-					r, err = c.NewRunner(cfg)
-				}
+				r, err := l.newRunner(exec.Config{Workers: 3, Params: params})
 				if err != nil {
 					t.Fatalf("seed %d: %s runner: %v", seed, bk, err)
 				}
@@ -284,7 +272,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 				}
 				res, err := r.Run()
 				if err != nil {
-					t.Fatalf("seed %d %v %s: run: %v\n%s", seed, mode, bk, err, src)
+					t.Fatalf("seed %d %s %s: run: %v\n%s", seed, l.label, bk, err, src)
 				}
 				states[i] = res.State
 			}
@@ -292,15 +280,15 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 				iv, cv := states[0].Array(d.Name), states[1].Array(d.Name)
 				for j := range iv.Data {
 					if math.Float64bits(iv.Data[j]) != math.Float64bits(cv.Data[j]) {
-						t.Fatalf("seed %d %v: backends diverge at %s[%d]: %v (interp) vs %v (closure)\n--- source ---\n%s",
-							seed, mode, d.Name, j, iv.Data[j], cv.Data[j], src)
+						t.Fatalf("seed %d %s: backends diverge at %s[%d]: %v (interp) vs %v (closure)\n--- source ---\n%s",
+							seed, l.label, d.Name, j, iv.Data[j], cv.Data[j], src)
 					}
 				}
 			}
 			for s, v := range states[0].Scalars {
 				if math.Float64bits(v) != math.Float64bits(states[1].Scalars[s]) {
-					t.Fatalf("seed %d %v: backends diverge at scalar %s: %v (interp) vs %v (closure)\n--- source ---\n%s",
-						seed, mode, s, v, states[1].Scalars[s], src)
+					t.Fatalf("seed %d %s: backends diverge at scalar %s: %v (interp) vs %v (closure)\n--- source ---\n%s",
+						seed, l.label, s, v, states[1].Scalars[s], src)
 				}
 			}
 		}
@@ -309,7 +297,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 		// derived from the fuzz seed) with the soundness sanitizer. The
 		// optimized schedule must survive adversarial timing and leave no
 		// unordered cross-worker flows.
-		r, err := c.NewRunner(exec.Config{Workers: 5, Params: params, Mode: exec.SPMD,
+		r, err := c.NewRunner(exec.Config{Workers: 5, Params: params,
 			ChaosSeed: seed*2654435761 + 1, Sanitize: true})
 		if err != nil {
 			t.Fatalf("seed %d: chaos runner: %v", seed, err)
@@ -340,16 +328,11 @@ func requireSameFault(t *testing.T, seed int64, c *core.Compiled, params map[str
 	if _, err := c.RunSequential(params); err == nil || !strings.Contains(err.Error(), "out of bounds") {
 		t.Fatalf("seed %d: sequential run of an out-of-bounds program: %v\n%s", seed, err, src)
 	}
-	for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
+	for _, l := range legs(c) {
 		for _, workers := range []int{2, 3, 5} {
 			var msgs [2]string
 			for i, ref := range []bool{true, false} {
-				cfg := exec.Config{Workers: workers, Params: params, Mode: mode}
-				newRunner := c.NewRunner
-				if mode == exec.ForkJoin {
-					newRunner = c.NewBaselineRunner
-				}
-				r, err := newRunner(cfg)
+				r, err := l.newRunner(exec.Config{Workers: workers, Params: params})
 				if err != nil {
 					t.Fatalf("seed %d: runner: %v", seed, err)
 				}
@@ -357,13 +340,13 @@ func requireSameFault(t *testing.T, seed int64, c *core.Compiled, params map[str
 					exec.UseReferenceEngine(r.Runner)
 				}
 				if _, err = r.Run(); err == nil {
-					t.Fatalf("seed %d %v P=%d ref=%v: out-of-bounds program ran clean\n%s", seed, mode, workers, ref, src)
+					t.Fatalf("seed %d %s P=%d ref=%v: out-of-bounds program ran clean\n%s", seed, l.label, workers, ref, src)
 				}
 				msgs[i] = err.Error()
 			}
 			if !strings.Contains(msgs[1], "out of bounds") || !strings.HasPrefix(msgs[0], msgs[1]) {
-				t.Fatalf("seed %d %v P=%d: closure engine failed with %q, reference engine with %q\n%s",
-					seed, mode, workers, msgs[1], msgs[0], src)
+				t.Fatalf("seed %d %s P=%d: closure engine failed with %q, reference engine with %q\n%s",
+					seed, l.label, workers, msgs[1], msgs[0], src)
 			}
 		}
 	}
@@ -395,7 +378,7 @@ func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile error: %v", seed, err)
 		}
-		cs := core.ToCertify(c.Schedule.Lower(false))
+		cs := core.ToCertify(c.Schedule.Lower())
 		an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 		params := map[string]int64{"N": int64(16 + g.rng.Intn(16)), "T": 2}
 		ref, err := c.RunSequential(params)
@@ -414,7 +397,7 @@ func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
 					seed, id, kind, src)
 			}
 			r, err := c.NewRunner(exec.Config{
-				Workers: 4, Params: params, Mode: exec.SPMD,
+				Workers: 4, Params: params,
 				SabotageEdge: id + 1, Sanitize: true,
 				ChaosSeed:       seed*2654435761 + int64(id),
 				WatchdogTimeout: 60 * time.Second,

@@ -58,7 +58,7 @@ func TestInspectorRowsMatchReference(t *testing.T) {
 			t.Fatalf("%s: sequential: %v", p.name, err)
 		}
 		for _, workers := range []int{1, 2, 3, 4, 7} {
-			r, err := c.NewRunner(exec.Config{Workers: workers, Params: p.params, Mode: exec.SPMD})
+			r, err := c.NewRunner(exec.Config{Workers: workers, Params: p.params})
 			if err != nil {
 				t.Fatalf("%s: runner: %v", p.name, err)
 			}
@@ -145,8 +145,7 @@ func TestInspectorNonCacheableSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 4, Params: params, Mode: exec.SPMD,
-		ChaosSeed: 11, Sanitize: true})
+	r, err := c.NewRunner(exec.Config{Workers: 4, Params: params, ChaosSeed: 11, Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ end
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.NewRunner(exec.Config{Workers: tc.workers, Params: tc.params, Mode: exec.SPMD})
+			r, err := c.NewRunner(exec.Config{Workers: tc.workers, Params: tc.params})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +319,7 @@ func TestInspectorSabotagedRowIsCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(sabotage bool) *core.Result {
-		r, err := c.NewRunner(exec.Config{Workers: 4, Mode: exec.SPMD, Sanitize: true,
+		r, err := c.NewRunner(exec.Config{Workers: 4, Sanitize: true,
 			Params: map[string]int64{"N": 64, "T": 4}})
 		if err != nil {
 			t.Fatal(err)

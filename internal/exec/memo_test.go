@@ -29,7 +29,7 @@ func TestChecksOncePerTimeLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			checks := func(steps int64) (n, rows int64) {
-				r, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD,
+				r, err := c.NewRunner(exec.Config{Workers: 2,
 					Params: map[string]int64{"N": 256, "T": steps}})
 				if err != nil {
 					t.Fatal(err)

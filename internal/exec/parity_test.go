@@ -15,28 +15,23 @@ import (
 // optimized SPMD schedule or the fork-join baseline. Reductions fold in
 // rank order, so both engines are numerically deterministic and comparable
 // bit for bit.
-func runEngine(t *testing.T, c *core.Compiled, k suite.Kernel, mode exec.Mode, ref bool, cfg exec.Config) *interp.State {
+func runEngine(t *testing.T, l leg, k suite.Kernel, ref bool, cfg exec.Config) *interp.State {
 	t.Helper()
 	cfg.Workers = 8
 	cfg.Params = k.Params
-	cfg.Mode = mode
-	newRunner := c.NewRunner
-	if mode == exec.ForkJoin {
-		newRunner = c.NewBaselineRunner
-	}
-	r, err := newRunner(cfg)
+	r, err := l.newRunner(cfg)
 	if err != nil {
-		t.Fatalf("%s %v ref=%v: runner: %v", k.Name, mode, ref, err)
+		t.Fatalf("%s %s ref=%v: runner: %v", k.Name, l.label, ref, err)
 	}
 	if ref {
 		exec.UseReferenceEngine(r.Runner)
 	}
 	res, err := r.Run()
 	if err != nil {
-		t.Fatalf("%s %v ref=%v: run: %v", k.Name, mode, ref, err)
+		t.Fatalf("%s %s ref=%v: run: %v", k.Name, l.label, ref, err)
 	}
 	if cfg.Sanitize && (res.Sanitizer == nil || !res.Sanitizer.Clean()) {
-		t.Fatalf("%s %v ref=%v: sanitizer not clean:\n%v", k.Name, mode, ref, res.Sanitizer)
+		t.Fatalf("%s %s ref=%v: sanitizer not clean:\n%v", k.Name, l.label, ref, res.Sanitizer)
 	}
 	return res.State
 }
@@ -88,7 +83,7 @@ func TestBackendParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
+			for _, l := range legs(c) {
 				for _, tc := range configs {
 					if tc.cfg.Sanitize && (testing.Short() || raceEnabled) {
 						// The tracker under the race detector costs this
@@ -97,9 +92,9 @@ func TestBackendParity(t *testing.T) {
 						// raced by the suite's chaos sweep.
 						continue
 					}
-					sr := runEngine(t, c, k, mode, true, tc.cfg)
-					sc := runEngine(t, c, k, mode, false, tc.cfg)
-					requireBitwiseEqual(t, k.Name+" "+mode.String()+" "+tc.name, sr, sc)
+					sr := runEngine(t, l, k, true, tc.cfg)
+					sc := runEngine(t, l, k, false, tc.cfg)
+					requireBitwiseEqual(t, k.Name+" "+l.label+" "+tc.name, sr, sc)
 				}
 			}
 		})

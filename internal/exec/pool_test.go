@@ -52,8 +52,7 @@ func TestRunContextCancelPooled(t *testing.T) {
 	}
 	// A large input so the run reliably outlives the deadline.
 	big := map[string]int64{"N": 256, "T": 1 << 20}
-	r, err := c.NewRunner(exec.Config{Workers: 4, Params: big,
-		Mode: exec.SPMD, Pool: tp})
+	r, err := c.NewRunner(exec.Config{Workers: 4, Params: big, Pool: tp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +76,7 @@ func TestRunContextCancelPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c2.NewRunner(exec.Config{Workers: 4, Params: small.Params,
-		Mode: exec.SPMD, Pool: tp})
+	r2, err := c2.NewRunner(exec.Config{Workers: 4, Params: small.Params, Pool: tp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +92,7 @@ func TestRunContextCancelPooled(t *testing.T) {
 	// from a fresh pool bit for bit — nothing leaked from the cancelled run.
 	fresh := pool.New(pool.Options{})
 	defer fresh.Close()
-	r3, err := c2.NewRunner(exec.Config{Workers: 4, Params: small.Params,
-		Mode: exec.SPMD, Pool: fresh})
+	r3, err := c2.NewRunner(exec.Config{Workers: 4, Params: small.Params, Pool: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +134,6 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 		r, err := c.NewRunner(exec.Config{
 			Workers:         4,
 			Params:          params,
-			Mode:            exec.SPMD,
 			Pool:            tp,
 			ChaosSeed:       11,
 			Sanitize:        true,

@@ -8,8 +8,8 @@ import (
 	"repro/internal/synctrace"
 )
 
-// Mode returns the execution model this runner uses.
-func (r *Runner) Mode() Mode { return r.cfg.Mode }
+// Mode returns the execution model of the schedule this runner runs.
+func (r *Runner) Mode() Mode { return r.mode }
 
 // BarrierName returns the configured barrier algorithm's name.
 func (r *Runner) BarrierName() string { return r.cfg.Barrier.String() }
@@ -22,7 +22,7 @@ func (r *Runner) ChaosSeed() int64 { return r.cfg.ChaosSeed }
 // fork-join (where every boundary synchronizes with a barrier regardless
 // of the schedule) — matching remarks.Remark.Primitive at the same site.
 func (r *Runner) siteKind(id int) string {
-	if r.cfg.Mode == ForkJoin {
+	if r.mode == ForkJoin {
 		return comm.ClassBarrier.String()
 	}
 	return r.low.Sites[id-1].Class.String()

@@ -62,46 +62,40 @@ func TestSuiteUnderChaosWithSanitizer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
+			for _, l := range legs(c) {
 				for _, seed := range []int64{1, 7} {
 					cfg := exec.Config{
 						Workers:         4,
 						Params:          params,
-						Mode:            mode,
 						ChaosSeed:       seed,
 						Sanitize:        true,
 						WatchdogTimeout: 60 * time.Second,
 					}
-					var r *core.Runner
-					if mode == exec.ForkJoin {
-						r, err = c.NewBaselineRunner(cfg)
-					} else {
-						r, err = c.NewRunner(cfg)
-					}
+					r, err := l.newRunner(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					res, err := r.Run()
 					if err != nil {
-						t.Fatalf("%v chaos=%d: %v", mode, seed, err)
+						t.Fatalf("%s chaos=%d: %v", l.label, seed, err)
 					}
 					tol := k.Tol
 					if tol == 0 {
 						tol = 1e-12
 					}
 					if d := exec.ComparableDiff(ref, res.State, c.Prog); d > tol {
-						t.Errorf("%v chaos=%d diverges: diff=%g\n%s",
-							mode, seed, d, c.Schedule.Dump())
+						t.Errorf("%s chaos=%d diverges: diff=%g\n%s",
+							l.label, seed, d, c.Schedule.Dump())
 					}
 					if res.Sanitizer == nil {
-						t.Fatalf("%v chaos=%d: no sanitizer report", mode, seed)
+						t.Fatalf("%s chaos=%d: no sanitizer report", l.label, seed)
 					}
 					if !res.Sanitizer.Clean() {
-						t.Errorf("%v chaos=%d: sanitizer flagged a sound schedule:\n%s",
-							mode, seed, res.Sanitizer)
+						t.Errorf("%s chaos=%d: sanitizer flagged a sound schedule:\n%s",
+							l.label, seed, res.Sanitizer)
 					}
 					if res.Sanitizer.Reads == 0 && res.Sanitizer.Writes == 0 {
-						t.Errorf("%v chaos=%d: sanitizer observed no shared accesses", mode, seed)
+						t.Errorf("%s chaos=%d: sanitizer observed no shared accesses", l.label, seed)
 					}
 				}
 			}
@@ -135,7 +129,7 @@ func TestSabotagedScheduleIsCaught(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			base := exec.Config{Workers: 4, Params: k.params, Mode: exec.SPMD, Sanitize: true}
+			base := exec.Config{Workers: 4, Params: k.params, Sanitize: true}
 			probe, err := c.NewRunner(base)
 			if err != nil {
 				t.Fatal(err)
@@ -207,7 +201,7 @@ func TestSabotageEdgeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := c.NewRunner(exec.Config{Workers: 2, Params: kernels[0].params, Mode: exec.SPMD})
+	probe, err := c.NewRunner(exec.Config{Workers: 2, Params: kernels[0].params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +211,7 @@ func TestSabotageEdgeValidation(t *testing.T) {
 	}
 	for _, bad := range []int{-1, n + 1} {
 		if _, err := c.NewRunner(exec.Config{Workers: 2, Params: kernels[0].params,
-			Mode: exec.SPMD, SabotageEdge: bad}); err == nil {
+			SabotageEdge: bad}); err == nil {
 			t.Errorf("SabotageEdge=%d accepted (schedule has %d sites)", bad, n)
 		}
 	}
@@ -269,7 +263,7 @@ end
 				var first uint64
 				for seed := int64(1); seed <= 50; seed++ {
 					r, err := c.NewRunner(exec.Config{Workers: workers, Params: p.params,
-						Mode: exec.SPMD, ChaosSeed: seed, WatchdogTimeout: 60 * time.Second})
+						ChaosSeed: seed, WatchdogTimeout: 60 * time.Second})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -297,8 +291,7 @@ func TestWatchdogSurfacesInExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.params, Mode: exec.SPMD,
-		WatchdogTimeout: 10 * time.Second})
+	r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.params, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

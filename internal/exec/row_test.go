@@ -51,7 +51,7 @@ func (d *rowDiff) run(t *testing.T, kind decomp.Kind, workers int, ref bool) (*i
 		}
 		d.compiled[kind] = c
 	}
-	r, err := c.NewRunner(exec.Config{Workers: workers, Params: d.params, Mode: exec.SPMD})
+	r, err := c.NewRunner(exec.Config{Workers: workers, Params: d.params})
 	if err != nil {
 		t.Fatalf("%s: runner: %v", d.what, err)
 	}

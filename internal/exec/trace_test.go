@@ -16,8 +16,31 @@ import (
 	"repro/internal/synctrace"
 )
 
-// traceRun compiles a suite kernel and runs it with tracing enabled.
-func traceRun(t *testing.T, kernel string, workers int, mode exec.Mode, cfg exec.Config) *core.Result {
+// leg is one of a compilation's two schedules with its runner constructor:
+// the schedule decides how its runner runs it, fork-join or SPMD.
+type leg struct {
+	label     string
+	sched     *syncopt.Schedule
+	newRunner func(exec.Config) (*core.Runner, error)
+}
+
+// legs returns c's optimized schedule, then its fork-join baseline.
+func legs(c *core.Compiled) []leg {
+	return []leg{{"opt", c.Schedule, c.NewRunner}, {"base", c.Baseline, c.NewBaselineRunner}}
+}
+
+// modeOf is the execution model a runner of the baseline (or the optimized)
+// schedule must report.
+func modeOf(baseline bool) exec.Mode {
+	if baseline {
+		return exec.ForkJoin
+	}
+	return exec.SPMD
+}
+
+// traceRun compiles a suite kernel and runs its baseline or optimized
+// schedule with tracing enabled.
+func traceRun(t *testing.T, kernel string, workers int, baseline bool, cfg exec.Config) *core.Result {
 	t.Helper()
 	k, err := suite.Get(kernel)
 	if err != nil {
@@ -29,16 +52,17 @@ func traceRun(t *testing.T, kernel string, workers int, mode exec.Mode, cfg exec
 	}
 	cfg.Workers = workers
 	cfg.Params = k.Params
-	cfg.Mode = mode
 	cfg.Trace = true
-	var r *core.Runner
-	if mode == exec.ForkJoin {
-		r, err = c.NewBaselineRunner(cfg)
-	} else {
-		r, err = c.NewRunner(cfg)
+	newRunner := c.NewRunner
+	if baseline {
+		newRunner = c.NewBaselineRunner
 	}
+	r, err := newRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Mode() != modeOf(baseline) {
+		t.Fatalf("%s: runner mode %v, want %v", kernel, r.Mode(), modeOf(baseline))
 	}
 	res, err := r.Run()
 	if err != nil {
@@ -52,9 +76,9 @@ func traceRun(t *testing.T, kernel string, workers int, mode exec.Mode, cfg exec
 // must export trace-event JSON that parses and satisfies the format's
 // schema (one track per worker, legal phases, µs timestamps).
 func TestTraceChromeSchema(t *testing.T) {
-	for _, mode := range []exec.Mode{exec.ForkJoin, exec.SPMD} {
-		t.Run(mode.String(), func(t *testing.T) {
-			res := traceRun(t, "jacobi2d", 8, mode, exec.Config{})
+	for _, baseline := range []bool{true, false} {
+		t.Run(modeOf(baseline).String(), func(t *testing.T) {
+			res := traceRun(t, "jacobi2d", 8, baseline, exec.Config{})
 			if res.Trace == nil {
 				t.Fatal("Result.Trace nil with Config.Trace set")
 			}
@@ -113,22 +137,17 @@ func TestTracePseudoSites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
-			cfg := exec.Config{Workers: 2, Params: clampParams(k.Params), Mode: mode, Trace: true}
-			newRunner, sched := c.NewRunner, c.Schedule
-			if mode == exec.ForkJoin {
-				newRunner, sched = c.NewBaselineRunner, c.Baseline
-			}
-			r, err := newRunner(cfg)
+		for _, l := range legs(c) {
+			r, err := l.newRunner(exec.Config{Workers: 2, Params: clampParams(k.Params), Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := r.Run()
 			if err != nil {
-				t.Fatalf("%s %v: %v", k.Name, mode, err)
+				t.Fatalf("%s %s: %v", k.Name, l.label, err)
 			}
 			want := []string{"fork-join dispatch"}
-			for _, st := range sched.Lower(mode == exec.ForkJoin).Steps {
+			for _, st := range l.sched.Lower().Steps {
 				if st.Kind == syncopt.StepWavefront {
 					want = append(want, "wavefront relay "+st.Loop.Index)
 				}
@@ -138,7 +157,7 @@ func TestTracePseudoSites(t *testing.T) {
 				got = append(got, res.Trace.SiteName(int32(id)))
 			}
 			if !slices.Equal(got, want) {
-				t.Errorf("%s %v: pseudo-sites %q, want %q", k.Name, mode, got, want)
+				t.Errorf("%s %s: pseudo-sites %q, want %q", k.Name, l.label, got, want)
 			}
 		}
 	}
@@ -170,10 +189,9 @@ func TestTraceDeterminism(t *testing.T) {
 	const workers = 4
 	for _, name := range kernels {
 		t.Run(name, func(t *testing.T) {
-			cfg := exec.Config{ChaosSeed: 7, Sanitize: true,
-				WatchdogTimeout: 60 * time.Second}
-			a := traceRun(t, name, workers, exec.SPMD, cfg)
-			b := traceRun(t, name, workers, exec.SPMD, cfg)
+			cfg := exec.Config{ChaosSeed: 7, Sanitize: true, WatchdogTimeout: 60 * time.Second}
+			a := traceRun(t, name, workers, false, cfg)
+			b := traceRun(t, name, workers, false, cfg)
 			for _, res := range []*core.Result{a, b} {
 				if res.Sanitizer == nil || !res.Sanitizer.Clean() {
 					t.Fatalf("sanitizer not clean with tracer enabled:\n%v", res.Sanitizer)
@@ -206,16 +224,16 @@ func TestTraceDeterminism(t *testing.T) {
 // bucket (wavefront relays are deliberately unsited).
 func TestPerSiteStats(t *testing.T) {
 	for _, tc := range []struct {
-		kernel string
-		mode   exec.Mode
+		kernel   string
+		baseline bool
 	}{
-		{"dotchain", exec.ForkJoin},
-		{"dotchain", exec.SPMD},
-		{"jacobi1d", exec.SPMD},
-		{"guardedpivot", exec.SPMD},
+		{"dotchain", true},
+		{"dotchain", false},
+		{"jacobi1d", false},
+		{"guardedpivot", false},
 	} {
-		t.Run(fmt.Sprintf("%s/%s", tc.kernel, tc.mode), func(t *testing.T) {
-			res := traceRun(t, tc.kernel, 4, tc.mode, exec.Config{})
+		t.Run(fmt.Sprintf("%s/%s", tc.kernel, modeOf(tc.baseline)), func(t *testing.T) {
+			res := traceRun(t, tc.kernel, 4, tc.baseline, exec.Config{})
 			st := res.Stats
 			if len(st.PerSite) == 0 {
 				t.Fatal("no per-site stats recorded")
@@ -267,7 +285,7 @@ func TestTraceOffNoRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 2, Params: k.Params, Mode: exec.SPMD})
+	r, err := c.NewRunner(exec.Config{Workers: 2, Params: k.Params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +305,7 @@ func TestTraceOffNoRecorder(t *testing.T) {
 // run: totals must reconcile with the recorder and imbalance profiles
 // must exist for barrier sites.
 func TestTraceSummaryEndToEnd(t *testing.T) {
-	res := traceRun(t, "dotchain", 4, exec.ForkJoin, exec.Config{})
+	res := traceRun(t, "dotchain", 4, true, exec.Config{})
 	s := synctrace.Summarize(res.Trace)
 	if s.Events != res.Trace.Recorded() {
 		t.Errorf("summary events %d != recorded %d", s.Events, res.Trace.Recorded())
@@ -322,7 +340,7 @@ func TestTracedRunPaysForItsEventsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewRunner(exec.Config{Workers: 2, Mode: exec.SPMD, Trace: true, FixedWidth: true,
+	r, err := c.NewRunner(exec.Config{Workers: 2, Trace: true, FixedWidth: true,
 		Params: map[string]int64{"N": 64, "T": 4}})
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func TestWidthDecisionsGolden(t *testing.T) {
 		}
 		for _, P := range []int{2, 4} {
 			label := fmt.Sprintf("%s %s %s P=%d", in.Workload, in.Kernel.Name, paramString(in.Params), P)
-			cfg := exec.Config{Workers: P, Params: in.Params, Mode: exec.SPMD}
+			cfg := exec.Config{Workers: P, Params: in.Params}
 			r, err := c.NewRunner(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -86,7 +86,7 @@ func TestWidthDecisionsGolden(t *testing.T) {
 			if d.W < P {
 				fixed := cfg
 				fixed.FixedWidth = true
-				requireSameFinalState(t, label, c, in.Kernel.Tol, fixed, cfg, 0)
+				requireSameFinalState(t, label, c.NewRunner, in.Kernel.Tol, fixed, cfg, 0)
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func requireFixedWidths(t *testing.T) {
 			t.Errorf("%s: %v, want the width fixed at P=%d by %q", what, d, cfg.Workers, why)
 		}
 	}
-	cfg := exec.Config{Workers: 2, Params: params, Mode: exec.SPMD}
+	cfg := exec.Config{Workers: 2, Params: params}
 	if r, err := c.NewRunner(cfg); err != nil || r.Width() != 1 {
 		t.Fatalf("jacobi1d at %v: %v, want width 1", params, err)
 	}
@@ -168,7 +168,7 @@ func requireFixedWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := exec.Config{Workers: 2, Params: map[string]int64{"N": 16, "T": 1}, Mode: exec.SPMD}
+		cfg := exec.Config{Workers: 2, Params: map[string]int64{"N": 16, "T": 1}}
 		decide(name+" inspector site", c, cfg, false, "inspector")
 		if name == "spmvcsr" {
 			decide("spmvcsr fork-join CSR rows", c, cfg, true, "do not evaluate")
@@ -187,13 +187,13 @@ func requireNarrowedStates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		for _, mode := range []exec.Mode{exec.SPMD, exec.ForkJoin} {
-			cfg := exec.Config{Workers: 4, Params: clampParams(k.Params), Mode: mode}
+		for _, l := range legs(c) {
+			cfg := exec.Config{Workers: 4, Params: clampParams(k.Params)}
 			fixed := cfg
 			fixed.FixedWidth = true
 			for w := 1; w < cfg.Workers; w++ {
-				requireSameFinalState(t, fmt.Sprintf("%s %v width %d of 4", k.Name, mode, w),
-					c, k.Tol, fixed, cfg, w)
+				requireSameFinalState(t, fmt.Sprintf("%s %s width %d of 4", k.Name, l.label, w),
+					l.newRunner, k.Tol, fixed, cfg, w)
 			}
 		}
 	}
@@ -208,19 +208,16 @@ func paramString(params map[string]int64) string {
 	return strings.Join(parts, " ")
 }
 
-// requireSameFinalState fails unless c's runs under the two
-// configurations leave the same state: bitwise, or within tol for a kernel
-// with reductions (a narrower team folds other partials). A positive width
-// overrides the narrowed runner's own.
-func requireSameFinalState(t *testing.T, label string, c *core.Compiled, tol float64,
-	fixed, narrowed exec.Config, width int) {
+// requireSameFinalState fails unless the runs of newRunner's schedule under
+// the two configurations leave the same state: bitwise, or within tol for a
+// kernel with reductions (a narrower team folds other partials). A positive
+// width overrides the narrowed runner's own.
+func requireSameFinalState(t *testing.T, label string, newRunner func(exec.Config) (*core.Runner, error),
+	tol float64, fixed, narrowed exec.Config, width int) {
 	t.Helper()
 	var states [2]*interp.State
+	var c *core.Compiled
 	for i, cfg := range []exec.Config{fixed, narrowed} {
-		newRunner := c.NewRunner
-		if cfg.Mode == exec.ForkJoin {
-			newRunner = c.NewBaselineRunner
-		}
 		r, err := newRunner(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -232,7 +229,7 @@ func requireSameFinalState(t *testing.T, label string, c *core.Compiled, tol flo
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		states[i] = res.State
+		states[i], c = res.State, r.Compiled()
 	}
 	if d := exec.ComparableDiff(states[0], states[1], c.Prog); d > tol {
 		t.Errorf("%s: the narrowed run's state differs from the fixed-width run's by %g", label, d)

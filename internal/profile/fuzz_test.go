@@ -36,7 +36,8 @@ const fullSite = `{"schema_version":1,"tool":"spmd-profile","payload":{"profile_
 	`"scans":4,"empty_crossings":6,"wait_crossings":7,"conservative":8}]}}`
 
 // TestDecodeRejectsNegativeFields: every count and duration of a profile
-// is non-negative; a file that says otherwise is not a profile.
+// is non-negative, site ids are distinct and 1-based, and a profile covers
+// at least one run; a file that says otherwise is not a profile.
 func TestDecodeRejectsNegativeFields(t *testing.T) {
 	if _, err := Decode([]byte(fullSite)); err != nil {
 		t.Fatalf("valid profile rejected: %v", err)
@@ -55,6 +56,9 @@ func TestDecodeRejectsNegativeFields(t *testing.T) {
 		{`"wait_crossings":7`, `"wait_crossings":-7`},
 		{`"conservative":8`, `"conservative":-8`},
 		{`"span_ns":1`, `"span_ns":-1`},
+		{`"site":1`, `"site":0`},
+		{`"runs":1`, `"runs":0`},
+		{`"sites":[{`, `"sites":[{"site":1},{`},
 	} {
 		b := strings.Replace(fullSite, c.from, c.to, 1)
 		if b == fullSite {

@@ -145,17 +145,17 @@ func (p *Profile) normalize() error {
 	for i := range p.Sites {
 		sp := &p.Sites[i]
 		if sp.Site < 1 {
-			return fmt.Errorf("profile: invalid site id %d (ids are 1-based)", sp.Site)
+			return fmt.Errorf("%w: invalid site id %d (ids are 1-based)", ErrEnvelope, sp.Site)
 		}
 		if i > 0 && sp.Site == p.Sites[i-1].Site {
-			return fmt.Errorf("profile: duplicate site id %d", sp.Site)
+			return fmt.Errorf("%w: duplicate site id %d", ErrEnvelope, sp.Site)
 		}
 		if name, v, ok := sp.negativeField(); ok {
 			return fmt.Errorf("%w: site %d has negative %s %d", ErrEnvelope, sp.Site, name, v)
 		}
 	}
 	if p.Runs < 1 {
-		return fmt.Errorf("profile: runs=%d, want >= 1", p.Runs)
+		return fmt.Errorf("%w: runs=%d, want >= 1", ErrEnvelope, p.Runs)
 	}
 	if p.SpanNS < 0 {
 		return fmt.Errorf("%w: negative span_ns %d", ErrEnvelope, p.SpanNS)

@@ -145,15 +145,8 @@ type paddedInt struct {
 	_   pad
 }
 
-// NewBarrier constructs a barrier of the given kind for n workers. Teams
-// bind their barrier to the team Monitor; a barrier built directly here is
-// unmonitored (no watchdog, no abort) but still escalates its waits.
-func NewBarrier(kind BarrierKind, n int) Barrier { return newBarrier(kind, n, nil) }
-
+// newBarrier builds a team's barrier; NewTeam has checked n >= 1.
 func newBarrier(kind BarrierKind, n int, m *Monitor) Barrier {
-	if n <= 0 {
-		panic("spmdrt: barrier needs at least one worker")
-	}
 	switch kind {
 	case Tree:
 		return newTreeBarrier(n, m)
@@ -336,10 +329,6 @@ type Counter struct {
 	kindPost, kindWait synctrace.Kind
 }
 
-// NewCounter returns an unmonitored counter starting at zero; use
-// Team.NewCounter to bind a counter to a team's watchdog.
-func NewCounter() *Counter { return &Counter{} }
-
 // BindTrace attaches a trace recorder: AddAs records an instant `post`
 // event and WaitGEAs records a `wait` span, both tagged with the given
 // sync-site id. Setup-time only.
@@ -413,14 +402,6 @@ type P2P struct {
 	// Trace recording (BindTrace): nil rec disables with one branch.
 	rec       *synctrace.Recorder
 	traceSite int32
-}
-
-// NewP2P builds unmonitored completion counters for n workers; use
-// Team.NewP2P to bind them to a team's watchdog.
-func NewP2P(n int) *P2P { return newP2P(n, nil) }
-
-func newP2P(n int, m *Monitor) *P2P {
-	return &P2P{slots: make([]paddedCounter, n), mon: m}
 }
 
 // paddedCounter keeps worker w's slot off the cache line worker w+1 posts
@@ -548,7 +529,7 @@ func (t *Team) NewCounter() *Counter { return &Counter{mon: t.mon} }
 
 // NewP2P returns per-worker completion counters bound to this team's
 // watchdog.
-func (t *Team) NewP2P() *P2P { return newP2P(t.N, t.mon) }
+func (t *Team) NewP2P() *P2P { return &P2P{slots: make([]paddedCounter, t.N), mon: t.mon} }
 
 // Run executes fn(w) on n concurrent workers and returns when all finish.
 // A worker panic cancels the rest of the team (workers blocked in

@@ -71,8 +71,8 @@ func itoa(n int) string {
 }
 
 func TestCounterProducerConsumer(t *testing.T) {
-	c := NewCounter()
 	team := NewTeam(8, Central)
+	c := team.NewCounter()
 	data := make([]int64, 8)
 	err := team.Run(func(w int) {
 		if w < 4 {
@@ -96,7 +96,7 @@ func TestCounterProducerConsumer(t *testing.T) {
 }
 
 func TestCounterMonotonicWaits(t *testing.T) {
-	c := NewCounter()
+	c := NewTeam(1, Central).NewCounter()
 	done := make(chan struct{})
 	go func() {
 		c.WaitGE(10)
@@ -111,8 +111,8 @@ func TestCounterMonotonicWaits(t *testing.T) {
 func TestP2PPipeline(t *testing.T) {
 	const n = 6
 	const steps = 200
-	p := NewP2P(n)
 	team := NewTeam(n, Central)
+	p := team.NewP2P()
 	// Pipeline: worker w at step s waits for worker w-1 to have posted
 	// step s. progress[w] must therefore never exceed progress[w-1].
 	progress := make([]atomic.Int64, n)
@@ -175,15 +175,6 @@ func TestNewTeamPanics(t *testing.T) {
 	NewTeam(0, Central)
 }
 
-func TestNewBarrierPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBarrier(0 workers) did not panic")
-		}
-	}()
-	NewBarrier(Tree, 0)
-}
-
 func TestSingleWorkerBarrierIsNoop(t *testing.T) {
 	for _, k := range []BarrierKind{Central, Tree, Dissemination} {
 		team := NewTeam(1, k)
@@ -206,7 +197,7 @@ func TestSingleWorkerBarrierIsNoop(t *testing.T) {
 // slots concurrently, so each slot has to start at least one (adjacent-line
 // prefetched) cache-line pair after the one before it.
 func TestP2PSlotsDoNotShareALine(t *testing.T) {
-	p := NewP2P(4)
+	p := NewTeam(4, Central).NewP2P()
 	for w := 1; w < 4; w++ {
 		if d := uintptr(unsafe.Pointer(&p.slots[w].v)) - uintptr(unsafe.Pointer(&p.slots[w-1].v)); d < 128 {
 			t.Fatalf("slots %d and %d are %d bytes apart", w-1, w, d)

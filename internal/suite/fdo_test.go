@@ -39,7 +39,7 @@ func TestFDOPropertySuite(t *testing.T) {
 				p := p
 				t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 					r, err := c.NewRunner(exec.Config{
-						Workers: p, Params: k.Params, Mode: exec.SPMD, Trace: true, FixedWidth: true})
+						Workers: p, Params: k.Params, Trace: true, FixedWidth: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,7 +99,7 @@ func TestFDOPropertySuite(t *testing.T) {
 
 					// The flipped schedule still computes the answer.
 					r2, err := c2.NewRunner(exec.Config{
-						Workers: p, Params: k.Params, Mode: exec.SPMD, Trace: true, FixedWidth: true})
+						Workers: p, Params: k.Params, Trace: true, FixedWidth: true})
 					if err != nil {
 						t.Fatal(err)
 					}

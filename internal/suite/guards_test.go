@@ -52,7 +52,7 @@ func TestOverheadGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := func(trace bool) *core.Runner {
-		r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.Params, Mode: exec.SPMD, Trace: trace, FixedWidth: true})
+		r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.Params, Trace: trace, FixedWidth: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func fdoLegs(t *testing.T, name string, workers int) (static, guided Leg) {
 		t.Fatal(err)
 	}
 	runner := func(c *core.Compiled) *core.Runner {
-		r, err := c.NewRunner(exec.Config{Workers: workers, Params: k.Params, Mode: exec.SPMD, Trace: true, FixedWidth: true})
+		r, err := c.NewRunner(exec.Config{Workers: workers, Params: k.Params, Trace: true, FixedWidth: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -290,7 +290,7 @@ func TestIrregularChaosSanitized(t *testing.T) {
 			for _, w := range []int{3, 5, 8} {
 				for seed := int64(1); seed <= 3; seed++ {
 					r, err := c.NewRunner(exec.Config{
-						Workers: w, Params: params, Mode: exec.SPMD,
+						Workers: w, Params: params,
 						Sanitize: true, ChaosSeed: seed})
 					if err != nil {
 						t.Fatal(err)
@@ -324,7 +324,7 @@ func TestIrregularDropSite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := core.ToCertify(c.Schedule.Lower(false))
+			cs := core.ToCertify(c.Schedule.Lower())
 			kinds := cs.Kinds()
 			for i, kind := range kinds {
 				if kind == certify.KindNone {

@@ -114,7 +114,7 @@ func Measure(k Kernel, opt MeasureOptions) (Metrics, error) {
 	m.DynBase = bres.Stats
 
 	optr, err := c.NewRunner(exec.Config{
-		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, Mode: exec.SPMD, FixedWidth: true})
+		Workers: opt.Workers, Barrier: opt.Barrier, Params: params, FixedWidth: true})
 	if err != nil {
 		return m, err
 	}

@@ -29,7 +29,7 @@ func TestClosureBackendChaosSanitize(t *testing.T) {
 				t.Fatalf("sequential: %v", err)
 			}
 			r, err := c.NewRunner(exec.Config{
-				Workers: 8, Params: k.Params, Mode: exec.SPMD,
+				Workers: 8, Params: k.Params,
 				ChaosSeed: 42, Sanitize: true})
 			if err != nil {
 				t.Fatalf("runner: %v", err)

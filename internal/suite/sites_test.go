@@ -27,7 +27,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			runner, err := c.NewRunner(exec.Config{
-				Workers: 4, Params: k.Params, Mode: exec.SPMD, Sanitize: true,
+				Workers: 4, Params: k.Params, Sanitize: true,
 				Trace: true})
 			if err != nil {
 				t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 				t.Fatalf("remarks: %d, executor sync sites: %d", len(set.Remarks), n)
 			}
 			classes := runner.SyncSiteClasses()
-			cs := core.ToCertify(c.Schedule.Lower(false))
+			cs := core.ToCertify(c.Schedule.Lower())
 			kinds := cs.Kinds()
 			if len(kinds) != n {
 				t.Fatalf("certifier sites: %d, executor sync sites: %d", len(kinds), n)
@@ -175,7 +175,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 			// Baseline remarks must carry the baseline runner's numbering
 			// and real positions (the satellite fix: the fork-join join
 			// barrier is a first-class site, not an anonymous reason).
-			bset := c.BaselineRemarks()
+			bset := c.Baseline.Remarks()
 			brunner, err := c.NewBaselineRunner(exec.Config{Workers: 4, Params: k.Params})
 			if err != nil {
 				t.Fatal(err)

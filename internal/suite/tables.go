@@ -99,7 +99,7 @@ func Table4(w io.Writer, names []string, workerList []int) error {
 			if err != nil {
 				return err
 			}
-			decided, err := c.NewRunner(exec.Config{Workers: p, Params: k.Params, Mode: exec.SPMD})
+			decided, err := c.NewRunner(exec.Config{Workers: p, Params: k.Params})
 			if err != nil {
 				return err
 			}
@@ -119,7 +119,7 @@ func elapsedBaseVsOpt(c *core.Compiled, params map[string]int64, workers, n int)
 	if err != nil {
 		return Comparison{}, err
 	}
-	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, Mode: exec.SPMD, FixedWidth: true})
+	opt, err := c.NewRunner(exec.Config{Workers: workers, Params: params, FixedWidth: true})
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -168,11 +168,11 @@ func Figure4(w io.Writer, names []string, workerList []int) error {
 		for _, p := range workerList {
 			row := make([]float64, 0, 4)
 			for _, costs := range []costsim.Costs{costsim.SharedMemory(), costsim.SoftwareDSM()} {
-				base, err := costsim.Simulate(c.Baseline, c.Plan, k.Params, p, costsim.ForkJoin, costs)
+				base, err := costsim.Simulate(c.Baseline, c.Plan, k.Params, p, costs)
 				if err != nil {
 					return err
 				}
-				opt, err := costsim.Simulate(c.Schedule, c.Plan, k.Params, p, costsim.SPMD, costs)
+				opt, err := costsim.Simulate(c.Schedule, c.Plan, k.Params, p, costs)
 				if err != nil {
 					return err
 				}

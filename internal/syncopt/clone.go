@@ -9,10 +9,11 @@ import "repro/internal/ir"
 // original's step program.
 func (s *Schedule) Clone() *Schedule {
 	out := &Schedule{
-		Prog:    s.Prog,
-		Info:    s.Info,
-		Modes:   s.Modes,
-		Regions: make(map[*ir.Loop]*RegionSched, len(s.Regions)),
+		Prog:     s.Prog,
+		Info:     s.Info,
+		Modes:    s.Modes,
+		Regions:  make(map[*ir.Loop]*RegionSched, len(s.Regions)),
+		Baseline: s.Baseline,
 	}
 	conv := func(rs *RegionSched) *RegionSched {
 		return &RegionSched{Loop: rs.Loop, Groups: rs.Groups, After: append([]Sync(nil), rs.After...)}
@@ -31,7 +32,7 @@ func (s *Schedule) Clone() *Schedule {
 // a Clone) rewrite primitives by site id.
 func (s *Schedule) Boundaries() []*Sync {
 	var out []*Sync
-	for _, site := range s.Lower(false).Sites {
+	for _, site := range s.Lower().Sites {
 		out = append(out, site.Sync)
 	}
 	return out

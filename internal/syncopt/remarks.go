@@ -13,7 +13,7 @@ import (
 // StatsSnapshot.PerSite, SabotageEdge and certify.DropSite numbering.
 func (s *Schedule) Remarks() *remarks.Set {
 	set := &remarks.Set{Program: s.Prog.Name}
-	for i, site := range s.Lower(false).Sites {
+	for i, site := range s.Lower().Sites {
 		set.Remarks = append(set.Remarks, s.remarkAt(site.Region, site.Index, i+1))
 	}
 	return set

@@ -71,10 +71,11 @@ type Steps struct {
 // Lower flattens the schedule into steps, numbering its sites in global
 // order: a region's boundaries, then the regions of its sequential loops
 // in statement order, from the top region down. A boundary the schedule
-// leaves unsynchronized keeps its site but gets no step. forkJoin lowers
-// for the fork-join executor: a dispatch precedes every parallel loop, and
-// replicated statements and wavefront loops run on the master.
-func (s *Schedule) Lower(forkJoin bool) *Steps {
+// leaves unsynchronized keeps its site but gets no step. A Baseline
+// schedule lowers for the fork-join executor: a dispatch precedes every
+// parallel loop, and replicated statements and wavefront loops run on the
+// master.
+func (s *Schedule) Lower() *Steps {
 	p := &Steps{}
 	emit := func(st Step) int {
 		p.Steps = append(p.Steps, st)
@@ -94,13 +95,13 @@ func (s *Schedule) Lower(forkJoin bool) *Steps {
 				mode := s.Modes[st]
 				switch {
 				case mode == region.ModeParallel:
-					if forkJoin {
+					if s.Baseline {
 						emit(Step{Kind: StepDispatch})
 					}
 					prod = append(prod, emit(Step{Kind: StepParallel, Loop: st.(*ir.Loop)}))
-				case mode == region.ModeWavefront && !forkJoin:
+				case mode == region.ModeWavefront && !s.Baseline:
 					prod = append(prod, emit(Step{Kind: StepWavefront, Loop: st.(*ir.Loop)}))
-				case mode == region.ModeReplicated && !forkJoin:
+				case mode == region.ModeReplicated && !s.Baseline:
 					emit(Step{Kind: StepReplicated, Stmts: g.Stmts[i : i+1]})
 				case mode == region.ModeSeqLoop:
 					l := st.(*ir.Loop)

@@ -223,6 +223,10 @@ type Schedule struct {
 	Modes   map[ir.Stmt]region.Mode
 	Top     *RegionSched
 	Regions map[*ir.Loop]*RegionSched
+	// Baseline marks the fork-join schedule (Options.Baseline). It decides
+	// how the schedule lowers (Lower) and so which executor runs it: the
+	// fork-join master and team, or SPMD workers.
+	Baseline bool
 }
 
 // Options control the optimizer for ablation studies (DESIGN.md A2/A3).
@@ -243,10 +247,11 @@ type Options struct {
 // Build computes the schedule for a program using the given analyzer.
 func Build(a *comm.Analyzer, opts Options) *Schedule {
 	sched := &Schedule{
-		Prog:    a.Ctx.Prog,
-		Info:    a.Info,
-		Modes:   a.Modes,
-		Regions: map[*ir.Loop]*RegionSched{},
+		Prog:     a.Ctx.Prog,
+		Info:     a.Info,
+		Modes:    a.Modes,
+		Regions:  map[*ir.Loop]*RegionSched{},
+		Baseline: opts.Baseline,
 	}
 	sched.Top = buildRegion(a, sched, nil, a.Ctx.Prog.Body, nil, opts)
 	return sched
@@ -456,7 +461,7 @@ type StaticCounts struct {
 // Static returns the static synchronization-site counts.
 func (s *Schedule) Static() StaticCounts {
 	var c StaticCounts
-	for _, site := range s.Lower(false).Sites {
+	for _, site := range s.Lower().Sites {
 		switch site.Class {
 		case comm.ClassBarrier:
 			c.Barriers++
