@@ -6,13 +6,13 @@
 //	go test -bench=InnerLoop -benchtime=20x .          # closure hot loop, assigns/s
 //	go test -bench=SeedState -benchtime=200x .         # a run's state allocation and seeding
 //	go test -bench=FineGrain -benchtime=20x .          # one thread vs two workers at sync_p2p's grain
-//	go test -bench=WidthDecision .                     # what choosing a runner's team width costs
 //	go test -bench=InspectorScan -benchtime=2000x .    # inspector scan, ns per visited element
 //
 // Barrier and counter latency, kernel run time and compile time are
 // per-layer metrics of `go run ./bench` (spmdrt.barrier_ns.*,
 // spmdrt.counter_ns, exec.run_ms / exec.base_run_ms, core.compile_ms);
-// Figure 1 is `go run ./cmd/benchtab -fig 1`.
+// Figure 1 is `go run ./cmd/benchtab -fig 1`; what choosing a runner's team
+// width costs is `go test -run '^$' -bench=WidthDecision ./internal/exec`.
 package repro_test
 
 import (
@@ -21,11 +21,11 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/costsim"
 	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/linear"
+	"repro/internal/parser"
 	"repro/internal/suite"
 )
 
@@ -72,7 +72,10 @@ func BenchmarkInnerLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("%s/N%d", tc.name, tc.params["N"]), func(b *testing.B) {
-			prog := k.Program()
+			prog, err := parser.Parse(k.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
 			_, assigns, err := interp.RunCount(prog, tc.params)
 			if err != nil {
 				b.Fatal(err)
@@ -141,7 +144,10 @@ func BenchmarkSeedState(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog := k.Program()
+		prog, err := parser.Parse(k.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("%s/%s/N%d", tc.workload, tc.name, tc.params["N"]), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -212,29 +218,6 @@ func BenchmarkFineGrain(b *testing.B) {
 				b.ReportMetric(float64(runner.Width()), "width")
 			})
 		}
-	}
-}
-
-// BenchmarkWidthDecision times the width decision alone — the run's
-// closed-form estimate and the choice between one worker and P=2, what
-// NewRunner adds — on every suite program of the bench's workloads at its
-// nominal size. A schedule the estimate refuses (an inspector site) stops at the
-// refusal, as NewRunner does.
-func BenchmarkWidthDecision(b *testing.B) {
-	for _, in := range suite.BenchInputs() {
-		c, err := core.Compile(in.Kernel.Source, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		low := c.Schedule.Lower()
-		b.Run(in.Workload+"/"+in.Kernel.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if est, err := costsim.EstimateRun(low, c.Plan, c.Prog, in.Params); err == nil {
-					costsim.HostTable.Width(est, 2)
-				}
-			}
-		})
 	}
 }
 

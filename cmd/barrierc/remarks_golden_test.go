@@ -86,7 +86,7 @@ func TestRemarksGolden(t *testing.T) {
 		t.Error("site 1 (top boundary) should be eliminated")
 	}
 	for _, id := range []int{2, 3} {
-		r := set.BySite(id)
+		r := &set.Remarks[id-1]
 		if r.Primitive != remarks.PrimNeighbor {
 			t.Errorf("site %d primitive = %q, want neighbor", id, r.Primitive)
 		}

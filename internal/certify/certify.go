@@ -1,7 +1,6 @@
 package certify
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -117,15 +116,6 @@ type OrderRec struct {
 	// the ordering itself holds given the inspector's runtime conflict
 	// resolution at the named site.
 	Conditional bool `json:"conditional,omitempty"`
-}
-
-// JSON renders the certificate.
-func (c *Certificate) JSON() []byte {
-	b, err := json.MarshalIndent(c, "", "  ")
-	if err != nil { // only on unmarshalable types, which these are not
-		return []byte("{}")
-	}
-	return append(b, '\n')
 }
 
 // Analyze recomputes every cross-processor flow of prog between the

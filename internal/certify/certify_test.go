@@ -27,7 +27,8 @@ func TestSuiteKernelsCertify(t *testing.T) {
 	for _, k := range suite.Kernels() {
 		t.Run(k.Name, func(t *testing.T) {
 			c := compile(t, k.Source)
-			cert, viols, err := c.Certify()
+			v := c.Verdict()
+			cert, viols, err := v.Certificate, v.Violations, v.Err
 			if err != nil {
 				t.Fatalf("oracle disagreement: %v", err)
 			}

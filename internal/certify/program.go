@@ -122,15 +122,6 @@ type Program struct {
 	Sites []Site
 }
 
-// Kinds returns the boundary kind at every site, indexed by site id.
-func (p *Program) Kinds() []Kind {
-	out := make([]Kind, len(p.Sites))
-	for i, s := range p.Sites {
-		out[i] = s.Kind
-	}
-	return out
-}
-
 // DropSite returns a copy of the program with the site of the given id
 // demoted to KindNone — the static analogue of the executor's SabotageEdge
 // fault injection. Its sync step stays and orders nothing.

@@ -15,10 +15,10 @@ import (
 // (or both errors).
 func runBoth(t *testing.T, src string, params map[string]int64) (*interp.State, error, *interp.State, error) {
 	t.Helper()
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	iSt, iErr := interp.Run(prog, params)
 
-	cProg := parser.MustParse(src) // fresh AST: Compile must not depend on shared nodes
+	cProg := mustParse(src) // fresh AST: Compile must not depend on shared nodes
 	p, err := Compile(cProg, nil, Options{})
 	if err != nil {
 		return iSt, iErr, nil, err
@@ -324,4 +324,14 @@ end
 			}
 		})
 	}
+}
+
+// mustParse parses src and panics on error: the sources are the tests' own
+// constants or suite kernels.
+func mustParse(src string) *ir.Program {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }

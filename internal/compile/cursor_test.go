@@ -9,7 +9,6 @@ import (
 	"repro/internal/compile/cursortest"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/parser"
 	"repro/internal/sanitize"
 )
 
@@ -17,7 +16,7 @@ import (
 // state, returning the state as the run left it, the frame and the error.
 func seqRun(t *testing.T, src string, params map[string]int64, opt Options) (*interp.State, *Frame, error) {
 	t.Helper()
-	st, err := interp.NewState(parser.MustParse(src), params)
+	st, err := interp.NewState(mustParse(src), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestHoistedCheckKeepsEveryFault(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			cSt, cFr, cErr := seqRun(t, tc.Src, tc.Params, Options{})
 			pSt, pFr, pErr := seqRun(t, tc.Src, tc.Params, Options{Instrument: true})
-			iSt, err := interp.NewState(parser.MustParse(tc.Src), tc.Params)
+			iSt, err := interp.NewState(mustParse(tc.Src), tc.Params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +126,7 @@ do i = 1, N + 2
 end do
 end
 `
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	p, err := Compile(prog, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +243,7 @@ func TestGatherKeepsEveryFault(t *testing.T) {
 			if got := cFr.Fallbacks > 0; got != tc.fallback || pFr.Fallbacks != 0 {
 				t.Fatalf("fallback entries: %d (instrumented %d), want fallback=%v", cFr.Fallbacks, pFr.Fallbacks, tc.fallback)
 			}
-			iSt, err := interp.NewState(parser.MustParse(tc.src), params)
+			iSt, err := interp.NewState(mustParse(tc.src), params)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,13 +46,13 @@ func TestEntryDecisionsGolden(t *testing.T) {
 			what, fr.Rows, fr.Fallbacks, fr.Checks, legal()-before, err != nil)
 	}
 	for _, tc := range cursortest.Cases {
-		decide("case "+tc.Name, parser.MustParse(tc.Src), tc.Params)
+		decide("case "+tc.Name, mustParse(tc.Src), tc.Params)
 	}
 	for _, tc := range cursortest.RowCases {
-		decide("row-case "+tc.Name, parser.MustParse(tc.Src), tc.Params)
+		decide("row-case "+tc.Name, mustParse(tc.Src), tc.Params)
 	}
 	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
-		decide("kernel "+k.Name, k.Program(), k.Params)
+		decide("kernel "+k.Name, mustParse(k.Source), k.Params)
 	}
 	path := filepath.Join("testdata", "entry_decisions.golden")
 	if *update {
@@ -68,4 +68,14 @@ func TestEntryDecisionsGolden(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("%s drifted (go test ./internal/compile -run %s -update)", path, t.Name())
 	}
+}
+
+// mustParse parses src and panics on error: the sources are the tests' own
+// constants or suite kernels.
+func mustParse(src string) *ir.Program {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/parser"
 )
 
 // BenchmarkEntry times what one loop entry costs the driver of its entry plan
@@ -30,7 +29,7 @@ func BenchmarkEntry(b *testing.B) {
 		{"nest/4x16", "real A(N, N), B(N, N)\ndo i = 1, N\n  do j = 1, N\n    A(i, j) = B(i, j) * 0.5 + 1.0\n  end do\nend do", 16, 4},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			prog := parser.MustParse("program e\nparam N\n" + tc.src + "\nend\n")
+			prog := mustParse("program e\nparam N\n" + tc.src + "\nend\n")
 			p, err := Compile(prog, nil, Options{})
 			if err != nil {
 				b.Fatal(err)

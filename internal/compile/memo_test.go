@@ -10,7 +10,6 @@ import (
 	"repro/internal/compile/cursortest"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/parser"
 )
 
 // differsFromInterp runs src on the closure program and on the interpreter
@@ -18,7 +17,7 @@ import (
 // neither does, in a bit of an array.
 func differsFromInterp(t *testing.T, src string, params map[string]int64) bool {
 	t.Helper()
-	want, err := interp.NewState(parser.MustParse(src), params)
+	want, err := interp.NewState(mustParse(src), params)
 	if err != nil {
 		t.Fatal(err)
 	}

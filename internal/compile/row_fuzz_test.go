@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/parser"
 	"repro/internal/sanitize"
 )
 
@@ -103,7 +102,7 @@ func checkRowGather(t *testing.T, data []byte) int64 {
 // without a fault the closure program's state must be the interpreter's bit
 // for bit. It returns the closure program's frame.
 func checkAgainstInterp(t *testing.T, src string, params map[string]int64, fill func(*interp.State)) *Frame {
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	fresh := func() *interp.State {
 		st, err := interp.NewState(prog, params)
 		if err != nil {
@@ -290,7 +289,7 @@ func checkRowNest(t *testing.T, data []byte) *Frame {
 		}
 	}
 	fr := checkAgainstInterp(t, src, params, fill)
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	loop := prog.Body[0].(*ir.Loop)
 	for _, step := range []int64{2, 3} {
 		for start := int64(0); start < 2; start++ {
@@ -500,7 +499,7 @@ func guardCase(data []byte) (src string, params map[string]int64, nest bool) {
 func checkRowGuard(t *testing.T, data []byte) *Frame {
 	src, params, nest := guardCase(data)
 	fr := checkAgainstInterp(t, src, params, func(*interp.State) {})
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	loop := prog.Body[0].(*ir.Loop)
 	if nest {
 		loop = loop.Body[0].(*ir.Loop)

@@ -45,7 +45,7 @@ func TestKernelsTakeRowForm(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			prog := k.Program()
+			prog := mustParse(k.Source)
 			want, err := interp.Run(prog, k.Params)
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +95,7 @@ func TestCSRRowsTakeANestPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Program()
+	prog := mustParse(k.Source)
 	p, err := compile.Compile(prog, nil, compile.Options{})
 	if err != nil {
 		t.Fatal(err)

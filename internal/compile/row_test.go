@@ -12,14 +12,13 @@ import (
 	"repro/internal/compile/cursortest"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/parser"
 )
 
 // interpRun is the reference for a sequential closure run: the interpreter
 // over an identically seeded state.
 func interpRun(t *testing.T, src string, params map[string]int64) *interp.State {
 	t.Helper()
-	st, err := interp.NewState(parser.MustParse(src), params)
+	st, err := interp.NewState(mustParse(src), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestPlanSabotagedBoxIsCaught(t *testing.T) {
 	boxDrop = 1
 	differs := func(src string, params map[string]int64, rp []float64) (differ bool) {
 		defer func() { differ = differ || recover() != nil }()
-		prog := parser.MustParse(src)
+		prog := mustParse(src)
 		run := func(seq func(*interp.State) error) (*interp.State, error) {
 			st, err := interp.NewState(prog, params)
 			if err != nil {
@@ -201,7 +200,7 @@ end do
 end
 `
 	const n = 1000
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	p, err := Compile(prog, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +263,7 @@ do i = 1, N
 end do
 end
 `
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	p, err := Compile(prog, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +306,7 @@ end
 // fresh allocation.
 func TestRowTemporariesComeFromThePool(t *testing.T) {
 	tc := cursortest.RowCases[1]
-	prog := parser.MustParse(tc.Src)
+	prog := mustParse(tc.Src)
 	p, err := Compile(prog, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +441,7 @@ end do
 end
 `
 	const n, m = 40, 30
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	p, err := Compile(prog, nil, Options{})
 	if err != nil {
 		t.Fatal(err)

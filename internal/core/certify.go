@@ -80,11 +80,3 @@ var siteKinds = [...]certify.Kind{
 func (c *Compiled) CertifyOptions() certify.Options {
 	return certify.Options{Decomp: c.Options.Decomp}
 }
-
-// Certify runs the independent static certifier over the optimized
-// schedule's step program. It returns the certificate on success or the
-// unordered flows on failure; the error reports solver-oracle disagreements
-// (in which case neither result should be trusted).
-func (c *Compiled) Certify() (*certify.Certificate, []certify.Violation, error) {
-	return certify.Certify(c.Prog, ToCertify(c.Schedule.Lower()), c.CertifyOptions())
-}

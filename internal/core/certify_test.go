@@ -18,7 +18,8 @@ func TestCertifyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, viols, err := c.Certify()
+	v := c.Verdict()
+	cert, viols, err := v.Certificate, v.Violations, v.Err
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

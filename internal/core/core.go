@@ -98,6 +98,9 @@ type Compiled struct {
 	exeErr   error
 	verOnce  [2]sync.Once
 	verdicts [2]Verdict
+	// The program hash, computed on the first ProgramHash call.
+	hashOnce sync.Once
+	progHash string
 }
 
 // Compile parses DSL source and runs the full pipeline.

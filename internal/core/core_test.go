@@ -284,8 +284,18 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := resm.State.MaxAbsDiff(resf.State); d != 0 {
-		t.Errorf("modular vs flat results differ by %g", d)
+	for _, a := range cm.Prog.Arrays {
+		x, y := resm.State.Array(a.Name).Data, resf.State.Array(a.Name).Data
+		for i := range x {
+			if x[i] != y[i] {
+				t.Fatalf("modular vs flat results differ at %s[%d]: %g vs %g", a.Name, i, x[i], y[i])
+			}
+		}
+	}
+	for name, v := range resm.State.Scalars {
+		if w := resf.State.Scalars[name]; v != w {
+			t.Errorf("modular vs flat results differ at %s: %g vs %g", name, v, w)
+		}
 	}
 	if resm.Stats.Barriers != resf.Stats.Barriers {
 		t.Errorf("dynamic barriers differ: %d vs %d", resm.Stats.Barriers, resf.Stats.Barriers)

@@ -18,11 +18,15 @@ import (
 	"repro/internal/remarks"
 )
 
-// ProgramHash returns the content hash of the compiled program's IR.
+// ProgramHash returns the content hash of the compiled program's IR,
+// computed once per compilation.
 func (c *Compiled) ProgramHash() string {
-	var sb strings.Builder
-	ir.Fprint(&sb, c.Prog)
-	return profile.HashBytes([]byte(sb.String()))
+	c.hashOnce.Do(func() {
+		var sb strings.Builder
+		ir.Fprint(&sb, c.Prog)
+		c.progHash = profile.HashBytes([]byte(sb.String()))
+	})
+	return c.progHash
 }
 
 // scheduleHash canonically renders a remark set's synchronization
@@ -39,9 +43,11 @@ func scheduleHash(set *remarks.Set) string {
 }
 
 // ScheduleHash returns the synchronization-structure hash of the schedule
-// this runner executes (the baseline schedule's for baseline runners).
+// this runner executes (the baseline schedule's for baseline runners),
+// computed once per runner: a runner's schedule never changes.
 func (r *Runner) ScheduleHash() string {
-	return scheduleHash(r.Remarks())
+	r.hashOnce.Do(func() { r.schedHash = scheduleHash(r.Remarks()) })
+	return r.schedHash
 }
 
 // Profile assembles one traced run's durable sync profile: identity

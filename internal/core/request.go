@@ -109,12 +109,6 @@ func WithFDOProfile(p *profile.Profile) RequestOption {
 // WithWorkers sets the worker count.
 func WithWorkers(p int) RequestOption { return func(r *Request) { r.Run.P = p } }
 
-// WithBaseline selects the fork-join baseline schedule.
-func WithBaseline() RequestOption { return func(r *Request) { r.Run.Baseline = true } }
-
-// WithBarrier selects the barrier implementation.
-func WithBarrier(k spmdrt.BarrierKind) RequestOption { return func(r *Request) { r.Run.Barrier = k } }
-
 // WithParams sets the program parameters.
 func WithParams(params map[string]int64) RequestOption {
 	return func(r *Request) { r.Run.Params = params }
@@ -122,9 +116,6 @@ func WithParams(params map[string]int64) RequestOption {
 
 // WithTrace records sync events.
 func WithTrace() RequestOption { return func(r *Request) { r.Run.Trace = true } }
-
-// WithProfile assembles the run's durable sync profile (forces tracing).
-func WithProfile() RequestOption { return func(r *Request) { r.Run.Profile = true } }
 
 // WithReport builds the static×runtime sync report (forces tracing).
 func WithReport() RequestOption { return func(r *Request) { r.Run.Report = true } }

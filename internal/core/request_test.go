@@ -9,9 +9,11 @@ import (
 	"io/fs"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/ir"
 	"repro/internal/profile"
 )
 
@@ -34,13 +36,12 @@ var reqParams = map[string]int64{"N": 64, "T": 4}
 
 func TestNewRequestOptions(t *testing.T) {
 	req := NewRequest(reqSrc,
-		WithLint(), WithCertify(), WithWorkers(4), WithBaseline(),
-		WithTrace(), WithProfile(), WithReport(), WithParams(reqParams))
+		WithLint(), WithCertify(), WithWorkers(4),
+		WithTrace(), WithReport(), WithParams(reqParams))
 	if !req.Compile.Lint || !req.Compile.Certify {
 		t.Fatal("compile options not applied")
 	}
-	if req.Run.P != 4 || !req.Run.Baseline || !req.Run.Trace ||
-		!req.Run.Profile || !req.Run.Report || req.Run.Params["N"] != 64 {
+	if req.Run.P != 4 || !req.Run.Trace || !req.Run.Report || req.Run.Params["N"] != 64 {
 		t.Fatalf("run options not applied: %+v", req.Run)
 	}
 }
@@ -68,7 +69,7 @@ func TestDoBasic(t *testing.T) {
 // as forced.
 func TestDoForcesTracing(t *testing.T) {
 	res, err := Do(context.Background(),
-		NewRequest(reqSrc, WithWorkers(2), WithParams(reqParams), WithProfile(), WithReport()))
+		NewRequest(reqSrc, WithWorkers(2), WithParams(reqParams), withProfile, WithReport()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDoForcesTracing(t *testing.T) {
 	}
 
 	res2, err := Do(context.Background(),
-		NewRequest(reqSrc, WithWorkers(2), WithParams(reqParams), WithTrace(), WithProfile()))
+		NewRequest(reqSrc, WithWorkers(2), WithParams(reqParams), WithTrace(), withProfile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestDoForcesTracing(t *testing.T) {
 // verifies and certifies.
 func TestDoFDORoundTrip(t *testing.T) {
 	first, err := Do(context.Background(),
-		NewRequest(reqSrc, WithWorkers(4), WithParams(reqParams), WithProfile()))
+		NewRequest(reqSrc, WithWorkers(4), WithParams(reqParams), withProfile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,6 @@ func TestNarrowedProfileIsLabelled(t *testing.T) {
 // Regenerate with: go test ./internal/core -run TestAPISurface -v (the
 // failure message prints the actual surface).
 var coreAPI = []string{
-	"Certify (Compiled)",
 	"CertifyError",
 	"CertifyOptions (Compiled)",
 	"Compile",
@@ -210,13 +210,10 @@ var coreAPI = []string{
 	"ToCertify",
 	"Verdict",
 	"Verdict (Compiled)",
-	"WithBarrier",
-	"WithBaseline",
 	"WithCertify",
 	"WithFDOProfile",
 	"WithLint",
 	"WithParams",
-	"WithProfile",
 	"WithReport",
 	"WithSpans",
 	"WithTrace",
@@ -322,3 +319,37 @@ func TestAPISurface(t *testing.T) {
 			strings.Join(coreKnobs, "\n"), strings.Join(knobs, "\n"))
 	}
 }
+
+// TestHashesComputedOnce: the program and schedule hashes are memoized on
+// the compilation and the runner, first computed while several goroutines
+// ask at once (run it under -race), and equal to the hashes computed afresh.
+func TestHashesComputedOnce(t *testing.T) {
+	c, err := Compile(reqSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.NewRunner(exec.Config{Workers: 2, Params: reqParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	ir.Fprint(&sb, c.Prog)
+	wantProg, wantSched := profile.HashBytes([]byte(sb.String())), scheduleHash(r.Remarks())
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := c.ProgramHash(); got != wantProg {
+				t.Errorf("ProgramHash = %s, want %s", got, wantProg)
+			}
+			if got := r.ScheduleHash(); got != wantSched {
+				t.Errorf("ScheduleHash = %s, want %s", got, wantSched)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// withProfile asks for the run's durable sync profile (RunOptions.Profile).
+func withProfile(r *Request) { r.Run.Profile = true }

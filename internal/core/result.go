@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/certify"
 	"repro/internal/exec"
@@ -88,13 +89,16 @@ type Result struct {
 }
 
 // Runner executes one compiled schedule. It embeds the executor's runner —
-// inspection methods (NumSyncSites, SyncSiteClasses, Mode) promote — and
+// inspection methods (Width, WidthDecision, Mode) promote — and
 // shadows Run and RunContext to return the consolidated *Result. Its
 // verdict, remarks and profile identity are those of the schedule it runs.
 type Runner struct {
 	*exec.Runner
 	c     *Compiled
 	sched *syncopt.Schedule
+	// The schedule hash, computed on the first ScheduleHash call.
+	hashOnce  sync.Once
+	schedHash string
 }
 
 // Compiled returns the compilation this runner was built from.

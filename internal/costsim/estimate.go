@@ -86,11 +86,6 @@ type Estimate struct {
 	Barriers, Counters, Neighbors, Relays, Dispatches float64
 }
 
-// Episodes is the run's sync episodes of every kind.
-func (e Estimate) Episodes() float64 {
-	return e.Barriers + e.Counters + e.Neighbors + e.Relays + e.Dispatches
-}
-
 // SyncNS is what the run's episodes cost at W workers.
 func (t Table) SyncNS(e Estimate, W int) float64 {
 	if W <= 1 {

@@ -309,18 +309,31 @@ func TestIterSliceEmptyForIdleWorker(t *testing.T) {
 	if start <= end {
 		t.Errorf("worker 3 should be idle, got [%d,%d]", start, end)
 	}
-	if got := CountActive(Block, 1, 2, 0, 2, 4); got != 2 {
-		t.Errorf("CountActive = %d, want 2", got)
+	if got := countActive(Block, 1, 2, 0, 2, 4); got != 2 {
+		t.Errorf("active workers = %d, want 2", got)
 	}
 }
 
 func TestCountActiveCyclic(t *testing.T) {
-	if got := CountActive(Cyclic, 1, 3, 0, 10, 4); got != 3 {
-		t.Errorf("CountActive = %d, want 3", got)
+	if got := countActive(Cyclic, 1, 3, 0, 10, 4); got != 3 {
+		t.Errorf("active workers = %d, want 3", got)
 	}
-	if got := CountActive(Cyclic, 1, 10, 0, 10, 4); got != 4 {
-		t.Errorf("CountActive = %d, want 4", got)
+	if got := countActive(Cyclic, 1, 10, 0, 10, 4); got != 4 {
+		t.Errorf("active workers = %d, want 4", got)
 	}
+}
+
+// countActive returns how many workers IterSlice gives at least one
+// iteration of [lo, hi].
+func countActive(kind Kind, lo, hi, off, extent int64, nproc int) int {
+	n := 0
+	for w := 0; w < nproc; w++ {
+		start, end, step := IterSlice(kind, lo, hi, off, extent, w, nproc)
+		if step > 0 && start <= end {
+			n++
+		}
+	}
+	return n
 }
 
 func TestKindString(t *testing.T) {

@@ -13,27 +13,6 @@ func BlockSize(extent int64, nproc int) int64 {
 	return (extent + n - 1) / n
 }
 
-// OwnerOf returns the worker that owns coordinate x (1-based) of a space
-// with the given extent. Coordinates outside 1..extent are clamped into
-// the valid worker range so callers can probe boundary arithmetic safely.
-func OwnerOf(kind Kind, x, extent int64, nproc int) int {
-	if x < 1 {
-		x = 1
-	}
-	if x > extent {
-		x = extent
-	}
-	if kind == Cyclic {
-		return int((x - 1) % int64(nproc))
-	}
-	b := BlockSize(extent, nproc)
-	w := int((x - 1) / b)
-	if w >= nproc {
-		w = nproc - 1
-	}
-	return w
-}
-
 // IterSlice returns the arithmetic sequence (start, end, step) of
 // iterations in [lo, hi] owned by worker w, where iteration i owns
 // coordinate x = i + off in a space of the given extent. The slice is
@@ -60,20 +39,6 @@ func IterSlice(kind Kind, lo, hi, off, extent int64, w, nproc int) (start, end, 
 		end = hi
 	}
 	return start, end, 1
-}
-
-// CountActive returns how many workers own at least one iteration of
-// [lo, hi] under the given placement arithmetic — the runtime counter
-// target for producer/consumer synchronization.
-func CountActive(kind Kind, lo, hi, off, extent int64, nproc int) int {
-	n := 0
-	for w := 0; w < nproc; w++ {
-		start, end, step := IterSlice(kind, lo, hi, off, extent, w, nproc)
-		if step > 0 && start <= end {
-			n++
-		}
-	}
-	return n
 }
 
 func mod(a, m int64) int64 {

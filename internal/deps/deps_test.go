@@ -223,7 +223,7 @@ end
 	// Make a synthetic non-affine access: A(i*i) via direct IR surgery.
 	loop := prog.Body[0].(*ir.Loop)
 	asg := loop.Body[0].(*ir.Assign)
-	asg.LHS.Subs[0] = ir.NewBin(ir.Mul, ir.NewRef("i"), ir.NewRef("i"))
+	asg.LHS.Subs[0] = &ir.Bin{Op: ir.Mul, L: ir.NewRef("i"), R: ir.NewRef("i")}
 	ctx := NewContext(prog, 1)
 	deps := ctx.CarriedByLoop(loop, nil)
 	if len(deps) == 0 {

@@ -87,8 +87,8 @@ type Config struct {
 	// under adversarial thread timing.
 	ChaosSeed int64
 	// SabotageEdge, when positive, silently drops the scheduled sync edge
-	// with that 1-based site number (see Runner.NumSyncSites and
-	// Runner.SyncSiteClasses) on every worker. This deliberately makes
+	// with that 1-based site number (its index in the schedule's
+	// Lower().Sites plus one) on every worker. This deliberately makes
 	// the schedule unsound; it exists so tests can assert that the
 	// state-comparison oracle and the sanitizer actually detect a
 	// missing edge.
@@ -135,7 +135,7 @@ type Result struct {
 	// Sanitizer is the soundness audit (nil unless Config.Sanitize).
 	Sanitizer *sanitize.Report
 	// Trace is the sync-event recorder (nil unless Config.Trace). Sites
-	// 0..NumSyncSites-1 are the scheduled boundaries (same numbering as
+	// 0..len(Lower().Sites)-1 are the scheduled boundaries (same numbering as
 	// StatsSnapshot.PerSite minus one and SabotageEdge minus one);
 	// higher ids are pseudo-sites: the fork-join dispatch, then one
 	// wavefront relay per syncopt.StepWavefront step, in step order.
@@ -318,33 +318,11 @@ func (r *Runner) lowerPlacement(pl *decomp.Placement) (*placement, error) {
 	return &placement{of: pl, offset: off, ext: ext}, err
 }
 
-// Workers returns the configured team size, P.
-func (r *Runner) Workers() int { return r.cfg.Workers }
-
 // Width returns how many of the Workers a run leases.
 func (r *Runner) Width() int { return r.width }
 
 // WidthDecision returns how NewRunner chose Width.
 func (r *Runner) WidthDecision() WidthDecision { return r.decision }
-
-// Traced reports whether runs record sync events (Config.Trace).
-func (r *Runner) Traced() bool { return r.cfg.Trace }
-
-// NumSyncSites returns the number of scheduled sync sites (region
-// boundaries), the domain of Config.SabotageEdge.
-func (r *Runner) NumSyncSites() int { return r.nSites }
-
-// SyncSiteClasses returns the scheduled synchronization class of every
-// sync site, indexed by site id (SabotageEdge minus one). Sites with
-// comm.ClassNone are boundaries the optimizer proved need no
-// synchronization; sabotaging those is a no-op.
-func (r *Runner) SyncSiteClasses() []comm.Class {
-	out := make([]comm.Class, r.nSites)
-	for i, site := range r.low.Sites {
-		out[i] = site.Class
-	}
-	return out
-}
 
 // Run executes the program on a fresh deterministically-seeded state.
 func (r *Runner) Run() (*Result, error) {

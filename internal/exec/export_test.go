@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/comm"
 	"repro/internal/compile"
 	"repro/internal/decomp"
 	"repro/internal/interp"
@@ -158,3 +159,19 @@ func RowsDetached(r *Runner, st *interp.State, kind decomp.Kind) (rows int, err 
 // SetWidth makes r's runs lease w of its workers, whatever NewRunner
 // decided: the narrowed run of a kernel the decision keeps at P.
 func SetWidth(r *Runner, w int) { r.width = w }
+
+// NumSyncSites returns the number of scheduled sync sites (region
+// boundaries), the domain of Config.SabotageEdge.
+func (r *Runner) NumSyncSites() int { return r.nSites }
+
+// SyncSiteClasses returns the scheduled synchronization class of every
+// sync site, indexed by site id (SabotageEdge minus one). Sites with
+// comm.ClassNone are boundaries the optimizer proved need no
+// synchronization; sabotaging those is a no-op.
+func (r *Runner) SyncSiteClasses() []comm.Class {
+	out := make([]comm.Class, r.nSites)
+	for i, site := range r.low.Sites {
+		out[i] = site.Class
+	}
+	return out
+}

@@ -187,7 +187,7 @@ func TestFuzzIrregularDifferential(t *testing.T) {
 				}
 			}
 		}
-		for id, kind := range cs.Kinds() {
+		for id, kind := range siteKinds(cs) {
 			if kind == certify.KindNone {
 				continue
 			}

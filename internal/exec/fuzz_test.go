@@ -194,7 +194,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: certifier rejected the verified schedule:\n%s--- source ---\n%s\n--- schedule ---\n%s",
 				seed, certify.RenderViolations(viols), src, c.Schedule.Dump())
 		}
-		for id, kind := range cs.Kinds() {
+		for id, kind := range siteKinds(cs) {
 			if kind == certify.KindNone {
 				continue
 			}
@@ -212,8 +212,8 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 			set   *remarks.Set
 			kinds []certify.Kind
 		}{
-			{"opt", c.Remarks(), cs.Kinds()},
-			{"base", c.Baseline.Remarks(), core.ToCertify(c.Baseline.Lower()).Kinds()},
+			{"opt", c.Remarks(), siteKinds(cs)},
+			{"base", c.Baseline.Remarks(), siteKinds(core.ToCertify(c.Baseline.Lower()))},
 		} {
 			if len(sch.set.Remarks) != len(sch.kinds) {
 				t.Fatalf("seed %d: %s schedule has %d sync sites but %d remarks\n--- source ---\n%s",
@@ -385,7 +385,7 @@ func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
-		for id, kind := range cs.Kinds() {
+		for id, kind := range siteKinds(cs) {
 			if kind == certify.KindNone {
 				continue
 			}
@@ -424,4 +424,13 @@ func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
 		t.Errorf("dynamic checks caught none of %d dropped edges", edges)
 	}
 	t.Logf("static rejected %d/%d dropped edges; dynamic corroborated %d", edges, edges, dynCaught)
+}
+
+// siteKinds returns the boundary kind at every site of p, indexed by site id.
+func siteKinds(p *certify.Program) []certify.Kind {
+	out := make([]certify.Kind, len(p.Sites))
+	for i, s := range p.Sites {
+		out[i] = s.Kind
+	}
+	return out
 }

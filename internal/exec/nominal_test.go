@@ -1,11 +1,13 @@
-package suite
+package exec_test
 
-// Input is a kernel at one size: what a workload of `go run ./bench`
+import "repro/internal/suite"
+
+// benchInput is a kernel at one size: what a workload of `go run ./bench`
 // runs it at, or, for a kernel no workload runs, its table size.
-type Input struct {
+type benchInput struct {
 	// Workload names the bench workload, or "table".
 	Workload string
-	Kernel   Kernel
+	Kernel   suite.Kernel
 	Params   map[string]int64
 }
 
@@ -51,23 +53,23 @@ var benchSizes = []struct {
 	{"compile_cold", "meshsmooth", map[string]int64{"N": 2048, "T": 8}},
 }
 
-// BenchInputs returns every suite program of the bench's workloads at its
+// benchInputs returns every suite program of the bench's workloads at its
 // nominal size, in workload order, then the kernels of both suites that no
 // workload runs, at their table sizes: all 21 kernels at least once.
-func BenchInputs() []Input {
-	var out []Input
+func benchInputs() []benchInput {
+	var out []benchInput
 	seen := map[string]bool{}
 	for _, b := range benchSizes {
-		k, err := Get(b.kernel)
+		k, err := suite.Get(b.kernel)
 		if err != nil {
-			k, _ = GetIrregular(b.kernel)
+			k, _ = suite.GetIrregular(b.kernel)
 		}
-		out = append(out, Input{Workload: b.workload, Kernel: k, Params: b.params})
+		out = append(out, benchInput{Workload: b.workload, Kernel: k, Params: b.params})
 		seen[k.Name] = true
 	}
-	for _, k := range append(Kernels(), IrregularKernels()...) {
+	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
 		if !seen[k.Name] {
-			out = append(out, Input{Workload: "table", Kernel: k, Params: k.Params})
+			out = append(out, benchInput{Workload: "table", Kernel: k, Params: k.Params})
 		}
 	}
 	return out

@@ -153,8 +153,12 @@ func TestTracePseudoSites(t *testing.T) {
 				}
 			}
 			var got []string
-			for id := r.NumSyncSites(); id < res.Trace.NumSites(); id++ {
-				got = append(got, res.Trace.SiteName(int32(id)))
+			for id := r.NumSyncSites(); ; id++ {
+				name := res.Trace.SiteName(int32(id))
+				if name == "(unsited)" { // past the last registered site
+					break
+				}
+				got = append(got, name)
 			}
 			if !slices.Equal(got, want) {
 				t.Errorf("%s %s: pseudo-sites %q, want %q", k.Name, l.label, got, want)

@@ -19,7 +19,7 @@ import (
 
 // TestWidthDecisionsGolden pins the team width NewRunner chooses for every
 // suite program of the bench's workloads at its nominal size, and for the
-// kernels no workload runs at their table sizes (suite.BenchInputs), at P ∈
+// kernels no workload runs at their table sizes (benchInputs), at P ∈
 // {2, 4} under the optimized schedule: per line W, the one-worker compute per
 // sync episode C/E and the mean episode s(P) in ns, and the predicted run
 // time at P over that at one worker; or why the width is fixed at P. Beside
@@ -35,7 +35,7 @@ import (
 func TestWidthDecisionsGolden(t *testing.T) {
 	var out bytes.Buffer
 	narrowAtP2 := map[string]bool{"jacobi1d": true, "redblack": true, "pipeline": true}
-	for _, in := range suite.BenchInputs() {
+	for _, in := range benchInputs() {
 		c, err := core.Compile(in.Kernel.Source, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", in.Kernel.Name, err)
@@ -58,7 +58,7 @@ func TestWidthDecisionsGolden(t *testing.T) {
 			if d.W != r.Width() || d.W != 1 && d.W != P || d.P != P {
 				t.Errorf("%s: width %d (decision %v), want 1 or %d", label, r.Width(), d, P)
 			}
-			tab, e := costsim.HostTable, d.Est.Episodes()
+			tab, e := costsim.HostTable, d.Est.Barriers+d.Est.Counters+d.Est.Neighbors+d.Est.Relays+d.Est.Dispatches
 			ratio := tab.MakespanNS(d.Est, P) / tab.MakespanNS(d.Est, 1)
 			switch {
 			case d.Fixed != "":
@@ -233,5 +233,28 @@ func requireSameFinalState(t *testing.T, label string, newRunner func(exec.Confi
 	}
 	if d := exec.ComparableDiff(states[0], states[1], c.Prog); d > tol {
 		t.Errorf("%s: the narrowed run's state differs from the fixed-width run's by %g", label, d)
+	}
+}
+
+// BenchmarkWidthDecision times the width decision alone — the run's
+// closed-form estimate and the choice between one worker and P=2, what
+// NewRunner adds — on every suite program of the bench's workloads at its
+// nominal size. A schedule the estimate refuses (an inspector site) stops at the
+// refusal, as NewRunner does.
+func BenchmarkWidthDecision(b *testing.B) {
+	for _, in := range benchInputs() {
+		c, err := core.Compile(in.Kernel.Source, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		low := c.Schedule.Lower()
+		b.Run(in.Workload+"/"+in.Kernel.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if est, err := costsim.EstimateRun(low, c.Plan, c.Prog, in.Params); err == nil {
+					costsim.HostTable.Width(est, 2)
+				}
+			}
+		})
 	}
 }

@@ -34,12 +34,6 @@ func (e *Env) Index(name string) (int64, bool) { v, ok := e.idx[name]; return v,
 // EvalInt evaluates an integer (index) expression.
 func (e *Env) EvalInt(x ir.Expr) (int64, error) { return e.evalInt(x) }
 
-// EvalFloat evaluates a value expression.
-func (e *Env) EvalFloat(x ir.Expr) (float64, error) { return e.evalFloat(x) }
-
-// EvalBool evaluates a condition.
-func (e *Env) EvalBool(x ir.Expr) (bool, error) { return e.evalBool(x) }
-
 func (e *Env) evalInt(x ir.Expr) (int64, error) {
 	switch n := x.(type) {
 	case *ir.Num:

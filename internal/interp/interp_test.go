@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"repro/internal/ir"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 
 func run(t *testing.T, src string, params map[string]int64) *State {
 	t.Helper()
-	prog := parser.MustParse(src)
+	prog := mustParse(src)
 	st, err := Run(prog, params)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -150,7 +151,7 @@ end
 }
 
 func TestOutOfBoundsDetected(t *testing.T) {
-	prog := parser.MustParse(`
+	prog := mustParse(`
 program oob
 param N
 real A(N)
@@ -166,21 +167,21 @@ end
 }
 
 func TestMissingParam(t *testing.T) {
-	prog := parser.MustParse("program p\nparam N\nreal A(N)\nA(1) = 1.0\nend\n")
+	prog := mustParse("program p\nparam N\nreal A(N)\nA(1) = 1.0\nend\n")
 	if _, err := Run(prog, nil); err == nil || !strings.Contains(err.Error(), "not bound") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestNonPositiveExtent(t *testing.T) {
-	prog := parser.MustParse("program p\nparam N\nreal A(N)\nA(1) = 1.0\nend\n")
+	prog := mustParse("program p\nparam N\nreal A(N)\nA(1) = 1.0\nend\n")
 	if _, err := Run(prog, map[string]int64{"N": 0}); err == nil || !strings.Contains(err.Error(), "must be positive") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSeedDeterministic(t *testing.T) {
-	prog := parser.MustParse("program p\nparam N\nreal A(N), s\nA(1) = A(2)\nend\n")
+	prog := mustParse("program p\nparam N\nreal A(N), s\nA(1) = A(2)\nend\n")
 	s1, err := NewState(prog, map[string]int64{"N": 64})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestSeedDeterministic(t *testing.T) {
 }
 
 func TestMaxAbsDiffShapeMismatch(t *testing.T) {
-	p1 := parser.MustParse("program p\nparam N\nreal A(N)\nA(1) = 1.0\nend\n")
+	p1 := mustParse("program p\nparam N\nreal A(N)\nA(1) = 1.0\nend\n")
 	s1, _ := NewState(p1, map[string]int64{"N": 2})
 	s2, _ := NewState(p1, map[string]int64{"N": 3})
 	if !math.IsInf(s1.MaxAbsDiff(s2), 1) {
@@ -244,7 +245,7 @@ end
 }
 
 func TestEnvStmtCount(t *testing.T) {
-	prog := parser.MustParse(`
+	prog := mustParse(`
 program counted
 param N
 real A(N)
@@ -270,7 +271,7 @@ end
 // Property: for random (N, k) the quadratic-formula kernel computes the same
 // thing the direct Go expression computes.
 func TestQuickArithmeticAgreement(t *testing.T) {
-	prog := parser.MustParse(`
+	prog := mustParse(`
 program quad
 param N
 real A(N), B(N)
@@ -298,4 +299,14 @@ end
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mustParse parses src and panics on error: the sources are the tests' own
+// constants or suite kernels.
+func mustParse(src string) *ir.Program {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }

@@ -14,7 +14,6 @@ import "repro/internal/ir"
 // the closure backend replace per-iteration map[string]... lookups with
 // direct slice indexing.
 type Layout struct {
-	prog       *ir.Program
 	scalarSlot map[string]int
 	arrayID    map[string]int
 	paramReg   map[string]int
@@ -25,7 +24,6 @@ type Layout struct {
 // NewLayout computes the frame layout of prog.
 func NewLayout(prog *ir.Program) *Layout {
 	l := &Layout{
-		prog:       prog,
 		scalarSlot: make(map[string]int, len(prog.Scalars)),
 		arrayID:    make(map[string]int, len(prog.Arrays)),
 		paramReg:   make(map[string]int, len(prog.Params)),
@@ -54,9 +52,6 @@ func NewLayout(prog *ir.Program) *Layout {
 	})
 	return l
 }
-
-// Prog returns the program the layout was computed for.
-func (l *Layout) Prog() *ir.Program { return l.prog }
 
 // ScalarSlot returns the dense slot of a declared scalar.
 func (l *Layout) ScalarSlot(name string) (int, bool) {

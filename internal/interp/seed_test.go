@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/parser"
 	"repro/internal/suite"
 )
 
@@ -15,7 +16,10 @@ import (
 // starts from these values.
 func TestSeedKeepsItsBits(t *testing.T) {
 	for _, k := range append(suite.Kernels(), suite.IrregularKernels()...) {
-		prog := k.Program()
+		prog, err := parser.Parse(k.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
 		st, err := interp.NewState(prog, k.Params)
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/ir"
@@ -109,32 +108,6 @@ func (st *State) SeedDeterministic() {
 	for k := range st.Scalars {
 		st.Scalars[k] = 0
 	}
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between
-// the arrays and scalars of two states, for output comparison. States must
-// come from the same program/params; mismatched shapes return +Inf.
-func (st *State) MaxAbsDiff(other *State) float64 {
-	worst := 0.0
-	for name, a := range st.arrays {
-		b := other.arrays[name]
-		if b == nil || len(b.Data) != len(a.Data) {
-			return math.Inf(1)
-		}
-		for i := range a.Data {
-			d := math.Abs(a.Data[i] - b.Data[i])
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	for name, v := range st.Scalars {
-		d := math.Abs(v - other.Scalars[name])
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // Checksum returns a digest of all array and scalar contents, useful as

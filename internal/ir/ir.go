@@ -144,12 +144,6 @@ type Num struct {
 	P     Pos
 }
 
-// IntLit builds an integer literal.
-func IntLit(v int64) *Num { return &Num{Val: float64(v), Int: v, IsInt: true} }
-
-// FloatLit builds a float literal.
-func FloatLit(v float64) *Num { return &Num{Val: v} }
-
 // Ref is a use of a named entity: a scalar, parameter, loop index (empty
 // Subs) or an array element (non-empty Subs).
 type Ref struct {
@@ -233,11 +227,5 @@ func (*Bin) expr()        {}
 func (*Unary) expr()      {}
 func (*Call) expr()       {}
 
-// NewBin builds a binary expression.
-func NewBin(op BinKind, l, r Expr) *Bin { return &Bin{Op: op, L: l, R: r} }
-
 // NewRef builds a scalar/index reference.
 func NewRef(name string) *Ref { return &Ref{Name: name} }
-
-// NewIndex builds an array-element reference.
-func NewIndex(name string, subs ...Expr) *Ref { return &Ref{Name: name, Subs: subs} }

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ValidationError describes a semantic problem found by Validate.
 type ValidationError struct {
@@ -214,13 +211,3 @@ func IsIntrinsic(name string) bool { _, ok := intrinsics[name]; return ok }
 
 // IntrinsicArity returns the argument count of the intrinsic (0 if unknown).
 func IntrinsicArity(name string) int { return intrinsics[name] }
-
-// Intrinsics returns the sorted list of intrinsic names.
-func Intrinsics() []string {
-	out := make([]string, 0, len(intrinsics))
-	for k := range intrinsics {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1038,14 +1038,3 @@ func (f *Facts) join(a, b Rng) Rng {
 	}
 	return out
 }
-
-// Disjoint reports whether intervals a and b provably do not intersect.
-func (f *Facts) Disjoint(a, b Rng) bool {
-	if a.Hi != nil && b.Lo != nil && f.leq(a.Hi.AddConst(1), *b.Lo) {
-		return true
-	}
-	if b.Hi != nil && a.Lo != nil && f.leq(b.Hi.AddConst(1), *a.Lo) {
-		return true
-	}
-	return false
-}

@@ -57,9 +57,6 @@ type Var struct {
 	Kind VarKind
 }
 
-// V is shorthand for constructing a Var.
-func V(name string, kind VarKind) Var { return Var{Name: name, Kind: kind} }
-
 // Sym constructs a symbolic-constant variable.
 func Sym(name string) Var { return Var{Name: name, Kind: KindSymbolic} }
 

@@ -87,7 +87,7 @@ func parseConstraint(tb testing.TB, line int, text string) Constraint {
 		if !ok || err != nil || len(v) < 3 || v[1] != ':' || !strings.Contains("spla", v[:1]) {
 			bad()
 		}
-		c.Expr = c.Expr.Add(Term(V(v[2:], VarKind(strings.Index("spla", v[:1]))), k))
+		c.Expr = c.Expr.Add(Term(Var{Name: v[2:], Kind: VarKind(strings.Index("spla", v[:1]))}, k))
 	}
 	return c
 }

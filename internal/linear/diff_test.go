@@ -65,7 +65,7 @@ func decodeEnumCase(data []byte) (*System, EnumOptions) {
 	r := &byteReader{data: data}
 	vars := make([]Var, 1+r.next()%5)
 	for i := range vars {
-		vars[i] = V(name2("x", i), VarKind(r.next()%4))
+		vars[i] = Var{Name: name2("x", i), Kind: VarKind(r.next() % 4)}
 	}
 	s := NewSystem()
 	for n := r.next() % 8; n > 0; n-- {

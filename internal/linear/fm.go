@@ -347,21 +347,6 @@ func (f *fm) eliminate(rows []row, v int) ([]row, bool) {
 	return out, true
 }
 
-// Implies reports whether the system entails c for all integer points:
-// s ∧ ¬c is infeasible. For equalities it checks both strict sides.
-// A true result is exact; false may be conservative (Unknown counts as
-// "not implied").
-func (s *System) Implies(c Constraint) bool {
-	if c.Op == OpEQ {
-		ge := Constraint{Expr: c.Expr, Op: OpGE}
-		le := Constraint{Expr: c.Expr.Neg(), Op: OpGE}
-		return s.Implies(ge) && s.Implies(le)
-	}
-	t := s.Copy()
-	t.Add(c.Negate())
-	return t.Solve() == Infeasible
-}
-
 // Project eliminates every variable for which drop returns true and returns
 // the projected system over the remaining variables. ok is false when the
 // solver hit a resource guard (result unusable) or the system is infeasible

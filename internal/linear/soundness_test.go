@@ -21,7 +21,7 @@ func TestSolveNeverRefutesWitnessedSystems(t *testing.T) {
 		point := map[Var]int64{}
 		for i := range vars {
 			kind := VarKind(rng.Intn(4))
-			vars[i] = V(name2("w", i), kind)
+			vars[i] = Var{Name: name2("w", i), Kind: kind}
 			point[vars[i]] = int64(rng.Intn(21) - 10)
 		}
 		sys := NewSystem()
@@ -59,8 +59,9 @@ func TestSolveNeverRefutesWitnessedSystems(t *testing.T) {
 	}
 }
 
-// TestImpliesSoundness: if Implies(c) then every enumerated point of the
-// (boxed) system satisfies c.
+// TestImpliesSoundness: if the system and the negation of c are infeasible,
+// the system implies c, so every enumerated point of the (boxed) system
+// satisfies c.
 func TestImpliesSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	checked := 0
@@ -78,7 +79,7 @@ func TestImpliesSoundness(t *testing.T) {
 			cand = cand.Add(Term(v, int64(rng.Intn(5)-2)))
 		}
 		c := GE(cand, NewAffine(int64(rng.Intn(7)-3)))
-		if !sys.Implies(c) {
+		if sys.Copy().Add(c.Negate()).Solve() != Infeasible {
 			continue
 		}
 		checked++
@@ -87,7 +88,7 @@ func TestImpliesSoundness(t *testing.T) {
 			for y := int64(-B); y <= B; y++ {
 				env[vars[0]], env[vars[1]] = x, y
 				if sys.Holds(env) && !c.Holds(env) {
-					t.Fatalf("trial %d: Implies claimed %v but point (%d,%d) of %v violates it",
+					t.Fatalf("trial %d: infeasible negation implies %v but point (%d,%d) of %v violates it",
 						trial, c, x, y, sys)
 				}
 			}

@@ -38,15 +38,6 @@ func (c Constraint) String() string {
 	return c.Expr.String() + " >= 0"
 }
 
-// Holds reports whether the constraint is satisfied under env.
-func (c Constraint) Holds(env map[Var]int64) bool {
-	v := c.Expr.Eval(env)
-	if c.Op == OpEQ {
-		return v == 0
-	}
-	return v >= 0
-}
-
 // Negate returns the negation of an inequality constraint over the
 // integers: ¬(e >= 0) ⇔ -e - 1 >= 0. Negating an equality is a
 // disjunction, so Negate panics on OpEQ; callers split equalities first.
@@ -94,13 +85,6 @@ func (s *System) Copy() *System {
 	return t
 }
 
-// And returns a new system that is the conjunction of s and t.
-func (s *System) And(t *System) *System {
-	r := s.Copy()
-	r.Cons = append(r.Cons, t.Cons...)
-	return r
-}
-
 // Vars returns all variables mentioned by the system, in scan order.
 func (s *System) Vars() []Var {
 	var vs []Var
@@ -108,16 +92,6 @@ func (s *System) Vars() []Var {
 		vs = union(vs, c.Expr.terms)
 	}
 	return vs
-}
-
-// Holds reports whether every constraint is satisfied under env.
-func (s *System) Holds(env map[Var]int64) bool {
-	for _, c := range s.Cons {
-		if !c.Holds(env) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the system one constraint per line.
@@ -132,13 +106,6 @@ func (s *System) String() string {
 	}
 	sb.WriteString("}")
 	return sb.String()
-}
-
-// Substitute replaces v by repl in every constraint, in place.
-func (s *System) Substitute(v Var, repl Affine) {
-	for i := range s.Cons {
-		s.Cons[i].Expr = s.Cons[i].Expr.Substitute(v, repl)
-	}
 }
 
 // Result is the outcome of a feasibility test.

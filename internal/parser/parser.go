@@ -35,15 +35,13 @@ func ParseNoValidate(src string) (*ir.Program, error) {
 	return p.parseProgram()
 }
 
-// MustParse parses src and panics on error; intended for tests and the
-// built-in kernel suite whose sources are compile-time constants.
-func MustParse(src string) *ir.Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic("parser.MustParse: " + err.Error())
-	}
-	return prog
-}
+// maxDepth bounds how deeply statement bodies, expressions and unary
+// operators nest in one source. Each level is a parser recursion, and the
+// trees the parser builds are walked recursively after it, so a hostile
+// source that nests without bound would exhaust the stack, which is fatal
+// in Go; past maxDepth Parse returns an error instead. No program of the
+// suites, testdata/, examples/ or the benchmark nests deeper than 7.
+const maxDepth = 1000
 
 type parser struct {
 	lx  *lexer
@@ -51,6 +49,9 @@ type parser struct {
 	// procs holds subroutines available for `call` inlining.
 	procs     map[string]*proc
 	inlineSeq int
+	// depth counts the statement bodies, expressions and unary operators
+	// being parsed, each a recursion; see maxDepth.
+	depth int
 }
 
 func (p *parser) prime() error { return p.advance() }
@@ -67,6 +68,19 @@ func (p *parser) advance() error {
 func (p *parser) errorf(format string, args ...any) error {
 	return &Error{Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
 }
+
+// nest enters one more level of nesting: the caller decrements p.depth when
+// the level is parsed. Past maxDepth it fails at the current token; a
+// failed parse stops there, so no caller unwinds the count. The message is
+// formatted once, so that nest stays small enough to inline.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxDepth {
+		return &Error{Pos: p.tok.pos, Msg: tooDeep}
+	}
+	return nil
+}
+
+var tooDeep = fmt.Sprintf("nesting deeper than %d levels", maxDepth)
 
 // keyword reports whether the current token is the given keyword
 // (case-insensitive identifier match).
@@ -232,12 +246,16 @@ subs:
 
 // parseStmts parses statements until an `end` or `else` keyword.
 func (p *parser) parseStmts() ([]ir.Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	var out []ir.Stmt
 	for {
 		if err := p.skipNewlines(); err != nil {
 			return nil, err
 		}
 		if p.tok.kind == tokEOF || p.keyword("end") || p.keyword("else") {
+			p.depth--
 			return out, nil
 		}
 		if p.keyword("call") {
@@ -422,7 +440,14 @@ func (p *parser) parseExprList() ([]ir.Expr, error) {
 
 // Precedence-climbing expression parser.
 
-func (p *parser) parseExpr() (ir.Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (ir.Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
+}
 
 func (p *parser) parseOr() (ir.Expr, error) {
 	l, err := p.parseAnd()
@@ -468,10 +493,14 @@ func (p *parser) parseNot() (ir.Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &ir.Unary{Op: '!', X: x, P: pos}, nil
 	}
 	return p.parseCmp()
@@ -553,10 +582,14 @@ func (p *parser) parseUnary() (ir.Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &ir.Unary{Op: '-', X: x, P: pos}, nil
 	}
 	return p.parsePrimary()

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -228,6 +229,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad-dotted", "program x\nreal s\nif s .xor. s then\ns = 1.0\nend if\nend\n", "unknown dotted operator"},
 		{"missing-paren", "program x\nparam N\nreal A(N)\nA(1 = 2.0\nend\n", "expected ')'"},
 		{"shadowed-index", "program x\nparam N\nreal A(N)\ndo i = 1, N\ndo i = 1, N\nA(i) = 1.0\nend do\nend do\nend\n", "shadows"},
+		{"deep-parens", "program x\nreal s\ns = " + strings.Repeat("(", 100000) + "1.0" +
+			strings.Repeat(")", 100000) + "\nend\n", "nesting deeper than"},
+		{"deep-unary", "program x\nreal s\ns = " + strings.Repeat("- ", 100000) + "1.0\nend\n", "nesting deeper than"},
+		{"deep-loops", "program x\nparam N\nreal s\n" + nestedLoops(10000) + "end\n", "nesting deeper than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,15 +255,6 @@ func TestErrorHasPosition(t *testing.T) {
 	if !strings.HasPrefix(err.Error(), "3:") {
 		t.Errorf("error %q should carry line 3 position", err.Error())
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse did not panic on bad input")
-		}
-	}()
-	MustParse("nonsense")
 }
 
 func TestKeywordCaseInsensitive(t *testing.T) {
@@ -355,4 +351,16 @@ end
 	if err == nil || !strings.HasPrefix(err.Error(), "4:6:") {
 		t.Errorf("redeclaration error %q should carry position 4:6", err)
 	}
+}
+
+// nestedLoops is n do loops, each inside the one before, with distinct
+// indices and one assignment in the innermost.
+func nestedLoops(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "do i%d = 1, N\n", i)
+	}
+	b.WriteString("s = 1.0\n")
+	b.WriteString(strings.Repeat("end do\n", n))
+	return b.String()
 }

@@ -128,31 +128,3 @@ func (p *Pool) Close() {
 		}
 	}
 }
-
-// Stats is a point-in-time snapshot of the pool counters.
-type Stats struct {
-	// Checkouts = Reuses + ColdBuilds.
-	Checkouts  int64 `json:"checkouts"`
-	Reuses     int64 `json:"reuses"`
-	ColdBuilds int64 `json:"cold_builds"`
-	// Live counts existing teams (parked + leased), Idle the parked ones.
-	Live int64 `json:"live_teams"`
-	Idle int64 `json:"idle_teams"`
-}
-
-// Snapshot reads the counters.
-func (p *Pool) Snapshot() Stats {
-	var idle int64
-	p.mu.Lock()
-	for _, q := range p.idle {
-		idle += int64(len(q))
-	}
-	p.mu.Unlock()
-	return Stats{
-		Checkouts:  p.checkouts.Load(),
-		Reuses:     p.reuses.Load(),
-		ColdBuilds: p.coldBuilds.Load(),
-		Live:       p.live.Load(),
-		Idle:       idle,
-	}
-}

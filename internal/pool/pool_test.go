@@ -58,8 +58,8 @@ func TestShapeKeying(t *testing.T) {
 	if b.Team() == a.Team() {
 		t.Fatal("checkout crossed barrier-kind keys")
 	}
-	if b.Team().N() != 2 || b.Team().Kind() != spmdrt.Tree {
-		t.Fatalf("wrong shape: P=%d kind=%s", b.Team().N(), b.Team().Kind())
+	if b.Team().Team().N != 2 || b.k.kind != spmdrt.Tree {
+		t.Fatalf("wrong shape: P=%d kind=%s", b.Team().Team().N, b.k.kind)
 	}
 }
 

@@ -1,4 +1,7 @@
-package exec_test
+package pool_test
+
+// The pool's counters seen through the executor: default and explicit pools,
+// a cancelled run's team, and a chaos + sanitizer reuse sweep on one pool.
 
 import (
 	"context"
@@ -19,7 +22,18 @@ import (
 // Config.Pool checks its team out of exec.DefaultPool, and the next run of
 // the same shape gets the parked team back.
 func TestPooledRunDefaults(t *testing.T) {
-	r := contextRunner(t, "jacobi1d", nil)
+	k, err := suite.Get("jacobi1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(k.Source, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.Params})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := exec.DefaultPool().Snapshot()
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run(); err != nil {
@@ -188,4 +202,38 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// clampParams shrinks the suite's table-sized inputs (up to N=65536) to
+// chaos-test scale: chaos injection adds microsecond sleeps around every
+// sync, so problem sizes must stay small for the full 16-kernel sweep.
+// Size parameters are scaled by a common factor so coupled extents (e.g.
+// mg2level's fine grid N = 2M) keep their relationship.
+func clampParams(p map[string]int64) map[string]int64 {
+	const cap = 48
+	var max int64 = 1
+	for k, v := range p {
+		if k != "T" && v > max {
+			max = v
+		}
+	}
+	out := map[string]int64{}
+	for k, v := range p {
+		if k == "T" {
+			if v > 4 {
+				v = 4
+			}
+		} else if max > cap {
+			orig := v
+			if v = v * cap / max; v < 8 {
+				// Floor small coupled params so loops like `do k = 2, M`
+				// don't become empty (never above the original value).
+				if v = 8; orig < v {
+					v = orig
+				}
+			}
+		}
+		out[k] = v
+	}
+	return out
 }

@@ -65,14 +65,6 @@ type SiteProfile struct {
 	Conservative   int64 `json:"conservative,omitempty"`
 }
 
-// MeanSlack is the mean barrier-arrival slack per episode.
-func (s *SiteProfile) MeanSlack() time.Duration {
-	if s.Episodes == 0 {
-		return 0
-	}
-	return time.Duration(s.SlackSumNS / s.Episodes)
-}
-
 // Straggler returns the worker most often last to arrive and its share of
 // episodes; ok is false when no imbalance was attributed.
 func (s *SiteProfile) Straggler() (worker int, share float64, ok bool) {

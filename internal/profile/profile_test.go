@@ -171,7 +171,7 @@ func TestMergeAggregates(t *testing.T) {
 	if !ok || w != 3 || share != 0.4 {
 		t.Fatalf("straggler = %d/%.2f/%v, want 3/0.40/true", w, share, ok)
 	}
-	if got := s1.MeanSlack(); got != 50*time.Microsecond {
+	if got := time.Duration(s1.SlackSumNS / s1.Episodes); got != 50*time.Microsecond {
 		t.Fatalf("mean slack %v, want 50µs", got)
 	}
 }

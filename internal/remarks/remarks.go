@@ -220,25 +220,6 @@ type Set struct {
 	Remarks []Remark `json:"remarks"`
 }
 
-// BySite returns the remark for a 1-based site id, or nil.
-func (s *Set) BySite(id int) *Remark {
-	if s == nil || id < 1 || id > len(s.Remarks) {
-		return nil
-	}
-	return &s.Remarks[id-1]
-}
-
-// Kept returns the remarks whose sites retain runtime synchronization.
-func (s *Set) Kept() []Remark {
-	var out []Remark
-	for _, r := range s.Remarks {
-		if !r.Eliminated() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // MergeRejected combines per-dependence rejection ladders with
 // boundary-level alternatives into one ordered list, cheapest primitive
 // first, keeping the first reason seen for each primitive. Only primitives

@@ -63,26 +63,6 @@ func TestWhyPicksBindingDependence(t *testing.T) {
 	}
 }
 
-func TestSetBySiteAndKept(t *testing.T) {
-	s := &Set{Program: "p", Remarks: []Remark{
-		{Site: 1, Primitive: PrimNone},
-		{Site: 2, Primitive: PrimNeighbor},
-		{Site: 3, Primitive: PrimBarrier},
-	}}
-	if r := s.BySite(2); r == nil || r.Site != 2 {
-		t.Fatalf("BySite(2) = %v", r)
-	}
-	for _, id := range []int{0, 4, -1} {
-		if r := s.BySite(id); r != nil {
-			t.Errorf("BySite(%d) = %v, want nil", id, r)
-		}
-	}
-	kept := s.Kept()
-	if len(kept) != 2 || kept[0].Site != 2 || kept[1].Site != 3 {
-		t.Errorf("Kept() = %v", kept)
-	}
-}
-
 func TestBuildReportRanking(t *testing.T) {
 	set := &Set{Program: "p", Remarks: []Remark{
 		{Site: 1, Primitive: PrimNone},

@@ -49,14 +49,6 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// SlowWorker returns the designated straggler's rank, or -1 for nil.
-func (c *Chaos) SlowWorker() int {
-	if c == nil {
-		return -1
-	}
-	return c.slow
-}
-
 // PreSync perturbs worker w just before it enters a synchronization
 // operation (arriving at a barrier late, posting a counter late).
 func (c *Chaos) PreSync(w int) {

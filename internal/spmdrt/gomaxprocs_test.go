@@ -101,8 +101,8 @@ func TestP2PPipelineOversubscribed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < n; w++ {
-		if p.Progress(w) != 20 {
-			t.Errorf("worker %d progress = %d, want 20", w, p.Progress(w))
+		if p.slots[w].v.Load() != 20 {
+			t.Errorf("worker %d progress = %d, want 20", w, p.slots[w].v.Load())
 		}
 	}
 }

@@ -54,12 +54,6 @@ func NewPersistentTeam(n int, kind BarrierKind) *PersistentTeam {
 // NewCounter) and for the region function's Barrier calls.
 func (pt *PersistentTeam) Team() *Team { return pt.t }
 
-// N returns the team size.
-func (pt *PersistentTeam) N() int { return pt.t.N }
-
-// Kind returns the barrier implementation kind.
-func (pt *PersistentTeam) Kind() BarrierKind { return pt.t.kind }
-
 // parkLoop is one worker's life: block on the job channel, run, repeat
 // until the channel closes. A worker abandoned mid-job (grace timeout)
 // finds the channel closed when it finally returns and exits cleanly, so

@@ -351,9 +351,6 @@ func (c *Counter) PostAs(w int, d, arg int64) {
 	c.v.Add(d)
 }
 
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
 // WaitGE blocks until the counter value is at least target, without
 // registering a wait site (anonymous waiter).
 func (c *Counter) WaitGE(target int64) { c.WaitGEAs(-1, target) }
@@ -460,9 +457,6 @@ func (p *P2P) WaitForAs(self, w int, value int64) {
 	}
 }
 
-// Progress returns worker w's posted count.
-func (p *P2P) Progress(w int) int64 { return p.slots[w].Load() }
-
 // Team runs SPMD region functions on n workers.
 type Team struct {
 	N       int
@@ -487,9 +481,6 @@ func NewTeam(n int, kind BarrierKind) *Team {
 	mon := newMonitor(n)
 	return &Team{N: n, barrier: newBarrier(kind, n, mon), kind: kind, mon: mon}
 }
-
-// BarrierKind returns the team's barrier implementation kind.
-func (t *Team) BarrierKind() BarrierKind { return t.kind }
 
 // Generation returns the team's run-generation id: the number of Run calls
 // started on this team so far. It increases monotonically across reuse and

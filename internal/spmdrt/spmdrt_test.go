@@ -90,8 +90,8 @@ func TestCounterProducerConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.Load() != 4 {
-		t.Errorf("counter = %d, want 4", c.Load())
+	if c.v.Load() != 4 {
+		t.Errorf("counter = %d, want 4", c.v.Load())
 	}
 }
 
@@ -136,8 +136,8 @@ func TestP2PPipeline(t *testing.T) {
 		t.Fatal("pipeline order violated")
 	}
 	for w := 0; w < n; w++ {
-		if p.Progress(w) != steps {
-			t.Errorf("worker %d progress = %d", w, p.Progress(w))
+		if p.slots[w].v.Load() != steps {
+			t.Errorf("worker %d progress = %d", w, p.slots[w].v.Load())
 		}
 	}
 }

@@ -80,10 +80,10 @@ func TestFDOPropertySuite(t *testing.T) {
 							flipped[d.Site] = d.To
 						}
 					}
-					if _, viols, err := c2.Certify(); err != nil {
-						t.Fatalf("certifier oracle on re-optimized schedule: %v", err)
-					} else if len(viols) != 0 {
-						t.Fatalf("re-optimized schedule rejected by the certifier (%d flows)", len(viols))
+					if v := c2.Verdict(); v.Err != nil {
+						t.Fatalf("certifier oracle on re-optimized schedule: %v", v.Err)
+					} else if len(v.Violations) != 0 {
+						t.Fatalf("re-optimized schedule rejected by the certifier (%d flows)", len(v.Violations))
 					}
 					for i, b := range c2.Schedule.Boundaries() {
 						if to, ok := flipped[i+1]; ok && b.Class.String() != to {

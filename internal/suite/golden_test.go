@@ -55,7 +55,8 @@ func TestGoldenStaticCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cert, viols, err := c.Certify()
+			v := c.Verdict()
+			cert, viols, err := v.Certificate, v.Violations, v.Err
 			if err != nil {
 				t.Fatalf("certifier oracle: %v", err)
 			}

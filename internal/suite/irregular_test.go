@@ -48,7 +48,8 @@ func TestIrregularGoldenStaticCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cert, viols, err := c.Certify()
+			v := c.Verdict()
+			cert, viols, err := v.Certificate, v.Violations, v.Err
 			if err != nil {
 				t.Fatalf("certifier oracle: %v", err)
 			}
@@ -325,7 +326,7 @@ func TestIrregularDropSite(t *testing.T) {
 				t.Fatal(err)
 			}
 			cs := core.ToCertify(c.Schedule.Lower())
-			kinds := cs.Kinds()
+			kinds := siteKinds(cs)
 			for i, kind := range kinds {
 				if kind == certify.KindNone {
 					continue

@@ -8,9 +8,6 @@ package suite
 
 import (
 	"fmt"
-
-	"repro/internal/ir"
-	"repro/internal/parser"
 )
 
 // Kernel is one benchmark program with its standard input.
@@ -25,10 +22,6 @@ type Kernel struct {
 	// need roundoff slack).
 	Tol float64
 }
-
-// Program parses the kernel source (panicking on error — sources are
-// compile-time constants validated by tests).
-func (k Kernel) Program() *ir.Program { return parser.MustParse(k.Source) }
 
 // Get returns the kernel with the given name.
 func Get(name string) (Kernel, error) {

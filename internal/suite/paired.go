@@ -110,15 +110,6 @@ func (c Comparison) Verdict(tol float64) Verdict {
 	return Same
 }
 
-// Pct is the delta as a percentage of A's median (0 when A measured
-// nothing, e.g. the sync wait of a one-worker run).
-func (c Comparison) Pct() float64 {
-	if c.MedianA == 0 {
-		return 0
-	}
-	return 100 * float64(c.Delta) / float64(c.MedianA)
-}
-
 // quantile is the q-quantile of xs by linear interpolation between order
 // statistics, the convention of bench/estimator.go; xs is not modified.
 func quantile(xs []time.Duration, q float64) time.Duration {

@@ -34,13 +34,13 @@ func TestSiteNumberingAgreement(t *testing.T) {
 			}
 
 			set := c.Remarks()
-			n := runner.NumSyncSites()
+			low := c.Schedule.Lower() // the step program the runner runs
+			n := len(low.Sites)
 			if len(set.Remarks) != n {
 				t.Fatalf("remarks: %d, executor sync sites: %d", len(set.Remarks), n)
 			}
-			classes := runner.SyncSiteClasses()
 			cs := core.ToCertify(c.Schedule.Lower())
-			kinds := cs.Kinds()
+			kinds := siteKinds(cs)
 			if len(kinds) != n {
 				t.Fatalf("certifier sites: %d, executor sync sites: %d", len(kinds), n)
 			}
@@ -48,9 +48,9 @@ func TestSiteNumberingAgreement(t *testing.T) {
 				if r.Site != i+1 {
 					t.Errorf("remark %d carries site id %d", i, r.Site)
 				}
-				if r.Primitive != classes[i].String() {
+				if r.Primitive != low.Sites[i].Class.String() {
 					t.Errorf("site %d: remark says %s, executor schedules %s",
-						r.Site, r.Primitive, classes[i])
+						r.Site, r.Primitive, low.Sites[i].Class)
 				}
 				if r.Primitive != kinds[i].String() {
 					t.Errorf("site %d: remark says %s, certifier sees %s",
@@ -60,7 +60,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 
 			// DropSite must demote exactly the boundary the remark id names.
 			for i := range kinds {
-				dropped := cs.DropSite(i).Kinds()
+				dropped := siteKinds(cs.DropSite(i))
 				for j, kd := range dropped {
 					want := kinds[j]
 					if j == i {
@@ -91,7 +91,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 				if id > n {
 					continue
 				}
-				r := set.BySite(id)
+				r := &set.Remarks[id-1]
 				if r.Eliminated() {
 					t.Errorf("site %d eliminated by the optimizer but executed %+v", id, sc)
 					continue
@@ -126,7 +126,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 					t.Errorf("inspector stats for invalid site id %d", id)
 					continue
 				}
-				if r := set.BySite(id); r.Primitive != remarks.PrimInspector {
+				if r := &set.Remarks[id-1]; r.Primitive != remarks.PrimInspector {
 					t.Errorf("inspector stats recorded at %s site %d", r.Primitive, id)
 				}
 			}
@@ -154,7 +154,7 @@ func TestSiteNumberingAgreement(t *testing.T) {
 				if i > 0 && prof.Sites[i-1].Site >= sp.Site {
 					t.Errorf("profile sites not strictly ascending at index %d", i)
 				}
-				r := set.BySite(sp.Site)
+				r := &set.Remarks[sp.Site-1]
 				if r.Eliminated() {
 					t.Errorf("profile records eliminated site %d", sp.Site)
 					continue
@@ -176,13 +176,8 @@ func TestSiteNumberingAgreement(t *testing.T) {
 			// and real positions (the satellite fix: the fork-join join
 			// barrier is a first-class site, not an anonymous reason).
 			bset := c.Baseline.Remarks()
-			brunner, err := c.NewBaselineRunner(exec.Config{Workers: 4, Params: k.Params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(bset.Remarks) != brunner.NumSyncSites() {
-				t.Fatalf("baseline remarks: %d, baseline sync sites: %d",
-					len(bset.Remarks), brunner.NumSyncSites())
+			if n := len(c.Baseline.Lower().Sites); len(bset.Remarks) != n {
+				t.Fatalf("baseline remarks: %d, baseline sync sites: %d", len(bset.Remarks), n)
 			}
 			for i, r := range bset.Remarks {
 				if r.Site != i+1 {
@@ -194,4 +189,13 @@ func TestSiteNumberingAgreement(t *testing.T) {
 			}
 		})
 	}
+}
+
+// siteKinds returns the boundary kind at every site of p, indexed by site id.
+func siteKinds(p *certify.Program) []certify.Kind {
+	out := make([]certify.Kind, len(p.Sites))
+	for i, s := range p.Sites {
+		out[i] = s.Kind
+	}
+	return out
 }

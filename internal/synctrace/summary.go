@@ -83,18 +83,6 @@ func (s *Summary) TotalWait() time.Duration {
 	return t
 }
 
-// SiteWait returns the total blocking wait recorded at the given site id
-// across all kinds (NoSite aggregates unsited waits).
-func (s *Summary) SiteWait(id int32) time.Duration {
-	var t time.Duration
-	for _, ss := range s.Sites {
-		if ss.ID == id {
-			t += ss.Total
-		}
-	}
-	return t
-}
-
 // Summarize aggregates the recorder's surviving events. Call only after
 // the team has quiesced.
 func Summarize(r *Recorder) *Summary {

@@ -188,28 +188,12 @@ func (r *Recorder) SetMeta(key, value string) {
 	r.meta[key] = value
 }
 
-// Meta returns the metadata value for key ("" when absent or nil).
-func (r *Recorder) Meta(key string) string {
-	if r == nil {
-		return ""
-	}
-	return r.meta[key]
-}
-
 // SiteName resolves a site id to its registered name.
 func (r *Recorder) SiteName(id int32) string {
 	if r == nil || id < 0 || int(id) >= len(r.sites) {
 		return "(unsited)"
 	}
 	return r.sites[id]
-}
-
-// NumSites returns the number of registered sites.
-func (r *Recorder) NumSites() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.sites)
 }
 
 // Now returns nanoseconds since the recorder epoch (0 for nil): the

@@ -18,7 +18,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	r.Record(0, EvBarrier, 0, 1, 0)
 	r.Instant(0, EvDispatch, 0, 1)
-	if r.Workers() != 0 || r.NumSites() != 0 || r.Recorded() != 0 || r.Dropped() != 0 {
+	if r.Workers() != 0 || r.Recorded() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder reports non-zero state")
 	}
 	if r.AddSite("x") != NoSite {
@@ -111,7 +111,7 @@ func TestSiteInterning(t *testing.T) {
 	if a != 0 || b != 1 {
 		t.Fatalf("ids = %d,%d, want 0,1", a, b)
 	}
-	if r.SiteName(b) != "wavefront relay k" || r.NumSites() != 2 {
+	if r.SiteName(b) != "wavefront relay k" || len(r.sites) != 2 {
 		t.Error("site lookup broken")
 	}
 	if r.SiteName(NoSite) != "(unsited)" || r.SiteName(17) != "(unsited)" {
@@ -177,8 +177,14 @@ func TestSummarize(t *testing.T) {
 	if top.P50 > top.P99 || top.P99 > top.Max {
 		t.Errorf("quantiles not monotone: p50=%s p99=%s max=%s", top.P50, top.P99, top.Max)
 	}
-	if got := s.SiteWait(1); got != 2*time.Millisecond {
-		t.Errorf("SiteWait(1) = %s, want 2ms", got)
+	var wait1 time.Duration // every kind's wait at site 1
+	for _, ss := range s.Sites {
+		if ss.ID == 1 {
+			wait1 += ss.Total
+		}
+	}
+	if wait1 != 2*time.Millisecond {
+		t.Errorf("site 1 wait = %s, want 2ms", wait1)
 	}
 	// Imbalance at the barrier site: slacks 5ms and 2ms, straggler w2.
 	if len(s.Imbalance) != 1 {

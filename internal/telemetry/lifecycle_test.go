@@ -26,7 +26,7 @@ func jacobiResult(t *testing.T) *core.Result {
 	req := core.NewRequest(k.Source,
 		core.WithParams(k.Params), core.WithWorkers(4),
 		core.WithLint(), core.WithCertify(), core.WithTrace(),
-		core.WithProfile(), core.WithReport(), core.WithSpans())
+		func(r *core.Request) { r.Run.Profile = true }, core.WithReport(), core.WithSpans())
 	res, err := core.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

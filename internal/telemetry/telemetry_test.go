@@ -21,7 +21,7 @@ func TestNilTraceSafe(t *testing.T) {
 		t.Fatalf("nil Add = %d, want 0", id)
 	}
 	tr.Finish()
-	if tr.ID() != "" || tr.Root() != 0 || tr.WallNS() != 0 {
+	if tr.ID() != "" || tr.WallNS() != 0 {
 		t.Fatal("nil accessors must return zero values")
 	}
 	if tr.Spans() != nil || tr.Export() != nil {
@@ -36,8 +36,8 @@ func TestNilTraceSafe(t *testing.T) {
 // defaulting, attribute attachment, and End idempotency.
 func TestSpanLifecycle(t *testing.T) {
 	tr := NewTrace()
-	if tr.Root() != 1 {
-		t.Fatalf("root id = %d, want 1", tr.Root())
+	if sp := tr.Spans(); len(sp) != 1 || sp[0].ID != 1 {
+		t.Fatalf("root span = %+v, want one span with id 1", sp)
 	}
 	a := tr.Start(0, "compile")
 	b := tr.Start(a, "deps")

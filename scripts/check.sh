@@ -303,16 +303,20 @@ echo "== one timing sampler =="
 # recommendation, of the diff thresholds and pool bound (now constants), and
 # of the execution-model argument the schedule now decides (its
 # Lower(forkJoin) flag, costsim's Mode, core's per-schedule index and the
-# baseline verdict and remark accessors) must not come back in any .go or
-# .sh file, in docs/ or in README.md.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)' # retired-names
+# baseline verdict and remark accessors), and of the functions only tests
+# called that the reachability gate found and that were deleted outright
+# (core's three unused request options and its unmemoized certify call,
+# the parser's panicking parse, the interpreter's two exported evaluators,
+# the solver's implication test and five accessors) must not come back in
+# any .go or .sh file, in docs/ or in README.md.
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)' # retired-names
 if sampler_hits="$({ find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0
     printf '%s\0' docs/*.md README.md; } | xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
     echo "$sampler_hits" >&2
     exit 1
 fi
-echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound or execution-model-argument name in any .go or .sh file, docs/ or README.md"
+echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument or test-only-function name in any .go or .sh file, docs/ or README.md"
 
 echo "== pinned gates still exist =="
 # The -race leg above has already run these; what is checked here is that
@@ -336,9 +340,11 @@ echo "== pinned gates still exist =="
 # account of a traced run (profile, report and counts against the trace
 # summary's rows) with the summary's exact row on fixed timestamps, the
 # team widths runners choose, with narrowed runs held to the fixed-width
-# final state, the profile reader's decode fuzz with its hostile seeds, and
-# the runner whose execution model, verdict and profile mode come from the
-# schedule it runs, not from Config.Mode.
+# final state, the profile reader's decode fuzz with its hostile seeds, the
+# runner whose execution model, verdict and profile mode come from the
+# schedule it runs, not from Config.Mode, and the reachability gate: every
+# function under internal/ has a caller outside tests, checked on the tree
+# and on a fixture module where a planted test-only export must be caught.
 pinned() {
     local pkg=$1 listed t; shift
     listed="$(go test -list '.*' "$pkg")"
@@ -350,8 +356,8 @@ pinned() {
     done
 }
 pinned ./internal/exec TestBackendParity TestRowFormOnATeam TestRowFormOnFuzzedPrograms \
-    TestRowLegalityTableOnATeam TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled \
-    TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites TestChecksOncePerTimeLoop \
+    TestRowLegalityTableOnATeam TestFinalStateGolden TestChaosRunsAreDeterministic TestTracePseudoSites \
+    TestChecksOncePerTimeLoop \
     TestOneSiteAccount TestEntryDecisionsGolden TestWidthDecisionsGolden
 pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     TestRowSabotagedLegalityIsCaught TestRowEntryNeedsEveryEnter TestRowSlices \
@@ -370,7 +376,9 @@ pinned ./internal/synctrace TestRingGrowsToCap TestSummarizeSiteRow
 pinned ./internal/linear FuzzAffine TestAffineMatchesReference
 pinned ./internal/profile FuzzDecode
 pinned ./internal/core TestRunnerModeComesFromSchedule
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, profile-decode and runner-mode gates present"
+pinned ./internal/pool TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled
+pinned . TestEveryInternalFuncHasAProductionCaller TestDeadcodeGateOnFixture
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, profile-decode, runner-mode and reachability gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
