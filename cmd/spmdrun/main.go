@@ -11,20 +11,22 @@
 // stdout carries only the machine-parseable result — `key: value` lines
 // plus, with -report, the ranked sync-report table; or with -json a single
 // versioned envelope (schema_version/tool/payload) that embeds the report;
-// diagnostics (per-site stats, sanitizer report, trace summary) go to
-// stderr. docs/INTERNALS.md §9 documents every flag.
+// diagnostics (per-site stats, sanitizer report) go to stderr.
+// docs/INTERNALS.md §9 documents every flag.
 //
 // With -report the run records sync events (tracing is forced on) and the
 // static optimization remarks are joined with the per-site runtime wait
-// attribution into the ranked "cost of kept barriers" table: one row per
+// attribution into the ranked "cost of kept barriers" table, headed by the
+// run's worker time split into compute and each wait kind: one row per
 // kept sync site — static reason and position and FM verdict × dynamic
-// operation count × p50/p99 wait. docs/REMARKS.md documents the format.
+// operation count × p50/p99/max wait × barrier straggler. docs/REMARKS.md
+// documents the format.
 //
 // Usage:
 //
 //	spmdrun -kernel jacobi2d -p 8
 //	spmdrun -kernel jacobi2d -p 8 -report [-json]
-//	spmdrun -kernel jacobi2d -p 8 -trace out.json -trace-summary
+//	spmdrun -kernel jacobi2d -p 8 -trace out.json
 //	spmdrun -kernel dotchain -p 4 -profile-out prof.json
 //	spmdrun -kernel dotchain -p 4 -profile-in prof.json -json
 //	spmdrun -p 4 -mode base -param N=256 -param T=10 prog.dsl
@@ -51,7 +53,6 @@ import (
 	"repro/internal/remarks"
 	"repro/internal/spmdrt"
 	"repro/internal/suite"
-	"repro/internal/synctrace"
 )
 
 type paramList map[string]int64
@@ -133,8 +134,6 @@ type options struct {
 	sabotage int
 
 	traceOut string
-	traceSum bool
-	traceCap int
 
 	profileOut string
 	profileIn  string
@@ -162,8 +161,6 @@ func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.sabotage, "sabotage", 0, "drop the sync edge with this 1-based site number (testing aid; makes the schedule unsound)")
 
 	fs.StringVar(&o.traceOut, "trace", "", "record sync events and write a Chrome trace-event JSON file (view in ui.perfetto.dev)")
-	fs.BoolVar(&o.traceSum, "trace-summary", false, "record sync events and print per-site wait/imbalance summary to stderr")
-	fs.IntVar(&o.traceCap, "trace-buf", 0, "per-worker trace ring capacity in events (0 = default 65536; oldest events drop when full)")
 
 	fs.StringVar(&o.profileOut, "profile-out", "", "write the run's durable sync profile as an envelope-wrapped JSON file (forces tracing; merge/diff with spmdprof)")
 	fs.StringVar(&o.profileIn, "profile-in", "", "feed a prior run's profile (from -profile-out) back through the feedback-directed optimizer; the run executes the re-optimized schedule")
@@ -252,8 +249,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	req.Run.ChaosSeed = o.chaos
 	req.Run.Sabotage = o.sabotage
 	req.Run.Sanitize = o.sanitize
-	req.Run.Trace = o.traceOut != "" || o.traceSum
-	req.Run.TraceBufCap = o.traceCap
+	req.Run.Trace = o.traceOut != ""
 	req.Run.Report = o.report
 	req.Run.Profile = o.profileOut != "" || o.ledgerPath != ""
 	req.Run.Spans = o.spansOut != ""
@@ -352,9 +348,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, res.Sanitizer)
 		clean := res.Sanitizer.Clean()
 		pay.SanitizerClean = &clean
-	}
-	if o.traceSum {
-		fmt.Fprintln(stderr, synctrace.Summarize(res.Trace))
 	}
 
 	// Verify computes its verdict before the profile/ledger emission so a

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +19,7 @@ import (
 
 // TestJSONStdoutIsSingleEnvelope locks the PR 2 stdout contract: with
 // -json, stdout must be exactly one versioned envelope — every diagnostic
-// path (per-site stats, sanitizer, trace summary, report) stays on stderr.
+// path (per-site stats, sanitizer) stays on stderr.
 func TestJSONStdoutIsSingleEnvelope(t *testing.T) {
 	cases := []struct {
 		name string
@@ -25,7 +28,6 @@ func TestJSONStdoutIsSingleEnvelope(t *testing.T) {
 		{"plain", []string{"-kernel", "jacobi1d", "-p", "4", "-json"}},
 		{"report", []string{"-kernel", "jacobi2d", "-p", "4", "-json", "-report"}},
 		{"sanitize", []string{"-kernel", "jacobi1d", "-p", "4", "-json", "-sanitize"}},
-		{"trace-summary", []string{"-kernel", "jacobi1d", "-p", "4", "-json", "-trace-summary"}},
 		{"baseline", []string{"-kernel", "jacobi1d", "-p", "4", "-json", "-mode", "base", "-report"}},
 	}
 	for _, tc := range cases {
@@ -122,6 +124,120 @@ func TestTextReportOnStdout(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// reportOf runs spmdrun with -report, once as text and once as -json, and
+// returns the text report (what follows the key:value block on stdout) and
+// the envelope's report.
+func reportOf(t *testing.T, args ...string) (string, *remarks.Report) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	args = append(args, "-report")
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
+	}
+	_, text, ok := strings.Cut(stdout.String(), "\nsync report: ")
+	if !ok {
+		t.Fatalf("stdout has no sync report:\n%s", stdout.String())
+	}
+	stdout.Reset()
+	if code := run(append(args, "-json"), &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v -json) = %d, stderr:\n%s", args, code, stderr.String())
+	}
+	env, err := envelope.Decode(stdout.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pay runPayload
+	if err := env.Into(&pay); err != nil {
+		t.Fatal(err)
+	}
+	if pay.Report == nil || pay.Report.Attribution == nil {
+		t.Fatalf("-json -report payload has no attributed report: %+v", pay.Report)
+	}
+	return "sync report: " + text, pay.Report
+}
+
+// headerShares returns the percentages on a report's worker-time line,
+// compute first, and fails the test unless they sum to 100 within
+// rounding.
+func headerShares(t *testing.T, report string) []string {
+	t.Helper()
+	var line string
+	for _, l := range strings.Split(report, "\n") {
+		if strings.HasPrefix(l, "worker time ") {
+			line = l
+		}
+	}
+	m := regexp.MustCompile(`([a-z+-]+) ([0-9.]+)%`).FindAllStringSubmatch(line, -1)
+	if len(m) == 0 || m[0][1] != "compute" {
+		t.Fatalf("no worker-time header with a compute share:\n%s", report)
+	}
+	var sum float64
+	var kinds []string
+	for _, s := range m {
+		v, err := strconv.ParseFloat(s[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += v
+		kinds = append(kinds, s[1])
+	}
+	if math.Abs(sum-100) > 0.05*float64(len(m)) {
+		t.Errorf("header shares sum to %.1f%%, want 100%%: %s", sum, line)
+	}
+	return kinds
+}
+
+// TestReportHeaderAndColumns pins what the report shows of one run beyond
+// its per-site waits: a worker-time header whose shares sum to 100 % and
+// name every blocking kind the run waited in — the fork-join dispatch wait
+// of a baseline run included — a max column, and a straggler on every
+// barrier row; -json carries the same attribution and stragglers.
+func TestReportHeaderAndColumns(t *testing.T) {
+	text, rep := reportOf(t, "-kernel", "jacobi2d", "-p", "8")
+	headerShares(t, text)
+	if !regexp.MustCompile(`\bp99 +max +straggler\b`).MatchString(text) {
+		t.Errorf("report has no max and straggler columns:\n%s", text)
+	}
+	a := rep.Attribution
+	total := a.Compute
+	for _, kw := range a.Waits {
+		total += kw.Wait
+	}
+	if a.WorkerTime <= 0 || total != a.WorkerTime {
+		t.Errorf("json attribution: compute + waits = %s, worker time %s", total, a.WorkerTime)
+	}
+	if !strings.Contains(rep.Render(), "worker time ") {
+		t.Errorf("json report renders no worker-time header:\n%s", rep.Render())
+	}
+
+	for _, kernel := range []string{"tomcatvlike", "adilike"} {
+		text, rep := reportOf(t, "-kernel", kernel, "-p", "4")
+		headerShares(t, text)
+		barriers := 0
+		for _, row := range rep.Rows {
+			if row.Remark.Primitive != remarks.PrimBarrier {
+				continue
+			}
+			barriers++
+			if s := row.Runtime.Straggler; s == nil || s.Worker < 0 || s.Worker >= 4 || s.Share <= 0 {
+				t.Errorf("%s site %d: barrier row straggler %+v", kernel, row.Remark.Site, s)
+			}
+			rowRE := regexp.MustCompile(`(?m)^` + strconv.Itoa(row.Remark.Site) + ` +barrier .* w[0-3] +[0-9]+% `)
+			if !rowRE.MatchString(text) {
+				t.Errorf("%s site %d: text row names no straggler:\n%s", kernel, row.Remark.Site, text)
+			}
+		}
+		if barriers == 0 {
+			t.Errorf("%s kept no barrier", kernel)
+		}
+	}
+
+	text, _ = reportOf(t, "-kernel", "jacobi1d", "-p", "4", "-mode", "base", "-param", "N=64", "-param", "T=4")
+	if kinds := headerShares(t, text); !slices.Contains(kinds, "dispatch-wait") {
+		t.Errorf("fork-join report header lacks the dispatch wait (kinds %v):\n%s", kinds, text)
 	}
 }
 
@@ -224,7 +340,7 @@ func TestFlagsArePinned(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := "barrier chaos-seed json kernel ledger mode p param profile-in " +
-		"profile-out report sabotage sanitize spans timeout trace trace-buf trace-summary " +
+		"profile-out report sabotage sanitize spans timeout trace " +
 		"verify watchdog"
 	if strings.Join(got, " ") != want {
 		t.Errorf("flags = %q, want %q", strings.Join(got, " "), want)

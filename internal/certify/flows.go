@@ -174,15 +174,14 @@ func (a *analyzer) between(X, Y []ir.Stmt, outer []*ir.Loop, carrier *ir.Loop) F
 
 // acc is one shared-data access with its execution context.
 type acc struct {
-	name      string
-	ref       *ir.Ref // nil for scalars
-	write     bool
-	scalar    bool
-	reduction bool
-	stmt      ir.Stmt    // the enclosing top-level group statement
-	chain     []*ir.Loop // enclosing loops inside the group statement
-	guards    []cond     // enclosing conditional branches
-	mode      region.Mode
+	name   string
+	ref    *ir.Ref // nil for scalars
+	write  bool
+	scalar bool
+	stmt   ir.Stmt    // the enclosing top-level group statement
+	chain  []*ir.Loop // enclosing loops inside the group statement
+	guards []cond     // enclosing conditional branches
+	mode   region.Mode
 }
 
 type cond struct {
@@ -220,9 +219,9 @@ func (a *analyzer) collect(stmts []ir.Stmt, outer []*ir.Loop, carrier *ir.Loop) 
 		redvars := map[string]bool{}
 
 		var visitStmts func(list []ir.Stmt, chain []*ir.Loop, guards []cond)
-		emit := func(name string, ref *ir.Ref, write, scalar, reduction bool, chain []*ir.Loop, guards []cond) {
+		emit := func(name string, ref *ir.Ref, write, scalar bool, chain []*ir.Loop, guards []cond) {
 			out = append(out, acc{
-				name: name, ref: ref, write: write, scalar: scalar, reduction: reduction,
+				name: name, ref: ref, write: write, scalar: scalar,
 				stmt:   top,
 				chain:  append([]*ir.Loop(nil), chain...),
 				guards: append([]cond(nil), guards...),
@@ -240,7 +239,7 @@ func (a *analyzer) collect(stmts []ir.Stmt, outer []*ir.Loop, carrier *ir.Loop) 
 					return
 				}
 				if r.IsArray() {
-					emit(r.Name, r, false, false, false, chain, guards)
+					emit(r.Name, r, false, false, chain, guards)
 					return
 				}
 				switch {
@@ -248,7 +247,7 @@ func (a *analyzer) collect(stmts []ir.Stmt, outer []*ir.Loop, carrier *ir.Loop) 
 				case a.prog.IsParam(r.Name):
 				case private[r.Name] || redvars[r.Name]:
 				case a.prog.IsScalar(r.Name):
-					emit(r.Name, nil, false, true, false, chain, guards)
+					emit(r.Name, nil, false, true, chain, guards)
 				}
 			})
 		}
@@ -259,16 +258,16 @@ func (a *analyzer) collect(stmts []ir.Stmt, outer []*ir.Loop, carrier *ir.Loop) 
 					lhs := n.LHS
 					switch {
 					case lhs.IsArray():
-						emit(lhs.Name, lhs, true, false, false, chain, guards)
+						emit(lhs.Name, lhs, true, false, chain, guards)
 						for _, sub := range lhs.Subs {
 							visitExpr(sub, chain, guards)
 						}
 					case private[lhs.Name]:
-					case redvars[lhs.Name]:
-						emit(lhs.Name, nil, true, true, true, chain, guards)
+					case redvars[lhs.Name]: // shared even when replicated
+						emit(lhs.Name, nil, true, true, chain, guards)
 					case mode == region.ModeReplicated:
 					default:
-						emit(lhs.Name, nil, true, true, false, chain, guards)
+						emit(lhs.Name, nil, true, true, chain, guards)
 					}
 					visitExpr(n.RHS, chain, guards)
 				case *ir.Loop:
@@ -460,7 +459,6 @@ func (a *analyzer) classifyCyclic(x, y acc, outer []*ir.Loop, carrier *ir.Loop) 
 type pairSys struct {
 	a        *analyzer
 	sys      *linear.System
-	outer    []*ir.Loop
 	carrier  *ir.Loop
 	carrierP linear.Var // producer-side carrier iteration
 	carrierC linear.Var // consumer-side carrier iteration
@@ -473,7 +471,7 @@ type pairSys struct {
 
 func newPairSys(a *analyzer, outer []*ir.Loop, carrier *ir.Loop) *pairSys {
 	ps := &pairSys{
-		a: a, sys: a.assume.Copy(), outer: outer, carrier: carrier,
+		a: a, sys: a.assume.Copy(), carrier: carrier,
 		envs:    map[string]*ir.AffineEnv{},
 		idxVars: map[string]map[string]linear.Var{},
 		coord:   map[string]linear.Affine{},

@@ -28,10 +28,7 @@ type access struct {
 	// guard expressions", §2.3), sharpening the communication test.
 	guards []guard
 	mode   region.Mode
-	// reduction marks a recognized reduction update (written by every
-	// active worker of its loop).
-	reduction bool
-	stmt      ir.Stmt // the top-level group statement
+	stmt   ir.Stmt // the top-level group statement
 }
 
 // modeIsReplicated reports whether the access sits in a replicated
@@ -77,10 +74,10 @@ type collector struct {
 	out      []access
 }
 
-func (c *collector) add(name string, ref *ir.Ref, write, scalar, reduction bool, chain []*ir.Loop, guards []guard) {
+func (c *collector) add(name string, ref *ir.Ref, write, scalar bool, chain []*ir.Loop, guards []guard) {
 	c.out = append(c.out, access{
 		name: name, ref: ref, write: write, scalar: scalar,
-		reduction: reduction, chain: append([]*ir.Loop(nil), chain...),
+		chain:  append([]*ir.Loop(nil), chain...),
 		guards: append([]guard(nil), guards...),
 		mode:   c.mode, stmt: c.top,
 	})
@@ -127,20 +124,21 @@ func (c *collector) assign(n *ir.Assign, chain []*ir.Loop, guards []guard) {
 	lhs := n.LHS
 	switch {
 	case lhs.IsArray():
-		c.add(lhs.Name, lhs, true, false, false, chain, guards)
+		c.add(lhs.Name, lhs, true, false, chain, guards)
 		for _, sub := range lhs.Subs {
 			c.expr(sub, chain, guards)
 		}
 	case c.private[lhs.Name]:
 		// Private scalar: invisible outside its worker.
 	case c.redvars[lhs.Name]:
-		// Reduction update: written by every active worker.
-		c.add(lhs.Name, nil, true, true, true, chain, guards)
+		// Reduction update: written by every active worker, even in a
+		// replicated statement, so this arm precedes the next.
+		c.add(lhs.Name, nil, true, true, chain, guards)
 	case c.mode == region.ModeReplicated:
 		// Every worker computes its own copy; the write itself is
 		// not shared data movement.
 	default:
-		c.add(lhs.Name, nil, true, true, false, chain, guards)
+		c.add(lhs.Name, nil, true, true, chain, guards)
 	}
 	c.expr(n.RHS, chain, guards)
 }
@@ -156,7 +154,7 @@ func (c *collector) expr(e ir.Expr, chain []*ir.Loop, guards []guard) {
 			return
 		}
 		if r.IsArray() {
-			c.add(r.Name, r, false, false, false, chain, guards)
+			c.add(r.Name, r, false, false, chain, guards)
 			return
 		}
 		name := r.Name
@@ -168,7 +166,7 @@ func (c *collector) expr(e ir.Expr, chain []*ir.Loop, guards []guard) {
 		case c.private[name] || c.redvars[name]:
 			// Worker-local.
 		case c.prog.IsScalar(name):
-			c.add(name, nil, false, true, false, chain, guards)
+			c.add(name, nil, false, true, chain, guards)
 		}
 	})
 }

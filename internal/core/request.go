@@ -49,8 +49,6 @@ type RunOptions struct {
 	// sketches, so either forces tracing; Result.TracingForced reports
 	// when that happened.
 	Trace bool
-	// TraceBufCap overrides the per-worker trace ring capacity.
-	TraceBufCap int
 	// Profile assembles the run's durable sync profile into
 	// Result.Profile (forces tracing).
 	Profile bool
@@ -226,7 +224,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		SabotageEdge:    req.Run.Sabotage,
 		Sanitize:        req.Run.Sanitize,
 		Trace:           req.Run.Trace || tracingForced,
-		TraceBufCap:     req.Run.TraceBufCap,
 		Spans:           tr,
 		SpansParent:     execSp,
 	}

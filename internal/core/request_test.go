@@ -241,7 +241,6 @@ var coreKnobs = []string{
 	"RunOptions.Sanitize",
 	"RunOptions.Spans",
 	"RunOptions.Trace",
-	"RunOptions.TraceBufCap",
 	"RunOptions.Watchdog",
 }
 

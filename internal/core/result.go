@@ -127,15 +127,14 @@ func (r *Runner) Remarks() *remarks.Set { return r.sched.Remarks() }
 
 // SyncReport joins this runner's static remarks with one run's per-site
 // runtime attribution into the ranked "cost of kept barriers" report.
-// Wait-time columns are populated only when the run was traced
-// (exec.Config.Trace); otherwise ranking falls back to dynamic counts. The
-// report's Workers is the team the run leased (Width).
+// Wait-time columns and the worker-time header are populated only when the
+// run was traced (exec.Config.Trace); otherwise ranking falls back to
+// dynamic counts. The report's Workers is the team the run leased (Width).
 func (r *Runner) SyncReport(res *Result) *remarks.Report {
 	var rt map[int]remarks.SiteRuntime
-	traced := false
+	var att *remarks.Attribution
 	if res != nil {
-		rt = r.Runner.SiteRuntimes(&res.Result)
-		traced = res.Trace != nil
+		rt, att = r.Runner.SyncRuntime(&res.Result)
 	}
-	return remarks.BuildReport(r.Remarks(), rt, r.Width(), traced)
+	return remarks.BuildReport(r.Remarks(), rt, att, r.Width())
 }

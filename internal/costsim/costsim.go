@@ -71,11 +71,8 @@ type Result struct {
 	// Work is the total computation executed (equals the sequential
 	// time when replication is zero).
 	Work float64
-	// SyncTime aggregates time charged to synchronization operations
-	// (not idling).
-	SyncTime float64
 	// Barriers etc. count simulated synchronization events.
-	Barriers, CounterIncrs, NeighborPosts, Dispatches int64
+	Barriers, CounterIncrs, Dispatches int64
 }
 
 // Speedup returns Work/Makespan, the predicted speedup over an ideal
@@ -181,7 +178,6 @@ func (s *Simulator) run() {
 			// master's announcement.
 			t := s.clocks[0] + s.costs.Dispatch
 			s.res.Dispatches++
-			s.res.SyncTime += s.costs.Dispatch
 			for w := range s.clocks {
 				if s.clocks[w] < t {
 					s.clocks[w] = t
@@ -280,12 +276,9 @@ func (s *Simulator) wavefront(l *ir.Loop) {
 				s.segment(w, start, handoff, SegNeighbor)
 				start = handoff
 			}
-			s.res.SyncTime += s.costs.NeighborWait
 		}
 		s.runSlice(l, w, start)
 		s.clocks[w] += s.costs.NeighborPost
-		s.res.NeighborPosts++
-		s.res.SyncTime += s.costs.NeighborPost
 		prevFinish = s.clocks[w]
 	}
 }
@@ -321,7 +314,6 @@ func (s *Simulator) sync(id int) {
 			s.clocks[w] = tmax + cost
 		}
 		s.res.Barriers++
-		s.res.SyncTime += cost
 	case comm.ClassCounter:
 		tpost := 0.0
 		for w, a := range s.producers(site) {
@@ -334,7 +326,6 @@ func (s *Simulator) sync(id int) {
 				tpost = t
 			}
 			s.res.CounterIncrs++
-			s.res.SyncTime += s.costs.CounterIncr
 		}
 		for w := range s.clocks {
 			t := tpost + s.costs.CounterWait
@@ -343,14 +334,11 @@ func (s *Simulator) sync(id int) {
 				s.clocks[w] = t
 			}
 		}
-		s.res.SyncTime += s.costs.CounterWait
 	case comm.ClassNeighbor:
 		posts := make([]float64, s.nproc)
 		for w := range s.clocks {
 			s.clocks[w] += s.costs.NeighborPost
 			posts[w] = s.clocks[w]
-			s.res.NeighborPosts++
-			s.res.SyncTime += s.costs.NeighborPost
 		}
 		for w := range s.clocks {
 			t := s.clocks[w]

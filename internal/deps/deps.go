@@ -164,28 +164,11 @@ func (ctx *Context) CarriedByLoop(loop *ir.Loop, outer []*ir.Loop) []Dep {
 	return out
 }
 
-// Relation constrains the two copies of the tested loop's index.
-type Relation int
-
-const (
-	// RelLT: the a-copy iteration strictly precedes the b-copy.
-	RelLT Relation = iota
-	// RelEQ: same iteration (loop-independent at this level).
-	RelEQ
-	// RelGT: the a-copy iteration strictly follows the b-copy.
-	RelGT
-)
-
-// carriedPair tests RelLT: "iteration ia of loop executes access a, a later
-// iteration ib executes access b, and they touch the same element".
+// carriedPair builds and solves the two-copy system "iteration ia of loop
+// executes access a, a later iteration ib executes access b, and they touch
+// the same element". exact reports whether the answer came from the solver
+// rather than a conservative assumption.
 func (ctx *Context) carriedPair(loop *ir.Loop, outer []*ir.Loop, a, b Access) (linear.Result, bool) {
-	return ctx.pairWithRelation(loop, outer, a, b, RelLT)
-}
-
-// pairWithRelation builds and solves the two-copy system for the pair under
-// the given index relation. exact reports whether the answer came from the
-// solver rather than a conservative assumption.
-func (ctx *Context) pairWithRelation(loop *ir.Loop, outer []*ir.Loop, a, b Access, rel Relation) (linear.Result, bool) {
 	sys := ctx.Assume.Copy()
 
 	// Shared environment for the fixed outer indices.
@@ -207,14 +190,8 @@ func (ctx *Context) pairWithRelation(loop *ir.Loop, outer []*ir.Loop, a, b Acces
 	if !addLoopBounds(sys, envA, loop, va) || !addLoopBounds(sys, envB, loop, vb) {
 		return linear.Feasible, false
 	}
-	switch rel {
-	case RelLT: // strictly later iteration: ia + 1 <= ib
-		sys.AddGE(linear.VarExpr(vb), linear.VarExpr(va).AddConst(1))
-	case RelEQ:
-		sys.AddEQ(linear.VarExpr(va), linear.VarExpr(vb))
-	case RelGT:
-		sys.AddGE(linear.VarExpr(va), linear.VarExpr(vb).AddConst(1))
-	}
+	// Strictly later iteration: ia + 1 <= ib.
+	sys.AddGE(linear.VarExpr(vb), linear.VarExpr(va).AddConst(1))
 
 	// Inner loops enclosing each access (beyond `loop` itself) get their
 	// own copies per side.

@@ -264,21 +264,25 @@ end
 	if w.Ref == nil || rm.Ref == nil || rp.Ref == nil {
 		t.Fatalf("accesses not found: %v", accs)
 	}
-	// Write at ia, read A(i-1) at ib: equal element iff ia = ib - 1, so
-	// only LT is feasible.
-	lt, eq, gt := ctx.Directions(loop, outer, w, rm)
-	if !lt || eq || gt {
-		t.Errorf("w→A(i-1) directions = %v,%v,%v; want true,false,false", lt, eq, gt)
+	// Write at ia, read A(i-1) at a later ib: equal element iff
+	// ia = ib - 1, so the carried pair is feasible.
+	lt := func(a, b Access) bool {
+		res, exact := ctx.carriedPair(loop, outer, a, b)
+		if !exact {
+			t.Errorf("%s→%s: answer not exact", ir.ExprString(a.Ref), ir.ExprString(b.Ref))
+		}
+		return res.MayHold()
 	}
-	// Write at ia, read A(i+1) at ib: ia = ib + 1, only GT feasible.
-	lt, eq, gt = ctx.Directions(loop, outer, w, rp)
-	if lt || eq || !gt {
-		t.Errorf("w→A(i+1) directions = %v,%v,%v; want false,false,true", lt, eq, gt)
+	if !lt(w, rm) {
+		t.Error("w→A(i-1) at a later iteration infeasible; want feasible")
 	}
-	// Write vs itself: only EQ feasible.
-	lt, eq, gt = ctx.Directions(loop, outer, w, w)
-	if lt || !eq || gt {
-		t.Errorf("w→w directions = %v,%v,%v; want false,true,false", lt, eq, gt)
+	// Write at ia, read A(i+1) at ib: ia = ib + 1, never a later ib.
+	if lt(w, rp) {
+		t.Error("w→A(i+1) at a later iteration feasible; want infeasible")
+	}
+	// Write vs itself: same element only in the same iteration.
+	if lt(w, w) {
+		t.Error("w→w at a later iteration feasible; want infeasible")
 	}
 }
 

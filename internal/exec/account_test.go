@@ -4,19 +4,21 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/profile"
+	"repro/internal/remarks"
 	"repro/internal/suite"
 	"repro/internal/synctrace"
 )
 
 // TestOneSiteAccount pins that one traced run gives one account per sync
 // site: the durable profile record (SiteProfiles) and the report's runtime
-// join (SiteRuntimes) carry the site's dynamic counts from Stats.PerSite and
+// join (SyncRuntime) carry the site's dynamic counts from Stats.PerSite and
 // its waits and barrier imbalance exactly as the trace summary's rows have
-// them — on a fork-join barrier kernel, a neighbor kernel, a counter kernel
+// them, and the report's header its per-kind totals — on a fork-join barrier kernel, a neighbor kernel, a counter kernel
 // and an inspector kernel, each at two team sizes.
 func TestOneSiteAccount(t *testing.T) {
 	for _, tc := range []struct {
@@ -36,7 +38,8 @@ func TestOneSiteAccount(t *testing.T) {
 				for _, sp := range r.SiteProfiles(&res.Result) {
 					profs[sp.Site] = sp
 				}
-				rts := r.SiteRuntimes(&res.Result)
+				rts, att := r.SyncRuntime(&res.Result)
+				checkAttribution(t, sum, att)
 				waited := 0
 				for id := 1; id <= r.NumSyncSites(); id++ {
 					c, sp, rt := res.Stats.PerSite[id], profs[id], rts[id]
@@ -57,8 +60,12 @@ func TestOneSiteAccount(t *testing.T) {
 					if row.Count > 0 {
 						waited++
 					}
+					var rowMin time.Duration
+					if row.Count > 0 {
+						rowMin = row.Waits[0]
+					}
 					if w := sp.Wait; w.Count != row.Count || w.SumNS != int64(row.Total) ||
-						w.MinNS != int64(row.Min) || w.MaxNS != int64(row.Max) {
+						w.MinNS != int64(rowMin) || w.MaxNS != int64(row.Max) {
 						t.Errorf("site %d: profile wait count=%d sum=%d min=%d max=%d, summary row %+v",
 							id, w.Count, w.SumNS, w.MinNS, w.MaxNS, row)
 					}
@@ -73,6 +80,10 @@ func TestOneSiteAccount(t *testing.T) {
 						t.Errorf("site %d: profile episodes=%d max-slack=%d last=%v, imbalance row %+v",
 							id, sp.Episodes, sp.MaxSlackNS, sp.LastByWorker, im)
 					}
+					if s := rt.Straggler; (s == nil) != (im.Episodes == 0) ||
+						s != nil && (s.Worker != im.Straggler || s.Share != im.StragglerShare) {
+						t.Errorf("site %d: runtime straggler %+v, imbalance row %+v", id, s, im)
+					}
 					if rt.Waits != row.Count || rt.TotalWait != row.Total || rt.P50 != row.P50 ||
 						rt.P99 != row.P99 || rt.Max != row.Max {
 						t.Errorf("site %d: runtime %+v, summary row %+v", id, rt, row)
@@ -83,6 +94,37 @@ func TestOneSiteAccount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkAttribution pins the report header to the fold it comes from: the
+// worker time is P × span, every blocking kind that recorded events has its
+// summed wait, and compute is the rest.
+func checkAttribution(t *testing.T, sum *synctrace.Summary, att *remarks.Attribution) {
+	t.Helper()
+	if att == nil {
+		t.Fatal("traced run has no attribution")
+	}
+	if want := time.Duration(sum.Workers) * sum.Span; att.WorkerTime != want {
+		t.Errorf("worker time %s, want P × span %s", att.WorkerTime, want)
+	}
+	total := att.Compute
+	kinds := map[string]remarks.KindWait{}
+	for _, kw := range att.Waits {
+		kinds[kw.Kind] = kw
+		total += kw.Wait
+	}
+	if total != att.WorkerTime {
+		t.Errorf("compute + waits = %s, want worker time %s", total, att.WorkerTime)
+	}
+	for k, kt := range sum.ByKind {
+		kind := synctrace.Kind(k)
+		if kw := kinds[kind.String()]; kind.Blocking() && (kw.Events != kt.Count || kw.Wait != kt.Wait) {
+			t.Errorf("%s: attribution %+v, summary %+v", kind, kw, kt)
+		}
+	}
+	if att.Dropped != sum.Dropped {
+		t.Errorf("dropped %d, summary %d", att.Dropped, sum.Dropped)
 	}
 }
 

@@ -102,12 +102,10 @@ type Config struct {
 	// counter increment/wait, neighbor wait and fork-join dispatch is
 	// recorded with per-worker timestamps and its sync-site id
 	// (Result.Trace carries the recorder; export with WriteChromeTrace
-	// or synctrace.Summarize).
+	// or synctrace.Summarize). Each worker's ring holds
+	// synctrace.DefaultCap events; past that the oldest are overwritten
+	// and counted as dropped.
 	Trace bool
-	// TraceBufCap overrides the per-worker trace ring capacity in events
-	// (<= 0 selects synctrace.DefaultCap). When a ring fills, the oldest
-	// events are overwritten and reported as dropped.
-	TraceBufCap int
 	// Pool optionally selects the persistent-team pool runs check their
 	// team out of. Nil selects the process-wide DefaultPool; a caller that
 	// wants a cold team passes a fresh pool.New.
@@ -418,7 +416,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 		run.inspW = make([][]inspWorker, r.width)
 	}
 	if r.cfg.Trace {
-		rec := synctrace.New(r.width, r.cfg.TraceBufCap)
+		rec := synctrace.New(r.width, synctrace.DefaultCap)
 		// Scheduled sites register first so trace ids 0..nSites-1 match
 		// the stats/watchdog/sabotage numbering (1-based there).
 		for i := 0; i < r.nSites; i++ {

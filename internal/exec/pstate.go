@@ -22,7 +22,6 @@ import (
 // patterns because replicated statements legitimately store the same value
 // from every worker concurrently.
 type pstate struct {
-	prog      *ir.Program
 	params    map[string]int64
 	arrays    map[string]*interp.ArrayVal
 	scalarIdx map[string]int
@@ -31,7 +30,6 @@ type pstate struct {
 
 func newPState(st *interp.State) *pstate {
 	ps := &pstate{
-		prog:      st.Prog,
 		params:    st.Params,
 		arrays:    map[string]*interp.ArrayVal{},
 		scalarIdx: map[string]int{},

@@ -311,8 +311,12 @@ func TestTraceOffNoRecorder(t *testing.T) {
 func TestTraceSummaryEndToEnd(t *testing.T) {
 	res := traceRun(t, "dotchain", 4, true, exec.Config{})
 	s := synctrace.Summarize(res.Trace)
-	if s.Events != res.Trace.Recorded() {
-		t.Errorf("summary events %d != recorded %d", s.Events, res.Trace.Recorded())
+	var events int64
+	for _, kt := range s.ByKind {
+		events += kt.Count
+	}
+	if want := res.Trace.Recorded() - s.Dropped; events != want {
+		t.Errorf("summary counts %d events, recorder kept %d", events, want)
 	}
 	if s.ByKind[synctrace.EvBarrier].Count != 4*res.Stats.Barriers {
 		t.Errorf("barrier events %d, want %d (P×episodes)",

@@ -36,11 +36,13 @@ func ParseNoValidate(src string) (*ir.Program, error) {
 }
 
 // maxDepth bounds how deeply statement bodies, expressions and unary
-// operators nest in one source. Each level is a parser recursion, and the
-// trees the parser builds are walked recursively after it, so a hostile
-// source that nests without bound would exhaust the stack, which is fatal
-// in Go; past maxDepth Parse returns an error instead. No program of the
-// suites, testdata/, examples/ or the benchmark nests deeper than 7.
+// operators nest in one source, and how tall an expression tree grows.
+// Each level of nesting is a parser recursion, an operator chain such as
+// a + b + ... builds a left-deep tree in a loop, and the trees the parser
+// builds are walked recursively after it, so a hostile source that nests
+// or chains without bound would exhaust the stack, which is fatal in Go;
+// past maxDepth Parse returns an error instead. No program of the suites,
+// testdata/, examples/ or the benchmark nests deeper than 7.
 const maxDepth = 1000
 
 type parser struct {
@@ -52,6 +54,9 @@ type parser struct {
 	// depth counts the statement bodies, expressions and unary operators
 	// being parsed, each a recursion; see maxDepth.
 	depth int
+	// height is the height of the expression tree the last expression
+	// parse returned; see maxDepth.
+	height int
 }
 
 func (p *parser) prime() error { return p.advance() }
@@ -81,6 +86,17 @@ func (p *parser) nest() error {
 }
 
 var tooDeep = fmt.Sprintf("nesting deeper than %d levels", maxDepth)
+
+// join records that an operator at pos joined an operand of height left
+// with the one just parsed. Past maxDepth it fails at the operator. The
+// tree keeps its shape: float + is not associative, so no chain is
+// rebalanced.
+func (p *parser) join(left int, pos ir.Pos) error {
+	if p.height = 1 + max(left, p.height); p.height > maxDepth {
+		return &Error{Pos: pos, Msg: tooDeep}
+	}
+	return nil
+}
 
 // keyword reports whether the current token is the given keyword
 // (case-insensitive identifier match).
@@ -412,17 +428,20 @@ func (p *parser) parseAssign(pos ir.Pos) (ir.Stmt, error) {
 	return &ir.Assign{LHS: lhs, RHS: rhs, P: pos}, nil
 }
 
-// parseExprList parses "(" expr {"," expr} ")".
+// parseExprList parses "(" expr {"," expr} ")"; height is one more than
+// the tallest expression's, the height of the node that holds the list.
 func (p *parser) parseExprList() ([]ir.Expr, error) {
 	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
 	var out []ir.Expr
+	tallest := 0
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		tallest = max(tallest, p.height)
 		out = append(out, e)
 		if p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
@@ -435,6 +454,7 @@ func (p *parser) parseExprList() ([]ir.Expr, error) {
 	if err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
+	p.height = tallest + 1
 	return out, nil
 }
 
@@ -449,42 +469,51 @@ func (p *parser) parseExpr() (ir.Expr, error) {
 	return e, err
 }
 
-func (p *parser) parseOr() (ir.Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == tokOr {
-		pos := p.tok.pos
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &ir.Bin{Op: ir.OrOp, L: l, R: r, P: pos}
-	}
-	return l, nil
+// binOps gives each binary operator token its operator and precedence
+// level, loosest first: .or. 1, .and. 2, comparisons 3, + and - 4, * and /
+// 5. Other tokens have level 0.
+var binOps = [tokNot + 1]struct {
+	op    ir.BinKind
+	level int8
+}{
+	tokOr: {ir.OrOp, 1}, tokAnd: {ir.AndOp, 2},
+	tokEq: {ir.EqOp, 3}, tokNe: {ir.NeOp, 3}, tokLt: {ir.LtOp, 3},
+	tokLe: {ir.LeOp, 3}, tokGt: {ir.GtOp, 3}, tokGe: {ir.GeOp, 3},
+	tokPlus: {ir.Add, 4}, tokMinus: {ir.Sub, 4},
+	tokStar: {ir.Mul, 5}, tokSlash: {ir.Div, 5},
 }
 
-func (p *parser) parseAnd() (ir.Expr, error) {
-	l, err := p.parseNot()
+func (p *parser) parseOr() (ir.Expr, error)  { return p.chain(p.parseAnd, 1) }
+func (p *parser) parseAnd() (ir.Expr, error) { return p.chain(p.parseNot, 2) }
+func (p *parser) parseAdd() (ir.Expr, error) { return p.chain(p.parseMul, 4) }
+func (p *parser) parseMul() (ir.Expr, error) { return p.chain(p.parseUnary, 5) }
+
+// chain parses operand {op operand} for the operators of one level into a
+// left-deep tree.
+func (p *parser) chain(operand func() (ir.Expr, error), level int8) (ir.Expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tokAnd {
+	for {
+		b := binOps[p.tok.kind]
+		if b.level != level {
+			return l, nil
+		}
 		pos := p.tok.pos
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		r, err := p.parseNot()
+		left := p.height
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &ir.Bin{Op: ir.AndOp, L: l, R: r, P: pos}
+		if err := p.join(left, pos); err != nil {
+			return nil, err
+		}
+		l = &ir.Bin{Op: b.op, L: l, R: r, P: pos}
 	}
-	return l, nil
 }
 
 func (p *parser) parseNot() (ir.Expr, error) {
@@ -501,14 +530,10 @@ func (p *parser) parseNot() (ir.Expr, error) {
 			return nil, err
 		}
 		p.depth--
+		p.height++
 		return &ir.Unary{Op: '!', X: x, P: pos}, nil
 	}
 	return p.parseCmp()
-}
-
-var cmpOps = map[tokKind]ir.BinKind{
-	tokEq: ir.EqOp, tokNe: ir.NeOp, tokLt: ir.LtOp,
-	tokLe: ir.LeOp, tokGt: ir.GtOp, tokGe: ir.GeOp,
 }
 
 func (p *parser) parseCmp() (ir.Expr, error) {
@@ -516,62 +541,21 @@ func (p *parser) parseCmp() (ir.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op, ok := cmpOps[p.tok.kind]; ok {
+	// A comparison does not chain: a < b < c is an error.
+	if b := binOps[p.tok.kind]; b.level == 3 {
 		pos := p.tok.pos
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		left := p.height
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Bin{Op: op, L: l, R: r, P: pos}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdd() (ir.Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == tokPlus || p.tok.kind == tokMinus {
-		op := ir.Add
-		if p.tok.kind == tokMinus {
-			op = ir.Sub
-		}
-		pos := p.tok.pos
-		if err := p.advance(); err != nil {
+		if err := p.join(left, pos); err != nil {
 			return nil, err
 		}
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &ir.Bin{Op: op, L: l, R: r, P: pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMul() (ir.Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == tokStar || p.tok.kind == tokSlash {
-		op := ir.Mul
-		if p.tok.kind == tokSlash {
-			op = ir.Div
-		}
-		pos := p.tok.pos
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &ir.Bin{Op: op, L: l, R: r, P: pos}
+		return &ir.Bin{Op: b.op, L: l, R: r, P: pos}, nil
 	}
 	return l, nil
 }
@@ -590,6 +574,7 @@ func (p *parser) parseUnary() (ir.Expr, error) {
 			return nil, err
 		}
 		p.depth--
+		p.height++
 		return &ir.Unary{Op: '-', X: x, P: pos}, nil
 	}
 	return p.parsePrimary()
@@ -597,6 +582,7 @@ func (p *parser) parseUnary() (ir.Expr, error) {
 
 func (p *parser) parsePrimary() (ir.Expr, error) {
 	pos := p.tok.pos
+	p.height = 1
 	switch p.tok.kind {
 	case tokInt:
 		v := p.tok.ival

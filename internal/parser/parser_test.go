@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -244,6 +245,57 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err.Error(), tc.want)
 			}
 		})
+	}
+}
+
+// sumOf is an assignment of an n-term sum of 1.0 to s.
+func sumOf(n int) string {
+	return "program x\nreal s\ns = 1.0" + strings.Repeat(" + 1.0", n-1) + "\nend\n"
+}
+
+// TestOperatorChainsAreBounded pins that a flat operator chain counts
+// against the nesting bound: its left-deep tree is walked recursively after
+// parsing, like a nested one. A 1 000-term sum parses into that left-deep
+// tree; one more term fails at its operator, and so does a chain that
+// continues a parenthesized one.
+func TestOperatorChainsAreBounded(t *testing.T) {
+	prog, err := Parse(sumOf(1000))
+	if err != nil {
+		t.Fatalf("1000-term sum: %v", err)
+	}
+	depth := 0
+	for e := prog.Body[0].(*ir.Assign).RHS; ; depth++ {
+		b, ok := e.(*ir.Bin)
+		if !ok {
+			break
+		}
+		if _, ok := b.R.(*ir.Num); !ok {
+			t.Fatalf("right operand %s at depth %d: the chain was rebalanced", ir.ExprString(b.R), depth)
+		}
+		e = b.L
+	}
+	if depth != 999 {
+		t.Errorf("left spine of the 1000-term sum has %d operators, want 999", depth)
+	}
+	// The 1000th "+" sits at column 9 + 6*999 of line 3.
+	_, err = Parse(sumOf(1001))
+	if want := "3:6003: nesting deeper than 1000 levels"; err == nil || err.Error() != want {
+		t.Errorf("1001-term sum: error %v, want %q", err, want)
+	}
+	half := strings.Repeat(" * 2.0", 600)
+	if _, err := Parse("program x\nreal s\ns = (1.0" + half + ")" + half + "\nend\n"); err == nil ||
+		!strings.Contains(err.Error(), "nesting deeper than") {
+		t.Errorf("chain continuing a parenthesized chain: error %v, want the nesting bound", err)
+	}
+}
+
+// TestLongChainFailsWithinStack parses a 100 000-term sum under a 16 MB
+// stack: an unbounded chain would overflow it in the recursive walks after
+// parsing, a fatal error that no recover catches.
+func TestLongChainFailsWithinStack(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	if _, err := Parse(sumOf(100000)); err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+		t.Errorf("100000-term sum: error %v, want the nesting bound", err)
 	}
 }
 

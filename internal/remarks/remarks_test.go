@@ -72,10 +72,18 @@ func TestBuildReportRanking(t *testing.T) {
 	}}
 	rt := map[int]SiteRuntime{
 		2: {NeighborWaits: 10, Waits: 10, TotalWait: 5 * time.Millisecond},
-		3: {Barriers: 4, Waits: 4, TotalWait: 20 * time.Millisecond},
+		3: {Barriers: 4, Waits: 4, TotalWait: 20 * time.Millisecond, Max: 9 * time.Millisecond,
+			Straggler: &Straggler{Worker: 5, Share: 0.75}},
 		4: {CounterIncrs: 7, CounterWaits: 7},
 	}
-	rep := BuildReport(set, rt, 8, true)
+	att := &Attribution{WorkerTime: 100 * time.Millisecond, Compute: 75 * time.Millisecond,
+		Dropped: 3, Waits: []KindWait{
+			{Kind: "barrier", Events: 32, Wait: 20 * time.Millisecond},
+			{Kind: "neighbor-wait", Events: 10, Wait: 5 * time.Millisecond}}}
+	rep := BuildReport(set, rt, att, 8)
+	if !rep.Traced {
+		t.Error("report with an attribution not marked traced")
+	}
 	if rep.Eliminated != 1 {
 		t.Errorf("Eliminated = %d, want 1", rep.Eliminated)
 	}
@@ -93,10 +101,15 @@ func TestBuildReportRanking(t *testing.T) {
 		t.Errorf("counter site ops = %d, want 14", ops)
 	}
 	out := rep.Render()
-	for _, want := range []string{"sync report: p", "P=8", "kept=3 eliminated=1", "why kept"} {
+	for _, want := range []string{"sync report: p", "P=8", "kept=3 eliminated=1", "why kept",
+		"worker time 100ms (P × span): compute 75.0%, barrier 20.0% (32), neighbor-wait 5.0% (10); 3 events dropped",
+		"max", "9ms", "w5 75%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render() missing %q:\n%s", want, out)
 		}
+	}
+	if out := BuildReport(set, rt, nil, 8).Render(); !strings.Contains(out, "(no trace") {
+		t.Errorf("untraced report lacks the no-trace line:\n%s", out)
 	}
 }
 

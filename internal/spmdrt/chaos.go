@@ -18,7 +18,6 @@ import (
 // an optional *Chaos without guards. Each worker must only call with its
 // own rank: the per-worker streams are not locked.
 type Chaos struct {
-	n    int
 	slow int
 	ws   []chaosState
 }
@@ -33,7 +32,7 @@ func NewChaos(seed int64, n int) *Chaos {
 	if n <= 0 {
 		panic("spmdrt: chaos needs at least one worker")
 	}
-	c := &Chaos{n: n, ws: make([]chaosState, n)}
+	c := &Chaos{ws: make([]chaosState, n)}
 	c.slow = int(splitmix(uint64(seed)) % uint64(n))
 	for w := range c.ws {
 		c.ws[w].rng = rand.New(rand.NewSource(int64(splitmix(uint64(seed) ^ uint64(w+1)*0x9E3779B97F4A7C15))))

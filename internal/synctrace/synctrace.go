@@ -132,14 +132,11 @@ type Recorder struct {
 }
 
 // New builds a recorder for n workers with the given per-worker ring
-// capacity (<= 0 selects DefaultCap); the rings start empty. The epoch is
-// set at construction; all event timestamps are relative to it.
+// capacity; the rings start empty. The epoch is set at construction; all
+// event timestamps are relative to it.
 func New(n, perWorkerCap int) *Recorder {
 	if n <= 0 {
 		panic("synctrace: recorder needs at least one worker")
-	}
-	if perWorkerCap <= 0 {
-		perWorkerCap = DefaultCap
 	}
 	return &Recorder{epoch: time.Now(), cap: perWorkerCap, ws: make([]workerBuf, n)}
 }

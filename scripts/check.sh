@@ -115,17 +115,23 @@ echo "-- remarks golden byte-exact; all suite kernels render"
 
 echo "== sync report smoke (spmdrun -report) =="
 # The static<->runtime join: jacobi2d at P=8 must produce the ranked
-# kept-barrier table with both neighbor sites present.
+# kept-barrier table, headed by the worker-time attribution, with both
+# neighbor sites present.
 report="$(go run ./cmd/spmdrun -kernel jacobi2d -p 8 -report 2>/dev/null)"
 echo "$report" | grep -q "sync report: jacobi2d" || {
     echo "ERROR: spmdrun -report missing report header" >&2
     exit 1
 }
-if [ "$(echo "$report" | grep -c "neighbor")" -lt 2 ]; then
+echo "$report" | grep -q "^worker time .* (P × span): compute " || {
+    echo "ERROR: spmdrun -report missing the worker-time attribution line" >&2
+    exit 1
+}
+kept="$(echo "$report" | grep -cE '^[0-9]+ +neighbor ')"
+if [ "$kept" -lt 2 ]; then
     echo "ERROR: spmdrun -report: expected 2 kept neighbor sites on jacobi2d" >&2
     exit 1
 fi
-echo "-- jacobi2d sync report ranked $(echo "$report" | grep -c neighbor) kept sites"
+echo "-- jacobi2d sync report ranked $kept kept neighbor sites"
 
 echo "== chaos + sanitizer smoke (spmdrun) =="
 # Small inputs: chaos adds microsecond delays around every sync, and the
@@ -187,7 +193,7 @@ echo "== trace smoke (spmdrun -trace) =="
 # schema proper is pinned by TestTraceChromeSchema, this is the CLI path.
 trace_tmp="$(mktemp -t spmdtrace.XXXXXX.json)"
 go run ./cmd/spmdrun -kernel jacobi2d -p 8 -param N=64 -param T=4 \
-    -trace "$trace_tmp" -trace-summary >/dev/null 2>&1
+    -trace "$trace_tmp" >/dev/null 2>&1
 if command -v python3 >/dev/null 2>&1; then
     python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty traceEvents'" "$trace_tmp"
 fi
