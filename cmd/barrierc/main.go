@@ -40,8 +40,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -50,6 +52,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/envelope"
 	"repro/internal/fdo"
+	"repro/internal/ir"
 	"repro/internal/lint"
 	"repro/internal/profile"
 	"repro/internal/remarks"
@@ -58,49 +61,67 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, writes the
+// requested view to stdout and diagnostics to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("barrierc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		kernel   = flag.String("kernel", "", "analyze a named suite kernel instead of a file")
-		list     = flag.Bool("list", false, "list suite kernels and exit")
-		explain  = flag.Bool("explain", false, "print placements, serial reasons and per-boundary sync")
-		cyclic   = flag.Bool("cyclic", false, "use a cyclic data decomposition")
-		ablate   = flag.String("ablate", "", "disable an optimization: repl (replacement) or merge (group merging)")
-		lintF    = flag.Bool("lint", false, "lint the program and exit (0 clean, 1 findings, 2 internal error)")
-		certF    = flag.Bool("certify", false, "re-check the schedule with the independent certifier; print the JSON certificate")
-		sabot    = flag.Int("sabotage", 0, "with -certify: demote sync site N (1-based) to none before checking")
-		witness  = flag.Bool("witness", false, "with -certify: print rejections as JSON including witnesses")
-		remarksF = flag.Bool("remarks", false, "print per-sync-site optimization remarks (why each site was kept, weakened or eliminated)")
-		irregF   = flag.Bool("irreg", false, "print the irregular-access value facts and the sync decisions they enabled")
-		jsonOut  = flag.Bool("json", false, "with -remarks: print the remark set as a versioned JSON envelope")
-		fdoIn    = flag.String("fdo", "", "feed a measured profile (spmdrun -profile-out) back through the feedback-directed optimizer; composes with -remarks/-certify")
+		kernel   = fs.String("kernel", "", "analyze a named suite kernel instead of a file")
+		list     = fs.Bool("list", false, "list suite kernels and exit")
+		explain  = fs.Bool("explain", false, "print placements, serial reasons and per-boundary sync")
+		cyclic   = fs.Bool("cyclic", false, "use a cyclic data decomposition")
+		ablate   = fs.String("ablate", "", "disable an optimization: repl (replacement) or merge (group merging)")
+		lintF    = fs.Bool("lint", false, "lint the program and exit (0 clean, 1 findings, 2 internal error)")
+		certF    = fs.Bool("certify", false, "re-check the schedule with the independent certifier; print the JSON certificate")
+		sabot    = fs.Int("sabotage", 0, "with -certify: demote sync site N (1-based) to none before checking")
+		witness  = fs.Bool("witness", false, "with -certify: print rejections as JSON including witnesses")
+		remarksF = fs.Bool("remarks", false, "print per-sync-site optimization remarks (why each site was kept, weakened or eliminated)")
+		irregF   = fs.Bool("irreg", false, "print the irregular-access value facts and the sync decisions they enabled")
+		jsonOut  = fs.Bool("json", false, "with -remarks: print the remark set as a versioned JSON envelope")
+		fdoIn    = fs.String("fdo", "", "feed a measured profile (spmdrun -profile-out) back through the feedback-directed optimizer; composes with -remarks/-certify/-explain")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "barrierc:", err)
+		return 1
+	}
 
 	if *list {
 		for _, k := range suite.Kernels() {
-			fmt.Printf("%-14s %s\n", k.Name, k.Shape)
+			fmt.Fprintf(stdout, "%-14s %s\n", k.Name, k.Shape)
 		}
 		for _, k := range suite.IrregularKernels() {
-			fmt.Printf("%-14s %s (irregular)\n", k.Name, k.Shape)
+			fmt.Fprintf(stdout, "%-14s %s (irregular)\n", k.Name, k.Shape)
 		}
-		return
+		return 0
 	}
 
-	src, name, err := loadSource(*kernel, flag.Args())
+	k, err := loadSource(*kernel, fs.Args())
 	if err != nil {
 		if *lintF {
-			fmt.Fprintln(os.Stderr, "barrierc:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "barrierc:", err)
+			return 2
 		}
-		fail(err)
+		return fail(err)
 	}
 
 	if *lintF {
-		diags := lint.Source(src)
-		fmt.Print(lint.Render(name, diags))
+		diags := lint.Source(k.Source)
+		fmt.Fprint(stdout, lint.Render(k.Name, diags))
 		if lint.HasFindings(diags) {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	opts := core.Options{}
@@ -114,83 +135,97 @@ func main() {
 	case "merge":
 		opts.Sync = syncopt.Options{NoMerging: true}
 	default:
-		fail(fmt.Errorf("unknown -ablate value %q (want repl or merge)", *ablate))
+		return fail(fmt.Errorf("unknown -ablate value %q (want repl or merge)", *ablate))
 	}
 
-	c, err := core.Compile(src, opts)
+	// Every view below reads this one compilation.
+	c, err := core.Compile(k.Source, opts)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	var fres *fdo.Result
 	if *fdoIn != "" {
 		prior, err := profile.ReadFile(*fdoIn)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		// Everything downstream — -remarks, -certify, the schedule dump —
-		// sees the re-optimized compilation, so the flipped sites carry
-		// their profile evidence into whatever view was asked for.
+		// Everything downstream sees the re-optimized compilation, so the
+		// flipped sites carry their profile evidence into whatever view
+		// was asked for.
 		c, fres, err = c.Reoptimize(prior)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "barrierc: fdo applied %d flip(s) from %s (predicted save %s/run)\n",
+		fmt.Fprintf(stderr, "barrierc: fdo applied %d flip(s) from %s (predicted save %s/run)\n",
 			fres.Flips, *fdoIn, time.Duration(fres.PredictedSaveNS))
 	}
 
-	if *certF {
-		runCertify(c, *sabot, *witness)
-		return
-	}
-
-	if *irregF {
-		printIrreg(c)
-		return
-	}
-
-	if *remarksF {
-		set := c.Remarks()
-		if *jsonOut {
-			if err := envelope.Write(os.Stdout, envelope.ToolRemarks, set); err != nil {
-				fail(err)
+	switch {
+	case *certF:
+		return runCertify(stdout, stderr, c, *sabot, *witness)
+	case *irregF:
+		printIrreg(stdout, c)
+	case *remarksF && *jsonOut:
+		if err := envelope.Write(stdout, envelope.ToolRemarks, c.Remarks()); err != nil {
+			return fail(err)
+		}
+	case *remarksF:
+		fmt.Fprint(stdout, c.Remarks().Render())
+	case *explain:
+		printExplain(stdout, k, c)
+	default:
+		fmt.Fprintf(stdout, "program %s: %d parallel loops, %d serial\n",
+			c.Prog.Name, len(c.Parallelized.Parallel), len(c.Parallelized.Serial))
+		fmt.Fprint(stdout, staticSites(c))
+		if fres != nil {
+			fmt.Fprintf(stdout, "fdo: %d flip(s), predicted save %s/run\n", fres.Flips, time.Duration(fres.PredictedSaveNS))
+			for _, d := range fres.Decisions {
+				if d.Action != "reject" {
+					fmt.Fprintf(stdout, "  site %d: %s %s -> %s (%s)\n", d.Site, d.Action, d.From, d.To, d.Reason)
+				}
 			}
-			return
 		}
-		fmt.Print(set.Render())
-		return
+		fmt.Fprint(stdout, "\nschedule:\n"+c.Schedule.Dump())
 	}
+	return 0
+}
 
-	if *explain {
-		// Reuse the suite's explainer; registry kernels keep their
-		// shape description.
-		k := suite.Kernel{Name: name, Source: src}
-		if *kernel != "" {
-			k, _ = suite.Get(*kernel)
-		}
-		out, err := suite.Explain(k)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(out)
-		return
-	}
-
-	fmt.Printf("program %s: %d parallel loops, %d serial\n",
-		c.Prog.Name, len(c.Parallelized.Parallel), len(c.Parallelized.Serial))
+// staticSites is the base-vs-optimized static sync-site line the default
+// view and -explain both print.
+func staticSites(c *core.Compiled) string {
 	st, bst := c.Schedule.Static(), c.Baseline.Static()
-	fmt.Printf("static sync sites: base %d barriers -> opt %d barriers, %d counters, %d neighbor\n",
+	return fmt.Sprintf("static sync sites: base %d barriers -> opt %d barriers, %d counters, %d neighbor\n",
 		bst.Barriers, st.Barriers, st.Counters, st.Neighbors)
-	if fres != nil {
-		fmt.Printf("fdo: %d flip(s), predicted save %s/run\n", fres.Flips, time.Duration(fres.PredictedSaveNS))
-		for _, d := range fres.Decisions {
-			if d.Action != "reject" {
-				fmt.Printf("  site %d: %s %s -> %s (%s)\n", d.Site, d.Action, d.From, d.To, d.Reason)
-			}
+}
+
+// printExplain renders a compilation's parallel loops with their
+// placements, its serial loops with the reason each stayed serial (both in
+// source order), its schedule and its static sync-site counts — the view
+// behind figure F2.
+func printExplain(w io.Writer, k suite.Kernel, c *core.Compiled) {
+	fmt.Fprintf(w, "program %s — %s\n\nparallel loops:\n", k.Name, k.Shape)
+	for _, l := range c.Parallelized.Parallel {
+		fmt.Fprintf(w, "  %s\n    placement: %s\n", ir.StmtString(l), c.Plan.Placements[l])
+		if len(l.Private) > 0 {
+			fmt.Fprintf(w, "    private: %v\n", l.Private)
+		}
+		for _, r := range l.Reductions {
+			fmt.Fprintf(w, "    reduction: %s (%s)\n", r.Var, r.Op)
 		}
 	}
-	fmt.Println("\nschedule:")
-	fmt.Print(c.Schedule.Dump())
+	if len(c.Parallelized.Serial) > 0 {
+		fmt.Fprintln(w, "serial loops:")
+		ir.WalkStmts(c.Prog.Body, func(s ir.Stmt) bool {
+			if l, ok := s.(*ir.Loop); ok {
+				if why, serial := c.Parallelized.Serial[l]; serial {
+					fmt.Fprintf(w, "  %s: %s\n", ir.StmtString(l), why)
+				}
+			}
+			return true
+		})
+	}
+	fmt.Fprint(w, "\nschedule:\n"+c.Schedule.Dump()+"\n"+staticSites(c))
 }
 
 // printIrreg renders the irregular-access story of a compiled program:
@@ -198,13 +233,13 @@ func main() {
 // arrays and guarded scalars, then every sync site whose decision the
 // facts enabled — boundaries eliminated on content/range evidence and
 // boundaries lowered to runtime inspector scans.
-func printIrreg(c *core.Compiled) {
-	fmt.Printf("program %s: irregular-access value analysis\n\n", c.Prog.Name)
+func printIrreg(w io.Writer, c *core.Compiled) {
+	fmt.Fprintf(w, "program %s: irregular-access value analysis\n\n", c.Prog.Name)
 	if c.Facts == nil || (len(c.Facts.Arrays) == 0 && len(c.Facts.Scalars) == 0) {
-		fmt.Println("no facts established (no guarded setup prefix found)")
+		fmt.Fprintln(w, "no facts established (no guarded setup prefix found)")
 		return
 	}
-	c.Facts.Dump(os.Stdout)
+	c.Facts.Dump(w)
 
 	var elim, insp []string
 	for _, r := range c.Remarks().Remarks {
@@ -234,57 +269,54 @@ func printIrreg(c *core.Compiled) {
 		}
 	}
 	if len(elim) > 0 {
-		fmt.Println("\nboundaries eliminated by value facts:")
+		fmt.Fprintln(w, "\nboundaries eliminated by value facts:")
 		for _, l := range elim {
-			fmt.Println("  " + l)
+			fmt.Fprintln(w, "  "+l)
 		}
 	}
 	if len(insp) > 0 {
-		fmt.Println("\nboundaries lowered to inspector scans:")
+		fmt.Fprintln(w, "\nboundaries lowered to inspector scans:")
 		for _, l := range insp {
-			fmt.Println("  " + l)
+			fmt.Fprintln(w, "  "+l)
 		}
 	}
 	if len(elim) == 0 && len(insp) == 0 {
-		fmt.Println("\nno sync decision used the facts (affine tier sufficed)")
+		fmt.Fprintln(w, "\nno sync decision used the facts (affine tier sufficed)")
 	}
 }
 
 // runCertify re-checks the compiled schedule (optionally sabotaged) with
-// the independent certifier. Exit status: 0 certified, 1 rejected, 2
-// internal error (solver-oracle disagreement or bad site id).
-func runCertify(c *core.Compiled, sabotage int, witness bool) {
+// the independent certifier and returns the exit status: 0 certified, 1
+// rejected, 2 internal error (solver-oracle disagreement or bad site id).
+func runCertify(stdout, stderr io.Writer, c *core.Compiled, sabotage int, witness bool) int {
 	cs := core.ToCertify(c.Schedule.Lower())
 	an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 	if len(an.OracleErrs) > 0 {
-		fmt.Fprintln(os.Stderr, "barrierc:", an.OracleErrs[0])
-		os.Exit(2)
+		fmt.Fprintln(stderr, "barrierc:", an.OracleErrs[0])
+		return 2
 	}
 	if n := len(cs.Sites); sabotage < 0 || sabotage > n {
-		fmt.Fprintf(os.Stderr, "barrierc: -sabotage %d out of range (schedule has %d sync sites)\n", sabotage, n)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "barrierc: -sabotage %d out of range (schedule has %d sync sites)\n", sabotage, n)
+		return 2
 	}
 	if sabotage > 0 {
 		cs = cs.DropSite(sabotage - 1)
 	}
 	cert, viols := an.Check(cs)
+	pay, code := certifyPayload{Certified: true, Certificate: cert}, 0
 	if len(viols) > 0 {
-		if witness {
-			pay := certifyPayload{Certified: false, Violations: viols}
-			if err := envelope.Write(os.Stdout, envelope.ToolCertify, pay); err != nil {
-				fmt.Fprintln(os.Stderr, "barrierc:", err)
-				os.Exit(2)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "barrierc: schedule rejected (%d unordered flows):\n%s",
+		fmt.Fprintf(stderr, "barrierc: schedule rejected (%d unordered flows):\n%s",
 			len(viols), certify.RenderViolations(viols))
-		os.Exit(1)
+		if !witness {
+			return 1
+		}
+		pay, code = certifyPayload{Certified: false, Violations: viols}, 1
 	}
-	pay := certifyPayload{Certified: true, Certificate: cert}
-	if err := envelope.Write(os.Stdout, envelope.ToolCertify, pay); err != nil {
-		fmt.Fprintln(os.Stderr, "barrierc:", err)
-		os.Exit(2)
+	if err := envelope.Write(stdout, envelope.ToolCertify, pay); err != nil {
+		fmt.Fprintln(stderr, "barrierc:", err)
+		return 2
 	}
+	return code
 }
 
 // certifyPayload is the -certify envelope payload: the certificate on
@@ -295,28 +327,18 @@ type certifyPayload struct {
 	Violations  []certify.Violation  `json:"violations,omitempty"`
 }
 
-func loadSource(kernel string, args []string) (src, name string, err error) {
+// loadSource returns the named suite kernel, or the program in the one
+// file argument (named by its path, with no shape).
+func loadSource(kernel string, args []string) (suite.Kernel, error) {
 	if kernel != "" {
-		k, err := suite.Get(kernel)
-		if err != nil {
-			if ik, ierr := suite.GetIrregular(kernel); ierr == nil {
-				return ik.Source, ik.Name, nil
-			}
-			return "", "", err
-		}
-		return k.Source, k.Name, nil
+		return suite.Find(kernel)
 	}
 	if len(args) != 1 {
-		return "", "", fmt.Errorf("usage: barrierc [flags] <file.dsl> (or -kernel NAME, or -list)")
+		return suite.Kernel{}, fmt.Errorf("usage: barrierc [flags] <file.dsl> (or -kernel NAME, or -list)")
 	}
 	b, err := os.ReadFile(args[0])
 	if err != nil {
-		return "", "", err
+		return suite.Kernel{}, err
 	}
-	return string(b), args[0], nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "barrierc:", err)
-	os.Exit(1)
+	return suite.Kernel{Name: args[0], Source: string(b)}, nil
 }

@@ -197,13 +197,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var src string
 	if o.kernel != "" {
-		k, err := suite.Get(o.kernel)
+		k, err := suite.Find(o.kernel)
 		if err != nil {
-			ik, ierr := suite.GetIrregular(o.kernel)
-			if ierr != nil {
-				return fail(err)
-			}
-			k = ik
+			return fail(err)
 		}
 		src = k.Source
 		for n, v := range k.Params {
@@ -423,8 +419,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "profile:  %d site(s) -> %s\n", len(prof.Sites), o.profileOut)
 		}
 		if o.ledgerPath != "" {
-			rec := runner.LedgerRecord(res, verdict, time.Now())
-			rec.Profile = prof
+			rec := res.LedgerRecord(verdict, time.Now())
 			if err := profile.AppendLedger(o.ledgerPath, rec); err != nil {
 				return fail(err)
 			}

@@ -51,11 +51,11 @@ func (r *Runner) ScheduleHash() string {
 }
 
 // Profile assembles one traced run's durable sync profile: identity
-// hashes, execution configuration, and the per-site records built by
-// exec.SiteProfiles. res must come from this runner. The profile has
-// Runs == 1; roll up across runs with profile.Merge. Its Workers is the
-// team the run leased (Width), which is P unless the runner narrowed: a
-// narrowed run's waits are not P workers' waits.
+// hashes, execution configuration, and the per-site records of the run's
+// one site join (exec.SiteJoin.Profiles). res must come from this runner.
+// The profile has Runs == 1; roll up across runs with profile.Merge. Its
+// Workers is the team the run leased (Width), which is P unless the runner
+// narrowed: a narrowed run's waits are not P workers' waits.
 func (r *Runner) Profile(res *Result) *profile.Profile {
 	p := &profile.Profile{
 		Schema:       profile.Schema,
@@ -70,7 +70,7 @@ func (r *Runner) Profile(res *Result) *profile.Profile {
 		Runs:         1,
 	}
 	if res != nil {
-		p.Sites = r.Runner.SiteProfiles(&res.Result)
+		p.Sites = r.join(res).Profiles()
 		if res.Trace != nil {
 			p.SpanNS = int64(res.Trace.Span())
 		} else {
@@ -81,25 +81,20 @@ func (r *Runner) Profile(res *Result) *profile.Profile {
 }
 
 // LedgerRecord assembles the append-only run-ledger payload for one run:
-// the profile plus the compile's cost bill and the result metadata. now
-// is the record's timestamp (time.Now() at the call site keeps this
-// package clock-free in tests).
-func (r *Runner) LedgerRecord(res *Result, verdict string, now time.Time) *profile.LedgerRecord {
+// the profile Do built for it (Run.Profile), the compile's cost bill and
+// the result metadata. now is the record's timestamp (time.Now() at the
+// call site keeps this package clock-free in tests).
+func (res *Result) LedgerRecord(verdict string, now time.Time) *profile.LedgerRecord {
+	costs := res.Costs
 	rec := &profile.LedgerRecord{
 		TimeUnixNS: now.UnixNano(),
-		Profile:    r.Profile(res),
+		TraceID:    res.TraceID,
+		Costs:      &costs,
+		Profile:    res.Profile,
+		Result:     profile.RunMeta{Verdict: verdict, WallNS: int64(res.Elapsed)},
 	}
-	if res != nil {
-		rec.TraceID = res.TraceID
-		costs := res.Costs
-		rec.Costs = &costs
-		rec.Result = profile.RunMeta{
-			Verdict: verdict,
-			WallNS:  int64(res.Elapsed),
-		}
-		if res.State != nil {
-			rec.Result.Checksum = fmt.Sprintf("%.10g", res.State.Checksum())
-		}
+	if res.State != nil {
+		rec.Result.Checksum = fmt.Sprintf("%.10g", res.State.Checksum())
 	}
 	return rec
 }

@@ -169,6 +169,45 @@ func TestNarrowedProfileIsLabelled(t *testing.T) {
 	}
 }
 
+// TestProfileAndReportAgree runs one Do that asks for both the profile and
+// the report: both are read off the run's one site join, so every kept
+// site's profile record has the report row's wait count and ops.
+func TestProfileAndReportAgree(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		req := NewRequest(reqSrc, WithWorkers(4), WithParams(reqParams), WithReport())
+		req.Run.Profile = true
+		req.Run.Baseline = baseline
+		res, err := Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.join == nil {
+			t.Fatal("Do built a profile and a report without a site join")
+		}
+		waited := 0
+		for _, row := range res.Report.Rows {
+			rt := row.Runtime
+			sp := res.Profile.Site(row.Remark.Site)
+			if sp == nil {
+				if rt.Waits != 0 || rt.Ops() != 0 {
+					t.Errorf("baseline=%v site %d: report row %+v, no profile record", baseline, row.Remark.Site, rt)
+				}
+				continue
+			}
+			if sp.Wait.Count != rt.Waits || sp.Ops != rt.Ops() {
+				t.Errorf("baseline=%v site %d: profile waits=%d ops=%d, report waits=%d ops=%d",
+					baseline, sp.Site, sp.Wait.Count, sp.Ops, rt.Waits, rt.Ops())
+			}
+			if rt.Waits > 0 {
+				waited++
+			}
+		}
+		if waited == 0 {
+			t.Errorf("baseline=%v: no kept site waited", baseline)
+		}
+	}
+}
+
 // coreAPI is the locked exported surface of this package: every exported
 // top-level identifier and every exported method on an exported receiver.
 // A change here is an API change — extend deliberately, never silently.
@@ -185,7 +224,7 @@ var coreAPI = []string{
 	"Do",
 	"Error (CertifyError)",
 	"Error (LintError)",
-	"LedgerRecord (Runner)",
+	"LedgerRecord (Result)",
 	"LintError",
 	"NewBaselineRunner (Compiled)",
 	"NewRequest",

@@ -86,6 +86,10 @@ type Result struct {
 	// otherwise). Do returns it with the root span still open so the
 	// caller can append its own phases; call Finish before exporting.
 	Telemetry *telemetry.Trace
+
+	// join is the run's one per-site fold, built by the first Profile or
+	// SyncReport call, so a run that asks for both folds its trace once.
+	join *exec.SiteJoin
 }
 
 // Runner executes one compiled schedule. It embeds the executor's runner —
@@ -134,7 +138,16 @@ func (r *Runner) SyncReport(res *Result) *remarks.Report {
 	var rt map[int]remarks.SiteRuntime
 	var att *remarks.Attribution
 	if res != nil {
-		rt, att = r.Runner.SyncRuntime(&res.Result)
+		rt, att = r.join(res).Runtime()
 	}
 	return remarks.BuildReport(r.Remarks(), rt, att, r.Width())
+}
+
+// join returns res's per-site fold, folding on first use. res must come
+// from this runner.
+func (r *Runner) join(res *Result) *exec.SiteJoin {
+	if res.join == nil {
+		res.join = r.Runner.Join(&res.Result)
+	}
+	return res.join
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // TestOneSiteAccount pins that one traced run gives one account per sync
-// site: the durable profile record (SiteProfiles) and the report's runtime
-// join (SyncRuntime) carry the site's dynamic counts from Stats.PerSite and
+// site: the durable profile record (SiteJoin.Profiles) and the report's
+// runtime view (SiteJoin.Runtime), both read off one Join, carry the site's dynamic counts from Stats.PerSite and
 // its waits and barrier imbalance exactly as the trace summary's rows have
 // them, and the report's header its per-kind totals — on a fork-join barrier kernel, a neighbor kernel, a counter kernel
 // and an inspector kernel, each at two team sizes.
@@ -34,11 +34,12 @@ func TestOneSiteAccount(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s/P=%d", tc.kernel, modeOf(tc.baseline), p), func(t *testing.T) {
 				r, res := accountRun(t, tc.kernel, p, tc.baseline)
 				sum := synctrace.Summarize(res.Trace)
+				j := r.Join(&res.Result)
 				profs := map[int]profile.SiteProfile{}
-				for _, sp := range r.SiteProfiles(&res.Result) {
+				for _, sp := range j.Profiles() {
 					profs[sp.Site] = sp
 				}
-				rts, att := r.SyncRuntime(&res.Result)
+				rts, att := j.Runtime()
 				checkAttribution(t, sum, att)
 				waited := 0
 				for id := 1; id <= r.NumSyncSites(); id++ {

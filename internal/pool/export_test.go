@@ -20,10 +20,11 @@ func (p *Pool) Snapshot() Stats {
 		idle += int64(len(q))
 	}
 	p.mu.Unlock()
+	reuses, cold := p.reuses.Load(), p.coldBuilds.Load()
 	return Stats{
-		Checkouts:  p.checkouts.Load(),
-		Reuses:     p.reuses.Load(),
-		ColdBuilds: p.coldBuilds.Load(),
+		Checkouts:  reuses + cold,
+		Reuses:     reuses,
+		ColdBuilds: cold,
 		Live:       p.live.Load(),
 		Idle:       idle,
 	}

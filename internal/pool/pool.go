@@ -40,7 +40,6 @@ type Pool struct {
 	idle   map[key][]*spmdrt.PersistentTeam
 	closed bool
 
-	checkouts  atomic.Int64
 	reuses     atomic.Int64
 	coldBuilds atomic.Int64
 	live       atomic.Int64
@@ -64,7 +63,6 @@ func (p *Pool) Checkout(workers int, kind spmdrt.BarrierKind) (*Lease, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("pool: checkout from a closed pool")
 	}
-	p.checkouts.Add(1)
 	if q := p.idle[k]; len(q) > 0 {
 		pt := q[len(q)-1]
 		q[len(q)-1] = nil

@@ -101,3 +101,29 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadLedger feeds arbitrary bytes to the ledger reader (spmdprof
+// ledger reads whatever file it is given). ReadLedger must never panic,
+// and every record of a ledger it accepts must carry a profile that passes
+// the checks Decode applies to a profile file. The committed corpus holds
+// a two-record ledger written by real jacobi1d runs, the same ledger torn
+// mid-line, and a record with profile_schema 99 and one with negative ops.
+//
+//	go test -run '^$' -fuzz=FuzzReadLedger -fuzztime=30s ./internal/profile
+func FuzzReadLedger(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadLedger(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, rec := range recs {
+			b, err := Encode(rec.Profile)
+			if err != nil {
+				t.Fatalf("record %d: accepted profile does not encode: %v", i, err)
+			}
+			if _, err := Decode(b); err != nil {
+				t.Fatalf("record %d: accepted profile fails Decode: %v\n%s", i, err, b)
+			}
+		}
+	})
+}

@@ -44,13 +44,20 @@ func Decode(data []byte) (*Profile, error) {
 	if err := env.Into(&p); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)
 	}
-	if p.Schema < 1 || p.Schema > Schema {
-		return nil, fmt.Errorf("%w: schema %d (this build reads 1..%d)", ErrSchema, p.Schema, Schema)
-	}
-	if err := p.normalize(); err != nil {
+	if err := p.check(); err != nil {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// check is the read side's validation of a decoded profile, shared by
+// Decode and ReadLedger: the schema must be one this build reads, and the
+// profile must normalize.
+func (p *Profile) check() error {
+	if p.Schema < 1 || p.Schema > Schema {
+		return fmt.Errorf("%w: schema %d (this build reads 1..%d)", ErrSchema, p.Schema, Schema)
+	}
+	return p.normalize()
 }
 
 // ReadFile reads and decodes an envelope-wrapped profile from path. It is
@@ -119,8 +126,10 @@ func AppendLedger(path string, rec *LedgerRecord) error {
 	return f.Close()
 }
 
-// ReadLedger parses every record in an append-only ledger. Blank lines are
-// skipped; a malformed line is an error naming its line number.
+// ReadLedger parses every record in an append-only ledger, checking each
+// record's profile as Decode checks a profile file. Blank lines are
+// skipped; a malformed line is an error naming its line number that wraps
+// ErrEnvelope or ErrSchema.
 func ReadLedger(r io.Reader) ([]*LedgerRecord, error) {
 	var recs []*LedgerRecord
 	sc := bufio.NewScanner(r)
@@ -145,9 +154,9 @@ func ReadLedger(r io.Reader) ([]*LedgerRecord, error) {
 			return nil, fmt.Errorf("ledger line %d: %w: %w", lineNo, ErrEnvelope, err)
 		}
 		if rec.Profile == nil {
-			return nil, fmt.Errorf("ledger line %d: record has no profile", lineNo)
+			return nil, fmt.Errorf("ledger line %d: %w: record has no profile", lineNo, ErrEnvelope)
 		}
-		if err := rec.Profile.normalize(); err != nil {
+		if err := rec.Profile.check(); err != nil {
 			return nil, fmt.Errorf("ledger line %d: %w", lineNo, err)
 		}
 		recs = append(recs, &rec)

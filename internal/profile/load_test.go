@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/envelope"
 )
 
 func sampleProfile() *Profile {
@@ -137,5 +139,24 @@ func TestLoadLedgerRoundTrip(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[0].Profile.Program != "jacobi1d" {
 		t.Fatalf("ReadLedgerFile = %d records, want 2 with profiles", len(recs))
+	}
+}
+
+// TestLoadLedgerErrSchema: a ledger record's profile passes the schema
+// check a profile file does, and the error names the record's line.
+func TestLoadLedgerErrSchema(t *testing.T) {
+	good, err := envelope.WrapLine(envelope.ToolLedger, &LedgerRecord{Result: RunMeta{WallNS: 7}, Profile: sampleProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, schema := range []string{"0", "99"} {
+		bad := strings.Replace(string(good), `"profile_schema":1`, `"profile_schema":`+schema, 1)
+		if bad == string(good) {
+			t.Fatal(`"profile_schema":1 is not in the record line`)
+		}
+		_, err := ReadLedger(strings.NewReader(string(good) + bad))
+		if !errors.Is(err, ErrSchema) || !strings.Contains(err.Error(), "ledger line 2") {
+			t.Errorf("profile_schema %s: ReadLedger error = %v, want ErrSchema on ledger line 2", schema, err)
+		}
 	}
 }

@@ -16,9 +16,11 @@ import (
 // spawns plus a join. It is the unit the team pool (internal/pool) checks
 // out, resets and parks.
 //
-// The failure contract matches Team.Run: a worker panic, watchdog deadlock
-// or cancellation latches the monitor and Run returns the corresponding
-// error after workers unwind (bounded by the same grace period). A
+// Team.Run runs on a persistent team of its own, so both share one failure
+// contract: a worker panic, watchdog deadlock or cancellation latches the
+// monitor and Run returns the corresponding error after workers unwind
+// (bounded by unwindGrace; a worker stuck outside every runtime primitive
+// cannot be preempted and is abandoned past it). A
 // persistent team whose latch has tripped is permanently failed — Run
 // refuses it and ResetForReuse rejects it — because the latch releases
 // blocked waiters exactly once; the pool closes such teams and builds the
@@ -42,8 +44,13 @@ type teamJob struct {
 // NewPersistentTeam spawns n parked workers around a fresh Team of the
 // given barrier kind. Callers must Close the team to release the workers.
 func NewPersistentTeam(n int, kind BarrierKind) *PersistentTeam {
-	pt := &PersistentTeam{t: NewTeam(n, kind), jobs: make([]chan *teamJob, n)}
-	for w := 0; w < n; w++ {
+	return newPersistentTeam(NewTeam(n, kind))
+}
+
+// newPersistentTeam spawns t.N parked workers around t.
+func newPersistentTeam(t *Team) *PersistentTeam {
+	pt := &PersistentTeam{t: t, jobs: make([]chan *teamJob, t.N)}
+	for w := 0; w < t.N; w++ {
 		pt.jobs[w] = make(chan *teamJob, 1)
 		go pt.parkLoop(w)
 	}
@@ -64,9 +71,11 @@ func (pt *PersistentTeam) parkLoop(w int) {
 	}
 }
 
-// runOne executes one worker's share of a job with the same panic
-// contract as runWorkers: teamAbort unwinds are swallowed, real panics
-// latch the monitor as a PanicError.
+// runOne executes one worker's share of a job: teamAbort unwinds are
+// swallowed, real panics latch the monitor as a PanicError. Completion is
+// an atomic countdown whose last decrement closes done, not a helper
+// goroutine blocked in WaitGroup.Wait: such a waiter would itself leak
+// whenever a worker is abandoned past the unwind grace.
 func (pt *PersistentTeam) runOne(w int, job *teamJob) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -526,10 +526,12 @@ func (t *Team) NewP2P() *P2P { return &P2P{slots: make([]paddedCounter, t.N), mo
 // A worker panic cancels the rest of the team (workers blocked in
 // team-bound primitives unwind) and is returned as a *PanicError; a stall
 // beyond the SetWatchdog deadline returns a *DeadlockError. A team that
-// has failed must not be reused.
+// has failed must not be reused. The workers are a persistent team's,
+// spawned for this one run and released after it.
 func (t *Team) Run(fn func(w int)) error {
-	t.mon.gen.Store(t.gen.Add(1))
-	return runWorkers(t.N, t.mon, fn)
+	pt := newPersistentTeam(t)
+	defer pt.Close()
+	return pt.Run(fn)
 }
 
 // Barrier synchronizes all team workers, unattributed to any sync site.

@@ -3,7 +3,6 @@ package spmdrt
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,48 +268,7 @@ func backoff(i int) time.Duration {
 	return time.Microsecond << shift
 }
 
-// runWorkers executes fn on n goroutines, recovering panics into the
-// monitor and waiting for completion. After a failure, workers blocked in
-// monitored primitives unwind promptly; a worker stuck outside any
-// runtime primitive cannot be preempted and is abandoned (leaked) after a
-// grace period so the caller still receives the failure report.
-//
-// Completion is tracked by an atomic countdown whose last decrement closes
-// done, not by a helper goroutine blocked in WaitGroup.Wait: such a waiter
-// would itself leak whenever a worker is abandoned past the grace period
-// (e.g. a run that returns by panic propagation), leaking one goroutine
-// per failed run even after every worker eventually exits.
-func runWorkers(n int, m *Monitor, fn func(w int)) error {
-	done := make(chan struct{})
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-	for w := 0; w < n; w++ {
-		go func(w int) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(teamAbort); !ok {
-						m.fail(&PanicError{Worker: w, Value: r, Stack: string(debug.Stack())})
-					}
-				}
-				if remaining.Add(-1) == 0 {
-					close(done)
-				}
-			}()
-			fn(w)
-		}(w)
-	}
-	select {
-	case <-done:
-	case <-m.failedCh:
-		select {
-		case <-done:
-		case <-time.After(unwindGrace):
-		}
-	}
-	return m.Err()
-}
-
-// unwindGrace bounds how long Team.Run waits for workers to unwind after
+// unwindGrace bounds how long a run waits for workers to unwind after
 // the team has failed. A variable so the runtime's own tests can shrink
 // it to exercise worker abandonment without multi-second sleeps.
 var unwindGrace = 2 * time.Second

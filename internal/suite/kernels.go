@@ -23,7 +23,9 @@ type Kernel struct {
 	Tol float64
 }
 
-// Get returns the kernel with the given name.
+// Get returns the affine kernel with the given name. It does not find the
+// irregular kernels (GetIrregular): the bench holds N fixed for the
+// kernels Get does not find.
 func Get(name string) (Kernel, error) {
 	for _, k := range Kernels() {
 		if k.Name == name {
@@ -31,6 +33,14 @@ func Get(name string) (Kernel, error) {
 		}
 	}
 	return Kernel{}, fmt.Errorf("suite: unknown kernel %q", name)
+}
+
+// Find returns the named kernel of either suite: the CLIs' -kernel lookup.
+func Find(name string) (Kernel, error) {
+	if k, err := GetIrregular(name); err == nil {
+		return k, nil
+	}
+	return Get(name)
 }
 
 // Kernels returns the full benchmark suite in presentation order.

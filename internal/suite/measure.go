@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/ir"
 	"repro/internal/region"
 	"repro/internal/spmdrt"
 	"repro/internal/syncopt"
@@ -142,39 +141,6 @@ func MeasureAll(opt MeasureOptions) ([]Metrics, error) {
 		}
 		out = append(out, m)
 	}
-	return out, nil
-}
-
-// Explain compiles a kernel and renders its schedule plus per-boundary
-// reasoning — the tool behind `barrierc -explain` (figure F2).
-func Explain(k Kernel) (string, error) {
-	c, err := core.Compile(k.Source, core.Options{})
-	if err != nil {
-		return "", err
-	}
-	out := fmt.Sprintf("program %s — %s\n\n", k.Name, k.Shape)
-	out += "parallel loops:\n"
-	for _, l := range c.Parallelized.Parallel {
-		pl := c.Plan.Placements[l]
-		out += fmt.Sprintf("  %s\n    placement: %s\n", ir.StmtString(l), pl)
-		if len(l.Private) > 0 {
-			out += fmt.Sprintf("    private: %v\n", l.Private)
-		}
-		for _, r := range l.Reductions {
-			out += fmt.Sprintf("    reduction: %s (%s)\n", r.Var, r.Op)
-		}
-	}
-	if len(c.Parallelized.Serial) > 0 {
-		out += "serial loops:\n"
-		for l, why := range c.Parallelized.Serial {
-			out += fmt.Sprintf("  %s: %s\n", ir.StmtString(l), why)
-		}
-	}
-	out += "\nschedule:\n" + c.Schedule.Dump()
-	st := c.Schedule.Static()
-	bst := c.Baseline.Static()
-	out += fmt.Sprintf("\nstatic sync sites: base %d barriers -> opt %d barriers, %d counters, %d neighbor\n",
-		bst.Barriers, st.Barriers, st.Counters, st.Neighbors)
 	return out, nil
 }
 

@@ -135,19 +135,6 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
-func TestExplainOutput(t *testing.T) {
-	k, _ := Get("tred2like")
-	out, err := Explain(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"placement", "schedule:", "counter", "static sync sites"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTablePrinters(t *testing.T) {
 	var ms []Metrics
 	for _, name := range []string{"jacobi1d", "dotchain"} {

@@ -5,7 +5,7 @@
 # reuse sweep, the span-tree goldens — a later leg only checks by name that
 # those gates still exist), a 10 s differential fuzz of linear.Enumerate
 # against its reference, DSL lint and schedule-certification sweeps, the
-# remarks golden and sync-report smokes, a chaos + sanitizer + watchdog
+# remarks golden, explain and sync-report smokes, a chaos + sanitizer + watchdog
 # smoke of representative kernels, the irregular-suite gates (value facts,
 # inspector stats, no scan silently degraded to the conservative row), the
 # trace-export smoke, the overhead and feedback guards (tracing, profile,
@@ -112,6 +112,28 @@ echo "== remarks smoke (barrierc -remarks) =="
     }
 done
 echo "-- remarks golden byte-exact; all suite kernels render"
+
+echo "== explain smoke (barrierc -explain) =="
+# -explain renders the compilation the other views read: every kernel -list
+# prints explains, twice byte for byte (serial loops in source order, not
+# map order), and -cyclic reaches the placements it prints.
+"$barrierc" -list | while read -r k _; do
+    a="$("$barrierc" -explain -kernel "$k")" || {
+        echo "ERROR: kernel $k failed -explain" >&2
+        exit 1
+    }
+    b="$("$barrierc" -explain -kernel "$k")"
+    [ "$a" = "$b" ] || {
+        echo "ERROR: kernel $k: two -explain runs differ" >&2
+        exit 1
+    }
+done
+cyclic_explain="$("$barrierc" -kernel jacobi1d -cyclic -explain)"
+echo "$cyclic_explain" | grep -q "placement: cyclic" || {
+    echo "ERROR: barrierc -kernel jacobi1d -cyclic -explain names no cyclic placement" >&2
+    exit 1
+}
+echo "-- all suite kernels explain, byte-identical twice; -cyclic reaches the placements"
 
 echo "== sync report smoke (spmdrun -report) =="
 # The static<->runtime join: jacobi2d at P=8 must produce the ranked
@@ -313,16 +335,17 @@ echo "== one timing sampler =="
 # called that the reachability gate found and that were deleted outright
 # (core's three unused request options and its unmemoized certify call,
 # the parser's panicking parse, the interpreter's two exported evaluators,
-# the solver's implication test and five accessors) must not come back in
-# any .go or .sh file, in docs/ or in README.md.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)' # retired-names
+# the solver's implication test and five accessors), and of the second
+# team spawn path Team.Run had beside the persistent team's, must not come
+# back in any .go or .sh file, in docs/ or in README.md.
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)|runWorkers' # retired-names
 if sampler_hits="$({ find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0
     printf '%s\0' docs/*.md README.md; } | xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
     echo "$sampler_hits" >&2
     exit 1
 fi
-echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument or test-only-function name in any .go or .sh file, docs/ or README.md"
+echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument, test-only-function or second-spawn-path name in any .go or .sh file, docs/ or README.md"
 
 echo "== pinned gates still exist =="
 # The -race leg above has already run these; what is checked here is that
@@ -347,7 +370,9 @@ echo "== pinned gates still exist =="
 # summary's rows) with the summary's exact row on fixed timestamps, the
 # team widths runners choose, with narrowed runs held to the fixed-width
 # final state, the profile reader's decode fuzz with its hostile seeds, the
-# runner whose execution model, verdict and profile mode come from the
+# ledger reader's fuzz and schema check, the one join a Do's profile and
+# report share, -explain's source order, compile flags, listed kernels
+# and feedback schedule, the runner whose execution model, verdict and profile mode come from the
 # schedule it runs, not from Config.Mode, and the reachability gate: every
 # function under internal/ has a caller outside tests, checked on the tree
 # and on a fixture module where a planted test-only export must be caught.
@@ -380,11 +405,13 @@ pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGant
 pinned ./internal/certify TestCertificateGolden TestStepMutants
 pinned ./internal/synctrace TestRingGrowsToCap TestSummarizeSiteRow
 pinned ./internal/linear FuzzAffine TestAffineMatchesReference
-pinned ./internal/profile FuzzDecode
-pinned ./internal/core TestRunnerModeComesFromSchedule
+pinned ./internal/profile FuzzDecode FuzzReadLedger TestLoadLedgerErrSchema
+pinned ./internal/core TestRunnerModeComesFromSchedule TestProfileAndReportAgree
+pinned ./cmd/barrierc TestExplainSerialLoopsInSourceOrder TestExplainHonoursCompileFlags \
+    TestExplainEveryListedKernel TestExplainHonoursFDO
 pinned ./internal/pool TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled
 pinned . TestEveryInternalFuncHasAProductionCaller TestDeadcodeGateOnFixture
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, profile-decode, runner-mode and reachability gates present"
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, profile-decode, ledger-read, one-join, explain, runner-mode and reachability gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
