@@ -10,7 +10,7 @@
 //	barrierc -kernel jacobi2d -remarks [-json]
 //	barrierc -kernel permcopy -irreg
 //	barrierc -lint <file.dsl>
-//	barrierc -kernel jacobi1d -certify [-sabotage N] [-witness]
+//	barrierc -kernel jacobi1d -certify [-sabotage N]
 //	barrierc -list
 //
 // With -lint the program is checked by the source-level DSL linter and the
@@ -18,11 +18,12 @@
 // program is clean (informational notes allowed), 1 when any warning or
 // error was found, and 2 on an internal error. With -certify the optimized
 // schedule is re-checked by the independent static certifier and the
-// certificate is printed as a versioned JSON envelope (schema_version,
-// tool "barrierc-certify", payload); -sabotage N demotes sync site N
-// (1-based, the executor's SabotageEdge numbering) first, and -witness
-// renders a rejection in the same envelope including the concrete
-// counterexample witnesses.
+// verdict is printed as a versioned JSON envelope (schema_version, tool
+// "barrierc-certify", payload): the certificate when the schedule passes
+// (exit 0), certified:false with the violations and their concrete
+// counterexample witnesses when it is rejected (exit 1); -sabotage N
+// demotes sync site N (1-based, the executor's SabotageEdge numbering)
+// first.
 //
 // With -irreg the irregular-access value analysis is printed: the facts
 // the forward-dataflow lattice established for every index array and
@@ -77,9 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cyclic   = fs.Bool("cyclic", false, "use a cyclic data decomposition")
 		ablate   = fs.String("ablate", "", "disable an optimization: repl (replacement) or merge (group merging)")
 		lintF    = fs.Bool("lint", false, "lint the program and exit (0 clean, 1 findings, 2 internal error)")
-		certF    = fs.Bool("certify", false, "re-check the schedule with the independent certifier; print the JSON certificate")
+		certF    = fs.Bool("certify", false, "re-check the schedule with the independent certifier; print the verdict as a JSON envelope (exit 0 certified, 1 rejected)")
 		sabot    = fs.Int("sabotage", 0, "with -certify: demote sync site N (1-based) to none before checking")
-		witness  = fs.Bool("witness", false, "with -certify: print rejections as JSON including witnesses")
 		remarksF = fs.Bool("remarks", false, "print per-sync-site optimization remarks (why each site was kept, weakened or eliminated)")
 		irregF   = fs.Bool("irreg", false, "print the irregular-access value facts and the sync decisions they enabled")
 		jsonOut  = fs.Bool("json", false, "with -remarks: print the remark set as a versioned JSON envelope")
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *certF:
-		return runCertify(stdout, stderr, c, *sabot, *witness)
+		return runCertify(stdout, stderr, c, *sabot)
 	case *irregF:
 		printIrreg(stdout, c)
 	case *remarksF && *jsonOut:
@@ -288,7 +288,7 @@ func printIrreg(w io.Writer, c *core.Compiled) {
 // runCertify re-checks the compiled schedule (optionally sabotaged) with
 // the independent certifier and returns the exit status: 0 certified, 1
 // rejected, 2 internal error (solver-oracle disagreement or bad site id).
-func runCertify(stdout, stderr io.Writer, c *core.Compiled, sabotage int, witness bool) int {
+func runCertify(stdout, stderr io.Writer, c *core.Compiled, sabotage int) int {
 	cs := core.ToCertify(c.Schedule.Lower())
 	an := certify.Analyze(c.Prog, cs, c.CertifyOptions())
 	if len(an.OracleErrs) > 0 {
@@ -307,9 +307,6 @@ func runCertify(stdout, stderr io.Writer, c *core.Compiled, sabotage int, witnes
 	if len(viols) > 0 {
 		fmt.Fprintf(stderr, "barrierc: schedule rejected (%d unordered flows):\n%s",
 			len(viols), certify.RenderViolations(viols))
-		if !witness {
-			return 1
-		}
 		pay, code = certifyPayload{Certified: false, Violations: viols}, 1
 	}
 	if err := envelope.Write(stdout, envelope.ToolCertify, pay); err != nil {
@@ -320,7 +317,7 @@ func runCertify(stdout, stderr io.Writer, c *core.Compiled, sabotage int, witnes
 }
 
 // certifyPayload is the -certify envelope payload: the certificate on
-// acceptance, the violation list (with witnesses) on a -witness rejection.
+// acceptance, the violation list (with witnesses) on a rejection.
 type certifyPayload struct {
 	Certified   bool                 `json:"certified"`
 	Certificate *certify.Certificate `json:"certificate,omitempty"`

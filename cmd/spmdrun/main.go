@@ -4,9 +4,10 @@
 // verifying the parallel result against the sequential interpreter.
 //
 // The run is bound to a signal-cancelled context: Ctrl-C (or SIGTERM, or
-// the -timeout deadline) tears the worker team down through the watchdog
-// failure latch and the process exits with a cancellation error instead
-// of hanging in a half-finished barrier episode.
+// the -timeout deadline) tears the worker team down through its failure
+// latch and the process exits with a cancellation error that names every
+// worker's wait site, instead of hanging in a half-finished barrier
+// episode. -timeout is how a stalled schedule is stopped.
 //
 // stdout carries only the machine-parseable result — `key: value` lines
 // plus, with -report, the ranked sync-report table; or with -json a single
@@ -26,7 +27,7 @@
 //
 //	spmdrun -kernel jacobi2d -p 8
 //	spmdrun -kernel jacobi2d -p 8 -report [-json]
-//	spmdrun -kernel jacobi2d -p 8 -trace out.json
+//	spmdrun -kernel jacobi2d -p 8 -trace out.json [-json]
 //	spmdrun -kernel dotchain -p 4 -profile-out prof.json
 //	spmdrun -kernel dotchain -p 4 -profile-in prof.json -json
 //	spmdrun -p 4 -mode base -param N=256 -param T=10 prog.dsl
@@ -76,8 +77,8 @@ func (p paramList) Set(s string) error {
 // field set is deliberately flat and stable: scripts key on it.
 type runPayload struct {
 	Program string `json:"program"`
-	// TraceID joins this envelope with the span export (-spans) and the
-	// ledger record.
+	// TraceID joins this envelope with the Chrome trace's run_metadata
+	// (-trace) and the ledger record.
 	TraceID string `json:"trace_id,omitempty"`
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
@@ -85,8 +86,8 @@ type runPayload struct {
 	Width   int    `json:"width"`
 	Barrier string `json:"barrier"`
 	Backend string `json:"backend"`
-	// ElapsedNS is the execution leg; WallNS (spans enabled only) is the
-	// whole request, lint through verify — the root span's duration.
+	// ElapsedNS is the execution leg; WallNS (-trace only) is the whole
+	// request, lint through verify — the lifecycle track's root span.
 	ElapsedNS int64   `json:"elapsed_ns"`
 	WallNS    int64   `json:"wall_ns,omitempty"`
 	Checksum  float64 `json:"checksum"`
@@ -128,7 +129,6 @@ type options struct {
 	report  bool
 	timeout time.Duration
 
-	watchdog time.Duration
 	chaos    int64
 	sanitize bool
 	sabotage int
@@ -138,7 +138,6 @@ type options struct {
 	profileOut string
 	profileIn  string
 	ledgerPath string
-	spansOut   string
 	params     paramList
 }
 
@@ -153,19 +152,17 @@ func newFlagSet(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.verify, "verify", true, "compare against the sequential interpreter")
 	fs.BoolVar(&o.jsonOut, "json", false, "print the result as a versioned JSON envelope on stdout")
 	fs.BoolVar(&o.report, "report", false, "join static remarks with runtime per-site waits; print the ranked kept-barrier cost table (forces tracing)")
-	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this long (0 disables); cancellation tears the team down cleanly")
+	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the request after this long (0 disables); a cancelled run reports every worker's wait site")
 
-	fs.DurationVar(&o.watchdog, "watchdog", 0, "stall deadline; a worker blocked this long aborts the run with a per-worker deadlock report (0 disables)")
 	fs.Int64Var(&o.chaos, "chaos-seed", 0, "enable deterministic chaos injection with this seed (0 disables)")
 	fs.BoolVar(&o.sanitize, "sanitize", false, "run the schedule-soundness sanitizer and report unordered cross-worker flows")
 	fs.IntVar(&o.sabotage, "sabotage", 0, "drop the sync edge with this 1-based site number (testing aid; makes the schedule unsound)")
 
-	fs.StringVar(&o.traceOut, "trace", "", "record sync events and write a Chrome trace-event JSON file (view in ui.perfetto.dev)")
+	fs.StringVar(&o.traceOut, "trace", "", "record sync events and lifecycle spans and write a Chrome trace-event JSON file (view in ui.perfetto.dev)")
 
 	fs.StringVar(&o.profileOut, "profile-out", "", "write the run's durable sync profile as an envelope-wrapped JSON file (forces tracing; merge/diff with spmdprof)")
 	fs.StringVar(&o.profileIn, "profile-in", "", "feed a prior run's profile (from -profile-out) back through the feedback-directed optimizer; the run executes the re-optimized schedule")
 	fs.StringVar(&o.ledgerPath, "ledger", "", "append one envelope-wrapped record (profile + compile costs + result metadata) to this run-ledger file (forces tracing)")
-	fs.StringVar(&o.spansOut, "spans", "", "record run-lifecycle spans (lint/compile/certify/pool lease/execute/...) and write them as an envelope-wrapped JSON file")
 	fs.Var(o.params, "param", "program parameter NAME=VALUE (repeatable)")
 	return fs, o
 }
@@ -241,14 +238,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		core.WithFDOProfile(prior)(&req)
 	}
-	req.Run.Watchdog = o.watchdog
 	req.Run.ChaosSeed = o.chaos
 	req.Run.Sabotage = o.sabotage
 	req.Run.Sanitize = o.sanitize
 	req.Run.Trace = o.traceOut != ""
 	req.Run.Report = o.report
 	req.Run.Profile = o.profileOut != "" || o.ledgerPath != ""
-	req.Run.Spans = o.spansOut != ""
+	req.Run.Spans = o.traceOut != ""
 
 	res, err := core.Do(ctx, req)
 	if err != nil {
@@ -349,7 +345,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Verify computes its verdict before the profile/ledger emission so a
 	// FAIL still lands in the ledger record; the failure exit follows.
 	// core.Do leaves the root span open so the verify leg counts toward
-	// the trace's wall time (tr is nil when spans are off).
+	// the trace's wall time (tr is nil without -trace).
 	tr := res.Telemetry
 	verdict := ""
 	var verifyErr error
@@ -375,7 +371,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr.End(verifySp)
 	}
 	tr.Finish()
-	export := tr.Export()
 	pay.TraceID = res.TraceID
 	pay.WallNS = tr.WallNS()
 
@@ -395,20 +390,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "trace:    %d events -> %s (load in ui.perfetto.dev)\n",
 			res.Trace.Recorded(), o.traceOut)
-	}
-	if o.spansOut != "" {
-		f, err := os.Create(o.spansOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := envelope.Write(f, envelope.ToolSpans, export); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "spans:    %d span(s), trace %s -> %s\n",
-			len(export.Spans), export.TraceID, o.spansOut)
 	}
 	if res.Profile != nil {
 		prof := res.Profile

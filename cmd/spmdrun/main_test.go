@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -302,7 +303,7 @@ func TestProfileFeedbackRoundTrip(t *testing.T) {
 }
 
 // TestRunErrorsExitNonzero checks error paths return 1 and keep stdout
-// empty (errors go to stderr). The last three cases are retired flags
+// empty (errors go to stderr). The last five cases are retired flags
 // (their names are split so check.sh's retired-names grep stays clean): the
 // flag package itself must reject them.
 func TestRunErrorsExitNonzero(t *testing.T) {
@@ -318,6 +319,8 @@ func TestRunErrorsExitNonzero(t *testing.T) {
 		{[]string{"-kernel", "jacobi1d", "-metrics" + "-addr", ":0"}, "flag provided but not defined: -metrics" + "-addr"},
 		{[]string{"-kernel", "jacobi1d", "-" + "det"}, "flag provided but not defined: -" + "det"},
 		{[]string{"-kernel", "jacobi1d", "-" + "pool=false"}, "flag provided but not defined: -" + "pool"},
+		{[]string{"-kernel", "jacobi1d", "-watch" + "dog", "1s"}, "flag provided but not defined: -watch" + "dog"},
+		{[]string{"-kernel", "jacobi1d", "-spa" + "ns", "x.json"}, "flag provided but not defined: -spa" + "ns"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code == 0 {
@@ -340,8 +343,7 @@ func TestFlagsArePinned(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := "barrier chaos-seed json kernel ledger mode p param profile-in " +
-		"profile-out report sabotage sanitize spans timeout trace " +
-		"verify watchdog"
+		"profile-out report sabotage sanitize timeout trace verify"
 	if strings.Join(got, " ") != want {
 		t.Errorf("flags = %q, want %q", strings.Join(got, " "), want)
 	}
@@ -382,26 +384,31 @@ end do
 end
 `
 
-// TestWatchdogTripFailsLoudly: a stall on a certified schedule is a failed
-// run, never a retried one. With the watchdog far below one relay chunk's
-// compute, the run exits 1 with nothing on stdout and the per-worker wait
-// report on stderr. A wait trips only once it outlasts its spin and yield
-// rounds, which CPU contention can stretch; forty time steps of seven
-// relay waits each make a run that trips none of them vanishingly rare.
-func TestWatchdogTripFailsLoudly(t *testing.T) {
+// TestTimeoutStallFailsLoudly: a stall on a certified schedule is a failed
+// run, never a retried one. With the -timeout deadline far below the run's
+// length, the run exits 1 with nothing on stdout and the per-worker wait
+// report of the cancelled team on stderr: one line for each of w0..w7,
+// blocked in a relay wait or running.
+func TestTimeoutStallFailsLoudly(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "stall.dsl")
 	if err := os.WriteFile(src, []byte(stallSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	args := []string{"-p", "8", "-param", "N=65536", "-param", "T=40", "-watchdog", "1us", src}
+	args := []string{"-p", "8", "-param", "N=65536", "-param", "T=100000", "-timeout", "300ms", src}
 	if code := run(args, &stdout, &stderr); code != 1 {
 		t.Fatalf("run(%v) = %d, want 1; stderr:\n%s", args, code, stderr.String())
 	}
 	if stdout.Len() != 0 {
-		t.Errorf("stdout not empty on a watchdog trip:\n%s", stdout.String())
+		t.Errorf("stdout not empty on a cancelled run:\n%s", stdout.String())
 	}
-	if report := stderr.String(); !strings.Contains(report, "watchdog:") || !strings.Contains(report, "\n  w7: ") {
-		t.Errorf("stderr lacks the per-worker watchdog report:\n%s", report)
+	report := stderr.String()
+	if !strings.Contains(report, "run cancelled: context deadline exceeded") {
+		t.Errorf("stderr lacks the cancellation:\n%s", report)
+	}
+	for w := 0; w < 8; w++ {
+		if !strings.Contains(report, fmt.Sprintf("\n  w%d: ", w)) {
+			t.Errorf("stderr lacks a wait-site line for w%d:\n%s", w, report)
+		}
 	}
 }

@@ -57,8 +57,6 @@ type RunOptions struct {
 	Report bool
 	// Sanitize runs the schedule-soundness sanitizer.
 	Sanitize bool
-	// Watchdog aborts the run when a worker blocks this long (0 disables).
-	Watchdog time.Duration
 	// ChaosSeed enables deterministic chaos injection (0 disables).
 	ChaosSeed int64
 	// Sabotage drops the sync edge with this 1-based site id (testing aid).
@@ -168,7 +166,6 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	if tr != nil {
-		tr.SetProgram(c.Prog.Name)
 		// Compile sub-phases re-tile the compile span from the phase
 		// clock's own measurements; solver totals ride as attributes.
 		off := compileStart
@@ -215,17 +212,16 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	// A profile, a report and a feedback pass read the schedule's waits at
 	// P workers, so they run at all P (exec.Config.FixedWidth).
 	cfg := exec.Config{
-		FixedWidth:      req.Run.Profile || req.Run.Report || req.Compile.FDOProfile != nil,
-		Workers:         workers,
-		Barrier:         req.Run.Barrier,
-		Params:          req.Run.Params,
-		WatchdogTimeout: req.Run.Watchdog,
-		ChaosSeed:       req.Run.ChaosSeed,
-		SabotageEdge:    req.Run.Sabotage,
-		Sanitize:        req.Run.Sanitize,
-		Trace:           req.Run.Trace || tracingForced,
-		Spans:           tr,
-		SpansParent:     execSp,
+		FixedWidth:   req.Run.Profile || req.Run.Report || req.Compile.FDOProfile != nil,
+		Workers:      workers,
+		Barrier:      req.Run.Barrier,
+		Params:       req.Run.Params,
+		ChaosSeed:    req.Run.ChaosSeed,
+		SabotageEdge: req.Run.Sabotage,
+		Sanitize:     req.Run.Sanitize,
+		Trace:        req.Run.Trace || tracingForced,
+		Spans:        tr,
+		SpansParent:  execSp,
 	}
 
 	// Runner construction covers the memoized closure lowering.
@@ -277,6 +273,9 @@ func Do(ctx context.Context, req Request) (*Result, error) {
 	if res.TraceID == "" {
 		res.TraceID = telemetry.NewTraceID()
 	}
+	// The Chrome file's run_metadata carries the id that joins it with the
+	// run envelope and the ledger record.
+	res.Trace.SetMeta("trace_id", res.TraceID)
 	if req.Run.Profile {
 		sp := tr.Start(0, "profile")
 		res.Profile = runner.Profile(res)

@@ -280,7 +280,6 @@ var coreKnobs = []string{
 	"RunOptions.Sanitize",
 	"RunOptions.Spans",
 	"RunOptions.Trace",
-	"RunOptions.Watchdog",
 }
 
 // TestAPISurface locks the package's exported API: additions, removals and

@@ -114,8 +114,8 @@ func (r *Runner) Run() (*Result, error) {
 }
 
 // RunContext is Run under a context: cancellation or deadline expiry tears
-// the worker team down through the watchdog path and returns a
-// *spmdrt.CancelError wrapping ctx.Err().
+// the worker team down through its failure latch and returns a
+// *spmdrt.CancelError wrapping ctx.Err(), with every worker's wait site.
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	res, err := r.Runner.RunContext(ctx)
 	if err != nil {
@@ -126,7 +126,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 
 // Remarks returns the remark set of the schedule this runner executes (the
 // baseline schedule's remarks for baseline runners), in the same site
-// numbering the runner's watchdog, stats and sabotage flags use.
+// numbering the runner's cancellation reports, stats and sabotage flags use.
 func (r *Runner) Remarks() *remarks.Set { return r.sched.Remarks() }
 
 // SyncReport joins this runner's static remarks with one run's per-site

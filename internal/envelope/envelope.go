@@ -1,8 +1,8 @@
 // Package envelope defines the single versioned JSON envelope every
 // machine-readable artifact the toolchain emits is wrapped in: certifier
 // certificates (`barrierc -certify`), remarks (`barrierc -remarks -json`),
-// run results (`spmdrun -json`), span exports (`spmdrun -spans`), durable
-// sync profiles and run-ledger records. Consumers dispatch on the `tool`
+// run results (`spmdrun -json`), durable sync profiles and run-ledger
+// records. Consumers dispatch on the `tool`
 // field and check `schema_version` before touching the payload, so the
 // emitters can evolve their payloads independently without breaking
 // downstream scripts that only route or archive them.
@@ -36,8 +36,6 @@ const (
 	// line-oriented spmdrun -ledger format).
 	ToolProfile = "spmd-profile"
 	ToolLedger  = "spmdrun-ledger"
-	// ToolSpans wraps a run-lifecycle span export (spmdrun -spans).
-	ToolSpans = "spmdrun-spans"
 )
 
 // Envelope is the wrapper around one tool artifact.

@@ -52,7 +52,7 @@ func TestGoldenSchema(t *testing.T) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, tool := range []string{ToolCertify, ToolRun, ToolSpans} {
+	for _, tool := range []string{ToolCertify, ToolRun, ToolLedger} {
 		b, err := Wrap(tool, sample())
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // the slices every worker executes — placement arithmetic, private and
 // reduction cells, the activity estimate of a counter site — and must not
 // add one allocation to the run. One worker, so no wait outlasts its spin
-// and allocates a watchdog site: the count is exact.
+// and allocates a wait site: the count is exact.
 //
 // The irregular programs guard the inspector the same way. gatherscatter
 // and meshsmooth run on two workers (a lone worker has no row to compute):
@@ -23,8 +23,8 @@ import (
 // to allocate a megabyte of maps per run. gatherscatter's rows are empty.
 // meshsmooth's two blocks do conflict, so its workers wait on each other at
 // every crossing, and those waits used to allocate in spmdrt as soon as
-// their spin was spent (the watchdog site, its detail closure, its observe
-// method value). A wait now registers with the watchdog only at its first
+// their spin was spent (the wait site, its detail closure, its observe
+// method value). A wait now registers with the monitor only at its first
 // sleep round, after 256 yields, which at this grain it does not reach: its
 // count is exact too. (AllocsPerRun divides the total by the runs in
 // integers, so a single wait that does get there in one of them drops out.)

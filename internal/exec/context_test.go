@@ -65,6 +65,16 @@ func TestRunContextCancel(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("CancelError does not unwrap to DeadlineExceeded: %v", err)
 		}
+		// The deadline hit a leased team: the error carries its run
+		// generation and where each of its workers was.
+		if ce.Generation < 1 || len(ce.Workers) != r.Width() {
+			t.Fatalf("CancelError gen %d with %d worker statuses, want gen >= 1 and %d", ce.Generation, len(ce.Workers), r.Width())
+		}
+		for w, st := range ce.Workers {
+			if st.Worker != w || (st.Blocked && st.Prim == "") {
+				t.Errorf("worker %d status %+v", w, st)
+			}
+		}
 		// Teardown must be prompt (the unwind grace is 2s; a hang here
 		// would mean cancellation never reached blocked workers).
 		if d := time.Since(start); d > 10*time.Second {

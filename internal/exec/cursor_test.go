@@ -46,10 +46,7 @@ func TestHoistedCheckOnATeam(t *testing.T) {
 					}
 					run := func(sanitize, ref bool) (*interp.State, string, int64) {
 						r, err := c.NewRunner(exec.Config{Workers: workers, Params: tc.Params,
-							Sanitize: sanitize, FixedWidth: true,
-							// A worker that stops synchronizing after its fault
-							// must fail the test, not hang it.
-							WatchdogTimeout: 20 * time.Second})
+							Sanitize: sanitize, FixedWidth: true})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -62,8 +59,12 @@ func TestHoistedCheckOnATeam(t *testing.T) {
 							t.Fatal(err)
 						}
 						st.SeedDeterministic()
+						// A worker that stops synchronizing after its fault
+						// must fail the test, not hang it.
+						ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+						defer cancel()
 						text := ""
-						if _, err := r.RunContextOn(context.Background(), st); err != nil {
+						if _, err := r.RunContextOn(ctx, st); err != nil {
 							text = err.Error()
 						}
 						return st, text, fallbacks()

@@ -76,11 +76,6 @@ type Config struct {
 	// runner's program with an instrumentation setting matching Sanitize;
 	// otherwise NewRunner lowers afresh.
 	Compiled *compile.Prog
-	// WatchdogTimeout, when positive, arms the runtime stall watchdog: a
-	// run in which any worker blocks that long inside a sync primitive is
-	// aborted with a structured per-worker *spmdrt.DeadlockError instead
-	// of hanging.
-	WatchdogTimeout time.Duration
 	// ChaosSeed, when nonzero, enables deterministic seed-driven chaos
 	// injection: pre/post-sync delays, forced scheduler yields and a
 	// designated slow worker, stress-testing eliminated synchronization
@@ -167,7 +162,7 @@ type Runner struct {
 	insp    []*inspSite
 	hasInsp bool
 	rowHook func(ws *workerState, site int, row []int) []int
-	// siteLabels[id] names a site in watchdog reports; traceLabels[id]
+	// siteLabels[id] names a site in cancellation reports; traceLabels[id]
 	// names it in the sync-event trace (built only under Config.Trace).
 	siteLabels, traceLabels []string
 	// relays are the loops of the StepWavefront steps, in step order, each
@@ -381,9 +376,6 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 	var relErr error
 	defer func() { lease.Release(relErr) }()
 	team := lease.Team().Team()
-	if r.cfg.WatchdogTimeout > 0 {
-		team.SetWatchdog(r.cfg.WatchdogTimeout)
-	}
 	run := &teamRun{
 		Runner:   r,
 		ps:       ps,
@@ -418,7 +410,7 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 	if r.cfg.Trace {
 		rec := synctrace.New(r.width, synctrace.DefaultCap)
 		// Scheduled sites register first so trace ids 0..nSites-1 match
-		// the stats/watchdog/sabotage numbering (1-based there).
+		// the stats/cancellation/sabotage numbering (1-based there).
 		for i := 0; i < r.nSites; i++ {
 			rec.AddSite(r.traceLabels[i])
 			run.counters[i].BindTrace(rec, int32(i), synctrace.EvCounterIncr, synctrace.EvCounterWait)
@@ -498,10 +490,9 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 	elapsed := time.Since(start)
 	spans.End(runSp)
 	if runErr != nil {
-		// A watchdog deadlock report, a recovered worker panic or a
-		// cancellation: the run was aborted, shared state is not
-		// meaningful, and the team's failure latch is tripped for good —
-		// close it.
+		// A recovered worker panic or a cancellation: the run was
+		// aborted, shared state is not meaningful, and the team's failure
+		// latch is tripped for good — close it.
 		relErr = runErr
 		return nil, runErr
 	}
@@ -686,8 +677,8 @@ func (ws *workerState) runSteps() {
 	run := ws.run
 	for pc := 0; pc < len(run.low.Steps); pc++ {
 		if run.team.Failed() {
-			// The team failure latch tripped (watchdog, peer panic or
-			// context cancellation): stop compute-bound work. Peers
+			// The team failure latch tripped (peer panic or context
+			// cancellation): stop compute-bound work. Peers
 			// blocked in primitives unwind through the latch, so skipping
 			// the remaining posts cannot deadlock them.
 			return

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/certify"
 	"repro/internal/core"
@@ -355,8 +354,8 @@ func requireSameFault(t *testing.T, seed int64, c *core.Compiled, params map[str
 // TestFuzzSabotageStaticDynamicAgreement cross-validates the static
 // certifier against the dynamic sanitizer on sabotaged schedules of random
 // programs: every single dropped sync edge must be rejected statically,
-// and whenever the runtime (sanitizer, state divergence, or deadlock
-// watchdog) catches the same drop, that dynamic evidence must never
+// and whenever the runtime (sanitizer, state divergence, or a run stopped
+// at its deadline) catches the same drop, that dynamic evidence must never
 // contradict a static acceptance. Dynamic detection is timing-sensitive so
 // it need not fire on every site, but it must fire somewhere.
 func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
@@ -399,14 +398,13 @@ func TestFuzzSabotageStaticDynamicAgreement(t *testing.T) {
 			r, err := c.NewRunner(exec.Config{
 				Workers: 4, Params: params,
 				SabotageEdge: id + 1, Sanitize: true,
-				ChaosSeed:       seed*2654435761 + int64(id),
-				WatchdogTimeout: 60 * time.Second,
+				ChaosSeed: seed*2654435761 + int64(id),
 			})
 			if err != nil {
 				t.Fatalf("seed %d: runner: %v", seed, err)
 			}
-			res, err := r.Run()
-			dynamic := err != nil || // deadlock/watchdog abort
+			res, err := within(r.RunContext)
+			dynamic := err != nil || // a run stopped at its deadline
 				!res.Sanitizer.Clean() ||
 				exec.ComparableDiff(ref, res.State, c.Prog) > tol
 			if dynamic {

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,15 @@ import (
 	"repro/internal/exec"
 	"repro/internal/suite"
 )
+
+// within runs a runner under a whole-run deadline of a minute: a schedule
+// that stops synchronizing fails the test with every worker's wait site
+// (*spmdrt.CancelError) instead of hanging it.
+func within(run func(context.Context) (*core.Result, error)) (*core.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	return run(ctx)
+}
 
 // clampParams shrinks the suite's table-sized inputs (up to N=65536) to
 // chaos-test scale: chaos injection adds microsecond sleeps around every
@@ -45,8 +55,8 @@ func clampParams(p map[string]int64) map[string]int64 {
 }
 
 // TestSuiteUnderChaosWithSanitizer runs every suite kernel in both modes
-// under deterministic chaos injection with the soundness sanitizer and the
-// watchdog armed: the optimized schedules must stay correct under
+// under deterministic chaos injection with the soundness sanitizer and a
+// whole-run deadline: the optimized schedules must stay correct under
 // adversarial timing, produce zero sanitizer violations, and never stall.
 func TestSuiteUnderChaosWithSanitizer(t *testing.T) {
 	for _, k := range suite.Kernels() {
@@ -65,17 +75,16 @@ func TestSuiteUnderChaosWithSanitizer(t *testing.T) {
 			for _, l := range legs(c) {
 				for _, seed := range []int64{1, 7} {
 					cfg := exec.Config{
-						Workers:         4,
-						Params:          params,
-						ChaosSeed:       seed,
-						Sanitize:        true,
-						WatchdogTimeout: 60 * time.Second,
+						Workers:   4,
+						Params:    params,
+						ChaosSeed: seed,
+						Sanitize:  true,
 					}
 					r, err := l.newRunner(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := r.Run()
+					res, err := within(r.RunContext)
 					if err != nil {
 						t.Fatalf("%s chaos=%d: %v", l.label, seed, err)
 					}
@@ -158,14 +167,13 @@ func TestSabotagedScheduleIsCaught(t *testing.T) {
 				realEdges++
 				cfg := base
 				cfg.SabotageEdge = site + 1
-				cfg.WatchdogTimeout = 60 * time.Second
 				r, err := c.NewRunner(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := r.Run()
+				res, err := within(r.RunContext)
 				if err != nil {
-					// A watchdog/deadlock abort also counts as detection.
+					// A run stopped at its deadline also counts as detection.
 					caught++
 					continue
 				}
@@ -262,12 +270,11 @@ end
 			for _, workers := range []int{2, 3, 7} {
 				var first uint64
 				for seed := int64(1); seed <= 50; seed++ {
-					r, err := c.NewRunner(exec.Config{Workers: workers, Params: p.params,
-						ChaosSeed: seed, WatchdogTimeout: 60 * time.Second})
+					r, err := c.NewRunner(exec.Config{Workers: workers, Params: p.params, ChaosSeed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := r.Run()
+					res, err := within(r.RunContext)
 					if err != nil {
 						t.Fatalf("P=%d seed %d: %v", workers, seed, err)
 					}
@@ -279,23 +286,5 @@ end
 				}
 			}
 		})
-	}
-}
-
-// TestWatchdogSurfacesInExec arms a tiny watchdog over a healthy kernel:
-// it must NOT fire (sync progresses), proving the deadline measures stalls
-// rather than total runtime.
-func TestWatchdogSurfacesInExec(t *testing.T) {
-	k := kernels[0]
-	c, err := core.Compile(k.src, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.NewRunner(exec.Config{Workers: 4, Params: k.params, WatchdogTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatalf("healthy kernel tripped the watchdog: %v", err)
 	}
 }

@@ -35,7 +35,7 @@ func (r *Runner) siteKind(id int) string {
 // and, when the run was traced, its rows of the trace summary
 // (synctrace.Summarize): the wait distribution and, at a barrier, the
 // arrival imbalance. Sites are the global 1-based sync-site ids (the
-// remarks, watchdog, SabotageEdge and certify.DropSite numbering); trace
+// remarks, cancellation report, SabotageEdge and certify.DropSite numbering); trace
 // site ids are that id minus one, and pseudo-sites beyond the scheduled
 // boundaries (fork-join dispatch, relay chains) have no row, so their
 // waits show only in the summary's per-kind totals. The profile's site

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -64,7 +63,7 @@ func traceRun(t *testing.T, kernel string, workers int, baseline bool, cfg exec.
 	if r.Mode() != modeOf(baseline) {
 		t.Fatalf("%s: runner mode %v, want %v", kernel, r.Mode(), modeOf(baseline))
 	}
-	res, err := r.Run()
+	res, err := within(r.RunContext)
 	if err != nil {
 		t.Fatalf("%s: %v", kernel, err)
 	}
@@ -193,7 +192,7 @@ func TestTraceDeterminism(t *testing.T) {
 	const workers = 4
 	for _, name := range kernels {
 		t.Run(name, func(t *testing.T) {
-			cfg := exec.Config{ChaosSeed: 7, Sanitize: true, WatchdogTimeout: 60 * time.Second}
+			cfg := exec.Config{ChaosSeed: 7, Sanitize: true}
 			a := traceRun(t, name, workers, false, cfg)
 			b := traceRun(t, name, workers, false, cfg)
 			for _, res := range []*core.Result{a, b} {

@@ -6,7 +6,7 @@
 //   - Checkout pops a parked team of the key, or builds one cold.
 //   - Release(nil) runs the reset protocol (PersistentTeam.ResetForReuse +
 //     VerifyClean) and parks the team, so no run can observe a
-//     predecessor's trace binding, watchdog deadline or barrier state.
+//     predecessor's trace binding, episode counters or barrier state.
 //   - Release(err), or a team that fails the reset protocol, closes the
 //     team: its failure latch is single-shot and cannot be rearmed. The
 //     next checkout of that key builds a new team cold.

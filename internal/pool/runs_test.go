@@ -146,12 +146,11 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 			t.Fatalf("%s: sequential: %v", k.Name, err)
 		}
 		r, err := c.NewRunner(exec.Config{
-			Workers:         4,
-			Params:          params,
-			Pool:            tp,
-			ChaosSeed:       11,
-			Sanitize:        true,
-			WatchdogTimeout: 60 * time.Second,
+			Workers:   4,
+			Params:    params,
+			Pool:      tp,
+			ChaosSeed: 11,
+			Sanitize:  true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
@@ -162,7 +161,11 @@ func TestPooledChaosSanitizerReuseSweep(t *testing.T) {
 		}
 		var firstStats string
 		for i := 0; i < runsPerKernel; i++ {
-			res, err := r.Run()
+			// A whole-run deadline: a run that stops synchronizing fails
+			// with every worker's wait site instead of hanging the sweep.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			res, err := r.RunContext(ctx)
+			cancel()
 			if err != nil {
 				t.Fatalf("%s run %d: %v", k.Name, i, err)
 			}

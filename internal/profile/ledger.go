@@ -2,6 +2,8 @@ package profile
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -78,10 +80,11 @@ func ReadFile(path string) (*Profile, error) {
 // RunMeta is the result metadata a ledger record carries alongside the
 // profile: what the run produced, not just what it waited on.
 type RunMeta struct {
-	// Verdict is the baseline-vs-optimized comparison verdict ("PASS",
-	// "FAIL", or "" when no verification ran).
+	// Verdict is the check of the parallel result against the sequential
+	// program ("PASS", "FAIL", or "" when no verification ran).
 	Verdict string `json:"verdict,omitempty"`
-	// WallNS is the run's wall-clock time.
+	// WallNS is the execution leg's wall-clock time (exec.Result.Elapsed),
+	// not the whole request that the run envelope's wall_ns times.
 	WallNS int64 `json:"wall_ns"`
 	// Checksum fingerprints the computed output arrays.
 	Checksum string `json:"checksum,omitempty"`
@@ -92,8 +95,9 @@ type RunMeta struct {
 type LedgerRecord struct {
 	// TimeUnixNS stamps when the run finished.
 	TimeUnixNS int64 `json:"time_unix_ns"`
-	// TraceID joins this row with the run's span export and envelope
-	// (the id `spmdrun -json` reports; "" for pre-span ledgers).
+	// TraceID joins this row with the run envelope and the Chrome trace's
+	// run_metadata (the id `spmdrun -json` reports; "" for pre-span
+	// ledgers).
 	TraceID string         `json:"trace_id,omitempty"`
 	Result  RunMeta        `json:"result"`
 	Costs   *remarks.Costs `json:"costs,omitempty"`
@@ -101,9 +105,12 @@ type LedgerRecord struct {
 }
 
 // AppendLedger appends one envelope-wrapped record line to the ledger at
-// path, creating the file if needed. One envelope per line: readers split
-// on newlines, so a torn final line (crash mid-append) loses at most that
-// record.
+// path, creating the file if needed. One envelope per line: a torn final
+// line (crash mid-append) loses at most that record — ReadLedger drops it,
+// and the next append first truncates the file back to its last newline
+// so the new record starts on a line of its own. Appends are meant to come
+// from one writer at a time: a concurrent append still in flight would
+// look torn.
 func AppendLedger(path string, rec *LedgerRecord) error {
 	if rec.Profile == nil {
 		return fmt.Errorf("profile: ledger record has no profile")
@@ -115,8 +122,12 @@ func AppendLedger(path string, rec *LedgerRecord) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return err
+	}
+	if err := trimTornTail(f); err != nil {
+		f.Close()
 		return err
 	}
 	if _, err := f.Write(line); err != nil {
@@ -126,45 +137,82 @@ func AppendLedger(path string, rec *LedgerRecord) error {
 	return f.Close()
 }
 
+// trimTornTail truncates f back to its last newline, dropping the
+// unterminated bytes a crash mid-append left behind.
+func trimTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end := st.Size()
+	buf := make([]byte, 4096)
+	for off := end; off > 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			if keep := off + int64(i) + 1; keep < end {
+				return f.Truncate(keep)
+			}
+			return nil
+		}
+	}
+	return f.Truncate(0)
+}
+
 // ReadLedger parses every record in an append-only ledger, checking each
 // record's profile as Decode checks a profile file. Blank lines are
-// skipped; a malformed line is an error naming its line number that wraps
-// ErrEnvelope or ErrSchema.
+// skipped, and so is an unterminated final line that is not complete JSON:
+// the torn tail of a crash mid-append. Any other malformed line is an
+// error naming its line number that wraps ErrEnvelope or ErrSchema.
 func ReadLedger(r io.Reader) ([]*LedgerRecord, error) {
 	var recs []*LedgerRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	br := bufio.NewReader(r)
+	for lineNo := 1; ; lineNo++ {
+		raw, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, err
 		}
-		env, err := envelope.Decode(line)
-		if err != nil {
-			return nil, fmt.Errorf("ledger line %d: %w: %w", lineNo, ErrEnvelope, err)
+		if line := bytes.TrimRight(raw, "\r\n"); len(line) > 0 {
+			rec, lerr := ledgerLine(line)
+			switch {
+			case lerr == nil:
+				recs = append(recs, rec)
+			case err == io.EOF && !json.Valid(line):
+				// The torn tail of a crash mid-append: only that record
+				// is lost.
+			default:
+				return nil, fmt.Errorf("ledger line %d: %w", lineNo, lerr)
+			}
 		}
-		if env.Tool != envelope.ToolLedger {
-			return nil, fmt.Errorf("ledger line %d: %w: envelope is from %q, want %q",
-				lineNo, ErrEnvelope, env.Tool, envelope.ToolLedger)
+		if err == io.EOF {
+			return recs, nil
 		}
-		var rec LedgerRecord
-		if err := env.Into(&rec); err != nil {
-			return nil, fmt.Errorf("ledger line %d: %w: %w", lineNo, ErrEnvelope, err)
-		}
-		if rec.Profile == nil {
-			return nil, fmt.Errorf("ledger line %d: %w: record has no profile", lineNo, ErrEnvelope)
-		}
-		if err := rec.Profile.check(); err != nil {
-			return nil, fmt.Errorf("ledger line %d: %w", lineNo, err)
-		}
-		recs = append(recs, &rec)
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// ledgerLine decodes and checks one ledger line.
+func ledgerLine(line []byte) (*LedgerRecord, error) {
+	env, err := envelope.Decode(line)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)
+	}
+	if env.Tool != envelope.ToolLedger {
+		return nil, fmt.Errorf("%w: envelope is from %q, want %q", ErrEnvelope, env.Tool, envelope.ToolLedger)
+	}
+	rec := new(LedgerRecord)
+	if err := env.Into(rec); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)
+	}
+	if rec.Profile == nil {
+		return nil, fmt.Errorf("%w: record has no profile", ErrEnvelope)
+	}
+	if err := rec.Profile.check(); err != nil {
 		return nil, err
 	}
-	return recs, nil
+	return rec, nil
 }
 
 // ReadLedgerFile reads every record of the append-only run ledger at path.

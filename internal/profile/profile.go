@@ -9,7 +9,7 @@
 // per-site cost history to consume.
 //
 // Site ids are the global 1-based sync-site numbering shared with the
-// optimization remarks, the watchdog's deadlock reports,
+// optimization remarks, the cancellation report's counter sites,
 // spmdrt.StatsSnapshot.PerSite, exec.Config.SabotageEdge and
 // certify.DropSite — the invariant suite.TestSiteNumberingAgreement pins.
 // Sites are kept sorted by id so serialization is byte-stable.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/envelope"
 	"repro/internal/remarks"
 )
 
@@ -330,15 +331,31 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if m.Runs != 3 || m.Site(1).Wait.Count != 120 {
 		t.Fatalf("ledger merge: runs=%d site1.count=%d", m.Runs, m.Site(1).Wait.Count)
 	}
-	// A torn/blank trailing line must not break the reader.
+	// A torn/blank trailing line must not break the reader: a blank line,
+	// then half a record as a crash mid-append leaves it, lose nothing but
+	// that half record, and the next append starts on a line of its own.
+	line, err := envelope.WrapLine(envelope.ToolLedger, recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.WriteString("\n")
+	f.Write(line[:len(line)/2])
 	f.Close()
 	if recs, err = ReadLedgerFile(path); err != nil || len(recs) != 3 {
-		t.Fatalf("blank trailing line: %d recs, err=%v", len(recs), err)
+		t.Fatalf("blank and torn trailing lines: %d recs, err=%v", len(recs), err)
+	}
+	if err := AppendLedger(path, recs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = ReadLedgerFile(path); err != nil || len(recs) != 4 {
+		t.Fatalf("append after a torn line: %d recs, err=%v", len(recs), err)
+	}
+	if recs[3].TimeUnixNS != 1002 {
+		t.Fatalf("appended record mangled: %+v", recs[3])
 	}
 }
 

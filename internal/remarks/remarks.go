@@ -1,7 +1,7 @@
 // Package remarks is the optimization-provenance layer: LLVM-style
 // structured remarks explaining, per synchronization site, what the
 // barrier-elimination pass decided and why. Each remark carries the site's
-// global id (the watchdog/sanitizer/certifier numbering), a source
+// global id (the runtime/sanitizer/certifier numbering), a source
 // position, the region and statement-group pair forming the boundary, the
 // typed access-pair dependences that forced the decision, the
 // Fourier-Motzkin evidence behind each one (systems solved, variables
@@ -151,7 +151,7 @@ func (d Dependence) String() string {
 
 // Remark is the full provenance of one synchronization site's decision.
 type Remark struct {
-	// Site is the 1-based global sync-site id, shared with the watchdog,
+	// Site is the 1-based global sync-site id, shared with counter labels,
 	// StatsSnapshot.PerSite, SabotageEdge and certify.DropSite numbering.
 	Site int `json:"site"`
 	// Line/Col anchor the boundary in the source: the last statement of

@@ -17,10 +17,10 @@ import (
 // out, resets and parks.
 //
 // Team.Run runs on a persistent team of its own, so both share one failure
-// contract: a worker panic, watchdog deadlock or cancellation latches the
-// monitor and Run returns the corresponding error after workers unwind
-// (bounded by unwindGrace; a worker stuck outside every runtime primitive
-// cannot be preempted and is abandoned past it). A
+// contract: a worker panic or a cancellation latches the monitor and Run
+// returns the corresponding error after workers unwind (bounded by
+// unwindGrace; a worker stuck outside every runtime primitive cannot be
+// preempted and is abandoned past it). A
 // persistent team whose latch has tripped is permanently failed — Run
 // refuses it and ResetForReuse rejects it — because the latch releases
 // blocked waiters exactly once; the pool closes such teams and builds the
@@ -57,7 +57,7 @@ func newPersistentTeam(t *Team) *PersistentTeam {
 	return pt
 }
 
-// Team exposes the underlying Team for setup (SetWatchdog, SetTrace,
+// Team exposes the underlying Team for setup (SetTrace, Cancel,
 // NewCounter) and for the region function's Barrier calls.
 func (pt *PersistentTeam) Team() *Team { return pt.t }
 
@@ -126,13 +126,12 @@ func (pt *PersistentTeam) Run(fn func(w int)) error {
 }
 
 // ResetForReuse scrubs all cross-run state so the next checkout observes a
-// factory-fresh team: the armed watchdog deadline, the bound trace
-// recorder, per-worker episode counters and the barrier's internal
-// sense/count/round state (the barrier is rebuilt outright — cheaper to
-// reason about than unwinding three different algorithms' state
-// machines). The team keeps no run statistics to scrub: the executor
-// counts each run in its own worker state. A failed or closed team is
-// rejected; close it instead.
+// factory-fresh team: the bound trace recorder, per-worker episode
+// counters and the barrier's internal sense/count/round state (the
+// barrier is rebuilt outright — cheaper to reason about than unwinding
+// three different algorithms' state machines). The team keeps no run
+// statistics to scrub: the executor counts each run in its own worker
+// state. A failed or closed team is rejected; close it instead.
 func (pt *PersistentTeam) ResetForReuse() error {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -143,7 +142,6 @@ func (pt *PersistentTeam) ResetForReuse() error {
 	if err := t.mon.Err(); err != nil {
 		return fmt.Errorf("spmdrt: reset of a failed team: %w", err)
 	}
-	t.SetWatchdog(0)
 	t.trace = nil
 	for i := range t.eps {
 		t.eps[i] = paddedInt{}

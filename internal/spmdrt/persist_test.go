@@ -47,13 +47,12 @@ func TestPersistentTeamReuse(t *testing.T) {
 }
 
 // TestPersistentTeamResetScrubs arms every piece of per-run state the
-// reset protocol must scrub — watchdog deadline, trace recorder and its
-// episode counters — and checks a reset team audits clean.
+// reset protocol must scrub — trace recorder and its episode counters —
+// and checks a reset team audits clean.
 func TestPersistentTeamResetScrubs(t *testing.T) {
 	pt := NewPersistentTeam(3, Dissemination)
 	defer pt.Close()
 	team := pt.Team()
-	team.SetWatchdog(time.Minute)
 	rec := synctrace.New(3, 64)
 	rec.AddSite("site 1")
 	team.SetTrace(rec)
@@ -107,8 +106,8 @@ func TestPersistentTeamFailureIsTerminal(t *testing.T) {
 	}
 }
 
-// TestPersistentTeamWatchdogGeneration: a deadlock report from a reused
-// team carries the generation of the run that tripped it.
+// TestPersistentTeamWatchdogGeneration: a cancellation report from a
+// reused team carries the generation of the run the watchdog stopped.
 func TestPersistentTeamWatchdogGeneration(t *testing.T) {
 	pt := NewPersistentTeam(2, Central)
 	defer pt.Close()
@@ -121,18 +120,18 @@ func TestPersistentTeamWatchdogGeneration(t *testing.T) {
 			t.Fatalf("warmup reset %d: %v", i, err)
 		}
 	}
-	team.SetWatchdog(30 * time.Millisecond)
+	defer watchdog(team, 30*time.Millisecond).Stop()
 	err := pt.Run(func(w int) {
 		if w == 0 {
 			team.Barrier(w) // w1 never arrives: stall
 		}
 	})
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("run error = %v, want DeadlockError", err)
-	}
+	de := cancelled(t, err, 2)
 	if de.Generation != 4 {
-		t.Fatalf("DeadlockError.Generation = %d, want 4", de.Generation)
+		t.Fatalf("CancelError.Generation = %d, want 4", de.Generation)
+	}
+	if !de.Workers[0].Blocked || !strings.Contains(de.Workers[0].Prim, "barrier") || de.Workers[1].Blocked {
+		t.Fatalf("report %v, want w0 blocked in the barrier and w1 running", de.Workers)
 	}
 	if !strings.Contains(de.Error(), "[gen 4]") {
 		t.Fatalf("report text missing generation stamp: %q", de.Error())
@@ -140,7 +139,7 @@ func TestPersistentTeamWatchdogGeneration(t *testing.T) {
 }
 
 // TestRunNoGoroutineLeak is the guard for the Run completion-tracking fix:
-// runs that return by panic propagation or watchdog abort with an
+// runs that return by panic propagation or cancellation with an
 // abandoned compute-bound worker must not leave helper goroutines behind.
 // Before the fix, every Run spawned a WaitGroup-waiter goroutine that
 // outlived an abandoned run for as long as its slowest worker.
@@ -154,7 +153,7 @@ func TestRunNoGoroutineLeak(t *testing.T) {
 	var sleepers atomic.Int64
 	for i := 0; i < runs; i++ {
 		team := NewTeam(4, Central)
-		team.SetWatchdog(10 * time.Millisecond)
+		timer := watchdog(team, 10*time.Millisecond)
 		err := team.Run(func(w int) {
 			if w == 3 {
 				// Compute-bound straggler: unmonitored, abandoned past the
@@ -166,10 +165,8 @@ func TestRunNoGoroutineLeak(t *testing.T) {
 			}
 			team.Barrier(w)
 		})
-		var de *DeadlockError
-		if !errors.As(err, &de) {
-			t.Fatalf("run %d: error = %v, want DeadlockError", i, err)
-		}
+		timer.Stop()
+		cancelled(t, err, 4)
 	}
 	// Immediately after the abandoned runs, only the straggler workers may
 	// remain; give the scheduler a moment for unwound workers to exit,

@@ -12,11 +12,11 @@
 // The runtime is hardened against the failure modes of an unsound
 // synchronization schedule: every blocking primitive escalates its wait
 // (spin → Gosched → short sleep) so stalls never livelock, registers its
-// wait site with the team Monitor, and — when a stall deadline is armed
-// via Team.SetWatchdog — aborts a stalled run with a structured
-// per-worker DeadlockError instead of hanging. Team.Run recovers worker
-// panics, cancels the remaining workers and returns the panic to the
-// caller as a PanicError.
+// wait site with the team Monitor, and a run stopped by Team.Cancel (a
+// caller's deadline expiring over a stalled schedule) returns a
+// *CancelError naming every worker's wait site instead of hanging.
+// Team.Run recovers worker panics, cancels the remaining workers and
+// returns the panic to the caller as a PanicError.
 package spmdrt
 
 import (
@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/synctrace"
 )
@@ -40,7 +39,7 @@ type SiteCounts struct {
 // StatsSnapshot is one run's dynamic synchronization counts. A barrier
 // crossed by all P workers counts as one executed barrier, matching the
 // paper's metric. PerSite, when the run was site-attributed, maps 1-based
-// sync-site ids — the numbering of watchdog reports and SabotageEdge — to
+// sync-site ids — the numbering of cancellation reports and SabotageEdge — to
 // that site's counts; sites that executed no events are omitted.
 type StatsSnapshot struct {
 	Barriers      int64
@@ -141,7 +140,7 @@ type centralBarrier struct {
 
 type paddedInt struct {
 	v   int64
-	eps int64 // per-worker episode count, for watchdog reports
+	eps int64 // per-worker episode count, for cancellation reports
 	_   pad
 }
 
@@ -320,7 +319,7 @@ func (b *disseminationBarrier) Wait(w int) {
 type Counter struct {
 	v   atomic.Int64
 	mon *Monitor
-	// Site, if set, labels the counter in watchdog deadlock reports (the
+	// Site, if set, labels the counter in cancellation reports (the
 	// executor tags each counter with its sync-site id).
 	Site string
 	// Trace recording (BindTrace): nil rec disables with one branch.
@@ -356,7 +355,7 @@ func (c *Counter) PostAs(w int, d, arg int64) {
 func (c *Counter) WaitGE(target int64) { c.WaitGEAs(-1, target) }
 
 // WaitGEAs is WaitGE on behalf of team worker w: if the counter is bound
-// to a team, the wait registers with the team Monitor so watchdog reports
+// to a team, the wait registers with the team Monitor so cancellation reports
 // name the blocked worker, its counter site and target-vs-observed values.
 func (c *Counter) WaitGEAs(w int, target int64) {
 	var start int64
@@ -467,7 +466,7 @@ type Team struct {
 	// each worker's episode number (padded, owner-written).
 	trace *synctrace.Recorder
 	eps   []paddedInt
-	// gen counts runs on this team (monotonic, never reset): watchdog
+	// gen counts runs on this team (monotonic, never reset): cancellation
 	// reports and trace metadata carry it so a report from a reused team
 	// is attributable to the specific run, not just the site.
 	gen atomic.Int64
@@ -484,14 +483,9 @@ func NewTeam(n int, kind BarrierKind) *Team {
 
 // Generation returns the team's run-generation id: the number of Run calls
 // started on this team so far. It increases monotonically across reuse and
-// is never reset, so deadlock reports and trace metadata stamped with it
+// is never reset, so cancellation reports and trace metadata stamped with it
 // identify the exact run they came from.
 func (t *Team) Generation() int64 { return t.gen.Load() }
-
-// SetWatchdog arms the stall watchdog: any team-bound blocking wait that
-// makes no progress for d aborts the run with a structured DeadlockError.
-// d <= 0 disarms it.
-func (t *Team) SetWatchdog(d time.Duration) { t.mon.setDeadline(d) }
 
 // SetTrace binds a sync-event recorder: every barrier episode records an
 // enter/exit span per worker. Counters and P2P sets bind separately
@@ -504,29 +498,29 @@ func (t *Team) SetTrace(rec *synctrace.Recorder) {
 	}
 }
 
-// Cancel aborts a running team through the watchdog's failure latch: Run
-// returns a *CancelError wrapping cause, and every worker blocked in a
-// team-bound primitive unwinds. Safe to call from any goroutine and
-// idempotent; calling after the run finished is a no-op on the result.
-func (t *Team) Cancel(cause error) { t.mon.fail(&CancelError{Cause: cause}) }
+// Cancel aborts a running team through its failure latch: Run returns a
+// *CancelError wrapping cause, with the run's generation and a snapshot of
+// every worker's wait site, and every worker blocked in a team-bound
+// primitive unwinds. Safe to call from any goroutine and idempotent;
+// calling after the run finished is a no-op on the result.
+func (t *Team) Cancel(cause error) { t.mon.fail(t.mon.cancelError(cause)) }
 
-// Failed reports whether the team's failure latch has tripped (watchdog,
-// worker panic or cancellation). Workers can poll it at region boundaries
+// Failed reports whether the team's failure latch has tripped (worker
+// panic or cancellation). Workers can poll it at region boundaries
 // to stop compute-bound work between synchronizations.
 func (t *Team) Failed() bool { return t.mon.failed.Load() }
 
-// NewCounter returns a counter bound to this team's watchdog.
+// NewCounter returns a counter bound to this team's monitor.
 func (t *Team) NewCounter() *Counter { return &Counter{mon: t.mon} }
 
 // NewP2P returns per-worker completion counters bound to this team's
-// watchdog.
+// monitor.
 func (t *Team) NewP2P() *P2P { return &P2P{slots: make([]paddedCounter, t.N), mon: t.mon} }
 
 // Run executes fn(w) on n concurrent workers and returns when all finish.
 // A worker panic cancels the rest of the team (workers blocked in
-// team-bound primitives unwind) and is returned as a *PanicError; a stall
-// beyond the SetWatchdog deadline returns a *DeadlockError. A team that
-// has failed must not be reused. The workers are a persistent team's,
+// team-bound primitives unwind) and is returned as a *PanicError; a
+// Cancel returns a *CancelError. A team that has failed must not be reused. The workers are a persistent team's,
 // spawned for this one run and released after it.
 func (t *Team) Run(fn func(w int)) error {
 	pt := newPersistentTeam(t)

@@ -11,7 +11,7 @@ import (
 
 // TestSiteNumberingAgreement pins the cross-layer site-id contract for
 // every suite kernel: the optimizer's remarks, the executor's sync sites
-// (the watchdog/SabotageEdge/StatsSnapshot.PerSite numbering), and the
+// (the counter-label/SabotageEdge/StatsSnapshot.PerSite numbering), and the
 // certifier's Sites/DropSite indexing must all describe the same boundary
 // under the same 1-based id, with the same primitive. A sanitized run then
 // checks the runtime side: per-site dynamic counts land only on sites the

@@ -9,7 +9,7 @@ import (
 
 // Remarks flattens the schedule into the optimization-remark set: one
 // remark per sync site, in the global site order Lower numbers and the
-// executor runs, so Remarks[i].Site == i+1 matches the watchdog,
+// executor runs, so Remarks[i].Site == i+1 matches the counter labels,
 // StatsSnapshot.PerSite, SabotageEdge and certify.DropSite numbering.
 func (s *Schedule) Remarks() *remarks.Set {
 	set := &remarks.Set{Program: s.Prog.Name}

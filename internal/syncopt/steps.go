@@ -44,7 +44,7 @@ type Step struct {
 
 // Site is one region boundary: boundary Index of Region, after group
 // Index. Its position in Steps.Sites is its global site id minus one — the
-// numbering of the remarks, the executor's per-site stats, watchdog labels
+// numbering of the remarks, the executor's per-site stats, counter labels
 // and Config.SabotageEdge, and certify.DropSite.
 type Site struct {
 	*Sync

@@ -2,8 +2,8 @@
 // runtime: a low-overhead per-worker ring-buffer recorder of enter/exit
 // timestamps for every barrier episode, counter increment/wait, neighbor
 // wait and fork-join dispatch, tagged with the sync-site id the executor
-// threads through the runtime (the same ids the watchdog's deadlock
-// reports use).
+// threads through the runtime (the same ids a cancellation report's
+// counter sites use).
 //
 // Design constraints, in order:
 //
@@ -162,7 +162,7 @@ func (r *Recorder) Workers() int {
 
 // AddSite interns a sync-site name and returns its id. Ids are assigned
 // sequentially from 0, so callers that register the executor's scheduled
-// sites first get identical numbering in traces and watchdog reports.
+// sites first get identical numbering in traces and cancellation reports.
 // Setup-time only: not safe while workers are recording.
 func (r *Recorder) AddSite(name string) int32 {
 	if r == nil {

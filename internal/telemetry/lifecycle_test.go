@@ -97,20 +97,20 @@ func TestSpanTreeDeterministic(t *testing.T) {
 // root wall time within 5%.
 func TestPhaseDurationsSumToWall(t *testing.T) {
 	res := jacobiResult(t)
-	exp := res.Telemetry.Export()
 	var sum int64
-	for _, sp := range exp.Spans {
+	for _, sp := range res.Telemetry.Spans() {
 		if sp.Parent == 1 {
 			sum += sp.DurNS
 		}
 	}
-	if exp.WallNS <= 0 {
-		t.Fatalf("wall = %d", exp.WallNS)
+	wall := res.Telemetry.WallNS()
+	if wall <= 0 {
+		t.Fatalf("wall = %d", wall)
 	}
-	ratio := float64(sum) / float64(exp.WallNS)
+	ratio := float64(sum) / float64(wall)
 	if ratio < 0.95 || ratio > 1.05 {
 		t.Fatalf("phase sum / wall = %.3f (sum %d, wall %d), want within ±5%%",
-			ratio, sum, exp.WallNS)
+			ratio, sum, wall)
 	}
 }
 
@@ -182,7 +182,7 @@ type chromeDoc struct {
 // TestChromeExportInterleavesSpansAndSyncEvents: one Perfetto export
 // carries the per-worker sync events on tids 0..P-1 and the lifecycle
 // spans as complete events on the dedicated track above them, both on one
-// time base: spans sit where the span export puts them, and the sync
+// time base: spans sit at their start_ns after the root, and the sync
 // events fall inside the team run that produced them.
 func TestChromeExportInterleavesSpansAndSyncEvents(t *testing.T) {
 	res := jacobiResult(t)
@@ -200,7 +200,7 @@ func TestChromeExportInterleavesSpansAndSyncEvents(t *testing.T) {
 	spanNames := map[string]bool{}
 	var syncEvents, spanEvents int
 	startNS := map[int]int64{}
-	for _, sp := range res.Telemetry.Export().Spans {
+	for _, sp := range res.Telemetry.Spans() {
 		startNS[int(sp.ID)] = sp.StartNS
 	}
 	// ts and end of the named lifecycle events, in microseconds.

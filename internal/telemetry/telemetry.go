@@ -37,25 +37,13 @@ type Span struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// Export is the `spmdrun -spans` payload (wrapped in the versioned
-// envelope as tool "spmdrun-spans").
-type Export struct {
-	TraceID string `json:"trace_id"`
-	Program string `json:"program,omitempty"`
-	// WallNS is the root span's duration: the whole request, not just
-	// the execution leg (exec.Result.Elapsed).
-	WallNS int64  `json:"wall_ns"`
-	Spans  []Span `json:"spans"`
-}
-
 // Trace collects one run's spans. Create with NewTrace; a nil *Trace is
 // the disabled state and absorbs every call.
 type Trace struct {
-	mu      sync.Mutex
-	id      string
-	program string
-	epoch   time.Time
-	spans   []Span // spans[0] is the root ("run"); DurNS < 0 while open
+	mu    sync.Mutex
+	id    string
+	epoch time.Time
+	spans []Span // spans[0] is the root ("run"); DurNS < 0 while open
 }
 
 // RootName is the name of every trace's root span.
@@ -86,16 +74,6 @@ func (t *Trace) ID() string {
 		return ""
 	}
 	return t.id
-}
-
-// SetProgram records the program name once it is known (post-compile).
-func (t *Trace) SetProgram(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.program = name
-	t.mu.Unlock()
 }
 
 // Start opens a span under parent (0 = root) and returns its id.
@@ -206,7 +184,8 @@ func (t *Trace) Epoch() time.Time {
 }
 
 // WallNS returns the root span's duration so far (its final value after
-// Finish).
+// Finish): the whole request, not just the execution leg
+// (exec.Result.Elapsed).
 func (t *Trace) WallNS() int64 {
 	if t == nil {
 		return 0
@@ -238,21 +217,4 @@ func (t *Trace) Spans() []Span {
 		}
 	}
 	return out
-}
-
-// Export snapshots the trace as the spans payload. Call after Finish for
-// a complete tree (open spans export with their duration so far).
-func (t *Trace) Export() *Export {
-	if t == nil {
-		return nil
-	}
-	spans := t.Spans()
-	t.mu.Lock()
-	id, program := t.id, t.program
-	t.mu.Unlock()
-	wall := int64(0)
-	if len(spans) > 0 && spans[0].DurNS >= 0 {
-		wall = spans[0].DurNS
-	}
-	return &Export{TraceID: id, Program: program, WallNS: wall, Spans: spans}
 }

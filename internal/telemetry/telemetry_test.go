@@ -16,7 +16,6 @@ func TestNilTraceSafe(t *testing.T) {
 	}
 	tr.End(3)
 	tr.SetAttr(1, "k", "v")
-	tr.SetProgram("p")
 	if id := tr.Add(0, "y", time.Now(), time.Second); id != 0 {
 		t.Fatalf("nil Add = %d, want 0", id)
 	}
@@ -24,8 +23,8 @@ func TestNilTraceSafe(t *testing.T) {
 	if tr.ID() != "" || tr.WallNS() != 0 {
 		t.Fatal("nil accessors must return zero values")
 	}
-	if tr.Spans() != nil || tr.Export() != nil {
-		t.Fatal("nil Spans/Export must return nil")
+	if tr.Spans() != nil {
+		t.Fatal("nil Spans must return nil")
 	}
 	if !tr.Epoch().IsZero() {
 		t.Fatal("nil Epoch must be zero")
@@ -80,20 +79,17 @@ func TestAddClampsPreEpoch(t *testing.T) {
 }
 
 // TestFinishClosesOpenSpans: Finish credits every open span (including
-// the root) up to now; Export then reports the root duration as WallNS.
+// the root) up to now; WallNS then reports the root duration.
 func TestFinishClosesOpenSpans(t *testing.T) {
 	tr := NewTrace()
 	open := tr.Start(0, "execute")
 	tr.Finish()
-	exp := tr.Export()
-	if exp.WallNS < 0 || exp.Spans[0].DurNS != exp.WallNS {
-		t.Fatalf("root duration %d vs wall %d", exp.Spans[0].DurNS, exp.WallNS)
+	spans := tr.Spans()
+	if wall := tr.WallNS(); wall < 0 || spans[0].DurNS != wall {
+		t.Fatalf("root duration %d vs wall %d", spans[0].DurNS, wall)
 	}
-	if exp.Spans[open-1].DurNS < 0 {
+	if spans[open-1].DurNS < 0 {
 		t.Fatal("Finish left a span open")
-	}
-	if exp.TraceID != tr.ID() {
-		t.Fatalf("export trace id %q != %q", exp.TraceID, tr.ID())
 	}
 }
 

@@ -5,8 +5,8 @@
 # reuse sweep, the span-tree goldens — a later leg only checks by name that
 # those gates still exist), a 10 s differential fuzz of linear.Enumerate
 # against its reference, DSL lint and schedule-certification sweeps, the
-# remarks golden, explain and sync-report smokes, a chaos + sanitizer + watchdog
-# smoke of representative kernels, the irregular-suite gates (value facts,
+# remarks golden, explain and sync-report smokes, a chaos + sanitizer smoke
+# of representative kernels under a whole-run -timeout, the irregular-suite gates (value facts,
 # inspector stats, no scan silently degraded to the conservative row), the
 # trace-export smoke, the overhead and feedback guards (tracing, profile,
 # spans, static vs profile-guided wait: one table-driven test over
@@ -15,8 +15,8 @@
 # and no second timing harness), the durable-profile round trip (full-kernel -profile-out/-ledger
 # sweep, byte-identity merge gate, 10-run baseline, slow-run regression
 # watch), the feedback-loop round trip (-profile-in, barrierc -fdo remark
-# evidence), the -spans round trip with its phase-sum/wall check and the
-# sabotage check. Timings other than the guards are
+# evidence), the -trace -json round trip with its phase-sum/wall and
+# trace-id checks and the sabotage check. Timings other than the guards are
 # `go run ./bench`'s to measure; this script leaves the working tree as it
 # found it.
 # Run from anywhere; operates on the repository containing this script.
@@ -82,18 +82,26 @@ echo "-- lint exit codes verified (suite clean, fixtures exit 1, internal error 
 
 echo "== certify sweep (barrierc -certify) =="
 # Every suite kernel's optimized schedule must pass the independent static
-# certifier; a sabotaged schedule must be rejected with exit 1.
+# certifier; a sabotaged schedule must be rejected with exit 1 and its
+# rejection envelope (certified:false, with the violations) on stdout.
 "$barrierc" -list | while read -r k _; do
     "$barrierc" -certify -kernel "$k" >/dev/null || {
         echo "ERROR: kernel $k failed certification" >&2
         exit 1
     }
 done
-rc=0; "$barrierc" -certify -kernel jacobi1d -sabotage 2 >/dev/null 2>&1 || rc=$?
+rc=0; rejected="$("$barrierc" -certify -kernel jacobi1d -sabotage 2 2>/dev/null)" || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "ERROR: sabotaged jacobi1d certify exit $rc, want 1" >&2
     exit 1
 fi
+case "$rejected" in
+*'"certified": false'*'"violations"'*) ;;
+*)
+    echo "ERROR: sabotaged jacobi1d certify printed no rejection envelope" >&2
+    exit 1
+    ;;
+esac
 echo "-- all suite kernels certified; sabotaged schedule rejected"
 
 echo "== remarks smoke (barrierc -remarks) =="
@@ -162,7 +170,7 @@ smoke() {
     local kernel=$1; shift
     echo "-- $kernel $*"
     go run ./cmd/spmdrun -kernel "$kernel" -p 4 \
-        -watchdog 60s -chaos-seed 7 -sanitize "$@" >/dev/null
+        -timeout 60s -chaos-seed 7 -sanitize "$@" >/dev/null
 }
 smoke jacobi1d -param N=64 -param T=4
 smoke redblack -param N=64 -param T=3
@@ -186,7 +194,7 @@ echo "$irreg_facts" | grep -q "permutation" || {
 for k in permcopy gatherscatter spmvcsr meshsmooth edgerelax; do
     echo "-- $k"
     out="$(go run ./cmd/spmdrun -kernel "$k" -p 4 \
-        -watchdog 60s -chaos-seed 7 -sanitize)"
+        -timeout 60s -chaos-seed 7 -sanitize)"
     if [ "$k" != permcopy ]; then
         # permcopy is fully static (no inspector sites); the rest must
         # report inspector scans in the run summary.
@@ -335,17 +343,21 @@ echo "== one timing sampler =="
 # called that the reachability gate found and that were deleted outright
 # (core's three unused request options and its unmemoized certify call,
 # the parser's panicking parse, the interpreter's two exported evaluators,
-# the solver's implication test and five accessors), and of the second
-# team spawn path Team.Run had beside the persistent team's, must not come
-# back in any .go or .sh file, in docs/ or in README.md.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)|runWorkers' # retired-names
+# the solver's implication test and five accessors), of the second team
+# spawn path Team.Run had beside the persistent team's, of the per-wait
+# stall watchdog beside the run's one deadline (its setter, config field,
+# report type and flag), of the second span export beside the Chrome
+# file's lifecycle track (its envelope tool and flag), and of barrierc's
+# -witness switch (-certify always prints its verdict), must not come back
+# in any .go or .sh file, in docs/ or in README.md.
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)|runWorkers|SetWatchdog|WatchdogTimeout|DeadlockError|ToolSpans|spmdrun-spans|Var\(&o\.watchdog|Var\(&o\.spansOut|Bool\("witness"' # retired-names
 if sampler_hits="$({ find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0
     printf '%s\0' docs/*.md README.md; } | xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
     echo "$sampler_hits" >&2
     exit 1
 fi
-echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument, test-only-function or second-spawn-path name in any .go or .sh file, docs/ or README.md"
+echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument, test-only-function, second-spawn-path, stall-watchdog, second-span-export or -witness name in any .go or .sh file, docs/ or README.md"
 
 echo "== pinned gates still exist =="
 # The -race leg above has already run these; what is checked here is that
@@ -370,9 +382,13 @@ echo "== pinned gates still exist =="
 # summary's rows) with the summary's exact row on fixed timestamps, the
 # team widths runners choose, with narrowed runs held to the fixed-width
 # final state, the profile reader's decode fuzz with its hostile seeds, the
-# ledger reader's fuzz and schema check, the one join a Do's profile and
+# ledger reader's fuzz, schema check and torn-tail recovery, the one join
+# a Do's profile and
 # report share, -explain's source order, compile flags, listed kernels
-# and feedback schedule, the runner whose execution model, verdict and profile mode come from the
+# and feedback schedule, -certify's rejection envelope, the cancelled
+# run's per-worker report (spmdrt, a pooled exec run and spmdrun's
+# -timeout stall), the -trace file as the one span export joined by
+# trace id, the runner whose execution model, verdict and profile mode come from the
 # schedule it runs, not from Config.Mode, and the reachability gate: every
 # function under internal/ has a caller outside tests, checked on the tree
 # and on a fixture module where a planted test-only export must be caught.
@@ -405,13 +421,17 @@ pinned ./internal/costsim TestSyncCountsMatchExecutor TestFigure4Golden TestGant
 pinned ./internal/certify TestCertificateGolden TestStepMutants
 pinned ./internal/synctrace TestRingGrowsToCap TestSummarizeSiteRow
 pinned ./internal/linear FuzzAffine TestAffineMatchesReference
-pinned ./internal/profile FuzzDecode FuzzReadLedger TestLoadLedgerErrSchema
+pinned ./internal/profile FuzzDecode FuzzReadLedger TestLoadLedgerErrSchema TestLedgerRoundTrip
 pinned ./internal/core TestRunnerModeComesFromSchedule TestProfileAndReportAgree
 pinned ./cmd/barrierc TestExplainSerialLoopsInSourceOrder TestExplainHonoursCompileFlags \
-    TestExplainEveryListedKernel TestExplainHonoursFDO
+    TestExplainEveryListedKernel TestExplainHonoursFDO TestCertifyRejectionEnvelope
+pinned ./cmd/spmdrun TestTimeoutStallFailsLoudly TestTraceFlagEndToEnd \
+    TestTraceIDJoinsEnvelopeLedgerAndSpans TestSpansOffStillStampsTraceID
+pinned ./internal/spmdrt TestWatchdogReportNamesEveryBlockedWorker TestPersistentTeamWatchdogGeneration
+pinned ./internal/exec TestRunContextCancel
 pinned ./internal/pool TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled
 pinned . TestEveryInternalFuncHasAProductionCaller TestDeadcodeGateOnFixture
-echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, profile-decode, ledger-read, one-join, explain, runner-mode and reachability gates present"
+echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, profile-decode, ledger-read, one-join, explain, certify-rejection, cancel-report, trace-export, runner-mode and reachability gates present"
 
 echo "== durable profile round trip (spmdrun -profile-out/-ledger + spmdprof) =="
 spmdrun_bin="$(mktemp -t spmdrun.XXXXXX)"
@@ -513,31 +533,35 @@ for dec in f.get("decisions", []):
 print(f"-- -profile-in applied {f['flips']} certified flip(s); run certified")
 EOF
 fi
-echo "== spans round trip (spmdrun -spans -json) =="
-# One observed run: the envelope and the spans file must share a trace
-# id, cover every lifecycle phase, and the top-level phase durations
-# must sum to the envelope wall within 5% (the acceptance bound).
+echo "== trace round trip (spmdrun -trace -json -ledger) =="
+# One traced run: the Chrome file's lifecycle track covers every phase,
+# its top-level slices sum to the envelope's wall_ns within 5% (the
+# acceptance bound), and its run_metadata trace_id is the envelope's and
+# the ledger record's.
 span_dir="$(mktemp -d -t spmdspans.XXXXXX)"
 "$spmdrun_bin" -kernel jacobi2d -p 4 -param N=64 -param T=4 \
-    -json -spans "$span_dir/spans.json" >"$span_dir/run.json" 2>/dev/null
+    -trace "$span_dir/trace.json" -json -ledger "$span_dir/ledger.jsonl" \
+    >"$span_dir/run.json" 2>/dev/null
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$span_dir/run.json" "$span_dir/spans.json" <<'EOF'
+    python3 - "$span_dir/run.json" "$span_dir/trace.json" "$span_dir/ledger.jsonl" <<'EOF'
 import json, sys
-run = json.load(open(sys.argv[1])); spans = json.load(open(sys.argv[2]))
+run = json.load(open(sys.argv[1])); trace = json.load(open(sys.argv[2]))
+ledger = [json.loads(l) for l in open(sys.argv[3]) if l.strip()]
 assert run["tool"] == "spmdrun", run["tool"]
-assert spans["schema_version"] == 1 and spans["tool"] == "spmdrun-spans", spans
-p, sp = run["payload"], spans["payload"]
-assert p["trace_id"] and p["trace_id"] == sp["trace_id"], (p.get("trace_id"), sp.get("trace_id"))
+p = run["payload"]
+meta = [e["args"] for e in trace["traceEvents"] if e.get("name") == "run_metadata"]
+assert meta and p["trace_id"] and meta[0].get("trace_id") == p["trace_id"], (meta, p.get("trace_id"))
+assert len(ledger) == 1 and ledger[0]["payload"]["trace_id"] == p["trace_id"], ledger
 wall = p["wall_ns"]
-assert wall > 0 and wall == sp["wall_ns"], (wall, sp["wall_ns"])
-names = {s["name"] for s in sp["spans"]}
+spans = [e for e in trace["traceEvents"] if e.get("cat") == "lifecycle"]
+names = {s["name"] for s in spans}
 for phase in ("run", "compile", "execute", "setup", "team run", "verify"):
-    assert phase in names, f"missing phase span {phase!r}: {sorted(names)}"
-assert all(s["dur_ns"] >= 0 for s in sp["spans"]), "open span leaked into export"
-tops = sum(s["dur_ns"] for s in sp["spans"] if s.get("parent_id") == 1)
+    assert phase in names, f"missing lifecycle slice {phase!r}: {sorted(names)}"
+assert all(s["ph"] == "X" and s["dur"] >= 0 for s in spans), "lifecycle slice not a complete event"
+tops = sum(s["dur"] * 1e3 for s in spans if s["args"].get("parent_id") == 1)
 ratio = tops / wall
 assert 0.95 <= ratio <= 1.05, f"phase sum / wall = {ratio:.3f}, want within 5%"
-print(f"-- trace {p['trace_id']}: {len(sp['spans'])} spans, phase-sum/wall {ratio:.3f}")
+print(f"-- trace {p['trace_id']}: {len(spans)} lifecycle slices, phase-sum/wall {ratio:.3f}")
 EOF
 fi
 
@@ -545,7 +569,7 @@ echo "== sabotage must be caught =="
 # Dropping a scheduled sync edge has to make spmdrun fail (sanitizer
 # violation and/or divergence from the sequential oracle).
 if go run ./cmd/spmdrun -kernel jacobi1d -p 4 -param N=64 -param T=4 \
-    -watchdog 60s -sanitize -sabotage 2 >/dev/null 2>&1; then
+    -timeout 60s -sanitize -sabotage 2 >/dev/null 2>&1; then
     echo "ERROR: sabotaged schedule went undetected" >&2
     exit 1
 fi
