@@ -21,7 +21,6 @@ import (
 // implementations the tests hold production code against. An entry that
 // becomes reachable, or whose function is gone, fails the gate.
 var deadcodeExceptions = map[string]string{
-	"compile.Prog.RunSeq":        "the sequential oracle: one frame runs the whole step program with no team",
 	"linear.System.SolveNoSubst": "ablation A1 and the soundness cross-check of the substituting solver",
 }
 

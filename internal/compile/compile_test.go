@@ -28,7 +28,7 @@ func runBoth(t *testing.T, src string, params map[string]int64) (*interp.State, 
 		return iSt, iErr, nil, err
 	}
 	cSt.SeedDeterministic()
-	cErr := p.RunSeq(cSt)
+	cErr := p.RunSeq(cSt, nil)
 	return iSt, iErr, cSt, cErr
 }
 

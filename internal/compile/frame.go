@@ -128,6 +128,10 @@ type Frame struct {
 	// block of an entry plan's rows that ran them (plan.rangeFn).
 	Checks int64
 
+	// hooks replace the drivers of some loops' entries in a sequential run
+	// (Prog.RunSeq), indexed by statement ordinal.
+	hooks []Hook
+
 	fault    *Fault
 	faultVal int64
 }
@@ -146,6 +150,14 @@ func (fr *Frame) trip(f *Fault, val int64) {
 		fr.faultVal = val
 	}
 }
+
+// abortFault is what Abort trips.
+var abortFault = &Fault{Msg: "run aborted"}
+
+// Abort stops the frame's run: it trips a fault (unless one is already
+// recorded), so every statement sequence and loop driver returns at its
+// next check. The caller that aborts knows why and reports that instead.
+func (fr *Frame) Abort() { fr.trip(abortFault, 0) }
 
 // Ok reports whether the frame is fault-free. It is cheap enough to check
 // per iteration.

@@ -61,6 +61,13 @@ type Table struct {
 // Every figure was measured at P=2 on two CPUs. An episode's cost is taken
 // to be the same at any P ≥ 2, so the decisions at P > 2 are unverified
 // until a host with four or more CPUs has measured them.
+//
+// The one-worker side was fitted to one-worker teams, which step every
+// sync site with nobody to wait for. A narrowed run has no team at all (it
+// runs the closure program sequentially), so it costs less than the table
+// says: one worker is priced conservatively, and a run narrows only where a
+// one-worker team would already have won. The figures and the decisions
+// are those of the team1 fit.
 var HostTable = Table{
 	NodeNS:     0.3,
 	BarrierNS:  700,

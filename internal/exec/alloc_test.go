@@ -14,7 +14,10 @@ import (
 // the slices every worker executes — placement arithmetic, private and
 // reduction cells, the activity estimate of a counter site — and must not
 // add one allocation to the run. One worker, so no wait outlasts its spin
-// and allocates a wait site: the count is exact.
+// and allocates a wait site: the count is exact. Each row runs on a team
+// (Config.FixedWidth) and at the width its runner chooses, which for the
+// one-worker rows is the width-1 run with no team: its hooks and cells are
+// per run, not per slice or time step.
 //
 // The irregular programs guard the inspector the same way. gatherscatter
 // and meshsmooth run on two workers (a lone worker has no row to compute):
@@ -107,8 +110,8 @@ end
 			if err != nil {
 				t.Fatal(err)
 			}
-			allocs := func(trips int64) (perRun float64) {
-				r, err := c.NewRunner(exec.Config{Workers: tc.workers,
+			allocs := func(trips int64, fixed bool) (perRun float64) {
+				r, err := c.NewRunner(exec.Config{Workers: tc.workers, FixedWidth: fixed,
 					Params: map[string]int64{"N": cmp.Or(tc.n, 64), "T": trips}})
 				if err != nil {
 					t.Fatal(err)
@@ -119,9 +122,11 @@ end
 					}
 				})
 			}
-			if short, long := allocs(tc.short), allocs(tc.long); long > short {
-				t.Fatalf("allocations per run grow with the trip count: %.0f at T=%d, %.0f at T=%d",
-					short, tc.short, long, tc.long)
+			for _, fixed := range []bool{true, false} {
+				if short, long := allocs(tc.short, fixed), allocs(tc.long, fixed); long > short {
+					t.Fatalf("fixed=%v: allocations per run grow with the trip count: %.0f at T=%d, %.0f at T=%d",
+						fixed, short, tc.short, long, tc.long)
+				}
 			}
 		})
 	}

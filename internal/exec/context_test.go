@@ -3,11 +3,13 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/interp"
 	"repro/internal/spmdrt"
 	"repro/internal/suite"
 )
@@ -79,6 +81,46 @@ func TestRunContextCancel(t *testing.T) {
 		// would mean cancellation never reached blocked workers).
 		if d := time.Since(start); d > 10*time.Second {
 			t.Fatalf("cancellation took %s to tear the team down", d)
+		}
+	})
+	t.Run("deadline mid-run, narrowed", func(t *testing.T) {
+		// No team: the run polls its context once a time step, on the
+		// caller's goroutine, so once RunContextOn has returned nothing
+		// writes the state any more.
+		r := contextRunner(t, "jacobi1d", map[string]int64{"N": 64, "T": 1 << 40})
+		if r.Width() != 1 || exec.TakesTeam(r.Runner) {
+			t.Fatalf("runner leases a team: %v", r.WidthDecision())
+		}
+		st, err := interp.NewState(r.Compiled().Prog, map[string]int64{"N": 64, "T": 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SeedDeterministic()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.RunContextOn(ctx, st)
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a 30ms deadline did not stop the width-1 run in 10s")
+		}
+		took := time.Since(start)
+		var ce *spmdrt.CancelError
+		if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("want a *spmdrt.CancelError unwrapping DeadlineExceeded, got %v", err)
+		}
+		if took > time.Second {
+			t.Fatalf("a 30ms deadline stopped the run after %s", took)
+		}
+		sum := st.Checksum()
+		time.Sleep(20 * time.Millisecond)
+		if after := st.Checksum(); math.Float64bits(after) != math.Float64bits(sum) {
+			t.Fatalf("the state changed after RunContextOn returned: checksum %v, then %v", sum, after)
 		}
 	})
 	t.Run("uncancelled context still runs", func(t *testing.T) {

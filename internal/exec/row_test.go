@@ -9,6 +9,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/exec"
 	"repro/internal/interp"
+	"repro/internal/spmdrt"
 	"repro/internal/suite"
 )
 
@@ -24,10 +25,10 @@ func rowTeams(f func(kind decomp.Kind, workers int)) {
 }
 
 // rowDiff is one program under the row-form differential: on a team on the
-// closure engine, whose innermost loops take the row form wherever an
-// entry's cursors allow it, against the tree-walking reference engine, arrays
-// and scalars bit for bit (reductions fold in rank order, which makes both
-// deterministic). A program without a reduction computes the same bits
+// closure engine (at all its workers, Config.FixedWidth), whose innermost
+// loops take the row form wherever an entry's cursors allow it, against the
+// tree-walking reference engine, arrays and scalars bit for bit (reductions
+// fold in rank order, which makes both deterministic). A program without a reduction computes the same bits
 // however it is partitioned, so the reference engine — the slow side — runs
 // it once; one with a reduction is re-run on the reference at every team.
 type rowDiff struct {
@@ -51,7 +52,7 @@ func (d *rowDiff) run(t *testing.T, kind decomp.Kind, workers int, ref bool) (*i
 		}
 		d.compiled[kind] = c
 	}
-	r, err := c.NewRunner(exec.Config{Workers: workers, Params: d.params})
+	r, err := c.NewRunner(exec.Config{Workers: workers, Params: d.params, FixedWidth: true})
 	if err != nil {
 		t.Fatalf("%s: runner: %v", d.what, err)
 	}
@@ -119,7 +120,8 @@ func TestRowFormOnFuzzedPrograms(t *testing.T) {
 // executor: whatever slices a placement cuts — a refused entry may become a
 // legal one when a slice is a single iteration — the result is the reference
 // engine's, and a case whose loop takes the row form sequentially takes it on
-// a team too.
+// a team too. A one-worker runner that chooses its width runs no team: the
+// same bits, and no synchronization counted.
 func TestRowLegalityTableOnATeam(t *testing.T) {
 	for _, tc := range cursortest.RowCases {
 		tc := tc
@@ -129,6 +131,22 @@ func TestRowLegalityTableOnATeam(t *testing.T) {
 			rowTeams(func(kind decomp.Kind, workers int) {
 				if rows := d.check(t, kind, workers); tc.Row && rows == 0 {
 					t.Fatalf("%v P=%d: no row entry on a team", kind, workers)
+				}
+				if workers != 1 {
+					return
+				}
+				r, err := d.compiled[kind].NewRunner(exec.Config{Workers: 1, Params: d.params})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := r.Run()
+				if err != nil {
+					t.Fatalf("%v width-1 run: %v", kind, err)
+				}
+				requireBitwiseEqual(t, fmt.Sprintf("%s %v width-1 run", d.what, kind), d.ref, res.State)
+				if exec.TakesTeam(r.Runner) || res.Stats.String() != (spmdrt.StatsSnapshot{}).String() {
+					t.Errorf("%v width-1 run: team %v, counts %s; want no team and no synchronization",
+						kind, exec.TakesTeam(r.Runner), res.Stats)
 				}
 			})
 		})

@@ -7,6 +7,8 @@ package interp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -69,6 +71,17 @@ func NewState(prog *ir.Program, params map[string]int64) (*State, error) {
 		st.arrays[a.Name] = &ArrayVal{Name: a.Name, Dims: dims, Data: make([]float64, total)}
 	}
 	return st, nil
+}
+
+// Clone returns a deep copy of st: its own parameter and scalar maps and
+// its own array storage.
+func (st *State) Clone() *State {
+	c := &State{Prog: st.Prog, Params: maps.Clone(st.Params), Scalars: maps.Clone(st.Scalars),
+		arrays: make(map[string]*ArrayVal, len(st.arrays))}
+	for name, a := range st.arrays {
+		c.arrays[name] = &ArrayVal{Name: a.Name, Dims: slices.Clone(a.Dims), Data: slices.Clone(a.Data)}
+	}
+	return c
 }
 
 // Array returns the storage of a named array, or nil.

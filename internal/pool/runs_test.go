@@ -49,6 +49,45 @@ func TestPooledRunDefaults(t *testing.T) {
 	}
 }
 
+// TestNarrowedRunLeasesNoTeam: a runner narrowed to one worker runs without
+// a team, so its runs check nothing out of the pool it was given, while the
+// same runner at its fixed width checks one team out per run.
+func TestNarrowedRunLeasesNoTeam(t *testing.T) {
+	tp := pool.New(pool.Options{})
+	defer tp.Close()
+	k, err := suite.Get("jacobi1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(k.Source, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"N": 64, "T": 300}
+	for _, fixed := range []bool{false, true} {
+		r, err := c.NewRunner(exec.Config{Workers: 2, Params: params, Pool: tp, FixedWidth: fixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fixed && r.Width() != 1 {
+			t.Fatalf("runner not narrowed: %v", r.WidthDecision())
+		}
+		before := tp.Snapshot()
+		for i := 0; i < 3; i++ {
+			if _, err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(0)
+		if fixed {
+			want = 3
+		}
+		if n := tp.Snapshot().Checkouts - before.Checkouts; n != want {
+			t.Errorf("fixed=%v: three runs made %d checkouts, want %d", fixed, n, want)
+		}
+	}
+}
+
 // TestRunContextCancelPooled is the pooled variant of the cancellation
 // contract: a mid-run cancellation closes the leased team, and the next
 // checkout of that shape builds a new team cold with factory-fresh stats.

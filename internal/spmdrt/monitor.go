@@ -30,9 +30,12 @@ type Monitor struct {
 	failed   atomic.Bool
 }
 
+// siteSlot is one worker's registered wait site, and whether the worker
+// has returned from the run's region function.
 type siteSlot struct {
-	p atomic.Pointer[WaitSite]
-	_ pad
+	p        atomic.Pointer[WaitSite]
+	returned atomic.Bool
+	_        pad
 }
 
 func newMonitor(n int) *Monitor {
@@ -79,10 +82,12 @@ type WaitSite struct {
 	Since time.Time
 }
 
-// WaitStatus is one worker's entry in a cancellation report.
+// WaitStatus is one worker's entry in a cancellation report: blocked in a
+// primitive, returned from its region, or neither (running).
 type WaitStatus struct {
 	Worker   int
 	Blocked  bool
+	Returned bool
 	Prim     string
 	Detail   string
 	Target   int64
@@ -91,6 +96,9 @@ type WaitStatus struct {
 }
 
 func (s WaitStatus) String() string {
+	if s.Returned {
+		return fmt.Sprintf("w%d: returned (its region is done)", s.Worker)
+	}
 	if !s.Blocked {
 		return fmt.Sprintf("w%d: running (not blocked in a runtime sync primitive)", s.Worker)
 	}
@@ -116,8 +124,8 @@ type CancelError struct {
 	// run was cancelled, so a report from a reused team attributes to the
 	// specific run, not just the site.
 	Generation int64
-	// Workers holds one status per team worker; empty when the run was
-	// cancelled before its team was leased.
+	// Workers holds one status per team worker; empty when no team ran
+	// (the run was cancelled before its team was leased, or it had none).
 	Workers []WaitStatus
 }
 
@@ -159,7 +167,7 @@ func (m *Monitor) cancelError(cause error) *CancelError {
 	for w := range m.sites {
 		site := m.sites[w].p.Load()
 		if site == nil {
-			e.Workers = append(e.Workers, WaitStatus{Worker: w})
+			e.Workers = append(e.Workers, WaitStatus{Worker: w, Returned: m.sites[w].returned.Load()})
 			continue
 		}
 		st := WaitStatus{

@@ -251,3 +251,31 @@ func TestWatchdogReportNamesEveryBlockedWorker(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelReportsReturnedWorker cancels a two-worker team whose w0 has
+// returned from its region while w1 blocks on a counter nobody posts: the
+// report says w0 returned, not that it is running, and w1 is blocked. A
+// persistent team clears the mark when it starts its next run.
+func TestCancelReportsReturnedWorker(t *testing.T) {
+	pt := NewPersistentTeam(2, Central)
+	defer pt.Close()
+	if err := pt.Run(func(int) {}); err != nil {
+		t.Fatal(err)
+	}
+	team := pt.Team()
+	c := team.NewCounter()
+	c.Site = "site 2"
+	defer watchdog(team, 100*time.Millisecond).Stop()
+	de := cancelled(t, pt.Run(func(w int) {
+		if w == 1 {
+			c.WaitGEAs(1, 1)
+		}
+	}), 2)
+	w0, w1 := de.Workers[0], de.Workers[1]
+	if !w0.Returned || w0.Blocked || !strings.Contains(w0.String(), "w0: returned") {
+		t.Errorf("w0 status %+v reads %q, want returned", w0, w0)
+	}
+	if w1.Returned || !w1.Blocked || w1.Prim != "counter" || w1.Detail != "site 2" {
+		t.Errorf("w1 status %+v reads %q, want blocked on the counter", w1, w1)
+	}
+}

@@ -72,7 +72,9 @@ func (pt *PersistentTeam) parkLoop(w int) {
 }
 
 // runOne executes one worker's share of a job: teamAbort unwinds are
-// swallowed, real panics latch the monitor as a PanicError. Completion is
+// swallowed, real panics latch the monitor as a PanicError, and a worker
+// whose share returns is marked so in the monitor, which a cancellation
+// report reads (Run clears the marks before it dispatches). Completion is
 // an atomic countdown whose last decrement closes done, not a helper
 // goroutine blocked in WaitGroup.Wait: such a waiter would itself leak
 // whenever a worker is abandoned past the unwind grace.
@@ -88,6 +90,7 @@ func (pt *PersistentTeam) runOne(w int, job *teamJob) {
 		}
 	}()
 	job.fn(w)
+	pt.t.mon.sites[w].returned.Store(true)
 }
 
 // Run executes fn(w) on the parked workers and returns when all finish,
@@ -108,6 +111,9 @@ func (pt *PersistentTeam) Run(fn func(w int)) error {
 		return mon.Err()
 	}
 	mon.gen.Store(pt.t.gen.Add(1))
+	for w := range mon.sites {
+		mon.sites[w].returned.Store(false)
+	}
 	job := &teamJob{fn: fn, done: make(chan struct{})}
 	job.remaining.Store(int64(pt.t.N))
 	for _, ch := range pt.jobs {
