@@ -219,7 +219,9 @@ func TestAnalyzerExposed(t *testing.T) {
 // TestInliningMatchesFlatProgram: the paper says interprocedural analysis
 // enlarges SPMD regions; with front-end inlining, a modularized program
 // must compile to exactly the same static schedule and produce the same
-// results as its hand-flattened form.
+// results as its hand-flattened form. Both run on teams of all four workers
+// (exec.Config.FixedWidth): a run narrowed to one worker counts no barrier,
+// which would make the dynamic comparison hold trivially.
 func TestInliningMatchesFlatProgram(t *testing.T) {
 	modular := `
 program m
@@ -268,7 +270,7 @@ end
 			cm.Schedule.Static(), cf.Schedule.Static(), cm.Schedule.Dump())
 	}
 	params := map[string]int64{"N": 40, "T": 4}
-	rm, err := cm.NewRunner(exec.Config{Workers: 4, Params: params})
+	rm, err := cm.NewRunner(exec.Config{Workers: 4, Params: params, FixedWidth: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := cf.NewRunner(exec.Config{Workers: 4, Params: params})
+	rf, err := cf.NewRunner(exec.Config{Workers: 4, Params: params, FixedWidth: true})
 	if err != nil {
 		t.Fatal(err)
 	}

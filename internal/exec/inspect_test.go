@@ -62,6 +62,9 @@ func TestInspectorRowsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: runner: %v", p.name, err)
 			}
+			if exec.HasInspector(r.Runner) && !exec.TakesTeam(r.Runner) {
+				t.Fatalf("%s P=%d: a runner with inspector sites runs without a team", p.name, workers)
+			}
 			check := exec.CheckRows(r.Runner)
 			res, err := r.Run()
 			if err != nil {
