@@ -173,9 +173,9 @@ func BenchmarkSeedState(b *testing.B) {
 // runs no team, and should read like seq plus BenchmarkSeedState's copy of
 // the state (a Runner's runs after its first copy a seeded image, within
 // the same order as seeding one). optctx is opt under a context that can be
-// cancelled, as spmdrun runs it: its sequential loops poll the context once
-// a time step. matmul at compute_dense's size is the other way round: there
-// opt is fixed.
+// cancelled, as spmdrun runs it: the same drivers, polling a stop flag the
+// context sets, so it should read like opt. matmul at compute_dense's size
+// is the other way round: there opt is fixed.
 func BenchmarkFineGrain(b *testing.B) {
 	for _, tc := range []struct {
 		name   string

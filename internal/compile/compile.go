@@ -32,9 +32,6 @@ type (
 	// least 1). It is the only loop driver: the sequential loop statement,
 	// the executor's partitioned slices and its wavefront relay all call it.
 	RangeFn func(fr *Frame, start, end, step int64)
-	// Hook runs one entry of a loop in a sequential run (RunSeq) in place of
-	// the loop statement's driver, given the bounds the entry evaluated.
-	Hook func(fr *Frame, lo, hi int64)
 )
 
 // Prog is one lowered program: every statement and expression compiled to
@@ -59,6 +56,9 @@ type Prog struct {
 	// nmemo counts the memos a frame keeps, scopes numbers their scopes.
 	nmemo  int
 	scopes map[*ir.Loop]int
+	// ncell is the number of cells a frame needs for the private and
+	// reduction scalars of the annotated loops one entry nests (cellLoop).
+	ncell int
 	// ord numbers every statement densely in ir.WalkStmts order; Frame.Sites
 	// is indexed by it.
 	ord map[ir.Stmt]int
@@ -161,24 +161,27 @@ func (p *Prog) NewFrame() *Frame {
 		Dims:   make([][]int64, p.lay.NumArrays()),
 		Sites:  make([]uint16, len(p.ord)),
 		cur:    make([]cursor, p.ncur),
+		cells:  make([]float64, p.ncell),
+		old:    make([]*float64, p.ncell),
 	}
 }
 
 // RunSeq executes the whole lowered program sequentially over st, on one
-// frame: the closure analogue of interp.RunOn, and the executor's width-1
-// run. Scalars are copied through a private vector and flushed back on
-// success. hooks, when non-nil, is indexed by statement ordinal (Ordinal):
-// an entry of a loop whose hook is set runs the hook instead of the loop's
-// driver. A nest's driver runs its inner loop's rows itself, so a hook on a
-// loop whose enclosing loop runs as a nest fires only if that loop is
-// hooked too and runs its body's statements (Stmt) per iteration.
-func (p *Prog) RunSeq(st *interp.State, hooks []Hook) error {
+// frame: the executor's width-1 run, what one worker of a team does. It is
+// the closure analogue of interp.RunOn except on loops with private or
+// reduction scalars, which run as a team's worker runs its slice (cellLoop)
+// where the interpreter ignores the annotations: a private leaves the shared
+// copy alone, and a reduction folds into its pre-loop value. Scalars are
+// copied through a private vector and flushed back on success. stop, when
+// non-nil, is polled at every loop entry and every 256th row of a nest:
+// once it is set, the run aborts with a fault.
+func (p *Prog) RunSeq(st *interp.State, stop *atomic.Bool) error {
 	fr, err := p.seqFrame(st)
 	if err != nil {
 		return err
 	}
 	defer p.Release(fr)
-	fr.hooks = hooks
+	fr.stop = stop
 	return p.runSeqOn(fr, st)
 }
 
@@ -237,6 +240,9 @@ type cc struct {
 	// last is the loop lowered last: the one a loop's body ends with (nest);
 	last  *plan
 	loops []ir.Stmt // the loops being lowered, outermost first
+	// cells is how many cells the annotated loops being lowered hold: the
+	// offset of the next one's (cellLoop).
+	cells int
 }
 
 func (c *cc) errf(pos ir.Pos, format string, args ...any) error {
@@ -325,12 +331,14 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	if !ok {
 		return nil, c.errf(n.P, "no register for loop index %s", n.Index)
 	}
-	outer := c.scope[n.Index]
+	outer, off := c.scope[n.Index], c.cells
 	c.scope[n.Index] = true
 	c.env.Bind(n.Index, linear.Loop(n.Index))
 	c.loops = append(c.loops, n)
+	c.cells += len(n.Private) + len(n.Reductions)
+	c.p.ncell = max(c.p.ncell, c.cells)
 	defer func() {
-		c.loops = c.loops[:len(c.loops)-1]
+		c.loops, c.cells = c.loops[:len(c.loops)-1], off
 		if c.scope[n.Index] = outer; !outer {
 			// Out of scope the name can only be a parameter's.
 			c.env.Bind(n.Index, linear.Sym(n.Index))
@@ -373,20 +381,107 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 	}
 	c.p.ranges[n], c.last = rng, pl
 	c.p.lob[n], c.p.hib[n] = lo.fn, hi.fn
-	loF, hiF, ord := lo.fn, hi.fn, c.p.ord[n]
+	if len(n.Private)+len(n.Reductions) > 0 {
+		return c.cellLoop(n, off, lo.fn, hi.fn, rng), nil
+	}
+	loF, hiF := lo.fn, hi.fn
 	return func(fr *Frame) {
-		lo, hi := loF(fr), hiF(fr)
-		if fr.hooks != nil && fr.hooks[ord] != nil && fr.fault == nil {
-			fr.hooks[ord](fr, lo, hi)
+		if !fr.stopped() {
+			rng(fr, loF(fr), hiF(fr), 1)
+		}
+	}, nil
+}
+
+// cellLoop returns the statement of loop n, which has private or reduction
+// scalars: its entries run as one worker of a team runs its slice (the
+// executor's parallel step at width 1). An entry with iterations redirects
+// the scalars to the frame's cells from off, after those of the annotated
+// loops it nests in: privates from 0, so the scalars they shadow keep their
+// values, and reductions from their operators' identities. After the loop
+// each reduction's cell folds into the value its scalar had before, the
+// previous redirection's or the shared slot's, and the redirections go back.
+// A name that is not a scalar keeps no cell (the executor rejects such a
+// reduction).
+func (c *cc) cellLoop(n *ir.Loop, off int, loF, hiF IntFn, rng RangeFn) StmtFn {
+	var slots []int
+	var ops []ir.BinKind
+	for _, name := range n.Private {
+		if slot, ok := c.p.lay.ScalarSlot(name); ok {
+			slots = append(slots, slot)
+		}
+	}
+	npriv := len(slots)
+	for _, red := range n.Reductions {
+		if slot, ok := c.p.lay.ScalarSlot(red.Var); ok {
+			slots, ops = append(slots, slot), append(ops, red.Op)
+		}
+	}
+	return func(fr *Frame) {
+		if fr.stopped() {
 			return
 		}
+		lo, hi := loF(fr), hiF(fr)
+		if lo > hi || fr.fault != nil {
+			return
+		}
+		cells, old := fr.cells[off:][:len(slots)], fr.old[off:][:len(slots)]
+		for i, slot := range slots {
+			cells[i], old[i], fr.Priv[slot] = 0, fr.Priv[slot], &cells[i]
+			if i >= npriv {
+				cells[i] = Identity(ops[i-npriv])
+			}
+		}
 		rng(fr, lo, hi, 1)
-	}, nil
+		for i := len(slots) - 1; i >= 0; i-- {
+			slot := slots[i]
+			if fr.Priv[slot] = old[i]; i < npriv {
+				continue
+			}
+			if op := ops[i-npriv]; old[i] != nil {
+				*old[i] = Combine(op, *old[i], cells[i])
+			} else {
+				fr.Scal[slot].Store(math.Float64bits(Combine(op, math.Float64frombits(fr.Scal[slot].Load()), cells[i])))
+			}
+		}
+	}
+}
+
+// Combine applies a reduction operator.
+func Combine(op ir.BinKind, a, b float64) float64 {
+	switch op {
+	case ir.Add:
+		return a + b
+	case ir.Mul:
+		return a * b
+	case ir.MinOp:
+		return math.Min(a, b)
+	case ir.MaxOp:
+		return math.Max(a, b)
+	default:
+		panic("compile: unknown reduction operator")
+	}
+}
+
+// Identity returns the identity element of a reduction operator.
+func Identity(op ir.BinKind) float64 {
+	switch op {
+	case ir.Add:
+		return 0
+	case ir.Mul:
+		return 1
+	case ir.MinOp:
+		return math.Inf(1)
+	case ir.MaxOp:
+		return math.Inf(-1)
+	default:
+		panic("compile: unknown reduction operator")
+	}
 }
 
 // nest returns the driver of a nest's plan, loop n with index register reg,
 // if n's body is assignments, run per row as they are lowered, and then one
-// loop m (lowered last) with cursors, another index and no guard. m's bounds
+// loop m (lowered last) with cursors, another index, no guard and no private
+// or reduction scalar (the rows would skip its cells: cellLoop). m's bounds
 // are one box for every row if affine in neither index; otherwise they vary,
 // and must read no array n's body stores, so that what they yield in a row is
 // fixed before any row runs (an integer expression reads no scalar, and m
@@ -395,7 +490,8 @@ func (c *cc) loop(n *ir.Loop) (StmtFn, error) {
 // nest returns rng, the driver of n's own plan.
 func (c *cc) nest(n *ir.Loop, reg int, rng RangeFn) RangeFn {
 	in, k := c.last, len(n.Body)-1
-	if k < 0 || in == nil || n.Body[k] != in.loop || len(in.refs) == 0 || in.reg == reg || in.guard != nil {
+	if k < 0 || in == nil || n.Body[k] != in.loop || len(in.refs) == 0 || in.reg == reg || in.guard != nil ||
+		len(in.loop.Private)+len(in.loop.Reductions) > 0 {
 		return rng
 	}
 	np, ok, arrays, w := *in, true, []string(nil), ir.WritesOf(n.Body)

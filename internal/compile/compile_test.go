@@ -326,6 +326,97 @@ end
 	}
 }
 
+// TestRunSeqAnnotatedLoops pins what RunSeq gives a loop with private or
+// reduction scalars: what one worker of a team does with its slice, not the
+// interpreter's in-place reading. A reduction accumulates from its
+// operator's identity and folds into its pre-loop value once, so the bits
+// are pre + (0 + a1 + ... + aN), which a large pre-loop value tells apart
+// from ((pre + a1) + ...) + aN; a private's shared copy keeps its value; an
+// entry with no iterations leaves its reductions' bits alone, -0 included;
+// and an annotated loop nested in another keeps cells of its own, folding
+// into the enclosing loop's cell.
+func TestRunSeqAnnotatedLoops(t *testing.T) {
+	prog := mustParse(`
+program cells
+param N
+real A(N)
+real s, p, z, q, u, w, x
+do i = 1, N
+  p = A(i) * 2.0
+  s = s + p
+end do
+do j = N + 1, N
+  z = z + A(1)
+end do
+do k = 1, 2
+  w = k
+  do m = 1, N
+    x = A(m) * w
+    q = q + x
+  end do
+  u = u + w
+end do
+end
+`)
+	loops := map[string]*ir.Loop{}
+	ir.WalkStmts(prog.Body, func(s ir.Stmt) bool {
+		if l, ok := s.(*ir.Loop); ok {
+			loops[l.Index] = l
+		}
+		return true
+	})
+	add := func(names ...string) (reds []ir.Reduction) {
+		for _, n := range names {
+			reds = append(reds, ir.Reduction{Var: n, Op: ir.Add})
+		}
+		return reds
+	}
+	loops["i"].Private, loops["i"].Reductions = []string{"p"}, add("s")
+	loops["j"].Reductions = add("z")
+	loops["k"].Private, loops["k"].Reductions = []string{"w"}, add("q", "u")
+	loops["m"].Private, loops["m"].Reductions = []string{"x"}, add("q")
+	p, err := Compile(prog, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	st, err := interp.NewState(prog, map[string]int64{"N": n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := st.Array("A").Data
+	for i := range a {
+		a[i] = 1
+	}
+	pre := map[string]float64{"s": 0x1p54, "p": 7, "z": math.Copysign(0, -1), "q": 0x1p54, "u": 3, "w": 5, "x": 9}
+	for name, v := range pre {
+		st.Scalars[name] = v
+	}
+	if err := p.RunSeq(st, nil); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(scale float64) (acc float64) { // identity, then each term
+		for _, v := range a {
+			acc += v * scale
+		}
+		return acc
+	}
+	want := map[string]float64{
+		"s": pre["s"] + sum(2),
+		"q": pre["q"] + ((0 + sum(1)) + sum(2)),
+		"u": pre["u"] + ((0 + 1.0) + 2.0),
+		"p": pre["p"], "w": pre["w"], "x": pre["x"], "z": pre["z"],
+	}
+	if want["s"] == ((pre["s"]+2)+2)+2+2 {
+		t.Fatal("the terms do not tell the fold from an in-place accumulation")
+	}
+	for name, v := range want {
+		if got := st.Scalars[name]; math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("scalar %s: %v (bits %#x), want %v (bits %#x)", name, got, math.Float64bits(got), v, math.Float64bits(v))
+		}
+	}
+}
+
 // mustParse parses src and panics on error: the sources are the tests' own
 // constants or suite kernels.
 func mustParse(src string) *ir.Program {

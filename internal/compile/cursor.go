@@ -407,7 +407,9 @@ func (pl *plan) fill(fr *Frame, m *memo, hit bool, start, step, b, e int64) (row
 // decide gives it, decided once where no row can answer otherwise (the same
 // bounds in each, no gather, each cursor on a stored array moving with the
 // store, so every pair of offsets legal compares shifts together), the
-// cursors stepped by their deltas.
+// cursors stepped by their deltas. It polls the frame's stop flag before
+// every nestRows-th row from b: per row, the poll cost spmvcsr's short CSR
+// rows about 15 %.
 func (pl *plan) rows(fr *Frame, rows []planRow, delta []int64, b, e, step int64) {
 	once, r, n := !pl.vary && pl.row != nil && pl.row.gathers == nil, planRow{}, int64(0)
 	cur := fr.cur[pl.refs[0].slot:][:len(delta)] // a loop's slots are consecutive
@@ -417,6 +419,9 @@ func (pl *plan) rows(fr *Frame, rows []planRow, delta []int64, b, e, step int64)
 		}
 	}
 	for k, i := 0, b; ; k, i = k+1, i+step {
+		if k%nestRows == 0 && fr.stopped() {
+			return
+		}
 		fr.Regs[pl.outer], r = i, rows[min(k, len(rows)-1)] // a nest whose bounds do not vary has one
 		for _, st := range pl.pre {
 			if st(fr); fr.fault != nil {

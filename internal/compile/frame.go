@@ -128,9 +128,14 @@ type Frame struct {
 	// block of an entry plan's rows that ran them (plan.rangeFn).
 	Checks int64
 
-	// hooks replace the drivers of some loops' entries in a sequential run
-	// (Prog.RunSeq), indexed by statement ordinal.
-	hooks []Hook
+	// cells hold the private and reduction scalars of the annotated loops
+	// a sequential run's entry nests (cellLoop), and old the redirections
+	// they replaced.
+	cells []float64
+	old   []*float64
+	// stop, when set, aborts a sequential run (Prog.RunSeq) at the next
+	// loop entry or block of a nest's rows that polls it (stopped).
+	stop *atomic.Bool
 
 	fault    *Fault
 	faultVal int64
@@ -151,13 +156,20 @@ func (fr *Frame) trip(f *Fault, val int64) {
 	}
 }
 
-// abortFault is what Abort trips.
-var abortFault = &Fault{Msg: "run aborted"}
+// stopFault is what a set stop flag trips.
+var stopFault = &Fault{Msg: "run stopped"}
 
-// Abort stops the frame's run: it trips a fault (unless one is already
-// recorded), so every statement sequence and loop driver returns at its
-// next check. The caller that aborts knows why and reports that instead.
-func (fr *Frame) Abort() { fr.trip(abortFault, 0) }
+// stopped polls the frame's stop flag. Once it is set, stopped trips a
+// fault (unless one is already recorded), so every statement sequence and
+// loop driver returns at its next check; the caller that set the flag knows
+// why and reports that instead.
+func (fr *Frame) stopped() bool {
+	if fr.stop != nil && fr.stop.Load() {
+		fr.trip(stopFault, 0)
+		return true
+	}
+	return false
+}
 
 // Ok reports whether the frame is fault-free. It is cheap enough to check
 // per iteration.

@@ -116,7 +116,8 @@ func (r *Runner) Run() (*Result, error) {
 // RunContext is Run under a context: cancellation or deadline expiry tears
 // the worker team down through its failure latch and returns a
 // *spmdrt.CancelError wrapping ctx.Err(), with every worker's wait site (a
-// width-1 run has no team and stops within a time step).
+// width-1 run has no team and stops at its next loop entry or block of a
+// nest's rows).
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	res, err := r.Runner.RunContext(ctx)
 	if err != nil {

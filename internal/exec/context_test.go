@@ -123,6 +123,51 @@ func TestRunContextCancel(t *testing.T) {
 			t.Fatalf("the state changed after RunContextOn returned: checksum %v, then %v", sum, after)
 		}
 	})
+	t.Run("deadline mid-run, narrowed nest", func(t *testing.T) {
+		// The time loop runs as a nest of the i loop: one entry whose rows
+		// are the time steps, each of which polls the stop flag.
+		c, err := core.Compile(`
+program decay
+param N, T
+real A(N)
+do t = 1, T
+  do i = 1, N
+    A(i) = 0.5 * A(i) + 1.0
+  end do
+end do
+end
+`, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.NewRunner(exec.Config{Workers: 1, Params: map[string]int64{"N": 64, "T": 1 << 40}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exec.TakesTeam(r.Runner) {
+			t.Fatalf("runner leases a team: %v", r.WidthDecision())
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.RunContext(ctx)
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a 30ms deadline did not stop the nest in 10s")
+		}
+		var ce *spmdrt.CancelError
+		if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("want a *spmdrt.CancelError unwrapping DeadlineExceeded, got %v", err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("a 30ms deadline stopped the nest after %s", took)
+		}
+	})
 	t.Run("uncancelled context still runs", func(t *testing.T) {
 		r := contextRunner(t, "jacobi1d", nil)
 		res, err := r.RunContext(context.Background())

@@ -107,20 +107,19 @@ type Config struct {
 	// wants a cold team passes a fresh pool.New.
 	Pool *pool.Pool
 	// Spans, when non-nil, receives run-lifecycle spans from the executor
-	// — pool lease, team run, inspector scans, or a width-1 run's seq
-	// run — as children of
-	// SpansParent (the caller's "execute" span; 0 hangs them off the trace
-	// root). Nil disables span collection: every recording site is a single
-	// nil check.
+	// as children of SpansParent (the caller's "execute" span; 0 hangs them
+	// off the trace root): pool lease, team run and inspector scans, or a
+	// width-1 run's one "seq run". Nil disables span collection: every
+	// recording site is a single nil check.
 	Spans *telemetry.Trace
 	// SpansParent is the parent span for the spans the executor records.
 	SpansParent telemetry.SpanID
 	// FixedWidth makes every run lease all Workers, the paper's fixed-P
 	// measure, and a team even when Workers is 1. Otherwise NewRunner
-	// chooses the width once (WidthDecision), a width-1 run has no team
-	// unless it is traced or has an inspector site (seq.go), and Sanitize,
-	// ChaosSeed and SabotageEdge, which exist to observe P-worker
-	// interleavings, imply it.
+	// chooses the width once (WidthDecision), a width-1 run that is not
+	// traced and has no inspector site runs the compiled program with no
+	// team (compile.Prog.RunSeq, seq.go), and Sanitize, ChaosSeed and
+	// SabotageEdge, which exist to observe P-worker interleavings, imply it.
 	FixedWidth bool
 }
 
@@ -185,9 +184,8 @@ type Runner struct {
 	newEngine func(run *teamRun, w int) engine
 	// seq says runs take the width-1 path (seq.go): one worker, and nothing
 	// asking for a team (an oracle mode, FixedWidth, an inspector site, a
-	// trace or the test engine). seqLoops are the loops it hooks.
-	seq      bool
-	seqLoops []seqLoop
+	// trace or the test engine).
+	seq bool
 	// runs counts RunContext calls; from the second on, a run's state is a
 	// copy of image, the seeded state imageOnce builds (imageErr if it
 	// cannot), immutable afterwards.
@@ -316,9 +314,7 @@ func NewRunner(prog *ir.Program, sched *syncopt.Schedule, plan *decomp.Plan, cfg
 	r.width = r.decision.W
 	// The team's runtime is what an inspector site scans with and what a
 	// trace records, so those runs keep it at width 1 too.
-	if r.seq = r.width == 1 && r.decision.Fixed == "" && !r.hasInsp && !cfg.Trace; r.seq {
-		r.lowerSeq()
-	}
+	r.seq = r.width == 1 && r.decision.Fixed == "" && !r.hasInsp && !cfg.Trace
 	return r, nil
 }
 
@@ -349,7 +345,7 @@ func (r *Runner) Run() (*Result, error) {
 // RunContext is Run under a context: cancellation or deadline expiry trips
 // the team's failure latch, every worker blocked in a runtime primitive
 // unwinds, and the call returns a *spmdrt.CancelError wrapping ctx.Err().
-// A width-1 run has no team: it polls ctx once a time step.
+// A width-1 run has no team: its loops poll a stop flag ctx sets.
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	sp := r.cfg.Spans.Start(r.cfg.SpansParent, "state")
 	st, err := r.seeded()
@@ -483,22 +479,19 @@ func (r *Runner) RunContextOn(ctx context.Context, st *interp.State) (*Result, e
 	// are flushed back afterwards.
 	repl0 := make([]*float64, len(r.repl))
 
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		stopped := make(chan struct{})
-		go func() {
-			defer close(stopped)
-			select {
-			case <-ctx.Done():
-				team.Cancel(ctx.Err())
-			case <-stop:
-			}
-		}()
-		// Join the watcher — not just signal it — before the deferred
-		// lease release: a team.Cancel racing the reset protocol could
-		// latch a team that is already parked for the next checkout.
-		defer func() { close(stop); <-stopped }()
-	}
+	cancelled := make(chan struct{})
+	stopCancel := context.AfterFunc(ctx, func() {
+		team.Cancel(ctx.Err())
+		close(cancelled)
+	})
+	// Join a cancel that has started — not just stop later ones — before
+	// the deferred lease release: a team.Cancel racing the reset protocol
+	// could latch a team that is already parked for the next checkout.
+	defer func() {
+		if !stopCancel() {
+			<-cancelled
+		}
+	}()
 
 	body := func(w int) {
 		ws := &workerState{
@@ -854,7 +847,7 @@ func (ws *workerState) execParallelSlice(l *ir.Loop, at *stepAt) {
 		ws.activate(p, &ws.cells[len(ws.saves)], 0)
 	}
 	for i := range slots {
-		ws.activate(l.Reductions[i].Var, &slots[i], reductionIdentity(l.Reductions[i].Op))
+		ws.activate(l.Reductions[i].Var, &slots[i], compile.Identity(l.Reductions[i].Op))
 	}
 	ws.runSlice(at, start, end, step)
 	if slots != nil {
@@ -924,14 +917,14 @@ func (ws *workerState) fold(l *ir.Loop, at *stepAt) {
 	}
 	ps := ws.run.ps
 	for i, red := range l.Reductions {
-		slot, id := ps.scalarIdx[red.Var], reductionIdentity(red.Op)
+		slot, id := ps.scalarIdx[red.Var], compile.Identity(red.Op)
 		acc := ps.loadScalar(slot)
 		for w, a := range fc.act {
 			v := id
 			if a {
 				v = f.parts[w*(n+foldPad)+i]
 			}
-			acc = combine(red.Op, acc, v)
+			acc = compile.Combine(red.Op, acc, v)
 		}
 		ps.storeScalar(slot, acc)
 	}

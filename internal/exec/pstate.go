@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/interp"
-	"repro/internal/ir"
 )
 
 // pstate is the shared storage of one parallel execution. Array elements
@@ -58,36 +57,4 @@ func (ps *pstate) loadScalar(i int) float64 {
 
 func (ps *pstate) storeScalar(i int, v float64) {
 	ps.scalars[i].Store(math.Float64bits(v))
-}
-
-// combine applies a reduction operator.
-func combine(op ir.BinKind, a, b float64) float64 {
-	switch op {
-	case ir.Add:
-		return a + b
-	case ir.Mul:
-		return a * b
-	case ir.MinOp:
-		return math.Min(a, b)
-	case ir.MaxOp:
-		return math.Max(a, b)
-	default:
-		panic("exec: unknown reduction operator")
-	}
-}
-
-// reductionIdentity returns the identity element of a reduction operator.
-func reductionIdentity(op ir.BinKind) float64 {
-	switch op {
-	case ir.Add:
-		return 0
-	case ir.Mul:
-		return 1
-	case ir.MinOp:
-		return math.Inf(1)
-	case ir.MaxOp:
-		return math.Inf(-1)
-	default:
-		panic("exec: unknown reduction operator")
-	}
 }

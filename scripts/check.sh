@@ -347,17 +347,19 @@ echo "== one timing sampler =="
 # spawn path Team.Run had beside the persistent team's, of the per-wait
 # stall watchdog beside the run's one deadline (its setter, config field,
 # report type and flag), of the second span export beside the Chrome
-# file's lifecycle track (its envelope tool and flag), and of barrierc's
-# -witness switch (-certify always prints its verdict), must not come back
-# in any .go or .sh file, in docs/ or in README.md.
-retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)|runWorkers|SetWatchdog|WatchdogTimeout|DeadlockError|ToolSpans|spmdrun-spans|Var\(&o\.watchdog|Var\(&o\.spansOut|Bool\("witness"' # retired-names
+# file's lifecycle track (its envelope tool and flag), of barrierc's
+# -witness switch (-certify always prints its verdict), and of the second
+# set of loop drivers a width-1 run hooked in beside the compiled program's
+# (compile's hook type and exec's hooked loops), must not come back in any
+# .go or .sh file, in docs/ or in README.md.
+retired='pairedMedianWait|medianRun|pairedMeanNoise|medianDuration|baselineStamp|overhead_baseline|OVERHEAD_TOL|TRACE_ON_TOL|PROFILE_TOL|SPAN_GUARD_PAIRS|MeasurePoolBench|MeasureSpanBench|MeasureFDOBench|MeasureProfileBench|benchtab_smoke|BENCH_[a-z]*\.json|metrics-addr|metrics-linger|internal/metrics|telemetry\.Default|WatchdogTrips|barrier_analysis|team_pool|execRegion|execTop|activeWorkers|evalAffine|dropSyncopt|DeterministicReductions|NoPool|relayLoop|mergeScalar|poolOn|contentGCD|MinShare|WeakenFactor|PromoteFactor|PromoteShare|AlgoShare|AlgoContentionNS|BarrierAuto|recommendAlgo|DiffOptions|MaxIdlePerKey|BaselineVerdict|BaselineRemarks|schedOptimized|schedBaseline|costsim\.Mode|costsim\.SPMD|costsim\.ForkJoin|Lower\((true|false)|WithBaseline|WithBarrier|WithProfile|MustParse|EvalFloat|EvalBool|SiteWait|BySite|\.Implies\(|\.NumSites\(\)|\.Traced\(\)|\.MeanSlack\(\)|\.Certify\(\)|runWorkers|SetWatchdog|WatchdogTimeout|DeadlockError|ToolSpans|spmdrun-spans|Var\(&o\.watchdog|Var\(&o\.spansOut|Bool\("witness"|compile\.Hook|lowerSeq|seqLoops?\b|seqScoped' # retired-names
 if sampler_hits="$({ find . \( -name '*.go' -o -name '*.sh' \) -not -path './.git/*' -print0
     printf '%s\0' docs/*.md README.md; } | xargs -0 grep -nE "$retired" | grep -v '# retired-names$')"; then
     echo "ERROR: a retired timing scheme, knob or serving surface is back:" >&2
     echo "$sampler_hits" >&2
     exit 1
 fi
-echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument, test-only-function, second-spawn-path, stall-watchdog, second-span-export or -witness name in any .go or .sh file, docs/ or README.md"
+echo "-- no retired pairing scheme, baseline file, tolerance knob, second-harness, serving-face, reduction-merge, team-spawn, feedback-threshold, barrier-recommendation, diff-threshold, pool-bound, execution-model-argument, test-only-function, second-spawn-path, stall-watchdog, second-span-export, -witness or width-1 hook name in any .go or .sh file, docs/ or README.md"
 
 echo "== pinned gates still exist =="
 # The -race leg above has already run these; what is checked here is that
@@ -382,7 +384,8 @@ echo "== pinned gates still exist =="
 # summary's rows) with the summary's exact row on fixed timestamps, the
 # team widths runners choose, with narrowed runs held to the fixed-width
 # final state and, with no team, to a one-worker team's bits on every scalar
-# (privates and reductions included) and to no pool checkout, the seeded
+# (privates and reductions included) and to no pool checkout, the compiled
+# meaning of annotated loops and the cancelled narrowed nest, the seeded
 # image later runs copy, the profile reader's decode fuzz with its hostile seeds, the
 # ledger reader's fuzz, schema check and torn-tail recovery, the one join
 # a Do's profile and
@@ -414,7 +417,7 @@ pinned ./internal/compile TestKernelsTakeRowForm TestRowLegalityTable \
     FuzzRowGather TestRowGatherMatchesInterp FuzzRowNest TestRowNestMatchesInterp \
     FuzzRowGuard TestRowGuardMatchesInterp TestRowOperatorShapes TestCSRRowsTakeANestPlan \
     TestMemoSabotagedScopeIsCaught FuzzStepMemo TestStepMemoMatchesInterp TestEntryDecisionsGolden \
-    TestPlanSabotagedBoxIsCaught
+    TestPlanSabotagedBoxIsCaught TestRunSeqAnnotatedLoops
 pinned ./internal/telemetry TestSpanTreeGolden TestSpanTreeDeterministic \
     TestPhaseDurationsSumToWall TestExecuteSpanAttrs \
     TestChromeExportInterleavesSpansAndSyncEvents TestChromeExportDeterministicShape
@@ -433,6 +436,10 @@ pinned ./cmd/spmdrun TestTimeoutStallFailsLoudly TestTraceFlagEndToEnd \
 pinned ./internal/spmdrt TestWatchdogReportNamesEveryBlockedWorker TestPersistentTeamWatchdogGeneration \
     TestCancelReportsReturnedWorker
 pinned ./internal/exec TestRunContextCancel
+grep -q 't.Run("deadline mid-run, narrowed nest"' internal/exec/context_test.go || {
+    echo "ERROR: TestRunContextCancel no longer cancels a narrowed nest" >&2
+    exit 1
+}
 pinned ./internal/pool TestPooledChaosSanitizerReuseSweep TestRunContextCancelPooled TestNarrowedRunLeasesNoTeam
 pinned . TestEveryInternalFuncHasAProductionCaller TestDeadcodeGateOnFixture
 echo "-- parity, row-form, pooled-sweep, pooled-cancel, final-state, chaos-determinism, pseudo-site, span-golden, irregular-floor, feedback, site-numbering, simulator, certifier, affine-form, site-account, team-width, width-1, seeded-image, profile-decode, ledger-read, one-join, explain, certify-rejection, cancel-report, trace-export, runner-mode and reachability gates present"
